@@ -131,16 +131,16 @@ impl Coo {
     /// summing their values. Entries whose folded value is exactly `0.0`
     /// are kept (explicit zeros are meaningful to the hardware models;
     /// use [`Coo::prune_zeros`] to drop them).
+    /// Works in place: no second copy of the entry list is made.
     pub fn sort_dedup(&mut self) {
         self.entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut out: Vec<Triple> = Vec::with_capacity(self.entries.len());
-        for &(r, c, v) in &self.entries {
-            match out.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => out.push((r, c, v)),
+        self.entries.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
             }
-        }
-        self.entries = out;
+            same
+        });
     }
 
     /// Removes entries whose value is exactly zero.
@@ -148,11 +148,19 @@ impl Coo {
         self.entries.retain(|&(_, _, v)| v != 0.0);
     }
 
-    /// Converts to CSR (sorts and folds duplicates in the process).
+    /// Converts to CSR (sorts and folds duplicates in the process),
+    /// leaving `self` untouched — which costs a copy of the entry list;
+    /// use [`Coo::into_csr`] when the COO is not needed afterwards.
     pub fn to_csr(&self) -> Csr {
-        let mut sorted = self.clone();
-        sorted.sort_dedup();
-        Csr::from_sorted_coo(&sorted)
+        self.clone().into_csr()
+    }
+
+    /// Converts to CSR, consuming the matrix: the entry list is sorted
+    /// and folded in place, so an owned COO (a panel fresh from the
+    /// reader, say) is never held twice.
+    pub fn into_csr(mut self) -> Csr {
+        self.sort_dedup();
+        Csr::from_sorted_coo(&self)
     }
 
     /// Flattened key `row * cols + col`, the total order the merge hardware
@@ -214,6 +222,15 @@ mod tests {
         assert_eq!(m.nnz(), 1);
         m.prune_zeros();
         assert_eq!(m.nnz(), 0);
+    }
+
+    #[test]
+    fn into_csr_equals_to_csr() {
+        let mut m = Coo::new(3, 3);
+        m.extend(vec![(2, 0, 1.5), (0, 1, 2.0), (2, 0, -0.25), (0, 1, 0.125)]);
+        let by_ref = m.to_csr();
+        assert_eq!(by_ref.nnz(), 2);
+        assert_eq!(m.into_csr(), by_ref);
     }
 
     #[test]

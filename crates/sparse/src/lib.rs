@@ -35,6 +35,7 @@ mod error;
 pub mod gen;
 pub mod linalg;
 pub mod mm;
+mod staging;
 pub mod stats;
 
 pub use coo::Coo;

@@ -6,6 +6,18 @@
 //! with `real`, `integer` and `pattern` fields and `general` / `symmetric` /
 //! `skew-symmetric` symmetry.
 //!
+//! # Cost model
+//!
+//! Parsing text is the expensive part of ingest, so every consumer reads
+//! its source **once**, through one validating scanner that reuses a
+//! single line buffer (no allocation per line): [`read`] and
+//! [`scan_col_nnz`] are one text scan each, and so is a panel reader
+//! ([`PanelReader`], [`RowPanelReader`]) at *any* panel count — its scan
+//! routes each entry to a per-panel bucket, and buckets that outgrow a
+//! small fixed buffer go through one self-deleting staging run in
+//! [`std::env::temp_dir`] (see [`AxisPanelReader`] for the layout and the
+//! memory bound).
+//!
 //! # Example
 //!
 //! ```
@@ -18,11 +30,13 @@
 //! # Ok::<(), sparch_sparse::SparseError>(())
 //! ```
 
+use crate::staging::{Staging, STAGING_ENTRIES};
 use crate::{panel_ranges, Coo, Index, SparseError};
 use std::fmt::Write as _;
+use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Symmetry declared in a Matrix Market header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,14 +62,17 @@ enum Field {
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::Parse`] on malformed headers, size lines or
-/// entries, and [`SparseError::IndexOutOfBounds`] if an entry exceeds the
-/// declared shape.
+/// Returns [`SparseError::Parse`] on malformed headers, size lines
+/// (including a shape beyond the 32-bit [`Index`] range) or entries, and
+/// [`SparseError::IndexOutOfBounds`] if an entry exceeds the declared
+/// shape.
 pub fn read<R: Read>(reader: R) -> Result<Coo, SparseError> {
-    let mut lines = BufReader::new(reader).lines();
-    let preamble = parse_preamble(&mut lines)?;
-    let mut coo = Coo::new(preamble.rows, preamble.cols);
-    scan_entries(lines, &preamble, |r0, c0, v| coo.push(r0, c0, v))?;
+    let scanner = Scanner::open(BufReader::new(reader))?;
+    let mut coo = Coo::new(scanner.preamble.rows, scanner.preamble.cols);
+    scanner.entries(|r0, c0, v| {
+        coo.push(r0, c0, v);
+        Ok(())
+    })?;
     Ok(coo)
 }
 
@@ -69,118 +86,187 @@ struct Preamble {
     declared_nnz: usize,
 }
 
-/// Parses the banner line, skips comments, and parses the size line —
-/// the shared front half of [`read`] and [`PanelReader`].
-fn parse_preamble<L>(lines: &mut L) -> Result<Preamble, SparseError>
-where
-    L: Iterator<Item = std::io::Result<String>>,
-{
-    let header = lines
-        .next()
-        .ok_or_else(|| SparseError::Parse("empty stream".into()))?
-        .map_err(SparseError::from)?;
-    let (field, symmetry) = parse_header(&header)?;
-
-    // Skip comments, find the size line.
-    let size_line = loop {
-        let line = lines
-            .next()
-            .ok_or_else(|| SparseError::Parse("missing size line".into()))?
-            .map_err(SparseError::from)?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        break line;
-    };
-    let dims: Vec<&str> = size_line.split_whitespace().collect();
-    if dims.len() != 3 {
-        return Err(SparseError::Parse(format!("bad size line: {size_line:?}")));
-    }
-    Ok(Preamble {
-        field,
-        symmetry,
-        rows: dims[0].parse().map_err(|_| bad_num(dims[0]))?,
-        cols: dims[1].parse().map_err(|_| bad_num(dims[1]))?,
-        declared_nnz: dims[2].parse().map_err(|_| bad_num(dims[2]))?,
-    })
+/// A coordinate stream positioned just after its size line — the one
+/// validating parser behind [`read`], [`scan_col_nnz`] and the panel
+/// readers, so they accept the same grammar and fail with the same
+/// errors. `line` is reused for every line: a scan allocates nothing per
+/// entry.
+#[derive(Debug)]
+struct Scanner<R> {
+    source: R,
+    line: String,
+    preamble: Preamble,
 }
 
-/// Walks every entry line after the size line, fully validating each
-/// (parse errors and bounds checks are identical for every consumer),
-/// expanding symmetry, and handing each **stored** entry — primary, plus
-/// the mirrored one for (skew-)symmetric inputs — to `f` in file order.
-/// Enforces the declared entry count at the end.
-fn scan_entries<L, F>(lines: L, p: &Preamble, mut f: F) -> Result<(), SparseError>
-where
-    L: Iterator<Item = std::io::Result<String>>,
-    F: FnMut(Index, Index, f64),
-{
-    let mut seen = 0usize;
-    for line in lines {
-        let line = line.map_err(SparseError::from)?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
+/// Reads the next line into `line` without its terminator (`\n` or
+/// `\r\n`, exactly what [`BufRead::lines`] strips); `false` at end of
+/// stream.
+fn next_line<R: BufRead>(source: &mut R, line: &mut String) -> Result<bool, SparseError> {
+    line.clear();
+    if source.read_line(line)? == 0 {
+        return Ok(false);
+    }
+    if line.ends_with('\n') {
+        line.pop();
+        if line.ends_with('\r') {
+            line.pop();
         }
-        let mut parts = trimmed.split_whitespace();
-        let r: usize = parts
-            .next()
-            .ok_or_else(|| SparseError::Parse("missing row".into()))?
-            .parse()
-            .map_err(|_| bad_num(trimmed))?;
-        let c: usize = parts
-            .next()
-            .ok_or_else(|| SparseError::Parse("missing col".into()))?
-            .parse()
-            .map_err(|_| bad_num(trimmed))?;
-        let v: f64 = match p.field {
-            Field::Pattern => 1.0,
-            Field::Real | Field::Integer => parts
-                .next()
-                .ok_or_else(|| SparseError::Parse("missing value".into()))?
-                .parse()
-                .map_err(|_| bad_num(trimmed))?,
+    }
+    Ok(true)
+}
+
+impl<R: BufRead> Scanner<R> {
+    /// Parses the banner line, skips comments, and parses the size line.
+    /// A shape beyond the [`Index`] range is rejected here, so every
+    /// in-bounds entry index converts to `Index` losslessly; nothing is
+    /// ever sized from the (untrusted) declared entry count.
+    fn open(mut source: R) -> Result<Self, SparseError> {
+        let mut line = String::new();
+        if !next_line(&mut source, &mut line)? {
+            return Err(SparseError::Parse("empty stream".into()));
+        }
+        let (field, symmetry) = parse_header(&line)?;
+
+        // Skip comments, find the size line.
+        loop {
+            if !next_line(&mut source, &mut line)? {
+                return Err(SparseError::Parse("missing size line".into()));
+            }
+            let trimmed = line.trim();
+            if !(trimmed.is_empty() || trimmed.starts_with('%')) {
+                break;
+            }
+        }
+        let dims: Vec<&str> = line.split_whitespace().collect();
+        if dims.len() != 3 {
+            return Err(SparseError::Parse(format!("bad size line: {line:?}")));
+        }
+        let preamble = Preamble {
+            field,
+            symmetry,
+            rows: dims[0].parse().map_err(|_| bad_num(dims[0]))?,
+            cols: dims[1].parse().map_err(|_| bad_num(dims[1]))?,
+            declared_nnz: dims[2].parse().map_err(|_| bad_num(dims[2]))?,
         };
-        if r == 0 || c == 0 || r > p.rows || c > p.cols {
-            return Err(SparseError::IndexOutOfBounds {
-                row: r.saturating_sub(1) as Index,
-                col: c.saturating_sub(1) as Index,
-                rows: p.rows,
-                cols: p.cols,
-            });
+        if preamble.rows.max(preamble.cols) > Index::MAX as usize {
+            return Err(SparseError::Parse(format!(
+                "shape {}x{} exceeds the {}-bit index range",
+                preamble.rows,
+                preamble.cols,
+                Index::BITS
+            )));
         }
-        let (r0, c0) = ((r - 1) as Index, (c - 1) as Index);
-        f(r0, c0, v);
-        match p.symmetry {
-            Symmetry::General => {}
-            Symmetry::Symmetric if r0 != c0 => f(c0, r0, v),
-            Symmetry::SkewSymmetric if r0 != c0 => f(c0, r0, -v),
-            _ => {}
+        Ok(Scanner {
+            source,
+            line,
+            preamble,
+        })
+    }
+
+    /// Walks every entry line to the end of the stream, fully validating
+    /// each, expanding symmetry, and handing each **stored** entry —
+    /// primary, plus the mirrored one for (skew-)symmetric inputs — to
+    /// `f` in file order. Enforces the declared entry count at the end.
+    fn entries<F>(mut self, mut f: F) -> Result<(), SparseError>
+    where
+        F: FnMut(Index, Index, f64) -> Result<(), SparseError>,
+    {
+        let p = self.preamble;
+        let mut seen = 0usize;
+        while next_line(&mut self.source, &mut self.line)? {
+            let trimmed = self.line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('%') {
+                continue;
+            }
+            let mut parts = trimmed.split_whitespace();
+            let r: usize = parts
+                .next()
+                .ok_or_else(|| SparseError::Parse("missing row".into()))?
+                .parse()
+                .map_err(|_| bad_num(trimmed))?;
+            let c: usize = parts
+                .next()
+                .ok_or_else(|| SparseError::Parse("missing col".into()))?
+                .parse()
+                .map_err(|_| bad_num(trimmed))?;
+            let v: f64 = match p.field {
+                Field::Pattern => 1.0,
+                Field::Real | Field::Integer => parts
+                    .next()
+                    .ok_or_else(|| SparseError::Parse("missing value".into()))?
+                    .parse()
+                    .map_err(|_| bad_num(trimmed))?,
+            };
+            if r == 0 || c == 0 || r > p.rows || c > p.cols {
+                let reported =
+                    |i: usize| Index::try_from(i.saturating_sub(1)).unwrap_or(Index::MAX);
+                return Err(SparseError::IndexOutOfBounds {
+                    row: reported(r),
+                    col: reported(c),
+                    rows: p.rows,
+                    cols: p.cols,
+                });
+            }
+            // Lossless: `r ≤ rows ≤ Index::MAX`, and likewise `c`.
+            let (r0, c0) = ((r - 1) as Index, (c - 1) as Index);
+            f(r0, c0, v)?;
+            match p.symmetry {
+                Symmetry::General => {}
+                Symmetry::Symmetric if r0 != c0 => f(c0, r0, v)?,
+                Symmetry::SkewSymmetric if r0 != c0 => f(c0, r0, -v)?,
+                _ => {}
+            }
+            seen += 1;
         }
-        seen += 1;
+        if seen != p.declared_nnz {
+            return Err(SparseError::Parse(format!(
+                "declared {} entries but found {seen}",
+                p.declared_nnz
+            )));
+        }
+        Ok(())
     }
-    if seen != p.declared_nnz {
-        return Err(SparseError::Parse(format!(
-            "declared {} entries but found {seen}",
-            p.declared_nnz
-        )));
-    }
-    Ok(())
 }
 
-/// Streams a `.mtx` file into column-panel COO chunks without ever
-/// materializing the full matrix: each call to
-/// [`PanelReader::next_panel`] re-scans the file and keeps only the
-/// entries whose (expanded) column falls in that panel's range, so peak
-/// memory is one panel, not the whole matrix — the ingestion half of the
-/// out-of-core streaming pipeline.
+/// Streams a `.mtx` file into panel COO chunks along one axis without
+/// ever materializing the full matrix — the ingestion half of the
+/// out-of-core streaming pipeline, and the one implementation behind
+/// [`PanelReader`] (`BY_ROW = false`: column panels `A[:, p]`) and
+/// [`RowPanelReader`] (`BY_ROW = true`: row panels `B[p, :]`).
 ///
-/// The trade is deliberate: `panels` passes over the file buy an
-/// `O(nnz / panels)` resident set. Every pass runs the *same* validation
-/// as [`read`], so malformed input surfaces the same
-/// [`SparseError::Parse`] / [`SparseError::IndexOutOfBounds`] taxonomy
-/// (on the first panel, or [`PanelReader::open`] for preamble errors).
+/// The text is scanned **once**, by the first call to
+/// [`next_panel`](Self::next_panel), however many panels there are: each
+/// entry (after symmetry expansion) is routed by its panel-axis index to
+/// that panel's bucket, and later calls only hand buckets back. Buckets
+/// are small fixed buffers (256 KiB per reader in total) backed by one
+/// staging run in [`std::env::temp_dir`] — fixed 16-byte records
+/// appended chunk by chunk in file order, a per-panel chunk index in
+/// memory, unlinked the moment it is created so nothing outlives the
+/// reader on any exit path. Resident memory is therefore one panel
+/// (`O(nnz / panels)`) plus the buffers and the chunk index, never the
+/// whole matrix, and entries inside a panel keep their file order, so
+/// duplicate coordinates sum in the same order as under [`read`].
+///
+/// The scan runs the *same* validation as [`read`], so malformed input
+/// surfaces the same [`SparseError::Parse`] /
+/// [`SparseError::IndexOutOfBounds`] taxonomy — at
+/// [`open`](Self::open) for header and size-line errors, on the first
+/// panel for entry errors (which end the iteration). A staging failure
+/// (temp dir missing, disk full) is [`SparseError::Io`] naming the run.
+#[derive(Debug)]
+pub struct AxisPanelReader<const BY_ROW: bool, R = BufReader<File>> {
+    /// The text, until the first `next_panel` scans it to the end.
+    scanner: Option<Scanner<R>>,
+    preamble: Preamble,
+    ranges: Vec<Range<usize>>,
+    next: usize,
+    staging: Staging,
+}
+
+/// Streams a `.mtx` file into **column-panel** COO chunks: panel `p` is
+/// `A[:, p]`, shape `rows × range.len()`, with **localized** column
+/// indices (`col - range.start`). See [`AxisPanelReader`] for the cost
+/// model (one text scan at any panel count) and the error contract.
 ///
 /// # Example
 ///
@@ -194,17 +280,20 @@ where
 /// }
 /// # Ok::<(), sparch_sparse::SparseError>(())
 /// ```
-#[derive(Debug)]
-pub struct PanelReader {
-    path: PathBuf,
-    preamble: Preamble,
-    ranges: Vec<Range<usize>>,
-    next: usize,
-}
+pub type PanelReader = AxisPanelReader<false>;
 
-impl PanelReader {
+/// Streams a `.mtx` file into **row-panel** COO chunks — the right
+/// operand's counterpart to [`PanelReader`]: panel `p` is `B[p, :]`,
+/// shape `range.len() × cols`, with **localized** row indices
+/// (`row - range.start`), so both operands of the streaming pipeline's
+/// outer-product split `A · B = Σ_p A[:, p] · B[p, :]` can come straight
+/// from disk. See [`AxisPanelReader`] for the cost model and the error
+/// contract.
+pub type RowPanelReader = AxisPanelReader<true>;
+
+impl<const BY_ROW: bool> AxisPanelReader<BY_ROW> {
     /// Opens the file and parses its header and size line, splitting the
-    /// column space into up to `panels` balanced ranges
+    /// panel axis into up to `panels` balanced ranges
     /// ([`crate::panel_ranges`]).
     ///
     /// # Errors
@@ -212,38 +301,54 @@ impl PanelReader {
     /// [`SparseError::Io`] if the file cannot be opened, otherwise the
     /// same preamble errors as [`read`].
     pub fn open<P: AsRef<Path>>(path: P, panels: usize) -> Result<Self, SparseError> {
-        let (path, preamble) = open_preamble(path)?;
-        Ok(PanelReader {
-            ranges: panel_ranges(preamble.cols, panels),
-            path,
-            preamble,
-            next: 0,
-        })
+        let source = BufReader::new(File::open(path)?);
+        Self::from_source(source, STAGING_ENTRIES, |total| panel_ranges(total, panels))
     }
 
-    /// Opens the file with an explicit column-panel partition — the entry
-    /// point for nnz-balanced splits, where the ranges come from
-    /// [`crate::panel_ranges_by_nnz`] over a [`scan_col_nnz`] histogram
-    /// rather than the uniform default.
+    /// Opens the file with an explicit partition of the panel axis — for
+    /// `A`, the nnz-balanced column split
+    /// ([`crate::panel_ranges_by_nnz`] over a [`scan_col_nnz`]
+    /// histogram); for `B`, the row split that mirrors `A`'s
+    /// ([`ranges`](Self::ranges)), since the pipeline pairs panel `p` of
+    /// both operands.
     ///
     /// # Panics
     ///
-    /// Panics if the ranges do not tile `0..cols` contiguously left to
+    /// Panics if the ranges do not tile the axis contiguously left to
     /// right (programmer error, like [`crate::Csr::col_panel`]'s bounds).
     ///
     /// # Errors
     ///
-    /// Same as [`PanelReader::open`].
+    /// Same as [`open`](Self::open).
     pub fn open_with_ranges<P: AsRef<Path>>(
         path: P,
         ranges: Vec<Range<usize>>,
     ) -> Result<Self, SparseError> {
-        let (path, preamble) = open_preamble(path)?;
-        assert_ranges_tile(&ranges, preamble.cols, "column");
-        Ok(PanelReader {
-            ranges,
-            path,
+        let source = BufReader::new(File::open(path)?);
+        Self::from_source(source, STAGING_ENTRIES, |total| {
+            assert_ranges_tile(&ranges, total, if BY_ROW { "row" } else { "column" });
+            ranges
+        })
+    }
+}
+
+impl<const BY_ROW: bool, R: BufRead> AxisPanelReader<BY_ROW, R> {
+    /// The reader over any text source: `split` maps the panel axis's
+    /// length to its ranges, `buffered` is the entry count shared by the
+    /// panels' buffers (tests shrink it to force the staging run).
+    pub(crate) fn from_source(
+        source: R,
+        buffered: usize,
+        split: impl FnOnce(usize) -> Vec<Range<usize>>,
+    ) -> Result<Self, SparseError> {
+        let scanner = Scanner::open(source)?;
+        let preamble = scanner.preamble;
+        let ranges = split(if BY_ROW { preamble.rows } else { preamble.cols });
+        Ok(AxisPanelReader {
+            staging: Staging::new(ranges.len(), buffered / ranges.len().max(1)),
+            scanner: Some(scanner),
             preamble,
+            ranges,
             next: 0,
         })
     }
@@ -265,195 +370,72 @@ impl PanelReader {
 
     /// Number of panels this reader will yield (≤ the requested count:
     /// empty panels are never produced, so a 3-column file asked for 8
-    /// panels yields 3).
+    /// column panels yields 3).
     pub fn panels(&self) -> usize {
         self.ranges.len()
     }
 
-    /// The column ranges this reader will yield, in order — hand these
-    /// to [`RowPanelReader::open_with_ranges`] to split the right
-    /// operand identically.
+    /// The panel-axis ranges this reader will yield, in order — hand a
+    /// [`PanelReader`]'s to [`RowPanelReader::open_with_ranges`] to split
+    /// the right operand identically.
     pub fn ranges(&self) -> &[Range<usize>] {
         &self.ranges
     }
 
-    /// Reads the next column panel: one full pass over the file keeping
-    /// only entries (after symmetry expansion) whose column lies in the
-    /// panel's range. The returned [`Coo`] has shape
-    /// `rows × range.len()` with **localized** column indices
-    /// (`col - range.start`), ready to become the right operand's row
-    /// panel counterpart via [`crate::Csr::row_panel`].
+    /// Yields the next panel: its range on the panel axis and the entries
+    /// (after symmetry expansion) that fall in it, in file order, with
+    /// the panel-axis index localized. The first call scans the whole
+    /// text; later calls only read a bucket back.
     ///
-    /// Returns `None` once every panel has been yielded.
+    /// Returns `None` once every panel has been yielded, or after an
+    /// error.
     #[allow(clippy::type_complexity)]
     pub fn next_panel(&mut self) -> Option<Result<(Range<usize>, Coo), SparseError>> {
         let range = self.ranges.get(self.next)?.clone();
-        self.next += 1;
-        Some(self.scan_panel(range))
+        let (rows, cols) = if BY_ROW {
+            (range.len(), self.preamble.cols)
+        } else {
+            (self.preamble.rows, range.len())
+        };
+        let panel = self
+            .stage()
+            .and_then(|()| self.staging.take(self.next, rows, cols));
+        self.next = match panel {
+            Ok(_) => self.next + 1,
+            Err(_) => self.ranges.len(),
+        };
+        Some(panel.map(|coo| (range, coo)))
     }
 
-    fn scan_panel(&self, range: Range<usize>) -> Result<(Range<usize>, Coo), SparseError> {
-        // Re-parse the preamble to position the stream; it was validated
-        // at open, so failures here mean the file changed under us.
-        let mut lines = BufReader::new(std::fs::File::open(&self.path)?).lines();
-        let preamble = parse_preamble(&mut lines)?;
-        let mut coo = Coo::new(preamble.rows, range.len());
-        let (lo, hi) = (range.start as Index, range.end as Index);
-        scan_entries(lines, &preamble, |r0, c0, v| {
-            if (lo..hi).contains(&c0) {
-                coo.push(r0, c0 - lo, v);
-            }
-        })?;
-        Ok((range, coo))
+    /// Scans the text (first call only), routing every entry to the
+    /// bucket of the panel whose range holds its panel-axis index.
+    fn stage(&mut self) -> Result<(), SparseError> {
+        let Some(scanner) = self.scanner.take() else {
+            return Ok(());
+        };
+        let (ranges, staging) = (&self.ranges, &mut self.staging);
+        scanner.entries(|r0, c0, v| {
+            let key = if BY_ROW { r0 } else { c0 } as usize;
+            // The ranges tile the axis and `key` is in bounds, so exactly
+            // one range holds it: the first that ends beyond it.
+            let p = ranges.partition_point(|range| range.end <= key);
+            let lo = ranges[p].start as Index;
+            let local = if BY_ROW {
+                (r0 - lo, c0, v)
+            } else {
+                (r0, c0 - lo, v)
+            };
+            staging.push(p, local)
+        })
     }
 }
 
-impl Iterator for PanelReader {
+impl<const BY_ROW: bool, R: BufRead> Iterator for AxisPanelReader<BY_ROW, R> {
     type Item = Result<(Range<usize>, Coo), SparseError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_panel()
     }
-}
-
-/// Streams a `.mtx` file into **row-panel** COO chunks — the right
-/// operand's counterpart to [`PanelReader`]: where the column-panel
-/// reader slices `A[:, p]`, this slices `B[p, :]`, so both operands of
-/// the streaming pipeline's outer-product split
-/// `A · B = Σ_p A[:, p] · B[p, :]` can come straight from disk without
-/// ever materializing a whole matrix. CSR row slices stream naturally,
-/// which is why the split is over rows here.
-///
-/// Each call to [`RowPanelReader::next_panel`] re-scans the file and
-/// keeps only the entries whose (expanded) **row** falls in that panel's
-/// range, with **localized** row indices (`row - range.start`) and shape
-/// `range.len() × cols`. Every pass runs the *same* validation as
-/// [`read`] — shared [`parse_preamble`]/[`scan_entries`] internals — so
-/// malformed input surfaces the identical [`SparseError::Parse`] /
-/// [`SparseError::IndexOutOfBounds`] taxonomy (on the first panel, or at
-/// [`RowPanelReader::open`] for preamble errors).
-#[derive(Debug)]
-pub struct RowPanelReader {
-    path: PathBuf,
-    preamble: Preamble,
-    ranges: Vec<Range<usize>>,
-    next: usize,
-}
-
-impl RowPanelReader {
-    /// Opens the file and parses its header and size line, splitting the
-    /// row space into up to `panels` balanced ranges
-    /// ([`crate::panel_ranges`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SparseError::Io`] if the file cannot be opened, otherwise the
-    /// same preamble errors as [`read`].
-    pub fn open<P: AsRef<Path>>(path: P, panels: usize) -> Result<Self, SparseError> {
-        let (path, preamble) = open_preamble(path)?;
-        Ok(RowPanelReader {
-            ranges: panel_ranges(preamble.rows, panels),
-            path,
-            preamble,
-            next: 0,
-        })
-    }
-
-    /// Opens the file with an explicit row-panel partition, so `B`'s row
-    /// panels can mirror `A`'s (possibly nnz-balanced) column split —
-    /// the pipeline pairs panel `p` of both operands, and the ranges
-    /// must agree exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges do not tile `0..rows` contiguously left to
-    /// right.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RowPanelReader::open`].
-    pub fn open_with_ranges<P: AsRef<Path>>(
-        path: P,
-        ranges: Vec<Range<usize>>,
-    ) -> Result<Self, SparseError> {
-        let (path, preamble) = open_preamble(path)?;
-        assert_ranges_tile(&ranges, preamble.rows, "row");
-        Ok(RowPanelReader {
-            ranges,
-            path,
-            preamble,
-            next: 0,
-        })
-    }
-
-    /// Declared number of rows.
-    pub fn rows(&self) -> usize {
-        self.preamble.rows
-    }
-
-    /// Declared number of columns.
-    pub fn cols(&self) -> usize {
-        self.preamble.cols
-    }
-
-    /// Declared entry count (before symmetry expansion).
-    pub fn declared_nnz(&self) -> usize {
-        self.preamble.declared_nnz
-    }
-
-    /// Number of panels this reader will yield.
-    pub fn panels(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// The row ranges this reader will yield, in order.
-    pub fn ranges(&self) -> &[Range<usize>] {
-        &self.ranges
-    }
-
-    /// Reads the next row panel: one full pass over the file keeping only
-    /// entries (after symmetry expansion) whose row lies in the panel's
-    /// range. The returned [`Coo`] has shape `range.len() × cols` with
-    /// localized row indices, ready to be the right operand of one panel
-    /// multiply.
-    ///
-    /// Returns `None` once every panel has been yielded.
-    #[allow(clippy::type_complexity)]
-    pub fn next_panel(&mut self) -> Option<Result<(Range<usize>, Coo), SparseError>> {
-        let range = self.ranges.get(self.next)?.clone();
-        self.next += 1;
-        Some(self.scan_panel(range))
-    }
-
-    fn scan_panel(&self, range: Range<usize>) -> Result<(Range<usize>, Coo), SparseError> {
-        let mut lines = BufReader::new(std::fs::File::open(&self.path)?).lines();
-        let preamble = parse_preamble(&mut lines)?;
-        let mut coo = Coo::new(range.len(), preamble.cols);
-        let (lo, hi) = (range.start as Index, range.end as Index);
-        scan_entries(lines, &preamble, |r0, c0, v| {
-            if (lo..hi).contains(&r0) {
-                coo.push(r0 - lo, c0, v);
-            }
-        })?;
-        Ok((range, coo))
-    }
-}
-
-impl Iterator for RowPanelReader {
-    type Item = Result<(Range<usize>, Coo), SparseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_panel()
-    }
-}
-
-/// Opens the file and parses the preamble — the shared front of every
-/// panel reader.
-fn open_preamble<P: AsRef<Path>>(path: P) -> Result<(PathBuf, Preamble), SparseError> {
-    let path = path.as_ref().to_path_buf();
-    let mut lines = BufReader::new(std::fs::File::open(&path)?).lines();
-    let preamble = parse_preamble(&mut lines)?;
-    Ok((path, preamble))
 }
 
 /// Panics unless `ranges` tiles `0..total` contiguously left to right.
@@ -481,12 +463,20 @@ fn assert_ranges_tile(ranges: &[Range<usize>], total: usize, axis: &str) {
 /// # Errors
 ///
 /// [`SparseError::Io`] if the file cannot be opened, otherwise as
-/// [`read`].
+/// [`read`]; [`SparseError::Parse`] too when the declared column count
+/// is more than this host can allocate a histogram for.
 pub fn scan_col_nnz<P: AsRef<Path>>(path: P) -> Result<Vec<usize>, SparseError> {
-    let mut lines = BufReader::new(std::fs::File::open(path.as_ref())?).lines();
-    let preamble = parse_preamble(&mut lines)?;
-    let mut counts = vec![0usize; preamble.cols];
-    scan_entries(lines, &preamble, |_, c0, _| counts[c0 as usize] += 1)?;
+    let scanner = Scanner::open(BufReader::new(File::open(path)?))?;
+    let cols = scanner.preamble.cols;
+    let mut counts = Vec::new();
+    counts
+        .try_reserve_exact(cols)
+        .map_err(|e| SparseError::Parse(format!("no memory for a {cols}-column histogram: {e}")))?;
+    counts.resize(cols, 0usize);
+    scanner.entries(|_, c0, _| {
+        counts[c0 as usize] += 1;
+        Ok(())
+    })?;
     Ok(counts)
 }
 
@@ -875,8 +865,8 @@ mod tests {
         #[test]
         fn malformed_inputs_error_like_read() {
             // Preamble failures surface at open; entry failures surface on
-            // the first panel — with exactly the same error variants as
-            // `read` (shared parser).
+            // the first panel — with exactly the same error as `read`
+            // (shared parser).
             let preamble_cases = [
                 ("%%MatrixMarket matrix array real general\n1 1 0\n", "dense"),
                 (
@@ -892,11 +882,7 @@ mod tests {
                 let path = temp_mtx(&format!("bad_{}", tag.replace(' ', "_")), text);
                 let open_err = PanelReader::open(&path, 2).unwrap_err();
                 let read_err = read_str(text).unwrap_err();
-                assert_eq!(
-                    std::mem::discriminant(&open_err),
-                    std::mem::discriminant(&read_err),
-                    "{tag}: {open_err} vs {read_err}"
-                );
+                assert_eq!(open_err, read_err, "{tag}");
                 let _ = std::fs::remove_file(&path);
             }
             let entry_cases = [
@@ -925,12 +911,8 @@ mod tests {
                 let path = temp_mtx(&format!("bad_{}", tag.replace(' ', "_")), text);
                 let mut reader = read_panels(&path, 2).unwrap();
                 let panel_err = reader.next_panel().unwrap().unwrap_err();
-                let read_err = read_str(text).unwrap_err();
-                assert_eq!(
-                    std::mem::discriminant(&panel_err),
-                    std::mem::discriminant(&read_err),
-                    "{tag}: {panel_err} vs {read_err}"
-                );
+                assert_eq!(panel_err, read_str(text).unwrap_err(), "{tag}");
+                assert!(reader.next_panel().is_none(), "{tag}: an error ends it");
                 let _ = std::fs::remove_file(&path);
             }
         }
@@ -1063,9 +1045,9 @@ mod tests {
 
         #[test]
         fn malformed_inputs_error_like_read() {
-            // The row-panel reader shares `parse_preamble`/`scan_entries`
-            // with `read`, so the error taxonomy is identical by
-            // construction — pinned here case by case anyway.
+            // The row-panel reader shares its parser with `read`, so the
+            // errors are identical by construction — pinned here case by
+            // case anyway.
             let preamble_cases = [
                 ("%%MatrixMarket matrix array real general\n1 1 0\n", "dense"),
                 (
@@ -1081,11 +1063,7 @@ mod tests {
                 let path = temp_mtx(&format!("bad_{}", tag.replace(' ', "_")), text);
                 let open_err = RowPanelReader::open(&path, 2).unwrap_err();
                 let read_err = read_str(text).unwrap_err();
-                assert_eq!(
-                    std::mem::discriminant(&open_err),
-                    std::mem::discriminant(&read_err),
-                    "{tag}: {open_err} vs {read_err}"
-                );
+                assert_eq!(open_err, read_err, "{tag}");
                 let _ = std::fs::remove_file(&path);
             }
             let entry_cases = [
@@ -1118,12 +1096,8 @@ mod tests {
                 let path = temp_mtx(&format!("bad_{}", tag.replace(' ', "_")), text);
                 let mut reader = read_row_panels(&path, 2).unwrap();
                 let panel_err = reader.next_panel().unwrap().unwrap_err();
-                let read_err = read_str(text).unwrap_err();
-                assert_eq!(
-                    std::mem::discriminant(&panel_err),
-                    std::mem::discriminant(&read_err),
-                    "{tag}: {panel_err} vs {read_err}"
-                );
+                assert_eq!(panel_err, read_str(text).unwrap_err(), "{tag}");
+                assert!(reader.next_panel().is_none(), "{tag}: an error ends it");
                 let _ = std::fs::remove_file(&path);
             }
         }
@@ -1186,6 +1160,200 @@ mod tests {
                 Err(SparseError::IndexOutOfBounds { .. })
             ));
             let _ = std::fs::remove_file(&bad);
+        }
+    }
+
+    /// The single-scan ingest itself: bytes pulled from the source, the
+    /// staging run's round trip, and the hostile-header guards.
+    mod ingest {
+        use super::*;
+        use crate::gen;
+        use crate::staging::STAGING_ENTRIES;
+        use proptest::prelude::*;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Counts every byte the reader pulls out of `inner`.
+        struct Counting<'a> {
+            inner: &'a [u8],
+            pulled: Rc<Cell<usize>>,
+        }
+
+        impl Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.pulled.set(self.pulled.get() + n);
+                Ok(n)
+            }
+        }
+
+        /// Drains a reader over `text` and returns (bytes pulled from the
+        /// source, entries yielded).
+        fn drain<const BY_ROW: bool>(text: &str, panels: usize, buffered: usize) -> (usize, usize) {
+            let pulled = Rc::new(Cell::new(0));
+            let source = BufReader::new(Counting {
+                inner: text.as_bytes(),
+                pulled: Rc::clone(&pulled),
+            });
+            let reader = AxisPanelReader::<BY_ROW, _>::from_source(source, buffered, |total| {
+                panel_ranges(total, panels)
+            })
+            .unwrap();
+            let entries = reader.map(|panel| panel.unwrap().1.nnz()).sum();
+            (pulled.get(), entries)
+        }
+
+        #[test]
+        fn each_reader_pulls_every_byte_exactly_once() {
+            let m = gen::uniform_random(96, 80, 3000, 21).to_coo();
+            let text = write_string(&m);
+            for panels in [1, 4, 16, 64] {
+                // Default buffers (no staging run) and 4-entry buffers
+                // (nearly everything round-trips through the run).
+                for buffered in [STAGING_ENTRIES, 4 * panels] {
+                    let want = (text.len(), m.nnz());
+                    assert_eq!(drain::<false>(&text, panels, buffered), want, "{panels}");
+                    assert_eq!(drain::<true>(&text, panels, buffered), want, "{panels}");
+                }
+            }
+        }
+
+        const HEADERS: [&str; 4] = [
+            "real general",
+            "real symmetric",
+            "real skew-symmetric",
+            "pattern general",
+        ];
+
+        /// What the per-panel re-scan used to yield: the entries of the
+        /// whole read, in file order, whose panel-axis index lies in
+        /// `range`, with that index localized.
+        fn filtered<const BY_ROW: bool>(full: &Coo, range: &Range<usize>) -> Vec<(u32, u32, u64)> {
+            let lo = range.start as Index;
+            full.entries()
+                .iter()
+                .filter(|e| range.contains(&(if BY_ROW { e.0 } else { e.1 } as usize)))
+                .map(|&(r, c, v)| {
+                    if BY_ROW {
+                        (r - lo, c, v.to_bits())
+                    } else {
+                        (r, c - lo, v.to_bits())
+                    }
+                })
+                .collect()
+        }
+
+        fn check_against_read<const BY_ROW: bool>(text: &str, panels: usize, cap: usize) {
+            let full = read_str(text).unwrap();
+            let reader =
+                AxisPanelReader::<BY_ROW, _>::from_source(text.as_bytes(), cap * panels, |total| {
+                    panel_ranges(total, panels)
+                })
+                .unwrap();
+            let mut total = 0;
+            for panel in reader {
+                let (range, coo) = panel.unwrap();
+                let got: Vec<_> = coo
+                    .entries()
+                    .iter()
+                    .map(|&(r, c, v)| (r, c, v.to_bits()))
+                    .collect();
+                assert_eq!(got, filtered::<BY_ROW>(&full, &range), "panel {range:?}");
+                total += got.len();
+            }
+            // Every entry sits in exactly one panel, so the panels
+            // reassemble to the whole read.
+            assert_eq!(total, full.nnz());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            // Arbitrary entry order and duplicates, every header kind,
+            // buffers of one to three entries so chunks of every panel
+            // interleave in the run: each panel is exactly the old
+            // per-panel filter of the whole read, order and bits included.
+            #[test]
+            fn bucketed_panels_equal_the_filtered_read(
+                n in 1usize..14,
+                raw in vec((0usize..14, 0usize..14, -8i32..9), 0..90),
+                kind in 0usize..4,
+                panels in 1usize..7,
+                cap in 1usize..4,
+            ) {
+                let mut text = format!(
+                    "%%MatrixMarket matrix coordinate {}\n{n} {n} {}\n",
+                    HEADERS[kind],
+                    raw.len()
+                );
+                for (r, c, v) in raw {
+                    let _ = match kind {
+                        3 => writeln!(text, "{} {}", r % n + 1, c % n + 1),
+                        _ => writeln!(text, "{} {} {}", r % n + 1, c % n + 1, f64::from(v) / 4.0),
+                    };
+                }
+                check_against_read::<false>(&text, panels, cap);
+                check_against_read::<true>(&text, panels, cap);
+            }
+        }
+
+        #[test]
+        fn shapes_beyond_the_index_range_are_rejected_before_any_allocation() {
+            // 2^32 rows or columns cannot be addressed by `Index`; the
+            // old parser accepted the header and truncated entry indices.
+            for size in ["4294967296 3 1", "3 4294967296 1", "99999999999999 3 1"] {
+                let text =
+                    format!("%%MatrixMarket matrix coordinate real general\n{size}\n3 3 1\n");
+                let path = std::env::temp_dir().join(format!(
+                    "sparch_mm_hostile_{}_{}.mtx",
+                    size.replace(' ', "_"),
+                    std::process::id()
+                ));
+                std::fs::write(&path, &text).unwrap();
+                let want = read_str(&text).unwrap_err();
+                assert!(
+                    matches!(&want, SparseError::Parse(msg) if msg.contains("index range")),
+                    "{size}: {want}"
+                );
+                assert_eq!(scan_col_nnz(&path).unwrap_err(), want, "{size}");
+                assert_eq!(read_panels(&path, 4).unwrap_err(), want, "{size}");
+                assert_eq!(read_row_panels(&path, 4).unwrap_err(), want, "{size}");
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+
+        #[test]
+        fn the_largest_addressable_shape_keeps_its_indices() {
+            // `Index::MAX` rows and columns is the edge that still fits:
+            // the far-corner entry must land on exactly that row and
+            // column, whole or panelled, with nothing sized by the shape.
+            let edge = Index::MAX;
+            let text = format!(
+                "%%MatrixMarket matrix coordinate real general\n{edge} {edge} 2\n\
+                 {edge} {edge} 2.5\n1 {edge} -1\n"
+            );
+            let full = read_str(&text).unwrap();
+            assert_eq!(
+                full.entries(),
+                &[(edge - 1, edge - 1, 2.5), (0, edge - 1, -1.0)]
+            );
+            check_against_read::<false>(&text, 3, 1);
+            check_against_read::<true>(&text, 3, 1);
+        }
+
+        #[test]
+        fn a_hostile_entry_count_allocates_nothing() {
+            let text = format!(
+                "%%MatrixMarket matrix coordinate real general\n2 2 {}\n1 1 1\n",
+                usize::MAX
+            );
+            let want = SparseError::Parse(format!("declared {} entries but found 1", usize::MAX));
+            assert_eq!(read_str(&text).unwrap_err(), want);
+            let mut reader = AxisPanelReader::<false, _>::from_source(text.as_bytes(), 8, |n| {
+                panel_ranges(n, 2)
+            })
+            .unwrap();
+            assert_eq!(reader.next_panel().unwrap().unwrap_err(), want);
         }
     }
 

@@ -184,8 +184,10 @@ impl StreamingExecutor {
     /// Computes `C = A · B` from pre-extracted column panels of `A` — the
     /// half-streamed entry point: `panels` may come from
     /// `sparch_sparse::mm::PanelReader`, so `A` is never materialized
-    /// whole, while `B`'s row panels are sliced from the in-memory
-    /// operand. Each item is a column range of `A` plus the corresponding
+    /// whole (that reader parses the file once: its first panel costs
+    /// the whole text scan, the rest only read a staged bucket back),
+    /// while `B`'s row panels are sliced from the in-memory operand.
+    /// Each item is a column range of `A` plus the corresponding
     /// `a_rows × range.len()` panel with localized column indices; ranges
     /// must tile `0..inner_dim` left to right. The ranges carried by the
     /// stream define the split — `config.balance` does not reapply.
@@ -235,7 +237,9 @@ impl StreamingExecutor {
     /// column panels, `B` as the matching row panels — e.g. from
     /// `sparch_sparse::mm::{PanelReader, RowPanelReader}` over two
     /// `.mtx` files, in which case neither operand ever exists in memory
-    /// as a whole matrix. The two streams are consumed in lockstep and
+    /// as a whole matrix and each file's text is scanned once, by the
+    /// first pull (so the first pair arrives after both scans; later
+    /// pairs only read staged buckets back). The two streams are consumed in lockstep and
     /// must yield identical ranges tiling `0..inner_dim`.
     ///
     /// # Errors

@@ -18,8 +18,9 @@
 //! 1. **reader stage** — streams *both* operands panel pair by panel
 //!    pair: `A`'s column panels and `B`'s matching row panels
 //!    (`A · B = Σ_p A[:, p] · B[p, :]`), from memory, or from disk via
-//!    `sparch_sparse::mm::{PanelReader, RowPanelReader}` so neither
-//!    operand is ever materialized whole; boundaries come from the
+//!    `sparch_sparse::mm::{PanelReader, RowPanelReader}` — one text
+//!    scan per file at any panel count — so neither operand is ever
+//!    materialized whole; boundaries come from the
 //!    uniform or nnz-balanced splitter ([`PanelBalance`]),
 //! 2. **multiply stage** — `sparch_exec::ShardPool` workers pull pairs
 //!    from the bounded channel and multiply them while the reader keeps

@@ -176,7 +176,7 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
         let a_stream = mm::read_panels(&a_path, PANELS)
             .expect("open A")
             .map(|item| {
-                item.map(|(range, coo)| (range, coo.to_csr()))
+                item.map(|(range, coo)| (range, coo.into_csr()))
                     .map_err(sparch_stream::StreamError::from)
             });
         let b_stream = ranges

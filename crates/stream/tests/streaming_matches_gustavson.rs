@@ -243,11 +243,11 @@ fn disk_to_disk_pipeline_matches_gustavson() {
                     a.cols(),
                     b.cols(),
                     a_reader.map(|i| {
-                        i.map(|(r, coo)| (r, coo.to_csr()))
+                        i.map(|(r, coo)| (r, coo.into_csr()))
                             .map_err(sparch_stream::StreamError::from)
                     }),
                     b_reader.map(|i| {
-                        i.map(|(r, coo)| (r, coo.to_csr()))
+                        i.map(|(r, coo)| (r, coo.into_csr()))
                             .map_err(sparch_stream::StreamError::from)
                     }),
                 )

@@ -54,19 +54,21 @@ impl OperandStats {
     }
 
     /// Stats of an on-disk Matrix Market file, via one streaming
-    /// histogram pass — the operand is never materialized.
+    /// histogram pass — the operand is never materialized. `nnz` counts
+    /// stored entries after symmetry expansion (the histogram's total,
+    /// not the header's declared count), so a `symmetric` file reports
+    /// what [`OperandStats::from_csr`] reports for the matrix it holds.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError`] if the file cannot be read or parsed.
     pub fn scan_file<P: AsRef<Path>>(path: P) -> Result<Self, SparseError> {
-        let probe = mm::read_panels(&path, 1)?;
-        let (rows, cols, nnz) = (probe.rows(), probe.cols(), probe.declared_nnz() as u64);
+        let rows = mm::read_panels(&path, 1)?.rows();
         let col_nnz = mm::scan_col_nnz(&path)?;
         Ok(OperandStats {
             rows,
-            cols,
-            nnz,
+            cols: col_nnz.len(),
+            nnz: col_nnz.iter().map(|&n| n as u64).sum(),
             col_nnz,
         })
     }

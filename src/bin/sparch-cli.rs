@@ -83,6 +83,21 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
+/// The parsed value of `--key`, if the flag was given. A value that does
+/// not parse is a usage error (exit code 2), not a panic.
+fn flag_value<T>(flags: &HashMap<String, String>, key: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flags.get(key).map(|v| {
+        v.parse().unwrap_or_else(|e| {
+            eprintln!("bad value {v:?} for --{key}: {e}");
+            usage()
+        })
+    })
+}
+
 fn load(path: &str) -> Csr {
     match mm::read_file(path) {
         Ok(coo) => coo.to_csr(),
@@ -346,29 +361,15 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     let Some(a_path) = flags.get("a") else {
         usage()
     };
-    let parse_num = |key: &str, default: usize| -> usize {
-        flags
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} needs a number"))
-            })
-            .unwrap_or(default)
-    };
     let b_path = flags.get("b").unwrap_or(a_path);
     let defaults = StreamConfig::default();
-    let budget = flags
-        .get("budget-mb")
-        .map(|v| MemoryBudget::from_mb(v.parse().expect("--budget-mb needs a number of MiB")))
-        .unwrap_or(defaults.budget);
-    let threads = flags
-        .get("threads")
-        .map(|v| v.parse().expect("--threads needs a number"));
-    let merge_workers = flags
-        .get("merge-workers")
-        .map(|v| v.parse().expect("--merge-workers needs a number"));
+    let budget = flag_value(flags, "budget-mb").map_or(defaults.budget, MemoryBudget::from_mb);
+    let threads = flag_value(flags, "threads");
+    let merge_workers = flag_value(flags, "merge-workers");
     let tuned =
         flags.get("panels").map(String::as_str) == Some("auto") || flags.contains_key("tune");
+    // A's column histogram, once something has scanned for it.
+    let mut a_col_nnz = None;
     let config = if tuned {
         // Derive the data knobs from the operand's structure: one
         // histogram pass over A's file, B priced at its average row fill
@@ -402,6 +403,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
                 " (budget formula unachievable; best effort)"
             }
         );
+        a_col_nnz = Some(stats.col_nnz);
         StreamConfig {
             threads,
             merge_workers,
@@ -411,26 +413,14 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     } else {
         StreamConfig {
             budget,
-            panels: parse_num("panels", defaults.panels).max(1),
-            balance: flags
-                .get("balance")
-                .map(|v| {
-                    v.parse().unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(2)
-                    })
-                })
-                .unwrap_or(defaults.balance),
-            merge_ways: parse_num("ways", defaults.merge_ways).max(2),
-            spill_codec: flags
-                .get("spill-codec")
-                .map(|v| {
-                    v.parse().unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(2)
-                    })
-                })
-                .unwrap_or(defaults.spill_codec),
+            panels: flag_value(flags, "panels")
+                .unwrap_or(defaults.panels)
+                .max(1),
+            balance: flag_value(flags, "balance").unwrap_or(defaults.balance),
+            merge_ways: flag_value(flags, "ways")
+                .unwrap_or(defaults.merge_ways)
+                .max(2),
+            spill_codec: flag_value(flags, "spill-codec").unwrap_or(defaults.spill_codec),
             threads,
             merge_workers,
             spill_dir: None,
@@ -439,17 +429,21 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
 
     // Both operands stream panel by panel through the staged pipeline —
     // neither is ever materialized whole (--verify re-reads them whole
-    // afterwards, outside the pipelined path). A's column split is
-    // uniform or nnz-balanced (one extra histogram pass over the file);
-    // B's row split mirrors A's ranges exactly.
+    // afterwards, outside the pipelined path). Each reader parses its
+    // file's text once, whatever the panel count; an nnz-balanced column
+    // split of A needs the column histogram first — the planner's, or one
+    // more scan of A — so a run makes at most three text scans. B's row
+    // split mirrors A's ranges exactly.
     let a_reader = match config.balance {
         sparch::stream::PanelBalance::Uniform => mm::read_panels(a_path, config.panels),
-        sparch::stream::PanelBalance::Nnz => mm::scan_col_nnz(a_path).and_then(|weights| {
-            mm::PanelReader::open_with_ranges(
-                a_path,
-                sparch::sparse::panel_ranges_by_nnz(&weights, config.panels),
-            )
-        }),
+        sparch::stream::PanelBalance::Nnz => a_col_nnz
+            .map_or_else(|| mm::scan_col_nnz(a_path), Ok)
+            .and_then(|weights| {
+                mm::PanelReader::open_with_ranges(
+                    a_path,
+                    sparch::sparse::panel_ranges_by_nnz(&weights, config.panels),
+                )
+            }),
     };
     let a_reader = match a_reader {
         Ok(reader) => reader,
@@ -484,7 +478,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
         (std::ops::Range<usize>, sparch::sparse::Coo),
         sparch::sparse::SparseError,
     >| {
-        item.map(|(range, coo)| (range, coo.to_csr()))
+        item.map(|(range, coo)| (range, coo.into_csr()))
             .map_err(sparch::stream::StreamError::from)
     };
     let outcome = executor.multiply_streams(

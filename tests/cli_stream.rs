@@ -1,0 +1,103 @@
+//! `sparch-cli stream` driven as a program: the unhappy paths end in an
+//! exit code and a message (never a backtrace), the paper's `A²` shape
+//! verifies against `gustavson`, and no run — failed or not — leaves a
+//! file in its temp dir. Every child gets its own `TMPDIR`, so the tests
+//! share no state.
+
+use sparch::sparse::{gen, mm};
+use sparch::stream::tempdir::TempDir;
+use std::path::Path;
+use std::process::{Command, Output};
+
+/// Runs `sparch-cli stream --a <a> <flags>` with `tmp` as its temp dir.
+fn stream(tmp: &Path, a: &str, flags: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sparch-cli"))
+        .args(["stream", "--a", a])
+        .args(flags.split_whitespace())
+        .env("TMPDIR", tmp)
+        .output()
+        .expect("spawn sparch-cli")
+}
+
+/// A scratch dir holding `a.mtx` (big enough that panel buckets overflow
+/// into the reader's staging run) and an empty `tmp/` for the child.
+fn fixture(tag: &str) -> (TempDir, String) {
+    let dir = TempDir::new(tag);
+    std::fs::create_dir(dir.file("tmp")).expect("create child temp dir");
+    let a = gen::rmat_graph500(2048, 12, 5);
+    mm::write_file(dir.file("a.mtx"), &a.to_coo()).expect("write operand");
+    let a_path = dir.file("a.mtx").to_str().expect("utf-8 path").to_owned();
+    (dir, a_path)
+}
+
+fn assert_empty(dir: &Path) {
+    let left: Vec<_> = std::fs::read_dir(dir)
+        .expect("list temp dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "left in {}: {left:?}", dir.display());
+}
+
+#[test]
+fn non_numeric_flag_values_are_usage_errors() {
+    // Flags are parsed before any file is opened.
+    let tmp = TempDir::new("cli_bad_flag");
+    for flag in [
+        "--panels",
+        "--ways",
+        "--budget-mb",
+        "--threads",
+        "--merge-workers",
+        "--balance",
+    ] {
+        let out = stream(tmp.path(), "absent.mtx", &format!("{flag} lots"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains("usage:"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn squaring_one_file_verifies_and_leaves_the_temp_dir_empty() {
+    let (dir, a) = fixture("cli_square");
+    let tmp = dir.file("tmp");
+    // Fixed knobs, then the planner's (whose histogram the nnz-balanced
+    // split reuses): the same verified product either way.
+    for flags in [
+        "--panels 8 --balance nnz --budget-mb 0 --verify",
+        "--panels auto --budget-mb 1 --verify",
+    ] {
+        let out = stream(&tmp, &a, flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{flags}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("verification: OK"), "{flags}: {stdout}");
+        assert_empty(&tmp);
+    }
+}
+
+#[test]
+fn a_truncated_operand_fails_with_the_count_message_and_a_clean_temp_dir() {
+    let (dir, a) = fixture("cli_truncated");
+    let tmp = dir.file("tmp");
+    // Drop the last 100 entry lines: the header still declares them.
+    let text = std::fs::read_to_string(&a).expect("read operand");
+    let declared = mm::read_panels(&a, 1).expect("open operand").declared_nnz();
+    let kept: Vec<&str> = text.lines().collect();
+    std::fs::write(&a, kept[..kept.len() - 100].join("\n")).expect("truncate operand");
+    let want = format!("declared {declared} entries but found {}", declared - 100);
+
+    // `nnz` fails in the histogram scan, `uniform` on the first panel —
+    // after the reader has staged most of the file.
+    for balance in ["nnz", "uniform"] {
+        let out = stream(&tmp, &a, &format!("--panels 8 --balance {balance}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{balance}: {stderr}");
+        assert!(stderr.contains(&want), "{balance}: {stderr}");
+        assert_empty(&tmp);
+    }
+}
