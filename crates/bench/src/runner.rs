@@ -26,12 +26,6 @@ pub struct Args {
     /// Worker threads (`--threads N`); `None` falls back to
     /// `SPARCH_THREADS`, then to all available cores.
     pub threads: Option<usize>,
-    /// Whether `--scale` was given explicitly (binaries with their own
-    /// pinned default, like `perf_snapshot`, key on this).
-    pub scale_explicit: bool,
-    /// Optional path for a Chrome trace-event export (`--trace PATH`);
-    /// snapshot binaries that run a recorder-aware layer honor it.
-    pub trace: Option<PathBuf>,
 }
 
 impl Default for Args {
@@ -41,19 +35,16 @@ impl Default for Args {
             json: None,
             sweep: None,
             threads: None,
-            scale_explicit: false,
-            trace: None,
         }
     }
 }
 
 /// The full usage text, printed on `--help` and on any argument error.
 pub const USAGE: &str = "options:
-  --scale X    surrogate scale in (0, 1] (default 0.04; perf_snapshot pins 0.02)
+  --scale X    surrogate scale in (0, 1] (default 0.04)
   --json PATH  dump machine-readable JSON results to PATH
   --sweep NAME sub-selector for multi-sweep binaries (e.g. fig17)
   --threads N  worker threads (default: SPARCH_THREADS, else all cores)
-  --trace PATH dump a Chrome trace-event export (recorder-aware snapshots)
   --help, -h   print this message";
 
 /// Successful outcomes of [`parse_args_from`].
@@ -86,7 +77,6 @@ where
                 if !(parsed.scale > 0.0 && parsed.scale <= 1.0) {
                     return Err(format!("--scale must be in (0, 1], got {v}\n{USAGE}"));
                 }
-                parsed.scale_explicit = true;
             }
             "--json" => {
                 parsed.json = Some(PathBuf::from(it.next().ok_or_else(|| missing("--json"))?));
@@ -103,9 +93,6 @@ where
                     return Err(format!("--threads must be at least 1\n{USAGE}"));
                 }
                 parsed.threads = Some(n);
-            }
-            "--trace" => {
-                parsed.trace = Some(PathBuf::from(it.next().ok_or_else(|| missing("--trace"))?));
             }
             "--help" | "-h" => return Ok(ArgsOutcome::Help),
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
@@ -223,18 +210,6 @@ pub fn dump_json<T: Serialize>(path: &Option<PathBuf>, value: &T) {
     }
 }
 
-/// Writes the Chrome trace-event export of `trace` to `path` if given.
-///
-/// # Panics
-///
-/// Panics on I/O failure (benchmarks want loud errors).
-pub fn dump_trace(path: &Option<PathBuf>, trace: &sparch_obs::Trace) {
-    if let Some(path) = path {
-        std::fs::write(path, sparch_obs::chrome_trace_json(trace)).expect("write trace");
-        eprintln!("trace written to {}", path.display());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,16 +264,12 @@ mod tests {
             "line",
             "--threads",
             "8",
-            "--trace",
-            "trace.json",
         ])
         .unwrap();
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.json, Some(PathBuf::from("out.json")));
         assert_eq!(a.sweep.as_deref(), Some("line"));
         assert_eq!(a.threads, Some(8));
-        assert!(a.scale_explicit);
-        assert_eq!(a.trace, Some(PathBuf::from("trace.json")));
     }
 
     #[test]
@@ -311,11 +282,11 @@ mod tests {
 
     #[test]
     fn scale_as_a_value_is_not_explicit_scale() {
-        // "--scale" appearing as another flag's value must not count as
-        // an explicit scale setting.
+        // "--scale" appearing as another flag's value must not be read
+        // as the scale flag (which would then demand a value of its own).
         let a = parse(&["--sweep", "--scale"]).unwrap();
         assert_eq!(a.sweep.as_deref(), Some("--scale"));
-        assert!(!a.scale_explicit);
+        assert_eq!(a.scale, Args::default().scale);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The coordinator: placement, liveness, retry, and the global plan.
 //!
-//! [`DistCoordinator::multiply`] owns the run end to end. It splits the
-//! operands into (A-column-panel, B-row-panel) pairs with *exactly* the
-//! split [`StreamingExecutor::multiply`](sparch_stream::StreamingExecutor::multiply)
-//! uses — same [`PanelBalance`], same deterministic pruning of all-empty
-//! `A` panels — and builds the same Huffman merge plan from the same
-//! per-panel non-zero weights. Multiplies and merge rounds become
-//! idempotent **jobs**; shard worker processes claim one at a time over
-//! Unix sockets. Because the plan fixes every round's children and the
+//! [`DistCoordinator::multiply`] owns the run end to end. It decides
+//! nothing about the decomposition: [`ExecPlan::for_operand`] — the
+//! constructor behind
+//! [`StreamingExecutor::multiply`](sparch_stream::StreamingExecutor::multiply)
+//! too — yields the panel split, the live leaves and the merge rounds,
+//! and the coordinator *ships* that plan: each leaf's (A-column-panel,
+//! B-row-panel) multiply and each merge round becomes an idempotent
+//! **job**; shard worker processes claim one at a time over Unix
+//! sockets. Because the plan fixes every round's children and the
 //! workers run the single-node kernels on the same inputs in the same
 //! fold order, the final CSR is bit-identical to the single-node run at
 //! every shard count, whatever the dispatch interleaving.
@@ -29,10 +30,9 @@ use crate::wire::{read_message, write_message, Message};
 use crate::worker::FAULT_ENV;
 use crate::DistError;
 use serde::{Deserialize, Serialize};
-use sparch_core::sched::{huffman_plan, MergePlan, PlanNode};
 use sparch_obs::{Counter, Recorder, ThreadRecorder, WireSpan};
-use sparch_sparse::{panel_ranges, panel_ranges_by_nnz, Csr};
-use sparch_stream::{PanelBalance, StreamConfig};
+use sparch_sparse::Csr;
+use sparch_stream::{ExecPlan, StreamConfig};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -224,31 +224,14 @@ impl DistCoordinator {
     pub fn multiply(&self, a: &Csr, b: &Csr) -> Result<(Csr, DistReport), DistError> {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
         let cfg = &self.config.stream;
-        let ranges = match cfg.balance {
-            PanelBalance::Uniform => panel_ranges(a.cols(), cfg.panels),
-            PanelBalance::Nnz => panel_ranges_by_nnz(&a.col_nnz(), cfg.panels),
-        };
-        let panels = ranges.len();
-        let mut pairs: Vec<(Csr, Csr)> = Vec::new();
-        let mut weights: Vec<u64> = Vec::new();
-        for r in ranges {
-            let (a_panel, _live) = a.col_panel_condensed(r.clone());
-            if a_panel.nnz() == 0 {
-                // Same deterministic pruning as the pipeline's reader
-                // stage: an empty A panel never becomes a merge leaf.
-                continue;
-            }
-            weights.push(a_panel.nnz() as u64);
-            pairs.push((a_panel, b.row_panel(r)));
-        }
-        let ways = cfg.merge_ways.max(2);
+        let plan = ExecPlan::for_operand(&a.col_nnz(), cfg.panels, cfg.balance, cfg.merge_ways);
         let mut report = DistReport {
             schema_version: DistReport::SCHEMA_VERSION,
             shards: self.config.shards.max(1),
-            panels,
-            partials: pairs.len(),
-            merge_rounds: 0,
-            merge_ways: ways,
+            panels: plan.panels(),
+            partials: plan.num_leaves(),
+            merge_rounds: plan.num_rounds() as u64,
+            merge_ways: plan.ways(),
             dispatches: 0,
             retries: 0,
             respawns: 0,
@@ -258,12 +241,14 @@ impl DistCoordinator {
             wire_bytes_received: 0,
             output_nnz: 0,
         };
-        if pairs.is_empty() {
+        if plan.num_leaves() == 0 {
             // Nothing to compute; do not spawn a fleet to agree on it.
             return Ok((Csr::zero(a.rows(), b.cols()), report));
         }
-        let plan = huffman_plan(&weights, ways);
-        report.merge_rounds = plan.rounds.len() as u64;
+        let pairs = plan
+            .leaf_ranges()
+            .map(|r| (a.col_panel(r.clone()), b.row_panel(r.clone())))
+            .collect();
 
         let (evt_tx, evt_rx) = channel();
         let mut run = Run {
@@ -292,8 +277,8 @@ impl DistCoordinator {
 }
 
 /// One job of the run: a leaf multiply or a plan merge round. The job
-/// id doubles as the plan node id (`leaf` for leaves, `num_leaves +
-/// round` for rounds), so results index one flat table.
+/// id is the [`ExecPlan`] node id the job produces, so results index one
+/// flat table.
 #[derive(Debug, Clone, Copy)]
 enum JobSpec {
     Multiply { leaf: usize },
@@ -601,14 +586,6 @@ fn resolve_worker_bin(config: &DistConfig) -> Result<PathBuf, DistError> {
     ))
 }
 
-/// Node id of a plan node in the flat job/result table.
-fn node_id(node: PlanNode, num_leaves: usize) -> usize {
-    match node {
-        PlanNode::Leaf(l) => l,
-        PlanNode::Round(r) => num_leaves + r,
-    }
-}
-
 /// All the state of one in-flight distributed multiply.
 struct Run<'a> {
     config: &'a DistConfig,
@@ -617,7 +594,7 @@ struct Run<'a> {
     /// Leaf panel pairs, retained for the lifetime of the run so any
     /// multiply can be re-dispatched after a failure.
     pairs: Vec<(Csr, Csr)>,
-    plan: &'a MergePlan,
+    plan: &'a ExecPlan,
     cluster: Cluster<'a>,
     evt_rx: Receiver<Ev>,
     jobs: Vec<JobState>,
@@ -653,7 +630,7 @@ impl Run<'_> {
     /// Spawns the fleet, drives the job graph to completion, and hands
     /// back the final node's result.
     fn drive(&mut self) -> Result<Csr, DistError> {
-        let n = self.plan.num_leaves;
+        let n = self.plan.num_leaves();
         // No point keeping more workers than leaves — a worker holds one
         // job at a time and the graph is never wider than its leaf row.
         let fleet = self.config.shards.clamp(1, n);
@@ -663,7 +640,7 @@ impl Run<'_> {
 
         self.jobs = (0..n)
             .map(|leaf| JobSpec::Multiply { leaf })
-            .chain((0..self.plan.rounds.len()).map(|round| JobSpec::Merge { round }))
+            .chain((0..self.plan.num_rounds()).map(|round| JobSpec::Merge { round }))
             .map(|spec| JobState {
                 spec,
                 done: false,
@@ -700,13 +677,9 @@ impl Run<'_> {
             let _ = write_message(&mut s.stream, &Message::Shutdown, codec);
         }
 
-        let final_node = if self.plan.rounds.is_empty() {
-            0
-        } else {
-            n + self.plan.rounds.len() - 1
-        };
-        self.results[final_node]
-            .take()
+        self.plan
+            .root()
+            .and_then(|root| self.results[root].take())
             .ok_or_else(|| DistError::Job("run finished without a final result".into()))
     }
 
@@ -775,11 +748,11 @@ impl Run<'_> {
                 round: round as u64,
                 rows: self.a_rows as u64,
                 cols: self.b_cols as u64,
-                children: self.plan.rounds[round]
-                    .children
-                    .iter()
-                    .map(|&c| {
-                        self.results[node_id(c, self.plan.num_leaves)]
+                children: self
+                    .plan
+                    .round_children(round)
+                    .map(|id| {
+                        self.results[id]
                             .clone()
                             .expect("merge dispatched before its children finished")
                     })
@@ -927,21 +900,19 @@ impl Run<'_> {
             );
         }
 
-        // A finished node can complete the child set of exactly the
-        // rounds that consume it; scanning all rounds keeps this simple.
-        let n = self.plan.num_leaves;
-        for (r, round) in self.plan.rounds.iter().enumerate() {
-            let id = n + r;
-            let state = &self.jobs[id];
-            if state.done || state.queued || !state.assigned.is_empty() {
-                continue;
-            }
-            if round
-                .children
-                .iter()
-                .all(|&c| self.results[node_id(c, n)].is_some())
+        // A finished node can complete the child set of exactly one
+        // round: the one that consumes it.
+        if let Some(round) = self.plan.consumer(job as usize) {
+            let id = self.plan.round_output(round);
+            let state = &mut self.jobs[id];
+            if !state.done
+                && !state.queued
+                && state.assigned.is_empty()
+                && self
+                    .plan
+                    .round_ready(round, |child| self.results[child].is_some())
             {
-                self.jobs[id].queued = true;
+                state.queued = true;
                 self.ready.push_back(id as u64);
             }
         }

@@ -2,19 +2,20 @@
 //!
 //! The streaming executor already decomposes `A · B` into the paper's
 //! outer-product panels — `A`'s column panels times `B`'s matching row
-//! panels — and folds the partials with a k-ary Huffman merge plan whose
-//! weights (per-panel `A` non-zeros) are fixed by the split alone. That
-//! structure is what makes distribution safe: this crate ships the same
-//! panel pairs to **shard worker processes** over Unix sockets, runs the
-//! same per-panel multiply pipeline on each shard, and tree-reduces the
-//! shard partials with the *same* Huffman plan — so the result is
-//! **bit-identical to the single-node run at every shard count**, under
-//! every fault the coordinator can recover from.
+//! panels — and folds the partials in the order of an
+//! [`ExecPlan`](sparch_stream::ExecPlan), fixed by the split alone
+//! before anything executes. That structure is what makes distribution
+//! safe: this crate takes the *same* plan value from the same
+//! constructor, ships its leaf panel pairs to **shard worker processes**
+//! over Unix sockets, runs the same per-panel multiply pipeline on each
+//! shard, and tree-reduces the shard partials through the plan's rounds
+//! — so the result is **bit-identical to the single-node run at every
+//! shard count**, under every fault the coordinator can recover from.
 //!
 //! ```text
 //!  DistCoordinator                         sparch-dist-worker (× shards)
-//!  ├─ split A/B into panel pairs   ──────▶ connect, Hello, heartbeat thread
-//!  ├─ huffman_plan(per-panel nnz)  jobs    loop {
+//!  ├─ ExecPlan::for_operand(A)     ──────▶ connect, Hello, heartbeat thread
+//!  ├─ slice the plan's leaf pairs  jobs    loop {
 //!  ├─ dispatch Multiply/Merge jobs ──────▶   Multiply → StreamingExecutor
 //!  │    (idempotent, 1 per worker)           Merge    → merge_sources
 //!  ├─ per-worker reader thread     ◀──────   Result / Heartbeat

@@ -1,9 +1,10 @@
 //! Bit-identity of the distributed backend against the single-node
 //! streaming pipeline — the property the whole design exists to keep.
 //!
-//! The coordinator splits panels and builds the Huffman plan exactly as
-//! [`StreamingExecutor::multiply`] does, and the workers run the same
-//! kernels in the plan's fold order, so the result must match the
+//! The coordinator ships the very `ExecPlan` [`StreamingExecutor::multiply`]
+//! executes, and the workers run the same kernels in the plan's fold
+//! order, so the two reports count the same decomposition (by
+//! construction — asserted per grid cell) and the result must match the
 //! single-node run *bit for bit* — not to tolerance — at every shard
 //! count, panel count, merge-worker count and memory budget, and even
 //! when a straggler forces a duplicate dispatch.
@@ -36,7 +37,7 @@ fn grid_of_shards_panels_workers_and_budgets_is_bit_identical() {
                 ..StreamConfig::pinned()
             };
             let tag = format!("budget={:?} panels={panels}", budget.bytes());
-            let (reference, _) = StreamingExecutor::new(StreamConfig {
+            let (reference, stream_report) = StreamingExecutor::new(StreamConfig {
                 merge_workers: Some(1),
                 ..base.clone()
             })
@@ -60,6 +61,21 @@ fn grid_of_shards_panels_workers_and_budgets_is_bit_identical() {
                     .unwrap_or_else(|e| panic!("{tag} shards={shards}: {e}"));
                 assert_bits_equal(&c, &reference, &format!("{tag} shards={shards}"));
                 assert_eq!(report.output_nnz as usize, reference.nnz());
+                assert_eq!(
+                    (
+                        report.panels,
+                        report.partials,
+                        report.merge_rounds as usize,
+                        report.merge_ways
+                    ),
+                    (
+                        stream_report.panels,
+                        stream_report.partials,
+                        stream_report.merge_rounds,
+                        stream_report.merge_ways
+                    ),
+                    "{tag} shards={shards}: one plan, one set of counters"
+                );
                 assert_eq!(report.retries, 0, "{tag}: clean runs never retry");
                 assert_eq!(report.respawns, 0, "{tag}: clean runs never respawn");
             }

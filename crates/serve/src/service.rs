@@ -696,12 +696,7 @@ impl<'a> StepLog<'a> {
             let plan = sparch_tune::KnobPlanner::new(config.budget)
                 .with_threads(config.threads.unwrap_or(1))
                 .plan(&stats, &sparch_tune::BRows::Histogram(&b_rows));
-            config = sparch_stream::StreamConfig {
-                threads: config.threads,
-                merge_workers: config.merge_workers,
-                spill_dir: config.spill_dir.clone(),
-                ..plan.config
-            };
+            config = plan.config_over(&config);
         }
         config
     }

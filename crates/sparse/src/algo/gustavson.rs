@@ -95,8 +95,7 @@ pub fn gustavson(a: &Csr, b: &Csr) -> Csr {
 /// The seed Gustavson kernel, kept verbatim: fresh SPA vectors per call,
 /// a full `0..a.rows()` scan, and the historical
 /// `a.nnz().max(b.nnz())` capacity guess. It is the differential oracle
-/// for [`gustavson_scratch`] and the baseline the `multiply_snapshot`
-/// bench measures against — do not optimize it.
+/// for [`gustavson_scratch`] — do not optimize it.
 ///
 /// # Panics
 ///

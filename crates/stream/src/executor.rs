@@ -5,10 +5,10 @@
 //! unique spill directory, so concurrent runs never collide.
 
 use crate::pipeline::{self, PanelPair};
-use crate::{PanelBalance, StreamConfig, StreamError};
+use crate::{plan, StreamConfig, StreamError};
 use serde::{Deserialize, Serialize};
 use sparch_obs::Recorder;
-use sparch_sparse::{panel_ranges, panel_ranges_by_nnz, Csr};
+use sparch_sparse::Csr;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -150,8 +150,8 @@ impl StreamingExecutor {
     }
 
     /// Computes `C = A · B` through the staged pipeline. The panel split
-    /// follows `config.balance`: uniform widths, or equal `A`-column
-    /// non-zeros per panel.
+    /// is [`plan::split`] under `config.balance`: uniform widths, or
+    /// equal `A`-column non-zeros per panel.
     ///
     /// # Panics
     ///
@@ -163,10 +163,9 @@ impl StreamingExecutor {
     /// [`StreamError::Io`] if spill I/O fails.
     pub fn multiply(&self, a: &Csr, b: &Csr) -> Result<(Csr, StreamReport), StreamError> {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        let ranges = match self.config.balance {
-            PanelBalance::Uniform => panel_ranges(a.cols(), self.config.panels),
-            PanelBalance::Nnz => panel_ranges_by_nnz(&a.col_nnz(), self.config.panels),
-        };
+        let ranges = plan::split(a.cols(), self.config.panels, self.config.balance, || {
+            a.col_nnz()
+        });
         let pairs = ranges.into_iter().map(|r| {
             // The condensed slicer records each panel's occupied rows for
             // free — the multiply kernel then visits only those.
@@ -343,10 +342,10 @@ impl StreamingExecutor {
             a_rows,
             inner_dim,
             b_cols,
-            panels: outcome.panels,
-            partials: outcome.partials,
-            merge_rounds: outcome.merge_rounds,
-            merge_ways: self.config.merge_ways.max(2),
+            panels: outcome.plan.panels(),
+            partials: outcome.plan.num_leaves(),
+            merge_rounds: outcome.plan.num_rounds(),
+            merge_ways: outcome.plan.ways(),
             balance: self.config.balance,
             spill_codec: self.config.spill_codec,
             budget_bytes: self.config.budget.bytes(),
@@ -383,8 +382,8 @@ impl StreamingExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemoryBudget, SpillCodec};
-    use sparch_sparse::{algo, gen};
+    use crate::{MemoryBudget, PanelBalance, SpillCodec};
+    use sparch_sparse::{algo, gen, panel_ranges};
 
     fn exec(budget: MemoryBudget, panels: usize, threads: usize) -> StreamingExecutor {
         StreamingExecutor::new(StreamConfig {

@@ -20,16 +20,16 @@
 //!    (`A · B = Σ_p A[:, p] · B[p, :]`), from memory, or from disk via
 //!    `sparch_sparse::mm::{PanelReader, RowPanelReader}` — one text
 //!    scan per file at any panel count — so neither operand is ever
-//!    materialized whole; boundaries come from the
-//!    uniform or nnz-balanced splitter ([`PanelBalance`]),
+//!    materialized whole; boundaries come from [`plan::split`]
+//!    (uniform or nnz-balanced, [`PanelBalance`]),
 //! 2. **multiply stage** — `sparch_exec::ShardPool` workers pull pairs
 //!    from the bounded channel and multiply them while the reader keeps
 //!    reading,
 //! 3. **merge/spill stage** — folds arriving partials through a
-//!    multi-round k-way merge whose round order comes from the **same**
-//!    k-ary Huffman scheduler the cycle-level simulator uses
-//!    (`sparch_core::sched::huffman_plan`, smallest first, weighted by
-//!    per-panel `A` non-zeros), executing each round the moment its
+//!    multi-round k-way merge whose round order is the [`ExecPlan`]'s:
+//!    the **same** k-ary Huffman scheduler the cycle-level simulator
+//!    uses (`sparch_core::sched::huffman_plan`, smallest first, weighted
+//!    by per-panel `A` non-zeros), executing each round the moment its
 //!    children are present — concurrently with the multiplies still in
 //!    flight — and
 //! 4. keeps the resident set of partials under an explicit
@@ -44,8 +44,9 @@
 //! (same `row_ptr`/`col_idx`, including the repository-wide
 //! keep-structural-zeros convention), at every budget, panel count,
 //! thread count, spill codec and balance mode — the merge order depends
-//! only on the Huffman plan, whose weights are fixed by the panel split
-//! alone, never by stage timing or what happened to spill.
+//! only on the [`ExecPlan`] (built in one place, the [`plan`] module,
+//! from the panel split alone), never on stage timing or what happened
+//! to spill.
 //! `crates/stream/tests/` pins this across the `gen::arb` grid and
 //! audits the budget with a counting allocator.
 //!
@@ -70,6 +71,7 @@ pub mod config;
 pub mod executor;
 pub mod merge;
 mod pipeline;
+pub mod plan;
 pub mod spill;
 mod store;
 #[doc(hidden)]
@@ -77,6 +79,7 @@ pub mod tempdir;
 
 pub use config::{MemoryBudget, PanelBalance, SpillCodec, StreamConfig};
 pub use executor::{StageReport, StreamReport, StreamingExecutor};
+pub use plan::ExecPlan;
 
 use std::fmt;
 

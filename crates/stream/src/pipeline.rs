@@ -36,24 +36,27 @@
 //! write lands. Disk ingest, multiplies, spill writes and merge rounds
 //! all overlap instead of alternating.
 //!
-//! **Determinism.** The Huffman plan's leaf weights are the per-panel
-//! `A`-column non-zero counts, fixed by the panel split alone — known
-//! the moment the reader finishes, *before* the last multiply lands, and
-//! entirely independent of stage timing, thread count, budget or codec.
-//! The plan fixes every round's children up front, so however rounds
-//! interleave across merge workers, each round folds exactly the same
-//! inputs in the same child order — the fold order, and therefore every
-//! output bit, depends only on the plan, never on which worker ran
+//! **Determinism.** This module decides nothing about the
+//! decomposition: the reader publishes each panel's range and `A`
+//! non-zero count — fixed by the panel split alone, known the moment it
+//! finishes, *before* the last multiply lands, and entirely independent
+//! of stage timing, thread count, budget or codec — and the orchestrator
+//! hands them to [`ExecPlan::from_panel_nnz`], the same constructor an
+//! in-memory or distributed run reaches, then *executes* the plan it
+//! gets back. The plan fixes every round's children up front, so however
+//! rounds interleave across merge workers, each round folds exactly the
+//! same inputs in the same child order — the fold order, and therefore
+//! every output bit, depends only on the plan, never on which worker ran
 //! first. Timing can shift *which* partials spill and *when* a round is
 //! dispatched (spill and overlap counters vary at `threads > 1`), but
 //! never what any round computes.
 
 use crate::merge::{merge_sources, MergeScratch, PartialSource};
+use crate::plan::ExecPlan;
 use crate::spill::{raw_size, write_partial, SpillFile};
 use crate::store::{PartialStore, SpillJob, StoreStats};
 use crate::{StreamConfig, StreamError};
 use serde::{Deserialize, Serialize};
-use sparch_core::sched::{huffman_plan, MergePlan, PlanNode};
 use sparch_exec::{Permits, ShardPool, SharedQueue};
 use sparch_obs::{Counter, Recorder, ThreadRecorder};
 use sparch_sparse::{algo, Csr, Index};
@@ -142,12 +145,9 @@ pub struct StageReport {
 /// public [`StreamReport`](crate::StreamReport).
 pub(crate) struct PipelineOutcome {
     pub result: Csr,
-    /// Panel pairs the reader validated (including all-empty `A` panels
-    /// that never became merge leaves).
-    pub panels: usize,
-    /// Merge-plan leaves: panels whose `A` panel had any non-zeros.
-    pub partials: usize,
-    pub merge_rounds: usize,
+    /// The plan the run executed: panel, leaf and round counts of the
+    /// public report are read off it.
+    pub plan: ExecPlan,
     pub partial_bytes_total: u64,
     pub largest_partial_bytes: u64,
     pub store_stats: StoreStats,
@@ -202,7 +202,7 @@ enum Event {
         outcome: Result<(SpillFile, u64, f64), StreamError>,
     },
     /// Every multiply worker has exited: all `MultiplyDone` events are
-    /// already queued ahead of this, and the plan weights are published.
+    /// already queued ahead of this, and the panel sizes are published.
     MultiplyStageClosed,
     /// Every merge worker has exited. Arrives mid-run only if the stage
     /// died abnormally — normally the orchestrator outlives it.
@@ -213,16 +213,18 @@ enum Event {
 struct ReaderOutcome {
     busy_seconds: f64,
     reads_overlapping_multiply: u64,
-    /// Panel pairs validated, including pruned all-empty `A` panels.
-    panels: usize,
     error: Option<StreamError>,
 }
+
+/// What the reader learns about the split and the orchestrator plans
+/// from: every validated panel's range and its `A` panel's non-zeros.
+type PanelSizes = (Vec<Range<usize>>, Vec<u64>);
 
 /// The shared plumbing the orchestrator drives: owning `round_tx` means
 /// dropping these links is what lets the merge workers exit.
 struct OrchestratorLinks<'a> {
     round_tx: SyncSender<RoundJob>,
-    weights_slot: &'a Mutex<Option<Vec<u64>>>,
+    sizes_slot: &'a Mutex<Option<PanelSizes>>,
     inflight: &'a AtomicUsize,
     gate: &'a Permits,
     abort: &'a AtomicBool,
@@ -295,13 +297,13 @@ where
     // stops ingesting promptly — a disk-full on the first spill must not
     // cost the whole remaining ingest + multiply bill.
     let abort = AtomicBool::new(false);
-    // The reader publishes every leaf's weight here when it finishes —
-    // the orchestrator builds the Huffman plan from it mid-flight.
-    let weights_slot: Mutex<Option<Vec<u64>>> = Mutex::new(None);
+    // The reader publishes every panel's size here when it finishes —
+    // the orchestrator builds the execution plan from it mid-flight.
+    let sizes_slot: Mutex<Option<PanelSizes>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
-        let (weights_ref, inflight_ref, abort_ref, gate_ref) =
-            (&weights_slot, &inflight, &abort, &gate);
+        let (sizes_ref, inflight_ref, abort_ref, gate_ref) =
+            (&sizes_slot, &inflight, &abort, &gate);
         let reader_lane = recorder.thread("reader");
         let reader = scope.spawn(move || {
             reader_stage(
@@ -310,7 +312,7 @@ where
                 inner_dim,
                 b_cols,
                 job_tx,
-                weights_ref,
+                sizes_ref,
                 inflight_ref,
                 abort_ref,
                 reader_lane,
@@ -388,7 +390,7 @@ where
             &evt_rx,
             OrchestratorLinks {
                 round_tx,
-                weights_slot: &weights_slot,
+                sizes_slot: &sizes_slot,
                 inflight: &inflight,
                 gate: &gate,
                 abort: &abort,
@@ -404,9 +406,10 @@ where
 }
 
 /// The reader stage: pulls panel pairs, validates tiling and shapes,
-/// tags non-empty `A` panels with leaf ids and feeds them to the
-/// multiply stage, then publishes the plan weights. Stops early when
-/// the orchestrator raises `abort` (its failure is the one reported).
+/// tags non-empty `A` panels with leaf ids ([`ExecPlan`]'s numbering:
+/// dense, in range order) and feeds them to the multiply stage, then
+/// publishes the panel sizes. Stops early when the orchestrator raises
+/// `abort` (its failure is the one reported).
 #[allow(clippy::too_many_arguments)]
 fn reader_stage<I>(
     mut pairs: I,
@@ -414,7 +417,7 @@ fn reader_stage<I>(
     inner_dim: usize,
     b_cols: usize,
     job_tx: SyncSender<MultiplyJob>,
-    weights_slot: &Mutex<Option<Vec<u64>>>,
+    sizes_slot: &Mutex<Option<PanelSizes>>,
     inflight: &AtomicUsize,
     abort: &AtomicBool,
     mut lane: ThreadRecorder,
@@ -423,10 +426,10 @@ where
     I: Iterator<Item = Result<PanelPair, StreamError>> + Send,
 {
     let mut covered = 0usize;
-    let mut weights: Vec<u64> = Vec::new();
+    let (mut ranges, mut panel_nnz): PanelSizes = (Vec::new(), Vec::new());
+    let mut leaves = 0usize;
     let mut busy = 0f64;
     let mut overlapping = 0u64;
-    let mut panels = 0usize;
     let mut error = None;
     let mut aborted = false;
     loop {
@@ -447,7 +450,7 @@ where
         let verdict = item.and_then(|pair| {
             validate_pair(&pair, covered, a_rows, inner_dim, b_cols).map(|()| pair)
         });
-        busy += lane.end_with(span, &[("panel", panels as u64)]);
+        busy += lane.end_with(span, &[("panel", ranges.len() as u64)]);
         if inflight.load(Ordering::Relaxed) > 0 {
             overlapping += 1;
         }
@@ -459,15 +462,15 @@ where
             }
         };
         covered = pair.range.end;
-        panels += 1;
+        ranges.push(pair.range);
+        panel_nnz.push(pair.a.nnz() as u64);
         if pair.a.nnz() == 0 {
-            // An empty A panel's product is empty whatever B holds: it
-            // is pruned here, deterministically, and never becomes a
-            // merge leaf.
+            // The plan prunes an empty A panel (its product is empty
+            // whatever B holds), so it is never multiplied either.
             continue;
         }
-        let leaf = weights.len();
-        weights.push(pair.a.nnz() as u64);
+        let leaf = leaves;
+        leaves += 1;
         // Count the job in flight *before* handing it over: a fast
         // worker could otherwise finish it — and the orchestrator
         // decrement — before this thread reached the increment,
@@ -493,15 +496,14 @@ where
             "panels cover only 0..{covered} of 0..{inner_dim}"
         )));
     }
-    // Publish the plan weights *before* dropping the job sender: by the
+    // Publish the panel sizes *before* dropping the job sender: by the
     // time the multiply stage closes, the orchestrator is guaranteed to
     // find them.
-    *weights_slot.lock().expect("weights slot poisoned") = Some(weights);
+    *sizes_slot.lock().expect("sizes slot poisoned") = Some((ranges, panel_nnz));
     drop(job_tx);
     ReaderOutcome {
         busy_seconds: busy,
         reads_overlapping_multiply: overlapping,
-        panels,
         error,
     }
 }
@@ -676,17 +678,9 @@ struct SpillCounters {
     raw_bytes: Counter,
 }
 
-/// Where a plan round stands in the orchestrator's schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundState {
-    Pending,
-    InFlight,
-    Done,
-}
-
-/// The orchestrator: owns the budgeted store, builds the Huffman plan as
-/// soon as the reader publishes the weights, and dispatches every merge
-/// round whose children are all available onto the merge workers —
+/// The orchestrator: owns the budgeted store, obtains the [`ExecPlan`]
+/// as soon as the reader publishes the panel sizes, and dispatches every
+/// merge round whose children are all available onto the merge workers —
 /// several at once when the plan allows it.
 struct MergeStage {
     store: PartialStore,
@@ -696,9 +690,11 @@ struct MergeStage {
     /// Dispatch cap: rounds in flight never exceed the merge worker
     /// count (also the round channel's capacity, so sends never block).
     max_rounds_inflight: usize,
-    plan: Option<MergePlan>,
-    arrived: Vec<bool>,
-    round_state: Vec<RoundState>,
+    plan: Option<ExecPlan>,
+    /// Per node id: the leaf's partial arrived / the round finished.
+    produced: Vec<bool>,
+    /// Per round: handed to a merge worker (in flight or done).
+    dispatched: Vec<bool>,
     rounds_done: usize,
     rounds_inflight: usize,
     multiply_closed: bool,
@@ -737,8 +733,8 @@ impl MergeStage {
             ways,
             max_rounds_inflight: max_rounds_inflight.max(1),
             plan: None,
-            arrived: Vec::new(),
-            round_state: Vec::new(),
+            produced: Vec::new(),
+            dispatched: Vec::new(),
             rounds_done: 0,
             rounds_inflight: 0,
             multiply_closed: false,
@@ -803,7 +799,7 @@ impl MergeStage {
                 }
                 let span = self.lane.begin("stream", "orchestrate");
                 self.insert_leaf(leaf, partial);
-                self.try_build_plan(links.weights_slot);
+                self.try_build_plan(links.sizes_slot);
                 self.dispatch_rounds(links);
                 self.merge_busy += self.lane.end(span);
             }
@@ -814,29 +810,21 @@ impl MergeStage {
                 triples,
             } => {
                 self.rounds_inflight -= 1;
-                self.round_state[round] = RoundState::Done;
                 self.rounds_done += 1;
                 self.merge_kernel_seconds += kernel_seconds;
                 self.merge_triples += triples;
                 match outcome {
                     Ok(merged) if self.failure.is_none() => {
                         let span = self.lane.begin("stream", "orchestrate");
-                        let (ids, output_id, is_final) = {
-                            let plan = self.plan.as_ref().expect("a dispatched round has a plan");
-                            let n = plan.num_leaves;
-                            let ids: Vec<usize> = plan.rounds[round]
-                                .children
-                                .iter()
-                                .map(|&c| node_id(c, n))
-                                .collect();
-                            (ids, n + round, round + 1 == plan.rounds.len())
-                        };
-                        for &id in &ids {
+                        let plan = self.plan.as_ref().expect("a dispatched round has a plan");
+                        let output = plan.round_output(round);
+                        for id in plan.round_children(round) {
                             self.store.release(id);
                         }
-                        if is_final {
+                        self.produced[output] = true;
+                        if plan.root() == Some(output) {
                             self.result = Some(merged);
-                        } else if let Err(e) = self.store.insert(output_id, merged) {
+                        } else if let Err(e) = self.store.insert(output, merged) {
                             self.failure = Some(e);
                         }
                         if self.failure.is_none() {
@@ -879,16 +867,16 @@ impl MergeStage {
                 let span = self.lane.begin("stream", "orchestrate");
                 // Every MultiplyDone is queued ahead of this event, so
                 // all leaves that will ever arrive have arrived; and the
-                // reader published the weights before the stage could
+                // reader published the panel sizes before the stage could
                 // close. Anything else is a lost stage.
-                self.try_build_plan(links.weights_slot);
+                self.try_build_plan(links.sizes_slot);
                 match &self.plan {
                     None => {
                         self.failure = Some(StreamError::Io(
-                            "reader stage ended without publishing merge-plan weights".into(),
+                            "reader stage ended without publishing its panel sizes".into(),
                         ));
                     }
-                    Some(_) if self.arrived.iter().any(|&a| !a) => {
+                    Some(plan) if self.produced[..plan.num_leaves()].iter().any(|&a| !a) => {
                         self.failure = Some(StreamError::Io(
                             "multiply stage ended before every partial arrived".into(),
                         ));
@@ -920,7 +908,7 @@ impl MergeStage {
             return self.rounds_inflight == 0 || self.merge_closed;
         }
         match &self.plan {
-            Some(plan) => self.rounds_done == plan.rounds.len() && self.rounds_inflight == 0,
+            Some(plan) => self.rounds_done == plan.num_rounds() && self.rounds_inflight == 0,
             None => false,
         }
     }
@@ -929,39 +917,32 @@ impl MergeStage {
         let bytes = partial.estimated_bytes();
         self.partial_bytes_total += bytes;
         self.largest_partial_bytes = self.largest_partial_bytes.max(bytes);
-        if self.arrived.len() <= leaf {
-            self.arrived.resize(leaf + 1, false);
+        if self.produced.len() <= leaf {
+            self.produced.resize(leaf + 1, false);
         }
-        self.arrived[leaf] = true;
+        self.produced[leaf] = true;
         if let Err(e) = self.store.insert(leaf, partial) {
             self.failure = Some(e);
         }
     }
 
-    /// Builds the Huffman plan once the reader has published the leaf
-    /// weights. The weights depend only on the panel split, so the plan
-    /// — and with it the fold order — is identical at every thread
-    /// count, budget and codec.
-    fn try_build_plan(&mut self, weights_slot: &Mutex<Option<Vec<u64>>>) {
+    /// Obtains the plan once the reader has published the panel sizes.
+    /// They depend only on the panel split, so the plan — and with it
+    /// the fold order — is identical at every thread count, budget and
+    /// codec.
+    fn try_build_plan(&mut self, sizes_slot: &Mutex<Option<PanelSizes>>) {
         if self.plan.is_some() {
             return;
         }
-        let Some(weights) = weights_slot.lock().expect("weights slot poisoned").take() else {
+        let Some((ranges, panel_nnz)) = sizes_slot.lock().expect("sizes slot poisoned").take()
+        else {
             return;
         };
-        let n = weights.len();
-        if self.arrived.len() < n {
-            self.arrived.resize(n, false);
-        }
-        let plan = huffman_plan(&weights, self.ways);
-        let mut consumers = vec![usize::MAX; n + plan.rounds.len()];
-        for (round, r) in plan.rounds.iter().enumerate() {
-            for &child in &r.children {
-                consumers[node_id(child, n)] = round;
-            }
-        }
-        self.store.set_consumers(consumers);
-        self.round_state = vec![RoundState::Pending; plan.rounds.len()];
+        let plan = ExecPlan::from_panel_nnz(ranges, &panel_nnz, self.ways);
+        // Leaves that arrived before the plan keep their flags.
+        self.produced.resize(plan.num_nodes(), false);
+        self.dispatched = vec![false; plan.num_rounds()];
+        self.store.set_consumers(plan.consumers().to_vec());
         self.plan = Some(plan);
     }
 
@@ -970,50 +951,20 @@ impl MergeStage {
     /// children always reference earlier rounds, so one ascending scan
     /// per call suffices; later events re-scan as children land.
     fn dispatch_rounds(&mut self, links: &OrchestratorLinks<'_>) {
-        let num_rounds = match &self.plan {
-            Some(plan) => plan.rounds.len(),
-            None => return,
-        };
-        let mut r = 0;
-        while r < num_rounds
-            && self.failure.is_none()
-            && self.rounds_inflight < self.max_rounds_inflight
-        {
-            if self.round_state[r] != RoundState::Pending {
-                r += 1;
+        let Some(plan) = &self.plan else { return };
+        for r in 0..plan.num_rounds() {
+            if self.failure.is_some() || self.rounds_inflight >= self.max_rounds_inflight {
+                return;
+            }
+            // `available` is false while the node's spill write-back is
+            // still on the writer thread.
+            if self.dispatched[r]
+                || !plan.round_ready(r, |id| self.produced[id] && self.store.available(id))
+            {
                 continue;
             }
-            let ids = {
-                let plan = self.plan.as_ref().expect("plan checked above");
-                let n = plan.num_leaves;
-                let round = &plan.rounds[r];
-                let ready = round.children.iter().all(|&c| {
-                    let produced = match c {
-                        PlanNode::Leaf(l) => self.arrived[l],
-                        PlanNode::Round(prev) => self.round_state[prev] == RoundState::Done,
-                    };
-                    // `available` is false while the node's spill
-                    // write-back is still on the writer thread.
-                    produced && self.store.available(node_id(c, n))
-                });
-                if ready {
-                    Some(
-                        round
-                            .children
-                            .iter()
-                            .map(|&c| node_id(c, n))
-                            .collect::<Vec<usize>>(),
-                    )
-                } else {
-                    None
-                }
-            };
-            let Some(ids) = ids else {
-                r += 1;
-                continue;
-            };
-            let mut sources = Vec::with_capacity(ids.len());
-            for &id in &ids {
+            let mut sources = Vec::new();
+            for id in plan.round_children(r) {
                 match self.store.take(id) {
                     Ok(taken) => sources.push(PartialSource::from(taken)),
                     Err(e) => {
@@ -1033,9 +984,8 @@ impl MergeStage {
             if multiplies > 0 || self.rounds_inflight > 0 {
                 self.rounds_concurrent += 1;
             }
-            self.round_state[r] = RoundState::InFlight;
+            self.dispatched[r] = true;
             self.rounds_inflight += 1;
-            r += 1;
         }
     }
 
@@ -1051,31 +1001,24 @@ impl MergeStage {
             self.store.cleanup();
             return Err(e);
         }
-        let plan = self.plan.take().expect("reader published the plan weights");
-        let n = plan.num_leaves;
-        let result = if n == 0 {
-            Csr::zero(self.a_rows, self.b_cols)
-        } else if n == 1 {
-            match self.store.take_full(0) {
+        let plan = self.plan.take().expect("reader published its panel sizes");
+        let result = match (plan.root(), self.result.take()) {
+            (None, _) => Csr::zero(self.a_rows, self.b_cols),
+            (Some(_), Some(merged)) => merged,
+            // No round ran: the root is the lone leaf.
+            (Some(leaf), None) => match self.store.take_full(leaf) {
                 Ok(csr) => csr,
                 Err(e) => {
                     self.store.cleanup();
                     return Err(e);
                 }
-            }
-        } else {
-            debug_assert_eq!(self.rounds_done, plan.rounds.len());
-            self.result
-                .take()
-                .expect("a multi-leaf plan ends in a final round")
+            },
         };
         let store_stats = self.store.stats().clone();
         self.store.cleanup();
         Ok(PipelineOutcome {
             result,
-            panels: reader.panels,
-            partials: n,
-            merge_rounds: plan.rounds.len(),
+            plan,
             partial_bytes_total: self.partial_bytes_total,
             largest_partial_bytes: self.largest_partial_bytes,
             store_stats: store_stats.clone(),
@@ -1094,13 +1037,5 @@ impl MergeStage {
                 spill_writeback_offloaded: store_stats.spill_writeback_offloaded,
             },
         })
-    }
-}
-
-/// Store/plan node id: leaves are `0..n`, round outputs `n + round`.
-fn node_id(node: PlanNode, n: usize) -> usize {
-    match node {
-        PlanNode::Leaf(l) => l,
-        PlanNode::Round(r) => n + r,
     }
 }

@@ -150,8 +150,9 @@ fn all_spilled_rounds_merge_in_parallel() {
 }
 
 /// On a workload with several independent rounds and long multiplies,
-/// the scheduler overlaps rounds with other in-flight work. Scheduling
-/// noise on a loaded machine can serialize one run, so this asserts the
+/// the scheduler overlaps rounds with other in-flight work, and the
+/// reader keeps ingesting while multiplies are outstanding. Scheduling
+/// noise on a loaded machine can serialize one run, so this asserts each
 /// counter over a handful of attempts — any single success proves the
 /// concurrent path is wired.
 #[test]
@@ -160,19 +161,24 @@ fn parallel_rounds_actually_overlap() {
         (v * 4.0).round()
     });
     let expected = algo::gustavson(&a, &a);
-    let mut best = 0u64;
+    let (mut best_rounds, mut best_reads) = (0u64, 0u64);
     for _attempt in 0..5 {
         let (c, report) = exec(u64::MAX, 8, 2, 2, 2, SpillCodec::Raw, PanelBalance::Nnz)
             .multiply(&a, &a)
             .expect("multiply failed");
         assert_eq!(c, expected);
-        best = best.max(report.stages.rounds_merged_concurrently);
-        if best > 0 {
+        best_rounds = best_rounds.max(report.stages.rounds_merged_concurrently);
+        best_reads = best_reads.max(report.stages.reads_overlapping_multiply);
+        if best_rounds > 0 && best_reads > 0 {
             break;
         }
     }
     assert!(
-        best >= 1,
+        best_rounds >= 1,
         "no merge round ever overlapped other in-flight work across 5 runs"
+    );
+    assert!(
+        best_reads >= 1,
+        "no panel read ever completed with a multiply in flight across 5 runs"
     );
 }

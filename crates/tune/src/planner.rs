@@ -7,17 +7,16 @@
 //! histogram (one stats API for in-memory and on-disk operands — see
 //! [`OperandStats`]), `B`'s row fill, and the [`MemoryBudget`], the
 //! planner projects every candidate configuration's partial sizes and
-//! merge traffic with the same machinery the executor itself uses
-//! (`panel_ranges_by_nnz` for the split, the k-ary Huffman plan's
-//! internal-node weight for merge traffic) and picks the cheapest — no
-//! timing anywhere, so a plan is a pure function of matrix structure and
-//! the planned run stays bit-identical to any other configuration.
+//! merge traffic through the two steps every executor's plan is built
+//! from ([`plan::split`] for the panel ranges, [`plan::schedule`]'s
+//! internal-node weight — over projected flops — for merge traffic) and
+//! picks the cheapest — no timing anywhere, so a plan is a pure function
+//! of matrix structure and the planned run stays bit-identical to any
+//! other configuration.
 
 use serde::{Deserialize, Serialize};
-use sparch_core::sched::huffman_plan;
-use sparch_sparse::{mm, panel_ranges, panel_ranges_by_nnz, Csr, SparseError};
-use sparch_stream::{MemoryBudget, PanelBalance, SpillCodec, StreamConfig};
-use std::ops::Range;
+use sparch_sparse::{mm, Csr, SparseError};
+use sparch_stream::{plan, MemoryBudget, PanelBalance, SpillCodec, StreamConfig};
 use std::path::Path;
 
 /// Structural statistics of one operand, as consumed by the planner:
@@ -142,6 +141,20 @@ pub struct Plan {
     /// column alone overflows, or the budget is zero), the planner falls
     /// back to the cheapest projected configuration and reports `false`.
     pub budget_satisfied: bool,
+}
+
+impl Plan {
+    /// The planned data knobs (budget, panels, balance, fan-in, codec)
+    /// laid over `base`'s execution knobs — thread count, merge workers
+    /// and spill directory stay the caller's.
+    pub fn config_over(&self, base: &StreamConfig) -> StreamConfig {
+        StreamConfig {
+            threads: base.threads,
+            merge_workers: base.merge_workers,
+            spill_dir: base.spill_dir.clone(),
+            ..self.config.clone()
+        }
+    }
 }
 
 /// Derives a full [`StreamConfig`] from operand statistics and a memory
@@ -367,10 +380,9 @@ struct Candidate {
 }
 
 impl Candidate {
-    /// Projects partial sizes and merge traffic for one configuration,
-    /// mirroring the executor's own split (`panel_ranges_by_nnz` over
-    /// `A`'s column histogram for [`PanelBalance::Nnz`], uniform column
-    /// counts otherwise).
+    /// Projects partial sizes and merge traffic for one configuration:
+    /// the executor's own split, and the executor's scheduler over the
+    /// panels' projected flops (every panel, empty ones included).
     fn project(
         panels: usize,
         ways: usize,
@@ -380,10 +392,7 @@ impl Candidate {
         row_ptr_bytes: u64,
         budget: u64,
     ) -> Candidate {
-        let ranges: Vec<Range<usize>> = match balance {
-            PanelBalance::Uniform => panel_ranges(a.cols, panels),
-            PanelBalance::Nnz => panel_ranges_by_nnz(&a.col_nnz, panels),
-        };
+        let ranges = plan::split(a.cols, panels, balance, || &a.col_nnz);
         let panel_flops: Vec<u64> = ranges
             .iter()
             .map(|r| weights[r.clone()].iter().sum::<u64>())
@@ -395,7 +404,7 @@ impl Candidate {
         let largest_bytes = partial_bytes.iter().copied().max().unwrap_or(row_ptr_bytes);
         let total_bytes = partial_bytes.iter().sum();
         let ways = ways.clamp(2, ranges.len().max(2));
-        let plan = huffman_plan(&panel_flops, ways);
+        let plan = plan::schedule(&panel_flops, ways);
         let merge_weight = plan.estimated_internal_weight();
         // When everything fits in the budget nothing round-trips disk;
         // otherwise the overflow itself must leave RAM at least once and

@@ -38,11 +38,13 @@ use serde_json::Value;
 use sparch::baselines::OuterSpaceModel;
 use sparch::core::{SpArchConfig, SpArchSim};
 use sparch::dist::{DistConfig, DistCoordinator};
+use sparch::exec::ShardPool;
 use sparch::mem::TrafficCategory;
 use sparch::obs::{chrome_trace_json, Recorder, Trace};
 use sparch::serve::{Batch, Calibration, DispatchPolicy, ServiceConfig, SpgemmService};
 use sparch::sparse::{algo, gen, mm, stats, Csr};
-use sparch::stream::{MemoryBudget, StreamConfig, StreamingExecutor};
+use sparch::stream::{plan, MemoryBudget, StreamConfig, StreamingExecutor};
+use sparch::tune::{BRows, KnobPlanner, OperandStats, Plan};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -125,17 +127,29 @@ fn write_trace(flags: &HashMap<String, String>, trace: &Trace) {
     }
 }
 
+/// The one-line summary of a planner decision (`--panels auto` / `--tune`).
+fn print_plan(plan: &Plan) {
+    println!(
+        "auto-tuned: {} panels ({} balance), {}-way merge, {} spill codec{}",
+        plan.config.panels,
+        plan.config.balance,
+        plan.config.merge_ways,
+        plan.config.spill_codec,
+        if plan.budget_satisfied {
+            ""
+        } else {
+            " (budget formula unachievable; best effort)"
+        }
+    );
+}
+
 fn cmd_multiply(flags: &HashMap<String, String>) -> ExitCode {
     let Some(a_path) = flags.get("a") else {
         usage()
     };
-    let a = load(a_path);
-    let b = flags.get("b").map(|p| load(p));
-    let b = b.as_ref().unwrap_or(&a);
-
     let mut config = SpArchConfig::default();
-    if let Some(layers) = flags.get("layers") {
-        config = config.with_tree_layers(layers.parse().expect("--layers needs a number"));
+    if let Some(layers) = flag_value(flags, "layers") {
+        config = config.with_tree_layers(layers);
     }
     if flags.contains_key("no-prefetch") {
         config = config.without_prefetcher();
@@ -143,6 +157,10 @@ fn cmd_multiply(flags: &HashMap<String, String>) -> ExitCode {
     if flags.contains_key("no-condense") {
         config = config.without_condensing();
     }
+
+    let a = load(a_path);
+    let b = flags.get("b").map(|p| load(p));
+    let b = b.as_ref().unwrap_or(&a);
 
     let report = SpArchSim::new(config).run(&a, b);
     if flags.contains_key("verify") {
@@ -217,18 +235,9 @@ fn cmd_multiply(flags: &HashMap<String, String>) -> ExitCode {
 
 fn cmd_generate(flags: &HashMap<String, String>) -> ExitCode {
     let kind = flags.get("kind").map(String::as_str).unwrap_or("rmat");
-    let n: usize = flags
-        .get("n")
-        .map(|v| v.parse().expect("--n"))
-        .unwrap_or(4096);
-    let degree: usize = flags
-        .get("degree")
-        .map(|v| v.parse().expect("--degree"))
-        .unwrap_or(8);
-    let seed: u64 = flags
-        .get("seed")
-        .map(|v| v.parse().expect("--seed"))
-        .unwrap_or(42);
+    let n: usize = flag_value(flags, "n").unwrap_or(4096);
+    let degree: usize = flag_value(flags, "degree").unwrap_or(8);
+    let seed: u64 = flag_value(flags, "seed").unwrap_or(42);
     let Some(out) = flags.get("out") else { usage() };
     let m = match kind {
         "rmat" => gen::rmat_graph500(n, degree, seed),
@@ -269,6 +278,9 @@ fn cmd_batch(flags: &HashMap<String, String>) -> ExitCode {
     let Some(file) = flags.get("file") else {
         usage()
     };
+    let threads = flag_value(flags, "threads");
+    // EWMA smoothing factor in (0, 1].
+    let online_calibration = flag_value(flags, "online-alpha");
     let text = match std::fs::read_to_string(file) {
         Ok(text) => text,
         Err(e) => {
@@ -299,9 +311,6 @@ fn cmd_batch(flags: &HashMap<String, String>) -> ExitCode {
     let calibration = flags
         .contains_key("reference-calibration")
         .then(Calibration::reference);
-    let threads = flags
-        .get("threads")
-        .map(|v| v.parse().expect("--threads needs a number"));
 
     let mut service = SpgemmService::new(ServiceConfig {
         policy,
@@ -309,11 +318,9 @@ fn cmd_batch(flags: &HashMap<String, String>) -> ExitCode {
         calibration,
         // `--tune` plans out-of-core steps' knobs per task; `--online-alpha`
         // folds measured step costs back into the calibration table after
-        // the batch (EWMA smoothing factor in (0, 1]).
+        // the batch.
         auto_tune: flags.contains_key("tune"),
-        online_calibration: flags
-            .get("online-alpha")
-            .map(|v| v.parse().expect("--online-alpha needs a number in (0, 1]")),
+        online_calibration,
         ..ServiceConfig::default()
     })
     .with_recorder(recorder_for(flags));
@@ -364,8 +371,12 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     let b_path = flags.get("b").unwrap_or(a_path);
     let defaults = StreamConfig::default();
     let budget = flag_value(flags, "budget-mb").map_or(defaults.budget, MemoryBudget::from_mb);
-    let threads = flag_value(flags, "threads");
-    let merge_workers = flag_value(flags, "merge-workers");
+    let base = StreamConfig {
+        threads: flag_value(flags, "threads"),
+        merge_workers: flag_value(flags, "merge-workers"),
+        spill_dir: None,
+        ..defaults.clone()
+    };
     let tuned =
         flags.get("panels").map(String::as_str) == Some("auto") || flags.contains_key("tune");
     // A's column histogram, once something has scanned for it.
@@ -374,7 +385,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
         // Derive the data knobs from the operand's structure: one
         // histogram pass over A's file, B priced at its average row fill
         // (only its declared entry count is known without a second scan).
-        let stats = match sparch::tune::OperandStats::scan_file(a_path) {
+        let stats = match OperandStats::scan_file(a_path) {
             Ok(stats) => stats,
             Err(e) => {
                 eprintln!("failed to scan {a_path}: {e}");
@@ -388,28 +399,19 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let plan = sparch::tune::KnobPlanner::new(budget)
-            .with_threads(threads.unwrap_or(1))
-            .plan(&stats, &sparch::tune::BRows::Average { nnz: b_nnz });
-        println!(
-            "auto-tuned: {} panels ({} balance), {}-way merge, {} spill codec{}",
-            plan.config.panels,
-            plan.config.balance,
-            plan.config.merge_ways,
-            plan.config.spill_codec,
-            if plan.budget_satisfied {
-                ""
-            } else {
-                " (budget formula unachievable; best effort)"
-            }
-        );
+        // The planner targets the thread count the pipeline will really
+        // run on (`--threads`, else `SPARCH_THREADS`, else all cores), so
+        // resolve it once and pin both to it.
+        let threads = ShardPool::with_override(base.threads).threads();
+        let plan = KnobPlanner::new(budget)
+            .with_threads(threads)
+            .plan(&stats, &BRows::Average { nnz: b_nnz });
+        print_plan(&plan);
         a_col_nnz = Some(stats.col_nnz);
-        StreamConfig {
-            threads,
-            merge_workers,
-            spill_dir: None,
-            ..plan.config
-        }
+        plan.config_over(&StreamConfig {
+            threads: Some(threads),
+            ..base
+        })
     } else {
         StreamConfig {
             budget,
@@ -421,9 +423,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
                 .unwrap_or(defaults.merge_ways)
                 .max(2),
             spill_codec: flag_value(flags, "spill-codec").unwrap_or(defaults.spill_codec),
-            threads,
-            merge_workers,
-            spill_dir: None,
+            ..base
         }
     };
 
@@ -432,40 +432,39 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     // afterwards, outside the pipelined path). Each reader parses its
     // file's text once, whatever the panel count; an nnz-balanced column
     // split of A needs the column histogram first — the planner's, or one
-    // more scan of A — so a run makes at most three text scans. B's row
-    // split mirrors A's ranges exactly.
-    let a_reader = match config.balance {
-        sparch::stream::PanelBalance::Uniform => mm::read_panels(a_path, config.panels),
-        sparch::stream::PanelBalance::Nnz => a_col_nnz
-            .map_or_else(|| mm::scan_col_nnz(a_path), Ok)
-            .and_then(|weights| {
-                mm::PanelReader::open_with_ranges(
-                    a_path,
-                    sparch::sparse::panel_ranges_by_nnz(&weights, config.panels),
-                )
-            }),
+    // more scan of A — so a run makes at most three text scans. The split
+    // is the plan module's, over the shapes the two headers declare; B's
+    // row split mirrors A's ranges exactly.
+    let probe = |path: &str| match mm::read_panels(path, 1) {
+        Ok(probe) => (probe.rows(), probe.cols()),
+        Err(e) => {
+            eprintln!("failed to open {path}: {e}");
+            std::process::exit(1);
+        }
     };
-    let a_reader = match a_reader {
+    let (a_rows, inner_dim) = probe(a_path);
+    let (b_rows, b_cols) = probe(b_path);
+    if b_rows != inner_dim {
+        eprintln!("shape mismatch: A is {a_rows}x{inner_dim} but B is {b_rows}x{b_cols}");
+        return ExitCode::FAILURE;
+    }
+    let ranges = plan::split(inner_dim, config.panels, config.balance, || {
+        a_col_nnz.unwrap_or_else(|| match mm::scan_col_nnz(a_path) {
+            Ok(col_nnz) => col_nnz,
+            Err(e) => {
+                eprintln!("failed to scan {a_path}: {e}");
+                std::process::exit(1);
+            }
+        })
+    });
+    let a_reader = match mm::PanelReader::open_with_ranges(a_path, ranges.clone()) {
         Ok(reader) => reader,
         Err(e) => {
             eprintln!("failed to open {a_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let (a_rows, inner_dim) = (a_reader.rows(), a_reader.cols());
-    let b_probe = match mm::read_row_panels(b_path, 1) {
-        Ok(probe) => probe,
-        Err(e) => {
-            eprintln!("failed to open {b_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (b_rows, b_cols) = (b_probe.rows(), b_probe.cols());
-    if b_rows != inner_dim {
-        eprintln!("shape mismatch: A is {a_rows}x{inner_dim} but B is {b_rows}x{b_cols}");
-        return ExitCode::FAILURE;
-    }
-    let b_reader = match mm::RowPanelReader::open_with_ranges(b_path, a_reader.ranges().to_vec()) {
+    let b_reader = match mm::RowPanelReader::open_with_ranges(b_path, ranges) {
         Ok(reader) => reader,
         Err(e) => {
             eprintln!("failed to open {b_path}: {e}");
@@ -559,6 +558,21 @@ fn cmd_dist(flags: &HashMap<String, String>) -> ExitCode {
     let Some(a_path) = flags.get("a") else {
         usage()
     };
+    let mut config = DistConfig {
+        shards: flag_value(flags, "shards").unwrap_or(2).max(1),
+        ..DistConfig::default()
+    };
+    let auto_panels = flags.get("panels").map(String::as_str) == Some("auto");
+    let tuned = auto_panels || flags.contains_key("tune");
+    if !auto_panels {
+        if let Some(panels) = flag_value::<usize>(flags, "panels") {
+            config.stream.panels = panels.max(1);
+        }
+    }
+    if let Some(mb) = flag_value(flags, "budget-mb") {
+        config.stream.budget = MemoryBudget::from_mb(mb);
+    }
+
     let a = load(a_path);
     let b = flags.get("b").map(|p| load(p));
     let b = b.as_ref().unwrap_or(&a);
@@ -572,55 +586,16 @@ fn cmd_dist(flags: &HashMap<String, String>) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-
-    let shards: usize = flags
-        .get("shards")
-        .map(|v| v.parse().expect("--shards needs a number"))
-        .unwrap_or(2);
-    let mut config = DistConfig {
-        shards: shards.max(1),
-        ..DistConfig::default()
-    };
-    let tuned =
-        flags.get("panels").map(String::as_str) == Some("auto") || flags.contains_key("tune");
-    if let Some(panels) = flags.get("panels") {
-        if panels != "auto" {
-            config.stream.panels = panels
-                .parse::<usize>()
-                .expect("--panels needs a number (or \"auto\")")
-                .max(1);
-        }
-    }
-    if let Some(mb) = flags.get("budget-mb") {
-        config.stream.budget =
-            MemoryBudget::from_mb(mb.parse().expect("--budget-mb needs a number of MiB"));
-    }
     if tuned {
         // Both operands are in memory here, so the planner gets exact
         // histograms on both sides; thread knobs keep their defaults.
-        let stats = sparch::tune::OperandStats::from_csr(&a);
+        let stats = OperandStats::from_csr(&a);
         let b_rows = sparch::tune::row_nnz_histogram(b);
-        let plan = sparch::tune::KnobPlanner::new(config.stream.budget)
+        let plan = KnobPlanner::new(config.stream.budget)
             .with_threads(config.stream.threads.unwrap_or(1))
-            .plan(&stats, &sparch::tune::BRows::Histogram(&b_rows));
-        println!(
-            "auto-tuned: {} panels ({} balance), {}-way merge, {} spill codec{}",
-            plan.config.panels,
-            plan.config.balance,
-            plan.config.merge_ways,
-            plan.config.spill_codec,
-            if plan.budget_satisfied {
-                ""
-            } else {
-                " (budget formula unachievable; best effort)"
-            }
-        );
-        config.stream = StreamConfig {
-            threads: config.stream.threads,
-            merge_workers: config.stream.merge_workers,
-            spill_dir: config.stream.spill_dir.clone(),
-            ..plan.config
-        };
+            .plan(&stats, &BRows::Histogram(&b_rows));
+        print_plan(&plan);
+        config.stream = plan.config_over(&config.stream);
     }
 
     let coordinator = DistCoordinator::new(config).with_recorder(recorder_for(flags));

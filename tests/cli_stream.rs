@@ -9,14 +9,18 @@ use sparch::stream::tempdir::TempDir;
 use std::path::Path;
 use std::process::{Command, Output};
 
-/// Runs `sparch-cli stream --a <a> <flags>` with `tmp` as its temp dir.
-fn stream(tmp: &Path, a: &str, flags: &str) -> Output {
+/// Runs `sparch-cli <args>` with `tmp` as its temp dir.
+fn cli(tmp: &Path, args: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sparch-cli"))
-        .args(["stream", "--a", a])
-        .args(flags.split_whitespace())
+        .args(args.split_whitespace())
         .env("TMPDIR", tmp)
         .output()
         .expect("spawn sparch-cli")
+}
+
+/// Runs `sparch-cli stream --a <a> <flags>` with `tmp` as its temp dir.
+fn stream(tmp: &Path, a: &str, flags: &str) -> Output {
+    cli(tmp, &format!("stream --a {a} {flags}"))
 }
 
 /// A scratch dir holding `a.mtx` (big enough that panel buckets overflow
@@ -40,25 +44,68 @@ fn assert_empty(dir: &Path) {
 
 #[test]
 fn non_numeric_flag_values_are_usage_errors() {
-    // Flags are parsed before any file is opened.
+    // Flags are parsed before any file is opened — in every subcommand.
     let tmp = TempDir::new("cli_bad_flag");
-    for flag in [
-        "--panels",
-        "--ways",
-        "--budget-mb",
-        "--threads",
-        "--merge-workers",
-        "--balance",
+    for (command, flag) in [
+        ("stream --a absent.mtx", "--panels"),
+        ("stream --a absent.mtx", "--ways"),
+        ("stream --a absent.mtx", "--budget-mb"),
+        ("stream --a absent.mtx", "--threads"),
+        ("stream --a absent.mtx", "--merge-workers"),
+        ("stream --a absent.mtx", "--balance"),
+        ("multiply --a absent.mtx", "--layers"),
+        ("generate --out absent.mtx", "--n"),
+        ("generate --out absent.mtx", "--degree"),
+        ("generate --out absent.mtx", "--seed"),
+        ("batch --file absent.json", "--threads"),
+        ("batch --file absent.json", "--online-alpha"),
+        ("dist --a absent.mtx", "--shards"),
+        ("dist --a absent.mtx", "--panels"),
+        ("dist --a absent.mtx", "--budget-mb"),
     ] {
-        let out = stream(tmp.path(), "absent.mtx", &format!("{flag} lots"));
+        let out = cli(tmp.path(), &format!("{command} {flag} lots"));
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{command} {flag}: {stderr}");
         assert!(
             stderr.contains(flag) && stderr.contains("usage:"),
             "{stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command} {flag}: {stderr}");
     }
+}
+
+#[test]
+fn a_tuned_run_plans_for_the_threads_it_runs_on() {
+    // No `--threads`: the pipeline takes its count from SPARCH_THREADS,
+    // so the planner must target the same 3 — its panel floor and its
+    // "nnz balance only with workers to balance" rule (the fixture's
+    // column skew is far past the threshold) both show it did. A
+    // planner targeting one thread would pick 2 uniform panels here.
+    let (dir, a) = fixture("cli_tuned_threads");
+    let json = dir.file("report.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_sparch-cli"))
+        .args([
+            "stream",
+            "--a",
+            &a,
+            "--tune",
+            "--budget-mb",
+            "4096",
+            "--json",
+        ])
+        .arg(&json)
+        .env("TMPDIR", dir.file("tmp"))
+        .env("SPARCH_THREADS", "3")
+        .output()
+        .expect("spawn sparch-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let report: sparch::stream::StreamReport =
+        serde_json::from_str(&std::fs::read_to_string(&json).expect("read report"))
+            .expect("parse report");
+    assert_eq!(report.threads, 3);
+    assert!(report.panels >= 3, "{} panels", report.panels);
+    assert_eq!(report.balance, sparch::stream::PanelBalance::Nnz);
 }
 
 #[test]
