@@ -1,17 +1,25 @@
-//! The coordinator: placement, liveness, retry, and the global plan.
+//! The coordinator: the cut, placement, liveness, retry, and the top of
+//! the plan.
 //!
 //! [`DistCoordinator::multiply`] owns the run end to end. It decides
 //! nothing about the decomposition: [`ExecPlan::for_operand`] — the
 //! constructor behind
 //! [`StreamingExecutor::multiply`](sparch_stream::StreamingExecutor::multiply)
-//! too — yields the panel split, the live leaves and the merge rounds,
-//! and the coordinator *ships* that plan: each leaf's (A-column-panel,
-//! B-row-panel) multiply and each merge round becomes an idempotent
-//! **job**; shard worker processes claim one at a time over Unix
-//! sockets. Because the plan fixes every round's children and the
-//! workers run the single-node kernels on the same inputs in the same
-//! fold order, the final CSR is bit-identical to the single-node run at
-//! every shard count, whatever the dispatch interleaving.
+//! too — yields the panel split, the live leaves and the merge rounds.
+//! The coordinator *cuts* that plan ([`ExecPlan::frontier`], about two
+//! subtrees per worker) and ships each subtree below the cut as one
+//! idempotent **job**: the leaf panel pairs go out once, the worker
+//! multiplies them and folds its own partials, and one partial comes
+//! back. Shard worker processes claim one job at a time over Unix
+//! sockets, heaviest first. The few rounds above the cut are folded here,
+//! by a dedicated thread running the same
+//! [`merge_sources`] kernel (their output has to land here anyway), so
+//! the event loop never stops dispatching or watching liveness while a
+//! merge runs; a round's inputs are dropped the moment it has folded
+//! them. Because the plan fixes every round's children and every round —
+//! wherever it runs — folds the same inputs in the same order, the final
+//! CSR is bit-identical to the single-node run at every shard count,
+//! whatever the cut and the dispatch interleaving.
 //!
 //! **Liveness** is the per-worker reader thread's read deadline: a
 //! healthy worker heartbeats every [`DistConfig::heartbeat_interval`],
@@ -19,20 +27,23 @@
 //! worker is dead or wedged. Either way the coordinator kills the
 //! process, requeues whatever it held, and spawns a clean replacement —
 //! the same path handles EOF mid-frame (death, truncated result),
-//! corrupt frames, and protocol violations. Per-job retries are bounded
-//! by [`DistConfig::max_retries`]. A job outstanding longer than
-//! [`DistConfig::straggler_after`] while a worker sits idle is
+//! corrupt frames, and protocol violations. A job a healthy worker
+//! *reports* as failed (`Failed` frame) is requeued without a respawn.
+//! Per-job retries are bounded by [`DistConfig::max_retries`], and the
+//! error that ends a run names the last cause. A job outstanding longer
+//! than [`DistConfig::straggler_after`] while a worker sits idle is
 //! *duplicated* onto the idle worker, not killed; results are
 //! deterministic, so whichever copy lands first is the result and the
 //! race is benign.
 
-use crate::wire::{read_message, write_message, Message};
+use crate::wire::{read_message, write_message, write_subtree, Message};
 use crate::worker::FAULT_ENV;
 use crate::DistError;
 use serde::{Deserialize, Serialize};
 use sparch_obs::{Counter, Recorder, ThreadRecorder, WireSpan};
 use sparch_sparse::Csr;
-use sparch_stream::{ExecPlan, StreamConfig};
+use sparch_stream::merge::{merge_sources, MergeScratch, PartialSource};
+use sparch_stream::{ExecPlan, StreamConfig, StreamError};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -55,7 +66,7 @@ static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Configuration for a distributed run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistConfig {
-    /// Shard worker processes to spawn (at least 1; capped at the leaf
+    /// Shard worker processes to spawn (at least 1; capped at the job
     /// count, since a worker holds one job at a time).
     pub shards: usize,
     /// Pipeline configuration shipped to every worker — the panel split
@@ -118,16 +129,22 @@ pub struct DistReport {
     /// archived snapshot JSONs stay diffable across PRs.
     pub schema_version: u32,
     /// Worker processes requested (the fleet actually spawned is capped
-    /// at `partials`).
+    /// at `jobs`).
     pub shards: usize,
     /// Panel pairs in the split, including pruned all-empty `A` panels.
     pub panels: usize,
-    /// Merge leaves (non-empty panels) — multiply jobs in the run.
+    /// Merge leaves (non-empty panels) — leaf multiplies in the run.
     pub partials: usize,
-    /// Merge rounds in the Huffman plan — merge jobs in the run.
+    /// Merge rounds in the Huffman plan, wherever they ran.
     pub merge_rounds: u64,
     /// Merger ways the plan was built with.
     pub merge_ways: usize,
+    /// Subtree jobs the plan was cut into — partials that crossed the
+    /// wire back.
+    pub jobs: usize,
+    /// Rounds above the cut, folded by the coordinator itself; the other
+    /// `merge_rounds - coordinator_rounds` ran on the shards.
+    pub coordinator_rounds: u64,
     /// Total job dispatches, counting retries and straggler duplicates.
     pub dispatches: u64,
     /// Jobs requeued after a worker failure.
@@ -148,7 +165,7 @@ pub struct DistReport {
 
 impl DistReport {
     /// Current value of [`DistReport::schema_version`].
-    pub const SCHEMA_VERSION: u32 = 1;
+    pub const SCHEMA_VERSION: u32 = 2;
 
     /// A deterministic view for snapshot diffing: the same report with
     /// every scheduling-dependent quantity zeroed — dispatch, retry and
@@ -185,10 +202,12 @@ impl DistCoordinator {
     }
 
     /// Attaches a recorder. Subsequent runs record a per-worker lane of
-    /// dispatch/job spans, re-based worker-side compute spans (shipped
-    /// back in each `Result` frame — workers are spawned with the extra
-    /// `trace` argument), instant events for heartbeat timeouts,
-    /// retries and straggler re-dispatches, and wire-byte counters.
+    /// dispatch/job spans, re-based worker-side `compute-subtree` spans
+    /// with the shard pipeline's spans nested inside (shipped back in
+    /// each `Result` frame — workers are spawned with the extra `trace`
+    /// argument), a `coordinator` lane of `coordinator-merge` spans,
+    /// instant events for heartbeat timeouts, retries and straggler
+    /// re-dispatches, and wire-byte counters.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -217,7 +236,8 @@ impl DistCoordinator {
     ///
     /// # Errors
     ///
-    /// [`DistError::Job`] when a job exhausts `max_retries`;
+    /// [`DistError::Job`] when a job exhausts `max_retries` (the message
+    /// carries the last cause, a worker-side pipeline error included);
     /// [`DistError::Worker`]/[`DistError::Io`] when the fleet cannot be
     /// spawned or replaced. A corrupt frame or dead socket never aborts
     /// the run by itself — it fails its worker, whose jobs are retried.
@@ -225,13 +245,20 @@ impl DistCoordinator {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
         let cfg = &self.config.stream;
         let plan = ExecPlan::for_operand(&a.col_nnz(), cfg.panels, cfg.balance, cfg.merge_ways);
+        let shards = self.config.shards.max(1);
+        // Two jobs per worker: one to run and one waiting behind it, so
+        // a reply is decoded (on its reader thread) and folded while the
+        // worker that sent it is already computing again.
+        let frontier = plan.frontier(2 * shards.min(plan.num_leaves()));
         let mut report = DistReport {
             schema_version: DistReport::SCHEMA_VERSION,
-            shards: self.config.shards.max(1),
+            shards,
             panels: plan.panels(),
             partials: plan.num_leaves(),
             merge_rounds: plan.num_rounds() as u64,
             merge_ways: plan.ways(),
+            jobs: frontier.jobs.len(),
+            coordinator_rounds: frontier.top_rounds.len() as u64,
             dispatches: 0,
             retries: 0,
             respawns: 0,
@@ -241,54 +268,97 @@ impl DistCoordinator {
             wire_bytes_received: 0,
             output_nnz: 0,
         };
-        if plan.num_leaves() == 0 {
+        let Some(root) = plan.root() else {
             // Nothing to compute; do not spawn a fleet to agree on it.
             return Ok((Csr::zero(a.rows(), b.cols()), report));
-        }
+        };
         let pairs = plan
             .leaf_ranges()
             .map(|r| (a.col_panel(r.clone()), b.row_panel(r.clone())))
             .collect();
+        let jobs = frontier
+            .jobs
+            .iter()
+            .map(|&node| JobState {
+                node,
+                leaves: plan.subtree(node).leaves,
+                done: false,
+                retries: 0,
+                queued: true,
+                assigned: Vec::new(),
+                dispatched_at: None,
+                dispatch_ns: 0,
+                duplicated: false,
+            })
+            .collect::<Vec<_>>();
 
-        let (evt_tx, evt_rx) = channel();
-        let mut run = Run {
-            config: &self.config,
-            a_rows: a.rows(),
-            b_cols: b.cols(),
-            pairs,
-            plan: &plan,
-            cluster: Cluster::new(&self.config, evt_tx, self.recorder.is_enabled())?,
-            evt_rx,
-            jobs: Vec::new(),
-            results: Vec::new(),
-            ready: VecDeque::new(),
-            done: 0,
-            report: &mut report,
-            recorder: &self.recorder,
-            lanes: HashMap::new(),
-            wire_sent: self.recorder.counter("dist.wire_bytes_sent"),
-            wire_received: self.recorder.counter("dist.wire_bytes_received"),
-        };
-        let result = run.drive()?;
-        drop(run);
+        let (rows, cols) = (a.rows(), b.cols());
+        let result = std::thread::scope(|scope| {
+            let (evt_tx, evt_rx) = channel();
+            let (fold_tx, fold_rx) = channel();
+            let (fold_evt, fold_lane) = (evt_tx.clone(), self.recorder.thread("coordinator"));
+            scope.spawn(move || fold_stage(fold_rx, fold_evt, rows, cols, fold_lane));
+            // Dropping the run (on every path out of this closure) closes
+            // `fold_tx`, which ends the fold thread before the scope
+            // joins it.
+            Run {
+                config: &self.config,
+                a_rows: rows,
+                b_cols: cols,
+                pairs,
+                plan: &plan,
+                root,
+                cluster: Cluster::new(&self.config, evt_tx, self.recorder.is_enabled())?,
+                evt_rx,
+                fold_tx,
+                ready: (0..jobs.len() as u64).collect(),
+                jobs,
+                results: (0..plan.num_nodes()).map(|_| None).collect(),
+                report: &mut report,
+                recorder: &self.recorder,
+                lanes: HashMap::new(),
+                wire_sent: self.recorder.counter("dist.wire_bytes_sent"),
+                wire_received: self.recorder.counter("dist.wire_bytes_received"),
+            }
+            .drive()
+        })?;
         report.output_nnz = result.nnz() as u64;
         Ok((result, report))
     }
 }
 
-/// One job of the run: a leaf multiply or a plan merge round. The job
-/// id is the [`ExecPlan`] node id the job produces, so results index one
-/// flat table.
-#[derive(Debug, Clone, Copy)]
-enum JobSpec {
-    Multiply { leaf: usize },
-    Merge { round: usize },
+/// The coordinator's own merge stage: folds each round above the cut as
+/// its children land, off the event loop, and reports the output back
+/// through the loop's own queue. Ends when the run drops its sender.
+fn fold_stage(
+    fold_rx: Receiver<(usize, Vec<Csr>)>,
+    evt_tx: Sender<Ev>,
+    rows: usize,
+    cols: usize,
+    mut lane: ThreadRecorder,
+) {
+    let mut scratch = MergeScratch::new();
+    while let Ok((round, children)) = fold_rx.recv() {
+        let triples: u64 = children.iter().map(|c| c.nnz() as u64).sum();
+        let sources = children.into_iter().map(PartialSource::from_csr).collect();
+        let span = lane.begin("dist", "coordinator-merge");
+        let outcome = merge_sources(rows, cols, sources, &mut scratch);
+        lane.end_with(span, &[("round", round as u64), ("triples", triples)]);
+        if evt_tx.send(Ev::Folded { round, outcome }).is_err() {
+            return;
+        }
+    }
 }
 
-/// Dispatch bookkeeping for one job.
+/// Dispatch bookkeeping for one job: a subtree below the cut. Job ids
+/// index the frontier's heaviest-first order.
 #[derive(Debug)]
 struct JobState {
-    spec: JobSpec,
+    /// The plan node the job produces.
+    node: usize,
+    /// The leaves beneath it, ascending — whose panel pairs the job
+    /// frame carries.
+    leaves: Vec<usize>,
     done: bool,
     retries: u64,
     /// Sitting in the ready queue right now.
@@ -313,9 +383,15 @@ enum EvKind {
     Closed(Option<DistError>),
 }
 
-struct Ev {
-    gen: u64,
-    kind: EvKind,
+/// Everything the event loop waits on, in one queue.
+enum Ev {
+    /// From the reader thread of worker generation `gen`.
+    Worker { gen: u64, kind: EvKind },
+    /// From the fold thread: round `round` above the cut has folded.
+    Folded {
+        round: usize,
+        outcome: Result<Csr, StreamError>,
+    },
 }
 
 /// Byte-counting [`Read`] adapter so reader threads can report each
@@ -357,7 +433,7 @@ struct Cluster<'a> {
     next_gen: u64,
     stream_json: String,
     /// Spawn workers with the extra `trace` argument so they record and
-    /// ship per-job compute spans in their `Result` frames.
+    /// ship each job's spans in its `Result` frame.
     trace: bool,
 }
 
@@ -478,7 +554,7 @@ impl<'a> Cluster<'a> {
                     Err(e) => EvKind::Closed(Some(e)),
                 };
                 let closed = matches!(kind, EvKind::Closed(_));
-                if tx.send(Ev { gen, kind }).is_err() || closed {
+                if tx.send(Ev::Worker { gen, kind }).is_err() || closed {
                     return;
                 }
             }
@@ -591,18 +667,21 @@ struct Run<'a> {
     config: &'a DistConfig,
     a_rows: usize,
     b_cols: usize,
-    /// Leaf panel pairs, retained for the lifetime of the run so any
-    /// multiply can be re-dispatched after a failure.
+    /// Leaf panel pairs, retained for the lifetime of the run so any job
+    /// can be re-dispatched after a failure.
     pairs: Vec<(Csr, Csr)>,
     plan: &'a ExecPlan,
+    /// The plan node holding the product; the run ends when it lands.
+    root: usize,
     cluster: Cluster<'a>,
     evt_rx: Receiver<Ev>,
+    /// Rounds above the cut go here the moment their children are in.
+    fold_tx: Sender<(usize, Vec<Csr>)>,
     jobs: Vec<JobState>,
-    /// Result per plan node; children stay resident until the run ends
-    /// so a failed merge can be re-dispatched too.
+    /// Partial per plan node, from its job or its fold; taken (and so
+    /// dropped once folded) by the round that consumes it.
     results: Vec<Option<Csr>>,
     ready: VecDeque<u64>,
-    done: usize,
     report: &'a mut DistReport,
     recorder: &'a Recorder,
     /// One trace lane per worker generation, created on first use; each
@@ -628,39 +707,23 @@ fn lane_for<'l>(
 
 impl Run<'_> {
     /// Spawns the fleet, drives the job graph to completion, and hands
-    /// back the final node's result.
-    fn drive(&mut self) -> Result<Csr, DistError> {
-        let n = self.plan.num_leaves();
-        // No point keeping more workers than leaves — a worker holds one
-        // job at a time and the graph is never wider than its leaf row.
-        let fleet = self.config.shards.clamp(1, n);
+    /// back the root node's partial — the product.
+    fn drive(mut self) -> Result<Csr, DistError> {
+        // No point keeping more workers than jobs — a worker holds one
+        // at a time.
+        let fleet = self.config.shards.clamp(1, self.jobs.len());
         for _ in 0..fleet {
             self.cluster.spawn_worker()?;
         }
 
-        self.jobs = (0..n)
-            .map(|leaf| JobSpec::Multiply { leaf })
-            .chain((0..self.plan.num_rounds()).map(|round| JobSpec::Merge { round }))
-            .map(|spec| JobState {
-                spec,
-                done: false,
-                retries: 0,
-                queued: false,
-                assigned: Vec::new(),
-                dispatched_at: None,
-                dispatch_ns: 0,
-                duplicated: false,
-            })
-            .collect();
-        self.results = (0..self.jobs.len()).map(|_| None).collect();
-        self.ready = (0..n as u64).collect();
-        self.jobs[..n].iter_mut().for_each(|j| j.queued = true);
-
-        while self.done < self.jobs.len() {
+        while self.results[self.root].is_none() {
             self.dispatch_ready()?;
             self.duplicate_stragglers()?;
             match self.evt_rx.recv_timeout(TICK) {
-                Ok(ev) => self.handle_event(ev)?,
+                Ok(Ev::Worker { gen, kind }) => self.handle_event(gen, kind)?,
+                Ok(Ev::Folded { round, outcome }) => {
+                    self.landed(self.plan.round_output(round), outcome?)?;
+                }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     // Unreachable while the cluster owns an evt_tx clone,
@@ -676,11 +739,33 @@ impl Run<'_> {
         for s in self.cluster.shards.iter_mut().filter(|s| s.alive) {
             let _ = write_message(&mut s.stream, &Message::Shutdown, codec);
         }
+        Ok(self.results[self.root]
+            .take()
+            .expect("the loop ended on it"))
+    }
 
-        self.plan
-            .root()
-            .and_then(|root| self.results[root].take())
-            .ok_or_else(|| DistError::Job("run finished without a final result".into()))
+    /// Node `node`'s partial is in. If that completes the children of the
+    /// round consuming it — necessarily one above the cut — the round
+    /// goes to the fold thread, taking its inputs with it.
+    fn landed(&mut self, node: usize, partial: Csr) -> Result<(), DistError> {
+        self.results[node] = Some(partial);
+        let Some(round) = self.plan.consumer(node) else {
+            return Ok(());
+        };
+        if !self
+            .plan
+            .round_ready(round, |child| self.results[child].is_some())
+        {
+            return Ok(());
+        }
+        let children = self
+            .plan
+            .round_children(round)
+            .map(|child| self.results[child].take().expect("checked ready"))
+            .collect();
+        self.fold_tx
+            .send((round, children))
+            .map_err(|_| DistError::Io("coordinator merge thread is gone".into()))
     }
 
     /// Hands ready jobs to idle workers, one job per worker.
@@ -730,35 +815,10 @@ impl Run<'_> {
         Ok(())
     }
 
-    /// Writes one job to one worker. A failed write fails the worker
-    /// (requeue + respawn) instead of the run.
+    /// Writes one job to one worker, encoded straight from the retained
+    /// leaf pairs. A failed write fails the worker (requeue + respawn)
+    /// instead of the run.
     fn send_job(&mut self, idx: usize, job: u64) -> Result<(), DistError> {
-        let msg = match self.jobs[job as usize].spec {
-            JobSpec::Multiply { leaf } => {
-                let (a, b) = &self.pairs[leaf];
-                Message::Multiply {
-                    job,
-                    leaf: leaf as u64,
-                    a: a.clone(),
-                    b: b.clone(),
-                }
-            }
-            JobSpec::Merge { round } => Message::Merge {
-                job,
-                round: round as u64,
-                rows: self.a_rows as u64,
-                cols: self.b_cols as u64,
-                children: self
-                    .plan
-                    .round_children(round)
-                    .map(|id| {
-                        self.results[id]
-                            .clone()
-                            .expect("merge dispatched before its children finished")
-                    })
-                    .collect(),
-            },
-        };
         // Book the assignment first so a failed write finds the job on
         // the worker's manifest and requeues it like any other failure.
         let gen = self.cluster.shards[idx].gen;
@@ -770,9 +830,20 @@ impl Run<'_> {
             state.dispatched_at = Some(Instant::now());
             state.dispatch_ns = lane.now_ns();
         }
+        let pairs = state.leaves.iter().map(|&leaf| {
+            let (a, b) = &self.pairs[leaf];
+            (a, b)
+        });
         let codec = self.config.stream.spill_codec;
         let span = lane.begin("dist", "dispatch");
-        let written = write_message(&mut self.cluster.shards[idx].stream, &msg, codec);
+        let written = write_subtree(
+            &mut self.cluster.shards[idx].stream,
+            job,
+            self.plan,
+            state.node,
+            pairs,
+            codec,
+        );
         lane.end_with(span, &[("job", job)]);
         match written {
             Ok(bytes) => {
@@ -786,8 +857,8 @@ impl Run<'_> {
     }
 
     /// One event from a worker's reader thread.
-    fn handle_event(&mut self, ev: Ev) -> Result<(), DistError> {
-        let Some(idx) = self.cluster.shard_index(ev.gen) else {
+    fn handle_event(&mut self, gen: u64, kind: EvKind) -> Result<(), DistError> {
+        let Some(idx) = self.cluster.shard_index(gen) else {
             return Ok(());
         };
         if !self.cluster.shards[idx].alive {
@@ -795,44 +866,38 @@ impl Run<'_> {
             // reader's Closed after a write error killed it).
             return Ok(());
         }
-        match ev.kind {
-            EvKind::Msg(Message::Heartbeat, bytes) => {
-                // The heartbeat's real work happened already: it reset
-                // the reader thread's read deadline.
-                self.report.wire_bytes_received += bytes;
-                self.wire_received.add(bytes);
-                Ok(())
+        let (msg, bytes) = match kind {
+            EvKind::Msg(msg, bytes) => (msg, bytes),
+            EvKind::Closed(reason) => return self.fail_worker(idx, reason),
+        };
+        self.report.wire_bytes_received += bytes;
+        self.wire_received.add(bytes);
+        match msg {
+            // The heartbeat's real work happened already: it reset the
+            // reader thread's read deadline.
+            Message::Heartbeat => Ok(()),
+            Message::Result {
+                job,
+                partial,
+                spans,
+            } => self.complete_job(idx, job, partial, spans),
+            Message::Failed { job, error } if (job as usize) < self.jobs.len() => {
+                // The worker is fine; only its job goes back.
+                self.cluster.shards[idx].busy.retain(|&j| j != job);
+                self.requeue(job, gen, &error)
             }
-            EvKind::Msg(
-                Message::Result {
-                    job,
-                    partial,
-                    spans,
-                },
-                bytes,
-            ) => {
-                self.report.wire_bytes_received += bytes;
-                self.wire_received.add(bytes);
-                self.complete_job(idx, job, partial, spans)
-            }
-            EvKind::Msg(other, bytes) => {
-                self.report.wire_bytes_received += bytes;
-                self.wire_received.add(bytes);
-                self.fail_worker(
-                    idx,
-                    Some(DistError::Frame(format!(
-                        "worker {} sent an unexpected {} frame",
-                        ev.gen,
-                        other.kind_name()
-                    ))),
-                )
-            }
-            EvKind::Closed(reason) => self.fail_worker(idx, reason),
+            other => self.fail_worker(
+                idx,
+                Some(DistError::Frame(format!(
+                    "worker {gen} sent an unexpected {} frame",
+                    other.kind_name()
+                ))),
+            ),
         }
     }
 
-    /// Records a worker's result, frees the worker, and unblocks any
-    /// merge round whose children are now all present.
+    /// Records a worker's result, frees the worker, and unblocks the
+    /// round above the cut that was waiting on it.
     fn complete_job(
         &mut self,
         idx: usize,
@@ -870,17 +935,15 @@ impl Run<'_> {
         }
         state.done = true;
         state.dispatched_at = None;
-        let dispatch_ns = state.dispatch_ns;
-        self.results[job as usize] = Some(partial);
-        self.done += 1;
+        let (node, dispatch_ns) = (state.node, state.dispatch_ns);
 
         if self.recorder.is_enabled() {
             let lane = lane_for(&mut self.lanes, self.recorder, gen);
             let reply_ns = lane.now_ns();
             // The worker's clock anchor differs from ours; align its
             // spans so the latest one ends at the reply's arrival —
-            // a lower bound on the true offset (wire latency shifts
-            // spans slightly late, never early).
+            // a lower bound on the true offset (encoding and wire time
+            // shift spans slightly late, never early).
             if let Some(max_end) = spans.iter().map(|s| s.end_ns).max() {
                 let base = reply_ns.saturating_sub(max_end);
                 lane.import_rebased(&spans, base);
@@ -899,23 +962,35 @@ impl Run<'_> {
                 0,
             );
         }
+        self.landed(node, partial)
+    }
 
-        // A finished node can complete the child set of exactly one
-        // round: the one that consumes it.
-        if let Some(round) = self.plan.consumer(job as usize) {
-            let id = self.plan.round_output(round);
-            let state = &mut self.jobs[id];
-            if !state.done
-                && !state.queued
-                && state.assigned.is_empty()
-                && self
-                    .plan
-                    .round_ready(round, |child| self.results[child].is_some())
-            {
-                state.queued = true;
-                self.ready.push_back(id as u64);
-            }
+    /// Puts a job that worker `gen` held and did not finish back at the
+    /// head of the queue — unless a copy of it is still running, queued
+    /// or done — counting the attempt against `max_retries`.
+    fn requeue(&mut self, job: u64, gen: u64, cause: &str) -> Result<(), DistError> {
+        let state = &mut self.jobs[job as usize];
+        state.assigned.retain(|&g| g != gen);
+        if state.done || state.queued || !state.assigned.is_empty() {
+            // A straggler duplicate still runs elsewhere, or the result
+            // already landed — nothing to recover.
+            return Ok(());
         }
+        state.retries += 1;
+        self.report.retries += 1;
+        lane_for(&mut self.lanes, self.recorder, gen).event_with("dist", "retry", &[("job", job)]);
+        if state.retries > self.config.max_retries {
+            return Err(DistError::Job(format!(
+                "job {job} failed {} times (last worker error: {cause})",
+                state.retries
+            )));
+        }
+        state.dispatched_at = None;
+        state.duplicated = false;
+        state.queued = true;
+        // Retried work goes to the queue's front: it is the oldest and
+        // most likely to be what the fold above the cut is waiting on.
+        self.ready.push_front(job);
         Ok(())
     }
 
@@ -932,35 +1007,9 @@ impl Run<'_> {
             lane_for(&mut self.lanes, self.recorder, gen).event("dist", "heartbeat-timeout");
         }
         self.cluster.kill_shard(idx);
-        let held = std::mem::take(&mut self.cluster.shards[idx].busy);
-        for job in held {
-            let state = &mut self.jobs[job as usize];
-            state.assigned.retain(|&g| g != gen);
-            if state.done || state.queued || !state.assigned.is_empty() {
-                // A straggler duplicate still runs elsewhere, or the
-                // result already landed — nothing to recover.
-                continue;
-            }
-            state.retries += 1;
-            self.report.retries += 1;
-            lane_for(&mut self.lanes, self.recorder, gen).event_with(
-                "dist",
-                "retry",
-                &[("job", job)],
-            );
-            if state.retries > self.config.max_retries {
-                return Err(DistError::Job(format!(
-                    "job {job} failed {} times (last worker error: {})",
-                    state.retries,
-                    reason.map_or_else(|| "socket closed".into(), |e| e.to_string())
-                )));
-            }
-            state.dispatched_at = None;
-            state.duplicated = false;
-            state.queued = true;
-            // Retried work goes to the queue's front: it is the oldest
-            // and most likely to be blocking merge rounds.
-            self.ready.push_front(job);
+        let cause = reason.map_or_else(|| "socket closed".into(), |e| e.to_string());
+        for job in std::mem::take(&mut self.cluster.shards[idx].busy) {
+            self.requeue(job, gen, &cause)?;
         }
         self.report.respawns += 1;
         self.cluster.spawn_worker()

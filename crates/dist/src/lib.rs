@@ -6,38 +6,57 @@
 //! [`ExecPlan`](sparch_stream::ExecPlan), fixed by the split alone
 //! before anything executes. That structure is what makes distribution
 //! safe: this crate takes the *same* plan value from the same
-//! constructor, ships its leaf panel pairs to **shard worker processes**
-//! over Unix sockets, runs the same per-panel multiply pipeline on each
-//! shard, and tree-reduces the shard partials through the plan's rounds
-//! — so the result is **bit-identical to the single-node run at every
-//! shard count**, under every fault the coordinator can recover from.
+//! constructor, **cuts it into subtrees**, ships each subtree's leaf
+//! panel pairs to a **shard worker process** over a Unix socket, and has
+//! the worker run the whole subtree — leaf multiplies *and* merge rounds
+//! — through the same pipeline. SpArch's first move is to merge partial
+//! matrices where they are produced instead of round-tripping them
+//! through DRAM; here the wire is the DRAM, so partials are merged on
+//! the shard that made them and only the frontier crosses: inputs out
+//! once, one partial per subtree back. The coordinator folds the few
+//! rounds above the cut itself. Every round, wherever it runs, folds the
+//! same children in the plan's order — so the result is **bit-identical
+//! to the single-node run at every shard count**, under every fault the
+//! coordinator can recover from.
 //!
 //! ```text
-//!  DistCoordinator                         sparch-dist-worker (× shards)
-//!  ├─ ExecPlan::for_operand(A)     ──────▶ connect, Hello, heartbeat thread
-//!  ├─ slice the plan's leaf pairs  jobs    loop {
-//!  ├─ dispatch Multiply/Merge jobs ──────▶   Multiply → StreamingExecutor
-//!  │    (idempotent, 1 per worker)           Merge    → merge_sources
-//!  ├─ per-worker reader thread     ◀──────   Result / Heartbeat
-//!  │    (read deadline = heartbeat loss)   }
-//!  └─ retry / respawn / straggler dup      Shutdown → exit
+//!  DistCoordinator                          sparch-dist-worker (× shards)
+//!  ├─ ExecPlan::for_operand(A)      ──────▶ connect, Hello, heartbeat thread
+//!  ├─ plan.frontier(2 × fleet):     jobs    loop {
+//!  │    subtrees below the cut  ─┐             Subtree{plan sizes, node, leaf pairs}
+//!  │    rounds above the cut     │  ──────▶      → ExecPlan::from_panel_nnz
+//!  ├─ dispatch heaviest first ◀──┘               → StreamingExecutor::multiply_subtree
+//!  │    (idempotent, 1 per worker)                 (multiplies + rounds, budget, spill)
+//!  ├─ per-worker reader thread      ◀──────    Result{partial, spans} | Failed{error}
+//!  │    (decode; read deadline =               / Heartbeat
+//!  │     heartbeat loss)                     }
+//!  ├─ fold thread: merge_sources on each     Shutdown → exit
+//!  │    round above the cut as its children land (inputs dropped after)
+//!  └─ retry / respawn / straggler dup
 //! ```
 //!
-//! **Fault model.** Every job is idempotent — a multiply is a pure
-//! function of its panel pair, a merge of its ordered children — so the
-//! coordinator recovers from any worker failure by re-running the job on
-//! a fresh worker: process death (socket EOF mid-job), heartbeat loss
-//! (read deadline with no traffic), and truncated/corrupt result frames
-//! all follow the same requeue-and-respawn path, bounded by
-//! `max_retries` per job. A straggler (job outstanding past
+//! **Fault model.** Every job is idempotent — a pure function of its
+//! frame: the plan's panel sizes, the node to produce, and the leaf
+//! pairs beneath it — so the coordinator recovers from any worker
+//! failure by re-running the job on a fresh worker: process death
+//! (socket EOF mid-job), heartbeat loss (read deadline with no traffic),
+//! and truncated/corrupt result frames all follow the same
+//! requeue-and-respawn path, bounded by `max_retries` per job. A job the
+//! worker's pipeline *rejects* comes home as a `Failed` frame carrying
+//! the error text: the healthy worker is kept, the job is requeued
+//! under the same bound, and the [`DistError::Job`] that ends the run
+//! names the real cause. A straggler (job outstanding past
 //! `straggler_after` with an idle worker available) is *duplicated*, not
 //! killed: first result wins, and because jobs are deterministic both
 //! copies carry identical bits, so the race is benign by construction.
+//! The rounds the coordinator folds itself need no recovery — they run
+//! in this process, on results it already holds.
 //!
 //! **Wire format.** Frames are length-prefixed ([`wire`]) and matrices
-//! travel as SPM2 spill-codec blocks ([`sparch_stream::spill`]) decoded
-//! by an untrusting validator — corruption surfaces as a typed
-//! [`DistError`], never a panic or a hang.
+//! travel as SPM2 spill-codec blocks ([`sparch_stream::spill`]), encoded
+//! straight into the frame from borrowed matrices and decoded by an
+//! untrusting validator — corruption surfaces as a typed [`DistError`],
+//! never a panic or a hang.
 
 pub mod coordinator;
 pub mod wire;
@@ -64,7 +83,7 @@ pub enum DistError {
     Worker(String),
     /// A read deadline expired — the worker stopped heartbeating.
     Timeout(String),
-    /// A job exhausted its retries or the run lost all workers.
+    /// A job exhausted its retries; the message names the last cause.
     Job(String),
     /// Shard inputs disagree with the declared operand shapes.
     Shape(String),

@@ -18,6 +18,15 @@
 //! typed [`DistError`] — never a panic, a hang, or an unbounded
 //! allocation.
 //!
+//! A plan crosses the wire as what it was built from — every panel's
+//! range and `A` non-zero count, plus the fan-in — and the receiver
+//! rebuilds it with [`ExecPlan::from_panel_nnz`]: there is no plan
+//! codec to keep in step with the scheduler.
+//!
+//! Frames are encoded straight into one buffer (header reserved, length
+//! patched at the end) from borrowed matrices: a block is written once,
+//! where it will be sent from.
+//!
 //! [`read_message`] distinguishes three ends of a stream: a clean EOF at
 //! a frame boundary (`Ok(None)`, the peer closed deliberately), a
 //! timeout ([`DistError::Timeout`], mapped from `TimedOut`/`WouldBlock`
@@ -28,7 +37,7 @@ use crate::DistError;
 use sparch_obs::WireSpan;
 use sparch_sparse::Csr;
 use sparch_stream::spill;
-use sparch_stream::SpillCodec;
+use sparch_stream::{ExecPlan, SpillCodec};
 use std::io::{ErrorKind, Read, Write};
 
 /// Frame magic: "SPD1" in little-endian byte order.
@@ -39,34 +48,34 @@ pub const MAGIC: u32 = 0x5350_4431;
 /// provoke an out-of-memory abort.
 pub const MAX_FRAME_BYTES: u64 = 1 << 30;
 
+/// Magic, kind and payload length.
+const HEADER_BYTES: usize = 13;
+
 const KIND_HELLO: u8 = 0;
-const KIND_MULTIPLY: u8 = 1;
-const KIND_MERGE: u8 = 2;
+const KIND_SUBTREE: u8 = 1;
+const KIND_FAILED: u8 = 2;
 const KIND_RESULT: u8 = 3;
 const KIND_HEARTBEAT: u8 = 4;
 const KIND_SHUTDOWN: u8 = 5;
 
-/// One protocol message. The coordinator sends `Multiply`, `Merge` and
-/// `Shutdown`; a worker sends `Hello` once, then `Heartbeat`s and
-/// `Result`s.
+/// One protocol message. The coordinator sends `Subtree` and
+/// `Shutdown`; a worker sends `Hello` once, then `Heartbeat`s and one
+/// `Result` or `Failed` per job.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// A worker announcing itself after connecting; `worker` echoes the
     /// generation id the coordinator spawned it with.
     Hello { worker: u64 },
-    /// One idempotent panel job: multiply `a · b` (an A column panel,
-    /// condensed, times the matching B row panel) and reply with
-    /// `Result { job, .. }`.
-    Multiply { job: u64, leaf: u64, a: Csr, b: Csr },
-    /// One idempotent merge job: fold `children` — in exactly this
-    /// order, the Huffman plan's child order — into one `rows × cols`
-    /// partial and reply with `Result { job, .. }`.
-    Merge {
+    /// One idempotent job: execute the subtree of `plan` under `node` —
+    /// its leaf multiplies and its merge rounds, each round's children in
+    /// the plan's fold order — and reply with `Result { job, .. }`.
+    /// `pairs` holds the `(A column panel, B row panel)` of each leaf of
+    /// that subtree, in leaf order. A bare leaf is the one-node subtree.
+    Subtree {
         job: u64,
-        round: u64,
-        rows: u64,
-        cols: u64,
-        children: Vec<Csr>,
+        plan: ExecPlan,
+        node: u64,
+        pairs: Vec<(Csr, Csr)>,
     },
     /// A finished job's partial product, plus the worker-side trace
     /// spans for that job (empty unless the coordinator asked for
@@ -77,6 +86,9 @@ pub enum Message {
         partial: Csr,
         spans: Vec<WireSpan>,
     },
+    /// A job the worker could not run — the pipeline's error, as text.
+    /// The worker itself is healthy and keeps serving.
+    Failed { job: u64, error: String },
     /// Liveness beacon, sent on an interval by a worker-side thread so
     /// the coordinator's read deadline only fires when the worker is
     /// actually gone or wedged.
@@ -90,9 +102,9 @@ impl Message {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Message::Hello { .. } => "hello",
-            Message::Multiply { .. } => "multiply",
-            Message::Merge { .. } => "merge",
+            Message::Subtree { .. } => "subtree",
             Message::Result { .. } => "result",
+            Message::Failed { .. } => "failed",
             Message::Heartbeat => "heartbeat",
             Message::Shutdown => "shutdown",
         }
@@ -108,47 +120,21 @@ pub fn write_message<W: Write>(
     msg: &Message,
     codec: SpillCodec,
 ) -> Result<u64, DistError> {
-    let (kind, payload) = encode_payload(msg, codec);
-    let mut frame = Vec::with_capacity(13 + payload.len());
-    frame.extend_from_slice(&MAGIC.to_le_bytes());
-    frame.push(kind);
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    w.write_all(&frame).map_err(io_err)?;
-    w.flush().map_err(io_err)?;
-    Ok(frame.len() as u64)
-}
-
-fn encode_payload(msg: &Message, codec: SpillCodec) -> (u8, Vec<u8>) {
-    let mut p = Vec::new();
+    let mut p = vec![0u8; HEADER_BYTES];
     let kind = match msg {
         Message::Hello { worker } => {
             p.extend_from_slice(&worker.to_le_bytes());
             KIND_HELLO
         }
-        Message::Multiply { job, leaf, a, b } => {
-            p.extend_from_slice(&job.to_le_bytes());
-            p.extend_from_slice(&leaf.to_le_bytes());
-            push_block(&mut p, a, codec);
-            push_block(&mut p, b, codec);
-            KIND_MULTIPLY
-        }
-        Message::Merge {
+        Message::Subtree {
             job,
-            round,
-            rows,
-            cols,
-            children,
+            plan,
+            node,
+            pairs,
         } => {
-            p.extend_from_slice(&job.to_le_bytes());
-            p.extend_from_slice(&round.to_le_bytes());
-            p.extend_from_slice(&rows.to_le_bytes());
-            p.extend_from_slice(&cols.to_le_bytes());
-            p.extend_from_slice(&(children.len() as u64).to_le_bytes());
-            for child in children {
-                push_block(&mut p, child, codec);
-            }
-            KIND_MERGE
+            let pairs = pairs.iter().map(|(a, b)| (a, b));
+            push_subtree(&mut p, *job, plan, *node, pairs, codec);
+            KIND_SUBTREE
         }
         Message::Result {
             job,
@@ -169,16 +155,76 @@ fn encode_payload(msg: &Message, codec: SpillCodec) -> (u8, Vec<u8>) {
             }
             KIND_RESULT
         }
+        Message::Failed { job, error } => {
+            p.extend_from_slice(&job.to_le_bytes());
+            push_str(&mut p, error);
+            KIND_FAILED
+        }
         Message::Heartbeat => KIND_HEARTBEAT,
         Message::Shutdown => KIND_SHUTDOWN,
     };
-    (kind, p)
+    send_frame(w, kind, p)
 }
 
+/// Writes a [`Message::Subtree`] frame from borrowed parts — the
+/// coordinator keeps every leaf pair for retries, so a dispatch must not
+/// clone them into an owned message first. `pairs` yields the panels of
+/// `plan.subtree(node)`'s leaves, in leaf order.
+pub fn write_subtree<'a, W: Write>(
+    w: &mut W,
+    job: u64,
+    plan: &ExecPlan,
+    node: usize,
+    pairs: impl ExactSizeIterator<Item = (&'a Csr, &'a Csr)>,
+    codec: SpillCodec,
+) -> Result<u64, DistError> {
+    let mut p = vec![0u8; HEADER_BYTES];
+    push_subtree(&mut p, job, plan, node as u64, pairs, codec);
+    send_frame(w, KIND_SUBTREE, p)
+}
+
+fn push_subtree<'a>(
+    p: &mut Vec<u8>,
+    job: u64,
+    plan: &ExecPlan,
+    node: u64,
+    pairs: impl ExactSizeIterator<Item = (&'a Csr, &'a Csr)>,
+    codec: SpillCodec,
+) {
+    p.extend_from_slice(&job.to_le_bytes());
+    p.extend_from_slice(&node.to_le_bytes());
+    p.extend_from_slice(&(plan.ways() as u64).to_le_bytes());
+    p.extend_from_slice(&(plan.panels() as u64).to_le_bytes());
+    for (range, nnz) in plan.panel_sizes() {
+        p.extend_from_slice(&(range.start as u64).to_le_bytes());
+        p.extend_from_slice(&(range.end as u64).to_le_bytes());
+        p.extend_from_slice(&nnz.to_le_bytes());
+    }
+    p.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+    for (a, b) in pairs {
+        push_block(p, a, codec);
+        push_block(p, b, codec);
+    }
+}
+
+/// Fills in the header `frame` reserved and writes the whole frame.
+fn send_frame<W: Write>(w: &mut W, kind: u8, mut frame: Vec<u8>) -> Result<u64, DistError> {
+    let len = (frame.len() - HEADER_BYTES) as u64;
+    frame[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    frame[4] = kind;
+    frame[5..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&frame).map_err(io_err)?;
+    w.flush().map_err(io_err)?;
+    Ok(frame.len() as u64)
+}
+
+/// Appends one SPM block: the length prefix is reserved, the matrix is
+/// encoded in place after it, and the prefix is patched.
 fn push_block(p: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) {
-    let bytes = spill::encode_partial(csr, codec);
-    p.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    p.extend_from_slice(&bytes);
+    let at = p.len();
+    p.extend_from_slice(&[0u8; 8]);
+    let len = spill::encode_partial_into(p, csr, codec);
+    p[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
 fn push_str(p: &mut Vec<u8>, s: &str) {
@@ -228,52 +274,65 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Option<Message>, DistError
         KIND_HELLO => Message::Hello {
             worker: take_u64(&mut p)?,
         },
-        KIND_MULTIPLY => Message::Multiply {
-            job: take_u64(&mut p)?,
-            leaf: take_u64(&mut p)?,
-            a: take_block(&mut p)?,
-            b: take_block(&mut p)?,
-        },
-        KIND_MERGE => {
+        KIND_SUBTREE => {
             let job = take_u64(&mut p)?;
-            let round = take_u64(&mut p)?;
-            let rows = take_u64(&mut p)?;
-            let cols = take_u64(&mut p)?;
-            let count = take_u64(&mut p)?;
-            // Each child block costs at least its 8-byte length prefix,
-            // so a lying count is rejected before the loop allocates.
-            if count.saturating_mul(8) > p.len() as u64 {
+            let node = take_u64(&mut p)?;
+            let ways = take_len(&mut p, 0, "fan-in")?;
+            // Each panel costs its three fixed u64 fields, each pair at
+            // least its two 8-byte block length prefixes, so a lying
+            // count is rejected before anything is sized by it.
+            let panels = take_len(&mut p, 24, "panels")?;
+            let mut ranges = Vec::with_capacity(panels);
+            let mut panel_nnz = Vec::with_capacity(panels);
+            for _ in 0..panels {
+                let start = take_len(&mut p, 0, "panel start")?;
+                let end = take_len(&mut p, 0, "panel end")?;
+                if start > end {
+                    return Err(DistError::Frame(format!(
+                        "subtree frame declares the backwards panel {start}..{end}"
+                    )));
+                }
+                ranges.push(start..end);
+                panel_nnz.push(take_u64(&mut p)?);
+            }
+            // The scheduler sums weights; a total that overflows must be
+            // refused here, not wrap (or panic) in there.
+            if panel_nnz
+                .iter()
+                .try_fold(0u64, |sum, &n| sum.checked_add(n))
+                .is_none()
+            {
+                return Err(DistError::Frame(
+                    "subtree frame's panel non-zero counts overflow u64".into(),
+                ));
+            }
+            let plan = ExecPlan::from_panel_nnz(ranges, &panel_nnz, ways);
+            if node >= plan.num_nodes() as u64 {
                 return Err(DistError::Frame(format!(
-                    "merge frame declares {count} children in {} bytes",
-                    p.len()
+                    "subtree frame names node {node} of a {}-node plan",
+                    plan.num_nodes()
                 )));
             }
-            let mut children = Vec::with_capacity(count as usize);
+            let count = take_len(&mut p, 16, "panel pairs")?;
+            let mut pairs = Vec::with_capacity(count);
             for _ in 0..count {
-                children.push(take_block(&mut p)?);
+                pairs.push((take_block(&mut p)?, take_block(&mut p)?));
             }
-            Message::Merge {
+            Message::Subtree {
                 job,
-                round,
-                rows,
-                cols,
-                children,
+                plan,
+                node,
+                pairs,
             }
         }
         KIND_RESULT => {
             let job = take_u64(&mut p)?;
             let partial = take_block(&mut p)?;
-            let count = take_u64(&mut p)?;
             // Each span costs at least its five fixed u64 fields (two
             // empty-string length prefixes, both timestamps, the
-            // depth), so a lying count is rejected before allocating.
-            if count.saturating_mul(40) > p.len() as u64 {
-                return Err(DistError::Frame(format!(
-                    "result frame declares {count} spans in {} bytes",
-                    p.len()
-                )));
-            }
-            let mut spans = Vec::with_capacity(count as usize);
+            // depth).
+            let count = take_len(&mut p, 40, "spans")?;
+            let mut spans = Vec::with_capacity(count);
             for _ in 0..count {
                 spans.push(take_span(&mut p)?);
             }
@@ -283,6 +342,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Option<Message>, DistError
                 spans,
             }
         }
+        KIND_FAILED => Message::Failed {
+            job: take_u64(&mut p)?,
+            error: take_str(&mut p)?,
+        },
         KIND_HEARTBEAT => Message::Heartbeat,
         KIND_SHUTDOWN => Message::Shutdown,
         other => return Err(DistError::Frame(format!("unknown frame kind {other}"))),
@@ -306,17 +369,31 @@ fn take_u64(p: &mut &[u8]) -> Result<u64, DistError> {
     Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
 }
 
+/// Takes a `u64` that sizes or indexes something: it must fit `usize`,
+/// and when it counts items of at least `min_item_bytes` each, the rest
+/// of the payload must be able to hold that many.
+fn take_len(p: &mut &[u8], min_item_bytes: u64, what: &str) -> Result<usize, DistError> {
+    let n = take_u64(p)?;
+    if n.saturating_mul(min_item_bytes) > p.len() as u64 {
+        return Err(DistError::Frame(format!(
+            "frame declares {n} {what} in {} bytes",
+            p.len()
+        )));
+    }
+    usize::try_from(n).map_err(|_| DistError::Frame(format!("frame {what} {n} exceeds usize")))
+}
+
 fn take_str(p: &mut &[u8]) -> Result<String, DistError> {
     let len = take_u64(p)?;
     if len > p.len() as u64 {
         return Err(DistError::Frame(format!(
-            "span label declares {len} bytes but only {} remain",
+            "string declares {len} bytes but only {} remain",
             p.len()
         )));
     }
     let (head, rest) = p.split_at(len as usize);
     *p = rest;
-    String::from_utf8(head.to_vec()).map_err(|_| DistError::Frame("span label is not UTF-8".into()))
+    String::from_utf8(head.to_vec()).map_err(|_| DistError::Frame("string is not UTF-8".into()))
 }
 
 fn take_span(p: &mut &[u8]) -> Result<WireSpan, DistError> {
@@ -392,24 +469,44 @@ mod tests {
     use super::*;
     use sparch_sparse::gen;
 
+    /// A subtree job over a five-panel split with one pruned panel: the
+    /// plan's first round, with its leaves' panel pairs.
+    fn sample_subtree() -> Message {
+        let a = gen::uniform_random(12, 10, 40, 3);
+        let b = gen::uniform_random(10, 14, 50, 4);
+        let ranges = vec![0..2, 2..4, 4..6, 6..8, 8..10];
+        let mut panel_nnz: Vec<u64> = ranges
+            .iter()
+            .map(|r| a.col_panel(r.clone()).nnz() as u64)
+            .collect();
+        panel_nnz[2] = 0;
+        let plan = ExecPlan::from_panel_nnz(ranges, &panel_nnz, 2);
+        let node = plan.round_output(0);
+        let pairs = plan
+            .subtree(node)
+            .leaves
+            .iter()
+            .map(|&leaf| {
+                let r = plan.leaf_range(leaf).clone();
+                (a.col_panel(r.clone()), b.row_panel(r))
+            })
+            .collect();
+        Message::Subtree {
+            job: 1,
+            plan,
+            node: node as u64,
+            pairs,
+        }
+    }
+
     fn sample_messages() -> Vec<Message> {
         let a = gen::uniform_random(12, 9, 40, 3);
-        let b = gen::uniform_random(9, 14, 50, 4);
-        let c = gen::uniform_random(12, 14, 30, 5);
         vec![
             Message::Hello { worker: 7 },
-            Message::Multiply {
-                job: 1,
-                leaf: 0,
-                a: a.clone(),
-                b,
-            },
-            Message::Merge {
+            sample_subtree(),
+            Message::Failed {
                 job: 2,
-                round: 0,
-                rows: 12,
-                cols: 14,
-                children: vec![c.clone(), c.clone(), c],
+                error: "stream shape error: panel 0..3 arrived after the plan's last leaf".into(),
             },
             Message::Result {
                 job: 1,
@@ -421,7 +518,7 @@ mod tests {
                 partial: a,
                 spans: vec![
                     WireSpan {
-                        name: "compute-multiply".into(),
+                        name: "compute-subtree".into(),
                         cat: "dist".into(),
                         start_ns: 100,
                         end_ns: 2_500,
@@ -429,7 +526,7 @@ mod tests {
                     },
                     WireSpan {
                         name: "kernel".into(),
-                        cat: "dist".into(),
+                        cat: "stream".into(),
                         start_ns: 150,
                         end_ns: 2_400,
                         depth: 1,
@@ -460,25 +557,56 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_subtree_writer_emits_the_same_frame_as_the_owned_message() {
+        let msg = sample_subtree();
+        let Message::Subtree {
+            job,
+            plan,
+            node,
+            pairs,
+        } = &msg
+        else {
+            unreachable!()
+        };
+        for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+            let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
+            write_message(&mut owned, &msg, codec).unwrap();
+            let refs = pairs.iter().map(|(a, b)| (a, b));
+            let n = write_subtree(&mut borrowed, *job, plan, *node as usize, refs, codec).unwrap();
+            assert_eq!(owned, borrowed, "{codec}");
+            assert_eq!(n, owned.len() as u64);
+        }
+    }
+
+    #[test]
     fn truncation_at_every_byte_is_a_typed_error() {
-        let mut buf = Vec::new();
-        let m = Message::Result {
+        let result = Message::Result {
             job: 3,
             partial: gen::uniform_random(6, 6, 12, 1),
             spans: vec![WireSpan {
-                name: "compute-multiply".into(),
+                name: "compute-subtree".into(),
                 cat: "dist".into(),
                 start_ns: 5,
                 end_ns: 95,
                 depth: 0,
             }],
         };
-        write_message(&mut buf, &m, SpillCodec::Varint).unwrap();
-        for cut in 1..buf.len() {
-            let mut r = &buf[..cut];
-            match read_message(&mut r) {
-                Err(DistError::Frame(_) | DistError::Codec(_)) => {}
-                other => panic!("cut at {cut}: expected typed error, got {other:?}"),
+        let failed = Message::Failed {
+            job: 9,
+            error: "failed to create spill dir /nope: permission denied".into(),
+        };
+        for m in [result, sample_subtree(), failed] {
+            let mut buf = Vec::new();
+            write_message(&mut buf, &m, SpillCodec::Varint).unwrap();
+            for cut in 1..buf.len() {
+                let mut r = &buf[..cut];
+                match read_message(&mut r) {
+                    Err(DistError::Frame(_) | DistError::Codec(_)) => {}
+                    other => panic!(
+                        "{} cut at {cut}: expected typed error, got {other:?}",
+                        m.kind_name()
+                    ),
+                }
             }
         }
     }
@@ -524,20 +652,58 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn merge_frame_with_lying_child_count_is_rejected() {
-        let mut payload = Vec::new();
-        for v in [0u64, 0, 4, 4, u64::MAX] {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
+    /// A frame of `kind` whose payload is these `u64` fields.
+    fn frame_of(kind: u8, fields: &[u64]) -> Vec<u8> {
         let mut frame = MAGIC.to_le_bytes().to_vec();
-        frame.push(KIND_MERGE);
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        frame.push(kind);
+        frame.extend_from_slice(&(fields.len() as u64 * 8).to_le_bytes());
+        for v in fields {
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        frame
+    }
+
+    #[test]
+    fn subtree_frame_with_lying_or_inconsistent_fields_is_rejected() {
+        // job, node, ways, panel count, then per panel (start, end, nnz),
+        // then the pair count.
+        let cases: [(&str, &[u64]); 6] = [
+            ("panels", &[0, 0, 4, u64::MAX]),
+            ("panels", &[0, 0, 4, 2, 0, 3, 5]),
+            ("panel pairs", &[0, 0, 4, 1, 0, 3, 5, u64::MAX]),
+            ("backwards", &[0, 0, 4, 1, 3, 0, 5, 0]),
+            ("overflow", &[0, 0, 4, 2, 0, 3, u64::MAX, 3, 6, 1, 0]),
+            ("node 1", &[0, 1, 4, 1, 0, 3, 5, 0]),
+        ];
+        for (what, fields) in cases {
+            match read_message(&mut frame_of(KIND_SUBTREE, fields).as_slice()) {
+                Err(DistError::Frame(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected Frame error, got {other:?}"),
+            }
+        }
+        // The well-formed minimum — one leaf, no pairs — does parse: what
+        // the pairs must be is the pipeline's check, not the decoder's.
+        let ok = frame_of(KIND_SUBTREE, &[0, 0, 4, 1, 0, 3, 5, 0]);
         assert!(matches!(
-            read_message(&mut frame.as_slice()),
+            read_message(&mut ok.as_slice()),
+            Ok(Some(Message::Subtree { .. }))
+        ));
+    }
+
+    #[test]
+    fn failed_frame_with_lying_length_or_bad_utf8_is_rejected() {
+        let lying = frame_of(KIND_FAILED, &[3, u64::MAX]);
+        assert!(matches!(
+            read_message(&mut lying.as_slice()),
             Err(DistError::Frame(_))
         ));
+        let mut bad_utf8 = frame_of(KIND_FAILED, &[3, 2]);
+        bad_utf8.extend_from_slice(&[0xff, 0xfe]);
+        bad_utf8[5..13].copy_from_slice(&18u64.to_le_bytes());
+        match read_message(&mut bad_utf8.as_slice()) {
+            Err(DistError::Frame(msg)) => assert!(msg.contains("UTF-8"), "{msg}"),
+            other => panic!("expected Frame error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,26 +1,29 @@
 //! The shard worker: one process, one socket, the existing pipeline.
 //!
 //! A worker connects to the coordinator's Unix socket, announces itself
-//! with `Hello`, starts a heartbeat thread, and then serves jobs until
-//! `Shutdown` or EOF:
+//! with `Hello`, starts a heartbeat thread, and then serves **subtree
+//! jobs** until `Shutdown` or EOF. A job frame carries the fleet's plan
+//! (as the panel sizes it is rebuilt from), the node to produce, and the
+//! panel pairs of the leaves beneath that node; the worker runs that
+//! subtree — the leaf multiplies *and* the merge rounds, each round's
+//! children in the plan's fold order — through the *existing*
+//! [`StreamingExecutor`] pipeline
+//! ([`multiply_subtree`](StreamingExecutor::multiply_subtree)), so the
+//! partial is exactly the bits the single-node run holds at that node.
+//! Budget, spill and merge-worker settings from the shipped
+//! [`StreamConfig`] apply per shard — a zero budget spills every partial
+//! locally and streams it back, bit-exactly. Partials are merged where
+//! they were made: only the subtree's one output crosses the wire.
 //!
-//! * **Multiply** — runs the panel pair through the *existing*
-//!   [`StreamingExecutor`] pipeline as a single-panel ingest: one leaf,
-//!   zero merge rounds, so the partial is exactly the bits the
-//!   single-node run computes for that leaf (budget and spill settings
-//!   from the shipped [`StreamConfig`] apply per shard — a zero budget
-//!   spills the partial locally and streams it back, bit-exactly).
-//! * **Merge** — folds the children with the same
-//!   [`merge_sources`](sparch_stream::merge::merge_sources) kernel the
-//!   single-node merge stage runs, in the coordinator-given child order
-//!   (the Huffman plan's order), reusing one scratch across rounds.
-//!
-//! Both job kinds are pure functions of their message, which is what
-//! makes the coordinator's retry/duplicate logic sound.
+//! A job is a pure function of its frame, which is what makes the
+//! coordinator's retry/duplicate logic sound. A job the pipeline
+//! rejects (the panels disagree with the plan, the spill directory is
+//! unwritable) is answered with a `Failed` frame carrying the error
+//! text; the worker stays up.
 //!
 //! **Fault injection** (tests only): `SPARCH_DIST_FAULT=<id>:<kind>[:<ms>]`
 //! arms a fault on the worker whose generation id matches `<id>`:
-//! `die` exits mid-panel after claiming a job, `mute` suppresses all
+//! `die` exits mid-job after claiming one, `mute` suppresses all
 //! heartbeats and wedges on the first job (only the read deadline can
 //! notice), `truncate` computes the result but writes only half its
 //! frame before exiting, and `stall:<ms>` sleeps before each job while
@@ -31,8 +34,8 @@
 use crate::wire::{read_message, write_message, Message};
 use crate::DistError;
 use sparch_obs::{Recorder, WireSpan};
-use sparch_stream::merge::{merge_sources, MergeScratch, PartialSource};
-use sparch_stream::{SpillCodec, StreamConfig, StreamingExecutor};
+use sparch_sparse::Csr;
+use sparch_stream::{ExecPlan, SpillCodec, StreamConfig, StreamError, StreamingExecutor};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -44,7 +47,7 @@ pub const FAULT_ENV: &str = "SPARCH_DIST_FAULT";
 /// An injected failure mode, parsed from [`FAULT_ENV`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fault {
-    /// Exit(3) immediately after claiming a job — death mid-panel.
+    /// Exit(3) immediately after claiming a job — death mid-job.
     Die,
     /// Never heartbeat; wedge forever on the first job.
     Mute,
@@ -72,8 +75,9 @@ fn fault_for(worker: u64) -> Option<Fault> {
 
 /// Entry point behind the `sparch-dist-worker` binary:
 /// `<socket> <worker_id> <heartbeat_ms> <stream_config_json> [trace]`.
-/// The optional trailing `trace` literal turns on per-job span
-/// recording; spans ship back inside each `Result` frame.
+/// The optional trailing `trace` literal turns on span recording — the
+/// worker's and the pipeline's; spans ship back inside each `Result`
+/// frame.
 pub fn run_from_args(args: &[String]) -> Result<(), DistError> {
     if args.len() != 4 && args.len() != 5 {
         return Err(DistError::Worker(format!(
@@ -109,8 +113,9 @@ pub fn run_from_args(args: &[String]) -> Result<(), DistError> {
 }
 
 /// Connects to the coordinator and serves jobs until shutdown. With
-/// `trace` on, each job's compute interval is recorded as a span
-/// (worker-clock timestamps) and shipped in the job's `Result` frame.
+/// `trace` on, each job is recorded as one `compute-subtree` span with
+/// the pipeline's own spans (`multiply-job`, `merge-round`, …) nested in
+/// it (worker-clock timestamps), shipped in the job's `Result` frame.
 pub fn run(
     socket: &Path,
     worker: u64,
@@ -150,68 +155,76 @@ pub fn run(
         Recorder::disabled()
     };
     let mut lane = recorder.thread_for("shard", worker);
-    let executor = StreamingExecutor::new(config);
-    let mut scratch = MergeScratch::new();
+    let executor = StreamingExecutor::new(config).with_recorder(recorder.clone());
     loop {
-        let msg = match read_message(&mut read_side)? {
+        let (job, plan, node, pairs) = match read_message(&mut read_side)? {
             None | Some(Message::Shutdown) => return Ok(()),
-            Some(m) => m,
-        };
-        match msg {
-            Message::Multiply { job, leaf: _, a, b } => {
-                on_job_claimed(fault);
-                let span = lane.begin("dist", "compute-multiply");
-                let width = a.cols();
-                let (partial, _report) = executor
-                    .multiply_from_panels(a.rows(), width, vec![(0..width, a)], &b)
-                    .map_err(DistError::Codec)?;
-                lane.end(span);
-                reply(
-                    &write_side,
-                    job,
-                    partial,
-                    lane.take_wire_spans(),
-                    codec,
-                    fault,
-                )?;
-            }
-            Message::Merge {
+            Some(Message::Subtree {
                 job,
-                round: _,
-                rows,
-                cols,
-                children,
-            } => {
-                on_job_claimed(fault);
-                let span = lane.begin("dist", "compute-merge");
-                let sources: Vec<PartialSource> =
-                    children.into_iter().map(PartialSource::from_csr).collect();
-                let partial = merge_sources(rows as usize, cols as usize, sources, &mut scratch)
-                    .map_err(DistError::Codec)?;
-                lane.end(span);
-                reply(
-                    &write_side,
-                    job,
-                    partial,
-                    lane.take_wire_spans(),
-                    codec,
-                    fault,
-                )?;
-            }
-            other => {
+                plan,
+                node,
+                pairs,
+            }) => (job, plan, node, pairs),
+            Some(other) => {
                 return Err(DistError::Frame(format!(
                     "worker received unexpected {} frame",
                     other.kind_name()
                 )));
             }
-        }
+        };
+        on_job_claimed(fault);
+        let span = lane.begin("dist", "compute-subtree");
+        let outcome = run_subtree(&executor, plan, node, pairs);
+        lane.end(span);
+        // The pipeline's lanes drained into the recorder when the run
+        // joined its stages; they ship one level beneath the span that
+        // contains them all.
+        let mut spans = lane.take_wire_spans();
+        spans.extend(recorder.drain("shard").spans.into_iter().map(|s| WireSpan {
+            name: s.name,
+            cat: s.cat,
+            start_ns: s.start_ns,
+            end_ns: s.end_ns,
+            depth: s.depth + 1,
+        }));
+        let reply = match outcome {
+            Ok(partial) => Message::Result {
+                job,
+                partial,
+                spans,
+            },
+            Err(e) => Message::Failed {
+                job,
+                error: e.to_string(),
+            },
+        };
+        send_reply(&write_side, &reply, codec, fault)?;
     }
+}
+
+/// Runs one job through the pipeline. The output shape is the panels':
+/// every `A` panel has the product's rows, every `B` panel its columns.
+fn run_subtree(
+    executor: &StreamingExecutor,
+    plan: ExecPlan,
+    node: u64,
+    pairs: Vec<(Csr, Csr)>,
+) -> Result<Csr, StreamError> {
+    let Some((a, b)) = pairs.first() else {
+        return Err(StreamError::Shape(
+            "subtree job carries no panel pairs".into(),
+        ));
+    };
+    let (rows, cols) = (a.rows(), b.cols());
+    executor
+        .multiply_subtree(rows, cols, plan, node as usize, pairs)
+        .map(|(partial, _report)| partial)
 }
 
 /// Applies pre-compute faults the moment a job is claimed.
 fn on_job_claimed(fault: Option<Fault>) {
     match fault {
-        // Death mid-panel: the job was claimed, no result will come.
+        // Death mid-job: the job was claimed, no result will come.
         Some(Fault::Die) => std::process::exit(3),
         // Heartbeats are already suppressed; wedge so the only signal
         // the coordinator ever gets is the read deadline expiring.
@@ -232,30 +245,23 @@ fn send(
     write_message(&mut *w, msg, codec)
 }
 
-fn reply(
+fn send_reply(
     write_side: &Arc<Mutex<UnixStream>>,
-    job: u64,
-    partial: sparch_sparse::Csr,
-    spans: Vec<WireSpan>,
+    msg: &Message,
     codec: SpillCodec,
     fault: Option<Fault>,
 ) -> Result<(), DistError> {
-    let msg = Message::Result {
-        job,
-        partial,
-        spans,
-    };
     if fault == Some(Fault::Truncate) {
         // Serialize the full frame, put half of it on the wire, vanish:
         // the coordinator sees a mid-frame EOF on a claimed job.
         let mut frame = Vec::new();
-        write_message(&mut frame, &msg, codec)?;
+        write_message(&mut frame, msg, codec)?;
         use std::io::Write;
         let mut w = write_side.lock().unwrap_or_else(|e| e.into_inner());
         let _ = w.write_all(&frame[..frame.len() / 2]);
         let _ = w.flush();
         std::process::exit(4);
     }
-    send(write_side, &msg, codec)?;
+    send(write_side, msg, codec)?;
     Ok(())
 }

@@ -2,6 +2,7 @@
 
 use sparch_dist::DistConfig;
 use sparch_sparse::Csr;
+use sparch_stream::{ExecPlan, StreamConfig};
 use std::path::PathBuf;
 
 /// The worker binary cargo built for this test run — handed to the
@@ -17,6 +18,13 @@ pub fn dist_config(shards: usize) -> DistConfig {
         worker: Some(worker_bin()),
         ..DistConfig::pinned(shards)
     }
+}
+
+/// The plan the coordinator and the single-node pipeline both build for
+/// left operand `a` under `cfg`.
+#[allow(dead_code)]
+pub fn plan_of(a: &Csr, cfg: &StreamConfig) -> ExecPlan {
+    ExecPlan::for_operand(&a.col_nnz(), cfg.panels, cfg.balance, cfg.merge_ways)
 }
 
 /// Asserts two matrices are equal down to the bit pattern of every

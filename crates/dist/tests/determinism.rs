@@ -1,20 +1,24 @@
 //! Bit-identity of the distributed backend against the single-node
 //! streaming pipeline — the property the whole design exists to keep.
 //!
-//! The coordinator ships the very `ExecPlan` [`StreamingExecutor::multiply`]
-//! executes, and the workers run the same kernels in the plan's fold
-//! order, so the two reports count the same decomposition (by
-//! construction — asserted per grid cell) and the result must match the
-//! single-node run *bit for bit* — not to tolerance — at every shard
-//! count, panel count, merge-worker count and memory budget, and even
-//! when a straggler forces a duplicate dispatch.
+//! The coordinator cuts the very `ExecPlan` [`StreamingExecutor::multiply`]
+//! executes into subtrees, the workers run them through the same
+//! pipeline and the rounds above the cut fold here with the same kernel,
+//! every round with its children in the plan's fold order — so the two
+//! reports count the same decomposition (by construction — asserted per
+//! grid cell) and the result must match the single-node run *bit for
+//! bit* — not to tolerance — at every shard count, panel count, fan-in,
+//! balance, merge-worker count and memory budget, and even when a
+//! straggler forces a duplicate dispatch.
 
 mod common;
 
-use common::{assert_bits_equal, dist_config};
+use common::{assert_bits_equal, dist_config, plan_of};
 use sparch_dist::{DistConfig, DistCoordinator};
-use sparch_sparse::{algo, gen, Csr};
-use sparch_stream::{MemoryBudget, StreamConfig, StreamingExecutor};
+use sparch_sparse::{algo, gen, Coo, Csr};
+use sparch_stream::{
+    spill, MemoryBudget, PanelBalance, SpillCodec, StreamConfig, StreamingExecutor,
+};
 use std::time::Duration;
 
 /// Float-valued operands: panel regrouping would drift through a naive
@@ -84,6 +88,129 @@ fn grid_of_shards_panels_workers_and_budgets_is_bit_identical() {
 }
 
 #[test]
+fn every_cut_of_every_plan_shape_is_bit_identical() {
+    // A skewed R-MAT left operand: under the uniform split its panels
+    // differ wildly in weight (some are empty and pruned), so the cuts
+    // mix bare leaves with deep subtrees; the nnz split evens them out.
+    let a = gen::rmat_graph500(64, 6, 91);
+    let b = gen::uniform_random(64, 52, 600, 92);
+    let mut mixed_cuts = 0;
+    let mut cell = 0u64;
+    for balance in [PanelBalance::Uniform, PanelBalance::Nnz] {
+        for panels in [1usize, 4, 16, 33] {
+            for ways in [2usize, 4, 64] {
+                cell += 1;
+                let base = StreamConfig {
+                    // Alternate the budget so half the cells spill every
+                    // partial on the shards.
+                    budget: if cell.is_multiple_of(2) {
+                        MemoryBudget::from_bytes(0)
+                    } else {
+                        MemoryBudget::unbounded()
+                    },
+                    panels,
+                    balance,
+                    merge_ways: ways,
+                    ..StreamConfig::pinned()
+                };
+                let (reference, stream_report) = StreamingExecutor::new(base.clone())
+                    .multiply(&a, &b)
+                    .expect("single-node reference run");
+                let plan = plan_of(&a, &base);
+                for shards in [1usize, 2, 3, 5, 8] {
+                    let tag = format!("{balance} panels={panels} ways={ways} shards={shards}");
+                    let cfg = DistConfig {
+                        stream: base.clone(),
+                        ..dist_config(shards)
+                    };
+                    let (c, report) = DistCoordinator::new(cfg)
+                        .multiply(&a, &b)
+                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    assert_bits_equal(&c, &reference, &tag);
+                    assert_eq!(
+                        (report.panels, report.partials, report.merge_rounds as usize),
+                        (
+                            stream_report.panels,
+                            stream_report.partials,
+                            stream_report.merge_rounds
+                        ),
+                        "{tag}: one plan, one set of counters"
+                    );
+                    // The cut is the plan's own, and every round runs
+                    // exactly once: on a shard or here.
+                    let cut = plan.frontier(2 * shards.min(plan.num_leaves()));
+                    assert_eq!(
+                        (report.jobs, report.coordinator_rounds as usize),
+                        (cut.jobs.len(), cut.top_rounds.len()),
+                        "{tag}"
+                    );
+                    let on_shards: usize =
+                        cut.jobs.iter().map(|&j| plan.subtree(j).rounds.len()).sum();
+                    assert_eq!(on_shards + cut.top_rounds.len(), plan.num_rounds(), "{tag}");
+                    assert_eq!(
+                        report.dispatches, report.jobs as u64,
+                        "{tag}: one frame per job"
+                    );
+                    assert_eq!((report.retries, report.respawns), (0, 0), "{tag}");
+                    let bare = cut.jobs.iter().filter(|&&j| j < plan.num_leaves()).count();
+                    mixed_cuts += usize::from(bare > 0 && bare < cut.jobs.len());
+                }
+            }
+        }
+    }
+    assert!(
+        mixed_cuts > 0,
+        "no cell cut the plan into both bare leaves and deeper subtrees"
+    );
+}
+
+#[test]
+fn inputs_cross_the_wire_once_and_nothing_else_goes_out() {
+    // The benchmark's shape: 2 shards, 16 panels, 4-way. The cut is the
+    // root's four children, so each leaf pair rides in exactly one job
+    // frame and only the root round folds here. Sent bytes count job
+    // frames and the shutdowns — heartbeats flow the other way — so the
+    // bound is free of timing noise.
+    let a = gen::uniform_random(240, 240, 240 * 8, 95);
+    let stream = StreamConfig {
+        panels: 16,
+        merge_ways: 4,
+        spill_codec: SpillCodec::Varint,
+        ..StreamConfig::pinned()
+    };
+    let plan = plan_of(&a, &stream);
+    let encoded_inputs: usize = plan
+        .leaf_ranges()
+        .map(|r| {
+            spill::encode_partial(&a.col_panel(r.clone()), stream.spill_codec).len()
+                + spill::encode_partial(&a.row_panel(r.clone()), stream.spill_codec).len()
+        })
+        .sum();
+    let (reference, _) = StreamingExecutor::new(stream.clone())
+        .multiply(&a, &a)
+        .expect("single-node reference run");
+    let cfg = DistConfig {
+        stream,
+        ..dist_config(2)
+    };
+    let (c, report) = DistCoordinator::new(cfg)
+        .multiply(&a, &a)
+        .expect("fleet run");
+    assert_bits_equal(&c, &reference, "traffic pin");
+    assert_eq!((report.partials, report.merge_rounds), (16, 5));
+    assert_eq!((report.jobs, report.coordinator_rounds), (4, 1));
+    assert_eq!(
+        report.dispatches, 4,
+        "each job — so each leaf pair — sent once"
+    );
+    let sent = report.wire_bytes_sent as usize;
+    assert!(
+        sent >= encoded_inputs && sent * 10 <= encoded_inputs * 11,
+        "sent {sent} bytes for {encoded_inputs} bytes of encoded inputs"
+    );
+}
+
+#[test]
 fn integer_operands_match_gustavson_exactly_through_the_fleet() {
     // Integer-valued entries make every fold order exact, so the
     // distributed result must equal the dense-reference product — and
@@ -113,7 +240,36 @@ fn empty_and_degenerate_shapes_short_circuit() {
         .expect("empty product");
     assert_eq!(c, Csr::zero(9, 5));
     assert_eq!(report.partials, 0);
-    assert_eq!(report.dispatches, 0);
+    assert_eq!((report.jobs, report.dispatches), (0, 0));
+
+    // One live panel out of four: the lone leaf is the root, the one job
+    // and the whole run — no round anywhere, on any fleet size.
+    let entries = (0..9u32).map(|r| (r, r % 2, 0.5 + f64::from(r))).collect();
+    let a = Coo::from_entries(9, 7, entries).to_csr();
+    for shards in [1, 4] {
+        let cfg = DistConfig {
+            stream: StreamConfig {
+                balance: PanelBalance::Uniform,
+                ..StreamConfig::pinned()
+            },
+            ..dist_config(shards)
+        };
+        let (single, _) = StreamingExecutor::new(cfg.stream.clone())
+            .multiply(&a, &b)
+            .expect("single-node run");
+        let (c, report) = DistCoordinator::new(cfg)
+            .multiply(&a, &b)
+            .expect("one-leaf product");
+        assert_bits_equal(&c, &single, "one-leaf plan");
+        assert_eq!(
+            (report.panels, report.partials, report.merge_rounds),
+            (4, 1, 0)
+        );
+        assert_eq!(
+            (report.jobs, report.coordinator_rounds, report.dispatches),
+            (1, 0, 1)
+        );
+    }
 }
 
 #[test]

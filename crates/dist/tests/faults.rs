@@ -6,12 +6,14 @@
 //! clean by construction) and then asserts two things: the final CSR is
 //! **bit-identical** to the single-node streaming run, and the
 //! coordinator's report records the recovery it performed (retries,
-//! respawns, heartbeat timeouts, straggler duplicates).
+//! respawns, heartbeat timeouts, straggler duplicates). The plan is
+//! shaped so the job worker 0 claims first is a real *subtree* — two
+//! leaf multiplies and the round folding them — not a bare leaf.
 
 mod common;
 
-use common::{assert_bits_equal, dist_config};
-use sparch_dist::{DistConfig, DistCoordinator};
+use common::{assert_bits_equal, dist_config, plan_of};
+use sparch_dist::{DistConfig, DistCoordinator, DistError, DistReport};
 use sparch_sparse::{gen, Csr};
 use sparch_stream::{StreamConfig, StreamingExecutor};
 use std::time::Duration;
@@ -31,15 +33,37 @@ fn reference(a: &Csr, b: &Csr, stream: &StreamConfig) -> Csr {
         .0
 }
 
-fn faulty_config(fault: &str) -> DistConfig {
+/// Two shards over eight nnz-balanced panels folded two at a time: the
+/// cut is four two-leaf subtrees under a three-round top.
+fn subtree_config() -> DistConfig {
     DistConfig {
         stream: StreamConfig {
-            panels: 4,
+            panels: 8,
+            merge_ways: 2,
             ..StreamConfig::pinned()
         },
-        fault: Some(fault.into()),
         ..dist_config(2)
     }
+}
+
+fn faulty_config(fault: &str) -> DistConfig {
+    DistConfig {
+        fault: Some(fault.into()),
+        ..subtree_config()
+    }
+}
+
+/// The fault landed on a subtree job: the first job out — the one
+/// worker 0 claims — is a round node of the plan, not a leaf.
+fn assert_first_job_is_a_subtree(a: &Csr, cfg: &DistConfig, report: &DistReport) {
+    let plan = plan_of(a, &cfg.stream);
+    let cut = plan.frontier(2 * cfg.shards);
+    assert_eq!(report.jobs, cut.jobs.len());
+    assert!(report.jobs < report.partials, "report: {report:?}");
+    assert!(
+        plan.subtree(cut.jobs[0]).rounds.len() == 1,
+        "the heaviest job should be a two-leaf subtree: {cut:?}"
+    );
 }
 
 #[test]
@@ -47,10 +71,11 @@ fn worker_killed_mid_panel_is_retried_on_a_fresh_worker() {
     let (a, b) = operands();
     let cfg = faulty_config("0:die");
     let expected = reference(&a, &b, &cfg.stream);
-    let (c, report) = DistCoordinator::new(cfg)
+    let (c, report) = DistCoordinator::new(cfg.clone())
         .multiply(&a, &b)
         .expect("run must survive a worker death");
-    assert_bits_equal(&c, &expected, "death mid-panel");
+    assert_bits_equal(&c, &expected, "death mid-subtree");
+    assert_first_job_is_a_subtree(&a, &cfg, &report);
     assert!(
         report.retries >= 1,
         "the dead worker's job must be retried, report: {report:?}"
@@ -74,10 +99,11 @@ fn dropped_heartbeat_is_detected_by_the_read_deadline() {
         ..faulty_config("0:mute")
     };
     let expected = reference(&a, &b, &cfg.stream);
-    let (c, report) = DistCoordinator::new(cfg)
+    let (c, report) = DistCoordinator::new(cfg.clone())
         .multiply(&a, &b)
         .expect("run must survive a muted worker");
     assert_bits_equal(&c, &expected, "dropped heartbeat");
+    assert_first_job_is_a_subtree(&a, &cfg, &report);
     assert!(
         report.heartbeat_timeouts >= 1,
         "silence must be detected as a timeout, report: {report:?}"
@@ -95,10 +121,11 @@ fn truncated_result_stream_is_a_typed_failure_and_retried() {
     // the job elsewhere.
     let cfg = faulty_config("0:truncate");
     let expected = reference(&a, &b, &cfg.stream);
-    let (c, report) = DistCoordinator::new(cfg)
+    let (c, report) = DistCoordinator::new(cfg.clone())
         .multiply(&a, &b)
         .expect("run must survive a truncated result");
     assert_bits_equal(&c, &expected, "truncated result stream");
+    assert_first_job_is_a_subtree(&a, &cfg, &report);
     assert!(report.retries >= 1, "report: {report:?}");
     assert!(report.respawns >= 1, "report: {report:?}");
 }
@@ -130,8 +157,51 @@ fn job_that_always_fails_exhausts_retries_with_a_typed_error() {
     };
     let cfg = DistConfig { shards: 1, ..cfg };
     match DistCoordinator::new(cfg).multiply(&a, &b) {
-        Err(sparch_dist::DistError::Job(msg)) => {
+        Err(DistError::Job(msg)) => {
             assert!(msg.contains("failed"), "job error should say so: {msg}");
+        }
+        other => panic!("expected DistError::Job, got {other:?}"),
+    }
+}
+
+#[test]
+fn stalled_subtree_is_duplicated_not_killed() {
+    let (a, b) = operands();
+    // Worker 0 sleeps before its subtree job while heartbeating: the
+    // whole subtree is re-sent to the idle worker, first result wins.
+    let cfg = DistConfig {
+        straggler_after: Some(Duration::from_millis(50)),
+        ..faulty_config("0:stall:400")
+    };
+    let expected = reference(&a, &b, &cfg.stream);
+    let (c, report) = DistCoordinator::new(cfg.clone())
+        .multiply(&a, &b)
+        .expect("run must route around a straggler");
+    assert_bits_equal(&c, &expected, "stalled subtree");
+    assert_first_job_is_a_subtree(&a, &cfg, &report);
+    assert!(report.straggler_redispatches >= 1, "report: {report:?}");
+    assert_eq!((report.heartbeat_timeouts, report.respawns), (0, 0));
+}
+
+#[test]
+fn a_job_the_pipeline_rejects_names_its_cause() {
+    let (a, b) = operands();
+    // A zero budget makes every shard spill, and the spill directory is
+    // a path under a regular file: every job fails inside the worker's
+    // pipeline with an I/O error, deterministically. The run must end
+    // with the pipeline's own message, not a guess about the socket.
+    let blocker = std::env::temp_dir().join(format!("sparch-dist-faults-{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").expect("create blocker file");
+    let mut cfg = subtree_config();
+    cfg.stream.budget = sparch_stream::MemoryBudget::from_bytes(0);
+    cfg.stream.spill_dir = Some(blocker.join("spills"));
+    let outcome = DistCoordinator::new(cfg).multiply(&a, &b);
+    std::fs::remove_file(&blocker).expect("remove blocker file");
+    match outcome {
+        Err(DistError::Job(msg)) => {
+            assert!(msg.contains("failed 4 times"), "{msg}");
+            assert!(msg.contains("spill dir"), "the cause must come home: {msg}");
+            assert!(!msg.contains("socket closed"), "{msg}");
         }
         other => panic!("expected DistError::Job, got {other:?}"),
     }

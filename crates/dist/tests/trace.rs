@@ -2,10 +2,13 @@
 //!
 //! A two-shard run with an enabled recorder must record, per worker
 //! lane: a `dispatch` span per job write, a synthesized `job` span
-//! covering dispatch→reply, and the worker-side `compute-multiply` /
-//! `compute-merge` spans shipped back in `Result` frames and re-based
-//! onto the coordinator's timeline. Wire-byte counters must equal the
-//! report's wire accounting, and the Chrome export must parse.
+//! covering dispatch→reply, and — shipped back in `Result` frames and
+//! re-based onto the coordinator's timeline — one worker-side
+//! `compute-subtree` span per job with the shard pipeline's own
+//! `multiply-job` / `merge-round` spans nested inside it. The rounds
+//! above the cut show as `coordinator-merge` spans on the coordinator's
+//! lane. Wire-byte counters must equal the report's wire accounting, and
+//! the Chrome export must parse.
 
 mod common;
 
@@ -20,8 +23,11 @@ fn two_shard_run_traces_dispatch_compute_and_reply() {
     let a = linalg::map_values(&gen::uniform_random(72, 72, 500, 51), |v| (v * 4.0).round());
     let b = linalg::map_values(&gen::uniform_random(72, 60, 400, 52), |v| (v * 4.0).round());
 
+    // Eight panels folded two at a time: four two-leaf subtree jobs, so
+    // merge rounds run on the shards *and* on the coordinator.
     let mut config = dist_config(2);
-    config.stream.panels = 6;
+    config.stream.panels = 8;
+    config.stream.merge_ways = 2;
     let coordinator = DistCoordinator::new(config).with_recorder(Recorder::enabled());
     let (c, report) = coordinator.multiply(&a, &b).unwrap();
     assert_bits_equal(&c, &algo::gustavson(&a, &b), "traced dist run");
@@ -33,30 +39,50 @@ fn two_shard_run_traces_dispatch_compute_and_reply() {
     let trace = coordinator.recorder().drain("dist");
 
     // Every dispatch wrote one dispatch span; every job produced one
-    // dispatch→reply span; every job's compute span came back over the
-    // wire (multiply leaves + merge rounds).
-    let jobs = report.partials as u64 + report.merge_rounds;
+    // dispatch→reply span and shipped one compute span home; every leaf
+    // multiply and every merge round shows exactly once — the rounds
+    // either inside a shard's subtree or on the coordinator's lane.
+    assert!(report.jobs < report.partials && report.coordinator_rounds >= 1);
     assert_eq!(trace.count_named("dispatch") as u64, report.dispatches);
-    assert_eq!(trace.count_named("job") as u64, jobs);
-    assert!(trace.count_named("compute-multiply") >= report.partials);
-    assert!(trace.count_named("compute-merge") as u64 >= report.merge_rounds);
+    assert_eq!(trace.count_named("job"), report.jobs);
+    assert_eq!(trace.count_named("compute-subtree"), report.jobs);
+    assert_eq!(trace.count_named("multiply-job"), report.partials);
+    assert_eq!(
+        trace.count_named("coordinator-merge") as u64,
+        report.coordinator_rounds
+    );
+    assert_eq!(
+        trace.count_named("merge-round") as u64,
+        report.merge_rounds - report.coordinator_rounds
+    );
 
-    // Re-based worker spans sit inside their job span's interval: for
-    // each lane, every compute span is contained in *some* job span.
-    for compute in trace
-        .spans
-        .iter()
-        .filter(|s| s.name.starts_with("compute-"))
-    {
-        assert!(
-            trace.spans.iter().any(|j| j.name == "job"
-                && j.tid == compute.tid
-                && j.start_ns <= compute.start_ns
-                && compute.end_ns <= j.end_ns),
-            "re-based {} span escapes every job span on its lane",
-            compute.name
-        );
+    // Re-based worker spans nest: on each lane every compute span sits
+    // inside *some* job span, and every pipeline span the worker shipped
+    // sits inside some compute span, one level (or more) down.
+    let inside = |inner: &sparch_obs::Span, outer: &str| {
+        trace.spans.iter().any(|o| {
+            o.name == outer
+                && o.tid == inner.tid
+                && o.start_ns <= inner.start_ns
+                && inner.end_ns <= o.end_ns
+        })
+    };
+    for span in &trace.spans {
+        match span.name.as_str() {
+            "compute-subtree" => assert!(inside(span, "job"), "compute span escapes its job"),
+            "multiply-job" | "merge-round" | "kernel" | "read-panel" => assert!(
+                span.depth >= 1 && inside(span, "compute-subtree"),
+                "shipped {} span (depth {}) is not nested in a compute-subtree span",
+                span.name,
+                span.depth
+            ),
+            _ => {}
+        }
     }
+    assert!(trace
+        .threads
+        .iter()
+        .any(|t| t.label.starts_with("coordinator-")));
 
     // One lane per worker generation, labelled worker-<gen>.
     assert!(
@@ -85,7 +111,14 @@ fn two_shard_run_traces_dispatch_compute_and_reply() {
         .get("traceEvents")
         .and_then(Value::as_arr)
         .expect("traceEvents array");
-    for name in ["dispatch", "job", "compute-multiply"] {
+    for name in [
+        "dispatch",
+        "job",
+        "compute-subtree",
+        "multiply-job",
+        "merge-round",
+        "coordinator-merge",
+    ] {
         assert!(
             events
                 .iter()

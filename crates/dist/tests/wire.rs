@@ -1,19 +1,20 @@
 //! Wire-framing properties across a *real* process boundary, plus the
 //! read-deadline guarantee the liveness detector rests on.
 //!
-//! The in-memory corruption grid (truncation at every byte, bad magic,
-//! lying lengths, corrupt matrix blocks) lives in `src/wire.rs`'s unit
-//! tests; these tests put actual Unix sockets and worker processes on
-//! the other end of the frame.
+//! The in-memory corruption grid (truncation at every byte of every
+//! frame kind, bad magic, lying lengths and counts, corrupt matrix
+//! blocks) lives in `src/wire.rs`'s unit tests; these tests put actual
+//! Unix sockets, worker processes and the worker loop on the other end
+//! of the frame.
 
 mod common;
 
 use common::{assert_bits_equal, dist_config};
-use sparch_dist::{read_message, DistCoordinator, DistError};
+use sparch_dist::{read_message, write_message, DistCoordinator, DistError, Message};
 use sparch_sparse::gen;
-use sparch_stream::StreamConfig;
+use sparch_stream::{ExecPlan, SpillCodec, StreamConfig, StreamingExecutor};
 use std::io::Write;
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -40,6 +41,86 @@ fn frames_round_trip_through_a_worker_process_over_the_arb_grid() {
             );
         }
     }
+}
+
+#[test]
+fn worker_answers_a_subtree_job_and_reports_a_rejected_one_without_dying() {
+    // The worker loop itself on the far end of a real socket: a good
+    // subtree frame comes back as the subtree's partial, a frame whose
+    // panels disagree with its plan comes back as a `Failed` frame with
+    // the pipeline's message — and the same worker then serves on.
+    let a = gen::uniform_random(30, 36, 240, 31);
+    let b = gen::uniform_random(36, 28, 220, 32);
+    let config = StreamConfig {
+        panels: 6,
+        merge_ways: 2,
+        ..StreamConfig::pinned()
+    };
+    let plan = ExecPlan::for_operand(&a.col_nnz(), config.panels, config.balance, 2);
+    let node = plan.round_output(0);
+    let pairs: Vec<_> = plan
+        .subtree(node)
+        .leaves
+        .iter()
+        .map(|&leaf| {
+            let r = plan.leaf_range(leaf).clone();
+            (a.col_panel(r.clone()), b.row_panel(r))
+        })
+        .collect();
+    let (expected, _) = StreamingExecutor::new(config.clone())
+        .multiply_subtree(a.rows(), b.cols(), plan.clone(), node, pairs.clone())
+        .expect("in-process subtree run");
+
+    let dir = std::env::temp_dir().join(format!("sparch-dist-wire-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket dir");
+    let socket = dir.join("sock");
+    let listener = UnixListener::bind(&socket).expect("bind");
+    let worker = std::thread::spawn({
+        let socket = socket.clone();
+        move || sparch_dist::worker::run(&socket, 7, Duration::from_millis(20), config, false)
+    });
+    let (stream, _) = listener.accept().expect("worker connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read deadline");
+    let next_reply = || loop {
+        match read_message(&mut &stream).expect("frame") {
+            Some(Message::Heartbeat) => {}
+            Some(other) => break other,
+            None => panic!("worker closed the socket"),
+        }
+    };
+    assert_eq!(next_reply(), Message::Hello { worker: 7 });
+
+    let job = |job: u64, pairs: Vec<_>| Message::Subtree {
+        job,
+        plan: plan.clone(),
+        node: node as u64,
+        pairs,
+    };
+    let send = |msg: &Message| write_message(&mut &stream, msg, SpillCodec::Varint).expect("send");
+    let mut short = pairs.clone();
+    short.pop();
+    send(&job(1, short));
+    match next_reply() {
+        Message::Failed { job: 1, error } => {
+            assert!(error.contains("short of the plan"), "{error}")
+        }
+        other => panic!("expected a Failed frame, got {other:?}"),
+    }
+    send(&job(2, pairs));
+    match next_reply() {
+        Message::Result {
+            job: 2, partial, ..
+        } => assert_bits_equal(&partial, &expected, "subtree over the socket"),
+        other => panic!("expected a Result frame, got {other:?}"),
+    }
+    send(&Message::Shutdown);
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker exits cleanly");
+    std::fs::remove_dir_all(&dir).expect("remove socket dir");
 }
 
 #[test]

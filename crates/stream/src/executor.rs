@@ -5,7 +5,8 @@
 //! unique spill directory, so concurrent runs never collide.
 
 use crate::pipeline::{self, PanelPair};
-use crate::{plan, StreamConfig, StreamError};
+use crate::plan::{self, ExecPlan, Subtree};
+use crate::{StreamConfig, StreamError};
 use serde::{Deserialize, Serialize};
 use sparch_obs::Recorder;
 use sparch_sparse::Csr;
@@ -177,7 +178,62 @@ impl StreamingExecutor {
                 range: r,
             })
         });
-        self.run_pipeline(a.rows(), a.cols(), b.cols(), pairs)
+        self.run_pipeline(a.rows(), a.cols(), b.cols(), pairs, None)
+    }
+
+    /// Executes one subtree of a plan the caller already holds: the leaf
+    /// multiplies and merge rounds beneath `root`, each round folding the
+    /// same children in the same order as a whole-plan run, through the
+    /// same staged pipeline (budget, spill codec and merge workers
+    /// apply). `pairs` yields the `(A column panel, B row panel)` of each
+    /// leaf of [`ExecPlan::subtree`]`(root)`, in leaf order; the result is
+    /// node `root`'s partial — the full product when `root` is the plan's
+    /// root. The report counts what ran: the subtree's leaves and rounds.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::Shape`] if `root` is not a node of `plan`, or the
+    /// panels disagree with the plan's leaves (count, width, `A`
+    /// non-zeros) or with `a_rows`/`b_cols`; [`StreamError::Io`] on spill
+    /// I/O failure.
+    pub fn multiply_subtree<I>(
+        &self,
+        a_rows: usize,
+        b_cols: usize,
+        plan: ExecPlan,
+        root: usize,
+        pairs: I,
+    ) -> Result<(Csr, StreamReport), StreamError>
+    where
+        I: IntoIterator<Item = (Csr, Csr)>,
+        I::IntoIter: Send,
+    {
+        if root >= plan.num_nodes() {
+            return Err(StreamError::Shape(format!(
+                "subtree root {root} is not one of the plan's {} nodes",
+                plan.num_nodes()
+            )));
+        }
+        // The plan names the range each pair must cover; a surplus pair
+        // gets an empty one and fails the reader's count.
+        let scope = plan.subtree(root);
+        let mut ranges = scope
+            .leaves
+            .iter()
+            .map(|&leaf| plan.leaf_range(leaf).clone())
+            .collect::<Vec<_>>()
+            .into_iter();
+        let pairs = pairs.into_iter().map(move |(a, b)| {
+            let live = a.occupied_rows();
+            Ok(PanelPair {
+                range: ranges.next().unwrap_or(0..0),
+                a,
+                b,
+                live,
+            })
+        });
+        let inner_dim = plan.inner_dim();
+        self.run_pipeline(a_rows, inner_dim, b_cols, pairs, Some((plan, scope)))
     }
 
     /// Computes `C = A · B` from pre-extracted column panels of `A` — the
@@ -229,7 +285,7 @@ impl StreamingExecutor {
                 range,
             })
         });
-        self.run_pipeline(a_rows, inner_dim, b.cols(), pairs)
+        self.run_pipeline(a_rows, inner_dim, b.cols(), pairs, None)
     }
 
     /// Computes `C = A · B` with **both** operands streamed: `A` as
@@ -308,7 +364,7 @@ impl StreamingExecutor {
                 }
             }
         });
-        self.run_pipeline(a_rows, inner_dim, b_cols, pairs)
+        self.run_pipeline(a_rows, inner_dim, b_cols, pairs, None)
     }
 
     /// Shared tail: run the staged pipeline and fold its outcome into
@@ -319,6 +375,7 @@ impl StreamingExecutor {
         inner_dim: usize,
         b_cols: usize,
         pairs: I,
+        handed: Option<(ExecPlan, Subtree)>,
     ) -> Result<(Csr, StreamReport), StreamError>
     where
         I: Iterator<Item = Result<PanelPair, StreamError>> + Send,
@@ -331,6 +388,7 @@ impl StreamingExecutor {
             pairs,
             self.spill_dir(),
             &self.recorder,
+            handed,
         )?;
         let threads = sparch_exec::ShardPool::with_override(self.config.threads).threads();
         self.recorder
@@ -343,8 +401,8 @@ impl StreamingExecutor {
             inner_dim,
             b_cols,
             panels: outcome.plan.panels(),
-            partials: outcome.plan.num_leaves(),
-            merge_rounds: outcome.plan.num_rounds(),
+            partials: outcome.scope.leaves.len(),
+            merge_rounds: outcome.scope.rounds.len(),
             merge_ways: outcome.plan.ways(),
             balance: self.config.balance,
             spill_codec: self.config.spill_codec,

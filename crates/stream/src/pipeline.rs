@@ -50,9 +50,17 @@
 //! first. Timing can shift *which* partials spill and *when* a round is
 //! dispatched (spill and overlap counters vary at `threads > 1`), but
 //! never what any round computes.
+//!
+//! **Handed plans.** A caller that already holds the plan (a shard worker
+//! executing one [`Subtree`] of the fleet's plan) hands it in with the
+//! subtree's root: the reader then expects exactly that subtree's leaf
+//! panels, the orchestrator starts with the plan instead of waiting for
+//! the sizes, and only the subtree's rounds run — same stages, same
+//! store, same kernels, and for each round the same children in the same
+//! order as a whole-plan run.
 
 use crate::merge::{merge_sources, MergeScratch, PartialSource};
-use crate::plan::ExecPlan;
+use crate::plan::{ExecPlan, Subtree};
 use crate::spill::{raw_size, write_partial, SpillFile};
 use crate::store::{PartialStore, SpillJob, StoreStats};
 use crate::{StreamConfig, StreamError};
@@ -145,9 +153,11 @@ pub struct StageReport {
 /// public [`StreamReport`](crate::StreamReport).
 pub(crate) struct PipelineOutcome {
     pub result: Csr,
-    /// The plan the run executed: panel, leaf and round counts of the
-    /// public report are read off it.
+    /// The plan the run executed and the part of it that ran (all of it
+    /// unless a subtree was handed in): panel, leaf and round counts of
+    /// the public report are read off them.
     pub plan: ExecPlan,
+    pub scope: Subtree,
     pub partial_bytes_total: u64,
     pub largest_partial_bytes: u64,
     pub store_stats: StoreStats,
@@ -236,6 +246,10 @@ struct OrchestratorLinks<'a> {
 /// reader validates that ranges tile `0..inner_dim` and that panel
 /// shapes agree with `a_rows`/`b_cols`. Iterator errors (e.g. a disk
 /// reader failing mid-file) abort the run with that error.
+/// With `handed = Some((plan, scope))` the run executes `scope`, a
+/// subtree of `plan`, instead of deriving a plan: `pairs` must then
+/// yield exactly that subtree's leaf panels, in leaf order, each under
+/// its leaf's range.
 /// Every stage runs its timing through an [`sparch_obs`] span lane: the
 /// busy-seconds in [`StageReport`] are the `end()` return values of the
 /// very spans an enabled recorder exports, so the report is a view of
@@ -245,6 +259,7 @@ struct OrchestratorLinks<'a> {
 /// `orchestrate` on the orchestrator lane; `claim-wait` measures channel
 /// waits outside every busy figure). With a disabled recorder the lanes
 /// allocate nothing.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run<I>(
     config: &StreamConfig,
     a_rows: usize,
@@ -253,10 +268,26 @@ pub(crate) fn run<I>(
     pairs: I,
     spill_dir: PathBuf,
     recorder: &Recorder,
+    handed: Option<(ExecPlan, Subtree)>,
 ) -> Result<PipelineOutcome, StreamError>
 where
     I: Iterator<Item = Result<PanelPair, StreamError>> + Send,
 {
+    let intake = match &handed {
+        None => Intake::Tiling {
+            covered: 0,
+            sizes: PanelSizes::default(),
+            leaves: 0,
+        },
+        Some((plan, scope)) => Intake::Planned {
+            expected: scope
+                .leaves
+                .iter()
+                .map(|&leaf| (leaf, plan.weight(leaf)))
+                .collect::<Vec<_>>()
+                .into_iter(),
+        },
+    };
     let pool = ShardPool::with_override(config.threads);
     let merge_pool = ShardPool::new(config.merge_workers.unwrap_or(pool.threads()));
     let ways = config.merge_ways.max(2);
@@ -308,6 +339,7 @@ where
         let reader = scope.spawn(move || {
             reader_stage(
                 pairs,
+                intake,
                 a_rows,
                 inner_dim,
                 b_cols,
@@ -386,6 +418,9 @@ where
             merge_pool.threads(),
             recorder.thread("orchestrator"),
         );
+        if let Some((plan, scope)) = handed {
+            merge.install_plan(plan, scope);
+        }
         merge.run(
             &evt_rx,
             OrchestratorLinks {
@@ -405,14 +440,102 @@ where
     })
 }
 
-/// The reader stage: pulls panel pairs, validates tiling and shapes,
-/// tags non-empty `A` panels with leaf ids ([`ExecPlan`]'s numbering:
-/// dense, in range order) and feeds them to the multiply stage, then
-/// publishes the panel sizes. Stops early when the orchestrator raises
-/// `abort` (its failure is the one reported).
+/// How the reader decides which plan leaf an arriving pair is.
+enum Intake {
+    /// No plan yet: pairs must tile `0..inner_dim` left to right. Every
+    /// panel's size is recorded for the orchestrator to plan from, and
+    /// non-empty `A` panels are numbered in [`ExecPlan`]'s leaf order
+    /// (dense, in range order).
+    Tiling {
+        covered: usize,
+        sizes: PanelSizes,
+        leaves: usize,
+    },
+    /// A handed-in plan: pairs must be exactly these `(leaf, A
+    /// non-zeros)`, in this order (the caller labelled each pair with its
+    /// leaf's range, so the shape check covers the widths).
+    Planned {
+        expected: std::vec::IntoIter<(usize, u64)>,
+    },
+}
+
+impl Intake {
+    /// Validates one pair against the declared shapes and the intake's
+    /// expectation. `Ok(Some(leaf))` sends it to the multiply stage;
+    /// `Ok(None)` skips it — the plan prunes an empty `A` panel (its
+    /// product is empty whatever `B` holds), so it is never multiplied.
+    fn admit(
+        &mut self,
+        pair: &PanelPair,
+        a_rows: usize,
+        inner_dim: usize,
+        b_cols: usize,
+    ) -> Result<Option<usize>, StreamError> {
+        let range = &pair.range;
+        let a_nnz = pair.a.nnz() as u64;
+        let leaf = match self {
+            Intake::Tiling {
+                covered,
+                sizes,
+                leaves,
+            } => {
+                if range.start != *covered || range.end > inner_dim || range.end < range.start {
+                    return Err(StreamError::Shape(format!(
+                        "panel {range:?} does not tile 0..{inner_dim} (covered 0..{covered})"
+                    )));
+                }
+                validate_shapes(pair, a_rows, b_cols)?;
+                *covered = range.end;
+                sizes.0.push(range.clone());
+                sizes.1.push(a_nnz);
+                (a_nnz > 0).then(|| {
+                    *leaves += 1;
+                    *leaves - 1
+                })
+            }
+            Intake::Planned { expected } => {
+                let Some((leaf, nnz)) = expected.next() else {
+                    return Err(StreamError::Shape(
+                        "a panel arrived after the plan's last leaf".into(),
+                    ));
+                };
+                if a_nnz != nnz {
+                    return Err(StreamError::Shape(format!(
+                        "panel {range:?} holds {a_nnz} A non-zeros where the plan's leaf \
+                         {leaf} has {nnz}"
+                    )));
+                }
+                validate_shapes(pair, a_rows, b_cols)?;
+                Some(leaf)
+            }
+        };
+        Ok(leaf)
+    }
+
+    /// The end-of-stream check: the panels seen must be all of them.
+    fn close(&self, inner_dim: usize) -> Result<(), StreamError> {
+        match self {
+            Intake::Tiling { covered, .. } if *covered != inner_dim => Err(StreamError::Shape(
+                format!("panels cover only 0..{covered} of 0..{inner_dim}"),
+            )),
+            Intake::Planned { expected } if expected.len() > 0 => Err(StreamError::Shape(format!(
+                "panel stream ended {} leaf panels short of the plan",
+                expected.len()
+            ))),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The reader stage: pulls panel pairs, validates them against the
+/// [`Intake`], feeds the ones that are plan leaves to the multiply
+/// stage, then publishes the panel sizes (when the plan is still to be
+/// derived from them). Stops early when the orchestrator raises `abort`
+/// (its failure is the one reported).
 #[allow(clippy::too_many_arguments)]
 fn reader_stage<I>(
     mut pairs: I,
+    mut intake: Intake,
     a_rows: usize,
     inner_dim: usize,
     b_cols: usize,
@@ -425,9 +548,7 @@ fn reader_stage<I>(
 where
     I: Iterator<Item = Result<PanelPair, StreamError>> + Send,
 {
-    let mut covered = 0usize;
-    let (mut ranges, mut panel_nnz): PanelSizes = (Vec::new(), Vec::new());
-    let mut leaves = 0usize;
+    let mut panels = 0u64;
     let mut busy = 0f64;
     let mut overlapping = 0u64;
     let mut error = None;
@@ -448,29 +569,23 @@ where
             break;
         };
         let verdict = item.and_then(|pair| {
-            validate_pair(&pair, covered, a_rows, inner_dim, b_cols).map(|()| pair)
+            intake
+                .admit(&pair, a_rows, inner_dim, b_cols)
+                .map(|leaf| (pair, leaf))
         });
-        busy += lane.end_with(span, &[("panel", ranges.len() as u64)]);
+        busy += lane.end_with(span, &[("panel", panels)]);
+        panels += 1;
         if inflight.load(Ordering::Relaxed) > 0 {
             overlapping += 1;
         }
-        let pair = match verdict {
-            Ok(pair) => pair,
+        let (pair, leaf) = match verdict {
+            Ok((pair, Some(leaf))) => (pair, leaf),
+            Ok((_, None)) => continue,
             Err(e) => {
                 error = Some(e);
                 break;
             }
         };
-        covered = pair.range.end;
-        ranges.push(pair.range);
-        panel_nnz.push(pair.a.nnz() as u64);
-        if pair.a.nnz() == 0 {
-            // The plan prunes an empty A panel (its product is empty
-            // whatever B holds), so it is never multiplied either.
-            continue;
-        }
-        let leaf = leaves;
-        leaves += 1;
         // Count the job in flight *before* handing it over: a fast
         // worker could otherwise finish it — and the orchestrator
         // decrement — before this thread reached the increment,
@@ -491,15 +606,15 @@ where
             break;
         }
     }
-    if error.is_none() && !aborted && covered != inner_dim {
-        error = Some(StreamError::Shape(format!(
-            "panels cover only 0..{covered} of 0..{inner_dim}"
-        )));
+    if error.is_none() && !aborted {
+        error = intake.close(inner_dim).err();
     }
     // Publish the panel sizes *before* dropping the job sender: by the
     // time the multiply stage closes, the orchestrator is guaranteed to
     // find them.
-    *sizes_slot.lock().expect("sizes slot poisoned") = Some((ranges, panel_nnz));
+    if let Intake::Tiling { sizes, .. } = intake {
+        *sizes_slot.lock().expect("sizes slot poisoned") = Some(sizes);
+    }
     drop(job_tx);
     ReaderOutcome {
         busy_seconds: busy,
@@ -508,20 +623,9 @@ where
     }
 }
 
-/// Shape/tiling validation for one incoming panel pair.
-fn validate_pair(
-    pair: &PanelPair,
-    covered: usize,
-    a_rows: usize,
-    inner_dim: usize,
-    b_cols: usize,
-) -> Result<(), StreamError> {
+/// Shape validation for one incoming panel pair.
+fn validate_shapes(pair: &PanelPair, a_rows: usize, b_cols: usize) -> Result<(), StreamError> {
     let range = &pair.range;
-    if range.start != covered || range.end > inner_dim || range.end < range.start {
-        return Err(StreamError::Shape(format!(
-            "panel {range:?} does not tile 0..{inner_dim} (covered 0..{covered})"
-        )));
-    }
     if pair.a.rows() != a_rows || pair.a.cols() != range.len() {
         return Err(StreamError::Shape(format!(
             "A panel {range:?} has shape {}x{}, expected {a_rows}x{}",
@@ -679,9 +783,10 @@ struct SpillCounters {
 }
 
 /// The orchestrator: owns the budgeted store, obtains the [`ExecPlan`]
-/// as soon as the reader publishes the panel sizes, and dispatches every
-/// merge round whose children are all available onto the merge workers —
-/// several at once when the plan allows it.
+/// as soon as the reader publishes the panel sizes (or is handed one up
+/// front), and dispatches every merge round in scope whose children are
+/// all available onto the merge workers — several at once when the plan
+/// allows it.
 struct MergeStage {
     store: PartialStore,
     a_rows: usize,
@@ -690,7 +795,8 @@ struct MergeStage {
     /// Dispatch cap: rounds in flight never exceed the merge worker
     /// count (also the round channel's capacity, so sends never block).
     max_rounds_inflight: usize,
-    plan: Option<ExecPlan>,
+    /// The plan and the part of it this run executes.
+    plan: Option<(ExecPlan, Subtree)>,
     /// Per node id: the leaf's partial arrived / the round finished.
     produced: Vec<bool>,
     /// Per round: handed to a merge worker (in flight or done).
@@ -816,13 +922,14 @@ impl MergeStage {
                 match outcome {
                     Ok(merged) if self.failure.is_none() => {
                         let span = self.lane.begin("stream", "orchestrate");
-                        let plan = self.plan.as_ref().expect("a dispatched round has a plan");
+                        let (plan, scope) =
+                            self.plan.as_ref().expect("a dispatched round has a plan");
                         let output = plan.round_output(round);
                         for id in plan.round_children(round) {
                             self.store.release(id);
                         }
                         self.produced[output] = true;
-                        if plan.root() == Some(output) {
+                        if scope.root == Some(output) {
                             self.result = Some(merged);
                         } else if let Err(e) = self.store.insert(output, merged) {
                             self.failure = Some(e);
@@ -876,7 +983,7 @@ impl MergeStage {
                             "reader stage ended without publishing its panel sizes".into(),
                         ));
                     }
-                    Some(plan) if self.produced[..plan.num_leaves()].iter().any(|&a| !a) => {
+                    Some((_, scope)) if scope.leaves.iter().any(|&leaf| !self.produced[leaf]) => {
                         self.failure = Some(StreamError::Io(
                             "multiply stage ended before every partial arrived".into(),
                         ));
@@ -908,7 +1015,7 @@ impl MergeStage {
             return self.rounds_inflight == 0 || self.merge_closed;
         }
         match &self.plan {
-            Some(plan) => self.rounds_done == plan.num_rounds() && self.rounds_inflight == 0,
+            Some((_, scope)) => self.rounds_done == scope.rounds.len() && self.rounds_inflight == 0,
             None => false,
         }
     }
@@ -939,20 +1046,29 @@ impl MergeStage {
             return;
         };
         let plan = ExecPlan::from_panel_nnz(ranges, &panel_nnz, self.ways);
+        let scope = plan.whole();
+        self.install_plan(plan, scope);
+    }
+
+    /// Adopts the plan and the subtree of it to execute.
+    fn install_plan(&mut self, plan: ExecPlan, scope: Subtree) {
         // Leaves that arrived before the plan keep their flags.
         self.produced.resize(plan.num_nodes(), false);
         self.dispatched = vec![false; plan.num_rounds()];
         self.store.set_consumers(plan.consumers().to_vec());
-        self.plan = Some(plan);
+        self.plan = Some((plan, scope));
     }
 
-    /// Dispatches every pending round whose children are all available,
-    /// lowest round id first, until the in-flight cap is reached. Round
-    /// children always reference earlier rounds, so one ascending scan
-    /// per call suffices; later events re-scan as children land.
+    /// Dispatches every pending round in scope whose children are all
+    /// available, lowest round id first, until the in-flight cap is
+    /// reached. Round children always reference earlier rounds, so one
+    /// ascending scan per call suffices; later events re-scan as children
+    /// land.
     fn dispatch_rounds(&mut self, links: &OrchestratorLinks<'_>) {
-        let Some(plan) = &self.plan else { return };
-        for r in 0..plan.num_rounds() {
+        let Some((plan, scope)) = &self.plan else {
+            return;
+        };
+        for &r in &scope.rounds {
             if self.failure.is_some() || self.rounds_inflight >= self.max_rounds_inflight {
                 return;
             }
@@ -1001,8 +1117,8 @@ impl MergeStage {
             self.store.cleanup();
             return Err(e);
         }
-        let plan = self.plan.take().expect("reader published its panel sizes");
-        let result = match (plan.root(), self.result.take()) {
+        let (plan, scope) = self.plan.take().expect("reader published its panel sizes");
+        let result = match (scope.root, self.result.take()) {
             (None, _) => Csr::zero(self.a_rows, self.b_cols),
             (Some(_), Some(merged)) => merged,
             // No round ran: the root is the lone leaf.
@@ -1019,6 +1135,7 @@ impl MergeStage {
         Ok(PipelineOutcome {
             result,
             plan,
+            scope,
             partial_bytes_total: self.partial_bytes_total,
             largest_partial_bytes: self.largest_partial_bytes,
             store_stats: store_stats.clone(),

@@ -12,10 +12,17 @@
 //! scheduler). Every layer above is a consumer: the pipeline executes
 //! the plan, the shard coordinator ships it, the knob planner prices
 //! candidates through the same two steps.
+//!
+//! A plan can also be *cut*: [`ExecPlan::subtree`] names one node and
+//! everything beneath it, and [`ExecPlan::frontier`] picks the subtrees
+//! a fleet runs whole — leaf multiplies and merge rounds together, on
+//! the shard that produced the partials — leaving only the few rounds
+//! above the cut to whoever collects the results.
 
 use crate::PanelBalance;
 use sparch_core::sched::{huffman_plan, MergePlan, PlanNode};
 use sparch_sparse::{panel_ranges, panel_ranges_by_nnz};
+use std::cmp::Reverse;
 use std::ops::Range;
 
 /// Splits the inner dimension `0..inner_dim` into up to `panels`
@@ -65,6 +72,32 @@ pub struct ExecPlan {
     /// `consumers[node]` = the round that consumes it (`usize::MAX` for
     /// the root, which nothing consumes).
     consumers: Vec<usize>,
+}
+
+/// One node of a plan and everything beneath it — the unit a shard
+/// executes. A bare leaf is the one-node subtree (no rounds).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Subtree {
+    /// The node whose partial the subtree produces; `None` only for the
+    /// whole of an all-pruned plan.
+    pub root: Option<usize>,
+    /// Leaf ids beneath the root, ascending — range order, the order
+    /// their panel pairs are read in.
+    pub leaves: Vec<usize>,
+    /// Round indices beneath the root, ascending — children always
+    /// precede the round that folds them.
+    pub rounds: Vec<usize>,
+}
+
+/// A cut through a plan ([`ExecPlan::frontier`]): every leaf and round
+/// lies in exactly one of the `jobs` subtrees or is one of `top_rounds`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frontier {
+    /// Roots of the subtrees below the cut, heaviest first.
+    pub jobs: Vec<usize>,
+    /// The rounds above the cut, ascending; the last is the plan's root
+    /// round. Their children are `jobs` nodes or earlier `top_rounds`.
+    pub top_rounds: Vec<usize>,
 }
 
 impl ExecPlan {
@@ -118,6 +151,11 @@ impl ExecPlan {
     /// Panel pairs in the split, pruned ones included.
     pub fn panels(&self) -> usize {
         self.ranges.len()
+    }
+
+    /// The inner dimension the split covers (the last panel's end).
+    pub fn inner_dim(&self) -> usize {
+        self.ranges.last().map_or(0, |r| r.end)
     }
 
     /// Merge leaves: panels that survive pruning.
@@ -190,12 +228,102 @@ impl ExecPlan {
     pub fn round_ready(&self, round: usize, available: impl Fn(usize) -> bool) -> bool {
         self.round_children(round).all(available)
     }
+
+    /// Every panel's range and `A` non-zero count (0 for pruned panels),
+    /// left to right — exactly what [`from_panel_nnz`](Self::from_panel_nnz)
+    /// rebuilds this plan from, together with [`ways`](Self::ways).
+    pub fn panel_sizes(&self) -> impl Iterator<Item = (&Range<usize>, u64)> + '_ {
+        let mut leaves = self.leaf_panels.iter().zip(&self.merge.leaf_weights);
+        let mut next = leaves.next();
+        self.ranges.iter().enumerate().map(move |(p, range)| {
+            let nnz = match next {
+                Some((&panel, &nnz)) if panel == p => {
+                    next = leaves.next();
+                    nnz
+                }
+                _ => 0,
+            };
+            (range, nnz)
+        })
+    }
+
+    /// The inner-dimension range of leaf `leaf`.
+    pub fn leaf_range(&self, leaf: usize) -> &Range<usize> {
+        &self.ranges[self.leaf_panels[leaf]]
+    }
+
+    /// The scheduling weight of `node`: the `A` non-zeros of the leaves
+    /// beneath it.
+    pub fn weight(&self, node: usize) -> u64 {
+        match node.checked_sub(self.num_leaves()) {
+            None => self.merge.leaf_weights[node],
+            Some(round) => self.merge.rounds[round].estimated_weight,
+        }
+    }
+
+    /// The subtree under `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node >= num_nodes()`.
+    pub fn subtree(&self, node: usize) -> Subtree {
+        assert!(node < self.num_nodes(), "node {node} is not in the plan");
+        let mut tree = Subtree {
+            root: Some(node),
+            ..Subtree::default()
+        };
+        let mut pending = vec![node];
+        while let Some(node) = pending.pop() {
+            match node.checked_sub(self.num_leaves()) {
+                None => tree.leaves.push(node),
+                Some(round) => {
+                    tree.rounds.push(round);
+                    pending.extend(self.round_children(round));
+                }
+            }
+        }
+        tree.leaves.sort_unstable();
+        tree.rounds.sort_unstable();
+        tree
+    }
+
+    /// The whole plan as one subtree (empty when every panel was pruned).
+    pub fn whole(&self) -> Subtree {
+        self.root()
+            .map_or_else(Subtree::default, |root| self.subtree(root))
+    }
+
+    /// Cuts the plan into about `target` subtree jobs: start from the
+    /// root alone and keep replacing the heaviest round node on the cut
+    /// by its children until there are `target` nodes or only leaves
+    /// remain (a split adds up to `ways - 1` nodes, so the count can
+    /// overshoot by that much). The cut is a pure function of the plan.
+    pub fn frontier(&self, target: usize) -> Frontier {
+        let mut jobs: Vec<usize> = self.root().into_iter().collect();
+        let mut top_rounds = Vec::new();
+        while jobs.len() < target {
+            let heaviest = jobs
+                .iter()
+                .enumerate()
+                .filter(|&(_, &node)| node >= self.num_leaves())
+                .max_by_key(|&(_, &node)| (self.weight(node), node));
+            let Some((at, &node)) = heaviest else { break };
+            let round = node - self.num_leaves();
+            jobs.swap_remove(at);
+            jobs.extend(self.round_children(round));
+            top_rounds.push(round);
+        }
+        jobs.sort_unstable_by_key(|&node| (Reverse(self.weight(node)), node));
+        top_rounds.sort_unstable();
+        Frontier { jobs, top_rounds }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
+    use proptest::prelude::*;
     use sparch_sparse::{gen, mm, Coo};
 
     #[test]
@@ -276,6 +404,107 @@ mod tests {
             let plan = ExecPlan::from_panel_nnz(vec![0..1, 1..2, 2..3], &[1, 1, 1], ways);
             assert_eq!(plan.ways(), 2);
             assert_eq!(plan.num_rounds(), 2);
+        }
+    }
+
+    #[test]
+    fn panel_sizes_rebuild_the_plan() {
+        let ranges = vec![0..2, 2..4, 4..6, 6..8, 8..10];
+        let plan = ExecPlan::from_panel_nnz(ranges, &[5, 0, 3, 0, 9], 3);
+        let (ranges, nnz): (Vec<_>, Vec<_>) =
+            plan.panel_sizes().map(|(r, n)| (r.clone(), n)).unzip();
+        assert_eq!(nnz, [5, 0, 3, 0, 9]);
+        assert_eq!(ExecPlan::from_panel_nnz(ranges, &nnz, plan.ways()), plan);
+        assert_eq!(plan.inner_dim(), 10);
+    }
+
+    #[test]
+    fn a_leaf_is_the_one_node_subtree_and_the_root_is_the_whole_plan() {
+        let plan = ExecPlan::from_panel_nnz(vec![0..1, 1..2, 2..3], &[4, 1, 2], 2);
+        let leaf = plan.subtree(1);
+        assert_eq!(
+            (leaf.root, &leaf.leaves[..], &leaf.rounds[..]),
+            (Some(1), &[1][..], &[][..])
+        );
+        assert_eq!(plan.subtree(plan.root().unwrap()), plan.whole());
+        assert_eq!(plan.whole().leaves, [0, 1, 2]);
+        assert_eq!(plan.whole().rounds, [0, 1]);
+        // All pruned: the whole plan is the empty subtree, and so is its cut.
+        let empty = ExecPlan::from_panel_nnz(vec![0..2, 2..4], &[0, 0], 4);
+        assert_eq!(empty.whole(), Subtree::default());
+        let cut = empty.frontier(4);
+        assert!(cut.jobs.is_empty() && cut.top_rounds.is_empty());
+    }
+
+    /// Whatever cut the cutter makes, "run each job's subtree, then the
+    /// rounds above the cut" is the full plan: every leaf and round
+    /// exactly once, every round after all of its children and with its
+    /// children in the plan's fold order.
+    fn check_every_frontier(panel_nnz: &[u64]) {
+        let ranges: Vec<Range<usize>> = (0..panel_nnz.len()).map(|p| 3 * p..3 * p + 3).collect();
+        for ways in [2, 3, 4, 8, 64] {
+            let plan = ExecPlan::from_panel_nnz(ranges.clone(), panel_nnz, ways);
+            let full: Vec<(usize, Vec<usize>)> = (0..plan.num_rounds())
+                .map(|r| (r, plan.round_children(r).collect()))
+                .collect();
+            for target in 0..=2 * plan.num_leaves() + 2 {
+                let cut = plan.frontier(target);
+                let what = format!("ways {ways} target {target} cut {cut:?}");
+                // Splitting stops at the target, or when only leaves are
+                // left; one split adds at most `ways - 1` nodes.
+                let all_leaves = cut.jobs.iter().all(|&n| n < plan.num_leaves());
+                assert!(all_leaves || cut.jobs.len() >= target, "{what}");
+                assert!(cut.jobs.len() < target.max(1) + ways, "{what}");
+                assert!(
+                    cut.jobs
+                        .windows(2)
+                        .all(|w| plan.weight(w[0]) >= plan.weight(w[1])),
+                    "heaviest first: {what}"
+                );
+
+                let mut visited = Vec::new();
+                let mut run_round = |r: usize, have: &mut [bool]| {
+                    assert!(plan.round_ready(r, |n| have[n]), "round {r} early: {what}");
+                    have[plan.round_output(r)] = true;
+                    visited.push((r, plan.round_children(r).collect::<Vec<_>>()));
+                };
+                let mut have = vec![false; plan.num_nodes()];
+                let mut leaves = Vec::new();
+                for &job in &cut.jobs {
+                    let tree = plan.subtree(job);
+                    assert_eq!(tree.root, Some(job));
+                    // A shard sees only its own leaves.
+                    let mut local = vec![false; plan.num_nodes()];
+                    for &leaf in &tree.leaves {
+                        local[leaf] = true;
+                    }
+                    leaves.extend_from_slice(&tree.leaves);
+                    for &r in &tree.rounds {
+                        run_round(r, &mut local);
+                    }
+                    assert!(local[job], "job {job} never produced its root: {what}");
+                    have[job] = true;
+                }
+                for &r in &cut.top_rounds {
+                    run_round(r, &mut have);
+                }
+                leaves.sort_unstable();
+                assert!(leaves.iter().copied().eq(0..plan.num_leaves()), "{what}");
+                visited.sort();
+                assert_eq!(visited, full, "{what}");
+                assert!(plan.root().is_none_or(|root| have[root]), "{what}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_frontier_partitions_the_plan_and_keeps_fold_order(
+            panel_nnz in proptest::collection::vec(0u64..40, 1..48),
+        ) {
+            check_every_frontier(&panel_nnz);
         }
     }
 

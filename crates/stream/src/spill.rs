@@ -118,7 +118,8 @@ pub fn varint_size(csr: &Csr) -> u64 {
 pub fn write_partial(path: &Path, csr: &Csr, codec: SpillCodec) -> Result<SpillFile, StreamError> {
     let write = || -> io::Result<u64> {
         let mut w = BufWriter::new(File::create(path)?);
-        let bytes = encode_into(&mut w, csr, codec)?;
+        let (use_varint, _) = resolve_codec(csr, codec);
+        let bytes = encode_into(&mut w, csr, use_varint)?;
         w.flush()?;
         Ok(bytes)
     };
@@ -138,11 +139,23 @@ fn spill_io(path: &Path, verb: &str, detail: &dyn std::fmt::Display) -> StreamEr
     ))
 }
 
+/// What a codec request resolves to for `csr`: whether the body is
+/// delta+varint (the raw fallback applied) and the exact encoded size.
+fn resolve_codec(csr: &Csr, codec: SpillCodec) -> (bool, u64) {
+    let raw = raw_size(csr);
+    match codec {
+        SpillCodec::Raw => (false, raw),
+        SpillCodec::Varint => {
+            let varint = varint_size(csr);
+            (varint < raw, varint.min(raw))
+        }
+    }
+}
+
 /// The shared encoder behind [`write_partial`] and [`encode_partial`]:
-/// header plus body in the format the codec request resolves to (with
-/// the raw fallback applied), returning the bytes written.
-fn encode_into<W: Write>(w: &mut W, csr: &Csr, codec: SpillCodec) -> io::Result<u64> {
-    let use_varint = codec == SpillCodec::Varint && varint_size(csr) < raw_size(csr);
+/// header plus body in the format [`resolve_codec`] chose, returning the
+/// bytes written.
+fn encode_into<W: Write>(w: &mut W, csr: &Csr, use_varint: bool) -> io::Result<u64> {
     let magic = if use_varint { MAGIC_VARINT } else { MAGIC_RAW };
     w.write_all(&magic.to_le_bytes())?;
     w.write_all(&(csr.rows() as u64).to_le_bytes())?;
@@ -178,13 +191,17 @@ fn encode_into<W: Write>(w: &mut W, csr: &Csr, codec: SpillCodec) -> io::Result<
 /// distributed layer ships over a socket. Identical bytes to what
 /// [`write_partial`] puts on disk, including the raw fallback.
 pub fn encode_partial(csr: &Csr, codec: SpillCodec) -> Vec<u8> {
-    let cap = match codec {
-        SpillCodec::Raw => raw_size(csr),
-        SpillCodec::Varint => varint_size(csr).min(raw_size(csr)),
-    };
-    let mut buf = Vec::with_capacity(cap as usize);
-    encode_into(&mut buf, csr, codec).expect("writing to a Vec cannot fail");
+    let mut buf = Vec::new();
+    encode_partial_into(&mut buf, csr, codec);
     buf
+}
+
+/// [`encode_partial`] appended to `buf` — a frame under assembly — with
+/// no intermediate copy; returns the bytes appended.
+pub fn encode_partial_into(buf: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) -> u64 {
+    let (use_varint, size) = resolve_codec(csr, codec);
+    buf.reserve(size as usize);
+    encode_into(buf, csr, use_varint).expect("writing to a Vec cannot fail")
 }
 
 /// Decodes a partial from an **untrusted** byte slice — the inverse of

@@ -633,8 +633,13 @@ fn cmd_dist(flags: &HashMap<String, String>) -> ExitCode {
         report.shards, report.panels, report.partials, report.merge_rounds, report.merge_ways
     );
     println!(
-        "jobs: {} dispatched, {} retried, {} straggler re-dispatch(es)",
-        report.dispatches, report.retries, report.straggler_redispatches
+        "jobs: {} subtree(s) shipped, {} round(s) folded here | {} dispatched, {} retried, \
+         {} straggler re-dispatch(es)",
+        report.jobs,
+        report.coordinator_rounds,
+        report.dispatches,
+        report.retries,
+        report.straggler_redispatches
     );
     println!(
         "fleet health: {} respawn(s), {} heartbeat timeout(s)",
