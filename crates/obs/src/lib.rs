@@ -33,6 +33,4 @@ pub use metrics::{
     BucketEntry, Counter, CounterEntry, Gauge, GaugeEntry, Histogram, HistogramEntry, Metrics,
     MetricsSnapshot,
 };
-pub use span::{
-    Recorder, Span, SpanArg, SpanHandle, Stopwatch, ThreadLane, ThreadRecorder, Trace, WireSpan,
-};
+pub use span::{Recorder, Span, SpanArg, SpanHandle, ThreadLane, ThreadRecorder, Trace, WireSpan};

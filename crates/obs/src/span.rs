@@ -1,47 +1,10 @@
-//! The span recorder: `Stopwatch`, `Recorder`, `ThreadRecorder`, `Trace`.
+//! The span recorder: `Recorder`, `ThreadRecorder`, `Trace`.
 
 use crate::metrics::{Metrics, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// A restartable wall-clock timer — the one way this workspace measures
-/// elapsed seconds (replaces the hand-rolled `Instant::now()` /
-/// `elapsed().as_secs_f64()` pairs that used to be duplicated across
-/// `stream::pipeline` and `dist::coordinator`).
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts (and returns) a running stopwatch.
-    pub fn started() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Seconds since the last start, without restarting.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Seconds since the last start, restarting the watch — for
-    /// accumulating consecutive phases without gaps.
-    pub fn lap_seconds(&mut self) -> f64 {
-        let now = Instant::now();
-        let dt = now.duration_since(self.start).as_secs_f64();
-        self.start = now;
-        dt
-    }
-
-    /// Restarts the watch without reading it.
-    pub fn restart(&mut self) {
-        self.start = Instant::now();
-    }
-}
 
 /// One key/value annotation on a span (values are integral; encode
 /// fractional quantities in fixed-point micro-units at the call site).
@@ -494,16 +457,6 @@ use crate::metrics::Counter;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_laps_accumulate() {
-        let mut w = Stopwatch::started();
-        let a = w.lap_seconds();
-        let b = w.elapsed_seconds();
-        assert!(a >= 0.0 && b >= 0.0);
-        w.restart();
-        assert!(w.elapsed_seconds() < 1.0);
-    }
 
     #[test]
     fn disabled_recorder_yields_empty_trace_but_real_durations() {

@@ -1,14 +1,13 @@
 //! Request-serving layer for the SpArch reproduction.
 //!
-//! SpArch's core insight is that the right SpGEMM strategy depends on the
-//! matrix's measured structure — condensing, Huffman scheduling and
-//! look-ahead all exploit it in hardware. This crate applies the same
-//! principle one level up, at the *serving* boundary: a
-//! [`SpgemmService`] accepts batches of typed requests (single, chained
-//! and masked multiplies, matrix powers with re-sparsification), an
-//! [`AdaptiveDispatcher`] picks among the six software backends in
-//! `sparch_sparse::algo` per multiply step from measured
-//! [`TaskFeatures`] and a startup [`Calibration`] table, and an
+//! A [`SpgemmService`] accepts batches of typed requests (single,
+//! chained and masked multiplies, matrix powers with re-sparsification);
+//! an [`AdaptiveDispatcher`] measures each multiply step's
+//! [`TaskFeatures`], sends steps whose footprint exceeds the configured
+//! thresholds to the streaming pipeline or the shard fleet and runs
+//! everything else on Gustavson (the other five `sparch_sparse::algo`
+//! kernels stay reachable as `fixed:<backend>` baselines), prices the
+//! step with the work model × [`Calibration`] for the report; and an
 //! [`OperandCache`] keyed by [`Csr::fingerprint`](sparch_sparse::Csr::fingerprint)
 //! reuses each operand's CSC/statistics conversions across requests — the
 //! paper's condensed-MatA idea lifted to the serving layer.

@@ -10,8 +10,8 @@
 //! 2. **Execute** (parallel) — requests fan out through
 //!    [`ParallelRunner`] as independent workloads; each multiply step
 //!    measures its [`TaskFeatures`], asks the dispatcher for a backend,
-//!    and runs it. Choices depend only on matrix structure and the
-//!    calibration table, so they too are thread-count-invariant.
+//!    and runs it. Choices depend only on matrix structure, so they too
+//!    are thread-count-invariant.
 //! 3. **Report** — per-request records (backend per step, model cost,
 //!    output shape, cache telemetry, wall time) aggregate into a
 //!    serializable [`BatchReport`].
@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 use sparch_exec::{ParallelRunner, ShardPool, Workload};
 use sparch_obs::{Counter, Recorder, ThreadRecorder};
 use sparch_sparse::{linalg, Csr};
-use sparch_tune::OnlineCalibration;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,9 +37,9 @@ pub struct ServiceConfig {
     pub threads: Option<usize>,
     /// Operand-cache capacity, in operands.
     pub cache_capacity: usize,
-    /// Calibration table. `None` measures one at service start for the
-    /// adaptive policy ([`Calibration::measure`]) and uses the pinned
-    /// [`Calibration::reference`] for fixed policies.
+    /// Calibration table. `None` means [`Calibration::reference`]; a
+    /// pinned table scales the *reported* model cost of each backend's
+    /// steps and never changes which backend runs.
     pub calibration: Option<Calibration>,
     /// Memory budget in bytes for a single multiply step. When set, any
     /// step whose [`TaskFeatures::estimated_footprint_bytes`] exceeds it
@@ -70,14 +69,6 @@ pub struct ServiceConfig {
     /// function of matrix structure — and bit-identity to the in-memory
     /// backends holds at any planned setting.
     pub auto_tune: bool,
-    /// Enables online calibration with the given EWMA smoothing factor
-    /// (see [`sparch_tune::OnlineCalibration`]): after every batch, each
-    /// step's predicted-vs-measured cost folds back into the dispatcher's
-    /// calibration table, so the cost model tracks the machine it is
-    /// actually running on. Wall-clock feedback, so later batches'
-    /// dispatch choices are *not* run-to-run reproducible — leave `None`
-    /// (the default) when determinism matters more than fidelity.
-    pub online_calibration: Option<f64>,
 }
 
 impl Default for ServiceConfig {
@@ -91,7 +82,6 @@ impl Default for ServiceConfig {
             distributed_threshold: None,
             stream_config: sparch_stream::StreamConfig::pinned(),
             auto_tune: false,
-            online_calibration: None,
         }
     }
 }
@@ -122,7 +112,7 @@ pub struct RequestReport {
     /// Wall-clock seconds on the worker (not deterministic).
     pub wall_seconds: f64,
     /// Calibrated model cost of each multiply step, in order —
-    /// deterministic given the batch-start calibration table.
+    /// deterministic given the service's calibration table.
     pub step_model_seconds: Vec<f64>,
     /// Measured wall-clock seconds of each multiply step, in order (not
     /// deterministic; zeroed by [`BatchReport::without_timing`]).
@@ -166,14 +156,8 @@ pub struct BatchReport {
     pub backend_steps: Vec<BackendSteps>,
     /// Wall-clock seconds for the whole batch (not deterministic).
     pub wall_seconds: f64,
-    /// Batches served since the calibration table was last fully
-    /// (re)measured, *before* this one — `0` right after service start or
-    /// [`SpgemmService::recalibrate`]. Online EWMA folds do not reset it:
-    /// it counts distance from the last ground-truth measurement.
-    pub calibration_age: u64,
-    /// Mean over steps of `|predicted − measured|` step cost in seconds —
-    /// the quantity online calibration drives down (not deterministic;
-    /// zeroed by [`BatchReport::without_timing`]).
+    /// Mean over steps of `|predicted − measured|` step cost in seconds
+    /// (not deterministic; zeroed by [`BatchReport::without_timing`]).
     pub mean_abs_cost_error_seconds: f64,
     /// Per-request telemetry, in submission order.
     pub requests: Vec<RequestReport>,
@@ -181,10 +165,12 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// Current value written into [`BatchReport::schema_version`].
-    /// Version history: 1 — initial schema; 2 — added `calibration_age`,
-    /// `mean_abs_cost_error_seconds`, and per-step
-    /// `step_model_seconds` / `step_actual_seconds`.
-    pub const SCHEMA_VERSION: u32 = 2;
+    /// Version history: 1 — initial schema; 2 — added
+    /// `mean_abs_cost_error_seconds`, per-step `step_model_seconds` /
+    /// `step_actual_seconds` and a batches-since-calibration counter;
+    /// 3 — dropped that counter (the table is fixed for a service's
+    /// lifetime).
+    pub const SCHEMA_VERSION: u32 = 3;
 
     /// A copy with every wall-clock field zeroed — the model-driven view
     /// that must be bit-identical across worker counts (pinned by
@@ -203,9 +189,8 @@ impl BatchReport {
     /// Dispatch mispredict rate: over every pair of steps in the batch
     /// whose *predicted* costs differ, the fraction the model ranked in
     /// the opposite order from their *measured* times (a Kendall-style
-    /// inversion count). `0.0` is a perfect ranking — the dispatcher's
-    /// argmin would have made the same choices with hindsight — and a
-    /// batch with fewer than two comparable steps scores `0.0`.
+    /// inversion count). `0.0` is a perfect ranking, and a batch with
+    /// fewer than two comparable steps scores `0.0`.
     pub fn mispredict_rate(&self) -> f64 {
         let steps: Vec<(f64, f64)> = self
             .requests
@@ -248,7 +233,7 @@ struct PlannedRequest {
     cache_misses: u32,
 }
 
-/// The request-serving layer over the six software SpGEMM backends.
+/// The request-serving layer over the eight software SpGEMM backends.
 ///
 /// # Example
 ///
@@ -285,23 +270,13 @@ pub struct SpgemmService {
     stream_config: sparch_stream::StreamConfig,
     recorder: Recorder,
     auto_tune: bool,
-    online: Option<OnlineCalibration>,
-    /// The config's pinned table, kept so [`SpgemmService::recalibrate`]
-    /// can restore it instead of re-measuring.
-    pinned_calibration: Option<Calibration>,
-    calibration_age: u64,
 }
 
 impl SpgemmService {
-    /// Builds a service, measuring a calibration table at start if the
-    /// config does not pin one (see [`ServiceConfig::calibration`]).
+    /// Builds a service. Runs no backend and spawns no process: the
+    /// calibration table is the config's, or [`Calibration::reference`].
     pub fn new(config: ServiceConfig) -> Self {
-        let pinned_calibration = config.calibration.clone();
-        let calibration = config.calibration.unwrap_or_else(|| match config.policy {
-            DispatchPolicy::Adaptive => Calibration::measure(0x5bac4),
-            DispatchPolicy::Fixed(_) => Calibration::reference(),
-        });
-        let slots = calibration.seconds_per_unit.len();
+        let calibration = config.calibration.unwrap_or_else(Calibration::reference);
         let mut dispatcher = AdaptiveDispatcher::new(config.policy, calibration);
         if let Some(budget) = config.memory_budget {
             dispatcher = dispatcher.with_memory_budget(budget);
@@ -316,44 +291,7 @@ impl SpgemmService {
             stream_config: config.stream_config,
             recorder: Recorder::disabled(),
             auto_tune: config.auto_tune,
-            online: config
-                .online_calibration
-                .map(|alpha| OnlineCalibration::new(alpha, slots)),
-            pinned_calibration,
-            calibration_age: 0,
         }
-    }
-
-    /// Batches served since the calibration table was last fully
-    /// (re)measured ([`SpgemmService::new`] or
-    /// [`SpgemmService::recalibrate`]).
-    pub fn calibration_age(&self) -> u64 {
-        self.calibration_age
-    }
-
-    /// Refreshes the calibration table from scratch: restores the
-    /// config's pinned table if one was given, otherwise re-measures
-    /// (adaptive policy) or resets to [`Calibration::reference`] (fixed).
-    /// Any accumulated online-calibration state is dropped — the EWMA
-    /// estimates were relative to a table this call replaces — and
-    /// [`SpgemmService::calibration_age`] returns to `0`.
-    ///
-    /// The model-driven view of a batch served right after `recalibrate`
-    /// on a pinned-calibration service is bit-identical to one served
-    /// right after service start ([`BatchReport::without_timing`]).
-    pub fn recalibrate(&mut self) {
-        let calibration =
-            self.pinned_calibration
-                .clone()
-                .unwrap_or_else(|| match self.dispatcher.policy() {
-                    DispatchPolicy::Adaptive => Calibration::measure(0x5bac4),
-                    DispatchPolicy::Fixed(_) => Calibration::reference(),
-                });
-        self.dispatcher.set_calibration(calibration);
-        if let Some(online) = &mut self.online {
-            online.reset();
-        }
-        self.calibration_age = 0;
     }
 
     /// Replaces the service's recorder. With an enabled recorder every
@@ -419,7 +357,7 @@ impl SpgemmService {
             requests.push(report);
         }
 
-        let (mean_abs_cost_error_seconds, calibration_age) = self.fold_online_feedback(&requests);
+        let mean_abs_cost_error_seconds = mean_abs_cost_error(&requests);
 
         let cache_hits: u64 = requests.iter().map(|r| r.cache_hits as u64).sum();
         let cache_misses: u64 = requests.iter().map(|r| r.cache_misses as u64).sum();
@@ -452,62 +390,9 @@ impl SpgemmService {
                 })
                 .collect(),
             wall_seconds: wall_start.elapsed().as_secs_f64(),
-            calibration_age,
             mean_abs_cost_error_seconds,
             requests,
         })
-    }
-
-    /// Post-batch bookkeeping for the calibration loop: computes the
-    /// batch's mean absolute prediction error, feeds every step's
-    /// predicted-vs-measured cost into the online EWMA (when enabled) and
-    /// folds the refreshed estimates into the dispatcher's table — always
-    /// *between* batches, never mid-batch — then advances the age
-    /// counter. Returns `(mean_abs_error, age_before_this_batch)`.
-    fn fold_online_feedback(&mut self, requests: &[RequestReport]) -> (f64, u64) {
-        let mut abs_error = 0.0;
-        let mut steps = 0u64;
-        for r in requests {
-            for (&model, &actual) in r.step_model_seconds.iter().zip(&r.step_actual_seconds) {
-                abs_error += (model - actual).abs();
-                steps += 1;
-            }
-        }
-        let mean_abs_error = if steps == 0 {
-            0.0
-        } else {
-            abs_error / steps as f64
-        };
-
-        if let Some(online) = &mut self.online {
-            // The table was frozen for the whole batch, so dividing each
-            // step's calibrated cost by its backend's seconds-per-unit
-            // recovers the model's abstract units exactly.
-            let table = self.dispatcher.calibration().clone();
-            for r in requests {
-                for ((name, &model), &actual) in r
-                    .backends
-                    .iter()
-                    .zip(&r.step_model_seconds)
-                    .zip(&r.step_actual_seconds)
-                {
-                    let Some(slot) = Backend::ALL.iter().position(|b| b.name() == name) else {
-                        continue;
-                    };
-                    let per_unit = table.seconds_per_unit.get(slot).copied().unwrap_or(1.0);
-                    if per_unit > 0.0 && per_unit.is_finite() {
-                        online.observe(slot, model / per_unit, actual);
-                    }
-                }
-            }
-            let mut folded = table;
-            online.fold_into(&mut folded.seconds_per_unit);
-            self.dispatcher.set_calibration(folded);
-        }
-
-        let age = self.calibration_age;
-        self.calibration_age += 1;
-        (mean_abs_error, age)
     }
 
     /// Phase 1: materialize operands, probe the cache in submission
@@ -625,6 +510,23 @@ fn validate_shapes(
         }
     }
     Ok(())
+}
+
+/// Mean over every step in the batch of `|predicted − measured|` cost.
+fn mean_abs_cost_error(requests: &[RequestReport]) -> f64 {
+    let mut abs_error = 0.0;
+    let mut steps = 0u64;
+    for r in requests {
+        for (&model, &actual) in r.step_model_seconds.iter().zip(&r.step_actual_seconds) {
+            abs_error += (model - actual).abs();
+            steps += 1;
+        }
+    }
+    if steps == 0 {
+        0.0
+    } else {
+        abs_error / steps as f64
+    }
 }
 
 /// One planned request as an exec-layer workload.
@@ -902,6 +804,39 @@ mod tests {
     }
 
     #[test]
+    fn default_service_holds_the_reference_table() {
+        let service = SpgemmService::new(ServiceConfig::default());
+        assert_eq!(service.dispatcher().policy(), DispatchPolicy::Adaptive);
+        assert_eq!(
+            *service.dispatcher().calibration(),
+            Calibration::reference()
+        );
+    }
+
+    #[test]
+    fn a_pinned_table_scales_the_reported_cost_and_not_the_choice() {
+        let serve = |calibration: Option<Calibration>| {
+            SpgemmService::new(ServiceConfig {
+                threads: Some(2),
+                calibration,
+                ..ServiceConfig::default()
+            })
+            .serve(&small_batch())
+            .unwrap()
+        };
+        let reference = serve(None);
+        let mut table = Calibration::reference();
+        table.seconds_per_unit[0] = 100.0; // gustavson, 100× dearer
+        let pinned = serve(Some(table));
+        for (p, r) in pinned.requests.iter().zip(&reference.requests) {
+            assert_eq!(p.backends, r.backends);
+            assert!(p.backends.iter().all(|b| b == "gustavson"));
+            let scaled: Vec<f64> = r.step_model_seconds.iter().map(|s| 100.0 * s).collect();
+            assert_eq!(p.step_model_seconds, scaled, "request {}", p.index);
+        }
+    }
+
+    #[test]
     fn results_match_direct_computation() {
         let mut service = fixed_service(Backend::Gustavson);
         let report = service.serve(&small_batch()).unwrap();
@@ -1033,7 +968,7 @@ mod tests {
                 .iter()
                 .flat_map(|r| &r.backends)
                 .all(|b| b == "streaming"),
-            "footprint routing must override the adaptive argmin"
+            "footprint routing must override the adaptive policy"
         );
         // The streamed results carry the same structure as the in-memory
         // baseline.

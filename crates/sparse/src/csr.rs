@@ -335,33 +335,7 @@ impl Csr {
     ///
     /// Panics if `lo > hi` or `hi > cols`.
     pub fn col_panel(&self, range: std::ops::Range<usize>) -> Csr {
-        assert!(
-            range.start <= range.end && range.end <= self.cols,
-            "column panel {range:?} outside 0..{}",
-            self.cols
-        );
-        let (lo, hi) = (range.start as Index, range.end as Index);
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            // Columns are strictly increasing, so the panel's entries are
-            // one contiguous slice of the row.
-            let a = cols.partition_point(|&c| c < lo);
-            let b = cols.partition_point(|&c| c < hi);
-            col_idx.extend(cols[a..b].iter().map(|&c| c - lo));
-            values.extend_from_slice(&vals[a..b]);
-            row_ptr.push(col_idx.len());
-        }
-        Csr {
-            rows: self.rows,
-            cols: range.len(),
-            row_ptr,
-            col_idx,
-            values,
-        }
+        self.col_panel_condensed(range).0
     }
 
     /// Like [`Csr::col_panel`], but also returns the panel's occupied-row
@@ -389,6 +363,8 @@ impl Csr {
         let mut live = Vec::new();
         for r in 0..self.rows {
             let (cols, vals) = self.row(r);
+            // Columns are strictly increasing, so the panel's entries are
+            // one contiguous slice of the row.
             let a = cols.partition_point(|&c| c < lo);
             let b = cols.partition_point(|&c| c < hi);
             if b > a {

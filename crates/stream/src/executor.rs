@@ -236,58 +236,6 @@ impl StreamingExecutor {
         self.run_pipeline(a_rows, inner_dim, b_cols, pairs, Some((plan, scope)))
     }
 
-    /// Computes `C = A · B` from pre-extracted column panels of `A` — the
-    /// half-streamed entry point: `panels` may come from
-    /// `sparch_sparse::mm::PanelReader`, so `A` is never materialized
-    /// whole (that reader parses the file once: its first panel costs
-    /// the whole text scan, the rest only read a staged bucket back),
-    /// while `B`'s row panels are sliced from the in-memory operand.
-    /// Each item is a column range of `A` plus the corresponding
-    /// `a_rows × range.len()` panel with localized column indices; ranges
-    /// must tile `0..inner_dim` left to right. The ranges carried by the
-    /// stream define the split — `config.balance` does not reapply.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::Shape`] if the panels do not tile the declared
-    /// shape or disagree with `b`; [`StreamError::Io`] on spill I/O
-    /// failure.
-    pub fn multiply_from_panels<I>(
-        &self,
-        a_rows: usize,
-        inner_dim: usize,
-        panels: I,
-        b: &Csr,
-    ) -> Result<(Csr, StreamReport), StreamError>
-    where
-        I: IntoIterator<Item = (Range<usize>, Csr)>,
-        I::IntoIter: Send,
-    {
-        if b.rows() != inner_dim {
-            return Err(StreamError::Shape(format!(
-                "inner dimension {inner_dim} != B rows {}",
-                b.rows()
-            )));
-        }
-        let pairs = panels.into_iter().map(move |(range, a_panel)| {
-            if range.start > range.end || range.end > inner_dim {
-                return Err(StreamError::Shape(format!(
-                    "panel {range:?} does not tile 0..{inner_dim}"
-                )));
-            }
-            // Pre-sliced panels carry no occupied-row index; one
-            // row-pointer sweep recovers it on the reader thread.
-            let live = a_panel.occupied_rows();
-            Ok(PanelPair {
-                b: b.row_panel(range.clone()),
-                a: a_panel,
-                live,
-                range,
-            })
-        });
-        self.run_pipeline(a_rows, inner_dim, b.cols(), pairs, None)
-    }
-
     /// Computes `C = A · B` with **both** operands streamed: `A` as
     /// column panels, `B` as the matching row panels — e.g. from
     /// `sparch_sparse::mm::{PanelReader, RowPanelReader}` over two
@@ -626,41 +574,42 @@ mod tests {
         let a = int_matrix(10, 12, 50, 1);
         let b = int_matrix(12, 10, 50, 2);
         let e = exec(MemoryBudget::unbounded(), 3, 1);
+        // Each case: the declared inner dimension and the (range, A
+        // panel, B panel) triples both streams yield in lockstep.
+        let run = |inner_dim: usize, panels: Vec<(Range<usize>, Csr, Csr)>| {
+            let a_stream = panels.clone().into_iter().map(|(r, a, _)| Ok((r, a)));
+            let b_stream = panels.into_iter().map(|(r, _, b)| Ok((r, b)));
+            e.multiply_streams(10, inner_dim, 10, a_stream, b_stream)
+        };
+        let sliced = |r: Range<usize>| (r.clone(), a.col_panel(r.clone()), b.row_panel(r));
         // Gap in coverage.
-        let bad = vec![(0..4, a.col_panel(0..4)), (6..12, a.col_panel(6..12))];
         assert!(matches!(
-            e.multiply_from_panels(10, 12, bad, &b),
+            run(12, vec![sliced(0..4), sliced(6..12)]),
             Err(StreamError::Shape(_))
         ));
         // Wrong panel shape.
-        let bad = vec![(0..12, a.col_panel(0..6))];
         assert!(matches!(
-            e.multiply_from_panels(10, 12, bad, &b),
+            run(12, vec![(0..12, a.col_panel(0..6), b.clone())]),
             Err(StreamError::Shape(_))
         ));
         // Missing tail.
-        let bad = vec![(0..6, a.col_panel(0..6))];
         assert!(matches!(
-            e.multiply_from_panels(10, 12, bad, &b),
+            run(12, vec![sliced(0..6)]),
             Err(StreamError::Shape(_))
         ));
         // B disagreeing with the declared inner dimension.
         assert!(matches!(
-            e.multiply_from_panels(10, 9, vec![(0..9, a.col_panel(0..9))], &b),
+            run(9, vec![(0..9, a.col_panel(0..9), b.clone())]),
             Err(StreamError::Shape(_))
         ));
-        // A range past the inner dimension must error, not panic, even
-        // though B's row panel could never be sliced for it.
+        // A range past the inner dimension must error, not panic.
         assert!(matches!(
-            e.multiply_from_panels(10, 12, vec![(0..13, a.col_panel(0..12))], &b),
+            run(12, vec![(0..13, a.col_panel(0..12), Csr::zero(13, 10))]),
             Err(StreamError::Shape(_))
         ));
         // And the happy path through the same entry point.
-        let good: Vec<_> = panel_ranges(12, 3)
-            .into_iter()
-            .map(|r| (r.clone(), a.col_panel(r)))
-            .collect();
-        let (c, _) = e.multiply_from_panels(10, 12, good, &b).unwrap();
+        let good = panel_ranges(12, 3).into_iter().map(sliced).collect();
+        let (c, _) = run(12, good).unwrap();
         assert_eq!(c, algo::gustavson(&a, &b));
     }
 

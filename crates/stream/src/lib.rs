@@ -86,8 +86,9 @@ use std::fmt;
 /// Errors from the streaming pipeline.
 ///
 /// Shape violations can only arrive through the panel-ingestion entry
-/// point ([`StreamingExecutor::multiply_from_panels`]); the in-memory
-/// entry point panics on incompatible operands exactly like the
+/// points ([`StreamingExecutor::multiply_streams`] and
+/// [`StreamingExecutor::multiply_subtree`]); the in-memory entry point
+/// panics on incompatible operands exactly like the
 /// `sparch_sparse::algo` kernels do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {

@@ -198,8 +198,10 @@ fn refill(src: &mut PartialSource, lane: &mut Lane) -> Result<bool, StreamError>
     Ok(src.next_chunk(CHUNK_ENTRIES, &mut lane.keys, &mut lane.vals)? > 0)
 }
 
-/// Unpacks a key and appends the entry; keys arrive strictly increasing
-/// by construction, so this takes the trusted fast path.
+/// Unpacks a key and appends the entry. Every source yields strictly
+/// increasing in-shape keys — resident CSRs by invariant, spilled ones
+/// because `SpillReader` checks each entry it decodes — so the merged
+/// stream does too and this takes the trusted fast path.
 fn emit(out: &mut CsrBuilder, key: u64, val: f64) {
     out.push_trusted((key >> 32) as Index, key as u32, val);
 }
@@ -503,6 +505,55 @@ mod tests {
         }
         let merged = merge(10, 10, mixed);
         assert_eq!(merged, all_mem);
+    }
+
+    /// A spill file damaged on disk must stop a `ways`-way merge with an
+    /// error naming it — wherever it sits among spilled and resident
+    /// neighbours — instead of feeding `push_trusted` rows past the shape.
+    fn assert_a_damaged_spill_file_stops_the_merge(ways: usize) {
+        let dir = TempDir::new(&format!("merge_damaged_{ways}"));
+        // All-ones values and < 64 columns: every varint entry is exactly
+        // 5 bytes, so body byte 600 is the row delta of entry 120.
+        let ones = |seed| linalg::map_values(&gen::uniform_random(64, 64, 2000, seed), |_| 1.0);
+        let damaged = dir.file("damaged.bin");
+        let file = write_partial(&damaged, &ones(1), SpillCodec::Varint).unwrap();
+        assert_eq!(file.bytes, 28 + 5 * ones(1).nnz() as u64);
+        let mut bytes = std::fs::read(&damaged).unwrap();
+        bytes[28 + 600] = 0x7f;
+        std::fs::write(&damaged, bytes).unwrap();
+        let clean = dir.file("clean.bin");
+        write_partial(&clean, &ones(2), SpillCodec::Varint).unwrap();
+
+        let spilled =
+            |path: &std::path::Path| PartialSource::from_spill(SpillReader::open(path).unwrap());
+        for at in 0..ways {
+            let sources = (0..ways)
+                .map(|s| match s {
+                    _ if s == at => spilled(&damaged),
+                    _ if s % 2 == 0 => spilled(&clean),
+                    _ => mem(ones(2 + s as u64)),
+                })
+                .collect();
+            match merge_sources(64, 64, sources, &mut MergeScratch::new()) {
+                Err(StreamError::Io(msg)) => assert!(
+                    msg.contains("damaged.bin") && msg.contains("outside declared shape"),
+                    "{ways}-way, damaged at {at}: {msg}"
+                ),
+                other => panic!("{ways}-way, damaged at {at}: got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_damaged_spill_file_stops_the_two_way_merge() {
+        assert_a_damaged_spill_file_stops_the_merge(2);
+    }
+
+    #[test]
+    fn a_damaged_spill_file_stops_the_k_way_merge_and_the_single_source_copy() {
+        for ways in [1, 3, 4] {
+            assert_a_damaged_spill_file_stops_the_merge(ways);
+        }
     }
 
     #[test]

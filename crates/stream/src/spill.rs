@@ -207,11 +207,11 @@ pub fn encode_partial_into(buf: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) -> u
 /// Decodes a partial from an **untrusted** byte slice — the inverse of
 /// [`encode_partial`] for frames that crossed a process boundary.
 ///
-/// Unlike [`SpillReader`] (which trusts its own spill files), every
-/// declared quantity is validated before it is believed: the magic, the
-/// shape (indices are `u32`), the entry count against the payload's
-/// minimum entry size, strictly increasing `(row, col)` coordinates
-/// within bounds, and an exact-length payload (trailing garbage is an
+/// Every declared quantity is validated before it is believed: the
+/// magic, the shape (indices are `u32`), the entry count against the
+/// payload's minimum entry size, strictly increasing `(row, col)`
+/// coordinates within bounds (the [`EntryCheck`] it shares with
+/// [`SpillReader`]), and an exact-length payload (trailing garbage is an
 /// error). Corruption therefore surfaces as [`StreamError::Io`] — never
 /// a panic, an over-allocation, or a silently wrong matrix.
 pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
@@ -245,7 +245,7 @@ pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
         )));
     }
     let mut b = CsrBuilder::with_capacity(rows as usize, cols as usize, nnz as usize);
-    let mut prev: Option<(Index, Index)> = None;
+    let mut check = EntryCheck::new(rows, cols);
     for _ in 0..nnz {
         let (row, col, v) = match &mut delta {
             None => {
@@ -258,17 +258,7 @@ pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
             // `UnexpectedEof`-derived message; overflow keeps its own.
             Some(state) => state.decode(&mut r)?,
         };
-        if row as u64 >= rows || col as u64 >= cols {
-            return Err(StreamError::Io(format!(
-                "partial entry ({row}, {col}) outside declared shape {rows}x{cols}"
-            )));
-        }
-        if prev.is_some_and(|p| p >= (row, col)) {
-            return Err(StreamError::Io(format!(
-                "partial entries not in strictly increasing (row, col) order at ({row}, {col})"
-            )));
-        }
-        prev = Some((row, col));
+        check.admit(row, col)?;
         b.push(row, col, v);
     }
     if !r.is_empty() {
@@ -283,6 +273,45 @@ pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
 /// The truncation error every under-long wire payload maps to.
 fn truncated(what: &str) -> StreamError {
     StreamError::Io(format!("partial payload truncated mid-{what}"))
+}
+
+/// What every decoder holds an entry to before believing it: inside the
+/// header's shape, and strictly after its predecessor in `(row, col)`
+/// order — what `CsrBuilder::push_trusted` and the merge kernels assume
+/// of the keys they are fed.
+#[derive(Debug)]
+struct EntryCheck {
+    rows: u64,
+    cols: u64,
+    prev: Option<u64>,
+}
+
+impl EntryCheck {
+    fn new(rows: u64, cols: u64) -> Self {
+        EntryCheck {
+            rows,
+            cols,
+            prev: None,
+        }
+    }
+
+    /// Admits `(row, col)` as the next entry, returning its merge key.
+    fn admit(&mut self, row: Index, col: Index) -> Result<u64, StreamError> {
+        if u64::from(row) >= self.rows || u64::from(col) >= self.cols {
+            return Err(StreamError::Io(format!(
+                "partial entry ({row}, {col}) outside declared shape {}x{}",
+                self.rows, self.cols
+            )));
+        }
+        let key = pack_key(row, col);
+        if self.prev.is_some_and(|p| p >= key) {
+            return Err(StreamError::Io(format!(
+                "partial entries not in strictly increasing (row, col) order at ({row}, {col})"
+            )));
+        }
+        self.prev = Some(key);
+        Ok(key)
+    }
 }
 
 /// How one value is stored in the varint format.
@@ -334,61 +363,60 @@ impl DeltaState {
         (drow, (cval << 1) | mode, value)
     }
 
-    /// Decodes one entry from `reader`, advancing the state. Delta sums
-    /// are checked: a corrupt stream whose accumulated row or column
+    /// Applies one entry's coordinate deltas, advancing the state. The
+    /// sums are checked: a corrupt stream whose accumulated row or column
     /// escapes the `u32` index space errors out instead of wrapping.
-    fn decode<R: Read>(&mut self, reader: &mut R) -> Result<Triple, StreamError> {
-        let drow = read_varint(reader)?;
-        let token = read_varint(reader)?;
-        let (cval, mode) = (token >> 1, token & 1);
-        let r64 = self.prev_row as u64 + drow;
-        let c64 = if self.first || drow > 0 {
-            cval
+    fn advance(&mut self, drow: u64, cval: u64) -> Result<(Index, Index), StreamError> {
+        let col_base = if self.first || drow > 0 {
+            0
         } else {
-            self.prev_col as u64 + cval
+            self.prev_col
         };
-        if r64 > u32::MAX as u64 || c64 > u32::MAX as u64 {
+        let sum = |base: Index, delta: u64| {
+            u64::from(base)
+                .checked_add(delta)
+                .and_then(|v| Index::try_from(v).ok())
+        };
+        let (Some(r), Some(c)) = (sum(self.prev_row, drow), sum(col_base, cval)) else {
             return Err(StreamError::Io(
                 "delta-coded coordinate overflows the u32 index space".into(),
             ));
-        }
-        let (r, c) = (r64 as Index, c64 as Index);
-        let v = if mode == 0 {
-            f64::from_bits(read_varint(reader)?.swap_bytes())
-        } else {
-            f64::from_bits(read_u64(reader)?)
         };
         self.prev_row = r;
         self.prev_col = c;
         self.first = false;
+        Ok((r, c))
+    }
+
+    /// Decodes one entry from `reader`, advancing the state.
+    fn decode<R: Read>(&mut self, reader: &mut R) -> Result<Triple, StreamError> {
+        let drow = read_varint(reader)?;
+        let token = read_varint(reader)?;
+        let (r, c) = self.advance(drow, token >> 1)?;
+        let v = if token & 1 == 0 {
+            f64::from_bits(read_varint(reader)?.swap_bytes())
+        } else {
+            f64::from_bits(read_u64(reader)?)
+        };
         Ok((r, c, v))
     }
 
     /// Decodes one entry straight from a byte slice, advancing `i`. The
     /// caller guarantees at least [`MAX_VARINT_ENTRY_BYTES`] readable
-    /// bytes at `buf[*i..]` — the batch decoder's fast path, sharing this
-    /// state machine with [`DeltaState::decode`] so the two can never
-    /// disagree about the format.
+    /// bytes at `buf[*i..]` — the batch decoder's fast path, sharing
+    /// [`DeltaState::advance`] with [`DeltaState::decode`] so the two can
+    /// never disagree about the format.
     fn decode_slice(&mut self, buf: &[u8], i: &mut usize) -> Result<Triple, StreamError> {
-        let drow = take_varint(buf, i)? as Index;
+        let drow = take_varint(buf, i)?;
         let token = take_varint(buf, i)?;
-        let (cval, mode) = ((token >> 1) as Index, token & 1);
-        let r = self.prev_row + drow;
-        let c = if self.first || drow > 0 {
-            cval
-        } else {
-            self.prev_col + cval
-        };
-        let v = if mode == 0 {
+        let (r, c) = self.advance(drow, token >> 1)?;
+        let v = if token & 1 == 0 {
             f64::from_bits(take_varint(buf, i)?.swap_bytes())
         } else {
             let bits = u64::from_le_bytes(buf[*i..*i + 8].try_into().expect("8 bytes ensured"));
             *i += 8;
             f64::from_bits(bits)
         };
-        self.prev_row = r;
-        self.prev_col = c;
-        self.first = false;
         Ok((r, c, v))
     }
 }
@@ -476,8 +504,9 @@ impl Read for SpillBuf {
 #[derive(Debug)]
 pub struct SpillReader {
     buf: SpillBuf,
-    rows: usize,
-    cols: usize,
+    /// The header's shape and the last entry decoded: a damaged file must
+    /// fail here, not merge into a malformed matrix.
+    check: EntryCheck,
     remaining: u64,
     /// Delta state for the varint format; `None` for raw.
     delta: Option<DeltaState>,
@@ -512,13 +541,12 @@ impl SpillReader {
                 return Err(StreamError::Io(format!("bad spill magic {magic:#010x}")));
             }
         };
-        let rows = read_u64(&mut buf)? as usize;
-        let cols = read_u64(&mut buf)? as usize;
+        let rows = read_u64(&mut buf)?;
+        let cols = read_u64(&mut buf)?;
         let remaining = read_u64(&mut buf)?;
         Ok(SpillReader {
             buf,
-            rows,
-            cols,
+            check: EntryCheck::new(rows, cols),
             remaining,
             delta,
             path: path.to_path_buf(),
@@ -527,7 +555,7 @@ impl SpillReader {
 
     /// Declared shape of the spilled partial.
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.check.rows as usize, self.check.cols as usize)
     }
 
     /// Entries not yet decoded.
@@ -546,15 +574,16 @@ impl SpillReader {
             return Ok(None);
         }
         self.remaining -= 1;
-        match &mut self.delta {
+        let (r, c, v) = match &mut self.delta {
             None => {
                 let r = read_u32(&mut self.buf)?;
                 let c = read_u32(&mut self.buf)?;
-                let bits = read_u64(&mut self.buf)?;
-                Ok(Some((r as Index, c as Index, f64::from_bits(bits))))
+                (r, c, f64::from_bits(read_u64(&mut self.buf)?))
             }
-            Some(state) => Ok(Some(state.decode(&mut self.buf)?)),
-        }
+            Some(state) => state.decode(&mut self.buf)?,
+        };
+        self.check.admit(r, c)?;
+        Ok(Some((r, c, v)))
     }
 
     /// Decodes up to `max` entries in one batch into the caller's scratch
@@ -584,7 +613,9 @@ impl SpillReader {
         keys.clear();
         vals.clear();
         let take = max.min(self.remaining as usize);
-        let SpillReader { buf, delta, .. } = self;
+        let SpillReader {
+            buf, delta, check, ..
+        } = self;
         match delta {
             None => {
                 let mut got = 0usize;
@@ -601,7 +632,7 @@ impl SpillReader {
                         let r = u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes"));
                         let c = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
                         let bits = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-                        keys.push(pack_key(r, c));
+                        keys.push(check.admit(r, c)?);
                         vals.push(f64::from_bits(bits));
                     }
                     buf.consume(bytes);
@@ -619,7 +650,7 @@ impl SpillReader {
                         let mut i = 0usize;
                         while got < take && span.len() - i >= MAX_VARINT_ENTRY_BYTES {
                             let (r, c, v) = state.decode_slice(span, &mut i)?;
-                            keys.push(pack_key(r, c));
+                            keys.push(check.admit(r, c)?);
                             vals.push(v);
                             got += 1;
                         }
@@ -628,7 +659,7 @@ impl SpillReader {
                         // File tail: fall back to the bounds-checked
                         // per-field path for the last few entries.
                         let (r, c, v) = state.decode(buf)?;
-                        keys.push(pack_key(r, c));
+                        keys.push(check.admit(r, c)?);
                         vals.push(v);
                         got += 1;
                     }
@@ -642,7 +673,8 @@ impl SpillReader {
     /// Drains the whole file into a CSR — the non-streaming fallback used
     /// when a spilled partial *is* the final result.
     pub fn read_all(mut self) -> Result<Csr, StreamError> {
-        let mut b = CsrBuilder::with_capacity(self.rows, self.cols, self.remaining as usize);
+        let (rows, cols) = self.shape();
+        let mut b = CsrBuilder::with_capacity(rows, cols, self.remaining as usize);
         while let Some((r, c, v)) = self.next_triple()? {
             b.push(r, c, v);
         }
@@ -1053,26 +1085,176 @@ mod tests {
             assert!(matches!(decode_partial(&fat_nnz), Err(StreamError::Io(_))));
         }
         // Hand-built raw payloads: out-of-bounds and out-of-order entries.
-        let entry = |r: u32, c: u32, v: f64| {
-            let mut e = r.to_le_bytes().to_vec();
-            e.extend_from_slice(&c.to_le_bytes());
-            e.extend_from_slice(&v.to_bits().to_le_bytes());
-            e
-        };
-        let header = |nnz: u64| {
-            let mut h = MAGIC_RAW.to_le_bytes().to_vec();
-            h.extend_from_slice(&4u64.to_le_bytes());
-            h.extend_from_slice(&4u64.to_le_bytes());
-            h.extend_from_slice(&nnz.to_le_bytes());
-            h
-        };
-        let mut oob = header(1);
-        oob.extend_from_slice(&entry(2, 7, 1.0));
+        let mut oob = header(MAGIC_RAW, 1);
+        oob.extend_from_slice(&raw_entry(2, 7, 1.0));
         assert!(matches!(decode_partial(&oob), Err(StreamError::Io(_))));
-        let mut unsorted = header(2);
-        unsorted.extend_from_slice(&entry(1, 3, 1.0));
-        unsorted.extend_from_slice(&entry(1, 3, 2.0));
+        let mut unsorted = header(MAGIC_RAW, 2);
+        unsorted.extend_from_slice(&raw_entry(1, 3, 1.0));
+        unsorted.extend_from_slice(&raw_entry(1, 3, 2.0));
         assert!(matches!(decode_partial(&unsorted), Err(StreamError::Io(_))));
+    }
+
+    /// The header of a hand-built 4×4 partial.
+    fn header(magic: u32, nnz: u64) -> Vec<u8> {
+        let mut h = magic.to_le_bytes().to_vec();
+        h.extend_from_slice(&4u64.to_le_bytes());
+        h.extend_from_slice(&4u64.to_le_bytes());
+        h.extend_from_slice(&nnz.to_le_bytes());
+        h
+    }
+
+    fn raw_entry(r: u32, c: u32, v: f64) -> Vec<u8> {
+        let mut e = r.to_le_bytes().to_vec();
+        e.extend_from_slice(&c.to_le_bytes());
+        e.extend_from_slice(&v.to_bits().to_le_bytes());
+        e
+    }
+
+    /// A varint entry from its raw fields, the value stored as `1.0`.
+    fn varint_entry(drow: u64, cval: u64) -> Vec<u8> {
+        let mut e = Vec::new();
+        write_varint(&mut e, drow).unwrap();
+        write_varint(&mut e, cval << 1).unwrap();
+        write_varint(&mut e, 1.0f64.to_bits().swap_bytes()).unwrap();
+        e
+    }
+
+    /// Writes `bytes` as a spill file and drives every read path over it
+    /// — batch decode at several chunk sizes, per-triple, `read_all`:
+    /// each must fail with an `Io` error naming the file and `needle`,
+    /// never finish, panic or hang.
+    fn assert_every_read_path_fails(dir: &TempDir, name: &str, bytes: &[u8], needle: &str) {
+        let path = dir.file(name);
+        std::fs::write(&path, bytes).unwrap();
+        let check = |what: &str, result: Result<(), StreamError>| match result {
+            Err(StreamError::Io(msg)) => assert!(
+                msg.contains(name) && msg.contains(needle),
+                "{name} {what}: {msg}"
+            ),
+            other => panic!("{name} {what}: expected an Io error, got {other:?}"),
+        };
+        for chunk in [1usize, 7, usize::MAX] {
+            let mut reader = SpillReader::open(&path).unwrap();
+            let (mut keys, mut vals) = (Vec::new(), Vec::new());
+            let result = loop {
+                match reader.next_chunk(chunk, &mut keys, &mut vals) {
+                    Ok(0) => break Ok(()),
+                    Ok(_) => {}
+                    Err(e) => break Err(e),
+                }
+            };
+            check("next_chunk", result);
+        }
+        let mut reader = SpillReader::open(&path).unwrap();
+        let result = loop {
+            match reader.next_triple() {
+                Ok(None) => break Ok(()),
+                Ok(Some(_)) => {}
+                Err(e) => break Err(e),
+            }
+        };
+        check("next_triple", result);
+        check(
+            "read_all",
+            SpillReader::open(&path).unwrap().read_all().map(|_| ()),
+        );
+    }
+
+    /// A 64×64 varint partial whose every entry is exactly 5 bytes —
+    /// all-ones values (3 bytes) and < 64 columns (1-byte token), one
+    /// drow byte — so entry `k` starts at byte `28 + 5k`. Returns the
+    /// encoded bytes and each entry's row.
+    fn five_byte_entries() -> (Vec<u8>, Vec<Index>) {
+        let m = sparch_sparse::linalg::map_values(&gen::uniform_random(64, 64, 2000, 21), |_| 1.0);
+        let bytes = encode_partial(&m, SpillCodec::Varint);
+        assert_eq!(bytes[..4], MAGIC_VARINT.to_le_bytes());
+        assert_eq!(bytes.len(), 28 + 5 * m.nnz());
+        (bytes, m.iter().map(|(r, _, _)| r).collect())
+    }
+
+    /// One flipped row-delta byte in a varint body: that entry and every
+    /// later one land past the declared shape.
+    #[test]
+    fn a_flipped_row_delta_fails_every_read_path() {
+        let dir = TempDir::new("spill_flipped");
+        let (mut bytes, rows) = five_byte_entries();
+        for entry in [0, 114, rows.len() - 1] {
+            let at = 28 + 5 * entry;
+            let clean = std::mem::replace(&mut bytes[at], 0x7f); // row += 127
+            assert_every_read_path_fails(&dir, "flipped.bin", &bytes, "outside declared shape");
+            assert!(decode_partial(&bytes).is_err());
+            bytes[at] = clean;
+        }
+    }
+
+    /// A same-row entry whose column delta is zeroed repeats its
+    /// predecessor's coordinate.
+    #[test]
+    fn a_zeroed_column_delta_fails_every_read_path() {
+        let dir = TempDir::new("spill_repeat");
+        let (mut bytes, rows) = five_byte_entries();
+        let repeat = (1..rows.len()).find(|&k| rows[k] == rows[k - 1]).unwrap();
+        bytes[28 + 5 * repeat + 1] = 0;
+        assert_every_read_path_fails(&dir, "repeat.bin", &bytes, "strictly increasing");
+        assert!(decode_partial(&bytes).is_err());
+    }
+
+    /// A hand-built raw 4×4 partial holding `entries`, all valued `1.0`.
+    fn raw_partial(entries: &[(u32, u32)]) -> Vec<u8> {
+        let mut bytes = header(MAGIC_RAW, entries.len() as u64);
+        for &(r, c) in entries {
+            bytes.extend_from_slice(&raw_entry(r, c, 1.0));
+        }
+        bytes
+    }
+
+    #[test]
+    fn raw_entries_outside_the_shape_fail_every_read_path() {
+        let dir = TempDir::new("spill_raw_shape");
+        for (name, entries) in [
+            ("row.bin", [(0, 1), (4, 0)]),
+            ("col.bin", [(0, 1), (1, 4)]),
+            ("huge.bin", [(0, 1), (u32::MAX, 0)]),
+        ] {
+            let bytes = raw_partial(&entries);
+            assert_every_read_path_fails(&dir, name, &bytes, "outside declared shape");
+        }
+    }
+
+    #[test]
+    fn raw_entries_out_of_order_fail_every_read_path() {
+        let dir = TempDir::new("spill_raw_order");
+        for (name, entries) in [
+            ("col_back.bin", [(1, 2), (1, 1), (2, 0)]),
+            ("repeat.bin", [(1, 2), (2, 3), (2, 3)]),
+            ("row_back.bin", [(0, 0), (3, 0), (2, 1)]),
+        ] {
+            let bytes = raw_partial(&entries);
+            assert_every_read_path_fails(&dir, name, &bytes, "strictly increasing");
+        }
+    }
+
+    /// Delta sums that leave the `u32` index space are errors on the
+    /// slice decoder (file padded past its look-ahead) and on the
+    /// per-field tail decoder (unpadded) alike — never a wrapped
+    /// coordinate.
+    #[test]
+    fn coordinate_overflow_fails_every_read_path() {
+        let dir = TempDir::new("spill_overflow");
+        for (name, drow, cval) in [
+            ("row_sum.bin", u64::from(u32::MAX), 0),
+            ("row_wide.bin", 1 << 32, 0),
+            ("row_u64.bin", u64::MAX, 0),
+            ("col_sum.bin", 0, u64::from(u32::MAX)),
+            ("col_wide.bin", 0, 1 << 40),
+        ] {
+            let mut bytes = header(MAGIC_VARINT, 2);
+            bytes.extend_from_slice(&varint_entry(1, 2));
+            bytes.extend_from_slice(&varint_entry(drow, cval));
+            assert_every_read_path_fails(&dir, name, &bytes, "overflows the u32 index space");
+            bytes.extend_from_slice(&[0u8; 2 * MAX_VARINT_ENTRY_BYTES]);
+            assert_every_read_path_fails(&dir, name, &bytes, "overflows the u32 index space");
+        }
     }
 
     /// Spill I/O failures carry the path of the file that failed — the

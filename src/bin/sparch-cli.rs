@@ -16,9 +16,9 @@
 //! traffic, prefetch hit rate, energy breakdown. `generate` writes
 //! synthetic workloads in Matrix Market format; `stats` prints the
 //! structural quantities SpArch's performance depends on. `batch` runs a
-//! JSON request file through the `sparch-serve` layer — adaptive backend
-//! dispatch, operand caching, sharded execution — and prints the batch
-//! report. `stream` multiplies through the out-of-core `sparch-stream`
+//! JSON request file through the `sparch-serve` layer — footprint-routed
+//! backend dispatch, operand caching, sharded execution — and prints the
+//! batch report. `stream` multiplies through the out-of-core `sparch-stream`
 //! pipeline: **both** operands are ingested panel by panel (neither is
 //! ever materialized whole) and flow through the staged
 //! reader → multiply → merge/spill dataflow; partials merge in Huffman
@@ -41,7 +41,7 @@ use sparch::dist::{DistConfig, DistCoordinator};
 use sparch::exec::ShardPool;
 use sparch::mem::TrafficCategory;
 use sparch::obs::{chrome_trace_json, Recorder, Trace};
-use sparch::serve::{Batch, Calibration, DispatchPolicy, ServiceConfig, SpgemmService};
+use sparch::serve::{Batch, DispatchPolicy, ServiceConfig, SpgemmService};
 use sparch::sparse::{algo, gen, mm, stats, Csr};
 use sparch::stream::{plan, MemoryBudget, StreamConfig, StreamingExecutor};
 use sparch::tune::{BRows, KnobPlanner, OperandStats, Plan};
@@ -54,8 +54,8 @@ fn usage() -> ! {
          [--no-condense] [--verify] [--json <path>]\n  sparch-cli generate --kind \
          <rmat|uniform|poisson|banded> --n <N> [--degree D] [--seed S] --out <mtx>\n  \
          sparch-cli stats --a <mtx>\n  sparch-cli batch --file <requests.json> \
-         [--policy adaptive|fixed:<backend>] [--threads N] [--reference-calibration] \
-         [--tune] [--online-alpha A] [--json <path>] [--trace <path>]\n  \
+         [--policy adaptive|fixed:<backend>] [--threads N] [--tune] [--json <path>] \
+         [--trace <path>]\n  \
          sparch-cli stream --a <mtx> [--b <mtx>] \
          [--budget-mb N] [--panels P|auto] [--tune] [--balance uniform|nnz] [--ways W] \
          [--spill-codec raw|varint] [--threads T] [--verify] [--json <path>] \
@@ -279,8 +279,6 @@ fn cmd_batch(flags: &HashMap<String, String>) -> ExitCode {
         usage()
     };
     let threads = flag_value(flags, "threads");
-    // EWMA smoothing factor in (0, 1].
-    let online_calibration = flag_value(flags, "online-alpha");
     let text = match std::fs::read_to_string(file) {
         Ok(text) => text,
         Err(e) => {
@@ -306,21 +304,11 @@ fn cmd_batch(flags: &HashMap<String, String>) -> ExitCode {
         },
         None => DispatchPolicy::Adaptive,
     };
-    // `--reference-calibration` pins the identity table so repeated runs
-    // (and runs on different machines) dispatch identically.
-    let calibration = flags
-        .contains_key("reference-calibration")
-        .then(Calibration::reference);
-
     let mut service = SpgemmService::new(ServiceConfig {
         policy,
         threads,
-        calibration,
-        // `--tune` plans out-of-core steps' knobs per task; `--online-alpha`
-        // folds measured step costs back into the calibration table after
-        // the batch.
+        // `--tune` plans out-of-core steps' knobs per task.
         auto_tune: flags.contains_key("tune"),
-        online_calibration,
         ..ServiceConfig::default()
     })
     .with_recorder(recorder_for(flags));

@@ -24,11 +24,9 @@
 //!   heartbeat liveness, retry and straggler re-dispatch, bit-identical
 //!   to the single-node streaming pipeline),
 //! * [`serve`] — the request-serving layer ([`serve::SpgemmService`],
-//!   adaptive backend dispatch, operand caching, batch reports),
-//! * [`tune`] — the self-tuning loop ([`tune::KnobPlanner`] derives a
-//!   full stream configuration from operand structure and a memory
-//!   budget; [`tune::OnlineCalibration`] folds predicted-vs-measured
-//!   step costs back into the serving layer's calibration table),
+//!   footprint-routed backend dispatch, operand caching, batch reports),
+//! * [`tune`] — knob planning ([`tune::KnobPlanner`] derives a full
+//!   stream configuration from operand structure and a memory budget),
 //! * [`baselines`] — the OuterSPACE model and software baseline proxies.
 //!
 //! # Quickstart
@@ -68,7 +66,7 @@ pub mod prelude {
     pub use sparch_dist::{DistConfig, DistCoordinator, DistReport};
     pub use sparch_engine::{Clock, Clocked, MergeItem, MergeTree, MergeTreeConfig};
     pub use sparch_exec::{FnWorkload, ParallelRunner, ShardPool, Workload};
-    pub use sparch_obs::{MetricsSnapshot, Recorder, Stopwatch, Trace};
+    pub use sparch_obs::{MetricsSnapshot, Recorder, Trace};
     pub use sparch_serve::{
         Backend, Batch, BatchReport, Calibration, DispatchPolicy, Request, ServiceConfig,
         SpgemmService,
@@ -78,5 +76,5 @@ pub mod prelude {
         MemoryBudget, PanelBalance, SpillCodec, StageReport, StreamConfig, StreamReport,
         StreamingExecutor,
     };
-    pub use sparch_tune::{BRows, KnobPlanner, OnlineCalibration, OperandStats, Plan};
+    pub use sparch_tune::{BRows, KnobPlanner, OperandStats, Plan};
 }

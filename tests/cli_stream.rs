@@ -58,7 +58,6 @@ fn non_numeric_flag_values_are_usage_errors() {
         ("generate --out absent.mtx", "--degree"),
         ("generate --out absent.mtx", "--seed"),
         ("batch --file absent.json", "--threads"),
-        ("batch --file absent.json", "--online-alpha"),
         ("dist --a absent.mtx", "--shards"),
         ("dist --a absent.mtx", "--panels"),
         ("dist --a absent.mtx", "--budget-mb"),
@@ -72,6 +71,55 @@ fn non_numeric_flag_values_are_usage_errors() {
         );
         assert!(!stderr.contains("panicked"), "{command} {flag}: {stderr}");
     }
+}
+
+#[test]
+fn a_default_policy_batch_runs_every_step_on_gustavson() {
+    let dir = TempDir::new("cli_batch_default");
+    let requests = dir.file("requests.json");
+    std::fs::write(
+        &requests,
+        r#"{
+          "operands": [
+            {"name": "g", "spec": {"Gen": {"recipe": {"Rmat": {"n": 64, "avg_degree": 4}}, "seed": 1}}},
+            {"name": "u", "spec": {"Gen": {"recipe": {"Uniform": {"rows": 64, "cols": 64, "nnz": 256}}, "seed": 2}}}
+          ],
+          "requests": [
+            {"Single": {"a": "g", "b": "u"}},
+            {"Chain": {"operands": ["g", "u", "g"]}},
+            {"Power": {"a": "g", "k": 3, "threshold": 0.0}},
+            {"Masked": {"a": "g", "b": "g", "mask": "u"}}
+          ]
+        }"#,
+    )
+    .expect("write requests");
+    let json = dir.file("report.json");
+    // `--reference-calibration` is a retired flag: old command lines
+    // still run, and mean what the default now means.
+    let out = Command::new(env!("CARGO_BIN_EXE_sparch-cli"))
+        .args(["batch", "--threads", "2", "--reference-calibration"])
+        .arg("--file")
+        .arg(&requests)
+        .arg("--json")
+        .arg(&json)
+        .output()
+        .expect("spawn sparch-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let report: sparch::serve::BatchReport =
+        serde_json::from_str(&std::fs::read_to_string(&json).expect("read report"))
+            .expect("parse report");
+    assert_eq!(report.policy, "adaptive");
+    assert_eq!(report.total_steps, 1 + 2 + 2 + 1);
+    for steps in &report.backend_steps {
+        let want = if steps.backend == "gustavson" { 6 } else { 0 };
+        assert_eq!(steps.steps, want, "{}", steps.backend);
+    }
+    assert!(report
+        .requests
+        .iter()
+        .flat_map(|r| &r.backends)
+        .all(|b| b == "gustavson"));
 }
 
 #[test]
