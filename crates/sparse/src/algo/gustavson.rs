@@ -2,94 +2,99 @@
 //! `mkl_sparse_spmm`, used as the paper's CPU baseline).
 //!
 //! For each row `i` of `A`, accumulate `Σ_k a_ik * B[k, :]` into a sparse
-//! accumulator (SPA): a dense value array plus an occupancy list, giving
+//! accumulator (SPA): a dense value array plus a per-slot marker, giving
 //! O(flops) time with good constant factors on CPUs.
 //!
-//! Three entry points share the same accumulation order (and therefore
-//! produce bit-identical results):
+//! There is one production kernel and one oracle:
 //!
-//! * [`gustavson`] — the plain one-shot kernel; allocates its SPA per call
-//!   and pre-sizes the output from the per-row flop bound.
-//! * [`gustavson_scratch`] / [`gustavson_scratch_on_rows`] — the *panel
-//!   kernel*: reuses a caller-owned [`MultiplyScratch`] across calls (zero
-//!   per-job SPA allocations after warm-up) and visits only occupied rows,
-//!   the condensed-matrix idea from the paper's §II-B applied to narrow
-//!   column panels where most rows are empty.
+//! * `multiply_on_rows` — behind [`gustavson`] (fresh scratch, every
+//!   row), [`gustavson_scratch`] (caller-owned [`MultiplyScratch`], live
+//!   rows found by one sweep) and [`gustavson_scratch_on_rows`] (live
+//!   rows supplied — the condensed-matrix idea of the paper's §II-B
+//!   applied to narrow column panels where most rows are empty).
 //! * [`gustavson_reference`] — the seed kernel, kept verbatim as the
 //!   differential oracle and bench baseline.
+//!
+//! Both add the products of one output slot in the same `(i, k)` order,
+//! so they agree in structure and in the bits of every value. The
+//! production kernel gets its speed from three structural facts:
+//!
+//! * **The −0.0 invariant.** Between rows every SPA value slot holds
+//!   `-0.0`, IEEE-754's additive identity: `-0.0 + x` has the bits of `x`
+//!   for every `x`, signed zeros included. The first touch of a slot is
+//!   therefore the same `+=` as every later one — no "first or not"
+//!   branch on the value path — and a slot is put back to `-0.0` as it
+//!   is emitted.
+//! * **The row-class rule.** From numbers it already has — a row's flop
+//!   count and its output span `[lo, hi)`, the extreme columns of the `B`
+//!   rows it touches — the kernel picks per `A` row: when
+//!   `hi − lo ≤ flops` (*span row*) it stamps the marker unconditionally
+//!   and emits by one ordered scan of `[lo, hi)`, with no occupancy list
+//!   and no sort; otherwise (*list row*) it keeps the list of first-touched
+//!   columns and sorts it. Either way a row costs O(flops).
+//! * **Runs as slices.** In a span row, the longest column-contiguous run
+//!   of each `B` row (found once per call) is added as a slice,
+//!   `values[j0..j0 + n] += a * vb[..]`, which the compiler vectorises.
+//!   Multiply and add stay separate operations and every slot still
+//!   receives its products in `k` order, so rounding is unchanged.
 
 use crate::{Csr, CsrBuilder, Index};
 
-/// Upper bound on `nnz(A * B)` restricted to the given `A` rows: per row,
-/// the flop count `Σ_k nnz(B_k)` capped at `b.cols()` (a row can't produce
-/// more entries than there are columns). One O(rows-nnz) pass, no
-/// allocation — cheap enough to run before every multiply to pre-size the
-/// output builder exactly once.
-fn output_bound_on_rows(a: &Csr, b: &Csr, rows: impl Iterator<Item = usize>) -> usize {
-    let mut bound = 0usize;
-    for i in rows {
-        let (ka, _) = a.row(i);
-        let row_flops: usize = ka.iter().map(|&k| b.row_nnz(k as usize)).sum();
-        bound += row_flops.min(b.cols());
+/// Flop count and output span `[lo, hi)` of one `A` row with column
+/// indices `ka`; `b_row(k)` gives `(nnz, first column, last column)` of
+/// `B`'s row `k`, or `None` when it is empty. `(0, 0, 0)` for a row that
+/// multiplies nothing.
+fn row_extent(
+    ka: &[Index],
+    b_row: impl Fn(usize) -> Option<(usize, Index, Index)>,
+) -> (usize, usize, usize) {
+    let (mut flops, mut lo, mut hi) = (0usize, usize::MAX, 0usize);
+    for &k in ka {
+        if let Some((nnz, first, last)) = b_row(k as usize) {
+            flops += nnz;
+            lo = lo.min(first as usize);
+            hi = hi.max(last as usize + 1);
+        }
     }
-    bound
+    (flops, lo.min(hi), hi)
+}
+
+/// `(nnz, first column, last column)` of `b`'s row `k`, read from the
+/// row itself; `None` when it is empty.
+fn row_ends(b: &Csr, k: usize) -> Option<(usize, Index, Index)> {
+    let (jb, _) = b.row(k);
+    Some((jb.len(), *jb.first()?, *jb.last()?))
 }
 
 /// Upper bound on the number of non-zeros in `A * B`: for each `A` row,
-/// the smaller of its flop count `Σ_{k ∈ A_i} nnz(B_k)` and `b.cols()`,
-/// summed over rows. Unlike a symbolic pass ([`super::product_nnz`]) this
-/// needs no marker array — one sweep over `A`'s indices — yet is a true
-/// upper bound, which `a.nnz().max(b.nnz())` (the seed's estimate) never
-/// was.
+/// the smaller of its flop count `Σ_{k ∈ A_i} nnz(B_k)` and the width of
+/// its output span (from the first column to the last column of the `B`
+/// rows it touches), summed over rows. Unlike a symbolic pass
+/// ([`super::product_nnz`]) this needs no marker array — one sweep over
+/// `A`'s indices, no allocation — yet is a true upper bound, which
+/// `a.nnz().max(b.nnz())` (the seed's estimate) never was.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn output_nnz_bound(a: &Csr, b: &Csr) -> usize {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    output_bound_on_rows(a, b, 0..a.rows())
+    (0..a.rows())
+        .map(|i| {
+            let (flops, lo, hi) = row_extent(a.row(i).0, |k| row_ends(b, k));
+            flops.min(hi - lo)
+        })
+        .sum()
 }
 
-/// Multiplies `a * b` with Gustavson's row-wise algorithm.
-///
-/// The output builder is pre-sized from [`output_nnz_bound`] — a true
-/// upper bound — so the push loop never climbs a realloc ladder.
+/// Multiplies `a * b` with Gustavson's row-wise algorithm: the production
+/// kernel over every row, with a scratch of its own.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn gustavson(a: &Csr, b: &Csr) -> Csr {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let bound = output_bound_on_rows(a, b, 0..a.rows());
-    let mut out = CsrBuilder::with_capacity(a.rows(), b.cols(), bound);
-    // Sparse accumulator: dense values + "which row last touched this slot"
-    // marker, avoiding an O(cols) clear per row.
-    let mut values = vec![0.0f64; b.cols()];
-    let mut marker = vec![usize::MAX; b.cols()];
-    let mut occupied: Vec<Index> = Vec::new();
-
-    for i in 0..a.rows() {
-        occupied.clear();
-        let (ka, va) = a.row(i);
-        for (&k, &av) in ka.iter().zip(va) {
-            let (jb, vb) = b.row(k as usize);
-            for (&j, &bv) in jb.iter().zip(vb) {
-                let ju = j as usize;
-                if marker[ju] != i {
-                    marker[ju] = i;
-                    values[ju] = av * bv;
-                    occupied.push(j);
-                } else {
-                    values[ju] += av * bv;
-                }
-            }
-        }
-        occupied.sort_unstable();
-        for &j in &occupied {
-            out.push(i as Index, j, values[j as usize]);
-        }
-    }
-    out.finish()
+    gustavson_scratch(a, b, &mut MultiplyScratch::new())
 }
 
 /// The seed Gustavson kernel, kept verbatim: fresh SPA vectors per call,
@@ -131,27 +136,88 @@ pub fn gustavson_reference(a: &Csr, b: &Csr) -> Csr {
     out.finish()
 }
 
+/// A `B` row's longest column-contiguous run is added as a slice only
+/// when it has at least this many entries; below that the slice set-up
+/// costs more than the scatter it replaces.
+const MIN_RUN: usize = 8;
+
+/// What the kernel needs to know about one `B` row beyond its entries.
+#[derive(Debug, Clone, Copy)]
+struct BRow {
+    /// First occupied column; `Index::MAX` for an empty row.
+    first: Index,
+    /// Last occupied column; `0` for an empty row.
+    last: Index,
+    /// Offset within the row of its longest column-contiguous run.
+    run_at: Index,
+    /// Length of that run, or `0` when it is shorter than [`MIN_RUN`].
+    run_len: Index,
+}
+
+impl BRow {
+    fn of(jb: &[Index]) -> BRow {
+        let (Some(&first), Some(&last)) = (jb.first(), jb.last()) else {
+            return BRow {
+                first: Index::MAX,
+                last: 0,
+                run_at: 0,
+                run_len: 0,
+            };
+        };
+        let (mut run_at, mut run_len) = (0, 0);
+        if (last - first) as usize + 1 == jb.len() {
+            // Strictly increasing columns filling their span: one run.
+            run_len = jb.len();
+        } else {
+            let mut at = 0;
+            for end in 1..=jb.len() {
+                if end == jb.len() || jb[end] != jb[end - 1] + 1 {
+                    if end - at > run_len {
+                        (run_at, run_len) = (at, end - at);
+                    }
+                    at = end;
+                }
+            }
+        }
+        if run_len < MIN_RUN {
+            (run_at, run_len) = (0, 0);
+        }
+        BRow {
+            first,
+            last,
+            run_at: run_at as Index,
+            run_len: run_len as Index,
+        }
+    }
+}
+
 /// Reusable working state for [`gustavson_scratch`] — the multiply-stage
 /// twin of the merge stage's `MergeScratch`.
 ///
 /// A worker constructs one scratch and feeds every job through it. The SPA
 /// arrays (`values` + `marker`) grow monotonically to the widest `b.cols()`
-/// seen and are never shrunk or cleared: the marker holds a *generation
-/// stamp* that increments per processed row, so slots dirtied by one job
-/// can never alias a later job's rows — no O(cols) wipe between jobs, no
-/// per-job allocation once warm.
+/// seen and are never shrunk or wiped: every `values` slot is `-0.0`
+/// whenever no row is in flight (the kernel resets a slot as it emits it),
+/// and the marker holds a *generation stamp* that increments per processed
+/// row, so slots dirtied by one job can never alias a later job's rows —
+/// no O(cols) wipe between jobs, no per-job allocation once warm.
 #[derive(Debug, Default)]
 pub struct MultiplyScratch {
-    /// Dense SPA value array, `>= b.cols()` slots once warmed.
+    /// Dense SPA value array, `>= b.cols()` slots once warmed, all `-0.0`
+    /// between rows.
     values: Vec<f64>,
     /// Generation stamp of the row that last touched each slot. Stamp `0`
     /// is reserved as "never touched" so fresh slots are always stale.
     marker: Vec<u64>,
-    /// Occupied column slots of the row in flight (unsorted until emit).
+    /// First-touched column slots of the list row in flight (unsorted
+    /// until emit).
     occupied: Vec<Index>,
     /// Occupied-row index computed by [`gustavson_scratch`] when the
     /// caller does not supply one.
     live_rows: Vec<Index>,
+    /// One [`BRow`] per row of the `B` operand of the call in flight,
+    /// rebuilt per call in O(nnz(B)).
+    b_rows: Vec<BRow>,
     /// Monotone per-row generation counter shared across all jobs.
     stamp: u64,
     /// Calls served entirely from already-sized buffers.
@@ -171,15 +237,19 @@ impl MultiplyScratch {
         self.reuses
     }
 
-    /// Grows the SPA arrays to at least `cols` slots. Returns `true` if
-    /// anything grew (i.e. this call is cold for the SPA).
-    fn ensure_cols(&mut self, cols: usize) -> bool {
-        if self.values.len() >= cols {
-            return false;
+    /// Grows the SPA arrays to `b`'s width and rebuilds the per-`B`-row
+    /// table. Returns `true` if any buffer grew (i.e. this call is cold).
+    fn prepare(&mut self, b: &Csr) -> bool {
+        let table_cap = self.b_rows.capacity();
+        self.b_rows.clear();
+        self.b_rows
+            .extend((0..b.rows()).map(|k| BRow::of(b.row(k).0)));
+        let grew_spa = self.values.len() < b.cols();
+        if grew_spa {
+            self.values.resize(b.cols(), -0.0);
+            self.marker.resize(b.cols(), 0);
         }
-        self.values.resize(cols, 0.0);
-        self.marker.resize(cols, 0);
-        true
+        grew_spa || self.b_rows.capacity() != table_cap
     }
 }
 
@@ -192,8 +262,8 @@ impl MultiplyScratch {
 /// pipeline, which records them while slicing panels — should use
 /// [`gustavson_scratch_on_rows`] and skip the sweep.
 ///
-/// Bit-identical to [`gustavson`] and [`gustavson_reference`]: same
-/// per-`(i, k)` accumulation order, same per-row column sort.
+/// Bit-identical to [`gustavson_reference`]: same per-`(i, k)`
+/// accumulation order, same ascending columns per row.
 ///
 /// # Panics
 ///
@@ -237,6 +307,10 @@ pub fn gustavson_scratch_on_rows(
     multiply_on_rows(a, b, live, scratch, false)
 }
 
+/// The production kernel (see the module docs for the −0.0 invariant, the
+/// row-class rule and the slice path). The output is pre-sized from
+/// `Σ_i min(flops_i, hi_i − lo_i)` over the live rows — a true upper
+/// bound — so the push loop never climbs a realloc ladder.
 fn multiply_on_rows(
     a: &Csr,
     b: &Csr,
@@ -249,37 +323,91 @@ fn multiply_on_rows(
         "live rows must be strictly increasing"
     );
     debug_assert!(live.iter().all(|&r| (r as usize) < a.rows()));
-    let grew_spa = scratch.ensure_cols(b.cols());
+    let grew = scratch.prepare(b);
     let occupied_cap = scratch.occupied.capacity();
+    let values = &mut scratch.values[..b.cols()];
+    let marker = &mut scratch.marker[..b.cols()];
+    let occupied = &mut scratch.occupied;
+    let b_rows = &scratch.b_rows[..];
 
-    let bound = output_bound_on_rows(a, b, live.iter().map(|&r| r as usize));
+    let extent = |i: Index| {
+        row_extent(a.row(i as usize).0, |k| {
+            let shape = b_rows[k];
+            (shape.first <= shape.last).then(|| (b.row_nnz(k), shape.first, shape.last))
+        })
+    };
+    let bound = live
+        .iter()
+        .map(|&i| {
+            let (flops, lo, hi) = extent(i);
+            flops.min(hi - lo)
+        })
+        .sum();
     let mut out = CsrBuilder::with_capacity(a.rows(), b.cols(), bound);
 
+    let mut stamp = scratch.stamp;
     for &i in live {
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-        scratch.occupied.clear();
+        let (flops, lo, hi) = extent(i);
+        if flops == 0 {
+            continue;
+        }
+        stamp += 1;
         let (ka, va) = a.row(i as usize);
-        for (&k, &av) in ka.iter().zip(va) {
-            let (jb, vb) = b.row(k as usize);
-            for (&j, &bv) in jb.iter().zip(vb) {
-                let ju = j as usize;
-                if scratch.marker[ju] != stamp {
-                    scratch.marker[ju] = stamp;
-                    scratch.values[ju] = av * bv;
-                    scratch.occupied.push(j);
-                } else {
-                    scratch.values[ju] += av * bv;
+        if hi - lo <= flops {
+            // Span row: every slot of `[lo, hi)` is worth a look, so no
+            // list of touched columns and no sort.
+            for (&k, &av) in ka.iter().zip(va) {
+                let (jb, vb) = b.row(k as usize);
+                let BRow {
+                    run_at, run_len, ..
+                } = b_rows[k as usize];
+                let (run_at, run_len) = (run_at as usize, run_len as usize);
+                let run_end = run_at + run_len;
+                if run_len > 0 {
+                    let j0 = jb[run_at] as usize;
+                    let j1 = j0 + run_len;
+                    for (v, &bv) in values[j0..j1].iter_mut().zip(&vb[run_at..run_end]) {
+                        *v += av * bv;
+                    }
+                    marker[j0..j1].fill(stamp);
+                }
+                for outliers in [0..run_at, run_end..jb.len()] {
+                    for (&j, &bv) in jb[outliers.clone()].iter().zip(&vb[outliers]) {
+                        values[j as usize] += av * bv;
+                        marker[j as usize] = stamp;
+                    }
                 }
             }
-        }
-        scratch.occupied.sort_unstable();
-        for &j in &scratch.occupied {
-            out.push_trusted(i, j, scratch.values[j as usize]);
+            let span = marker[lo..hi].iter().zip(&mut values[lo..hi]);
+            for (j, (&mark, v)) in (lo..).zip(span) {
+                if mark == stamp {
+                    out.push_trusted(i, j as Index, *v);
+                    *v = -0.0;
+                }
+            }
+        } else {
+            occupied.clear();
+            for (&k, &av) in ka.iter().zip(va) {
+                let (jb, vb) = b.row(k as usize);
+                for (&j, &bv) in jb.iter().zip(vb) {
+                    let ju = j as usize;
+                    if marker[ju] != stamp {
+                        marker[ju] = stamp;
+                        occupied.push(j);
+                    }
+                    values[ju] += av * bv;
+                }
+            }
+            occupied.sort_unstable();
+            for &j in occupied.iter() {
+                out.push_trusted(i, j, values[j as usize]);
+                values[j as usize] = -0.0;
+            }
         }
     }
+    scratch.stamp = stamp;
 
-    if !grew_spa && !grew_live && scratch.occupied.capacity() == occupied_cap {
+    if !grew && !grew_live && scratch.occupied.capacity() == occupied_cap {
         scratch.reuses += 1;
     }
     out.finish()
@@ -288,7 +416,71 @@ fn multiply_on_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gen, Dense};
+    use crate::{gen, linalg, Dense};
+
+    /// Structure equal and every value bit equal — stricter than
+    /// `PartialEq` on `f64`, which lets `-0.0` alias `0.0`.
+    fn assert_bit_identical(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+        assert_eq!(got.col_indices(), want.col_indices(), "{what}: col_idx");
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: value bits");
+    }
+
+    /// Every entry point against the oracle through one reused scratch,
+    /// and the −0.0 invariant on that scratch after each call.
+    fn assert_kernel_matches_oracle(a: &Csr, b: &Csr, scratch: &mut MultiplyScratch, what: &str) {
+        let clean = |scratch: &MultiplyScratch| {
+            let dirty = scratch
+                .values
+                .iter()
+                .position(|v| v.to_bits() != (-0.0f64).to_bits());
+            assert_eq!(dirty, None, "{what}: SPA slot left dirty");
+        };
+        let want = gustavson_reference(a, b);
+        assert_bit_identical(&gustavson(a, b), &want, what);
+        assert_bit_identical(&gustavson_scratch(a, b, scratch), &want, what);
+        clean(scratch);
+        let live = a.occupied_rows();
+        assert_bit_identical(
+            &gustavson_scratch_on_rows(a, b, &live, scratch),
+            &want,
+            what,
+        );
+        clean(scratch);
+    }
+
+    /// A matrix from per-row column lists, with values that are not
+    /// exactly representable sums (so accumulation order shows in the
+    /// bits) and a stored `+0.0` and `-0.0` every so often.
+    fn from_columns(cols: usize, rows: &[Vec<Index>]) -> Csr {
+        let mut out = CsrBuilder::new(rows.len(), cols);
+        let mut n = 0u32;
+        for (r, row) in rows.iter().enumerate() {
+            for &c in row {
+                n += 1;
+                let v = match n % 11 {
+                    0 => 0.0,
+                    5 => -0.0,
+                    m => (f64::from(m) - 5.5) * 0.1 + f64::from(n) * 1e-3,
+                };
+                out.push(r as Index, c, v);
+            }
+        }
+        out.finish()
+    }
+
+    /// `(flops, span width)` of `A`'s row `i` — what the class rule
+    /// compares.
+    fn class_numbers(a: &Csr, b: &Csr, i: usize) -> (usize, usize) {
+        let (flops, lo, hi) = row_extent(a.row(i).0, |k| row_ends(b, k));
+        (flops, hi - lo)
+    }
 
     #[test]
     fn small_known_product() {
@@ -373,23 +565,10 @@ mod tests {
         for seed in 0..10 {
             let (a, b) = gen::arb::sample(&pairs, seed);
             let reference = gustavson_reference(&a, &b);
-            let fixed = gustavson(&a, &b);
+            let what = format!("seed {seed}");
+            assert_bit_identical(&gustavson(&a, &b), &reference, &what);
             let scratched = gustavson_scratch(&a, &b, &mut scratch);
-            assert_eq!(fixed, reference, "seed {seed}: pre-sizing changed results");
-            assert_eq!(scratched.rows(), reference.rows(), "seed {seed}");
-            assert_eq!(scratched.cols(), reference.cols(), "seed {seed}");
-            assert_eq!(
-                scratched.row_ptr(),
-                reference.row_ptr(),
-                "seed {seed}: structure"
-            );
-            assert_eq!(
-                scratched.col_indices(),
-                reference.col_indices(),
-                "seed {seed}: structure"
-            );
-            let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&scratched), bits(&reference), "seed {seed}: values");
+            assert_bit_identical(&scratched, &reference, &what);
         }
         assert!(
             scratch.reuses() > 0,
@@ -436,5 +615,205 @@ mod tests {
         assert_eq!(scratch.reuses(), after_cold + 1);
         let _ = gustavson_scratch(&a, &wide, &mut scratch);
         assert_eq!(scratch.reuses(), after_cold + 2);
+    }
+
+    #[test]
+    fn output_bound_follows_the_row_span() {
+        // Every row of a pure band squared fills its span: the bound is
+        // the product's size, where capping at `cols` reserved 30x that.
+        let band = gen::banded(300, 4, 0, 3);
+        let product = gustavson(&band, &band);
+        assert_eq!(output_nnz_bound(&band, &band), product.nnz());
+        // Empty B rows widen nothing and rows that multiply nothing
+        // count nothing.
+        let a = from_columns(3, &[vec![0, 1, 2], vec![1], vec![]]);
+        let b = from_columns(50, &[vec![10, 12], vec![], vec![11, 40]]);
+        assert_eq!(output_nnz_bound(&a, &b), 4);
+    }
+
+    #[test]
+    fn b_row_table_finds_the_longest_run() {
+        let shape = |cols: &[Index]| {
+            let s = BRow::of(cols);
+            (s.first, s.last, s.run_at as usize, s.run_len as usize)
+        };
+        let run = |r: std::ops::Range<Index>| r.collect::<Vec<_>>();
+        assert_eq!(shape(&[]), (Index::MAX, 0, 0, 0));
+        assert_eq!(shape(&[7]), (7, 7, 0, 0));
+        // A whole-row run, at the threshold and one short of it.
+        assert_eq!(
+            shape(&run(3..3 + MIN_RUN as Index)),
+            (3, 2 + MIN_RUN as Index, 0, MIN_RUN)
+        );
+        assert_eq!(shape(&run(3..2 + MIN_RUN as Index)).3, 0);
+        // Outliers before and after.
+        let mut cols = vec![0, 2];
+        cols.extend(10..22);
+        cols.extend([30, 33]);
+        assert_eq!(shape(&cols), (0, 33, 2, 12));
+        // Two runs: the longer wins wherever it sits; a tie goes to the first.
+        let two = |a: std::ops::Range<Index>, b: std::ops::Range<Index>| {
+            shape(&a.chain(b).collect::<Vec<_>>())
+        };
+        assert_eq!(two(0..9, 20..32), (0, 31, 9, 12));
+        assert_eq!(two(0..12, 20..29), (0, 28, 0, 12));
+        assert_eq!(two(0..10, 20..30), (0, 29, 0, 10));
+        // No run at all, up to the last representable column.
+        assert_eq!(shape(&(1..40).step_by(2).collect::<Vec<_>>()).3, 0);
+        assert_eq!(
+            shape(&[0, Index::MAX - 1, Index::MAX]),
+            (0, Index::MAX, 0, 0)
+        );
+    }
+
+    #[test]
+    fn rows_at_the_class_boundary_match_the_oracle() {
+        let mut scratch = MultiplyScratch::new();
+        // One A row over a 12-run and a pair whose position moves the
+        // span across the flop count (14): span row, boundary, list row.
+        for (pair_at, span_row) in [(10, true), (11, true), (12, false), (30, false)] {
+            let a = from_columns(2, &[vec![0, 1]]);
+            let b = from_columns(40, &[(0..12).collect(), vec![pair_at, pair_at + 2]]);
+            let (flops, span) = class_numbers(&a, &b, 0);
+            assert_eq!((flops, span), (14, pair_at as usize + 3));
+            assert_eq!(span <= flops, span_row, "pair at {pair_at}");
+            assert_kernel_matches_oracle(&a, &b, &mut scratch, &format!("pair at {pair_at}"));
+        }
+        // The same boundary without any run long enough to be a slice.
+        for pair_at in 1..=3 {
+            let a = from_columns(2, &[vec![0, 1]]);
+            let b = from_columns(8, &[vec![0, 1, 2], vec![pair_at, pair_at + 2]]);
+            assert_eq!(class_numbers(&a, &b, 0), (5, pair_at as usize + 3));
+            assert_kernel_matches_oracle(&a, &b, &mut scratch, "short rows");
+        }
+    }
+
+    #[test]
+    fn span_rows_add_runs_and_outliers_in_oracle_order() {
+        let mut outliers_and_run: Vec<Index> = vec![0, 2];
+        outliers_and_run.extend(10..22);
+        outliers_and_run.extend([30, 33]);
+        let b = from_columns(
+            40,
+            &[
+                (5..20).collect(),              // one run
+                outliers_and_run,               // run + outliers either side
+                (1..40).step_by(2).collect(),   // no run
+                vec![],                         // empty, inside spans
+                (0..40).collect(),              // the whole width
+                vec![39],                       // a lone last column
+                (0..9).chain(20..32).collect(), // two runs
+            ],
+        );
+        let a = from_columns(
+            7,
+            &[
+                vec![0, 1, 2, 3, 4, 5, 6],
+                vec![],
+                vec![1, 3],
+                vec![3], // multiplies nothing: an empty output row
+                vec![2, 5],
+                vec![0],
+                vec![4, 6],
+                vec![0, 1, 6],
+                vec![2, 3, 4],
+            ],
+        );
+        // The grid means to exercise span rows: check that it does.
+        let span_rows = (0..a.rows())
+            .filter(|&i| {
+                let (flops, span) = class_numbers(&a, &b, i);
+                flops > 0 && span <= flops
+            })
+            .count();
+        assert!(span_rows >= 5, "only {span_rows} span rows");
+        let mut scratch = MultiplyScratch::new();
+        assert_kernel_matches_oracle(&a, &b, &mut scratch, "run grid");
+        // Listing rows that multiply nothing, and leaving rows out.
+        let want = gustavson_reference(&a, &b);
+        let all: Vec<Index> = (0..a.rows() as Index).collect();
+        assert_bit_identical(
+            &gustavson_scratch_on_rows(&a, &b, &all, &mut scratch),
+            &want,
+            "all rows listed",
+        );
+        let some = gustavson_scratch_on_rows(&a, &b, &[0, 4, 7], &mut scratch);
+        for i in 0..a.rows() {
+            if [0, 4, 7].contains(&i) {
+                assert_eq!(some.row(i), want.row(i), "row {i}");
+            } else {
+                assert_eq!(some.row_nnz(i), 0, "row {i} was not listed");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_products_keep_their_sign_bits() {
+        // Column by column: -1·0 = -0; -0 + -0 = -0; -0 + +0 = +0;
+        // 1·(-0) alone = -0; a stored zero in A; an ordinary sum.
+        let mut a = CsrBuilder::new(1, 3);
+        for (k, v) in [(0, -1.0), (1, 1.0), (2, 0.0)] {
+            a.push(0, k, v);
+        }
+        let a = a.finish();
+        let mut scratch = MultiplyScratch::new();
+        // `stride` 1 packs the columns into a span row; 100 spreads them
+        // into a list row.
+        for stride in [1, 100] {
+            let mut b = CsrBuilder::new(3, 600);
+            for (c, v) in [(0, 0.0), (1, 0.0), (2, 0.0), (5, 2.5)] {
+                b.push(0, c * stride, v);
+            }
+            for (c, v) in [(1, -0.0), (2, 0.0), (3, -0.0), (5, 0.75)] {
+                b.push(1, c * stride, v);
+            }
+            for (c, v) in [(4, 7.0), (5, -3.0)] {
+                b.push(2, c * stride, v);
+            }
+            let b = b.finish();
+            let (flops, span) = class_numbers(&a, &b, 0);
+            assert_eq!(span <= flops, stride == 1);
+            let what = format!("stride {stride}");
+            assert_kernel_matches_oracle(&a, &b, &mut scratch, &what);
+            let bits: Vec<u64> = gustavson(&a, &b)
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want = [-0.0, -0.0, 0.0, -0.0, 0.0, -1.75f64].map(f64::to_bits);
+            assert_eq!(bits, want, "{what}");
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_operands_of_every_width_and_class() {
+        // Negative values, stored zeros of both signs.
+        let dress = |m: &Csr| {
+            linalg::map_values(m, |v| match (v * 64.0) as i64 % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                2 | 3 => -v,
+                _ => v,
+            })
+        };
+        let band = dress(&gen::banded(70, 9, 12, 1));
+        let blocks = dress(&gen::block_sparse(64, 64, 4, 0.2, 2));
+        let wide = dress(&gen::uniform_random(70, 900, 400, 3));
+        let narrow = dress(&gen::uniform_random(64, 5, 120, 4));
+        let tall = dress(&gen::uniform_random(900, 70, 500, 5));
+        let mut scratch = MultiplyScratch::new();
+        for round in 0..2 {
+            for (what, a, b) in [
+                ("band x band", &band, &band),
+                ("band x wide", &band, &wide),
+                ("blocks x blocks", &blocks, &blocks),
+                ("blocks x narrow", &blocks, &narrow),
+                ("tall x band", &tall, &band),
+                ("wide x tall", &wide, &tall),
+            ] {
+                assert_kernel_matches_oracle(a, b, &mut scratch, &format!("{what} #{round}"));
+            }
+        }
+        assert!(scratch.reuses() > 0, "the second round must run warm");
     }
 }

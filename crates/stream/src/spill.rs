@@ -54,7 +54,7 @@
 use crate::{SpillCodec, StreamError};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC_RAW: u32 = 0x5350_4d31;
@@ -234,16 +234,7 @@ pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
             "partial payload declares implausible shape {rows}x{cols} (limit {MAX_WIRE_DIM})"
         )));
     }
-    // Every entry costs at least 3 bytes (varint: drow + token + value,
-    // one byte each) — a declared count the payload cannot possibly hold
-    // is rejected before any allocation sized by it.
-    let min_entry = if delta.is_some() { 3 } else { RAW_ENTRY_BYTES };
-    if nnz.saturating_mul(min_entry) > r.len() as u64 {
-        return Err(StreamError::Io(format!(
-            "partial payload declares {nnz} entries but holds only {} body bytes",
-            r.len()
-        )));
-    }
+    check_entry_count("partial payload", nnz, delta.is_some(), r.len() as u64)?;
     let mut b = CsrBuilder::with_capacity(rows as usize, cols as usize, nnz as usize);
     let mut check = EntryCheck::new(rows, cols);
     for _ in 0..nnz {
@@ -268,6 +259,24 @@ pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
         )));
     }
     Ok(b.finish())
+}
+
+/// Rejects a declared entry count that `body_bytes` cannot possibly
+/// hold — every entry costs at least 3 bytes (varint: drow + token +
+/// value, one byte each) — before any allocation is sized by it.
+fn check_entry_count(
+    what: &str,
+    nnz: u64,
+    varint: bool,
+    body_bytes: u64,
+) -> Result<(), StreamError> {
+    let min_entry = if varint { 3 } else { RAW_ENTRY_BYTES };
+    if nnz.saturating_mul(min_entry) > body_bytes {
+        return Err(StreamError::Io(format!(
+            "{what} declares {nnz} entries but holds only {body_bytes} body bytes"
+        )));
+    }
+    Ok(())
 }
 
 /// The truncation error every under-long wire payload maps to.
@@ -476,6 +485,14 @@ impl SpillBuf {
         debug_assert!(n <= self.len - self.pos);
         self.pos += n;
     }
+
+    /// Bytes between the cursor and the end of the file: what is
+    /// buffered plus what the file still holds past its read position.
+    fn bytes_left(&mut self) -> Result<u64, StreamError> {
+        let on_disk = self.file.metadata()?.len();
+        let read = self.file.stream_position()?;
+        Ok(on_disk.saturating_sub(read) + (self.len - self.pos) as u64)
+    }
 }
 
 impl Read for SpillBuf {
@@ -672,8 +689,18 @@ impl SpillReader {
 
     /// Drains the whole file into a CSR — the non-streaming fallback used
     /// when a spilled partial *is* the final result.
+    ///
+    /// The header's entry count sizes the result's arrays, so it is first
+    /// held against what the rest of the file can hold: a header that
+    /// lies is an error naming the file, not an allocation.
     pub fn read_all(mut self) -> Result<Csr, StreamError> {
         let (rows, cols) = self.shape();
+        let varint = self.delta.is_some();
+        let fits = self
+            .buf
+            .bytes_left()
+            .and_then(|left| check_entry_count("header", self.remaining, varint, left));
+        fits.map_err(|e| with_path(&self.path, e))?;
         let mut b = CsrBuilder::with_capacity(rows, cols, self.remaining as usize);
         while let Some((r, c, v)) = self.next_triple()? {
             b.push(r, c, v);
@@ -1020,6 +1047,36 @@ mod tests {
                 matches!(reader.read_all(), Err(StreamError::Io(_))),
                 "{codec}"
             );
+        }
+    }
+
+    /// A header whose entry count the body cannot hold: `read_all`
+    /// would size its arrays from it, so it must refuse first — with the
+    /// file's name, without the allocation (`u64::MAX / 2` entries would
+    /// abort on capacity overflow, a few billion would take the host's
+    /// memory) — while an honest count still reads back whole.
+    #[test]
+    fn a_lying_entry_count_fails_read_all_before_it_allocates() {
+        let dir = TempDir::new("spill_fat_nnz");
+        let m = gen::uniform_random(8, 8, 20, 1);
+        for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+            let name = format!("fat_{codec}.bin");
+            let path = dir.file(&name);
+            write_partial(&path, &m, codec).unwrap();
+            assert_eq!(SpillReader::open(&path).unwrap().read_all().unwrap(), m);
+            let honest = std::fs::read(&path).unwrap();
+            for lie in [u64::MAX / 2, 1 << 33, m.nnz() as u64 * 8] {
+                let mut bytes = honest.clone();
+                bytes[20..28].copy_from_slice(&lie.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+                match SpillReader::open(&path).unwrap().read_all() {
+                    Err(StreamError::Io(msg)) => assert!(
+                        msg.contains(&name) && msg.contains("declares") && msg.contains("entries"),
+                        "{codec} {lie}: {msg}"
+                    ),
+                    other => panic!("{codec} {lie}: expected an Io error, got {other:?}"),
+                }
+            }
         }
     }
 

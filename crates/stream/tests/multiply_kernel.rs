@@ -4,7 +4,9 @@
 //! (the seed kernel, kept verbatim) on every input the shared `gen::arb`
 //! grid can produce — small integers, explicit stored zeros, unit
 //! patterns, continuous floats, rectangular shapes, empty rows and
-//! columns — whether the scratch is cold or reused across jobs. On top
+//! columns — whether the scratch is cold or reused across jobs — and on
+//! a grid of structured operands that puts each of the kernel's row
+//! classes next to the others under one reused scratch. On top
 //! of the kernel contract, a deterministic sweep pins the streaming
 //! pipeline's output unchanged across threads {1, 2, 8} × panels {1..6}
 //! now that its multiply workers run the scratch kernel.
@@ -131,6 +133,66 @@ fn duplicate_coordinate_coo_inputs() {
     assert_eq!(a.nnz(), 3, "duplicates must canonicalize before SpGEMM");
     let b = sparch_sparse::gen::uniform_random(3, 5, 9, 11);
     assert_kernels_agree(&a, &b, "duplicate COO");
+}
+
+/// The kernel picks a path per `A` row — an ordered scan of the row's
+/// output span when the span is no wider than the row's flop count, a
+/// touched-column list and a sort otherwise — and per `B` row, adding a
+/// long column-contiguous run as a slice. Structured operands put rows
+/// of every kind side by side (bands with off-band outliers, blocks,
+/// stencils, scattered wide rows; values of both signs and stored zeros
+/// of both signs), and one scratch serves them all in turn, so a slot a
+/// span row left behind would surface in a later list row and vice
+/// versa. Run in `--release` too: the slice path only vectorises there.
+#[test]
+fn row_class_grid_through_one_scratch() {
+    use sparch_sparse::gen;
+    let dress = |m: Csr| {
+        sparch_sparse::linalg::map_values(&m, |v| match (v * 64.0) as i64 % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            2 | 3 => -v,
+            _ => v,
+        })
+    };
+    let square = [
+        ("band", dress(gen::banded(96, 10, 0, 1))),
+        ("band+outliers", dress(gen::banded(96, 10, 40, 2))),
+        ("blocks", dress(gen::block_sparse(96, 96, 8, 0.2, 3))),
+        ("stencil", dress(gen::poisson3d(4, 4, 6))),
+        ("scattered", dress(gen::uniform_random(96, 96, 300, 4))),
+    ];
+    let wide = dress(gen::uniform_random(96, 1500, 500, 5));
+    let tall = dress(gen::uniform_random(1500, 96, 900, 6));
+    let mut pairs: Vec<(String, &Csr, &Csr)> = Vec::new();
+    for (an, a) in &square {
+        for (bn, b) in &square {
+            pairs.push((format!("{an} x {bn}"), a, b));
+        }
+        pairs.push((format!("{an} x wide"), a, &wide));
+        pairs.push((format!("tall x {an}"), &tall, a));
+    }
+    pairs.push(("wide x tall".into(), &wide, &tall));
+
+    let mut scratch = algo::MultiplyScratch::new();
+    for (what, a, b) in pairs {
+        let reference = algo::gustavson_reference(a, b);
+        assert_bit_identical(&algo::gustavson(a, b), &reference, &what);
+        let scratched = algo::gustavson_scratch(a, b, &mut scratch);
+        assert_bit_identical(&scratched, &reference, &what);
+        // A partial live list: listed rows whole, the rest empty.
+        let live: Vec<u32> = a.occupied_rows().into_iter().step_by(3).collect();
+        let partial = algo::gustavson_scratch_on_rows(a, b, &live, &mut scratch);
+        for i in 0..a.rows() {
+            if live.contains(&(i as u32)) {
+                let bits = |m: &Csr| m.row(i).1.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(partial.row(i).0, reference.row(i).0, "{what}: row {i}");
+                assert_eq!(bits(&partial), bits(&reference), "{what}: row {i}");
+            } else {
+                assert_eq!(partial.row_nnz(i), 0, "{what}: row {i} was not listed");
+            }
+        }
+    }
 }
 
 /// Streaming output is unchanged across threads {1, 2, 8} × panels
