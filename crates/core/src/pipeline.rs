@@ -1,85 +1,296 @@
 //! Round execution: the multiply → merge-tree → adder/zero-eliminator →
 //! writer pipeline (paper §II-E, Figure 10), and its per-round cost model.
 //!
-//! The functional half ([`kway_merge_fold`]) produces bit-exact merged
-//! streams (validated against the cycle-level `sparch_engine::MergeTree`
-//! in integration tests). The timing half ([`RoundCost`]) reproduces the
-//! simulator's per-round cycle estimate: a round is bound either by DRAM
-//! bandwidth or by the merge tree's root throughput, plus startup
-//! latencies (DRAM access, tree pipeline fill, look-ahead FIFO fill).
+//! The functional half ([`RowFold`], behind [`kway_merge_fold`]) produces
+//! the round's merged stream bit for bit; the engine crate's `MergeTree`
+//! is the cycle-level model of the same computation and the two are
+//! cross-validated in `tests/merge_contract.rs`. The timing half
+//! ([`RoundCost`]) reproduces the simulator's per-round cycle estimate: a
+//! round is bound either by DRAM bandwidth or by the merge tree's root
+//! throughput, plus startup latencies (DRAM access, tree pipeline fill,
+//! look-ahead FIFO fill).
+//!
+//! # The functional model is a row-wise fold
+//!
+//! The hardware merges its inputs by comparing packed `(row, col)`
+//! coordinates. The model computes the same stream as software Gustavson
+//! does (the row-wise accumulation SparseZipper argues is the CPU's way to
+//! do SpGEMM's merge): it visits output rows in ascending order, adds every
+//! input's segment for the row into a dense accumulator (SPA), and emits
+//! the row's occupied columns in ascending order. The result is the
+//! comparator merge's, bit for bit:
+//!
+//! * Each coordinate receives its items in `(input, position)` order — the
+//!   order a left-to-right merge tree (or a heap tie-broken by input then
+//!   position) folds duplicates in — because inputs are visited in plan
+//!   order within a row and each segment in stream order.
+//! * The accumulator holds `-0.0` in every unoccupied slot, and
+//!   `-0.0 + x` is exactly `x` for every `x` (signed zeros included), so
+//!   a coordinate's first item lands unchanged, as the merge's first push
+//!   does; later items are added exactly as the merge's adder adds them.
+//! * Every input item is either a coordinate's first or one addition, so
+//!   the adds are inputs − outputs, as in the merge.
+//!
+//! Inputs are picked per row by a winner tree keyed `(head row, input)`,
+//! so a round costs O(items + segments · log inputs), independent of the
+//! number of rows an input skips. A row with only a few items skips the
+//! accumulator: its items are sorted by `(column, arrival)` — the same
+//! per-coordinate order — and folded in place, which keeps tall, sparse
+//! operands from paying a random accumulator access per product.
 
+use crate::condense::CondensedElement;
 use serde::{Deserialize, Serialize};
 use sparch_engine::MergeItem;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use sparch_sparse::{Csr, Index};
 
-/// One pending entry of the k-way merge heap: `(coordinate, stream
-/// index, position within stream)`. Tuple order makes ties resolve by
-/// stream index then position — the same order a left-to-right merge
-/// tree folds duplicates in.
-pub(crate) type MergeHeapEntry = Reverse<(u64, usize, usize)>;
+/// One input of a round's fold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FoldInput<'s> {
+    /// A coordinate-sorted stream: a partial result read back from DRAM.
+    Stream(&'s [MergeItem]),
+    /// A left-matrix column (elements in ascending row order) whose
+    /// stream is each element times the `B` row it selects — produced on
+    /// the fly, as the multiplier array feeds the tree.
+    Leaf(&'s [CondensedElement], &'s Csr),
+}
 
-/// The allocation-reusing core of the k-way merge: streams are looked up
-/// by index through `stream` (so callers can merge out of heterogeneous
-/// storage without building a slice of references), output is appended to
-/// `out` (cleared first), and the heap's backing storage is borrowed from
-/// `heap_buf` and returned to it — after warm-up, a call with
-/// sufficiently-sized buffers performs no heap allocation.
-pub(crate) fn kway_merge_fold_with<'s, L>(
-    num_streams: usize,
-    stream: L,
-    out: &mut Vec<MergeItem>,
-    heap_buf: &mut Vec<MergeHeapEntry>,
-) -> u64
-where
-    L: Fn(usize) -> &'s [MergeItem],
-{
-    out.clear();
-    heap_buf.clear();
-    let mut total = 0usize;
-    for k in 0..num_streams {
-        let s = stream(k);
-        debug_assert!(
-            sparch_engine::item::is_sorted(s),
-            "input {k} is not sorted by coordinate"
-        );
-        total += s.len();
-        if !s.is_empty() {
-            heap_buf.push(Reverse((s[0].coord, k, 0)));
-        }
-    }
-    out.reserve(total);
-    // `BinaryHeap::from` heapifies the vector in place (no allocation),
-    // and `into_vec` hands the storage back with its capacity intact.
-    let mut heap: BinaryHeap<MergeHeapEntry> = BinaryHeap::from(std::mem::take(heap_buf));
-    let mut adds = 0u64;
-    while let Some(Reverse((coord, k, pos))) = heap.pop() {
-        let s = stream(k);
-        let item = s[pos];
-        match out.last_mut() {
-            Some(last) if last.coord == coord => {
-                last.value += item.value;
-                adds += 1;
+/// Winner-tree key of an input that has nothing left.
+const EXHAUSTED: u64 = u64::MAX;
+
+/// Rows with at most this many input items are folded by sorting them
+/// instead of through the accumulator, whose slots such rows would each
+/// touch once, at a random address, for a handful of products.
+const SHORT_ROW: usize = 32;
+
+/// Calls `f(col, value)` for every item of `source` in `[start, end)`, in
+/// stream order (a leaf's products are made here).
+#[inline]
+fn for_each_item<F: FnMut(Index, f64)>(source: FoldInput<'_>, start: usize, end: usize, mut f: F) {
+    match source {
+        FoldInput::Stream(s) => {
+            for item in &s[start..end] {
+                f(item.col(), item.value);
             }
-            _ => out.push(item),
         }
-        if pos + 1 < s.len() {
-            heap.push(Reverse((s[pos + 1].coord, k, pos + 1)));
+        FoldInput::Leaf(elements, b) => {
+            for e in &elements[start..end] {
+                let (cols, vals) = b.row(e.orig_col as usize);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    f(c, e.value * v);
+                }
+            }
         }
     }
-    *heap_buf = heap.into_vec();
-    adds
+}
+
+/// End of `source`'s segment for row `r` starting at `start`, and the
+/// number of items in it.
+fn segment_end(source: FoldInput<'_>, start: usize, r: Index) -> (usize, usize) {
+    match source {
+        FoldInput::Stream(s) => {
+            let n = s[start..].iter().take_while(|item| item.row() == r).count();
+            (start + n, n)
+        }
+        FoldInput::Leaf(elements, b) => {
+            let mut end = start;
+            let mut n = 0;
+            while end < elements.len() && elements[end].row == r {
+                n += b.row_nnz(elements[end].orig_col as usize);
+                end += 1;
+            }
+            (end, n)
+        }
+    }
+}
+
+/// Winner-tree key of input `k` whose first unconsumed position is `pos`.
+fn head_key(source: FoldInput<'_>, pos: usize, k: usize) -> u64 {
+    let row = match source {
+        FoldInput::Stream(s) => s.get(pos).map(MergeItem::row),
+        FoldInput::Leaf(elements, _) => elements.get(pos).map(|e| e.row),
+    };
+    row.map_or(EXHAUSTED, |r| (u64::from(r) << 32) | k as u64)
+}
+
+/// The dense sparse accumulator of one output row.
+#[derive(Debug, Default)]
+struct Spa {
+    /// One slot per output column; every slot not occupied by the
+    /// current row holds `-0.0`.
+    values: Vec<f64>,
+    /// `marker[j] == stamp` iff column `j` is occupied in the current row.
+    marker: Vec<u32>,
+    stamp: u32,
+    /// The current row's occupied columns, in first-touch order.
+    occupied: Vec<Index>,
+}
+
+impl Spa {
+    /// Starts a new row: every column becomes unoccupied.
+    fn next_row(&mut self) {
+        if self.stamp == u32::MAX {
+            self.marker.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+    }
+
+    /// Accumulates `x` into column `c` of the current row.
+    #[inline]
+    fn add(&mut self, c: Index, x: f64) {
+        let j = c as usize;
+        if self.marker[j] != self.stamp {
+            self.marker[j] = self.stamp;
+            self.occupied.push(c);
+        }
+        self.values[j] += x;
+    }
+
+    /// Emits row `r`'s occupied columns in ascending order and returns
+    /// their slots to `-0.0`.
+    fn emit(&mut self, r: Index, out: &mut Vec<MergeItem>) {
+        self.occupied.sort_unstable();
+        for &c in &self.occupied {
+            let slot = &mut self.values[c as usize];
+            out.push(MergeItem::new(r, c, *slot));
+            *slot = -0.0;
+        }
+        self.occupied.clear();
+    }
+}
+
+/// The row-wise merge-fold and its reusable state (see the module docs).
+///
+/// After one call at a given width and fan-in, further calls allocate
+/// nothing beyond growth of `out`.
+#[derive(Debug, Default)]
+pub(crate) struct RowFold {
+    spa: Spa,
+    /// A short row's items as `((col << 32) | arrival, value)`: sorting by
+    /// the key orders them by column, ties in arrival order.
+    short: Vec<(u64, f64)>,
+    /// The current row's segments `(input, start, end)`, in input order.
+    segments: Vec<(usize, usize, usize)>,
+    /// Per input: position of its first unconsumed item (or element).
+    cursors: Vec<usize>,
+    /// Winner tree over the inputs' head keys `(row << 32) | input`:
+    /// leaves at `[cap, 2 cap)`, the minimum at index 1.
+    tree: Vec<u64>,
+}
+
+impl RowFold {
+    /// Folds inputs `0..num_inputs` (looked up through `input`) into
+    /// `out`, which is cleared first. Every output column must be below
+    /// `width`. Returns the number of additions performed.
+    pub(crate) fn fold<'s, I>(
+        &mut self,
+        num_inputs: usize,
+        input: I,
+        width: usize,
+        out: &mut Vec<MergeItem>,
+    ) -> u64
+    where
+        I: Fn(usize) -> FoldInput<'s>,
+    {
+        out.clear();
+        if num_inputs == 0 {
+            return 0;
+        }
+        if self.spa.values.len() < width {
+            self.spa.values.resize(width, -0.0);
+            self.spa.marker.resize(width, 0);
+        }
+        self.cursors.clear();
+        self.cursors.resize(num_inputs, 0);
+        let cap = num_inputs.next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(2 * cap, EXHAUSTED);
+        for k in 0..num_inputs {
+            let source = input(k);
+            if let FoldInput::Stream(s) = source {
+                debug_assert!(
+                    sparch_engine::item::is_sorted(s),
+                    "input {k} is not sorted by coordinate"
+                );
+            }
+            self.tree[cap + k] = head_key(source, 0, k);
+        }
+        for i in (1..cap).rev() {
+            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+        }
+
+        let mut items = 0usize;
+        while self.tree[1] != EXHAUSTED {
+            // Take every input whose head is row r, in input order.
+            let r = (self.tree[1] >> 32) as Index;
+            let mut row_items = 0;
+            self.segments.clear();
+            while self.tree[1] != EXHAUSTED && (self.tree[1] >> 32) as Index == r {
+                let k = (self.tree[1] & u64::from(u32::MAX)) as usize;
+                let source = input(k);
+                let start = self.cursors[k];
+                let (end, n) = segment_end(source, start, r);
+                row_items += n;
+                self.cursors[k] = end;
+                self.segments.push((k, start, end));
+                let mut i = cap + k;
+                self.tree[i] = head_key(source, end, k);
+                while i > 1 {
+                    i /= 2;
+                    self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+                }
+            }
+            items += row_items;
+
+            let Self {
+                spa,
+                short,
+                segments,
+                ..
+            } = self;
+            if row_items <= SHORT_ROW {
+                short.clear();
+                for &(k, start, end) in segments.iter() {
+                    for_each_item(input(k), start, end, |c, x| {
+                        let arrival = short.len() as u64;
+                        short.push(((u64::from(c) << 32) | arrival, x));
+                    });
+                }
+                short.sort_unstable_by_key(|&(key, _)| key);
+                let row_bits = u64::from(r) << 32;
+                for &(key, value) in short.iter() {
+                    let coord = row_bits | (key >> 32);
+                    match out.last_mut() {
+                        Some(last) if last.coord == coord => last.value += value,
+                        _ => out.push(MergeItem { coord, value }),
+                    }
+                }
+            } else {
+                spa.next_row();
+                for &(k, start, end) in segments.iter() {
+                    for_each_item(input(k), start, end, |c, x| spa.add(c, x));
+                }
+                spa.emit(r, out);
+            }
+        }
+        (items - out.len()) as u64
+    }
 }
 
 /// Merges `k` sorted streams into one, folding duplicate coordinates
 /// (adder slice) and dropping nothing else. Returns the stream and the
 /// number of additions performed.
 ///
-/// This is the functional model of one merge-tree round; the engine
-/// crate's `MergeTree` is the cycle-level model of the same computation,
-/// and both enforce the same input contract — streams sorted by packed
-/// coordinate (`sparch_engine::item::is_sorted`) — so they are
-/// interchangeable and cross-validated (see `tests/merge_contract.rs`).
+/// This is the functional model of one merge-tree round — the simulator's
+/// own row-wise fold (see the module docs), sized to the largest column
+/// present. The engine crate's `MergeTree` is the cycle-level model of
+/// the same computation, and both enforce the same input contract —
+/// streams sorted by packed coordinate (`sparch_engine::item::is_sorted`)
+/// — so they are interchangeable and cross-validated (see
+/// `tests/merge_contract.rs`).
+///
+/// The accumulator holds one slot per column up to the largest column
+/// present, so memory is proportional to that column, not to the inputs.
 ///
 /// # Panics
 ///
@@ -94,15 +305,21 @@ pub fn kway_merge_fold(streams: &[&[MergeItem]]) -> (Vec<MergeItem>, u64) {
 /// (cleared first), so repeated merges can reuse one allocation. Returns
 /// the number of additions performed.
 ///
-/// The simulator's round hot path drives this through [`crate::SimScratch`],
-/// which also recycles the merge heap's backing storage; after a warm-up
-/// run the per-round merge performs no heap allocation at all.
+/// The simulator's round hot path runs the same fold over state kept in
+/// [`crate::SimScratch`]; after a warm-up run it performs no heap
+/// allocation at all.
 ///
 /// # Panics
 ///
 /// Panics in debug builds if an input stream is not sorted by coordinate.
 pub fn kway_merge_fold_into(streams: &[&[MergeItem]], out: &mut Vec<MergeItem>) -> u64 {
-    kway_merge_fold_with(streams.len(), |k| streams[k], out, &mut Vec::new())
+    let width = streams
+        .iter()
+        .flat_map(|s| s.iter())
+        .map(|item| item.col() as usize + 1)
+        .max()
+        .unwrap_or(0);
+    RowFold::default().fold(streams.len(), |k| FoldInput::Stream(streams[k]), width, out)
 }
 
 /// Inputs to the per-round cycle model.
@@ -244,6 +461,142 @@ mod tests {
         });
         let (slow, _) = tree.merge(streams.clone());
         assert_eq!(fast, slow, "functional and cycle models must agree");
+    }
+
+    /// Sort-based oracle: every item keyed `(coord, input, position)` and
+    /// folded in key order — the comparator merge's order.
+    fn sorted_oracle(streams: &[&[MergeItem]]) -> (Vec<MergeItem>, u64) {
+        let mut all: Vec<(u64, usize, usize, f64)> = streams
+            .iter()
+            .enumerate()
+            .flat_map(|(k, s)| {
+                s.iter()
+                    .enumerate()
+                    .map(move |(p, e)| (e.coord, k, p, e.value))
+            })
+            .collect();
+        all.sort_by_key(|&(coord, k, p, _)| (coord, k, p));
+        let mut out: Vec<MergeItem> = Vec::new();
+        let mut adds = 0;
+        for (coord, _, _, value) in all {
+            match out.last_mut() {
+                Some(last) if last.coord == coord => {
+                    last.value += value;
+                    adds += 1;
+                }
+                _ => out.push(MergeItem { coord, value }),
+            }
+        }
+        (out, adds)
+    }
+
+    fn bits(s: &[MergeItem]) -> Vec<(u64, u64)> {
+        s.iter().map(|e| (e.coord, e.value.to_bits())).collect()
+    }
+
+    /// Five inputs over 24 rows; row `r` carries about `3 r` items per
+    /// input (duplicates within an input included), so rows fall on both
+    /// sides of `SHORT_ROW`. Every input draws from the same columns, so
+    /// most coordinates collect several items, and values of mixed
+    /// magnitude and sign make their addition order visible in the bits.
+    fn mixed_streams() -> Vec<Vec<MergeItem>> {
+        (0..5u32)
+            .map(|k| {
+                let mut s = Vec::new();
+                for r in 0..24u32 {
+                    let mut cols: Vec<u32> =
+                        (0..(r * 3 + k) % 40).map(|i| (i * 7 + r) % 50).collect();
+                    cols.sort_unstable();
+                    for (i, c) in cols.into_iter().enumerate() {
+                        let v = match (i + k as usize) % 5 {
+                            0 => -0.0,
+                            1 => 1e16,
+                            2 => -1e16 + 1.0,
+                            _ => 0.1 * (i as f64 + 1.0),
+                        };
+                        s.push(MergeItem::new(r, c, v));
+                    }
+                }
+                s
+            })
+            .collect()
+    }
+
+    #[test]
+    fn short_and_accumulated_rows_fold_like_the_comparator_merge() {
+        let streams = mixed_streams();
+        let refs: Vec<&[MergeItem]> = streams.iter().map(|s| s.as_slice()).collect();
+        let (want, want_adds) = sorted_oracle(&refs);
+        let (got, adds) = kway_merge_fold(&refs);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(adds, want_adds);
+    }
+
+    #[test]
+    fn first_item_lands_unchanged_including_negative_zero() {
+        let neg_zero = (-0.0f64).to_bits();
+        // One item per row (a short row) and 40 in one row (accumulated).
+        for (rows, cols) in [(3u32, 1u32), (1, 40)] {
+            let neg: Vec<MergeItem> = (0..rows)
+                .flat_map(|r| (0..cols).map(move |c| MergeItem::new(r, c, -0.0)))
+                .collect();
+            let (out, _) = kway_merge_fold(&[&neg]);
+            assert!(out.iter().all(|e| e.value.to_bits() == neg_zero));
+            let (out, adds) = kway_merge_fold(&[&neg, &neg]);
+            assert_eq!(adds, neg.len() as u64);
+            assert!(out.iter().all(|e| e.value.to_bits() == neg_zero));
+        }
+    }
+
+    #[test]
+    fn leaf_inputs_fold_like_their_materialised_streams() {
+        use crate::condense::CondensedView;
+        let a = sparch_sparse::gen::rmat_graph500(64, 6, 3);
+        let b = sparch_sparse::gen::rmat_graph500(64, 6, 4);
+        let view = CondensedView::new(&a);
+        let leaves: Vec<Vec<CondensedElement>> = (0..view.num_cols())
+            .map(|j| view.col(j).collect())
+            .collect();
+        let streams: Vec<Vec<MergeItem>> = leaves
+            .iter()
+            .map(|col| {
+                col.iter()
+                    .flat_map(|e| {
+                        let (cols, vals) = b.row(e.orig_col as usize);
+                        cols.iter()
+                            .zip(vals)
+                            .map(move |(&c, &v)| MergeItem::new(e.row, c, e.value * v))
+                    })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[MergeItem]> = streams.iter().map(|s| s.as_slice()).collect();
+        let (want, want_adds) = sorted_oracle(&refs);
+
+        let mut out = Vec::new();
+        let adds = RowFold::default().fold(
+            leaves.len(),
+            |k| FoldInput::Leaf(&leaves[k], &b),
+            b.cols(),
+            &mut out,
+        );
+        assert_eq!(bits(&out), bits(&want));
+        assert_eq!(adds, want_adds);
+    }
+
+    #[test]
+    fn marker_survives_stamp_wraparound() {
+        let streams = mixed_streams();
+        let refs: Vec<&[MergeItem]> = streams.iter().map(|s| s.as_slice()).collect();
+        let (want, _) = sorted_oracle(&refs);
+        let mut fold = RowFold::default();
+        let mut out = Vec::new();
+        // Leave occupied-looking marks behind, then wrap the stamp mid-run.
+        fold.fold(refs.len(), |k| FoldInput::Stream(refs[k]), 50, &mut out);
+        fold.spa.stamp = u32::MAX - 3;
+        fold.fold(refs.len(), |k| FoldInput::Stream(refs[k]), 50, &mut out);
+        assert!(fold.spa.stamp < 100, "the stamp wrapped");
+        assert_eq!(bits(&out), bits(&want));
     }
 
     fn params() -> CostParams {

@@ -6,30 +6,168 @@
 //! or none at all) are preferred victims, oldest-resident first — the
 //! hardware cannot distinguish among them, and this matches Figure 9's
 //! narrative of spilling the row "used in 7 time steps later" before one
-//! used in 3.
+//! used in 3. A victim row gives up its highest resident line; a row
+//! re-accessed after losing some lines refetches only those.
+//!
+//! # Dense bookkeeping
+//!
+//! Everything is indexed by position in the access sequence or by row of
+//! `B`, so an access costs a few array reads and bit flips — no hashing
+//! and no ordered maps:
+//!
+//! * **Next use** is one array, built by a single backward pass over the
+//!   sequence: `next[t]` is the position of the next access to the row
+//!   accessed at `t`.
+//! * **Per-row state** (resident line count, residency start, next and
+//!   last use) lives in a table with one entry per row of `B`.
+//! * **Resident lines** are one flat bitmap; row `r`'s lines start at a
+//!   per-row offset.
+//! * **Victim order** needs three ordered sets, and each is keyed by an
+//!   access position that belongs to exactly one row (the row accessed
+//!   there), so each is a [`PositionSet`] bitmap whose members map back
+//!   to rows through the sequence itself:
+//!   - *visible* rows by next use (Bélády evicts the maximum);
+//!   - *hidden* rows by the position that began their residency (Bélády
+//!     evicts the minimum, i.e. the oldest resident);
+//!   - rows by last use (LRU evicts the minimum). This index exists only
+//!     under [`ReplacementPolicy::Lru`], the other two only under Bélády.
+//! * **Reveals** need no queue: a hidden row's next use `n` enters the
+//!   window exactly when the access cursor reaches `n − lookahead`, so
+//!   each access examines the one or more sequence positions that just
+//!   entered the window and moves their row from hidden to visible if it
+//!   is still resident and hidden. A row evicted while hidden is simply
+//!   not resident when its position comes up.
 
 use super::{PrefetchConfig, PrefetchStats, ReplacementPolicy};
 use sparch_engine::{Clock, Clocked};
 use sparch_sparse::{Csr, Index};
-use std::collections::{BTreeMap, HashMap};
 
 /// Sentinel for "no future use".
-const NEVER: u64 = u64::MAX;
+const NEVER: u32 = u32::MAX;
 
-#[derive(Debug)]
+/// Buffer state of one row of `B`.
+#[derive(Debug, Clone, Copy)]
 struct RowState {
-    /// Which of the row's lines are resident.
-    resident: Vec<bool>,
-    /// Number of resident lines.
-    count: usize,
-    /// Absolute position of the row's next use (NEVER if none).
-    next_use: u64,
-    /// Monotone sequence number of first residency (FIFO among hidden).
-    seq: u64,
-    /// Monotone timestamp of the row's most recent access (LRU policy).
-    last_use: u64,
-    /// Whether the row currently sits in the visible (in-window) set.
+    /// Index of the row's first line in the resident-line bitmap.
+    first_line: usize,
+    /// Number of resident lines (0: the row is not resident).
+    count: u32,
+    /// Position of the access that began the current residency (orders
+    /// hidden rows oldest first).
+    since: u32,
+    /// Position of the row's next use after its last access (NEVER if
+    /// none).
+    next_use: u32,
+    /// Position of the row's most recent access (LRU policy).
+    last_use: u32,
+    /// Whether the row sits in the visible (in-window) set.
     visible: bool,
+}
+
+/// A set of access positions: one bit per position plus one summary bit
+/// per 64-position word, with bounds that the min/max queries tighten.
+#[derive(Debug, Default)]
+struct PositionSet {
+    words: Vec<u64>,
+    /// Bit `w` is set iff `words[w] != 0`.
+    summary: Vec<u64>,
+    /// No member lies below `lo` (`usize::MAX` when known empty).
+    lo: usize,
+    /// No member lies above `hi`.
+    hi: usize,
+}
+
+impl PositionSet {
+    /// An empty set over positions `0..len`.
+    fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
+        PositionSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    fn insert(&mut self, p: u32) {
+        let p = p as usize;
+        self.words[p / 64] |= 1 << (p % 64);
+        self.summary[p / 4096] |= 1 << ((p / 64) % 64);
+        self.lo = self.lo.min(p);
+        self.hi = self.hi.max(p);
+    }
+
+    fn remove(&mut self, p: u32) {
+        let p = p as usize;
+        let w = p / 64;
+        self.words[w] &= !(1 << (p % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// The smallest member.
+    fn first(&mut self) -> Option<usize> {
+        let w = self.lo / 64;
+        if w >= self.words.len() {
+            return None;
+        }
+        let bits = self.words[w] & (u64::MAX << (self.lo % 64));
+        let found = if bits != 0 {
+            Some(w * 64 + bits.trailing_zeros() as usize)
+        } else {
+            self.next_word(w + 1)
+                .map(|w| w * 64 + self.words[w].trailing_zeros() as usize)
+        };
+        self.lo = found.unwrap_or(usize::MAX);
+        found
+    }
+
+    /// The largest member.
+    fn last(&mut self) -> Option<usize> {
+        if self.words.is_empty() {
+            return None;
+        }
+        let hi = self.hi.min(self.words.len() * 64 - 1);
+        let w = hi / 64;
+        let bits = self.words[w] & (u64::MAX >> (63 - hi % 64));
+        let found = if bits != 0 {
+            Some(w * 64 + 63 - bits.leading_zeros() as usize)
+        } else if w > 0 {
+            self.prev_word(w - 1)
+                .map(|w| w * 64 + 63 - self.words[w].leading_zeros() as usize)
+        } else {
+            None
+        };
+        self.hi = found.unwrap_or(0);
+        found
+    }
+
+    /// The first non-empty word at or after `from`.
+    fn next_word(&self, from: usize) -> Option<usize> {
+        let mut s = from / 64;
+        let mut bits = *self.summary.get(s)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(s * 64 + bits.trailing_zeros() as usize);
+            }
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+    }
+
+    /// The last non-empty word at or before `upto`.
+    fn prev_word(&self, upto: usize) -> Option<usize> {
+        let mut s = upto / 64;
+        let mut bits = self.summary[s] & (u64::MAX >> (63 - upto % 64));
+        loop {
+            if bits != 0 {
+                return Some(s * 64 + 63 - bits.leading_zeros() as usize);
+            }
+            s = s.checked_sub(1)?;
+            bits = self.summary[s];
+        }
+    }
 }
 
 /// Simulates the row buffer over a known access sequence (one access =
@@ -58,24 +196,24 @@ pub struct RowPrefetcher<'a> {
     b: &'a Csr,
     cfg: PrefetchConfig,
     accesses: Vec<Index>,
-    /// occurrences[row] = positions in `accesses`, ascending.
-    occurrences: HashMap<Index, Vec<u32>>,
-    /// Cursor into each row's occurrence list.
-    cursors: HashMap<Index, usize>,
+    /// `next[t]`: position of the next access to row `accesses[t]`.
+    next: Vec<u32>,
     /// Current access position.
     t: usize,
-    /// Resident rows with a visible next use, keyed (next_use, row).
-    visible: BTreeMap<(u64, Index), ()>,
-    /// Resident rows whose next use is beyond the window, keyed (seq, row).
-    hidden: BTreeMap<(u64, Index), ()>,
-    /// Hidden rows become visible when `t` reaches their reveal position,
-    /// keyed (reveal_time, row).
-    reveals: BTreeMap<(u64, Index), ()>,
-    /// Resident rows by recency, keyed (last_use, row) — LRU victim index.
-    lru: BTreeMap<(u64, Index), ()>,
-    rows: HashMap<Index, RowState>,
+    /// Sequence positions below this have entered the look-ahead window.
+    revealed: usize,
+    /// Per-row buffer state, indexed by row of `B`.
+    rows: Vec<RowState>,
+    /// Resident-line bitmap over every row's lines.
+    resident: Vec<u64>,
+    /// Bélády: resident rows with a visible next use, keyed by it.
+    visible: PositionSet,
+    /// Bélády: resident rows whose next use is beyond the window, keyed
+    /// by the position that began their residency.
+    hidden: PositionSet,
+    /// LRU: resident rows keyed by their last use.
+    lru: PositionSet,
     lines_used: usize,
-    next_seq: u64,
     stats: PrefetchStats,
     /// DRAM bytes of the access processed this cycle, staged by
     /// `clock_update` and latched by `clock_apply` (see the [`Clocked`]
@@ -91,32 +229,73 @@ impl<'a> RowPrefetcher<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any access is out of range for `b`.
+    /// Panics if any access is out of range for `b`, or if the sequence
+    /// has `u32::MAX` or more accesses.
     pub fn new(b: &'a Csr, cfg: &PrefetchConfig, accesses: Vec<Index>) -> Self {
         cfg.validate();
-        let mut occurrences: HashMap<Index, Vec<u32>> = HashMap::new();
-        for (pos, &row) in accesses.iter().enumerate() {
+        assert!(
+            accesses.len() < NEVER as usize,
+            "access sequence longer than the position width"
+        );
+        for &row in &accesses {
             assert!((row as usize) < b.rows(), "access to row {row} outside B");
-            occurrences.entry(row).or_default().push(pos as u32);
         }
-        RowPrefetcher {
+        let mut p = RowPrefetcher {
             b,
             cfg: *cfg,
             accesses,
-            occurrences,
-            cursors: HashMap::new(),
+            next: Vec::new(),
             t: 0,
-            visible: BTreeMap::new(),
-            hidden: BTreeMap::new(),
-            reveals: BTreeMap::new(),
-            lru: BTreeMap::new(),
-            rows: HashMap::new(),
+            revealed: 0,
+            rows: Vec::new(),
+            resident: Vec::new(),
+            visible: PositionSet::default(),
+            hidden: PositionSet::default(),
+            lru: PositionSet::default(),
             lines_used: 0,
-            next_seq: 0,
             stats: PrefetchStats::default(),
             staged_bytes: None,
             latched_bytes: None,
+        };
+        if !cfg.enabled {
+            return p;
         }
+
+        let mut first_line = 0usize;
+        p.rows = (0..b.rows())
+            .map(|r| {
+                let state = RowState {
+                    first_line,
+                    count: 0,
+                    since: 0,
+                    next_use: NEVER,
+                    last_use: 0,
+                    visible: false,
+                };
+                first_line += b.row_nnz(r).div_ceil(cfg.line_elems);
+                state
+            })
+            .collect();
+        p.resident = vec![0; first_line.div_ceil(64)];
+
+        // One backward pass: each row's `next_use` holds its nearest use
+        // after the current position, which is `next` at the previous one.
+        p.next = vec![NEVER; p.accesses.len()];
+        for (t, &row) in p.accesses.iter().enumerate().rev() {
+            let state = &mut p.rows[row as usize];
+            p.next[t] = state.next_use;
+            state.next_use = t as u32;
+        }
+
+        let len = p.accesses.len();
+        match cfg.policy {
+            ReplacementPolicy::Belady => {
+                p.visible = PositionSet::new(len);
+                p.hidden = PositionSet::new(len);
+            }
+            ReplacementPolicy::Lru => p.lru = PositionSet::new(len),
+        }
+        p
     }
 
     /// Accesses remaining in the sequence.
@@ -153,120 +332,81 @@ impl<'a> RowPrefetcher<'a> {
         self.latched_bytes.take()
     }
 
-    /// Absolute position of `row`'s next use strictly after `t`.
-    fn next_use_after(&mut self, row: Index, t: usize) -> u64 {
-        let occ = match self.occurrences.get(&row) {
-            Some(o) => o,
-            None => return NEVER,
-        };
-        let cursor = self.cursors.entry(row).or_insert(0);
-        while *cursor < occ.len() && (occ[*cursor] as usize) <= t {
-            *cursor += 1;
-        }
-        if *cursor < occ.len() {
-            occ[*cursor] as u64
-        } else {
-            NEVER
-        }
-    }
-
     /// Moves rows whose next use has entered the look-ahead window from
     /// the hidden to the visible set.
     fn process_reveals(&mut self) {
-        let t = self.t as u64;
-        loop {
-            let key = match self.reveals.first_key_value() {
-                Some(((reveal, row), ())) if *reveal <= t => (*reveal, *row),
-                _ => break,
-            };
-            self.reveals.remove(&key);
-            let row = key.1;
-            if let Some(state) = self.rows.get_mut(&row) {
-                if state.count > 0 && !state.visible {
-                    self.hidden.remove(&(state.seq, row));
-                    self.visible.insert((state.next_use, row), ());
-                    state.visible = true;
+        let end = self
+            .t
+            .saturating_add(self.cfg.lookahead)
+            .saturating_add(1)
+            .min(self.accesses.len());
+        while self.revealed < end {
+            let n = self.revealed as u32;
+            self.revealed += 1;
+            let state = &mut self.rows[self.accesses[n as usize] as usize];
+            if state.count > 0 && !state.visible && state.next_use == n {
+                self.hidden.remove(state.since);
+                self.visible.insert(n);
+                state.visible = true;
+            }
+        }
+    }
+
+    /// Inserts resident row `row` into the victim index: under Bélády the
+    /// visible or hidden set according to its next use and the look-ahead
+    /// window, under LRU the recency set.
+    fn index_row(&mut self, row: usize) {
+        let state = &mut self.rows[row];
+        match self.cfg.policy {
+            ReplacementPolicy::Belady => {
+                let visible = state.next_use != NEVER
+                    && state.next_use as usize - self.t <= self.cfg.lookahead;
+                state.visible = visible;
+                if visible {
+                    self.visible.insert(state.next_use);
+                } else {
+                    self.hidden.insert(state.since);
                 }
             }
+            ReplacementPolicy::Lru => self.lru.insert(state.last_use),
         }
     }
 
-    /// Inserts row `row` (already in `self.rows`) into the visible or
-    /// hidden set according to its next use and the look-ahead window.
-    fn index_row(&mut self, row: Index) {
-        let t = self.t as u64;
-        let window = self.cfg.lookahead as u64;
-        let state = self.rows.get_mut(&row).expect("row present");
-        self.lru.insert((state.last_use, row), ());
-        if state.next_use != NEVER && state.next_use - t <= window {
-            self.visible.insert((state.next_use, row), ());
-            state.visible = true;
-        } else {
-            self.hidden.insert((state.seq, row), ());
-            state.visible = false;
-            if state.next_use != NEVER {
-                self.reveals.insert((state.next_use - window, row), ());
-            }
-        }
-    }
-
-    /// Removes row `row` from whichever set holds it.
-    fn unindex_row(&mut self, row: Index) {
-        if let Some(state) = self.rows.get(&row) {
-            self.lru.remove(&(state.last_use, row));
-            if state.visible {
-                self.visible.remove(&(state.next_use, row));
-            } else {
-                self.hidden.remove(&(state.seq, row));
-            }
+    /// Removes resident row `row` from the victim index.
+    fn unindex_row(&mut self, row: usize) {
+        let state = &self.rows[row];
+        match self.cfg.policy {
+            ReplacementPolicy::Belady if state.visible => self.visible.remove(state.next_use),
+            ReplacementPolicy::Belady => self.hidden.remove(state.since),
+            ReplacementPolicy::Lru => self.lru.remove(state.last_use),
         }
     }
 
     /// Evicts one line, preferring hidden rows (oldest first), then the
     /// visible row with the furthest next use. `protect` is the row being
-    /// filled right now; it is only evicted as a last resort (a row larger
+    /// filled right now; it is out of the victim index while it fills, so
+    /// it is evicted only when no other row is resident (a row larger
     /// than the whole buffer streams through).
-    fn evict_one_line(&mut self, protect: Index) {
-        let victim = match self.cfg.policy {
-            ReplacementPolicy::Belady => self
-                .hidden
-                .keys()
-                .find(|&&(_, row)| row != protect)
-                .map(|&(_, row)| row)
-                .or_else(|| {
-                    self.visible
-                        .keys()
-                        .rev()
-                        .find(|&&(_, row)| row != protect)
-                        .map(|&(_, row)| row)
-                })
-                .unwrap_or(protect),
-            ReplacementPolicy::Lru => self
-                .lru
-                .keys()
-                .find(|&&(_, row)| row != protect)
-                .map(|&(_, row)| row)
-                .unwrap_or(protect),
+    fn evict_one_line(&mut self, protect: usize) {
+        let position = match self.cfg.policy {
+            ReplacementPolicy::Belady => self.hidden.first().or_else(|| self.visible.last()),
+            ReplacementPolicy::Lru => self.lru.first(),
         };
-        let state = self.rows.get_mut(&victim).expect("victim is resident");
+        let victim = position.map_or(protect, |p| self.accesses[p] as usize);
         // Spill the row's highest resident line (lines spill one at a
         // time; Figure 9 reloads only the missing ones later).
-        let line = state
-            .resident
-            .iter()
-            .rposition(|&r| r)
+        let first = self.rows[victim].first_line;
+        let lines = self.b.row_nnz(victim).div_ceil(self.cfg.line_elems);
+        let line = (first..first + lines)
+            .rev()
+            .find(|&l| self.resident[l / 64] & (1 << (l % 64)) != 0)
             .expect("victim has at least one resident line");
-        state.resident[line] = false;
-        state.count -= 1;
+        self.resident[line / 64] &= !(1 << (line % 64));
+        self.rows[victim].count -= 1;
         self.lines_used -= 1;
         self.stats.evictions += 1;
-        if state.count == 0 {
+        if victim != protect && self.rows[victim].count == 0 {
             self.unindex_row(victim);
-            // Keep the protected row's (now empty) state: the caller is
-            // mid-fill and still holds line bookkeeping for it.
-            if victim != protect {
-                self.rows.remove(&victim);
-            }
         }
     }
 
@@ -284,8 +424,9 @@ impl<'a> RowPrefetcher<'a> {
     /// Panics if the sequence is exhausted.
     pub fn access_next(&mut self) -> u64 {
         assert!(self.t < self.accesses.len(), "access sequence exhausted");
-        let row = self.accesses[self.t];
-        let nnz = self.b.row_nnz(row as usize);
+        let t = self.t;
+        let row = self.accesses[t] as usize;
+        let nnz = self.b.row_nnz(row);
         self.stats.row_accesses += 1;
         self.stats.buffer_read_bytes += nnz as u64 * 12;
 
@@ -300,35 +441,25 @@ impl<'a> RowPrefetcher<'a> {
             return bytes;
         }
 
-        self.process_reveals();
+        if self.cfg.policy == ReplacementPolicy::Belady {
+            self.process_reveals();
+        }
 
         let lines = nnz.div_ceil(self.cfg.line_elems);
         let mut dram = 0u64;
         if lines > 0 {
             // Take the row out of the victim index while operating on it.
-            let existed = self.rows.contains_key(&row);
-            if existed {
+            if self.rows[row].count > 0 {
                 self.unindex_row(row);
             } else {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.rows.insert(
-                    row,
-                    RowState {
-                        resident: vec![false; lines],
-                        count: 0,
-                        next_use: NEVER,
-                        seq,
-                        last_use: self.t as u64,
-                        visible: false,
-                    },
-                );
+                self.rows[row].since = t as u32;
             }
 
             self.stats.line_requests += lines as u64;
+            let first_line = self.rows[row].first_line;
             for line in 0..lines {
-                let resident = self.rows.get(&row).expect("inserted above").resident[line];
-                if resident {
+                let bit = first_line + line;
+                if self.resident[bit / 64] & (1 << (bit % 64)) != 0 {
                     self.stats.line_hits += 1;
                     continue;
                 }
@@ -340,25 +471,16 @@ impl<'a> RowPrefetcher<'a> {
                 dram += fill;
                 self.stats.dram_bytes += fill;
                 self.stats.buffer_write_bytes += fill;
-                let state = self.rows.get_mut(&row).expect("inserted above");
-                if !state.resident[line] {
-                    state.resident[line] = true;
-                    state.count += 1;
-                    self.lines_used += 1;
-                }
+                self.resident[bit / 64] |= 1 << (bit % 64);
+                self.rows[row].count += 1;
+                self.lines_used += 1;
             }
 
             // Re-index with the updated next use.
-            let next = self.next_use_after(row, self.t);
-            if let Some(state) = self.rows.get_mut(&row) {
-                state.next_use = next;
-                state.last_use = self.t as u64;
-                if state.count > 0 {
-                    self.index_row(row);
-                } else {
-                    self.rows.remove(&row);
-                }
-            }
+            let state = &mut self.rows[row];
+            state.next_use = self.next[t];
+            state.last_use = t as u32;
+            self.index_row(row);
         }
 
         self.t += 1;
@@ -545,6 +667,104 @@ mod tests {
             "hit rate {} too low for a buffered power-law workload",
             p.stats().hit_rate()
         );
+    }
+
+    #[test]
+    fn position_set_matches_an_ordered_set() {
+        // Positions spread over several summary words (4096 apiece), with
+        // interleaved queries so the cached bounds go stale both ways.
+        let len = 20_000u32;
+        let mut set = PositionSet::new(len as usize);
+        let mut model = std::collections::BTreeSet::new();
+        let mut x = 12345u64;
+        for step in 0..40_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let p = ((x >> 33) % u64::from(len)) as u32;
+            if step % 3 == 0 {
+                set.remove(p);
+                model.remove(&p);
+            } else {
+                set.insert(p);
+                model.insert(p);
+            }
+            if step % 5 == 0 {
+                assert_eq!(set.first(), model.first().map(|&p| p as usize));
+                assert_eq!(set.last(), model.last().map(|&p| p as usize));
+            }
+        }
+        for p in model.clone() {
+            set.remove(p);
+        }
+        assert_eq!((set.first(), set.last()), (None, None));
+    }
+
+    /// B whose row `r` holds `lens[r]` elements.
+    fn b_with_rows(lens: &[usize]) -> Csr {
+        let width = lens.iter().copied().max().unwrap_or(0);
+        let mut b = CsrBuilder::new(lens.len(), width.max(1));
+        for (r, &len) in lens.iter().enumerate() {
+            for c in 0..len {
+                b.push(r as Index, c as Index, 1.0);
+            }
+        }
+        b.finish()
+    }
+
+    /// Drives the whole sequence one access at a time, returning each
+    /// access's DRAM bytes.
+    fn per_access(p: &mut RowPrefetcher<'_>) -> Vec<u64> {
+        (0..p.remaining()).map(|_| p.access_next()).collect()
+    }
+
+    #[test]
+    fn partially_evicted_row_refetches_only_its_missing_lines() {
+        // Figure 9: row 0 spans three 4-element lines (4 + 4 + 2
+        // elements), rows 1 and 2 one line each, and the buffer holds
+        // four lines. Row 2's fill evicts row 0's highest line (row 0's
+        // next use is the furthest), so row 0's return refetches that
+        // one 2-element line — 24 bytes — and hits the other two.
+        let b = b_with_rows(&[10, 4, 4]);
+        let mut p = RowPrefetcher::new(&b, &cfg(4, 4, 100), vec![0, 1, 2, 1, 2, 0]);
+        assert_eq!(per_access(&mut p), [120, 48, 48, 0, 0, 24]);
+        let s = p.stats();
+        assert_eq!(
+            (s.line_requests, s.line_hits, s.line_misses, s.evictions),
+            (10, 4, 6, 2)
+        );
+        assert_eq!((s.dram_bytes, s.buffer_write_bytes), (240, 240));
+    }
+
+    #[test]
+    fn row_evicted_while_hidden_is_refilled_as_a_fresh_residency() {
+        // A one-access window and two one-line slots. Row 0's next use
+        // (t = 4) is beyond the window, so it is hidden until t = 3; but
+        // at t = 2 it is the oldest hidden row and is evicted. Its reveal
+        // at t = 3 finds it gone. At t = 4 it is refilled as a fresh
+        // residency, indexed by its new next use (t = 6), and hits there.
+        let b = uniform_b(4, 4);
+        let mut p = RowPrefetcher::new(&b, &cfg(2, 4, 1), vec![0, 1, 2, 3, 0, 3, 0]);
+        assert_eq!(per_access(&mut p), [48, 48, 48, 48, 48, 0, 0]);
+        let s = p.stats();
+        assert_eq!(
+            (s.line_requests, s.line_hits, s.line_misses, s.evictions),
+            (7, 2, 5, 3)
+        );
+    }
+
+    #[test]
+    fn all_empty_b_rows_cost_nothing() {
+        let b = Csr::zero(4, 6);
+        for enabled in [true, false] {
+            let mut c = cfg(4, 4, 10);
+            c.enabled = enabled;
+            let mut p = RowPrefetcher::new(&b, &c, vec![0, 1, 2, 3, 0, 1]);
+            assert_eq!(p.run_to_end(), 0);
+            let s = *p.stats();
+            assert_eq!(s.row_accesses, 6);
+            assert_eq!(s.line_requests + s.evictions + s.buffer_read_bytes, 0);
+        }
     }
 }
 

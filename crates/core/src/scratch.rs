@@ -8,19 +8,23 @@
 //!
 //! [`SimScratch`] owns every buffer the round-execute stage touches:
 //!
-//! * the per-leaf multiplied `MergeItem` streams,
 //! * the per-round merged outputs (partial results),
-//! * the merge heap's backing storage,
+//! * the row-wise fold's accumulator (a `-0.0`-filled value array and a
+//!   stamped marker, one slot per output column), its occupied-column
+//!   list, and its per-input cursors and winner tree,
 //! * the prefetch stage's access lists and per-round MatB accounting.
 //!
-//! Buffers are indexed by leaf/round id, so re-running the **same** task
+//! Leaf streams are never materialised: the fold multiplies each leaf's
+//! elements by their `B` rows as it consumes them.
+//!
+//! Round outputs are indexed by round id, so re-running the **same** task
 //! refills each buffer to exactly its previous size: after one warm-up
 //! run the execute stage performs no heap allocation at all (pinned by
 //! `crates/core/tests/zero_alloc.rs`). Across *different* tasks the
 //! buffers simply grow to the high-water mark and stay there.
 
 use crate::condense::CondensedElement;
-use crate::pipeline::MergeHeapEntry;
+use crate::pipeline::RowFold;
 use sparch_engine::MergeItem;
 
 /// Per-round MatB accounting produced by the prefetch stage and consumed
@@ -54,13 +58,11 @@ pub(crate) struct RoundMatB {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Multiplied stream of leaf `i` (index = leaf id, stable per task).
-    pub(crate) mult_streams: Vec<Vec<MergeItem>>,
     /// Merged output of round `r` (index = round id; the last round's
     /// entry is the final result stream consumed by the writeback stage).
     pub(crate) round_outputs: Vec<Vec<MergeItem>>,
-    /// Backing storage for the k-way merge heap.
-    pub(crate) merge_heap: Vec<MergeHeapEntry>,
+    /// The row-wise fold every round runs through.
+    pub(crate) fold: RowFold,
     /// Guard: which round outputs have been consumed by a later round
     /// (every spill is read back exactly once; a malformed plan that
     /// references a round twice must fail loudly, not double-merge).
@@ -102,12 +104,10 @@ impl SimScratch {
         }
     }
 
-    /// Prepares the execute-stage buffers for a task with `num_leaves`
-    /// leaves and `num_rounds` rounds.
-    pub(crate) fn prepare_execute(&mut self, num_leaves: usize, num_rounds: usize) {
-        Self::clear_pool(&mut self.mult_streams, num_leaves);
+    /// Prepares the execute-stage buffers for a task with `num_rounds`
+    /// rounds.
+    pub(crate) fn prepare_execute(&mut self, num_rounds: usize) {
         Self::clear_pool(&mut self.round_outputs, num_rounds);
-        self.merge_heap.clear();
         self.round_consumed.clear();
         self.round_consumed.resize(num_rounds, false);
     }
@@ -126,13 +126,13 @@ mod tests {
     #[test]
     fn pools_keep_allocations_across_tasks() {
         let mut s = SimScratch::new();
-        s.prepare_execute(3, 2);
-        s.mult_streams[2].reserve(100);
-        let cap = s.mult_streams[2].capacity();
+        s.prepare_execute(3);
+        s.round_outputs[2].reserve(100);
+        let cap = s.round_outputs[2].capacity();
         // A smaller follow-up task must not shrink or drop the buffers.
-        s.prepare_execute(1, 1);
-        assert_eq!(s.mult_streams.len(), 3);
-        assert!(s.mult_streams[2].capacity() >= cap);
-        assert!(s.mult_streams.iter().all(|v| v.is_empty()));
+        s.prepare_execute(1);
+        assert_eq!(s.round_outputs.len(), 3);
+        assert!(s.round_outputs[2].capacity() >= cap);
+        assert!(s.round_outputs.iter().all(|v| v.is_empty()));
     }
 }

@@ -9,27 +9,32 @@
 //!    column sizes into a merge plan,
 //! 2. **prefetch** ([`SpArchSim::prefetch_stage`]) — the MatB row
 //!    accesses implied by the plan drive the windowed-Bélády prefetch
-//!    buffer (§II-D), attributing exact DRAM reads per round,
+//!    buffer (§II-D), attributing exact DRAM reads per round; the buffer
+//!    model keeps its bookkeeping in dense per-position and per-row
+//!    tables (see [`RowPrefetcher`]),
 //! 3. **round-execute** ([`SpArchSim::execute_stage`]) — each round
-//!    multiplies its fresh columns, streams them together with re-fetched
-//!    partial results through the merge tree, folds duplicate coordinates
-//!    and accounts traffic/cycles/activity; per-round cycles are the max
-//!    of the memory-bound and compute-bound times plus startup latencies,
+//!    multiplies its fresh columns, merges their products with re-fetched
+//!    partial results, folds duplicate coordinates and accounts
+//!    traffic/cycles/activity; per-round cycles are the max of the
+//!    memory-bound and compute-bound times plus startup latencies. The
+//!    merge's *values* come from a row-wise accumulation that yields the
+//!    merge tree's stream bit for bit (see [`crate::pipeline`]); its
+//!    *costs* are the tree's,
 //! 4. **writeback** ([`SpArchSim::writeback_stage`]) — the final stream
 //!    becomes the result matrix and the cost models produce the report.
 //!
-//! All stream buffers the execute stage touches live in a reusable
+//! All buffers the execute stage touches live in a reusable
 //! [`SimScratch`], so repeated runs ([`SpArchSim::run_with_scratch`])
-//! allocate ~nothing on the round hot path — the property sharded
+//! allocate nothing on the round hot path — the property sharded
 //! parameter sweeps rely on (see `sparch_exec`).
 //!
 //! The result matrix is exact; traffic is exact given the model's
 //! element-granularity layouts; cycles/energy come from the calibrated
-//! cost models.
+//! cost models. `crates/core/tests/golden_counts.rs` pins every count.
 
 use crate::condense::{CondensedElement, CondensedView};
 use crate::config::SpArchConfig;
-use crate::pipeline::{kway_merge_fold_with, CostParams, RoundCost};
+use crate::pipeline::{CostParams, FoldInput, RoundCost};
 use crate::prefetch::{PrefetchStats, RowPrefetcher};
 use crate::report::{PerfSummary, SimReport};
 use crate::sched::{MergePlan, PlanNode};
@@ -266,7 +271,9 @@ impl SpArchSim {
     /// the round's fresh columns, merges them with re-fetched partial
     /// results, folds duplicates, and accounts traffic, cycles and
     /// activity. The final round's stream is left in `scratch` for the
-    /// writeback stage.
+    /// writeback stage. A leaf's products are made as the round's
+    /// row-wise fold consumes them and never stored; its product count is
+    /// its [`SimPlan::leaf_weights`] entry.
     ///
     /// This is the hot path: with a warmed-up `scratch` (same task run
     /// once before) it performs no heap allocation (pinned by
@@ -287,7 +294,7 @@ impl SpArchSim {
             num_rounds,
             "prefetch stage must run before the execute stage"
         );
-        scratch.prepare_execute(plan.leaves.len(), num_rounds);
+        scratch.prepare_execute(num_rounds);
 
         let cost_params = CostParams {
             bytes_per_cycle: cfg.hbm.bytes_per_cycle(),
@@ -305,9 +312,8 @@ impl SpArchSim {
 
         let mut totals = ExecTotals::default();
         let SimScratch {
-            mult_streams,
             round_outputs,
-            merge_heap,
+            fold,
             round_matb,
             round_consumed,
             ..
@@ -326,26 +332,19 @@ impl SpArchSim {
                 cost.unhidden_fetches = matb.row_fetches;
             }
 
-            // Multiply the fresh columns into their leaf stream buffers;
-            // partial inputs are read back from earlier rounds' outputs.
+            // Fresh columns stream their products (one per element of
+            // each `B` row they select); partial inputs are read back
+            // from earlier rounds' outputs.
             let mut partial_read_bytes = 0u64;
             let mut input_elements = 0u64;
             for &child in children {
                 match child {
                     PlanNode::Leaf(i) => {
                         let col = &plan.leaves[i];
-                        let stream = &mut mult_streams[i];
-                        stream.clear();
-                        stream.reserve(plan.leaf_weights[i] as usize);
-                        for e in col {
-                            let (cols, vals) = b.row(e.orig_col as usize);
-                            for (&c, &v) in cols.iter().zip(vals) {
-                                stream.push(sparch_engine::MergeItem::new(e.row, c, e.value * v));
-                            }
-                        }
-                        cost.multiplies += stream.len() as u64;
+                        let products = plan.leaf_weights[i];
+                        cost.multiplies += products;
                         cost.mat_a_elements += col.len() as u64;
-                        input_elements += stream.len() as u64;
+                        input_elements += products;
                         totals
                             .traffic
                             .record(TrafficCategory::MatA, col.len() as u64 * 12);
@@ -365,19 +364,19 @@ impl SpArchSim {
                 .traffic
                 .record(TrafficCategory::PartialRead, partial_read_bytes);
 
-            // Merge this round's streams into its output buffer. The
-            // split keeps earlier rounds' outputs readable while the
-            // current round's buffer is written.
+            // Fold this round's inputs into its output buffer. The split
+            // keeps earlier rounds' outputs readable while the current
+            // round's buffer is written.
             let (earlier, rest) = round_outputs.split_at_mut(round_idx);
             let out = &mut rest[0];
-            let adds = kway_merge_fold_with(
+            let adds = fold.fold(
                 children.len(),
                 |c| match children[c] {
-                    PlanNode::Leaf(i) => mult_streams[i].as_slice(),
-                    PlanNode::Round(r) => earlier[r].as_slice(),
+                    PlanNode::Leaf(i) => FoldInput::Leaf(&plan.leaves[i], b),
+                    PlanNode::Round(r) => FoldInput::Stream(&earlier[r]),
                 },
+                b.cols(),
                 out,
-                merge_heap,
             );
 
             let out_bytes = if is_final {

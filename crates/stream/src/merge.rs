@@ -87,6 +87,23 @@ impl PartialSource {
         PartialSource(Inner::Disk(reader))
     }
 
+    /// Errors unless the source declares the shape `rows × cols`: a
+    /// resident CSR its own, a spilled partial its header (an error that
+    /// names the file).
+    pub fn expect_shape(&self, rows: usize, cols: usize) -> Result<(), StreamError> {
+        match &self.0 {
+            Inner::Mem { csr, .. } if (csr.rows(), csr.cols()) != (rows, cols) => {
+                Err(StreamError::Shape(format!(
+                    "resident partial is {}x{}, expected {rows}x{cols}",
+                    csr.rows(),
+                    csr.cols()
+                )))
+            }
+            Inner::Mem { .. } => Ok(()),
+            Inner::Disk(reader) => reader.expect_shape(rows, cols),
+        }
+    }
+
     /// Entries this source has not yet produced — the exact residual
     /// nnz, used to pre-size merge outputs.
     pub fn remaining_nnz(&self) -> usize {
@@ -223,12 +240,19 @@ fn gallop(keys: &[u64], limit: u64) -> usize {
 /// duplicate coordinates by addition (explicit zeros kept). The output
 /// builder is pre-sized from the summed source nnz, an exact upper
 /// bound, so it never reallocates mid-merge.
+///
+/// Every source must declare the merge's own shape
+/// ([`PartialSource::expect_shape`]): entries are checked against their
+/// source's shape as they are decoded, and the output trusts them to fit.
 pub fn merge_sources(
     rows: usize,
     cols: usize,
     mut sources: Vec<PartialSource>,
     scratch: &mut MergeScratch,
 ) -> Result<Csr, StreamError> {
+    for src in &sources {
+        src.expect_shape(rows, cols)?;
+    }
     let total: usize = sources.iter().map(PartialSource::remaining_nnz).sum();
     let mut out = CsrBuilder::with_capacity(rows, cols, total);
     scratch.reset(sources.len());
@@ -414,6 +438,9 @@ pub fn merge_sources_reference(
     cols: usize,
     mut sources: Vec<PartialSource>,
 ) -> Result<Csr, StreamError> {
+    for src in &sources {
+        src.expect_shape(rows, cols)?;
+    }
     let mut out = CsrBuilder::new(rows, cols);
     // Heap keys are (row, col, source-index): coordinate order first, and
     // within one coordinate the plan's child order — a fixed, documented
@@ -541,6 +568,35 @@ mod tests {
                 ),
                 other => panic!("{ways}-way, damaged at {at}: got {other:?}"),
             }
+        }
+    }
+
+    /// A source that declares a shape other than the merge's is refused
+    /// before a single entry is merged: spilled ones with their path,
+    /// resident ones as a shape error — by both kernels.
+    #[test]
+    fn sources_must_declare_the_merge_shape() {
+        let dir = TempDir::new("merge_shape");
+        let part = gen::uniform_random(10, 12, 30, 4);
+        let path = dir.file("wide.bin");
+        write_partial(&path, &part, SpillCodec::Varint).unwrap();
+        for kernel in ["merge_sources", "merge_sources_reference"] {
+            let run = |sources: Vec<PartialSource>| match kernel {
+                "merge_sources" => merge_sources(10, 8, sources, &mut MergeScratch::new()),
+                _ => merge_sources_reference(10, 8, sources),
+            };
+            let spilled = PartialSource::from_spill(SpillReader::open(&path).unwrap());
+            match run(vec![mem(Csr::zero(10, 8)), spilled]) {
+                Err(StreamError::Io(msg)) => assert!(
+                    msg.contains("wide.bin") && msg.contains("declares shape 10x12"),
+                    "{kernel}: {msg}"
+                ),
+                other => panic!("{kernel}: expected an Io error, got {other:?}"),
+            }
+            assert!(
+                matches!(run(vec![mem(part.clone())]), Err(StreamError::Shape(_))),
+                "{kernel}"
+            );
         }
     }
 

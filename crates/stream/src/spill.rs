@@ -85,6 +85,9 @@ pub struct SpillFile {
     pub path: PathBuf,
     /// File size in bytes (header + entries), for traffic accounting.
     pub bytes: u64,
+    /// Shape `(rows, cols)` of the partial written: the header a reader
+    /// reopens must still declare it (see [`SpillReader::expect_shape`]).
+    pub shape: (usize, usize),
 }
 
 /// The exact on-disk size `csr` would occupy in the raw format.
@@ -127,6 +130,7 @@ pub fn write_partial(path: &Path, csr: &Csr, codec: SpillCodec) -> Result<SpillF
     Ok(SpillFile {
         path: path.to_path_buf(),
         bytes,
+        shape: (csr.rows(), csr.cols()),
     })
 }
 
@@ -573,6 +577,21 @@ impl SpillReader {
     /// Declared shape of the spilled partial.
     pub fn shape(&self) -> (usize, usize) {
         (self.check.rows as usize, self.check.cols as usize)
+    }
+
+    /// Errors, naming the file, unless the header declares `rows × cols`
+    /// — the shape its reader already knows the partial has. The header
+    /// shape is otherwise believed: it sizes [`SpillReader::read_all`]'s
+    /// row pointers (a damaged header declaring 2⁴⁰ rows would abort the
+    /// process) and bounds the entries admitted into a merge whose output
+    /// is only `rows × cols`.
+    pub fn expect_shape(&self, rows: usize, cols: usize) -> Result<(), StreamError> {
+        let (r, c) = self.shape();
+        if (r, c) == (rows, cols) {
+            return Ok(());
+        }
+        let msg = format!("header declares shape {r}x{c}, expected {rows}x{cols}");
+        Err(with_path(&self.path, StreamError::Io(msg)))
     }
 
     /// Entries not yet decoded.
@@ -1047,6 +1066,40 @@ mod tests {
                 matches!(reader.read_all(), Err(StreamError::Io(_))),
                 "{codec}"
             );
+        }
+    }
+
+    /// A header whose shape was damaged on disk: the writer's recorded
+    /// shape catches it before anything sizes from it — 2⁴⁰ declared rows
+    /// would make `read_all` abort the process on the row-pointer
+    /// allocation — with an error naming the file.
+    #[test]
+    fn a_damaged_header_shape_is_refused_against_the_written_shape() {
+        let dir = TempDir::new("spill_shape");
+        let m = gen::uniform_random(8, 9, 20, 1);
+        for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+            let name = format!("shape_{codec}.bin");
+            let path = dir.file(&name);
+            let file = write_partial(&path, &m, codec).unwrap();
+            assert_eq!(file.shape, (8, 9));
+            SpillReader::open(&path)
+                .unwrap()
+                .expect_shape(8, 9)
+                .unwrap();
+            let honest = std::fs::read(&path).unwrap();
+            for (field, lie) in [(4usize, 1u64 << 40), (4, 7), (12, 1 << 40), (12, 10)] {
+                let mut bytes = honest.clone();
+                bytes[field..field + 8].copy_from_slice(&lie.to_le_bytes());
+                std::fs::write(&path, &bytes).unwrap();
+                let reader = SpillReader::open(&path).unwrap();
+                match reader.expect_shape(file.shape.0, file.shape.1) {
+                    Err(StreamError::Io(msg)) => assert!(
+                        msg.contains(&name) && msg.contains("declares shape"),
+                        "{codec} {field} {lie}: {msg}"
+                    ),
+                    other => panic!("{codec} {field} {lie}: expected an Io error, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -199,6 +199,7 @@ impl PartialStore {
             .unwrap_or_else(|| panic!("partial {id} neither resident nor spilled"));
         self.stats.spill_reads += 1;
         let reader = SpillReader::open(&file.path)?;
+        reader.expect_shape(file.shape.0, file.shape.1)?;
         self.pending_delete.insert(id, file.path);
         Ok(Taken::Disk(reader))
     }
@@ -424,6 +425,28 @@ mod tests {
         spilly.insert(0, p.clone()).unwrap();
         assert_eq!(spilly.take_full(0).unwrap(), p);
         spilly.cleanup();
+    }
+
+    #[test]
+    fn a_spill_header_damaged_on_disk_fails_take_with_its_path() {
+        let d = dir("damaged_shape");
+        let mut store = PartialStore::new(MemoryBudget::from_bytes(0), d.clone(), SpillCodec::Raw);
+        store.insert(0, partial(1)).unwrap();
+        let path = store.spilled[&0].path.clone();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The header's row count: 2⁴⁰ rows would size `read_all`'s row
+        // pointers at 8 TiB.
+        bytes[4..12].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        match store.take_full(0) {
+            Err(StreamError::Io(msg)) => assert!(
+                msg.contains(&path.display().to_string()) && msg.contains("declares shape"),
+                "{msg}"
+            ),
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        store.cleanup();
+        assert!(!d.exists());
     }
 
     #[test]
