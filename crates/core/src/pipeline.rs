@@ -16,31 +16,34 @@
 //! coordinates. The model computes the same stream as software Gustavson
 //! does (the row-wise accumulation SparseZipper argues is the CPU's way to
 //! do SpGEMM's merge): it visits output rows in ascending order, adds every
-//! input's segment for the row into a dense accumulator (SPA), and emits
-//! the row's occupied columns in ascending order. The result is the
+//! input's segment for the row into a sparse accumulator
+//! (`sparch_sparse::algo::Spa`, the one the Gustavson kernel uses), and
+//! emits the row's occupied columns in ascending order. The result is the
 //! comparator merge's, bit for bit:
 //!
 //! * Each coordinate receives its items in `(input, position)` order — the
 //!   order a left-to-right merge tree (or a heap tie-broken by input then
 //!   position) folds duplicates in — because inputs are visited in plan
 //!   order within a row and each segment in stream order.
-//! * The accumulator holds `-0.0` in every unoccupied slot, and
-//!   `-0.0 + x` is exactly `x` for every `x` (signed zeros included), so
-//!   a coordinate's first item lands unchanged, as the merge's first push
-//!   does; later items are added exactly as the merge's adder adds them.
+//! * A row of at most `SHORT_ROW` items sorts them by `(column, arrival)`
+//!   and folds each column from its first item, as the merge's first push
+//!   does. A longer row adds into a value array that holds `-0.0` in
+//!   every unoccupied slot; `-0.0 + x` is exactly `x` for every `x`
+//!   (signed zeros included), so a coordinate's first item lands
+//!   unchanged there too, and later items are added exactly as the
+//!   merge's adder adds them. The row is emitted by walking a two-level
+//!   occupancy bitmap, so no occupied-column list is sorted.
 //! * Every input item is either a coordinate's first or one addition, so
 //!   the adds are inputs − outputs, as in the merge.
 //!
 //! Inputs are picked per row by a winner tree keyed `(head row, input)`,
 //! so a round costs O(items + segments · log inputs), independent of the
-//! number of rows an input skips. A row with only a few items skips the
-//! accumulator: its items are sorted by `(column, arrival)` — the same
-//! per-coordinate order — and folded in place, which keeps tall, sparse
-//! operands from paying a random accumulator access per product.
+//! number of rows an input skips.
 
 use crate::condense::CondensedElement;
 use serde::{Deserialize, Serialize};
 use sparch_engine::MergeItem;
+use sparch_sparse::algo::{Spa, SHORT_ROW};
 use sparch_sparse::{Csr, Index};
 
 /// One input of a round's fold.
@@ -56,11 +59,6 @@ pub(crate) enum FoldInput<'s> {
 
 /// Winner-tree key of an input that has nothing left.
 const EXHAUSTED: u64 = u64::MAX;
-
-/// Rows with at most this many input items are folded by sorting them
-/// instead of through the accumulator, whose slots such rows would each
-/// touch once, at a random address, for a handful of products.
-const SHORT_ROW: usize = 32;
 
 /// Calls `f(col, value)` for every item of `source` in `[start, end)`, in
 /// stream order (a leaf's products are made here).
@@ -112,63 +110,14 @@ fn head_key(source: FoldInput<'_>, pos: usize, k: usize) -> u64 {
     row.map_or(EXHAUSTED, |r| (u64::from(r) << 32) | k as u64)
 }
 
-/// The dense sparse accumulator of one output row.
-#[derive(Debug, Default)]
-struct Spa {
-    /// One slot per output column; every slot not occupied by the
-    /// current row holds `-0.0`.
-    values: Vec<f64>,
-    /// `marker[j] == stamp` iff column `j` is occupied in the current row.
-    marker: Vec<u32>,
-    stamp: u32,
-    /// The current row's occupied columns, in first-touch order.
-    occupied: Vec<Index>,
-}
-
-impl Spa {
-    /// Starts a new row: every column becomes unoccupied.
-    fn next_row(&mut self) {
-        if self.stamp == u32::MAX {
-            self.marker.fill(0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-    }
-
-    /// Accumulates `x` into column `c` of the current row.
-    #[inline]
-    fn add(&mut self, c: Index, x: f64) {
-        let j = c as usize;
-        if self.marker[j] != self.stamp {
-            self.marker[j] = self.stamp;
-            self.occupied.push(c);
-        }
-        self.values[j] += x;
-    }
-
-    /// Emits row `r`'s occupied columns in ascending order and returns
-    /// their slots to `-0.0`.
-    fn emit(&mut self, r: Index, out: &mut Vec<MergeItem>) {
-        self.occupied.sort_unstable();
-        for &c in &self.occupied {
-            let slot = &mut self.values[c as usize];
-            out.push(MergeItem::new(r, c, *slot));
-            *slot = -0.0;
-        }
-        self.occupied.clear();
-    }
-}
-
 /// The row-wise merge-fold and its reusable state (see the module docs).
 ///
 /// After one call at a given width and fan-in, further calls allocate
 /// nothing beyond growth of `out`.
 #[derive(Debug, Default)]
 pub(crate) struct RowFold {
+    /// The accumulator every row folds through.
     spa: Spa,
-    /// A short row's items as `((col << 32) | arrival, value)`: sorting by
-    /// the key orders them by column, ties in arrival order.
-    short: Vec<(u64, f64)>,
     /// The current row's segments `(input, start, end)`, in input order.
     segments: Vec<(usize, usize, usize)>,
     /// Per input: position of its first unconsumed item (or element).
@@ -196,10 +145,7 @@ impl RowFold {
         if num_inputs == 0 {
             return 0;
         }
-        if self.spa.values.len() < width {
-            self.spa.values.resize(width, -0.0);
-            self.spa.marker.resize(width, 0);
-        }
+        self.spa.grow(width);
         self.cursors.clear();
         self.cursors.resize(num_inputs, 0);
         let cap = num_inputs.next_power_of_two();
@@ -242,35 +188,20 @@ impl RowFold {
             }
             items += row_items;
 
-            let Self {
-                spa,
-                short,
-                segments,
-                ..
-            } = self;
+            let Self { spa, segments, .. } = self;
+            let mut emit = |c, v| out.push(MergeItem::new(r, c, v));
             if row_items <= SHORT_ROW {
-                short.clear();
+                let mut row = spa.short_row();
                 for &(k, start, end) in segments.iter() {
-                    for_each_item(input(k), start, end, |c, x| {
-                        let arrival = short.len() as u64;
-                        short.push(((u64::from(c) << 32) | arrival, x));
-                    });
+                    for_each_item(input(k), start, end, |c, x| row.add(c, x));
                 }
-                short.sort_unstable_by_key(|&(key, _)| key);
-                let row_bits = u64::from(r) << 32;
-                for &(key, value) in short.iter() {
-                    let coord = row_bits | (key >> 32);
-                    match out.last_mut() {
-                        Some(last) if last.coord == coord => last.value += value,
-                        _ => out.push(MergeItem { coord, value }),
-                    }
-                }
+                row.drain(&mut emit);
             } else {
-                spa.next_row();
+                let mut row = spa.wide_row();
                 for &(k, start, end) in segments.iter() {
-                    for_each_item(input(k), start, end, |c, x| spa.add(c, x));
+                    for_each_item(input(k), start, end, |c, x| row.add(c, x));
                 }
-                spa.emit(r, out);
+                row.drain(&mut emit);
             }
         }
         (items - out.len()) as u64
@@ -582,21 +513,6 @@ mod tests {
         );
         assert_eq!(bits(&out), bits(&want));
         assert_eq!(adds, want_adds);
-    }
-
-    #[test]
-    fn marker_survives_stamp_wraparound() {
-        let streams = mixed_streams();
-        let refs: Vec<&[MergeItem]> = streams.iter().map(|s| s.as_slice()).collect();
-        let (want, _) = sorted_oracle(&refs);
-        let mut fold = RowFold::default();
-        let mut out = Vec::new();
-        // Leave occupied-looking marks behind, then wrap the stamp mid-run.
-        fold.fold(refs.len(), |k| FoldInput::Stream(refs[k]), 50, &mut out);
-        fold.spa.stamp = u32::MAX - 3;
-        fold.fold(refs.len(), |k| FoldInput::Stream(refs[k]), 50, &mut out);
-        assert!(fold.spa.stamp < 100, "the stamp wrapped");
-        assert_eq!(bits(&out), bits(&want));
     }
 
     fn params() -> CostParams {

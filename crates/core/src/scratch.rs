@@ -9,9 +9,9 @@
 //! [`SimScratch`] owns every buffer the round-execute stage touches:
 //!
 //! * the per-round merged outputs (partial results),
-//! * the row-wise fold's accumulator (a `-0.0`-filled value array and a
-//!   stamped marker, one slot per output column), its occupied-column
-//!   list, and its per-input cursors and winner tree,
+//! * the row-wise fold's accumulator (a `-0.0`-filled value array, one
+//!   slot per output column, a two-level occupancy bitmap and a short-row
+//!   sort buffer), and its per-input cursors and winner tree,
 //! * the prefetch stage's access lists and per-round MatB accounting.
 //!
 //! Leaf streams are never materialised: the fold multiplies each leaf's

@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up run with the same task, `SpArchSim::execute_stage` must not
-//! allocate at all — every stream buffer, the merge heap's storage and
+//! allocate at all — every stream buffer, the fold's accumulator and
 //! the per-round accounting live in the reused [`SimScratch`].
 //!
 //! This file holds exactly one test so no neighbouring test's

@@ -2,8 +2,8 @@
 //! `mkl_sparse_spmm`, used as the paper's CPU baseline).
 //!
 //! For each row `i` of `A`, accumulate `Σ_k a_ik * B[k, :]` into a sparse
-//! accumulator (SPA): a dense value array plus a per-slot marker, giving
-//! O(flops) time with good constant factors on CPUs.
+//! accumulator (SPA) and emit the row's occupied columns in ascending
+//! order, giving O(flops) time with good constant factors on CPUs.
 //!
 //! There is one production kernel and one oracle:
 //!
@@ -17,27 +17,28 @@
 //!
 //! Both add the products of one output slot in the same `(i, k)` order,
 //! so they agree in structure and in the bits of every value. The
-//! production kernel gets its speed from three structural facts:
+//! production kernel accumulates through [`super::Spa`], the accumulator
+//! the simulator's merge fold also uses, and picks its row class from the
+//! row's flop count alone:
 //!
-//! * **The −0.0 invariant.** Between rows every SPA value slot holds
-//!   `-0.0`, IEEE-754's additive identity: `-0.0 + x` has the bits of `x`
-//!   for every `x`, signed zeros included. The first touch of a slot is
-//!   therefore the same `+=` as every later one — no "first or not"
-//!   branch on the value path — and a slot is put back to `-0.0` as it
-//!   is emitted.
-//! * **The row-class rule.** From numbers it already has — a row's flop
-//!   count and its output span `[lo, hi)`, the extreme columns of the `B`
-//!   rows it touches — the kernel picks per `A` row: when
-//!   `hi − lo ≤ flops` (*span row*) it stamps the marker unconditionally
-//!   and emits by one ordered scan of `[lo, hi)`, with no occupancy list
-//!   and no sort; otherwise (*list row*) it keeps the list of first-touched
-//!   columns and sorts it. Either way a row costs O(flops).
-//! * **Runs as slices.** In a span row, the longest column-contiguous run
-//!   of each `B` row (found once per call) is added as a slice,
+//! * **Short rows** (at most [`super::SHORT_ROW`] products) are expanded,
+//!   sorted by `(column, arrival)` and folded, never touching the dense
+//!   arrays: a handful of products spread over a wide output span sorts
+//!   faster than it walks an occupancy bitmap.
+//! * **Every other row** adds into the SPA's `-0.0`-filled value array,
+//!   records occupancy in its two-level bitmap, and is emitted by walking
+//!   the bitmap in ascending column order — no column list and no sort.
+//!   A *word-dense* `B` row (at least four entries per 64-column word it
+//!   touches: band, block and hub rows) is marked occupied from word masks
+//!   built once per call, one OR per word, and its longest
+//!   column-contiguous run is added as a slice,
 //!   `values[j0..j0 + n] += a * vb[..]`, which the compiler vectorises.
+//!   A sparser `B` row sets its bits product by product, once per word.
 //!   Multiply and add stay separate operations and every slot still
-//!   receives its products in `k` order, so rounding is unchanged.
+//!   receives its products in `k` order, starting from `-0.0`, the
+//!   additive identity, so rounding is unchanged.
 
+use super::spa::{word_masks, Spa, SHORT_ROW};
 use crate::{Csr, CsrBuilder, Index};
 
 /// Flop count and output span `[lo, hi)` of one `A` row with column
@@ -141,6 +142,13 @@ pub fn gustavson_reference(a: &Csr, b: &Csr) -> Csr {
 /// costs more than the scatter it replaces.
 const MIN_RUN: usize = 8;
 
+/// A `B` row is *word-dense* when it has at least this many entries per
+/// 64-column word it touches. A wide row marks a word-dense `B` row's
+/// columns occupied from the row's precomputed word masks, one OR per
+/// word, instead of product by product — the row is read once per call to
+/// build them and then serves every `A` row that touches it.
+const DENSE_WORDS: usize = 4;
+
 /// What the kernel needs to know about one `B` row beyond its entries.
 #[derive(Debug, Clone, Copy)]
 struct BRow {
@@ -150,20 +158,48 @@ struct BRow {
     last: Index,
     /// Offset within the row of its longest column-contiguous run.
     run_at: Index,
-    /// Length of that run, or `0` when it is shorter than [`MIN_RUN`].
+    /// Length of that run, or `0` when it is shorter than [`MIN_RUN`] or
+    /// the row is not word-dense.
     run_len: Index,
+    /// The row's word masks are `masks[masks_at..][..masks_len]` in the
+    /// scratch's mask table.
+    masks_at: Index,
+    /// `0` unless the row is word-dense.
+    masks_len: Index,
 }
 
 impl BRow {
-    fn of(jb: &[Index]) -> BRow {
+    /// The entry of the `B` row with columns `jb`; appends the row's word
+    /// masks to `masks` when it is word-dense.
+    fn of(jb: &[Index], masks: &mut Vec<(Index, u64)>) -> BRow {
         let (Some(&first), Some(&last)) = (jb.first(), jb.last()) else {
             return BRow {
                 first: Index::MAX,
                 last: 0,
                 run_at: 0,
                 run_len: 0,
+                masks_at: 0,
+                masks_len: 0,
             };
         };
+        let mut row = BRow {
+            first,
+            last,
+            run_at: 0,
+            run_len: 0,
+            masks_at: 0,
+            masks_len: 0,
+        };
+        // Rows past what an `Index` offset can reach in the mask table
+        // stay unmarked: they take the product-by-product path.
+        let Ok(masks_at) = Index::try_from(masks.len()) else {
+            return row;
+        };
+        if !word_masks(jb, DENSE_WORDS, masks) {
+            return row;
+        }
+        row.masks_at = masks_at;
+        row.masks_len = (masks.len() - masks_at as usize) as Index;
         let (mut run_at, mut run_len) = (0, 0);
         if (last - first) as usize + 1 == jb.len() {
             // Strictly increasing columns filling their span: one run.
@@ -179,47 +215,36 @@ impl BRow {
                 }
             }
         }
-        if run_len < MIN_RUN {
-            (run_at, run_len) = (0, 0);
+        if run_len >= MIN_RUN {
+            row.run_at = run_at as Index;
+            row.run_len = run_len as Index;
         }
-        BRow {
-            first,
-            last,
-            run_at: run_at as Index,
-            run_len: run_len as Index,
-        }
+        row
     }
 }
 
 /// Reusable working state for [`gustavson_scratch`] — the multiply-stage
 /// twin of the merge stage's `MergeScratch`.
 ///
-/// A worker constructs one scratch and feeds every job through it. The SPA
-/// arrays (`values` + `marker`) grow monotonically to the widest `b.cols()`
-/// seen and are never shrunk or wiped: every `values` slot is `-0.0`
-/// whenever no row is in flight (the kernel resets a slot as it emits it),
-/// and the marker holds a *generation stamp* that increments per processed
-/// row, so slots dirtied by one job can never alias a later job's rows —
-/// no O(cols) wipe between jobs, no per-job allocation once warm.
+/// A worker constructs one scratch and feeds every job through it. The
+/// accumulator grows monotonically to the widest `b.cols()` seen and is
+/// never shrunk or wiped: every row the kernel folds leaves it in its
+/// between-rows state (value slots `-0.0`, occupancy bitmap zero), so
+/// there is no O(cols) wipe between jobs and no per-job allocation once
+/// warm.
 #[derive(Debug, Default)]
 pub struct MultiplyScratch {
-    /// Dense SPA value array, `>= b.cols()` slots once warmed, all `-0.0`
-    /// between rows.
-    values: Vec<f64>,
-    /// Generation stamp of the row that last touched each slot. Stamp `0`
-    /// is reserved as "never touched" so fresh slots are always stale.
-    marker: Vec<u64>,
-    /// First-touched column slots of the list row in flight (unsorted
-    /// until emit).
-    occupied: Vec<Index>,
+    /// The sparse accumulator every row folds through.
+    spa: Spa,
     /// Occupied-row index computed by [`gustavson_scratch`] when the
     /// caller does not supply one.
     live_rows: Vec<Index>,
     /// One [`BRow`] per row of the `B` operand of the call in flight,
     /// rebuilt per call in O(nnz(B)).
     b_rows: Vec<BRow>,
-    /// Monotone per-row generation counter shared across all jobs.
-    stamp: u64,
+    /// The word masks of the call's word-dense `B` rows, indexed by
+    /// `b_rows`.
+    masks: Vec<(Index, u64)>,
     /// Calls served entirely from already-sized buffers.
     reuses: u64,
 }
@@ -237,19 +262,17 @@ impl MultiplyScratch {
         self.reuses
     }
 
-    /// Grows the SPA arrays to `b`'s width and rebuilds the per-`B`-row
+    /// Grows the accumulator to `b`'s width and rebuilds the per-`B`-row
     /// table. Returns `true` if any buffer grew (i.e. this call is cold).
     fn prepare(&mut self, b: &Csr) -> bool {
-        let table_cap = self.b_rows.capacity();
+        let (table_cap, masks_cap) = (self.b_rows.capacity(), self.masks.capacity());
         self.b_rows.clear();
+        self.masks.clear();
+        let masks = &mut self.masks;
         self.b_rows
-            .extend((0..b.rows()).map(|k| BRow::of(b.row(k).0)));
-        let grew_spa = self.values.len() < b.cols();
-        if grew_spa {
-            self.values.resize(b.cols(), -0.0);
-            self.marker.resize(b.cols(), 0);
-        }
-        grew_spa || self.b_rows.capacity() != table_cap
+            .extend((0..b.rows()).map(|k| BRow::of(b.row(k).0, masks)));
+        let grew_spa = self.spa.grow(b.cols());
+        grew_spa || self.b_rows.capacity() != table_cap || self.masks.capacity() != masks_cap
     }
 }
 
@@ -295,8 +318,8 @@ pub fn gustavson_scratch(a: &Csr, b: &Csr, scratch: &mut MultiplyScratch) -> Csr
 ///
 /// # Panics
 ///
-/// Panics if `a.cols() != b.rows()`. Unsorted or out-of-bounds `live`
-/// entries panic in debug builds.
+/// Panics if `a.cols() != b.rows()`, or if `live` is not strictly
+/// increasing or names a row at or past `a.rows()`.
 pub fn gustavson_scratch_on_rows(
     a: &Csr,
     b: &Csr,
@@ -304,11 +327,18 @@ pub fn gustavson_scratch_on_rows(
     scratch: &mut MultiplyScratch,
 ) -> Csr {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    // The output is appended row by row without a check, so a list out
+    // of order would build an invalid matrix.
+    assert!(
+        live.windows(2).all(|w| w[0] < w[1])
+            && live.last().is_none_or(|&r| (r as usize) < a.rows()),
+        "live rows must be strictly increasing and below a.rows()"
+    );
     multiply_on_rows(a, b, live, scratch, false)
 }
 
-/// The production kernel (see the module docs for the −0.0 invariant, the
-/// row-class rule and the slice path). The output is pre-sized from
+/// The production kernel (see the module docs for the row classes and
+/// the slice path). The output is pre-sized from
 /// `Σ_i min(flops_i, hi_i − lo_i)` over the live rows — a true upper
 /// bound — so the push loop never climbs a realloc ladder.
 fn multiply_on_rows(
@@ -318,96 +348,55 @@ fn multiply_on_rows(
     scratch: &mut MultiplyScratch,
     grew_live: bool,
 ) -> Csr {
-    debug_assert!(
-        live.windows(2).all(|w| w[0] < w[1]),
-        "live rows must be strictly increasing"
-    );
-    debug_assert!(live.iter().all(|&r| (r as usize) < a.rows()));
     let grew = scratch.prepare(b);
-    let occupied_cap = scratch.occupied.capacity();
-    let values = &mut scratch.values[..b.cols()];
-    let marker = &mut scratch.marker[..b.cols()];
-    let occupied = &mut scratch.occupied;
+    let spa = &mut scratch.spa;
     let b_rows = &scratch.b_rows[..];
+    let masks = &scratch.masks[..];
 
-    let extent = |i: Index| {
-        row_extent(a.row(i as usize).0, |k| {
-            let shape = b_rows[k];
-            (shape.first <= shape.last).then(|| (b.row_nnz(k), shape.first, shape.last))
-        })
-    };
     let bound = live
         .iter()
         .map(|&i| {
-            let (flops, lo, hi) = extent(i);
+            let (flops, lo, hi) = row_extent(a.row(i as usize).0, |k| {
+                let shape = b_rows[k];
+                (shape.first <= shape.last).then(|| (b.row_nnz(k), shape.first, shape.last))
+            });
             flops.min(hi - lo)
         })
         .sum();
     let mut out = CsrBuilder::with_capacity(a.rows(), b.cols(), bound);
 
-    let mut stamp = scratch.stamp;
     for &i in live {
-        let (flops, lo, hi) = extent(i);
-        if flops == 0 {
-            continue;
-        }
-        stamp += 1;
         let (ka, va) = a.row(i as usize);
-        if hi - lo <= flops {
-            // Span row: every slot of `[lo, hi)` is worth a look, so no
-            // list of touched columns and no sort.
-            for (&k, &av) in ka.iter().zip(va) {
-                let (jb, vb) = b.row(k as usize);
-                let BRow {
-                    run_at, run_len, ..
-                } = b_rows[k as usize];
-                let (run_at, run_len) = (run_at as usize, run_len as usize);
-                let run_end = run_at + run_len;
-                if run_len > 0 {
-                    let j0 = jb[run_at] as usize;
-                    let j1 = j0 + run_len;
-                    for (v, &bv) in values[j0..j1].iter_mut().zip(&vb[run_at..run_end]) {
-                        *v += av * bv;
-                    }
-                    marker[j0..j1].fill(stamp);
-                }
-                for outliers in [0..run_at, run_end..jb.len()] {
-                    for (&j, &bv) in jb[outliers.clone()].iter().zip(&vb[outliers]) {
-                        values[j as usize] += av * bv;
-                        marker[j as usize] = stamp;
-                    }
-                }
-            }
-            let span = marker[lo..hi].iter().zip(&mut values[lo..hi]);
-            for (j, (&mark, v)) in (lo..).zip(span) {
-                if mark == stamp {
-                    out.push_trusted(i, j as Index, *v);
-                    *v = -0.0;
-                }
-            }
-        } else {
-            occupied.clear();
+        let flops: usize = ka.iter().map(|&k| b.row_nnz(k as usize)).sum();
+        if flops <= SHORT_ROW {
+            let mut row = spa.short_row();
             for (&k, &av) in ka.iter().zip(va) {
                 let (jb, vb) = b.row(k as usize);
                 for (&j, &bv) in jb.iter().zip(vb) {
-                    let ju = j as usize;
-                    if marker[ju] != stamp {
-                        marker[ju] = stamp;
-                        occupied.push(j);
-                    }
-                    values[ju] += av * bv;
+                    row.add(j, av * bv);
                 }
             }
-            occupied.sort_unstable();
-            for &j in occupied.iter() {
-                out.push_trusted(i, j, values[j as usize]);
-                values[j as usize] = -0.0;
+            row.drain(|j, v| out.push_trusted(i, j, v));
+        } else {
+            let mut row = spa.wide_row();
+            for (&k, &av) in ka.iter().zip(va) {
+                let (jb, vb) = b.row(k as usize);
+                let shape = b_rows[k as usize];
+                if shape.masks_len == 0 {
+                    for (&j, &bv) in jb.iter().zip(vb) {
+                        row.add(j, av * bv);
+                    }
+                } else {
+                    let run = shape.run_at as usize..(shape.run_at + shape.run_len) as usize;
+                    let marks = &masks[shape.masks_at as usize..][..shape.masks_len as usize];
+                    row.add_marked(jb, av, vb, run, marks);
+                }
             }
+            row.drain(|j, v| out.push_trusted(i, j, v));
         }
     }
-    scratch.stamp = stamp;
 
-    if !grew && !grew_live && scratch.occupied.capacity() == occupied_cap {
+    if !grew && !grew_live {
         scratch.reuses += 1;
     }
     out.finish()
@@ -433,14 +422,10 @@ mod tests {
     }
 
     /// Every entry point against the oracle through one reused scratch,
-    /// and the −0.0 invariant on that scratch after each call.
+    /// and the accumulator's between-rows state after each call.
     fn assert_kernel_matches_oracle(a: &Csr, b: &Csr, scratch: &mut MultiplyScratch, what: &str) {
         let clean = |scratch: &MultiplyScratch| {
-            let dirty = scratch
-                .values
-                .iter()
-                .position(|v| v.to_bits() != (-0.0f64).to_bits());
-            assert_eq!(dirty, None, "{what}: SPA slot left dirty");
+            assert!(scratch.spa.is_clean(), "{what}: accumulator left dirty");
         };
         let want = gustavson_reference(a, b);
         assert_bit_identical(&gustavson(a, b), &want, what);
@@ -475,11 +460,10 @@ mod tests {
         out.finish()
     }
 
-    /// `(flops, span width)` of `A`'s row `i` — what the class rule
-    /// compares.
-    fn class_numbers(a: &Csr, b: &Csr, i: usize) -> (usize, usize) {
-        let (flops, lo, hi) = row_extent(a.row(i).0, |k| row_ends(b, k));
-        (flops, hi - lo)
+    /// Flop count of `A`'s row `i` — what the class rule compares with
+    /// `SHORT_ROW`.
+    fn flops(a: &Csr, b: &Csr, i: usize) -> usize {
+        row_extent(a.row(i).0, |k| row_ends(b, k)).0
     }
 
     #[test]
@@ -633,8 +617,14 @@ mod tests {
 
     #[test]
     fn b_row_table_finds_the_longest_run() {
+        let masks_of = |cols: &[Index]| {
+            let mut masks = Vec::new();
+            let s = BRow::of(cols, &mut masks);
+            assert_eq!((s.masks_at, s.masks_len as usize), (0, masks.len()));
+            (s, masks)
+        };
         let shape = |cols: &[Index]| {
-            let s = BRow::of(cols);
+            let s = masks_of(cols).0;
             (s.first, s.last, s.run_at as usize, s.run_len as usize)
         };
         let run = |r: std::ops::Range<Index>| r.collect::<Vec<_>>();
@@ -664,32 +654,49 @@ mod tests {
             shape(&[0, Index::MAX - 1, Index::MAX]),
             (0, Index::MAX, 0, 0)
         );
+        // A run inside a row that is not word-dense (38 columns over 31
+        // words) is not a slice: the row goes product by product.
+        let sparse: Vec<Index> = (0..8).chain((1..31).map(|w| 64 * w)).collect();
+        assert_eq!(shape(&sparse), (0, 64 * 30, 0, 0));
+        assert!(masks_of(&sparse).1.is_empty());
+        // A word-dense row's masks cover exactly its columns.
+        let blocks: Vec<Index> = [0, 4, 60, 64, 200].iter().flat_map(|&c| c..c + 4).collect();
+        assert_eq!(shape(&blocks), (0, 203, 0, 8));
+        let bits = |r: std::ops::Range<u32>| r.fold(0u64, |m, b| m | 1 << b);
+        let want = [
+            (0, bits(0..8) | bits(60..64)),
+            (1, bits(0..4)),
+            (3, bits(8..12)),
+        ];
+        assert_eq!(masks_of(&blocks).1, want);
     }
 
     #[test]
     fn rows_at_the_class_boundary_match_the_oracle() {
         let mut scratch = MultiplyScratch::new();
-        // One A row over a 12-run and a pair whose position moves the
-        // span across the flop count (14): span row, boundary, list row.
-        for (pair_at, span_row) in [(10, true), (11, true), (12, false), (30, false)] {
-            let a = from_columns(2, &[vec![0, 1]]);
-            let b = from_columns(40, &[(0..12).collect(), vec![pair_at, pair_at + 2]]);
-            let (flops, span) = class_numbers(&a, &b, 0);
-            assert_eq!((flops, span), (14, pair_at as usize + 3));
-            assert_eq!(span <= flops, span_row, "pair at {pair_at}");
-            assert_kernel_matches_oracle(&a, &b, &mut scratch, &format!("pair at {pair_at}"));
-        }
-        // The same boundary without any run long enough to be a slice.
-        for pair_at in 1..=3 {
-            let a = from_columns(2, &[vec![0, 1]]);
-            let b = from_columns(8, &[vec![0, 1, 2], vec![pair_at, pair_at + 2]]);
-            assert_eq!(class_numbers(&a, &b, 0), (5, pair_at as usize + 3));
-            assert_kernel_matches_oracle(&a, &b, &mut scratch, "short rows");
+        // One A row over a 12-column B row and an `n`-column B row that
+        // overlaps it, so the row's 12 + n flops straddle `SHORT_ROW`
+        // (31, 32: short; 33, 34: wide). The first B row is a run added
+        // as a slice, or the same count of columns with no run; the second
+        // is word-dense (stride 5) or marked product by product (stride 70).
+        let with_run: Vec<Index> = (0..12).collect();
+        let without_run: Vec<Index> = (0..12).map(|c| 2 * c).collect();
+        for first in [with_run, without_run] {
+            for stride in [5, 70] {
+                for n in SHORT_ROW - 13..=SHORT_ROW - 10 {
+                    let a = from_columns(2, &[vec![0, 1]]);
+                    let spread = (0..n as Index).map(|c| stride * c).collect();
+                    let b = from_columns(1500, &[first.clone(), spread]);
+                    assert_eq!(flops(&a, &b, 0), 12 + n);
+                    let what = format!("{} flops, stride {stride}", 12 + n);
+                    assert_kernel_matches_oracle(&a, &b, &mut scratch, &what);
+                }
+            }
         }
     }
 
     #[test]
-    fn span_rows_add_runs_and_outliers_in_oracle_order() {
+    fn wide_rows_add_runs_and_outliers_in_oracle_order() {
         let mut outliers_and_run: Vec<Index> = vec![0, 2];
         outliers_and_run.extend(10..22);
         outliers_and_run.extend([30, 33]);
@@ -719,14 +726,14 @@ mod tests {
                 vec![2, 3, 4],
             ],
         );
-        // The grid means to exercise span rows: check that it does.
-        let span_rows = (0..a.rows())
-            .filter(|&i| {
-                let (flops, span) = class_numbers(&a, &b, i);
-                flops > 0 && span <= flops
-            })
+        // The grid means to exercise both row classes: check that it does.
+        let row_flops: Vec<usize> = (0..a.rows()).map(|i| flops(&a, &b, i)).collect();
+        let wide_rows = row_flops.iter().filter(|&&f| f > SHORT_ROW).count();
+        let short_rows = row_flops
+            .iter()
+            .filter(|&&f| (1..=SHORT_ROW).contains(&f))
             .count();
-        assert!(span_rows >= 5, "only {span_rows} span rows");
+        assert!(wide_rows >= 4 && short_rows >= 3, "{row_flops:?}");
         let mut scratch = MultiplyScratch::new();
         assert_kernel_matches_oracle(&a, &b, &mut scratch, "run grid");
         // Listing rows that multiply nothing, and leaving rows out.
@@ -748,19 +755,36 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "live rows must be strictly increasing")]
+    fn live_rows_out_of_order_panic() {
+        let a = Dense::from_rows(&[&[1.0, 0.0], &[0.0, 0.0], &[0.0, 4.0]]).to_csr();
+        let b = Dense::from_rows(&[&[1.0, 1.0], &[0.0, 5.0]]).to_csr();
+        let _ = gustavson_scratch_on_rows(&a, &b, &[2, 0], &mut MultiplyScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "below a.rows()")]
+    fn live_rows_out_of_bounds_panic() {
+        let a = Dense::from_rows(&[&[1.0, 0.0], &[0.0, 4.0]]).to_csr();
+        let b = Dense::from_rows(&[&[1.0, 1.0], &[0.0, 5.0]]).to_csr();
+        let _ = gustavson_scratch_on_rows(&a, &b, &[0, 2], &mut MultiplyScratch::new());
+    }
+
+    #[test]
     fn signed_zero_products_keep_their_sign_bits() {
         // Column by column: -1·0 = -0; -0 + -0 = -0; -0 + +0 = +0;
         // 1·(-0) alone = -0; a stored zero in A; an ordinary sum.
-        let mut a = CsrBuilder::new(1, 3);
-        for (k, v) in [(0, -1.0), (1, 1.0), (2, 0.0)] {
+        let mut a = CsrBuilder::new(1, 4);
+        for (k, v) in [(0, -1.0), (1, 1.0), (2, 0.0), (3, 1.0)] {
             a.push(0, k, v);
         }
         let a = a.finish();
         let mut scratch = MultiplyScratch::new();
-        // `stride` 1 packs the columns into a span row; 100 spreads them
-        // into a list row.
-        for stride in [1, 100] {
-            let mut b = CsrBuilder::new(3, 600);
+        // `stride` packs the columns into one word or spreads them over
+        // several; `pad` adds a 40-column run to `A`'s row, which makes
+        // it a wide row.
+        for (stride, pad) in [(1, false), (100, false), (1, true), (100, true)] {
+            let mut b = CsrBuilder::new(4, 600);
             for (c, v) in [(0, 0.0), (1, 0.0), (2, 0.0), (5, 2.5)] {
                 b.push(0, c * stride, v);
             }
@@ -770,10 +794,14 @@ mod tests {
             for (c, v) in [(4, 7.0), (5, -3.0)] {
                 b.push(2, c * stride, v);
             }
+            if pad {
+                for c in 550..590 {
+                    b.push(3, c, f64::from(c));
+                }
+            }
             let b = b.finish();
-            let (flops, span) = class_numbers(&a, &b, 0);
-            assert_eq!(span <= flops, stride == 1);
-            let what = format!("stride {stride}");
+            assert_eq!(flops(&a, &b, 0) > SHORT_ROW, pad);
+            let what = format!("stride {stride}, pad {pad}");
             assert_kernel_matches_oracle(&a, &b, &mut scratch, &what);
             let bits: Vec<u64> = gustavson(&a, &b)
                 .values()
@@ -781,7 +809,7 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect();
             let want = [-0.0, -0.0, 0.0, -0.0, 0.0, -1.75f64].map(f64::to_bits);
-            assert_eq!(bits, want, "{what}");
+            assert_eq!(bits[..6], want, "{what}");
         }
     }
 

@@ -27,6 +27,7 @@ mod heap;
 mod inner;
 mod outer;
 mod sort_merge;
+mod spa;
 
 pub use gustavson::{
     gustavson, gustavson_reference, gustavson_scratch, gustavson_scratch_on_rows, output_nnz_bound,
@@ -37,6 +38,7 @@ pub use heap::heap_spgemm;
 pub use inner::{inner_product, inner_product_stats, InnerStats};
 pub use outer::{outer_product, outer_product_partials};
 pub use sort_merge::{expansion_size, sort_merge};
+pub use spa::{ShortRow, Spa, WideRow, SHORT_ROW};
 
 use crate::Csr;
 

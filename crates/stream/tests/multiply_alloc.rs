@@ -2,14 +2,15 @@
 //! kernel.
 //!
 //! A multiply worker owns one `MultiplyScratch` for its lifetime; after
-//! one warm-up job the SPA (values + marker), the occupancy list and the
-//! live-row index are all sized, so a warm job touches the allocator
+//! one warm-up job the SPA (values, occupancy bitmap and short-row
+//! buffer) and the live-row index are all sized, so a warm job touches
+//! the allocator
 //! only for its *output*: the pre-sized `CsrBuilder`'s three reserves
 //! (row pointers, column indices, values), of which the two per-entry
 //! arrays are the only large ones. A counting global allocator pins
 //! that down exactly: the warm kernel call makes **three allocations
-//! total, two of them ≥ 64 KiB**, on a workload whose SPA arrays
-//! (~235 KiB each) would dominate the audit if they were re-allocated
+//! total, two of them ≥ 64 KiB**, on a workload whose SPA value array
+//! (~234 KiB) would dominate the audit if it were re-allocated
 //! per job — which is precisely what the seed `gustavson_reference`
 //! does, and what its strictly larger audit count shows.
 //!
@@ -23,8 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations at or above this size count as "large" — well above the
 /// builder's row-pointer reserve (~16 KiB for 2000 rows) and the
-/// occupancy list, well below the SPA arrays (~235 KiB each) and the
-/// output's per-entry reserves.
+/// occupancy bitmap (~4 KiB), well below the SPA value array (~234 KiB)
+/// and the output's per-entry reserves.
 const BIG: usize = 64 << 10;
 
 struct TrackingAlloc;
@@ -87,8 +88,8 @@ fn audited<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 #[test]
 fn warm_multiply_jobs_make_zero_spa_allocations() {
     // Panel-job shape: tall-thin A (2000×64), B fanning out to 30_000
-    // columns so each SPA array is 30_000 slots — 234 KiB of values,
-    // 234 KiB of markers — far above the audit threshold.
+    // columns so the SPA value array is 30_000 slots — 234 KiB — far
+    // above the audit threshold.
     const B_COLS: usize = 30_000;
     let jobs: Vec<(Csr, Csr)> = (0..3)
         .map(|s| {
@@ -133,8 +134,7 @@ fn warm_multiply_jobs_make_zero_spa_allocations() {
         "the warm job must be counted as a scratch reuse"
     );
 
-    // Different jobs of the same panel shape stay SPA-free too: the
-    // occupancy list may grow (it is far below the threshold), but no
+    // Different jobs of the same panel shape stay SPA-free too: no
     // large allocation beyond the output ever recurs.
     for (i, (a, b)) in jobs.iter().enumerate().skip(1) {
         let (got, _, bigs) = audited(|| algo::gustavson_scratch(a, b, &mut scratch));
