@@ -12,11 +12,13 @@
 //! Matrices inside a payload travel as **SPM blocks** — a `u64` length
 //! followed by exactly the bytes [`spill::encode_partial`] produces, so
 //! the wire format *is* the spill codec: the same delta+varint encoding
-//! (with its per-file raw fallback), the same untrusting decoder
-//! ([`spill::decode_partial`]) validating shape, order and exact length.
-//! A truncated, corrupted or oversized frame therefore surfaces as a
-//! typed [`DistError`] — never a panic, a hang, or an unbounded
-//! allocation.
+//! (with its per-file raw fallback), decoded by [`spill::decode_partial`]
+//! through the same entry decoder that reads spill files back —
+//! bounds, order and overflow checked per entry — plus the two checks
+//! only a block from another process needs: a cap on the declared shape
+//! and an exact length. A truncated, corrupted or oversized frame
+//! therefore surfaces as a typed [`DistError`] — never a panic, a hang,
+//! or an unbounded allocation.
 //!
 //! A plan crosses the wire as what it was built from — every panel's
 //! range and `A` non-zero count, plus the fan-in — and the receiver

@@ -39,7 +39,6 @@
 //! byte-equal outputs.
 
 use crate::spill::SpillReader;
-use crate::store::Taken;
 use crate::StreamError;
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::cmp::Reverse;
@@ -63,15 +62,6 @@ enum Inner {
     Disk(SpillReader),
 }
 
-impl From<Taken> for PartialSource {
-    fn from(taken: Taken) -> Self {
-        match taken {
-            Taken::Mem(csr) => PartialSource::from_csr(csr),
-            Taken::Disk(reader) => PartialSource::from_spill(reader),
-        }
-    }
-}
-
 impl PartialSource {
     /// A source over a resident CSR.
     pub fn from_csr(csr: Csr) -> Self {
@@ -85,6 +75,15 @@ impl PartialSource {
     /// A source streaming a spilled partial back from disk.
     pub fn from_spill(reader: SpillReader) -> Self {
         PartialSource(Inner::Disk(reader))
+    }
+
+    /// Drains a fresh source into a CSR: a resident one as it is, a
+    /// spilled one through [`SpillReader::read_all`].
+    pub(crate) fn into_csr(self) -> Result<Csr, StreamError> {
+        match self.0 {
+            Inner::Mem { csr, .. } => Ok(csr),
+            Inner::Disk(reader) => reader.read_all(),
+        }
     }
 
     /// Errors unless the source declares the shape `rows × cols`: a

@@ -1082,7 +1082,7 @@ impl MergeStage {
             let mut sources = Vec::new();
             for id in plan.round_children(r) {
                 match self.store.take(id) {
-                    Ok(taken) => sources.push(PartialSource::from(taken)),
+                    Ok(source) => sources.push(source),
                     Err(e) => {
                         self.failure = Some(e);
                         return;

@@ -40,21 +40,39 @@
 //! `drow + token + 8`. As a final guarantee the writer computes the
 //! exact varint size first and falls back to `SPM1` whenever varint
 //! would not be strictly smaller — a *requested* varint spill is never
-//! larger than raw, on any input. The reader dispatches on the magic,
-//! so the choice is invisible to the merge heap: both formats stream
-//! back through the same bounded buffer.
+//! larger than raw, on any input.
 //!
 //! The same encoding doubles as the **wire format** of the distributed
 //! layer: [`encode_partial`] produces the header + body as bytes for a
-//! socket frame, and [`decode_partial`] is its *untrusting* inverse —
-//! it validates the header, coordinate order and bounds and the exact
-//! payload length, so a truncated or corrupted frame surfaces as a
-//! typed [`StreamError::Io`], never a panic.
+//! socket frame, byte for byte what [`write_partial`] puts on disk.
+//!
+//! **One decoder, two framings.** Whatever the bytes came from, one
+//! function turns them into entries: it parses an entry of either
+//! format from a byte slice and a cursor, taking a single-load LEB128
+//! path while eight bytes are ahead and bounds-checked reads near the
+//! end of the input, and holds every entry to the header's shape and to
+//! strictly increasing `(row, col)` order. The two framings only decide
+//! what slice it sees:
+//!
+//! * a **spill file** is read by [`SpillReader`] through a bounded 64 KiB
+//!   buffer; the decoder runs over each buffered window, taking an entry
+//!   only while a worst-case one fits or the window holds the file's
+//!   tail. `next_chunk`, `next_triple` and `read_all` are thin loops
+//!   over that one path;
+//! * a **wire frame** is decoded whole by [`decode_partial`].
+//!
+//! Both hold the header's entry count against the body bytes present
+//! before sizing anything by it. Two checks are wire-only, because a
+//! frame comes from another process while a spill file comes back to
+//! the process that wrote it (and its shape is checked against the one
+//! written, [`SpillReader::expect_shape`]): a cap on the declared shape,
+//! and no bytes past the declared entries. Every failure is a typed
+//! [`StreamError::Io`] — never a panic — and a file's carries its path.
 
 use crate::{SpillCodec, StreamError};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC_RAW: u32 = 0x5350_4d31;
@@ -66,8 +84,9 @@ const RAW_ENTRY_BYTES: u64 = 16;
 /// by design: this bounds the resident bytes a spilled merge child costs.
 const READ_BUF_BYTES: usize = 64 * 1024;
 
-/// Worst-case encoded size of one varint entry: three 10-byte LEB128
-/// fields (drow, token, value) — the batch decoder's look-ahead bound.
+/// Worst-case encoded size of one entry in either format — three 10-byte
+/// LEB128 fields (drow, token, value), above raw's 16 — so a buffered
+/// window with this many bytes ahead holds the next entry whole.
 const MAX_VARINT_ENTRY_BYTES: usize = 30;
 
 /// Largest row/column count [`decode_partial`] accepts. The row-pointer
@@ -211,84 +230,69 @@ pub fn encode_partial_into(buf: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) -> u
 /// Decodes a partial from an **untrusted** byte slice — the inverse of
 /// [`encode_partial`] for frames that crossed a process boundary.
 ///
-/// Every declared quantity is validated before it is believed: the
-/// magic, the shape (indices are `u32`), the entry count against the
-/// payload's minimum entry size, strictly increasing `(row, col)`
-/// coordinates within bounds (the [`EntryCheck`] it shares with
-/// [`SpillReader`]), and an exact-length payload (trailing garbage is an
-/// error). Corruption therefore surfaces as [`StreamError::Io`] — never
-/// a panic, an over-allocation, or a silently wrong matrix.
+/// The header is validated before it is believed — the magic, a shape
+/// within [`MAX_WIRE_DIM`], an entry count the payload can hold — and
+/// the body goes through the same entry decoder as [`SpillReader`]
+/// (shape, order and overflow checks included), followed by an
+/// exact-length check: trailing garbage is an error. Corruption
+/// therefore surfaces as [`StreamError::Io`] — never a panic, an
+/// over-allocation, or a silently wrong matrix.
 pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
-    let mut r = bytes;
-    let magic = read_u32(&mut r).map_err(|_| truncated("header"))?;
-    let mut delta = match magic {
-        MAGIC_RAW => None,
-        MAGIC_VARINT => Some(DeltaState::new()),
-        _ => {
-            return Err(StreamError::Io(format!(
-                "bad partial magic {magic:#010x} in wire payload"
-            )))
-        }
-    };
-    let rows = read_u64(&mut r).map_err(|_| truncated("header"))?;
-    let cols = read_u64(&mut r).map_err(|_| truncated("header"))?;
-    let nnz = read_u64(&mut r).map_err(|_| truncated("header"))?;
+    let (mut body, nnz) = decode_header(bytes)?;
+    let (rows, cols) = (body.check.rows, body.check.cols);
     if rows > MAX_WIRE_DIM || cols > MAX_WIRE_DIM {
         return Err(StreamError::Io(format!(
             "partial payload declares implausible shape {rows}x{cols} (limit {MAX_WIRE_DIM})"
         )));
     }
-    check_entry_count("partial payload", nnz, delta.is_some(), r.len() as u64)?;
+    let mut i = HEADER_BYTES as usize;
+    body.check_entry_count(nnz, (bytes.len() - i) as u64)?;
     let mut b = CsrBuilder::with_capacity(rows as usize, cols as usize, nnz as usize);
-    let mut check = EntryCheck::new(rows, cols);
     for _ in 0..nnz {
-        let (row, col, v) = match &mut delta {
-            None => {
-                let row = read_u32(&mut r).map_err(|_| truncated("entry"))?;
-                let col = read_u32(&mut r).map_err(|_| truncated("entry"))?;
-                let bits = read_u64(&mut r).map_err(|_| truncated("entry"))?;
-                (row as Index, col as Index, f64::from_bits(bits))
-            }
-            // A short read mid-entry surfaces as the reader's own
-            // `UnexpectedEof`-derived message; overflow keeps its own.
-            Some(state) => state.decode(&mut r)?,
-        };
-        check.admit(row, col)?;
-        b.push(row, col, v);
+        let (r, c, v) = body.entry(bytes, &mut i)?;
+        b.push_trusted(r, c, v);
     }
-    if !r.is_empty() {
+    if i != bytes.len() {
         return Err(StreamError::Io(format!(
             "partial payload has {} trailing bytes past the declared {nnz} entries",
-            r.len()
+            bytes.len() - i
         )));
     }
     Ok(b.finish())
 }
 
-/// Rejects a declared entry count that `body_bytes` cannot possibly
-/// hold — every entry costs at least 3 bytes (varint: drow + token +
-/// value, one byte each) — before any allocation is sized by it.
-fn check_entry_count(
-    what: &str,
-    nnz: u64,
-    varint: bool,
-    body_bytes: u64,
-) -> Result<(), StreamError> {
-    let min_entry = if varint { 3 } else { RAW_ENTRY_BYTES };
-    if nnz.saturating_mul(min_entry) > body_bytes {
-        return Err(StreamError::Io(format!(
-            "{what} declares {nnz} entries but holds only {body_bytes} body bytes"
-        )));
-    }
-    Ok(())
+/// Parses the header at the front of `bytes`: the body decoder its
+/// magic selects, holding its shape, and the declared entry count.
+fn decode_header(bytes: &[u8]) -> Result<(BodyDecoder, u64), StreamError> {
+    let Some(h) = bytes.get(..HEADER_BYTES as usize) else {
+        return Err(truncated("header"));
+    };
+    let word = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 bytes"));
+    let magic = u32::from_le_bytes(h[..4].try_into().expect("4 bytes"));
+    let delta = match magic {
+        MAGIC_RAW => None,
+        MAGIC_VARINT => Some(DeltaState::new()),
+        _ => return Err(StreamError::Io(format!("bad partial magic {magic:#010x}"))),
+    };
+    let check = EntryCheck::new(word(4), word(12));
+    Ok((BodyDecoder { delta, check }, word(20)))
 }
 
-/// The truncation error every under-long wire payload maps to.
+/// The truncation error every under-long header or body maps to.
 fn truncated(what: &str) -> StreamError {
-    StreamError::Io(format!("partial payload truncated mid-{what}"))
+    StreamError::Io(format!("partial truncated mid-{what}"))
 }
 
-/// What every decoder holds an entry to before believing it: inside the
+/// The next `N` bytes of `buf` at `*i`, advancing `i`; `None` past the
+/// end. Inlined, like [`EntryCheck::admit`], into the per-entry loop.
+#[inline(always)]
+fn take<const N: usize>(buf: &[u8], i: &mut usize) -> Option<[u8; N]> {
+    let bytes = buf.get(*i..*i + N)?.try_into().ok()?;
+    *i += N;
+    Some(bytes)
+}
+
+/// What every decoded entry is held to before it is believed: inside the
 /// header's shape, and strictly after its predecessor in `(row, col)`
 /// order — what `CsrBuilder::push_trusted` and the merge kernels assume
 /// of the keys they are fed.
@@ -308,8 +312,9 @@ impl EntryCheck {
         }
     }
 
-    /// Admits `(row, col)` as the next entry, returning its merge key.
-    fn admit(&mut self, row: Index, col: Index) -> Result<u64, StreamError> {
+    /// Admits `(row, col)` as the next entry.
+    #[inline(always)]
+    fn admit(&mut self, row: Index, col: Index) -> Result<(), StreamError> {
         if u64::from(row) >= self.rows || u64::from(col) >= self.cols {
             return Err(StreamError::Io(format!(
                 "partial entry ({row}, {col}) outside declared shape {}x{}",
@@ -323,7 +328,71 @@ impl EntryCheck {
             )));
         }
         self.prev = Some(key);
-        Ok(key)
+        Ok(())
+    }
+}
+
+/// The body decoder of one partial, file or frame: the format the
+/// header's magic named and the [`EntryCheck`] every entry must pass.
+#[derive(Debug)]
+struct BodyDecoder {
+    /// Delta state for the varint format; `None` for raw.
+    delta: Option<DeltaState>,
+    check: EntryCheck,
+}
+
+impl BodyDecoder {
+    /// Rejects a declared entry count that `body_bytes` cannot possibly
+    /// hold — a raw entry costs 16 bytes, a varint one at least 3 (drow,
+    /// token, value, one byte each) — before any allocation is sized by it.
+    fn check_entry_count(&self, nnz: u64, body_bytes: u64) -> Result<(), StreamError> {
+        let min_entry = if self.delta.is_some() {
+            3
+        } else {
+            RAW_ENTRY_BYTES
+        };
+        if nnz.saturating_mul(min_entry) > body_bytes {
+            return Err(StreamError::Io(format!(
+                "header declares {nnz} entries but the partial holds only {body_bytes} body bytes"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Decodes the entry at `buf[*i..]`, advancing `i` past it, and
+    /// admits it through the [`EntryCheck`] — the one place entry bytes
+    /// become `(row, col, value)`, for every reader of either format.
+    /// Every read is bounds-checked ([`take_varint`] takes its single
+    /// load only with eight bytes ahead), so input that ends mid-entry is
+    /// a truncation error, never a panic. Forced inline so each reader's
+    /// loop folds the format branch and the varint fast paths into itself.
+    #[inline(always)]
+    fn entry(&mut self, buf: &[u8], i: &mut usize) -> Result<Triple, StreamError> {
+        let (r, c, bits) = match &mut self.delta {
+            None => {
+                let e: [u8; 16] = take(buf, i).ok_or_else(|| truncated("entry"))?;
+                let half =
+                    |at: usize| u32::from_le_bytes(e[at..at + 4].try_into().expect("4 bytes"));
+                (
+                    half(0),
+                    half(4),
+                    u64::from_le_bytes(e[8..].try_into().expect("8 bytes")),
+                )
+            }
+            Some(state) => {
+                let drow = take_varint(buf, i)?;
+                let token = take_varint(buf, i)?;
+                let (r, c) = state.advance(drow, token >> 1)?;
+                let bits = if token & 1 == 0 {
+                    take_varint(buf, i)?.swap_bytes()
+                } else {
+                    u64::from_le_bytes(take(buf, i).ok_or_else(|| truncated("entry"))?)
+                };
+                (r, c, bits)
+            }
+        };
+        self.check.admit(r, c)?;
+        Ok((r, c, f64::from_bits(bits)))
     }
 }
 
@@ -400,57 +469,23 @@ impl DeltaState {
         self.first = false;
         Ok((r, c))
     }
-
-    /// Decodes one entry from `reader`, advancing the state.
-    fn decode<R: Read>(&mut self, reader: &mut R) -> Result<Triple, StreamError> {
-        let drow = read_varint(reader)?;
-        let token = read_varint(reader)?;
-        let (r, c) = self.advance(drow, token >> 1)?;
-        let v = if token & 1 == 0 {
-            f64::from_bits(read_varint(reader)?.swap_bytes())
-        } else {
-            f64::from_bits(read_u64(reader)?)
-        };
-        Ok((r, c, v))
-    }
-
-    /// Decodes one entry straight from a byte slice, advancing `i`. The
-    /// caller guarantees at least [`MAX_VARINT_ENTRY_BYTES`] readable
-    /// bytes at `buf[*i..]` — the batch decoder's fast path, sharing
-    /// [`DeltaState::advance`] with [`DeltaState::decode`] so the two can
-    /// never disagree about the format.
-    fn decode_slice(&mut self, buf: &[u8], i: &mut usize) -> Result<Triple, StreamError> {
-        let drow = take_varint(buf, i)?;
-        let token = take_varint(buf, i)?;
-        let (r, c) = self.advance(drow, token >> 1)?;
-        let v = if token & 1 == 0 {
-            f64::from_bits(take_varint(buf, i)?.swap_bytes())
-        } else {
-            let bits = u64::from_le_bytes(buf[*i..*i + 8].try_into().expect("8 bytes ensured"));
-            *i += 8;
-            f64::from_bits(bits)
-        };
-        Ok((r, c, v))
-    }
 }
 
-/// The bounded read buffer behind [`SpillReader`]: serves the per-triple
-/// path through [`Read`] and the batch path through raw slice access
-/// (`ensure`/`buffered`/`consume`), over one shared cursor so the two
-/// paths can interleave freely.
+/// The bounded read buffer behind [`SpillReader`], refilled from `R` —
+/// the spill file, or a fault-injecting reader under test.
 #[derive(Debug)]
-struct SpillBuf {
-    file: File,
+struct SpillBuf<R = File> {
+    src: R,
     buf: Vec<u8>,
     pos: usize,
     len: usize,
     eof: bool,
 }
 
-impl SpillBuf {
-    fn new(file: File) -> Self {
+impl<R: Read> SpillBuf<R> {
+    fn new(src: R) -> Self {
         SpillBuf {
-            file,
+            src,
             buf: vec![0u8; READ_BUF_BYTES],
             pos: 0,
             len: 0,
@@ -459,29 +494,28 @@ impl SpillBuf {
     }
 
     /// Refills until at least `want` unread bytes are buffered or the
-    /// file ends (`want` must be ≤ the buffer capacity). Returns the
-    /// number of unread bytes available afterwards.
-    fn ensure(&mut self, want: usize) -> Result<usize, StreamError> {
+    /// source ends (`want` must be ≤ the buffer capacity), retrying
+    /// interrupted reads. Returns the unread bytes and whether they run
+    /// to the end of the source.
+    fn window(&mut self, want: usize) -> Result<(&[u8], bool), StreamError> {
         debug_assert!(want <= self.buf.len());
         if self.len - self.pos < want && !self.eof {
             self.buf.copy_within(self.pos..self.len, 0);
             self.len -= self.pos;
             self.pos = 0;
             while self.len < self.buf.len() {
-                let n = self.file.read(&mut self.buf[self.len..])?;
-                if n == 0 {
-                    self.eof = true;
-                    break;
+                match self.src.read(&mut self.buf[self.len..]) {
+                    Ok(0) => {
+                        self.eof = true;
+                        break;
+                    }
+                    Ok(n) => self.len += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e.into()),
                 }
-                self.len += n;
             }
         }
-        Ok(self.len - self.pos)
-    }
-
-    /// The unread bytes currently buffered.
-    fn buffered(&self) -> &[u8] {
-        &self.buf[self.pos..self.len]
+        Ok((&self.buf[self.pos..self.len], self.eof))
     }
 
     /// Marks `n` buffered bytes as consumed.
@@ -489,48 +523,20 @@ impl SpillBuf {
         debug_assert!(n <= self.len - self.pos);
         self.pos += n;
     }
-
-    /// Bytes between the cursor and the end of the file: what is
-    /// buffered plus what the file still holds past its read position.
-    fn bytes_left(&mut self) -> Result<u64, StreamError> {
-        let on_disk = self.file.metadata()?.len();
-        let read = self.file.stream_position()?;
-        Ok(on_disk.saturating_sub(read) + (self.len - self.pos) as u64)
-    }
-}
-
-impl Read for SpillBuf {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos == self.len && !self.eof {
-            self.pos = 0;
-            self.len = 0;
-            while self.len < self.buf.len() {
-                let n = self.file.read(&mut self.buf[self.len..])?;
-                if n == 0 {
-                    self.eof = true;
-                    break;
-                }
-                self.len += n;
-            }
-        }
-        let n = (self.len - self.pos).min(out.len());
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
 }
 
 /// Streams a spilled partial back as sorted triples through a bounded
 /// read buffer, whichever format the writer chose.
 #[derive(Debug)]
-pub struct SpillReader {
-    buf: SpillBuf,
-    /// The header's shape and the last entry decoded: a damaged file must
-    /// fail here, not merge into a malformed matrix.
-    check: EntryCheck,
+pub struct SpillReader<R = File> {
+    buf: SpillBuf<R>,
+    /// The header's format and shape and the last entry decoded: a
+    /// damaged file must fail here, not merge into a malformed matrix.
+    body: BodyDecoder,
     remaining: u64,
-    /// Delta state for the varint format; `None` for raw.
-    delta: Option<DeltaState>,
+    /// Body bytes the file held when opened — what
+    /// [`SpillReader::read_all`] holds the header's entry count against.
+    body_bytes: u64,
     /// Where the partial lives — prefixed onto every I/O error so a
     /// failure deep in a merge names the file that caused it.
     path: PathBuf,
@@ -549,34 +555,35 @@ impl SpillReader {
     /// for the format named by the magic. Errors from here and from
     /// every read that follows carry the file's path.
     pub fn open(path: &Path) -> Result<Self, StreamError> {
-        Self::open_inner(path).map_err(|e| with_path(path, e))
+        let opened = File::open(path).and_then(|file| Ok((file.metadata()?.len(), file)));
+        let (len, file) = opened.map_err(|e| with_path(path, e.into()))?;
+        SpillReader::from_source(file, len, path)
     }
+}
 
-    fn open_inner(path: &Path) -> Result<Self, StreamError> {
-        let mut buf = SpillBuf::new(File::open(path)?);
-        let magic = read_u32(&mut buf)?;
-        let delta = match magic {
-            MAGIC_RAW => None,
-            MAGIC_VARINT => Some(DeltaState::new()),
-            _ => {
-                return Err(StreamError::Io(format!("bad spill magic {magic:#010x}")));
-            }
-        };
-        let rows = read_u64(&mut buf)?;
-        let cols = read_u64(&mut buf)?;
-        let remaining = read_u64(&mut buf)?;
+impl<R: Read> SpillReader<R> {
+    /// A reader over `len` bytes of spill format refilled from `src`,
+    /// naming `path` in its errors — [`SpillReader::open`] over a file,
+    /// or any reader a test wants to fault.
+    pub(crate) fn from_source(src: R, len: u64, path: &Path) -> Result<Self, StreamError> {
+        let mut buf = SpillBuf::new(src);
+        let header = buf
+            .window(HEADER_BYTES as usize)
+            .and_then(|(bytes, _)| decode_header(bytes));
+        let (body, remaining) = header.map_err(|e| with_path(path, e))?;
+        buf.consume(HEADER_BYTES as usize);
         Ok(SpillReader {
             buf,
-            check: EntryCheck::new(rows, cols),
+            body,
             remaining,
-            delta,
+            body_bytes: len.saturating_sub(HEADER_BYTES),
             path: path.to_path_buf(),
         })
     }
 
     /// Declared shape of the spilled partial.
     pub fn shape(&self) -> (usize, usize) {
-        (self.check.rows as usize, self.check.cols as usize)
+        (self.body.check.rows as usize, self.body.check.cols as usize)
     }
 
     /// Errors, naming the file, unless the header declares `rows × cols`
@@ -601,46 +608,17 @@ impl SpillReader {
 
     /// The next triple in `(row, col)` order, or `None` at the end.
     pub fn next_triple(&mut self) -> Result<Option<Triple>, StreamError> {
-        self.next_triple_inner()
-            .map_err(|e| with_path(&self.path, e))
-    }
-
-    fn next_triple_inner(&mut self) -> Result<Option<Triple>, StreamError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        let (r, c, v) = match &mut self.delta {
-            None => {
-                let r = read_u32(&mut self.buf)?;
-                let c = read_u32(&mut self.buf)?;
-                (r, c, f64::from_bits(read_u64(&mut self.buf)?))
-            }
-            Some(state) => state.decode(&mut self.buf)?,
-        };
-        self.check.admit(r, c)?;
-        Ok(Some((r, c, v)))
+        let mut next = None;
+        self.read_entries(1, |t| next = Some(t))?;
+        Ok(next)
     }
 
     /// Decodes up to `max` entries in one batch into the caller's scratch
     /// columns — packed `(row << 32) | col` keys plus values — returning
     /// how many were produced (0 only at the end of the file). This is
-    /// the merge kernel's fast path: whole buffered spans decode with
-    /// slice arithmetic instead of per-field `Read` calls, and the
-    /// delta/varint state machine is shared with the per-triple path.
+    /// the merge kernel's fast path: the inner merge loop then compares
+    /// single `u64`s and never touches the decoder.
     pub fn next_chunk(
-        &mut self,
-        max: usize,
-        keys: &mut Vec<u64>,
-        vals: &mut Vec<f64>,
-    ) -> Result<usize, StreamError> {
-        match self.next_chunk_inner(max, keys, vals) {
-            Ok(n) => Ok(n),
-            Err(e) => Err(with_path(&self.path, e)),
-        }
-    }
-
-    fn next_chunk_inner(
         &mut self,
         max: usize,
         keys: &mut Vec<u64>,
@@ -648,83 +626,54 @@ impl SpillReader {
     ) -> Result<usize, StreamError> {
         keys.clear();
         vals.clear();
-        let take = max.min(self.remaining as usize);
-        let SpillReader {
-            buf, delta, check, ..
-        } = self;
-        match delta {
-            None => {
-                let mut got = 0usize;
-                while got < take {
-                    let avail = buf.ensure(RAW_ENTRY_BYTES as usize)?;
-                    if avail < RAW_ENTRY_BYTES as usize {
-                        return Err(StreamError::Io(
-                            "spill file truncated mid-entry (raw)".into(),
-                        ));
-                    }
-                    let span = (avail / RAW_ENTRY_BYTES as usize).min(take - got);
-                    let bytes = span * RAW_ENTRY_BYTES as usize;
-                    for rec in buf.buffered()[..bytes].chunks_exact(RAW_ENTRY_BYTES as usize) {
-                        let r = u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes"));
-                        let c = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
-                        let bits = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-                        keys.push(check.admit(r, c)?);
-                        vals.push(f64::from_bits(bits));
-                    }
-                    buf.consume(bytes);
-                    got += span;
-                }
-            }
-            Some(state) => {
-                let mut got = 0usize;
-                while got < take {
-                    let avail = buf.ensure(MAX_VARINT_ENTRY_BYTES)?;
-                    if avail >= MAX_VARINT_ENTRY_BYTES {
-                        // Slice span: decode entries while a worst-case
-                        // entry still fits entirely in the buffer.
-                        let span = buf.buffered();
-                        let mut i = 0usize;
-                        while got < take && span.len() - i >= MAX_VARINT_ENTRY_BYTES {
-                            let (r, c, v) = state.decode_slice(span, &mut i)?;
-                            keys.push(check.admit(r, c)?);
-                            vals.push(v);
-                            got += 1;
-                        }
-                        buf.consume(i);
-                    } else {
-                        // File tail: fall back to the bounds-checked
-                        // per-field path for the last few entries.
-                        let (r, c, v) = state.decode(buf)?;
-                        keys.push(check.admit(r, c)?);
-                        vals.push(v);
-                        got += 1;
-                    }
-                }
-            }
-        }
-        self.remaining -= take as u64;
-        Ok(take)
+        self.read_entries(max, |(r, c, v)| {
+            keys.push(pack_key(r, c));
+            vals.push(v);
+        })
     }
 
     /// Drains the whole file into a CSR — the non-streaming fallback used
     /// when a spilled partial *is* the final result.
     ///
     /// The header's entry count sizes the result's arrays, so it is first
-    /// held against what the rest of the file can hold: a header that
-    /// lies is an error naming the file, not an allocation.
+    /// held against the body bytes the file held when opened: a header
+    /// that lies is an error naming the file, not an allocation.
     pub fn read_all(mut self) -> Result<Csr, StreamError> {
         let (rows, cols) = self.shape();
-        let varint = self.delta.is_some();
-        let fits = self
-            .buf
-            .bytes_left()
-            .and_then(|left| check_entry_count("header", self.remaining, varint, left));
+        let fits = self.body.check_entry_count(self.remaining, self.body_bytes);
         fits.map_err(|e| with_path(&self.path, e))?;
         let mut b = CsrBuilder::with_capacity(rows, cols, self.remaining as usize);
-        while let Some((r, c, v)) = self.next_triple()? {
-            b.push(r, c, v);
-        }
+        self.read_entries(usize::MAX, |(r, c, v)| b.push_trusted(r, c, v))?;
         Ok(b.finish())
+    }
+
+    /// Hands up to `max` entries to `emit`, returning how many — the loop
+    /// behind every public read. Each buffered window is decoded entry by
+    /// entry while a worst-case entry still fits in it, or to the end
+    /// once it holds the file's tail; errors name the file.
+    fn read_entries(
+        &mut self,
+        max: usize,
+        mut emit: impl FnMut(Triple),
+    ) -> Result<usize, StreamError> {
+        let take = max.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+        let SpillReader {
+            buf, body, path, ..
+        } = self;
+        let mut got = 0usize;
+        while got < take {
+            let (window, tail) = buf
+                .window(MAX_VARINT_ENTRY_BYTES)
+                .map_err(|e| with_path(path, e))?;
+            let mut i = 0usize;
+            while got < take && (tail || window.len() - i >= MAX_VARINT_ENTRY_BYTES) {
+                emit(body.entry(window, &mut i).map_err(|e| with_path(path, e))?);
+                got += 1;
+            }
+            buf.consume(i);
+        }
+        self.remaining -= take as u64;
+        Ok(take)
     }
 }
 
@@ -735,14 +684,24 @@ pub(crate) fn pack_key(r: Index, c: Index) -> u64 {
     ((r as u64) << 32) | c as u64
 }
 
-/// Decodes one LEB128 value from `buf` at `*i`, advancing `i`. The
-/// caller guarantees at least 8 readable bytes past `*i` (the batch
-/// decoder's look-ahead invariant), which lets every 1–8-byte encoding —
-/// all coordinates and almost all values the writer emits — decode from
-/// a single `u64` load with a branch-free continuation scan instead of a
-/// byte-at-a-time loop.
+/// Decodes one LEB128 value from `buf` at `*i`, advancing `i` — the one
+/// varint decoder. With at least 8 bytes ahead, every 1–8-byte encoding
+/// — all coordinates and almost all values the writer emits — decodes
+/// from a single `u64` load with a branch-free continuation scan; longer
+/// encodings and the last few bytes of the input take the checked
+/// per-byte [`take_varint_slow`], kept out of line so the fast paths
+/// inline into [`BodyDecoder::entry`].
+#[inline(always)]
 fn take_varint(buf: &[u8], i: &mut usize) -> Result<u64, StreamError> {
-    let word = u64::from_le_bytes(buf[*i..*i + 8].try_into().expect("8 bytes ensured"));
+    let Some(word) = buf.get(*i..*i + 8) else {
+        return take_varint_slow(buf, i);
+    };
+    let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+    // One byte — nearly every row delta and column token — needs no scan.
+    if word & 0x80 == 0 {
+        *i += 1;
+        return Ok(word & 0x7f);
+    }
     // A clear top bit marks the final byte of the varint; the lowest
     // clear top bit tells us how many bytes the encoding spans.
     let stops = !word & 0x8080_8080_8080_8080;
@@ -764,15 +723,18 @@ fn take_varint(buf: &[u8], i: &mut usize) -> Result<u64, StreamError> {
     }
 }
 
-/// The checked per-byte path behind [`take_varint`]: 9–10-byte
-/// encodings plus corrupt continuation runs, enforcing the same length
-/// and overflow rules as [`read_varint`].
+/// The checked per-byte path behind [`take_varint`]: rejects input that
+/// ends mid-varint, encodings past 10 bytes and payload bits that would
+/// overflow a `u64` (a corrupted file must surface as an error, never
+/// decode to a silently truncated value).
+#[cold]
+#[inline(never)]
 fn take_varint_slow(buf: &[u8], i: &mut usize) -> Result<u64, StreamError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
         let Some(&byte) = buf.get(*i) else {
-            return Err(StreamError::Io("varint truncated".into()));
+            return Err(truncated("entry"));
         };
         *i += 1;
         let bits = u64::from(byte & 0x7f);
@@ -809,44 +771,6 @@ fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<u64> {
         w.write_all(&[byte | 0x80])?;
         written += 1;
     }
-}
-
-/// Reads one LEB128 value; rejects encodings past 10 bytes and payload
-/// bits that would overflow a `u64` (a corrupted file must surface as
-/// an error, never decode to a silently truncated value).
-fn read_varint<R: Read>(r: &mut R) -> Result<u64, StreamError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut buf = [0u8; 1];
-        r.read_exact(&mut buf)?;
-        let byte = buf[0];
-        let bits = u64::from(byte & 0x7f);
-        let shifted = bits << shift;
-        if shifted >> shift != bits {
-            return Err(StreamError::Io("varint overflows u64".into()));
-        }
-        value |= shifted;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(StreamError::Io("varint longer than 10 bytes".into()));
-        }
-    }
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, StreamError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, StreamError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
 }
 
 #[cfg(test)]
@@ -939,9 +863,10 @@ mod tests {
         assert_eq!(SpillReader::open(&path).unwrap().read_all().unwrap(), m);
     }
 
-    /// The batch decoder must produce exactly the per-triple stream, in
-    /// every chunk-size regime: chunks smaller than the file, bigger
-    /// than the file, and size 1 (all slow-path tail decoding).
+    /// Every entry point decodes the same stream, bit for bit: `read_all`,
+    /// `next_chunk` at chunk sizes below and above the file's entry count
+    /// (size 1 decodes the whole file through the tail-of-window logic
+    /// one entry at a time), `next_triple` and the wire's `decode_partial`.
     #[test]
     fn chunked_decode_matches_per_triple_decode() {
         let dir = TempDir::new("spill_chunks");
@@ -953,35 +878,31 @@ mod tests {
             for codec in [SpillCodec::Raw, SpillCodec::Varint] {
                 let path = dir.file(&format!("chunk_{tag}_{codec}.bin"));
                 write_partial(&path, m, codec).unwrap();
-                let expected: Vec<(u64, u64)> = m
-                    .iter()
-                    .map(|(r, c, v)| (pack_key(r, c), v.to_bits()))
-                    .collect();
-                for chunk in [1usize, 7, 256, usize::MAX] {
-                    let mut reader = SpillReader::open(&path).unwrap();
-                    let (mut keys, mut vals) = (Vec::new(), Vec::new());
-                    let mut got = Vec::new();
-                    loop {
-                        let n = reader.next_chunk(chunk, &mut keys, &mut vals).unwrap();
-                        if n == 0 {
-                            break;
-                        }
-                        assert_eq!(keys.len(), n);
-                        assert_eq!(vals.len(), n);
-                        got.extend(keys.iter().zip(&vals).map(|(&k, &v)| (k, v.to_bits())));
-                    }
-                    assert_eq!(got, expected, "{tag} {codec} chunk {chunk}");
-                    assert_eq!(reader.remaining(), 0);
+                let bits = |t: Triple| (t.0, t.1, t.2.to_bits());
+                let expected: Vec<_> = m.iter().map(bits).collect();
+                for chunk in [1usize, 7, 1024] {
+                    let got = drain_chunks(SpillReader::open(&path).unwrap(), chunk).unwrap();
+                    assert_eq!(got, expected, "{tag} {codec} next_chunk {chunk}");
                 }
+                let mut reader = SpillReader::open(&path).unwrap();
+                let mut got = Vec::new();
+                while let Some(t) = reader.next_triple().unwrap() {
+                    got.push(bits(t));
+                }
+                assert_eq!(got, expected, "{tag} {codec} next_triple");
+                let all = SpillReader::open(&path).unwrap().read_all().unwrap();
+                assert_eq!(all.iter().map(bits).collect::<Vec<_>>(), expected);
+                let wire = decode_partial(&std::fs::read(&path).unwrap()).unwrap();
+                assert_eq!(wire.iter().map(bits).collect::<Vec<_>>(), expected);
             }
         }
     }
 
-    /// Slice varint decoding agrees with the `Read`-based decoder for
-    /// every encoding length, including the 10-byte maximum that takes
-    /// the checked slow path.
+    /// The one varint decoder's single-load path (eight bytes ahead) and
+    /// its checked per-byte path agree on every encoding length from 1
+    /// to 10 bytes, and both reject overflow and over-long chains.
     #[test]
-    fn take_varint_matches_read_varint() {
+    fn varint_fast_and_checked_paths_agree() {
         let samples = [
             0u64,
             1,
@@ -989,26 +910,48 @@ mod tests {
             128,
             16_383,
             16_384,
+            1 << 21,
             u32::MAX as u64,
+            1 << 35,
+            (1 << 49) - 1,
             (1 << 56) - 1,
             1 << 56,
+            (1 << 63) - 1,
             u64::MAX - 1,
             u64::MAX,
         ];
-        let mut buf = Vec::new();
+        let mut lengths = Vec::new();
         for v in samples {
-            write_varint(&mut buf, v).unwrap();
+            let mut enc = Vec::new();
+            write_varint(&mut enc, v).unwrap();
+            let len = enc.len();
+            lengths.push(len);
+            // Unpadded, so a short encoding has fewer than eight bytes
+            // ahead; then padded, so up to 8-byte ones take the load.
+            let (mut unpadded, mut slow, mut padded) = (0usize, 0usize, 0usize);
+            assert_eq!(take_varint(&enc, &mut unpadded).unwrap(), v);
+            assert_eq!(take_varint_slow(&enc, &mut slow).unwrap(), v);
+            enc.extend_from_slice(&[0u8; 16]);
+            assert_eq!(take_varint(&enc, &mut padded).unwrap(), v);
+            assert_eq!((unpadded, slow, padded), (len, len, len), "{v}");
+            // Cut short by one byte, both paths report truncation.
+            for decode in [take_varint, take_varint_slow] {
+                assert!(decode(&enc[..len - 1], &mut 0).is_err(), "{v}");
+            }
         }
-        // Pad so the fast path's 8-byte look-ahead holds at every entry.
-        buf.extend_from_slice(&[0u8; 16]);
-        let mut i = 0usize;
-        for v in samples {
-            assert_eq!(take_varint(&buf, &mut i).unwrap(), v);
+        lengths.dedup();
+        assert_eq!(lengths, (1..=10).collect::<Vec<_>>());
+        // A 10-byte encoding whose final byte carries payload bits past
+        // u64's capacity, and an 11-byte continuation chain: rejected by
+        // both paths, padded or not, never wrapped or truncated.
+        let mut overflow = vec![0x80u8; 10];
+        overflow[9] = 0x7e;
+        for bad in [overflow, vec![0xffu8; 11]] {
+            for input in [bad.clone(), [bad, vec![0u8; 16]].concat()] {
+                assert!(take_varint(&input, &mut 0).is_err());
+                assert!(take_varint_slow(&input, &mut 0).is_err());
+            }
         }
-        // Corrupt continuation runs fail like read_varint, never panic.
-        let mut bad = vec![0xffu8; 11];
-        bad.extend_from_slice(&[0u8; 16]);
-        assert!(take_varint(&bad, &mut 0).is_err());
     }
 
     #[test]
@@ -1027,21 +970,8 @@ mod tests {
             let written = write_varint(&mut buf, v).unwrap();
             assert_eq!(written, buf.len() as u64);
             assert_eq!(written, varint_len(v), "declared length for {v}");
-            assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v);
+            assert_eq!(take_varint(&buf, &mut 0).unwrap(), v);
         }
-        // An 11-byte continuation chain is rejected, not wrapped.
-        let bad = [0xffu8; 11];
-        assert!(read_varint(&mut bad.as_slice()).is_err());
-        // A 10-byte encoding whose final byte carries payload bits past
-        // u64's capacity is rejected, never silently truncated.
-        let mut overflow = [0x80u8; 10];
-        overflow[9] = 0x7e;
-        assert!(read_varint(&mut overflow.as_slice()).is_err());
-        // The canonical 10-byte u64::MAX encoding still decodes.
-        let mut max = Vec::new();
-        write_varint(&mut max, u64::MAX).unwrap();
-        assert_eq!(max.len(), 10);
-        assert_eq!(read_varint(&mut max.as_slice()).unwrap(), u64::MAX);
     }
 
     #[test]
@@ -1229,31 +1159,41 @@ mod tests {
         e
     }
 
+    /// Drains `reader` through `next_chunk(chunk)`, each key unpacked and
+    /// each value as its bits.
+    fn drain_chunks<R: Read>(
+        mut reader: SpillReader<R>,
+        chunk: usize,
+    ) -> Result<Vec<(Index, Index, u64)>, StreamError> {
+        let (mut keys, mut vals, mut got) = (Vec::new(), Vec::new(), Vec::new());
+        while reader.next_chunk(chunk, &mut keys, &mut vals)? > 0 {
+            assert_eq!(keys.len(), vals.len());
+            let unpack = |(&k, &v): (&u64, &f64)| ((k >> 32) as Index, k as Index, v.to_bits());
+            got.extend(keys.iter().zip(&vals).map(unpack));
+        }
+        assert_eq!(reader.remaining(), 0);
+        Ok(got)
+    }
+
     /// Writes `bytes` as a spill file and drives every read path over it
-    /// — batch decode at several chunk sizes, per-triple, `read_all`:
-    /// each must fail with an `Io` error naming the file and `needle`,
-    /// never finish, panic or hang.
+    /// — batch decode at several chunk sizes, per-triple, `read_all` —
+    /// and hands the same bytes to the wire's `decode_partial`: each must
+    /// fail with an `Io` error naming `needle` (and, from a file, the
+    /// file), never finish, panic or hang.
     fn assert_every_read_path_fails(dir: &TempDir, name: &str, bytes: &[u8], needle: &str) {
         let path = dir.file(name);
         std::fs::write(&path, bytes).unwrap();
         let check = |what: &str, result: Result<(), StreamError>| match result {
             Err(StreamError::Io(msg)) => assert!(
-                msg.contains(name) && msg.contains(needle),
+                (msg.contains(name) || what == "decode_partial") && msg.contains(needle),
                 "{name} {what}: {msg}"
             ),
             other => panic!("{name} {what}: expected an Io error, got {other:?}"),
         };
+        check("decode_partial", decode_partial(bytes).map(|_| ()));
         for chunk in [1usize, 7, usize::MAX] {
-            let mut reader = SpillReader::open(&path).unwrap();
-            let (mut keys, mut vals) = (Vec::new(), Vec::new());
-            let result = loop {
-                match reader.next_chunk(chunk, &mut keys, &mut vals) {
-                    Ok(0) => break Ok(()),
-                    Ok(_) => {}
-                    Err(e) => break Err(e),
-                }
-            };
-            check("next_chunk", result);
+            let reader = SpillReader::open(&path).unwrap();
+            check("next_chunk", drain_chunks(reader, chunk).map(|_| ()));
         }
         let mut reader = SpillReader::open(&path).unwrap();
         let result = loop {
@@ -1292,7 +1232,6 @@ mod tests {
             let at = 28 + 5 * entry;
             let clean = std::mem::replace(&mut bytes[at], 0x7f); // row += 127
             assert_every_read_path_fails(&dir, "flipped.bin", &bytes, "outside declared shape");
-            assert!(decode_partial(&bytes).is_err());
             bytes[at] = clean;
         }
     }
@@ -1306,7 +1245,6 @@ mod tests {
         let repeat = (1..rows.len()).find(|&k| rows[k] == rows[k - 1]).unwrap();
         bytes[28 + 5 * repeat + 1] = 0;
         assert_every_read_path_fails(&dir, "repeat.bin", &bytes, "strictly increasing");
-        assert!(decode_partial(&bytes).is_err());
     }
 
     /// A hand-built raw 4×4 partial holding `entries`, all valued `1.0`.
@@ -1424,5 +1362,123 @@ mod tests {
         assert!(
             matches!(SpillReader::open(&missing), Err(StreamError::Io(msg)) if msg.contains("missing.bin")),
         );
+    }
+
+    /// A refill source over `bytes` that hands out at most `step` bytes
+    /// a read, fails its `interrupt`-th read with `Interrupted`, and
+    /// fails every read from byte `fail_at` on with a device error.
+    #[derive(Debug)]
+    struct FaultySource {
+        bytes: Vec<u8>,
+        at: usize,
+        step: usize,
+        reads: usize,
+        interrupt: Option<usize>,
+        fail_at: Option<usize>,
+    }
+
+    impl FaultySource {
+        fn new(bytes: &[u8], step: usize) -> Self {
+            FaultySource {
+                bytes: bytes.to_vec(),
+                at: 0,
+                step,
+                reads: 0,
+                interrupt: None,
+                fail_at: None,
+            }
+        }
+
+        fn reader(self) -> SpillReader<FaultySource> {
+            let len = self.bytes.len() as u64;
+            SpillReader::from_source(self, len, Path::new("faulty.bin")).unwrap()
+        }
+    }
+
+    impl Read for FaultySource {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            if self.interrupt == Some(self.reads) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            if self.fail_at.is_some_and(|f| self.at >= f) {
+                return Err(io::Error::other("injected device error"));
+            }
+            let end = self.fail_at.unwrap_or(self.bytes.len());
+            let n = self.step.min(out.len()).min(end - self.at);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// Both codecs over small-integer and full-mantissa values, each
+    /// encoding larger than the 64 KiB read buffer so windows refill and
+    /// compact mid-entry.
+    fn large_encodings() -> Vec<(String, Csr, Vec<u8>)> {
+        let float = gen::uniform_random(400, 400, 20_000, 31);
+        let int = sparch_sparse::linalg::map_values(&float, |v| (v * 4.0).round());
+        let mut out = Vec::new();
+        for (tag, m) in [("int", int), ("float", float)] {
+            for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+                let bytes = encode_partial(&m, codec);
+                assert!(bytes.len() > READ_BUF_BYTES, "{tag} {codec}");
+                out.push((format!("{tag} {codec}"), m.clone(), bytes));
+            }
+        }
+        out
+    }
+
+    /// Reads that return 1–3 bytes, and a read interrupted at the header
+    /// or mid-body, decode to exactly the encoded matrix — value bits
+    /// included — through `read_all` and `next_chunk`.
+    #[test]
+    fn short_and_interrupted_reads_decode_bit_identically() {
+        for (tag, m, bytes) in large_encodings() {
+            let expected: Vec<_> = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+            for (step, interrupt) in [
+                (1, None),
+                (2, None),
+                (3, None),
+                (4096, Some(1)),
+                (4096, Some(5)),
+            ] {
+                let case = format!("{tag} step {step} interrupt {interrupt:?}");
+                let src = || FaultySource {
+                    interrupt,
+                    ..FaultySource::new(&bytes, step)
+                };
+                let all = src().reader().read_all().unwrap();
+                let all: Vec<_> = all.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+                assert_eq!(all, expected, "{case} read_all");
+                assert_eq!(drain_chunks(src().reader(), 7).unwrap(), expected, "{case}");
+            }
+        }
+    }
+
+    /// A device error mid-body fails every reader path with an `Io` error
+    /// naming the file and the cause: no panic, no partial matrix.
+    #[test]
+    fn a_read_error_mid_body_is_a_path_carrying_io_error() {
+        for (tag, _, bytes) in large_encodings() {
+            // Past the first buffer fill, so the header reads cleanly.
+            let faulty = || FaultySource {
+                fail_at: Some((READ_BUF_BYTES + bytes.len()) / 2),
+                ..FaultySource::new(&bytes, 1000)
+            };
+            let results = [
+                ("read_all", faulty().reader().read_all().map(|_| ())),
+                ("next_chunk", drain_chunks(faulty().reader(), 7).map(|_| ())),
+            ];
+            for (what, result) in results {
+                match result {
+                    Err(StreamError::Io(msg)) => assert!(
+                        msg.contains("faulty.bin") && msg.contains("injected device error"),
+                        "{tag} {what}: {msg}"
+                    ),
+                    other => panic!("{tag} {what}: expected an Io error, got {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -15,7 +15,8 @@
 //! scheduler merges smallest-first, so the largest partials are the ones
 //! consumed last.
 
-use crate::spill::{raw_size, write_partial, SpillFile, SpillReader};
+use crate::merge::PartialSource;
+use crate::spill::{SpillFile, SpillReader};
 use crate::{MemoryBudget, SpillCodec, StreamError};
 use sparch_sparse::Csr;
 use std::collections::{HashMap, HashSet};
@@ -32,9 +33,9 @@ pub(crate) struct StoreStats {
     /// What the same spills would have cost in the raw format — the
     /// codec's savings denominator.
     pub spill_bytes_raw_equivalent: u64,
-    /// Wall time spent encoding + writing spill files. With a writer
-    /// thread installed this runs entirely off the orchestrator, so it
-    /// overlaps every other stage.
+    /// Wall time spent encoding + writing spill files — entirely on the
+    /// writer thread, off the orchestrator, so it overlaps every other
+    /// stage.
     pub spill_write_seconds: f64,
     /// Spill writes handed to the dedicated writer thread instead of
     /// blocking the merge/spill orchestrator.
@@ -50,15 +51,6 @@ pub(crate) struct SpillJob {
     pub path: PathBuf,
     pub csr: Csr,
     pub codec: SpillCodec,
-}
-
-/// One merge-round input, as handed to the k-way merge: either a resident
-/// CSR (owned, its bytes still counted against the budget until the round
-/// releases it) or a streaming reader over a spilled partial.
-#[derive(Debug)]
-pub(crate) enum Taken {
-    Mem(Csr),
-    Disk(SpillReader),
 }
 
 /// The budget-enforcing holding area for partial matrices, keyed by plan
@@ -81,9 +73,8 @@ pub(crate) struct PartialStore {
     /// `consumers[node] = round that consumes it`, known once the merge
     /// plan is built; enables exact farthest-future-use eviction.
     consumers: Option<Vec<usize>>,
-    /// Where spill writes go when write-back is offloaded to the writer
-    /// thread; `None` writes inline (the seed behavior, kept for unit
-    /// tests and as the no-pipeline fallback).
+    /// Where spill writes go: the writer thread's queue. A spill with no
+    /// sink installed is an error.
     sink: Option<SyncSender<SpillJob>>,
     /// Nodes whose spill write is in flight on the writer thread: not
     /// resident, not yet readable. [`PartialStore::available`] is false
@@ -118,14 +109,16 @@ impl PartialStore {
     }
 
     /// Routes spill writes through the dedicated writer thread from now
-    /// on. The caller must feed every resulting [`SpillJob`] outcome back
-    /// via [`PartialStore::complete_spill`].
+    /// on — the only way the store spills. The caller must feed every
+    /// resulting [`SpillJob`] outcome back via
+    /// [`PartialStore::complete_spill`].
     pub fn set_spill_sink(&mut self, sink: SyncSender<SpillJob>) {
         self.sink = Some(sink);
     }
 
     /// Drops the writer-thread sink (disconnecting the writer once the
-    /// last in-flight job drains); later spills, if any, write inline.
+    /// last in-flight job drains), after the last insert: a later spill
+    /// would be an error.
     pub fn remove_spill_sink(&mut self) {
         self.sink = None;
     }
@@ -181,17 +174,18 @@ impl PartialStore {
         Ok(())
     }
 
-    /// Opens node `id` for a merge round. Resident partials stay counted
-    /// against the budget (they remain in memory while the round runs);
-    /// spilled partials come back as a bounded-buffer streaming reader.
-    pub fn take(&mut self, id: usize) -> Result<Taken, StreamError> {
+    /// Opens node `id` as a merge-round source. Resident partials stay
+    /// counted against the budget (they remain in memory while the round
+    /// runs); spilled partials come back as a bounded-buffer streaming
+    /// reader.
+    pub fn take(&mut self, id: usize) -> Result<PartialSource, StreamError> {
         debug_assert!(
             !self.spilling.contains(&id),
             "partial {id} taken while its spill write is in flight"
         );
         if let Some(csr) = self.resident.remove(&id) {
             self.pinned.insert(id, csr.estimated_bytes());
-            return Ok(Taken::Mem(csr));
+            return Ok(PartialSource::from_csr(csr));
         }
         let file = self
             .spilled
@@ -201,7 +195,7 @@ impl PartialStore {
         let reader = SpillReader::open(&file.path)?;
         reader.expect_shape(file.shape.0, file.shape.1)?;
         self.pending_delete.insert(id, file.path);
-        Ok(Taken::Disk(reader))
+        Ok(PartialSource::from_spill(reader))
     }
 
     /// Marks node `id` fully consumed: un-counts pinned bytes and deletes
@@ -218,17 +212,9 @@ impl PartialStore {
     /// Fully materializes node `id` — used only when a lone partial *is*
     /// the final result.
     pub fn take_full(&mut self, id: usize) -> Result<Csr, StreamError> {
-        match self.take(id)? {
-            Taken::Mem(csr) => {
-                self.release(id);
-                Ok(csr)
-            }
-            Taken::Disk(reader) => {
-                let csr = reader.read_all()?;
-                self.release(id);
-                Ok(csr)
-            }
-        }
+        let csr = self.take(id)?.into_csr()?;
+        self.release(id);
+        Ok(csr)
     }
 
     /// Spill/residency counters accumulated so far.
@@ -275,10 +261,14 @@ impl PartialStore {
         Ok(true)
     }
 
-    /// Writes node `id` out — through the writer thread when a sink is
-    /// installed (the partial's bytes travel with the job and are no
-    /// longer the store's), inline otherwise.
+    /// Hands node `id` to the writer thread; the partial's bytes travel
+    /// with the job and are no longer the store's.
     fn spill(&mut self, id: usize, csr: Csr) -> Result<(), StreamError> {
+        let Some(sink) = &self.sink else {
+            return Err(StreamError::Io(format!(
+                "partial {id} must spill but no spill writer is installed"
+            )));
+        };
         if !self.dir_created {
             std::fs::create_dir_all(&self.spill_dir).map_err(|e| {
                 StreamError::Io(format!(
@@ -290,26 +280,16 @@ impl PartialStore {
         }
         let path = self.spill_dir.join(format!("partial-{id}.bin"));
         self.stats.spill_writes += 1;
-        if let Some(sink) = self.sink.clone() {
-            let codec = self.codec;
-            sink.send(SpillJob {
-                id,
-                path,
-                csr,
-                codec,
-            })
-            .map_err(|_| StreamError::Io("spill writer thread is gone".into()))?;
-            self.spilling.insert(id);
-            self.stats.spill_writeback_offloaded += 1;
-            return Ok(());
-        }
-        let t0 = std::time::Instant::now();
-        let raw = raw_size(&csr);
-        let file = write_partial(&path, &csr, self.codec)?;
-        self.stats.spill_bytes_written += file.bytes;
-        self.stats.spill_bytes_raw_equivalent += raw;
-        self.stats.spill_write_seconds += t0.elapsed().as_secs_f64();
-        self.spilled.insert(id, file);
+        let codec = self.codec;
+        sink.send(SpillJob {
+            id,
+            path,
+            csr,
+            codec,
+        })
+        .map_err(|_| StreamError::Io("spill writer thread is gone".into()))?;
+        self.spilling.insert(id);
+        self.stats.spill_writeback_offloaded += 1;
         Ok(())
     }
 }
@@ -325,7 +305,9 @@ impl Drop for PartialStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::{raw_size, write_partial};
     use sparch_sparse::gen;
+    use std::sync::mpsc::{sync_channel, Receiver};
 
     fn dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("sparch_store_{tag}_{}", std::process::id()))
@@ -335,39 +317,61 @@ mod tests {
         gen::uniform_random(16, 16, 64, seed)
     }
 
+    /// A store with a spill sink installed, as the pipeline builds it,
+    /// plus the sink's far end for [`land_spills`].
+    fn store(budget: MemoryBudget, dir: PathBuf) -> (PartialStore, Receiver<SpillJob>) {
+        let (tx, rx) = sync_channel(64);
+        let mut store = PartialStore::new(budget, dir, SpillCodec::Raw);
+        store.set_spill_sink(tx);
+        (store, rx)
+    }
+
+    /// Runs the writer loop over every queued job the way the pipeline's
+    /// writer thread does — encode, write, report the outcome back.
+    fn land_spills(store: &mut PartialStore, jobs: &Receiver<SpillJob>) {
+        while let Ok(job) = jobs.try_recv() {
+            let raw = raw_size(&job.csr);
+            let outcome = write_partial(&job.path, &job.csr, job.codec).map(|f| (f, raw, 0.0));
+            store.complete_spill(job.id, outcome).unwrap();
+        }
+    }
+
     #[test]
     fn unbounded_budget_never_spills() {
-        let mut store =
-            PartialStore::new(MemoryBudget::unbounded(), dir("nospill"), SpillCodec::Raw);
+        let (mut store, _jobs) = store(MemoryBudget::unbounded(), dir("nospill"));
         for id in 0..4 {
             store.insert(id, partial(id as u64)).unwrap();
         }
         assert_eq!(store.stats().spill_writes, 0);
         assert!(store.stats().peak_live_bytes > 0);
         for id in 0..4 {
-            assert!(matches!(store.take(id).unwrap(), Taken::Mem(_)));
+            assert!(store.resident.contains_key(&id));
+            assert_eq!(
+                store.take(id).unwrap().into_csr().unwrap(),
+                partial(id as u64)
+            );
             store.release(id);
         }
     }
 
     #[test]
     fn zero_budget_spills_everything_and_streams_back() {
-        let mut store = PartialStore::new(
-            MemoryBudget::from_bytes(0),
-            dir("allspill"),
-            SpillCodec::Raw,
-        );
+        let (mut store, jobs) = store(MemoryBudget::from_bytes(0), dir("allspill"));
         let originals: Vec<Csr> = (0..3).map(|s| partial(s as u64)).collect();
         for (id, p) in originals.iter().enumerate() {
             store.insert(id, p.clone()).unwrap();
         }
         assert_eq!(store.stats().spill_writes, 3);
+        assert_eq!(store.spills_in_flight(), 3);
+        assert!(!store.available(0));
+        land_spills(&mut store, &jobs);
         assert_eq!(store.stats().peak_live_bytes, 0);
         for (id, p) in originals.iter().enumerate() {
-            match store.take(id).unwrap() {
-                Taken::Disk(reader) => assert_eq!(&reader.read_all().unwrap(), p),
-                Taken::Mem(_) => panic!("partial {id} should have spilled"),
-            }
+            assert!(
+                store.spilled.contains_key(&id),
+                "partial {id} should have spilled"
+            );
+            assert_eq!(&store.take(id).unwrap().into_csr().unwrap(), p);
             store.release(id);
         }
         assert_eq!(store.stats().spill_reads, 3);
@@ -379,9 +383,10 @@ mod tests {
         // Budget fits roughly two partials; the third insert must evict.
         let p = partial(1);
         let budget = MemoryBudget::from_bytes(p.estimated_bytes() * 2 + 16);
-        let mut store = PartialStore::new(budget, dir("invariant"), SpillCodec::Raw);
+        let (mut store, jobs) = store(budget, dir("invariant"));
         for id in 0..5 {
             store.insert(id, partial(id as u64)).unwrap();
+            land_spills(&mut store, &jobs);
             assert!(
                 store.stats().peak_live_bytes <= budget.bytes(),
                 "budget exceeded after insert {id}"
@@ -395,43 +400,54 @@ mod tests {
     fn consumers_schedule_evicts_farthest_use_first() {
         let p = partial(7);
         let budget = MemoryBudget::from_bytes(p.estimated_bytes() * 2 + 16);
-        let mut store = PartialStore::new(budget, dir("belady"), SpillCodec::Raw);
+        let (mut store, jobs) = store(budget, dir("belady"));
         // Node 0 is consumed last (round 9), node 1 soon (round 0).
         store.set_consumers(vec![9, 0, 1, 2]);
         store.insert(0, partial(10)).unwrap();
         store.insert(1, partial(11)).unwrap();
         store.insert(2, partial(12)).unwrap(); // must evict node 0
-        assert!(matches!(store.take(1).unwrap(), Taken::Mem(_)));
-        store.release(1);
-        assert!(matches!(store.take(2).unwrap(), Taken::Mem(_)));
-        store.release(2);
-        assert!(matches!(store.take(0).unwrap(), Taken::Disk(_)));
-        store.release(0);
+        land_spills(&mut store, &jobs);
+        assert!(store.resident.contains_key(&1) && store.resident.contains_key(&2));
+        assert!(store.spilled.contains_key(&0));
+        for id in [1, 2, 0] {
+            store.take(id).unwrap();
+            store.release(id);
+        }
         store.cleanup();
     }
 
     #[test]
     fn take_full_round_trips_both_paths() {
         let p = partial(3);
-        let mut resident =
-            PartialStore::new(MemoryBudget::unbounded(), dir("full_mem"), SpillCodec::Raw);
+        let (mut resident, _jobs) = store(MemoryBudget::unbounded(), dir("full_mem"));
         resident.insert(0, p.clone()).unwrap();
         assert_eq!(resident.take_full(0).unwrap(), p);
-        let mut spilly = PartialStore::new(
-            MemoryBudget::from_bytes(0),
-            dir("full_disk"),
-            SpillCodec::Raw,
-        );
+        let (mut spilly, jobs) = store(MemoryBudget::from_bytes(0), dir("full_disk"));
         spilly.insert(0, p.clone()).unwrap();
+        land_spills(&mut spilly, &jobs);
         assert_eq!(spilly.take_full(0).unwrap(), p);
         spilly.cleanup();
+    }
+
+    /// Once the pipeline removes the sink, a spill has nowhere to go: a
+    /// typed error, not a write on the orchestrator's thread.
+    #[test]
+    fn a_spill_without_a_sink_is_an_io_error() {
+        let (mut store, _jobs) = store(MemoryBudget::from_bytes(0), dir("no_sink"));
+        store.remove_spill_sink();
+        match store.insert(0, partial(1)) {
+            Err(StreamError::Io(msg)) => assert!(msg.contains("no spill writer"), "{msg}"),
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        assert_eq!(store.stats().spill_writes, 0);
     }
 
     #[test]
     fn a_spill_header_damaged_on_disk_fails_take_with_its_path() {
         let d = dir("damaged_shape");
-        let mut store = PartialStore::new(MemoryBudget::from_bytes(0), d.clone(), SpillCodec::Raw);
+        let (mut store, jobs) = store(MemoryBudget::from_bytes(0), d.clone());
         store.insert(0, partial(1)).unwrap();
+        land_spills(&mut store, &jobs);
         let path = store.spilled[&0].path.clone();
         let mut bytes = std::fs::read(&path).unwrap();
         // The header's row count: 2⁴⁰ rows would size `read_all`'s row
@@ -452,9 +468,10 @@ mod tests {
     #[test]
     fn cleanup_removes_the_spill_directory() {
         let d = dir("cleanup");
-        let mut store = PartialStore::new(MemoryBudget::from_bytes(0), d.clone(), SpillCodec::Raw);
+        let (mut store, jobs) = store(MemoryBudget::from_bytes(0), d.clone());
         store.insert(0, partial(1)).unwrap();
         assert!(d.exists());
+        land_spills(&mut store, &jobs);
         store.take_full(0).unwrap();
         store.cleanup();
         assert!(!d.exists());

@@ -4,9 +4,8 @@
 //! injected by pointing `spill_dir` under a regular file, which fails
 //! exactly like a full disk does (`create_dir_all`/`create` error) —
 //! the run resolves to a typed [`StreamError::Io`] whose message names
-//! the offending path. No panic on the writer thread, no hang, and the
-//! same outcome whether the spill is written inline or handed to the
-//! dedicated writer thread.
+//! the offending path. No panic on the writer thread and no hang, at
+//! one merge worker and at two.
 
 use sparch_sparse::gen;
 use sparch_stream::{MemoryBudget, StreamConfig, StreamError, StreamingExecutor};
