@@ -5,7 +5,7 @@
 //! unique spill directory, so concurrent runs never collide.
 
 use crate::pipeline::{self, PanelPair};
-use crate::plan::{self, ExecPlan, Subtree};
+use crate::plan::{ExecPlan, Subtree};
 use crate::{StreamConfig, StreamError};
 use serde::{Deserialize, Serialize};
 use sparch_obs::Recorder;
@@ -74,7 +74,7 @@ pub struct StreamReport {
 
 impl StreamReport {
     /// Current value of [`StreamReport::schema_version`].
-    pub const SCHEMA_VERSION: u32 = 1;
+    pub const SCHEMA_VERSION: u32 = 2;
 
     /// A deterministic view for snapshot diffing: the same report with
     /// every wall-clock-dependent quantity zeroed — stage timings, the
@@ -150,9 +150,10 @@ impl StreamingExecutor {
         &self.config
     }
 
-    /// Computes `C = A · B` through the staged pipeline. The panel split
-    /// is [`plan::split`] under `config.balance`: uniform widths, or
-    /// equal `A`-column non-zeros per panel.
+    /// Computes `C = A · B` through the staged pipeline, executing
+    /// [`ExecPlan::for_operand`] over `A`'s column histogram:
+    /// `config.balance` picks uniform widths or equal `A`-column
+    /// non-zeros per panel, and only the plan's leaf panels are sliced.
     ///
     /// # Panics
     ///
@@ -164,9 +165,9 @@ impl StreamingExecutor {
     /// [`StreamError::Io`] if spill I/O fails.
     pub fn multiply(&self, a: &Csr, b: &Csr) -> Result<(Csr, StreamReport), StreamError> {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        let ranges = plan::split(a.cols(), self.config.panels, self.config.balance, || {
-            a.col_nnz()
-        });
+        let cfg = &self.config;
+        let plan = ExecPlan::for_operand(&a.col_nnz(), cfg.panels, cfg.balance, cfg.merge_ways);
+        let ranges: Vec<Range<usize>> = plan.leaf_ranges().cloned().collect();
         let pairs = ranges.into_iter().map(|r| {
             // The condensed slicer records each panel's occupied rows for
             // free — the multiply kernel then visits only those.
@@ -178,7 +179,8 @@ impl StreamingExecutor {
                 range: r,
             })
         });
-        self.run_pipeline(a.rows(), a.cols(), b.cols(), pairs, None)
+        let scope = plan.whole();
+        self.run_pipeline(a.rows(), b.cols(), plan, scope, pairs)
     }
 
     /// Executes one subtree of a plan the caller already holds: the leaf
@@ -214,48 +216,64 @@ impl StreamingExecutor {
                 plan.num_nodes()
             )));
         }
-        // The plan names the range each pair must cover; a surplus pair
-        // gets an empty one and fails the reader's count.
+        // The plan names the range and `A` non-zeros each pair must have;
+        // a surplus pair gets an empty range and fails the reader's count.
         let scope = plan.subtree(root);
-        let mut ranges = scope
+        let mut leaves = scope
             .leaves
             .iter()
-            .map(|&leaf| plan.leaf_range(leaf).clone())
+            .map(|&leaf| (leaf, plan.leaf_range(leaf).clone(), plan.weight(leaf)))
             .collect::<Vec<_>>()
             .into_iter();
         let pairs = pairs.into_iter().map(move |(a, b)| {
+            let range = match leaves.next() {
+                Some((leaf, range, nnz)) if a.nnz() as u64 != nnz => {
+                    return Err(StreamError::Shape(format!(
+                        "panel {range:?} holds {} A non-zeros where the plan's leaf {leaf} \
+                         has {nnz}",
+                        a.nnz()
+                    )))
+                }
+                Some((_, range, _)) => range,
+                None => 0..0,
+            };
             let live = a.occupied_rows();
-            Ok(PanelPair {
-                range: ranges.next().unwrap_or(0..0),
-                a,
-                b,
-                live,
-            })
+            Ok(PanelPair { range, a, b, live })
         });
-        let inner_dim = plan.inner_dim();
-        self.run_pipeline(a_rows, inner_dim, b_cols, pairs, Some((plan, scope)))
+        self.run_pipeline(a_rows, b_cols, plan, scope, pairs)
     }
 
-    /// Computes `C = A · B` with **both** operands streamed: `A` as
-    /// column panels, `B` as the matching row panels — e.g. from
-    /// `sparch_sparse::mm::{PanelReader, RowPanelReader}` over two
-    /// `.mtx` files, in which case neither operand ever exists in memory
+    /// Computes `C = A · B` under `plan` with **both** operands streamed:
+    /// `A` as column panels, `B` as the matching row panels — e.g. from
+    /// `sparch_sparse::mm::{PanelReader, RowPanelReader}` opened on the
+    /// plan's ranges, in which case neither operand ever exists in memory
     /// as a whole matrix and each file's text is scanned once, by the
     /// first pull (so the first pair arrives after both scans; later
-    /// pairs only read staged buckets back). The two streams are consumed in lockstep and
-    /// must yield identical ranges tiling `0..inner_dim`.
+    /// pairs only read staged buckets back). Build the plan with
+    /// [`ExecPlan::for_operand`] from `A`'s column histogram
+    /// (`mm::scan_col_nnz` for a file) before the first panel is read, so
+    /// merge rounds run while the streams are still being ingested.
+    ///
+    /// The two streams are consumed in lockstep and must yield every
+    /// panel of the plan, pruned ones included, under the plan's ranges
+    /// in range order. A pruned panel's `A` side must be empty; the pair
+    /// is dropped unmultiplied. A leaf panel's `A` non-zeros only weight
+    /// the merge order, so a panel holding fewer than the plan counted —
+    /// duplicate coordinates the reader folded — runs as read.
     ///
     /// # Errors
     ///
-    /// [`StreamError::Shape`] on tiling/shape disagreement between the
-    /// streams — including one stream ending while the other still
-    /// yields panels; errors yielded *by* the streams are passed
-    /// through; [`StreamError::Io`] on spill I/O failure.
+    /// [`StreamError::Shape`] when a stream disagrees with the plan (a
+    /// different range, a pruned panel carrying `A` non-zeros, a panel
+    /// short or beyond it — including one stream ending while the other
+    /// still yields panels) or a panel's shape with `a_rows`/`b_cols`;
+    /// errors yielded *by* the streams are passed through;
+    /// [`StreamError::Io`] on spill I/O failure.
     pub fn multiply_streams<IA, IB>(
         &self,
         a_rows: usize,
-        inner_dim: usize,
         b_cols: usize,
+        plan: ExecPlan,
         a_panels: IA,
         b_panels: IB,
     ) -> Result<(Csr, StreamReport), StreamError>
@@ -265,78 +283,97 @@ impl StreamingExecutor {
         IA::IntoIter: Send,
         IB::IntoIter: Send,
     {
-        // Hand-rolled lockstep pairing instead of `zip`: when one
-        // stream ends, the other must be polled once more so a surplus
-        // panel — or a trailing error the docs promise to surface — is
-        // reported instead of silently dropped.
+        let plan_panels = plan.panels();
+        let mut panels = plan
+            .panel_sizes()
+            .map(|(range, nnz)| (range.clone(), nnz > 0))
+            .collect::<Vec<_>>()
+            .into_iter();
         let mut a_panels = a_panels.into_iter();
         let mut b_panels = b_panels.into_iter();
-        let mut finished = false;
-        let pairs = std::iter::from_fn(move || {
-            if finished {
-                return None;
-            }
-            match (a_panels.next(), b_panels.next()) {
-                (None, None) => None,
-                (Some(pa), Some(pb)) => Some((|| {
-                    let (ra, a) = pa?;
-                    let (rb, b) = pb?;
-                    if ra != rb {
-                        return Err(StreamError::Shape(format!(
-                            "operand panel streams disagree: A yields {ra:?}, B yields {rb:?}"
-                        )));
+        // Hand-rolled lockstep pairing instead of `zip`: past the plan's
+        // last panel both streams are polled once more, so a surplus
+        // panel — or a trailing error the docs promise to surface — is
+        // reported instead of silently dropped. The reader stops at the
+        // first error or `None`.
+        let pairs = std::iter::from_fn(move || loop {
+            let shape = |msg: String| Some(Err(StreamError::Shape(msg)));
+            let (range, leaf, a, b) = match (panels.next(), a_panels.next(), b_panels.next()) {
+                (_, Some(Err(e)), _) | (_, _, Some(Err(e))) => return Some(Err(e)),
+                (None, None, None) => return None,
+                (None, Some(Ok((r, _))), _) | (None, _, Some(Ok((r, _)))) => {
+                    return shape(format!(
+                        "operand panel streams yield {r:?} beyond the plan's {plan_panels} panels"
+                    ))
+                }
+                (Some(_), None, None) => {
+                    return shape(format!(
+                        "panel streams ended {} panels short of the plan",
+                        panels.len() + 1
+                    ))
+                }
+                (Some(_), Some(Ok((ra, _))), None) => {
+                    return shape(format!(
+                        "A stream yields panel {ra:?} after the B stream ended"
+                    ))
+                }
+                (Some(_), None, Some(Ok((rb, _)))) => {
+                    return shape(format!(
+                        "B stream yields panel {rb:?} after the A stream ended"
+                    ))
+                }
+                (Some((range, leaf)), Some(Ok((ra, a))), Some(Ok((rb, b)))) => {
+                    if ra != range || rb != range {
+                        return shape(format!(
+                            "operand panel streams yield A {ra:?} and B {rb:?} where the plan \
+                             has {range:?}"
+                        ));
                     }
-                    let live = a.occupied_rows();
-                    Ok(PanelPair {
-                        range: ra,
-                        a,
-                        b,
-                        live,
-                    })
-                })()),
-                (Some(pa), None) => {
-                    finished = true;
-                    Some(pa.and_then(|(ra, _)| {
-                        Err(StreamError::Shape(format!(
-                            "A stream yields panel {ra:?} after the B stream ended"
-                        )))
-                    }))
+                    (range, leaf, a, b)
                 }
-                (None, Some(pb)) => {
-                    finished = true;
-                    Some(pb.and_then(|(rb, _)| {
-                        Err(StreamError::Shape(format!(
-                            "B stream yields panel {rb:?} after the A stream ended"
-                        )))
-                    }))
-                }
+            };
+            if leaf {
+                let live = a.occupied_rows();
+                return Some(Ok(PanelPair { range, a, b, live }));
+            }
+            // A pruned panel: checked, then dropped unmultiplied.
+            if let Err(e) = pipeline::validate_shapes(&range, &a, &b, a_rows, b_cols) {
+                return Some(Err(e));
+            }
+            if a.nnz() > 0 {
+                return shape(format!(
+                    "panel {range:?} holds {} A non-zeros where the plan prunes it",
+                    a.nnz()
+                ));
             }
         });
-        self.run_pipeline(a_rows, inner_dim, b_cols, pairs, None)
+        let scope = plan.whole();
+        self.run_pipeline(a_rows, b_cols, plan, scope, pairs)
     }
 
-    /// Shared tail: run the staged pipeline and fold its outcome into
-    /// the public report.
+    /// Shared tail: run the staged pipeline over `scope` of `plan` and
+    /// fold its outcome into the public report.
     fn run_pipeline<I>(
         &self,
         a_rows: usize,
-        inner_dim: usize,
         b_cols: usize,
+        plan: ExecPlan,
+        scope: Subtree,
         pairs: I,
-        handed: Option<(ExecPlan, Subtree)>,
     ) -> Result<(Csr, StreamReport), StreamError>
     where
         I: Iterator<Item = Result<PanelPair, StreamError>> + Send,
     {
+        let inner_dim = plan.inner_dim();
         let outcome = pipeline::run(
             &self.config,
             a_rows,
-            inner_dim,
             b_cols,
             pairs,
             self.spill_dir(),
             &self.recorder,
-            handed,
+            plan,
+            scope,
         )?;
         let threads = sparch_exec::ShardPool::with_override(self.config.threads).threads();
         self.recorder
@@ -388,8 +425,11 @@ impl StreamingExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
     use crate::{MemoryBudget, PanelBalance, SpillCodec};
-    use sparch_sparse::{algo, gen, panel_ranges};
+    use sparch_sparse::{algo, gen, panel_ranges, Coo};
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     fn exec(budget: MemoryBudget, panels: usize, threads: usize) -> StreamingExecutor {
         StreamingExecutor::new(StreamConfig {
@@ -569,48 +609,86 @@ mod tests {
         let _ = exec(MemoryBudget::unbounded(), 2, 1).multiply(&Csr::zero(2, 3), &Csr::zero(2, 2));
     }
 
+    /// The `Shape` error a plan-vs-stream mismatch must produce — a typed
+    /// error, never a panic or a result.
+    fn assert_shape_error(what: &str, outcome: Result<(Csr, StreamReport), StreamError>) {
+        match outcome {
+            Err(StreamError::Shape(_)) => {}
+            Err(e) => panic!("{what}: expected a shape error, got {e:?}"),
+            Ok(_) => panic!("{what}: expected a shape error, got a result"),
+        }
+    }
+
     #[test]
     fn panel_ingestion_validates_tiling() {
-        let a = int_matrix(10, 12, 50, 1);
+        // A's columns 4..8 are empty, so the three-panel plan prunes its
+        // middle panel.
+        let full = int_matrix(10, 12, 50, 1);
+        let kept = full.iter().filter(|&(_, c, _)| !(4..8).contains(&c));
+        let a = Coo::from_entries(10, 12, kept.collect()).to_csr();
         let b = int_matrix(12, 10, 50, 2);
         let e = exec(MemoryBudget::unbounded(), 3, 1);
-        // Each case: the declared inner dimension and the (range, A
-        // panel, B panel) triples both streams yield in lockstep.
-        let run = |inner_dim: usize, panels: Vec<(Range<usize>, Csr, Csr)>| {
+        let plan = |col_nnz: &[usize], panels| {
+            ExecPlan::for_operand(col_nnz, panels, PanelBalance::Uniform, 4)
+        };
+        let (three, one) = (plan(&a.col_nnz(), 3), plan(&a.col_nnz(), 1));
+        assert_eq!((three.panels(), three.num_leaves()), (3, 2));
+        // Each case: the plan and the (range, A panel, B panel) triples
+        // both streams yield in lockstep.
+        let run = |plan: &ExecPlan, panels: Vec<(Range<usize>, Csr, Csr)>| {
             let a_stream = panels.clone().into_iter().map(|(r, a, _)| Ok((r, a)));
             let b_stream = panels.into_iter().map(|(r, _, b)| Ok((r, b)));
-            e.multiply_streams(10, inner_dim, 10, a_stream, b_stream)
+            e.multiply_streams(10, 10, plan.clone(), a_stream, b_stream)
         };
         let sliced = |r: Range<usize>| (r.clone(), a.col_panel(r.clone()), b.row_panel(r));
-        // Gap in coverage.
-        assert!(matches!(
-            run(12, vec![sliced(0..4), sliced(6..12)]),
-            Err(StreamError::Shape(_))
-        ));
-        // Wrong panel shape.
-        assert!(matches!(
-            run(12, vec![(0..12, a.col_panel(0..6), b.clone())]),
-            Err(StreamError::Shape(_))
-        ));
-        // Missing tail.
-        assert!(matches!(
-            run(12, vec![sliced(0..6)]),
-            Err(StreamError::Shape(_))
-        ));
-        // B disagreeing with the declared inner dimension.
-        assert!(matches!(
-            run(9, vec![(0..9, a.col_panel(0..9), b.clone())]),
-            Err(StreamError::Shape(_))
-        ));
-        // A range past the inner dimension must error, not panic.
-        assert!(matches!(
-            run(12, vec![(0..13, a.col_panel(0..12), Csr::zero(13, 10))]),
-            Err(StreamError::Shape(_))
-        ));
-        // And the happy path through the same entry point.
-        let good = panel_ranges(12, 3).into_iter().map(sliced).collect();
-        let (c, _) = run(12, good).unwrap();
+        let good = || {
+            panel_ranges(12, 3)
+                .into_iter()
+                .map(sliced)
+                .collect::<Vec<_>>()
+        };
+
+        assert_shape_error(
+            "a gap in coverage",
+            run(&three, vec![sliced(0..4), sliced(6..12)]),
+        );
+        assert_shape_error(
+            "a wrong panel shape",
+            run(&one, vec![(0..12, a.col_panel(0..6), b.clone())]),
+        );
+        assert_shape_error("one panel short", run(&three, good()[..2].to_vec()));
+        let mut beyond = good();
+        beyond.push(sliced(8..12));
+        assert_shape_error("one panel beyond", run(&three, beyond));
+        assert_shape_error(
+            "B disagreeing with the plan's inner dimension",
+            run(
+                &plan(&a.col_nnz()[..9], 1),
+                vec![(0..9, a.col_panel(0..9), b.clone())],
+            ),
+        );
+        assert_shape_error(
+            "a range past the inner dimension",
+            run(&one, vec![(0..13, a.col_panel(0..12), Csr::zero(13, 10))]),
+        );
+        let carried = full.col_panel(4..8);
+        assert!(carried.nnz() > 0);
+        assert_shape_error(
+            "a pruned panel carrying A non-zeros",
+            run(
+                &three,
+                vec![
+                    sliced(0..4),
+                    (4..8, carried, b.row_panel(4..8)),
+                    sliced(8..12),
+                ],
+            ),
+        );
+        // And the happy path through the same entry point: the pruned
+        // panel is drained from both streams and never multiplied.
+        let (c, report) = run(&three, good()).unwrap();
         assert_eq!(c, algo::gustavson(&a, &b));
+        assert_eq!((report.panels, report.partials), (3, 2));
     }
 
     #[test]
@@ -618,32 +696,67 @@ mod tests {
         let a = int_matrix(20, 24, 120, 5);
         let b = int_matrix(24, 16, 100, 6);
         let e = exec(MemoryBudget::from_bytes(0), 4, 2);
+        let plan = |panels| ExecPlan::for_operand(&a.col_nnz(), panels, PanelBalance::Uniform, 4);
+        let a_side = |ranges: &[Range<usize>]| {
+            ranges
+                .iter()
+                .map(|r| Ok((r.clone(), a.col_panel(r.clone()))))
+                .collect::<Vec<_>>()
+        };
+        let b_side = |ranges: &[Range<usize>]| {
+            ranges
+                .iter()
+                .map(|r| Ok((r.clone(), b.row_panel(r.clone()))))
+                .collect::<Vec<_>>()
+        };
         let ranges = panel_ranges(24, 4);
-        let a_stream = ranges
-            .iter()
-            .map(|r| Ok((r.clone(), a.col_panel(r.clone()))));
-        let b_stream = ranges
-            .iter()
-            .map(|r| Ok((r.clone(), b.row_panel(r.clone()))));
-        let (c, report) = e.multiply_streams(20, 24, 16, a_stream, b_stream).unwrap();
+        let (c, report) = e
+            .multiply_streams(20, 16, plan(4), a_side(&ranges), b_side(&ranges))
+            .unwrap();
         assert_eq!(c, algo::gustavson(&a, &b));
         assert_eq!(report.panels, 4);
 
         // Mismatched ranges between the two streams are a shape error.
-        let a_stream = ranges
-            .iter()
-            .map(|r| Ok((r.clone(), a.col_panel(r.clone()))));
-        let b_stream = vec![Ok((0..24, b.clone()))].into_iter();
-        assert!(matches!(
-            e.multiply_streams(20, 24, 16, a_stream, b_stream),
-            Err(StreamError::Shape(_))
-        ));
+        assert_shape_error(
+            "streams that disagree",
+            e.multiply_streams(
+                20,
+                16,
+                plan(4),
+                a_side(&ranges),
+                vec![Ok((0..24, b.clone()))],
+            ),
+        );
+        // Both streams agreeing with each other but not with the plan:
+        // another split, one panel short, one panel beyond.
+        let thirds = panel_ranges(24, 3);
+        assert_shape_error(
+            "a split other than the plan's",
+            e.multiply_streams(20, 16, plan(4), a_side(&thirds), b_side(&thirds)),
+        );
+        assert_shape_error(
+            "one panel short",
+            e.multiply_streams(20, 16, plan(4), a_side(&ranges[..3]), b_side(&ranges[..3])),
+        );
+        let mut beyond = ranges.clone();
+        beyond.push(18..24);
+        assert_shape_error(
+            "one panel beyond",
+            e.multiply_streams(20, 16, plan(4), a_side(&beyond), b_side(&beyond)),
+        );
+        // A plan that prunes a panel whose A side the stream fills.
+        let mut hist = a.col_nnz();
+        hist[6..12].fill(0);
+        let pruned = ExecPlan::for_operand(&hist, 4, PanelBalance::Uniform, 4);
+        assert_shape_error(
+            "a pruned panel carrying A non-zeros",
+            e.multiply_streams(20, 16, pruned, a_side(&ranges), b_side(&ranges)),
+        );
 
         // Errors yielded by a stream pass through verbatim.
-        let a_stream = vec![Err(StreamError::Ingest("disk on fire".into()))].into_iter();
-        let b_stream = vec![Ok((0..24, b.clone()))].into_iter();
+        let a_stream = vec![Err(StreamError::Ingest("disk on fire".into()))];
         assert!(matches!(
-            e.multiply_streams(20, 24, 16, a_stream, b_stream),
+            e.multiply_streams(20, 16, plan(1), a_stream, vec![Ok((0..24, b.clone()))]),
             Err(StreamError::Ingest(_))
         ));
 
@@ -651,34 +764,113 @@ mod tests {
         // stream against one panel too many) is a shape error, never
         // silently dropped — and a surplus trailing *error* surfaces
         // too.
-        let a_stream = vec![Ok((0..24, a.col_panel(0..24)))].into_iter();
-        let b_stream = vec![Ok((0..24, b.clone())), Ok((24..30, Csr::zero(6, 16)))].into_iter();
-        assert!(matches!(
-            e.multiply_streams(20, 24, 16, a_stream, b_stream),
-            Err(StreamError::Shape(_))
-        ));
-        let a_stream = vec![Ok((0..24, a.col_panel(0..24)))].into_iter();
+        let whole = panel_ranges(24, 1);
+        let b_stream = vec![Ok((0..24, b.clone())), Ok((24..30, Csr::zero(6, 16)))];
+        assert_shape_error(
+            "a surplus B panel",
+            e.multiply_streams(20, 16, plan(1), a_side(&whole), b_stream),
+        );
         let b_stream = vec![
             Ok((0..24, b.clone())),
             Err(StreamError::Ingest("truncated tail".into())),
-        ]
-        .into_iter();
+        ];
         assert!(matches!(
-            e.multiply_streams(20, 24, 16, a_stream, b_stream),
+            e.multiply_streams(20, 16, plan(1), a_side(&whole), b_stream),
             Err(StreamError::Ingest(_))
         ));
         // A surplus A panel after B ended reports the disagreement, not
         // a misleading coverage error.
-        let a_stream = panel_ranges(24, 2)
-            .into_iter()
-            .map(|r| Ok((r.clone(), a.col_panel(r))));
-        let b_stream = vec![Ok((0..12, b.row_panel(0..12)))].into_iter();
-        match e.multiply_streams(20, 24, 16, a_stream, b_stream) {
+        match e.multiply_streams(
+            20,
+            16,
+            plan(2),
+            a_side(&panel_ranges(24, 2)),
+            b_side(&panel_ranges(12, 1)),
+        ) {
             Err(StreamError::Shape(msg)) => {
                 assert!(msg.contains("after the B stream ended"), "{msg}")
             }
             other => panic!("expected a stream-disagreement error, got {other:?}"),
         }
+    }
+
+    /// Whether a round output (node id `>= leaves`) has a spill file in
+    /// some run directory under `dir`, polled for up to 10 s.
+    fn round_output_spills(dir: &std::path::Path, leaves: usize) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            let runs = std::fs::read_dir(dir).into_iter().flatten().flatten();
+            let spilled = runs
+                .flat_map(|run| {
+                    std::fs::read_dir(run.path())
+                        .into_iter()
+                        .flatten()
+                        .flatten()
+                })
+                .filter_map(|file| {
+                    let name = file.file_name().into_string().ok()?;
+                    name.strip_prefix("partial-")?
+                        .strip_suffix(".bin")?
+                        .parse::<usize>()
+                        .ok()
+                })
+                .any(|id| id >= leaves);
+            if spilled {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    /// The plan exists before the first panel is read, so a round runs as
+    /// soon as its children have: here the `A` stream holds back its last
+    /// panel until a round output has spilled, which happens only if
+    /// rounds are dispatched while ingest is still under way.
+    #[test]
+    fn rounds_merge_before_the_last_panel_is_read() {
+        // Four 3-column panels, lightest first (A weights 6, 12, 24, 48),
+        // so the first two-way round folds leaves 0 and 1.
+        let mut entries = Vec::new();
+        for col in 0..12u32 {
+            for row in 0..2u32 << (col / 3) {
+                entries.push((row, col, f64::from(row % 3 + 1)));
+            }
+        }
+        let a = Coo::from_entries(24, 12, entries).to_csr();
+        let b = int_matrix(12, 20, 90, 3);
+        let plan = ExecPlan::for_operand(&a.col_nnz(), 4, PanelBalance::Uniform, 2);
+        let ranges: Vec<_> = plan.panel_sizes().map(|(r, _)| r.clone()).collect();
+        assert_eq!((ranges.len(), plan.num_rounds()), (4, 3));
+        let leaves = plan.num_leaves();
+        let dir = TempDir::new("rounds_before_ingest");
+        let e = StreamingExecutor::new(StreamConfig {
+            budget: MemoryBudget::from_bytes(0),
+            merge_ways: 2,
+            threads: Some(2),
+            spill_dir: Some(dir.path().to_path_buf()),
+            ..StreamConfig::default()
+        });
+        let round_spilled = AtomicBool::new(false);
+        let a_stream = ranges.iter().enumerate().map(|(p, r)| {
+            if p + 1 == ranges.len() {
+                let spilled = round_output_spills(dir.path(), leaves);
+                round_spilled.store(spilled, Ordering::Relaxed);
+            }
+            Ok((r.clone(), a.col_panel(r.clone())))
+        });
+        let b_stream = ranges
+            .iter()
+            .map(|r| Ok((r.clone(), b.row_panel(r.clone()))));
+        let (c, report) = e
+            .multiply_streams(24, 20, plan, a_stream, b_stream)
+            .unwrap();
+        assert!(
+            round_spilled.load(Ordering::Relaxed),
+            "no round output spilled within 10 s while the last panel was held back"
+        );
+        assert_eq!(c, algo::gustavson(&a, &b));
+        assert_eq!(report.merge_rounds, 3);
     }
 
     #[test]

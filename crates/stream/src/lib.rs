@@ -20,8 +20,10 @@
 //!    (`A · B = Σ_p A[:, p] · B[p, :]`), from memory, or from disk via
 //!    `sparch_sparse::mm::{PanelReader, RowPanelReader}` — one text
 //!    scan per file at any panel count — so neither operand is ever
-//!    materialized whole; boundaries come from [`plan::split`]
-//!    (uniform or nnz-balanced, [`PanelBalance`]),
+//!    materialized whole. The panels are those of an [`ExecPlan`] built
+//!    from `A`'s column histogram (uniform or nnz-balanced,
+//!    [`PanelBalance`]) before the first one is read, and the reader
+//!    checks each pair against it,
 //! 2. **multiply stage** — `sparch_exec::ShardPool` workers pull pairs
 //!    from the bounded channel and multiply them while the reader keeps
 //!    reading,
@@ -45,8 +47,8 @@
 //! keep-structural-zeros convention), at every budget, panel count,
 //! thread count, spill codec and balance mode — the merge order depends
 //! only on the [`ExecPlan`] (built in one place, the [`plan`] module,
-//! from the panel split alone), never on stage timing or what happened
-//! to spill.
+//! from `A`'s column histogram alone), never on stage timing or what
+//! happened to spill.
 //! `crates/stream/tests/` pins this across the `gen::arb` grid and
 //! audits the budget with a counting allocator.
 //!
@@ -95,7 +97,8 @@ pub enum StreamError {
     /// Spill-file or ingestion I/O failed (disk full, unwritable temp
     /// dir, truncated spill).
     Io(String),
-    /// Ingested panels disagree with the declared operand shapes.
+    /// Ingested panels disagree with the declared operand shapes or
+    /// with the plan.
     Shape(String),
     /// An operand's panel stream failed while being read (e.g. a
     /// malformed `.mtx` discovered mid-pass); carries the source

@@ -37,27 +37,19 @@
 //! all overlap instead of alternating.
 //!
 //! **Determinism.** This module decides nothing about the
-//! decomposition: the reader publishes each panel's range and `A`
-//! non-zero count — fixed by the panel split alone, known the moment it
-//! finishes, *before* the last multiply lands, and entirely independent
-//! of stage timing, thread count, budget or codec — and the orchestrator
-//! hands them to [`ExecPlan::from_panel_nnz`], the same constructor an
-//! in-memory or distributed run reaches, then *executes* the plan it
-//! gets back. The plan fixes every round's children up front, so however
-//! rounds interleave across merge workers, each round folds exactly the
-//! same inputs in the same child order — the fold order, and therefore
-//! every output bit, depends only on the plan, never on which worker ran
-//! first. Timing can shift *which* partials spill and *when* a round is
-//! dispatched (spill and overlap counters vary at `threads > 1`), but
-//! never what any round computes.
-//!
-//! **Handed plans.** A caller that already holds the plan (a shard worker
-//! executing one [`Subtree`] of the fleet's plan) hands it in with the
-//! subtree's root: the reader then expects exactly that subtree's leaf
-//! panels, the orchestrator starts with the plan instead of waiting for
-//! the sizes, and only the subtree's rounds run — same stages, same
-//! store, same kernels, and for each round the same children in the same
-//! order as a whole-plan run.
+//! decomposition: every run is handed its [`ExecPlan`] and the
+//! [`Subtree`] of it to execute (the whole plan, or one shard's part of
+//! the fleet's plan) before the first panel is read. The reader expects
+//! exactly that subtree's leaf panels, the store evicts by the plan's
+//! consumption schedule from the first insert, and the orchestrator
+//! dispatches a round the moment its children are present — while the
+//! reader is still ingesting. The plan fixes every round's children up
+//! front, so however rounds interleave across merge workers, each round
+//! folds exactly the same inputs in the same child order — the fold
+//! order, and therefore every output bit, depends only on the plan,
+//! never on which worker ran first. Timing can shift *which* partials
+//! spill and *when* a round is dispatched (spill and overlap counters
+//! vary at `threads > 1`), but never what any round computes.
 
 use crate::merge::{merge_sources, MergeScratch, PartialSource};
 use crate::plan::{ExecPlan, Subtree};
@@ -73,6 +65,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Mutex;
+use std::vec::IntoIter;
 
 /// One panel pair flowing from the reader into the multiply stage:
 /// `A[:, range]` with localized columns and `B[range, :]` with localized
@@ -144,18 +137,14 @@ pub struct StageReport {
     /// round was in flight — rounds that ran concurrently with other
     /// pipeline work instead of strictly after it.
     pub rounds_merged_concurrently: u64,
-    /// Spill writes handed to the dedicated writer thread instead of
-    /// blocking the orchestrator.
-    pub spill_writeback_offloaded: u64,
 }
 
 /// What one pipeline run produced, before the executor folds it into its
 /// public [`StreamReport`](crate::StreamReport).
 pub(crate) struct PipelineOutcome {
     pub result: Csr,
-    /// The plan the run executed and the part of it that ran (all of it
-    /// unless a subtree was handed in): panel, leaf and round counts of
-    /// the public report are read off them.
+    /// The plan the run executed and the part of it that ran: panel, leaf
+    /// and round counts of the public report are read off them.
     pub plan: ExecPlan,
     pub scope: Subtree,
     pub partial_bytes_total: u64,
@@ -212,7 +201,7 @@ enum Event {
         outcome: Result<(SpillFile, u64, f64), StreamError>,
     },
     /// Every multiply worker has exited: all `MultiplyDone` events are
-    /// already queued ahead of this, and the panel sizes are published.
+    /// already queued ahead of this.
     MultiplyStageClosed,
     /// Every merge worker has exited. Arrives mid-run only if the stage
     /// died abnormally — normally the orchestrator outlives it.
@@ -226,30 +215,23 @@ struct ReaderOutcome {
     error: Option<StreamError>,
 }
 
-/// What the reader learns about the split and the orchestrator plans
-/// from: every validated panel's range and its `A` panel's non-zeros.
-type PanelSizes = (Vec<Range<usize>>, Vec<u64>);
-
 /// The shared plumbing the orchestrator drives: owning `round_tx` means
 /// dropping these links is what lets the merge workers exit.
 struct OrchestratorLinks<'a> {
     round_tx: SyncSender<RoundJob>,
-    sizes_slot: &'a Mutex<Option<PanelSizes>>,
     inflight: &'a AtomicUsize,
     gate: &'a Permits,
     abort: &'a AtomicBool,
 }
 
-/// Runs the staged pipeline over a stream of panel pairs.
+/// Runs `subtree` of `plan` (the whole plan for a full multiply) over a
+/// stream of panel pairs.
 ///
-/// `pairs` yields `(range, A-panel, B-panel)` items left to right; the
-/// reader validates that ranges tile `0..inner_dim` and that panel
-/// shapes agree with `a_rows`/`b_cols`. Iterator errors (e.g. a disk
-/// reader failing mid-file) abort the run with that error.
-/// With `handed = Some((plan, scope))` the run executes `scope`, a
-/// subtree of `plan`, instead of deriving a plan: `pairs` must then
-/// yield exactly that subtree's leaf panels, in leaf order, each under
-/// its leaf's range.
+/// `pairs` must yield exactly the subtree's leaf panels, in leaf order,
+/// each under its leaf's range; the reader checks the count and that
+/// panel shapes agree with the ranges and `a_rows`/`b_cols`. Iterator
+/// errors (e.g. a disk reader failing mid-file) abort the run with that
+/// error.
 /// Every stage runs its timing through an [`sparch_obs`] span lane: the
 /// busy-seconds in [`StageReport`] are the `end()` return values of the
 /// very spans an enabled recorder exports, so the report is a view of
@@ -263,35 +245,25 @@ struct OrchestratorLinks<'a> {
 pub(crate) fn run<I>(
     config: &StreamConfig,
     a_rows: usize,
-    inner_dim: usize,
     b_cols: usize,
     pairs: I,
     spill_dir: PathBuf,
     recorder: &Recorder,
-    handed: Option<(ExecPlan, Subtree)>,
+    plan: ExecPlan,
+    subtree: Subtree,
 ) -> Result<PipelineOutcome, StreamError>
 where
     I: Iterator<Item = Result<PanelPair, StreamError>> + Send,
 {
-    let intake = match &handed {
-        None => Intake::Tiling {
-            covered: 0,
-            sizes: PanelSizes::default(),
-            leaves: 0,
-        },
-        Some((plan, scope)) => Intake::Planned {
-            expected: scope
-                .leaves
-                .iter()
-                .map(|&leaf| (leaf, plan.weight(leaf)))
-                .collect::<Vec<_>>()
-                .into_iter(),
-        },
-    };
+    let leaves = subtree.leaves.clone().into_iter();
     let pool = ShardPool::with_override(config.threads);
     let merge_pool = ShardPool::new(config.merge_workers.unwrap_or(pool.threads()));
-    let ways = config.merge_ways.max(2);
-    let mut store = PartialStore::new(config.budget, spill_dir, config.spill_codec);
+    let mut store = PartialStore::new(
+        config.budget,
+        spill_dir,
+        config.spill_codec,
+        plan.consumers().to_vec(),
+    );
 
     // Stage plumbing. The job channel is bounded (at most `threads + 1`
     // pairs queued for multiply) and each event producer is bounded (see
@@ -328,23 +300,17 @@ where
     // stops ingesting promptly — a disk-full on the first spill must not
     // cost the whole remaining ingest + multiply bill.
     let abort = AtomicBool::new(false);
-    // The reader publishes every panel's size here when it finishes —
-    // the orchestrator builds the execution plan from it mid-flight.
-    let sizes_slot: Mutex<Option<PanelSizes>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
-        let (sizes_ref, inflight_ref, abort_ref, gate_ref) =
-            (&sizes_slot, &inflight, &abort, &gate);
+        let (inflight_ref, abort_ref, gate_ref) = (&inflight, &abort, &gate);
         let reader_lane = recorder.thread("reader");
         let reader = scope.spawn(move || {
             reader_stage(
                 pairs,
-                intake,
+                leaves,
                 a_rows,
-                inner_dim,
                 b_cols,
                 job_tx,
-                sizes_ref,
                 inflight_ref,
                 abort_ref,
                 reader_lane,
@@ -412,20 +378,17 @@ where
 
         let mut merge = MergeStage::new(
             store,
+            plan,
+            subtree,
             a_rows,
             b_cols,
-            ways,
             merge_pool.threads(),
             recorder.thread("orchestrator"),
         );
-        if let Some((plan, scope)) = handed {
-            merge.install_plan(plan, scope);
-        }
         merge.run(
             &evt_rx,
             OrchestratorLinks {
                 round_tx,
-                sizes_slot: &sizes_slot,
                 inflight: &inflight,
                 gate: &gate,
                 abort: &abort,
@@ -440,107 +403,17 @@ where
     })
 }
 
-/// How the reader decides which plan leaf an arriving pair is.
-enum Intake {
-    /// No plan yet: pairs must tile `0..inner_dim` left to right. Every
-    /// panel's size is recorded for the orchestrator to plan from, and
-    /// non-empty `A` panels are numbered in [`ExecPlan`]'s leaf order
-    /// (dense, in range order).
-    Tiling {
-        covered: usize,
-        sizes: PanelSizes,
-        leaves: usize,
-    },
-    /// A handed-in plan: pairs must be exactly these `(leaf, A
-    /// non-zeros)`, in this order (the caller labelled each pair with its
-    /// leaf's range, so the shape check covers the widths).
-    Planned {
-        expected: std::vec::IntoIter<(usize, u64)>,
-    },
-}
-
-impl Intake {
-    /// Validates one pair against the declared shapes and the intake's
-    /// expectation. `Ok(Some(leaf))` sends it to the multiply stage;
-    /// `Ok(None)` skips it — the plan prunes an empty `A` panel (its
-    /// product is empty whatever `B` holds), so it is never multiplied.
-    fn admit(
-        &mut self,
-        pair: &PanelPair,
-        a_rows: usize,
-        inner_dim: usize,
-        b_cols: usize,
-    ) -> Result<Option<usize>, StreamError> {
-        let range = &pair.range;
-        let a_nnz = pair.a.nnz() as u64;
-        let leaf = match self {
-            Intake::Tiling {
-                covered,
-                sizes,
-                leaves,
-            } => {
-                if range.start != *covered || range.end > inner_dim || range.end < range.start {
-                    return Err(StreamError::Shape(format!(
-                        "panel {range:?} does not tile 0..{inner_dim} (covered 0..{covered})"
-                    )));
-                }
-                validate_shapes(pair, a_rows, b_cols)?;
-                *covered = range.end;
-                sizes.0.push(range.clone());
-                sizes.1.push(a_nnz);
-                (a_nnz > 0).then(|| {
-                    *leaves += 1;
-                    *leaves - 1
-                })
-            }
-            Intake::Planned { expected } => {
-                let Some((leaf, nnz)) = expected.next() else {
-                    return Err(StreamError::Shape(
-                        "a panel arrived after the plan's last leaf".into(),
-                    ));
-                };
-                if a_nnz != nnz {
-                    return Err(StreamError::Shape(format!(
-                        "panel {range:?} holds {a_nnz} A non-zeros where the plan's leaf \
-                         {leaf} has {nnz}"
-                    )));
-                }
-                validate_shapes(pair, a_rows, b_cols)?;
-                Some(leaf)
-            }
-        };
-        Ok(leaf)
-    }
-
-    /// The end-of-stream check: the panels seen must be all of them.
-    fn close(&self, inner_dim: usize) -> Result<(), StreamError> {
-        match self {
-            Intake::Tiling { covered, .. } if *covered != inner_dim => Err(StreamError::Shape(
-                format!("panels cover only 0..{covered} of 0..{inner_dim}"),
-            )),
-            Intake::Planned { expected } if expected.len() > 0 => Err(StreamError::Shape(format!(
-                "panel stream ended {} leaf panels short of the plan",
-                expected.len()
-            ))),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// The reader stage: pulls panel pairs, validates them against the
-/// [`Intake`], feeds the ones that are plan leaves to the multiply
-/// stage, then publishes the panel sizes (when the plan is still to be
-/// derived from them). Stops early when the orchestrator raises `abort`
-/// (its failure is the one reported).
+/// The reader stage: pulls panel pairs, checks each against the next of
+/// the subtree's `leaves` and the declared shapes, and feeds it to the
+/// multiply stage. Stops early when the orchestrator raises `abort` (its
+/// failure is the one reported).
 #[allow(clippy::too_many_arguments)]
 fn reader_stage<I>(
     mut pairs: I,
-    mut intake: Intake,
+    mut leaves: IntoIter<usize>,
     a_rows: usize,
-    inner_dim: usize,
     b_cols: usize,
     job_tx: SyncSender<MultiplyJob>,
-    sizes_slot: &Mutex<Option<PanelSizes>>,
     inflight: &AtomicUsize,
     abort: &AtomicBool,
     mut lane: ThreadRecorder,
@@ -556,8 +429,7 @@ where
     loop {
         if abort.load(Ordering::Relaxed) {
             // The orchestrator failed; whatever it recorded is the root
-            // cause. Skip the coverage check — stopping short is the
-            // point.
+            // cause. Skip the count check — stopping short is the point.
             aborted = true;
             break;
         }
@@ -569,9 +441,11 @@ where
             break;
         };
         let verdict = item.and_then(|pair| {
-            intake
-                .admit(&pair, a_rows, inner_dim, b_cols)
-                .map(|leaf| (pair, leaf))
+            let leaf = leaves.next().ok_or_else(|| {
+                StreamError::Shape("a panel arrived after the plan's last leaf".into())
+            })?;
+            validate_shapes(&pair.range, &pair.a, &pair.b, a_rows, b_cols)?;
+            Ok((pair, leaf))
         });
         busy += lane.end_with(span, &[("panel", panels)]);
         panels += 1;
@@ -579,8 +453,7 @@ where
             overlapping += 1;
         }
         let (pair, leaf) = match verdict {
-            Ok((pair, Some(leaf))) => (pair, leaf),
-            Ok((_, None)) => continue,
+            Ok(admitted) => admitted,
             Err(e) => {
                 error = Some(e);
                 break;
@@ -606,14 +479,11 @@ where
             break;
         }
     }
-    if error.is_none() && !aborted {
-        error = intake.close(inner_dim).err();
-    }
-    // Publish the panel sizes *before* dropping the job sender: by the
-    // time the multiply stage closes, the orchestrator is guaranteed to
-    // find them.
-    if let Intake::Tiling { sizes, .. } = intake {
-        *sizes_slot.lock().expect("sizes slot poisoned") = Some(sizes);
+    if error.is_none() && !aborted && leaves.len() > 0 {
+        error = Some(StreamError::Shape(format!(
+            "panel stream ended {} leaf panels short of the plan",
+            leaves.len()
+        )));
     }
     drop(job_tx);
     ReaderOutcome {
@@ -623,22 +493,27 @@ where
     }
 }
 
-/// Shape validation for one incoming panel pair.
-fn validate_shapes(pair: &PanelPair, a_rows: usize, b_cols: usize) -> Result<(), StreamError> {
-    let range = &pair.range;
-    if pair.a.rows() != a_rows || pair.a.cols() != range.len() {
+/// Shape validation for one incoming panel pair over `range`.
+pub(crate) fn validate_shapes(
+    range: &Range<usize>,
+    a: &Csr,
+    b: &Csr,
+    a_rows: usize,
+    b_cols: usize,
+) -> Result<(), StreamError> {
+    if a.rows() != a_rows || a.cols() != range.len() {
         return Err(StreamError::Shape(format!(
             "A panel {range:?} has shape {}x{}, expected {a_rows}x{}",
-            pair.a.rows(),
-            pair.a.cols(),
+            a.rows(),
+            a.cols(),
             range.len()
         )));
     }
-    if pair.b.rows() != range.len() || pair.b.cols() != b_cols {
+    if b.rows() != range.len() || b.cols() != b_cols {
         return Err(StreamError::Shape(format!(
             "B panel {range:?} has shape {}x{}, expected {}x{b_cols}",
-            pair.b.rows(),
-            pair.b.cols(),
+            b.rows(),
+            b.cols(),
             range.len()
         )));
     }
@@ -782,21 +657,20 @@ struct SpillCounters {
     raw_bytes: Counter,
 }
 
-/// The orchestrator: owns the budgeted store, obtains the [`ExecPlan`]
-/// as soon as the reader publishes the panel sizes (or is handed one up
-/// front), and dispatches every merge round in scope whose children are
-/// all available onto the merge workers — several at once when the plan
+/// The orchestrator: owns the budgeted store and the [`ExecPlan`], and
+/// dispatches every merge round in scope whose children are all
+/// available onto the merge workers — several at once when the plan
 /// allows it.
 struct MergeStage {
     store: PartialStore,
     a_rows: usize,
     b_cols: usize,
-    ways: usize,
     /// Dispatch cap: rounds in flight never exceed the merge worker
     /// count (also the round channel's capacity, so sends never block).
     max_rounds_inflight: usize,
     /// The plan and the part of it this run executes.
-    plan: Option<(ExecPlan, Subtree)>,
+    plan: ExecPlan,
+    scope: Subtree,
     /// Per node id: the leaf's partial arrived / the round finished.
     produced: Vec<bool>,
     /// Per round: handed to a merge worker (in flight or done).
@@ -826,9 +700,10 @@ struct MergeStage {
 impl MergeStage {
     fn new(
         store: PartialStore,
+        plan: ExecPlan,
+        scope: Subtree,
         a_rows: usize,
         b_cols: usize,
-        ways: usize,
         max_rounds_inflight: usize,
         lane: ThreadRecorder,
     ) -> Self {
@@ -836,11 +711,11 @@ impl MergeStage {
             store,
             a_rows,
             b_cols,
-            ways,
             max_rounds_inflight: max_rounds_inflight.max(1),
-            plan: None,
-            produced: Vec::new(),
-            dispatched: Vec::new(),
+            produced: vec![false; plan.num_nodes()],
+            dispatched: vec![false; plan.num_rounds()],
+            plan,
+            scope,
             rounds_done: 0,
             rounds_inflight: 0,
             multiply_closed: false,
@@ -905,7 +780,6 @@ impl MergeStage {
                 }
                 let span = self.lane.begin("stream", "orchestrate");
                 self.insert_leaf(leaf, partial);
-                self.try_build_plan(links.sizes_slot);
                 self.dispatch_rounds(links);
                 self.merge_busy += self.lane.end(span);
             }
@@ -922,14 +796,12 @@ impl MergeStage {
                 match outcome {
                     Ok(merged) if self.failure.is_none() => {
                         let span = self.lane.begin("stream", "orchestrate");
-                        let (plan, scope) =
-                            self.plan.as_ref().expect("a dispatched round has a plan");
-                        let output = plan.round_output(round);
-                        for id in plan.round_children(round) {
+                        let output = self.plan.round_output(round);
+                        for id in self.plan.round_children(round) {
                             self.store.release(id);
                         }
                         self.produced[output] = true;
-                        if scope.root == Some(output) {
+                        if self.scope.root == Some(output) {
                             self.result = Some(merged);
                         } else if let Err(e) = self.store.insert(output, merged) {
                             self.failure = Some(e);
@@ -973,22 +845,14 @@ impl MergeStage {
                 }
                 let span = self.lane.begin("stream", "orchestrate");
                 // Every MultiplyDone is queued ahead of this event, so
-                // all leaves that will ever arrive have arrived; and the
-                // reader published the panel sizes before the stage could
-                // close. Anything else is a lost stage.
-                self.try_build_plan(links.sizes_slot);
-                match &self.plan {
-                    None => {
-                        self.failure = Some(StreamError::Io(
-                            "reader stage ended without publishing its panel sizes".into(),
-                        ));
-                    }
-                    Some((_, scope)) if scope.leaves.iter().any(|&leaf| !self.produced[leaf]) => {
-                        self.failure = Some(StreamError::Io(
-                            "multiply stage ended before every partial arrived".into(),
-                        ));
-                    }
-                    Some(_) => self.dispatch_rounds(links),
+                // all leaves that will ever arrive have arrived. Anything
+                // else is a lost stage.
+                if self.scope.leaves.iter().any(|&leaf| !self.produced[leaf]) {
+                    self.failure = Some(StreamError::Io(
+                        "multiply stage ended before every partial arrived".into(),
+                    ));
+                } else {
+                    self.dispatch_rounds(links);
                 }
                 self.merge_busy += self.lane.end(span);
             }
@@ -1014,49 +878,17 @@ impl MergeStage {
         if self.failure.is_some() {
             return self.rounds_inflight == 0 || self.merge_closed;
         }
-        match &self.plan {
-            Some((_, scope)) => self.rounds_done == scope.rounds.len() && self.rounds_inflight == 0,
-            None => false,
-        }
+        self.rounds_done == self.scope.rounds.len() && self.rounds_inflight == 0
     }
 
     fn insert_leaf(&mut self, leaf: usize, partial: Csr) {
         let bytes = partial.estimated_bytes();
         self.partial_bytes_total += bytes;
         self.largest_partial_bytes = self.largest_partial_bytes.max(bytes);
-        if self.produced.len() <= leaf {
-            self.produced.resize(leaf + 1, false);
-        }
         self.produced[leaf] = true;
         if let Err(e) = self.store.insert(leaf, partial) {
             self.failure = Some(e);
         }
-    }
-
-    /// Obtains the plan once the reader has published the panel sizes.
-    /// They depend only on the panel split, so the plan — and with it
-    /// the fold order — is identical at every thread count, budget and
-    /// codec.
-    fn try_build_plan(&mut self, sizes_slot: &Mutex<Option<PanelSizes>>) {
-        if self.plan.is_some() {
-            return;
-        }
-        let Some((ranges, panel_nnz)) = sizes_slot.lock().expect("sizes slot poisoned").take()
-        else {
-            return;
-        };
-        let plan = ExecPlan::from_panel_nnz(ranges, &panel_nnz, self.ways);
-        let scope = plan.whole();
-        self.install_plan(plan, scope);
-    }
-
-    /// Adopts the plan and the subtree of it to execute.
-    fn install_plan(&mut self, plan: ExecPlan, scope: Subtree) {
-        // Leaves that arrived before the plan keep their flags.
-        self.produced.resize(plan.num_nodes(), false);
-        self.dispatched = vec![false; plan.num_rounds()];
-        self.store.set_consumers(plan.consumers().to_vec());
-        self.plan = Some((plan, scope));
     }
 
     /// Dispatches every pending round in scope whose children are all
@@ -1065,9 +897,7 @@ impl MergeStage {
     /// ascending scan per call suffices; later events re-scan as children
     /// land.
     fn dispatch_rounds(&mut self, links: &OrchestratorLinks<'_>) {
-        let Some((plan, scope)) = &self.plan else {
-            return;
-        };
+        let (plan, scope) = (&self.plan, &self.scope);
         for &r in &scope.rounds {
             if self.failure.is_some() || self.rounds_inflight >= self.max_rounds_inflight {
                 return;
@@ -1117,8 +947,7 @@ impl MergeStage {
             self.store.cleanup();
             return Err(e);
         }
-        let (plan, scope) = self.plan.take().expect("reader published its panel sizes");
-        let result = match (scope.root, self.result.take()) {
+        let result = match (self.scope.root, self.result.take()) {
             (None, _) => Csr::zero(self.a_rows, self.b_cols),
             (Some(_), Some(merged)) => merged,
             // No round ran: the root is the lone leaf.
@@ -1134,8 +963,8 @@ impl MergeStage {
         self.store.cleanup();
         Ok(PipelineOutcome {
             result,
-            plan,
-            scope,
+            plan: self.plan,
+            scope: self.scope,
             partial_bytes_total: self.partial_bytes_total,
             largest_partial_bytes: self.largest_partial_bytes,
             store_stats: store_stats.clone(),
@@ -1151,7 +980,6 @@ impl MergeStage {
                 reads_overlapping_multiply: reader.reads_overlapping_multiply,
                 rounds_overlapping_multiply: self.rounds_overlapping,
                 rounds_merged_concurrently: self.rounds_concurrent,
-                spill_writeback_offloaded: store_stats.spill_writeback_offloaded,
             },
         })
     }

@@ -25,25 +25,14 @@ use sparch_sparse::{panel_ranges, panel_ranges_by_nnz};
 use std::cmp::Reverse;
 use std::ops::Range;
 
-/// Splits the inner dimension `0..inner_dim` into up to `panels`
+/// Splits the inner dimension `0..col_nnz.len()` into up to `panels`
 /// contiguous ranges: equal widths for [`PanelBalance::Uniform`], equal
-/// `A`-column non-zeros for [`PanelBalance::Nnz`]. `col_nnz` yields `A`'s
-/// per-column histogram (`inner_dim` entries) and is consulted only by
-/// the nnz-balanced split, so a caller whose histogram costs a file scan
-/// pays for it only when the split needs it.
-pub fn split<H: AsRef<[usize]>>(
-    inner_dim: usize,
-    panels: usize,
-    balance: PanelBalance,
-    col_nnz: impl FnOnce() -> H,
-) -> Vec<Range<usize>> {
+/// `A`-column non-zeros for [`PanelBalance::Nnz`]. `col_nnz` is `A`'s
+/// per-column histogram.
+pub fn split(col_nnz: &[usize], panels: usize, balance: PanelBalance) -> Vec<Range<usize>> {
     match balance {
-        PanelBalance::Uniform => panel_ranges(inner_dim, panels),
-        PanelBalance::Nnz => {
-            let col_nnz = col_nnz();
-            debug_assert_eq!(col_nnz.as_ref().len(), inner_dim);
-            panel_ranges_by_nnz(col_nnz.as_ref(), panels)
-        }
+        PanelBalance::Uniform => panel_ranges(col_nnz.len(), panels),
+        PanelBalance::Nnz => panel_ranges_by_nnz(col_nnz, panels),
     }
 }
 
@@ -140,7 +129,7 @@ impl ExecPlan {
         balance: PanelBalance,
         ways: usize,
     ) -> ExecPlan {
-        let ranges = split(col_nnz.len(), panels, balance, || col_nnz);
+        let ranges = split(col_nnz, panels, balance);
         let panel_nnz: Vec<u64> = ranges
             .iter()
             .map(|r| col_nnz[r.clone()].iter().map(|&n| n as u64).sum())

@@ -7,13 +7,11 @@
 //! spilling partials to disk via the [`spill`](crate::spill) format.
 //!
 //! Eviction order is the software twin of the paper's look-ahead idea:
-//! once the Huffman merge plan is known, the store knows exactly when
-//! every partial is consumed, so it evicts the one needed *farthest in
-//! the future* (Bélády's optimal policy — the same principle as the
-//! row prefetcher's replacement, §II-E). Before the plan exists (during
-//! the multiply phase), it evicts the largest partial: the Huffman
-//! scheduler merges smallest-first, so the largest partials are the ones
-//! consumed last.
+//! the store is built with the Huffman merge plan's consumption
+//! schedule, so it knows exactly when every partial is consumed and
+//! evicts the one needed *farthest in the future* (Bélády's optimal
+//! policy — the same principle as the row prefetcher's replacement,
+//! §II-E).
 
 use crate::merge::PartialSource;
 use crate::spill::{SpillFile, SpillReader};
@@ -37,9 +35,6 @@ pub(crate) struct StoreStats {
     /// writer thread, off the orchestrator, so it overlaps every other
     /// stage.
     pub spill_write_seconds: f64,
-    /// Spill writes handed to the dedicated writer thread instead of
-    /// blocking the merge/spill orchestrator.
-    pub spill_writeback_offloaded: u64,
 }
 
 /// One spill write handed to the dedicated writer thread: the partial to
@@ -70,9 +65,10 @@ pub(crate) struct PartialStore {
     pinned: HashMap<usize, u64>,
     /// Spill files opened by `take`, deleted at release.
     pending_delete: HashMap<usize, PathBuf>,
-    /// `consumers[node] = round that consumes it`, known once the merge
-    /// plan is built; enables exact farthest-future-use eviction.
-    consumers: Option<Vec<usize>>,
+    /// `consumers[node] = round that consumes it` — the plan's schedule
+    /// ([`ExecPlan::consumers`](crate::ExecPlan::consumers)), which makes
+    /// eviction exact farthest-future-use.
+    consumers: Vec<usize>,
     /// Where spill writes go: the writer thread's queue. A spill with no
     /// sink installed is an error.
     sink: Option<SyncSender<SpillJob>>,
@@ -84,7 +80,12 @@ pub(crate) struct PartialStore {
 }
 
 impl PartialStore {
-    pub fn new(budget: MemoryBudget, spill_dir: PathBuf, codec: SpillCodec) -> Self {
+    pub fn new(
+        budget: MemoryBudget,
+        spill_dir: PathBuf,
+        codec: SpillCodec,
+        consumers: Vec<usize>,
+    ) -> Self {
         PartialStore {
             budget: budget.bytes(),
             spill_dir,
@@ -95,17 +96,11 @@ impl PartialStore {
             live_bytes: 0,
             pinned: HashMap::new(),
             pending_delete: HashMap::new(),
-            consumers: None,
+            consumers,
             sink: None,
             spilling: HashSet::new(),
             stats: StoreStats::default(),
         }
-    }
-
-    /// Installs the merge plan's consumption schedule, switching eviction
-    /// from the largest-first heuristic to exact farthest-future-use.
-    pub fn set_consumers(&mut self, consumers: Vec<usize>) {
-        self.consumers = Some(consumers);
     }
 
     /// Routes spill writes through the dedicated writer thread from now
@@ -235,23 +230,14 @@ impl PartialStore {
     /// Evicts one resident partial to disk. Returns `false` when nothing
     /// is evictable (only pinned partials remain live).
     fn evict_one(&mut self) -> Result<bool, StreamError> {
-        // Farthest future use when the plan is known; largest-first
-        // before that. Ties break toward the smallest id — fully
-        // deterministic either way.
-        let victim = match &self.consumers {
-            Some(consumers) => self
-                .resident
-                .iter()
-                .map(|(&id, csr)| (consumers[id], csr.estimated_bytes(), id))
-                .max_by_key(|&(round, bytes, id)| (round, bytes, std::cmp::Reverse(id)))
-                .map(|(_, _, id)| id),
-            None => self
-                .resident
-                .iter()
-                .map(|(&id, csr)| (csr.estimated_bytes(), id))
-                .max_by_key(|&(bytes, id)| (bytes, std::cmp::Reverse(id)))
-                .map(|(_, id)| id),
-        };
+        // Farthest future use, then largest; ties break toward the
+        // smallest id — fully deterministic.
+        let victim = self
+            .resident
+            .iter()
+            .map(|(&id, csr)| (self.consumers[id], csr.estimated_bytes(), id))
+            .max_by_key(|&(round, bytes, id)| (round, bytes, std::cmp::Reverse(id)))
+            .map(|(_, _, id)| id);
         let Some(id) = victim else {
             return Ok(false);
         };
@@ -289,7 +275,6 @@ impl PartialStore {
         })
         .map_err(|_| StreamError::Io("spill writer thread is gone".into()))?;
         self.spilling.insert(id);
-        self.stats.spill_writeback_offloaded += 1;
         Ok(())
     }
 }
@@ -318,10 +303,19 @@ mod tests {
     }
 
     /// A store with a spill sink installed, as the pipeline builds it,
-    /// plus the sink's far end for [`land_spills`].
+    /// plus the sink's far end for [`land_spills`]. Node `i` is consumed
+    /// by round `i`, so later nodes are evicted first.
     fn store(budget: MemoryBudget, dir: PathBuf) -> (PartialStore, Receiver<SpillJob>) {
+        consumed_by(budget, dir, (0..8).collect())
+    }
+
+    fn consumed_by(
+        budget: MemoryBudget,
+        dir: PathBuf,
+        consumers: Vec<usize>,
+    ) -> (PartialStore, Receiver<SpillJob>) {
         let (tx, rx) = sync_channel(64);
-        let mut store = PartialStore::new(budget, dir, SpillCodec::Raw);
+        let mut store = PartialStore::new(budget, dir, SpillCodec::Raw, consumers);
         store.set_spill_sink(tx);
         (store, rx)
     }
@@ -400,9 +394,8 @@ mod tests {
     fn consumers_schedule_evicts_farthest_use_first() {
         let p = partial(7);
         let budget = MemoryBudget::from_bytes(p.estimated_bytes() * 2 + 16);
-        let (mut store, jobs) = store(budget, dir("belady"));
         // Node 0 is consumed last (round 9), node 1 soon (round 0).
-        store.set_consumers(vec![9, 0, 1, 2]);
+        let (mut store, jobs) = consumed_by(budget, dir("belady"), vec![9, 0, 1, 2]);
         store.insert(0, partial(10)).unwrap();
         store.insert(1, partial(11)).unwrap();
         store.insert(2, partial(12)).unwrap(); // must evict node 0

@@ -30,7 +30,7 @@
 //! `crates/core/tests/zero_alloc.rs`).
 
 use sparch_sparse::{algo, gen, mm, panel_ranges};
-use sparch_stream::{MemoryBudget, StreamConfig, StreamingExecutor};
+use sparch_stream::{ExecPlan, MemoryBudget, PanelBalance, StreamConfig, StreamingExecutor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -162,9 +162,10 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
     let exec = StreamingExecutor::new(config(MemoryBudget::from_bytes(budget)));
 
     // The pipelined run: A panels stream from disk, B row panels are
-    // sliced per panel from the baseline-resident operand. The exact
-    // ranges mirror what `mm::read_panels(path, PANELS)` uses.
+    // sliced per panel from the baseline-resident operand. The plan's
+    // uniform split mirrors what `mm::read_panels(path, PANELS)` uses.
     let ranges = panel_ranges(inner, PANELS);
+    let plan = ExecPlan::for_operand(&a.col_nnz(), PANELS, PanelBalance::Uniform, WAYS);
     let pair_max: u64 = ranges
         .iter()
         .map(|r| {
@@ -182,7 +183,7 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
         let b_stream = ranges
             .iter()
             .map(|r| Ok((r.clone(), b.row_panel(r.clone()))));
-        exec.multiply_streams(n, inner, n, a_stream, b_stream)
+        exec.multiply_streams(n, n, plan, a_stream, b_stream)
             .expect("pipelined multiply failed")
     });
 

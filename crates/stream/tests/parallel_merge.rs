@@ -107,8 +107,6 @@ fn merge_worker_grid_sweep() {
                             assert!(stages.merge_triples >= report.output_nnz as u64);
                         }
                         if budget == 0 {
-                            // Every spill went through the writer thread.
-                            assert_eq!(stages.spill_writeback_offloaded, report.spill_writes);
                             assert!(report.spill_writes >= report.partials as u64);
                         }
                     }
@@ -121,8 +119,7 @@ fn merge_worker_grid_sweep() {
 /// Zero budget forces every merge round to stream *all* of its children
 /// from disk — the all-spilled regime — while the rounds themselves run
 /// on parallel workers. Results must still match `gustavson` exactly
-/// (integer values ⇒ bit-identical), and the offload accounting must
-/// cover every write.
+/// (integer values ⇒ bit-identical), and every write must be timed.
 #[test]
 fn all_spilled_rounds_merge_in_parallel() {
     let a = linalg::map_values(&gen::uniform_random(120, 120, 1400, 9), |v| {
@@ -137,10 +134,6 @@ fn all_spilled_rounds_merge_in_parallel() {
         assert!(report.merge_rounds >= 4, "want a deep plan: {report:?}");
         assert_eq!(report.peak_live_bytes, 0);
         assert!(report.spill_writes >= report.partials as u64);
-        assert_eq!(
-            report.stages.spill_writeback_offloaded, report.spill_writes,
-            "every spill write must ride the writer thread"
-        );
         assert!(
             report.stages.spill_write_seconds > 0.0,
             "offloaded writes must still be timed"

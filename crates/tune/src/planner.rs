@@ -392,7 +392,7 @@ impl Candidate {
         row_ptr_bytes: u64,
         budget: u64,
     ) -> Candidate {
-        let ranges = plan::split(a.cols, panels, balance, || &a.col_nnz);
+        let ranges = plan::split(&a.col_nnz, panels, balance);
         let panel_flops: Vec<u64> = ranges
             .iter()
             .map(|r| weights[r.clone()].iter().sum::<u64>())

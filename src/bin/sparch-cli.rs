@@ -23,7 +23,13 @@
 //! ever materialized whole) and flow through the staged
 //! reader → multiply → merge/spill dataflow; partials merge in Huffman
 //! order under `--budget-mb`, spilling to a temp directory — raw or
-//! delta+varint encoded — when they do not fit. With `--panels auto` (or
+//! delta+varint encoded — when they do not fit. The merge plan is fixed
+//! from `A`'s column histogram before either operand is read, so a round
+//! can merge while later panels are still arriving. The histogram costs
+//! a scan of `A`'s text of its own, so a run scans three times
+//! (histogram, `A`, `B`) under either `--balance` — `uniform` included,
+//! which needs the histogram only for the plan's leaf weights. With
+//! `--panels auto` (or
 //! `--tune`) the pipeline knobs — panel count and balance, merge fan-in,
 //! spill codec — are derived by the `sparch-tune` planner from the
 //! operand's column histogram and the budget instead of taken from
@@ -43,7 +49,7 @@ use sparch::mem::TrafficCategory;
 use sparch::obs::{chrome_trace_json, Recorder, Trace};
 use sparch::serve::{Batch, DispatchPolicy, ServiceConfig, SpgemmService};
 use sparch::sparse::{algo, gen, mm, stats, Csr};
-use sparch::stream::{plan, MemoryBudget, StreamConfig, StreamingExecutor};
+use sparch::stream::{ExecPlan, MemoryBudget, StreamConfig, StreamingExecutor};
 use sparch::tune::{BRows, KnobPlanner, OperandStats, Plan};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -417,34 +423,37 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
 
     // Both operands stream panel by panel through the staged pipeline —
     // neither is ever materialized whole (--verify re-reads them whole
-    // afterwards, outside the pipelined path). Each reader parses its
-    // file's text once, whatever the panel count; an nnz-balanced column
-    // split of A needs the column histogram first — the planner's, or one
-    // more scan of A — so a run makes at most three text scans. The split
-    // is the plan module's, over the shapes the two headers declare; B's
-    // row split mirrors A's ranges exactly.
+    // afterwards, outside the pipelined path). The plan comes first, from
+    // A's column histogram — the planner's, or one scan of A — over the
+    // shapes the two headers declare; then each reader parses its file's
+    // text once, whatever the panel count, on the plan's ranges: three
+    // text scans at most, whatever the balance mode.
     let probe = |path: &str| match mm::read_panels(path, 1) {
-        Ok(probe) => (probe.rows(), probe.cols()),
+        Ok(probe) => Some((probe.rows(), probe.cols())),
         Err(e) => {
             eprintln!("failed to open {path}: {e}");
-            std::process::exit(1);
+            None
         }
     };
-    let (a_rows, inner_dim) = probe(a_path);
-    let (b_rows, b_cols) = probe(b_path);
+    let Some((a_rows, inner_dim)) = probe(a_path) else {
+        return ExitCode::FAILURE;
+    };
+    let Some((b_rows, b_cols)) = probe(b_path) else {
+        return ExitCode::FAILURE;
+    };
     if b_rows != inner_dim {
         eprintln!("shape mismatch: A is {a_rows}x{inner_dim} but B is {b_rows}x{b_cols}");
         return ExitCode::FAILURE;
     }
-    let ranges = plan::split(inner_dim, config.panels, config.balance, || {
-        a_col_nnz.unwrap_or_else(|| match mm::scan_col_nnz(a_path) {
-            Ok(col_nnz) => col_nnz,
-            Err(e) => {
-                eprintln!("failed to scan {a_path}: {e}");
-                std::process::exit(1);
-            }
-        })
-    });
+    let a_col_nnz = match a_col_nnz.map_or_else(|| mm::scan_col_nnz(a_path), Ok) {
+        Ok(col_nnz) => col_nnz,
+        Err(e) => {
+            eprintln!("failed to scan {a_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let plan = ExecPlan::for_operand(&a_col_nnz, config.panels, config.balance, config.merge_ways);
+    let ranges: Vec<_> = plan.panel_sizes().map(|(range, _)| range.clone()).collect();
     let a_reader = match mm::PanelReader::open_with_ranges(a_path, ranges.clone()) {
         Ok(reader) => reader,
         Err(e) => {
@@ -470,8 +479,8 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     };
     let outcome = executor.multiply_streams(
         a_rows,
-        inner_dim,
         b_cols,
+        plan,
         a_reader.map(to_csr),
         b_reader.map(to_csr),
     );

@@ -186,8 +186,8 @@ fn a_truncated_operand_fails_with_the_count_message_and_a_clean_temp_dir() {
     std::fs::write(&a, kept[..kept.len() - 100].join("\n")).expect("truncate operand");
     let want = format!("declared {declared} entries but found {}", declared - 100);
 
-    // `nnz` fails in the histogram scan, `uniform` on the first panel —
-    // after the reader has staged most of the file.
+    // Both balance modes fail in the histogram scan the plan is built
+    // from, before either panel reader opens.
     for balance in ["nnz", "uniform"] {
         let out = stream(&tmp, &a, &format!("--panels 8 --balance {balance}"));
         let stderr = String::from_utf8_lossy(&out.stderr);
