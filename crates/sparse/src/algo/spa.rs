@@ -1,11 +1,17 @@
-//! The sparse accumulator (SPA) shared by the Gustavson kernel and the
-//! simulator's row-wise merge fold.
+//! The sparse accumulator (SPA) shared by every row-wise fold in the
+//! workspace. It has three users:
 //!
-//! Both fold one output row at a time from products (or partial-result
-//! items) that arrive in no particular column order, and both must emit
-//! the row in ascending column order with each slot's values added in
-//! arrival order. A [`Spa`] serves two row classes, picked by the caller
-//! from the row's product count:
+//! * the Gustavson kernel (`algo::gustavson`), which folds products;
+//! * the simulator's merge-round fold (`sparch_core`'s `RowFold`), which
+//!   folds partial-result items;
+//! * the streaming pipeline's merge rounds (`sparch_stream::merge`),
+//!   which fold the rows two or more partials share.
+//!
+//! Each folds one output row at a time from items that arrive in no
+//! particular column order, and each must emit the row in ascending
+//! column order with each slot's values added in arrival order. A
+//! [`Spa`] serves two row classes, picked by the caller from the row's
+//! product count:
 //!
 //! * **Short rows** ([`Spa::short_row`], at most [`SHORT_ROW`] products)
 //!   never touch the dense arrays. Each product is keyed

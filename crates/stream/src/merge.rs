@@ -18,28 +18,34 @@
 //!   partials batch-decode whole buffered spans (branch-free LEB128 in
 //!   `spill.rs`); resident CSRs are walked with the row scan amortized
 //!   per chunk instead of per triple.
-//! * **Loser tree.** The k-way fold replaces the seed's `BinaryHeap` +
-//!   `Option` accumulator with a tournament (loser) tree: advancing the
-//!   winner replays exactly one root-to-leaf path — `log₂ k` branchless
-//!   comparisons, no sift-down, no per-triple allocation.
-//! * **Galloping two-way fast path.** `ways == 2` rounds (the most
-//!   common plan shape) skip the tree entirely: two cursors, with runs
-//!   of non-overlapping keys located by exponential-then-binary search
-//!   and copied out in bulk.
+//! * **One row-wise fold.** The round visits output rows in ascending
+//!   order, as `gustavson` and the simulator's round fold do. When one
+//!   source alone holds every row below the next source's head row, that
+//!   run is copied straight through, across refills — a one-source
+//!   round is a single such run. A row two or more sources share gathers
+//!   its segments in source order into the shared accumulator
+//!   ([`sparch_sparse::algo::Spa`]), folded from the lanes in place: a
+//!   short row (at most `SHORT_ROW` items, all inside the current
+//!   chunks) is sorted by `(col, arrival)`, any other row goes through
+//!   the dense value array and its occupancy bitmap. The choice is made
+//!   by the row's own shape, never by the fan-in.
 //! * **Pre-sized output.** `merge_sources` pre-sizes its [`CsrBuilder`]
 //!   from the summed source nnz (an exact upper bound), so the output
 //!   never reallocates mid-merge.
 //!
 //! Determinism: for one set of sources the fold order is fixed — key
 //! order by `(row, col)` with ties broken by source position, and source
-//! positions come from the Huffman plan — so the merged values are
-//! bit-identical regardless of which sources happened to spill and how
-//! many threads produced them. The seed heap kernel is kept as
-//! [`merge_sources_reference`] and a differential suite pins the two to
-//! byte-equal outputs.
+//! positions come from the Huffman plan. The accumulator adds each
+//! coordinate's values in arrival order from the first one (its slots
+//! hold `-0.0`, the additive identity), which is that order, so the
+//! merged values are bit-identical regardless of which sources happened
+//! to spill and how many threads produced them. The seed heap kernel is
+//! kept as [`merge_sources_reference`] and a differential suite pins the
+//! two to byte-equal outputs.
 
 use crate::spill::SpillReader;
 use crate::StreamError;
+use sparch_sparse::algo::{Spa, SHORT_ROW};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -175,6 +181,8 @@ impl PartialSource {
 }
 
 /// One source's decode lane: reused key/value columns plus a cursor.
+/// The lane is live while `pos < keys.len()`; an exhausted source
+/// leaves it empty.
 #[derive(Debug, Default)]
 struct Lane {
     keys: Vec<u64>,
@@ -182,29 +190,28 @@ struct Lane {
     pos: usize,
 }
 
+impl Lane {
+    /// Row of the head entry, or `None` once the source is exhausted.
+    fn head_row(&self) -> Option<u64> {
+        self.keys.get(self.pos).map(|&k| k >> 32)
+    }
+}
+
 /// Reusable per-worker scratch for [`merge_sources`]: one decode lane
-/// per merge way, kept allocated across rounds so steady-state merging
-/// never touches the allocator for scratch.
+/// per merge way and the accumulator shared rows fold through, kept
+/// allocated across rounds so steady-state merging never touches the
+/// allocator for scratch.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
     lanes: Vec<Lane>,
+    spa: Spa,
 }
 
 impl MergeScratch {
-    /// An empty scratch; lanes grow on first use and are then reused.
+    /// An empty scratch; lanes and the accumulator grow on first use and
+    /// are then reused.
     pub fn new() -> Self {
         MergeScratch::default()
-    }
-
-    fn reset(&mut self, ways: usize) {
-        if self.lanes.len() < ways {
-            self.lanes.resize_with(ways, Lane::default);
-        }
-        for lane in &mut self.lanes[..ways] {
-            lane.keys.clear();
-            lane.vals.clear();
-            lane.pos = 0;
-        }
     }
 }
 
@@ -214,25 +221,31 @@ fn refill(src: &mut PartialSource, lane: &mut Lane) -> Result<bool, StreamError>
     Ok(src.next_chunk(CHUNK_ENTRIES, &mut lane.keys, &mut lane.vals)? > 0)
 }
 
-/// Unpacks a key and appends the entry. Every source yields strictly
-/// increasing in-shape keys — resident CSRs by invariant, spilled ones
-/// because `SpillReader` checks each entry it decodes — so the merged
-/// stream does too and this takes the trusted fast path.
-fn emit(out: &mut CsrBuilder, key: u64, val: f64) {
-    out.push_trusted((key >> 32) as Index, key as u32, val);
-}
-
-/// Entries at the front of `keys` strictly below `limit`, found by
-/// exponential probe + binary search. `keys[0] < limit` must hold.
-fn gallop(keys: &[u64], limit: u64) -> usize {
-    debug_assert!(!keys.is_empty() && keys[0] < limit);
-    let mut hi = 1usize;
-    while hi < keys.len() && keys[hi] < limit {
-        hi *= 2;
+/// Feeds every entry of `lane` in rows below `limit` to `f` as
+/// `(key, value)` in stream order, refilling from `src` whenever the run
+/// reaches the end of the chunk.
+fn take_rows(
+    src: &mut PartialSource,
+    lane: &mut Lane,
+    limit: u64,
+    mut f: impl FnMut(u64, f64),
+) -> Result<(), StreamError> {
+    loop {
+        let keys = &lane.keys[lane.pos..];
+        let vals = &lane.vals[lane.pos..];
+        let mut n = 0;
+        for (&k, &v) in keys.iter().zip(vals) {
+            if k >> 32 >= limit {
+                break;
+            }
+            f(k, v);
+            n += 1;
+        }
+        lane.pos += n;
+        if lane.pos < lane.keys.len() || !refill(src, lane)? {
+            return Ok(());
+        }
     }
-    let lo = hi / 2;
-    let hi = hi.min(keys.len());
-    lo + keys[lo..hi].partition_point(|&k| k < limit)
 }
 
 /// Merges sorted partial streams into one `rows × cols` partial, folding
@@ -254,178 +267,73 @@ pub fn merge_sources(
     }
     let total: usize = sources.iter().map(PartialSource::remaining_nnz).sum();
     let mut out = CsrBuilder::with_capacity(rows, cols, total);
-    scratch.reset(sources.len());
-    match sources.len() {
-        0 => {}
-        1 => drain_single(&mut sources[0], &mut scratch.lanes[0], &mut out)?,
-        2 => merge_two(&mut sources, scratch, &mut out)?,
-        _ => merge_k(&mut sources, scratch, &mut out)?,
+    let MergeScratch { lanes, spa } = scratch;
+    if lanes.len() < sources.len() {
+        lanes.resize_with(sources.len(), Lane::default);
+    }
+    let lanes = &mut lanes[..sources.len()];
+    for (src, lane) in sources.iter_mut().zip(lanes.iter_mut()) {
+        refill(src, lane)?;
+    }
+    // Every source yields strictly increasing in-shape keys — resident
+    // CSRs by invariant, spilled ones because `SpillReader` checks each
+    // entry it decodes — and rows leave in ascending order, so the
+    // output takes the trusted fast path.
+    loop {
+        // The lowest head row, the source holding it and the next head
+        // row among the others (equal to `first` when it is shared).
+        let (mut first, mut owner, mut next) = (u64::MAX, 0, u64::MAX);
+        for (s, lane) in lanes.iter().enumerate() {
+            match lane.head_row() {
+                Some(r) if r < first => (next, first, owner) = (first, r, s),
+                Some(r) => next = next.min(r),
+                None => {}
+            }
+        }
+        if first == u64::MAX {
+            break;
+        }
+        if next > first {
+            // One source alone holds rows `first..next`: copy them.
+            take_rows(&mut sources[owner], &mut lanes[owner], next, |k, v| {
+                out.push_trusted((k >> 32) as Index, k as Index, v)
+            })?;
+            continue;
+        }
+        // A shared row: its segments fold in source order, so each
+        // coordinate adds its values from the first, as the reference
+        // heap's tie order does. A row that may run past a chunk is wide.
+        let (mut items, mut open) = (0, false);
+        for lane in lanes.iter().filter(|l| l.head_row() == Some(first)) {
+            let segment = lane.keys[lane.pos..].iter();
+            let n = segment.take_while(|&&k| k >> 32 == first).count();
+            items += n;
+            open |= lane.pos + n == lane.keys.len();
+        }
+        // The row is drained even when a source fails mid-row, so the
+        // accumulator is left clean for the scratch's next merge.
+        let segments = sources.iter_mut().zip(lanes.iter_mut());
+        let mut segments = segments.filter(|(_, l)| l.head_row() == Some(first));
+        let mut emit = |c, v| out.push_trusted(first as Index, c, v);
+        let fed = if !open && items <= SHORT_ROW {
+            let mut row = spa.short_row();
+            let fed = segments.try_for_each(|(src, lane)| {
+                take_rows(src, lane, first + 1, |k, v| row.add(k as Index, v))
+            });
+            row.drain(&mut emit);
+            fed
+        } else {
+            spa.grow(cols);
+            let mut row = spa.wide_row();
+            let fed = segments.try_for_each(|(src, lane)| {
+                take_rows(src, lane, first + 1, |k, v| row.add(k as Index, v))
+            });
+            row.drain(&mut emit);
+            fed
+        };
+        fed?;
     }
     Ok(out.finish())
-}
-
-/// A one-source "merge" is a straight chunked copy.
-fn drain_single(
-    src: &mut PartialSource,
-    lane: &mut Lane,
-    out: &mut CsrBuilder,
-) -> Result<(), StreamError> {
-    while refill(src, lane)? {
-        for (&k, &v) in lane.keys.iter().zip(&lane.vals) {
-            emit(out, k, v);
-        }
-    }
-    Ok(())
-}
-
-/// The galloping two-way fast path: coordinates unique within each
-/// source, so a collision folds exactly two values (source 0 first,
-/// matching the reference heap's tie-break) and disjoint runs copy out
-/// in bulk without an accumulator.
-fn merge_two(
-    sources: &mut [PartialSource],
-    scratch: &mut MergeScratch,
-    out: &mut CsrBuilder,
-) -> Result<(), StreamError> {
-    let (src0, src1) = sources.split_at_mut(1);
-    let (src0, src1) = (&mut src0[0], &mut src1[0]);
-    let (l0, l1) = scratch.lanes.split_at_mut(1);
-    let (l0, l1) = (&mut l0[0], &mut l1[0]);
-    let mut a0 = refill(src0, l0)?;
-    let mut a1 = refill(src1, l1)?;
-    while a0 && a1 {
-        let k0 = l0.keys[l0.pos];
-        let k1 = l1.keys[l1.pos];
-        if k0 == k1 {
-            emit(out, k0, l0.vals[l0.pos] + l1.vals[l1.pos]);
-            l0.pos += 1;
-            if l0.pos == l0.keys.len() {
-                a0 = refill(src0, l0)?;
-            }
-            l1.pos += 1;
-            if l1.pos == l1.keys.len() {
-                a1 = refill(src1, l1)?;
-            }
-        } else if k0 < k1 {
-            let run = gallop(&l0.keys[l0.pos..], k1);
-            for j in l0.pos..l0.pos + run {
-                emit(out, l0.keys[j], l0.vals[j]);
-            }
-            l0.pos += run;
-            if l0.pos == l0.keys.len() {
-                a0 = refill(src0, l0)?;
-            }
-        } else {
-            let run = gallop(&l1.keys[l1.pos..], k0);
-            for j in l1.pos..l1.pos + run {
-                emit(out, l1.keys[j], l1.vals[j]);
-            }
-            l1.pos += run;
-            if l1.pos == l1.keys.len() {
-                a1 = refill(src1, l1)?;
-            }
-        }
-    }
-    while a0 {
-        for j in l0.pos..l0.keys.len() {
-            emit(out, l0.keys[j], l0.vals[j]);
-        }
-        a0 = refill(src0, l0)?;
-    }
-    while a1 {
-        for j in l1.pos..l1.keys.len() {
-            emit(out, l1.keys[j], l1.vals[j]);
-        }
-        a1 = refill(src1, l1)?;
-    }
-    Ok(())
-}
-
-/// `true` when leaf `a` wins the match against leaf `b`: alive beats
-/// exhausted, then `(key, source index)` order — the exact pop order of
-/// the reference heap's `Reverse((row, col, source))` keys.
-fn leads(a: usize, b: usize, head: &[u64], alive: &[bool]) -> bool {
-    match (alive[a], alive[b]) {
-        (true, true) => (head[a], a) < (head[b], b),
-        (true, false) => true,
-        (false, true) => false,
-        (false, false) => a < b,
-    }
-}
-
-/// The loser-tree k-way fold for `ways ≥ 3`. Internal nodes hold match
-/// losers; advancing the winner replays one leaf-to-root path of
-/// `log₂ ways` comparisons.
-fn merge_k(
-    sources: &mut [PartialSource],
-    scratch: &mut MergeScratch,
-    out: &mut CsrBuilder,
-) -> Result<(), StreamError> {
-    let ways = sources.len();
-    let w = ways.next_power_of_two();
-    let mut head = vec![0u64; w];
-    let mut alive = vec![false; w];
-    for s in 0..ways {
-        if refill(&mut sources[s], &mut scratch.lanes[s])? {
-            head[s] = scratch.lanes[s].keys[0];
-            alive[s] = true;
-        }
-    }
-    // Seed the tree by playing every match bottom-up; `win[n]` is the
-    // winner advancing out of node `n`, `losers[n]` the one staying.
-    let mut losers = vec![0usize; w];
-    let mut win = vec![0usize; 2 * w];
-    for (s, slot) in win[w..].iter_mut().enumerate() {
-        *slot = s;
-    }
-    for n in (1..w).rev() {
-        let (a, b) = (win[2 * n], win[2 * n + 1]);
-        if leads(a, b, &head, &alive) {
-            win[n] = a;
-            losers[n] = b;
-        } else {
-            win[n] = b;
-            losers[n] = a;
-        }
-    }
-    let mut winner = win[1];
-    drop(win);
-
-    let (mut acc_key, mut acc_val, mut have) = (0u64, 0.0f64, false);
-    while alive[winner] {
-        let s = winner;
-        let lane = &mut scratch.lanes[s];
-        let k = head[s];
-        let v = lane.vals[lane.pos];
-        if have && k == acc_key {
-            acc_val += v;
-        } else {
-            if have {
-                emit(out, acc_key, acc_val);
-            }
-            acc_key = k;
-            acc_val = v;
-            have = true;
-        }
-        lane.pos += 1;
-        if lane.pos == lane.keys.len() && !refill(&mut sources[s], lane)? {
-            alive[s] = false;
-        } else {
-            head[s] = lane.keys[lane.pos];
-        }
-        // Replay the path from leaf `s` to the root.
-        let mut n = (w + s) >> 1;
-        while n >= 1 {
-            if leads(losers[n], winner, &head, &alive) {
-                std::mem::swap(&mut losers[n], &mut winner);
-            }
-            n >>= 1;
-        }
-    }
-    if have {
-        emit(out, acc_key, acc_val);
-    }
-    Ok(())
 }
 
 /// The seed per-triple kernel — `BinaryHeap` over source heads with an
@@ -533,41 +441,72 @@ mod tests {
         assert_eq!(merged, all_mem);
     }
 
-    /// A spill file damaged on disk must stop a `ways`-way merge with an
-    /// error naming it — wherever it sits among spilled and resident
-    /// neighbours — instead of feeding `push_trusted` rows past the shape.
-    fn assert_a_damaged_spill_file_stops_the_merge(ways: usize) {
-        let dir = TempDir::new(&format!("merge_damaged_{ways}"));
+    /// A spill file damaged on disk must stop a merge of each fan-in in
+    /// `fan_ins` with an error naming it — wherever it sits among spilled
+    /// and resident neighbours, whether the damage is in its first chunk or
+    /// strikes mid-merge — instead of feeding `push_trusted` rows past the
+    /// shape. The scratch that saw the failure then merges clean sources
+    /// exactly.
+    fn assert_damaged_spill_stops_the_merge(tag: &str, fan_ins: &[usize]) {
+        let dir = TempDir::new(tag);
         // All-ones values and < 64 columns: every varint entry is exactly
-        // 5 bytes, so body byte 600 is the row delta of entry 120.
+        // 5 bytes, so body byte `5 * e` is the row delta of entry `e`.
         let ones = |seed| linalg::map_values(&gen::uniform_random(64, 64, 2000, seed), |_| 1.0);
-        let damaged = dir.file("damaged.bin");
-        let file = write_partial(&damaged, &ones(1), SpillCodec::Varint).unwrap();
-        assert_eq!(file.bytes, 28 + 5 * ones(1).nnz() as u64);
-        let mut bytes = std::fs::read(&damaged).unwrap();
-        bytes[28 + 600] = 0x7f;
-        std::fs::write(&damaged, bytes).unwrap();
         let clean = dir.file("clean.bin");
         write_partial(&clean, &ones(2), SpillCodec::Varint).unwrap();
-
         let spilled =
             |path: &std::path::Path| PartialSource::from_spill(SpillReader::open(path).unwrap());
-        for at in 0..ways {
-            let sources = (0..ways)
-                .map(|s| match s {
-                    _ if s == at => spilled(&damaged),
-                    _ if s % 2 == 0 => spilled(&clean),
-                    _ => mem(ones(2 + s as u64)),
-                })
-                .collect();
-            match merge_sources(64, 64, sources, &mut MergeScratch::new()) {
-                Err(StreamError::Io(msg)) => assert!(
-                    msg.contains("damaged.bin") && msg.contains("outside declared shape"),
-                    "{ways}-way, damaged at {at}: {msg}"
-                ),
-                other => panic!("{ways}-way, damaged at {at}: got {other:?}"),
+        for entry in [120, CHUNK_ENTRIES + 76] {
+            let damaged = dir.file("damaged.bin");
+            let file = write_partial(&damaged, &ones(1), SpillCodec::Varint).unwrap();
+            assert!(ones(1).nnz() > entry);
+            assert_eq!(file.bytes, 28 + 5 * ones(1).nnz() as u64);
+            let mut bytes = std::fs::read(&damaged).unwrap();
+            bytes[28 + 5 * entry] = 0x7f;
+            std::fs::write(&damaged, bytes).unwrap();
+            for &ways in fan_ins {
+                let mut scratch = MergeScratch::new();
+                for at in 0..ways {
+                    let sources = (0..ways)
+                        .map(|s| match s {
+                            _ if s == at => spilled(&damaged),
+                            _ if s % 2 == 0 => spilled(&clean),
+                            _ => mem(ones(2 + s as u64)),
+                        })
+                        .collect();
+                    let what = format!("{ways}-way, entry {entry} damaged at {at}");
+                    match merge_sources(64, 64, sources, &mut scratch) {
+                        Err(StreamError::Io(msg)) => assert!(
+                            msg.contains("damaged.bin") && msg.contains("outside declared shape"),
+                            "{what}: {msg}"
+                        ),
+                        other => panic!("{what}: got {other:?}"),
+                    }
+                    let parts: Vec<Csr> = (0..ways).map(|s| ones(2 + s as u64)).collect();
+                    let merged = merge_sources(
+                        64,
+                        64,
+                        parts.iter().cloned().map(mem).collect(),
+                        &mut scratch,
+                    );
+                    assert_eq!(
+                        merged.unwrap(),
+                        sum_oracle(&parts),
+                        "{what}: scratch after the error"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_damaged_spill_file_stops_the_two_way_merge() {
+        assert_damaged_spill_stops_the_merge("merge_damaged_two", &[2]);
+    }
+
+    #[test]
+    fn a_damaged_spill_file_stops_the_k_way_merge_and_the_single_source_copy() {
+        assert_damaged_spill_stops_the_merge("merge_damaged_k", &[1, 3, 4]);
     }
 
     /// A source that declares a shape other than the merge's is refused
@@ -596,18 +535,6 @@ mod tests {
                 matches!(run(vec![mem(part.clone())]), Err(StreamError::Shape(_))),
                 "{kernel}"
             );
-        }
-    }
-
-    #[test]
-    fn a_damaged_spill_file_stops_the_two_way_merge() {
-        assert_a_damaged_spill_file_stops_the_merge(2);
-    }
-
-    #[test]
-    fn a_damaged_spill_file_stops_the_k_way_merge_and_the_single_source_copy() {
-        for ways in [1, 3, 4] {
-            assert_a_damaged_spill_file_stops_the_merge(ways);
         }
     }
 
@@ -646,10 +573,10 @@ mod tests {
         assert_eq!(merged, algo::gustavson(&a, &b));
     }
 
-    /// The loser-tree/gallop kernel must be byte-identical to the seed
-    /// `BinaryHeap` kernel at every fan-in, over heavily overlapping
-    /// sources (duplicate coordinates in most merge steps) and over
-    /// disk/mem mixes under both codecs.
+    /// The row fold must be byte-identical to the seed `BinaryHeap`
+    /// kernel at every fan-in, over heavily overlapping sources (duplicate
+    /// coordinates in most merge steps) and over disk/mem mixes under
+    /// both codecs.
     #[test]
     fn chunked_kernel_matches_reference_heap() {
         let dir = TempDir::new("merge_differential");
@@ -688,10 +615,68 @@ mod tests {
         }
     }
 
+    /// A value whose sums with its neighbours round, so fold order shows
+    /// in the bits.
+    fn value(n: usize) -> f64 {
+        match n % 4 {
+            0 => 1e16,
+            1 => -1e16 + 1.0,
+            2 => 0.1 * (n as f64 + 1.0),
+            _ => -0.3 / (n as f64 + 1.0),
+        }
+    }
+
+    /// A `rows × cols` partial holding `entries`, given in any order.
+    fn partial(rows: usize, cols: usize, entries: impl IntoIterator<Item = Triple>) -> Csr {
+        let mut coo = sparch_sparse::Coo::new(rows, cols);
+        for (r, c, v) in entries {
+            coo.push(r, c, v);
+        }
+        coo.to_csr()
+    }
+
+    /// Merges `parts` resident, then with every other source spilled
+    /// under each codec, all through one scratch, and checks each result
+    /// against the reference heap bit for bit.
+    fn assert_matches_reference_bits(
+        dir: &TempDir,
+        parts: &[Csr],
+        shape: (usize, usize),
+        what: &str,
+    ) {
+        let (rows, cols) = shape;
+        let want = merge_sources_reference(rows, cols, parts.iter().cloned().map(mem).collect());
+        let want = want.unwrap();
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scratch = MergeScratch::new();
+        for codec in [None, Some(SpillCodec::Raw), Some(SpillCodec::Varint)] {
+            let sources = parts
+                .iter()
+                .enumerate()
+                .map(|(s, p)| match codec {
+                    Some(codec) if s % 2 == 0 => {
+                        let path = dir.file(&format!("{s}.bin"));
+                        write_partial(&path, p, codec).unwrap();
+                        PartialSource::from_spill(SpillReader::open(&path).unwrap())
+                    }
+                    _ => mem(p.clone()),
+                })
+                .collect();
+            let got = merge_sources(rows, cols, sources, &mut scratch).unwrap();
+            assert_eq!(got, want, "{what}, spilled as {codec:?}");
+            assert_eq!(bits(&got), bits(&want), "{what}, spilled as {codec:?}");
+        }
+    }
+
     /// Degenerate fan-ins agree with the reference too: empty sources,
-    /// singletons, full cancellation, and every source identical.
+    /// singletons, full cancellation, and every source identical. So do
+    /// the row shapes the fold tells apart, at every fan-in: rows of
+    /// exactly `SHORT_ROW` and `SHORT_ROW + 1` items, and `+0.0` / `-0.0`
+    /// collisions in short and wide rows (a column of `-0.0`s sums to
+    /// `-0.0`, one `+0.0` among them makes it `+0.0`).
     #[test]
     fn kernel_edge_cases_match_reference() {
+        let dir = TempDir::new("merge_edge_cases");
         let m = gen::uniform_random(9, 9, 25, 77);
         let neg = linalg::map_values(&m, |v| -v);
         let cases: Vec<Vec<Csr>> = vec![
@@ -705,14 +690,49 @@ mod tests {
             vec![m.clone(), Csr::zero(9, 9), m.clone(), Csr::zero(9, 9), neg],
         ];
         for (i, parts) in cases.into_iter().enumerate() {
-            let fast = merge(9, 9, parts.iter().cloned().map(mem).collect());
-            let slow = merge_sources_reference(9, 9, parts.into_iter().map(mem).collect()).unwrap();
-            assert_eq!(fast, slow, "case {i}");
+            assert_matches_reference_bits(&dir, &parts, (9, 9), &format!("case {i}"));
+        }
+
+        for ways in 1..=9 {
+            let parts: Vec<Csr> = (0..ways)
+                .map(|s| {
+                    // Each source's window starts one column after the
+                    // previous one's, so neighbouring windows overlap.
+                    let mut entries = Vec::new();
+                    for (row, items) in [(0, SHORT_ROW), (1, SHORT_ROW + 1)] {
+                        let n = items / ways + usize::from(s < items % ways);
+                        entries.extend((0..n).map(|k| (row, (s + k) as Index, value(7 * s + k))));
+                    }
+                    for (row, n, mixed) in
+                        [(2, 3, true), (3, 40, true), (4, 3, false), (5, 40, false)]
+                    {
+                        let zero = |k: usize| {
+                            if mixed && (s + k).is_multiple_of(3) {
+                                0.0
+                            } else {
+                                -0.0
+                            }
+                        };
+                        entries.extend((0..n).map(|k| (row, k as Index, zero(k))));
+                    }
+                    partial(6, 48, entries)
+                })
+                .collect();
+            assert_matches_reference_bits(
+                &dir,
+                &parts,
+                (6, 48),
+                &format!("row shapes, {ways}-way"),
+            );
         }
     }
 
     /// Chunk boundaries are invisible: a merge whose sources span many
-    /// refills (nnz ≫ CHUNK_ENTRIES) still matches the oracle.
+    /// refills (nnz ≫ CHUNK_ENTRIES) still matches the oracle. So, at
+    /// every fan-in, does a row longer than a chunk in every source, a
+    /// source whose lone run, and then whose last shared row, ends
+    /// exactly at a chunk end, and a shared row with few items before a
+    /// chunk end and many after it.
     #[test]
     fn multi_chunk_sources_merge_correctly() {
         let parts: Vec<Csr> = (0..3)
@@ -722,5 +742,44 @@ mod tests {
         assert_eq!(merged, sum_oracle(&parts));
         let two = merge(120, 110, parts[..2].iter().cloned().map(mem).collect());
         assert_eq!(two, sum_oracle(&parts[..2]));
+
+        let dir = TempDir::new("merge_chunk_edges");
+        let long = CHUNK_ENTRIES + CHUNK_ENTRIES / 2;
+        // Source 0 fills rows 0..25 with 128 entries each (125 in row
+        // 23), so rows 0..8 (its lone run) and 8..16 (shared) are exactly
+        // one chunk each, and its third chunk ends 3 entries into shared
+        // row 24. The others hold 10 entries in each of rows 8..26, so
+        // row 24's first chunk holds few enough items for a short row.
+        let aligned = |s: usize| {
+            let rows = if s == 0 { 0..25 } else { 8..26 };
+            let entries = rows.flat_map(move |r| {
+                let per_row = match (s, r) {
+                    (0, 23) => 125,
+                    (0, _) => 128,
+                    _ => 10,
+                };
+                (0..per_row).map(move |k| (r, ((s + 11 * k) % 128) as Index, value(r as usize + k)))
+            });
+            partial(26, 128, entries)
+        };
+        for ways in 1..=9 {
+            let parts: Vec<Csr> = (0..ways)
+                .map(|s| {
+                    let row = (0..long).map(|k| (3, (64 * s + k) as Index, value(31 * s + k)));
+                    let few = [0, 1, 2, 4, 5].into_iter().flat_map(|r| {
+                        (0..5).map(move |k| (r, (s + 3 * k) as Index, value(r as usize + k)))
+                    });
+                    partial(6, 64 * 9 + long, row.chain(few))
+                })
+                .collect();
+            let shape = (6, 64 * 9 + long);
+            assert_matches_reference_bits(&dir, &parts, shape, &format!("long row, {ways}-way"));
+            let parts: Vec<Csr> = (0..ways).map(aligned).collect();
+            let starts = [8, 16, 24].map(|r| parts[0].row_ptr()[r]);
+            let chunk = CHUNK_ENTRIES;
+            assert_eq!(starts, [chunk, 2 * chunk, 3 * chunk - 3]);
+            let what = format!("chunk-aligned runs, {ways}-way");
+            assert_matches_reference_bits(&dir, &parts, (26, 128), &what);
+        }
     }
 }

@@ -131,7 +131,7 @@ fn presized_merge_allocates_once_per_output_array() {
     );
 
     // Peak growth: the two reserves (12 B per input entry) plus row_ptr,
-    // decode lanes and loser-tree scratch under a fixed slack.
+    // decode lanes and the accumulator under a fixed slack.
     let slack = 256 << 10;
     let bound = 12 * total as u64 + slack;
     assert!(

@@ -125,12 +125,36 @@ fn recorder_for(flags: &HashMap<String, String>) -> Recorder {
     }
 }
 
+/// Writes `contents` to `path`. A failure is reported on stderr and
+/// handed back as the exit code the command should return.
+fn write_out(path: &str, contents: impl AsRef<[u8]>) -> Result<(), ExitCode> {
+    std::fs::write(path, contents).map_err(|e| {
+        eprintln!("failed to write {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Writes the report `json` renders to the `--json` path, if any. The
+/// callers' `expect("serialize")` is an invariant: every report is plain
+/// numbers, strings and lists, which always serialize.
+fn write_json(
+    flags: &HashMap<String, String>,
+    json: impl FnOnce() -> String,
+) -> Result<(), ExitCode> {
+    if let Some(path) = flags.get("json") {
+        write_out(path, json())?;
+        println!("\nreport written to {path}");
+    }
+    Ok(())
+}
+
 /// Writes the Chrome trace-event export to the `--trace` path, if any.
-fn write_trace(flags: &HashMap<String, String>, trace: &Trace) {
+fn write_trace(flags: &HashMap<String, String>, trace: &Trace) -> Result<(), ExitCode> {
     if let Some(path) = flags.get("trace") {
-        std::fs::write(path, chrome_trace_json(trace)).expect("write trace");
+        write_out(path, chrome_trace_json(trace))?;
         println!("trace written to {path} (load it in Perfetto or chrome://tracing)");
     }
+    Ok(())
 }
 
 /// The one-line summary of a planner decision (`--panels auto` / `--tune`).
@@ -228,15 +252,8 @@ fn cmd_multiply(flags: &HashMap<String, String>) -> ExitCode {
         os.energy_j / report.energy_total()
     );
 
-    if let Some(path) = flags.get("json") {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write json");
-        println!("\nreport written to {path}");
-    }
-    ExitCode::SUCCESS
+    let json = || serde_json::to_string_pretty(&report).expect("serialize");
+    write_json(flags, json).err().unwrap_or(ExitCode::SUCCESS)
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> ExitCode {
@@ -258,7 +275,10 @@ fn cmd_generate(flags: &HashMap<String, String>) -> ExitCode {
             usage();
         }
     };
-    mm::write_file(out, &m.to_coo()).expect("write matrix");
+    if let Err(e) = mm::write_file(out, &m.to_coo()) {
+        eprintln!("failed to write {out}: {e}");
+        return ExitCode::FAILURE;
+    }
     println!(
         "wrote {}x{} matrix with {} nnz to {out}",
         m.rows(),
@@ -275,6 +295,7 @@ fn cmd_stats(flags: &HashMap<String, String>) -> ExitCode {
     let a = load(a_path);
     let ms = stats::MatrixStats::of(&a);
     let ts = stats::TaskStats::of(&a, &a);
+    // Plain numeric stats: serializing them cannot fail.
     println!("{}", serde_json::to_string_pretty(&ms).expect("serialize"));
     println!("{}", serde_json::to_string_pretty(&ts).expect("serialize"));
     ExitCode::SUCCESS
@@ -346,16 +367,10 @@ fn cmd_batch(flags: &HashMap<String, String>) -> ExitCode {
         println!("{:>16} {:>7}", bs.backend, bs.steps);
     }
 
-    if let Some(path) = flags.get("json") {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write json");
-        println!("\nreport written to {path}");
-    }
-    write_trace(flags, &service.recorder().drain("serve"));
-    ExitCode::SUCCESS
+    let json = || serde_json::to_string_pretty(&report).expect("serialize");
+    let written = write_json(flags, json)
+        .and_then(|()| write_trace(flags, &service.recorder().drain("serve")));
+    written.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
@@ -539,16 +554,10 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
         s.rounds_overlapping_multiply
     );
 
-    if let Some(path) = flags.get("json") {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write json");
-        println!("\nreport written to {path}");
-    }
-    write_trace(flags, &executor.recorder().drain("stream"));
-    ExitCode::SUCCESS
+    let json = || serde_json::to_string_pretty(&report).expect("serialize");
+    let written = write_json(flags, json)
+        .and_then(|()| write_trace(flags, &executor.recorder().drain("stream")));
+    written.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 fn cmd_dist(flags: &HashMap<String, String>) -> ExitCode {
@@ -648,16 +657,10 @@ fn cmd_dist(flags: &HashMap<String, String>) -> ExitCode {
         report.wire_bytes_received as f64 / (1 << 20) as f64
     );
 
-    if let Some(path) = flags.get("json") {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write json");
-        println!("\nreport written to {path}");
-    }
-    write_trace(flags, &coordinator.recorder().drain("dist"));
-    ExitCode::SUCCESS
+    let json = || serde_json::to_string_pretty(&report).expect("serialize");
+    let written = write_json(flags, json)
+        .and_then(|()| write_trace(flags, &coordinator.recorder().drain("dist")));
+    written.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 /// Validates a Chrome trace export: the file must parse, and every

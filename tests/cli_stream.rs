@@ -196,3 +196,20 @@ fn a_truncated_operand_fails_with_the_count_message_and_a_clean_temp_dir() {
         assert_empty(&tmp);
     }
 }
+
+#[test]
+fn an_unwritable_json_path_fails_with_the_path_and_no_panic() {
+    let (dir, a) = fixture("cli_unwritable_json");
+    let tmp = dir.file("tmp");
+    let json = dir.file("missing-dir").join("r.json");
+    let json = json.to_str().expect("utf-8 path");
+    let out = stream(&tmp, &a, &format!("--panels 4 --json {json}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("failed to write {json}")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_empty(&tmp);
+}
