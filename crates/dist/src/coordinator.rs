@@ -13,13 +13,16 @@
 //! back. Shard worker processes claim one job at a time over Unix
 //! sockets, heaviest first. The few rounds above the cut are folded here,
 //! by a dedicated thread running the same
-//! [`merge_sources`] kernel (their output has to land here anyway), so
+//! [`merge_bands`] kernel (their output has to land here anyway), so
 //! the event loop never stops dispatching or watching liveness while a
 //! merge runs; a round's inputs are dropped the moment it has folded
-//! them. Because the plan fixes every round's children and every round —
+//! them. A round that folds once every job is done and nothing else is
+//! folding — the root, typically — is cut into row bands over the
+//! host's threads, since the fleet has nothing left to run beside it.
+//! Because the plan fixes every round's children and every round —
 //! wherever it runs — folds the same inputs in the same order, the final
 //! CSR is bit-identical to the single-node run at every shard count,
-//! whatever the cut and the dispatch interleaving.
+//! whatever the cut, the dispatch interleaving and the band count.
 //!
 //! **Liveness** is the per-worker reader thread's read deadline: a
 //! healthy worker heartbeats every [`DistConfig::heartbeat_interval`],
@@ -42,7 +45,7 @@ use crate::DistError;
 use serde::{Deserialize, Serialize};
 use sparch_obs::{Counter, Recorder, ThreadRecorder, WireSpan};
 use sparch_sparse::Csr;
-use sparch_stream::merge::{merge_sources, MergeScratch, PartialSource};
+use sparch_stream::merge::{lone_round_bands, merge_bands, MergeScratch, PartialSource};
 use sparch_stream::{ExecPlan, StreamConfig, StreamError};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
@@ -311,6 +314,8 @@ impl DistCoordinator {
                 cluster: Cluster::new(&self.config, evt_tx, self.recorder.is_enabled())?,
                 evt_rx,
                 fold_tx,
+                folds_inflight: 0,
+                host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 ready: (0..jobs.len() as u64).collect(),
                 jobs,
                 results: (0..plan.num_nodes()).map(|_| None).collect(),
@@ -328,26 +333,49 @@ impl DistCoordinator {
 }
 
 /// The coordinator's own merge stage: folds each round above the cut as
-/// its children land, off the event loop, and reports the output back
-/// through the loop's own queue. Ends when the run drops its sender.
+/// its children land, in the row bands the run asked for, off the event
+/// loop, and reports the output back through the loop's own queue. Ends
+/// when the run drops its sender.
 fn fold_stage(
-    fold_rx: Receiver<(usize, Vec<Csr>)>,
+    fold_rx: Receiver<FoldJob>,
     evt_tx: Sender<Ev>,
     rows: usize,
     cols: usize,
     mut lane: ThreadRecorder,
 ) {
     let mut scratch = MergeScratch::new();
-    while let Ok((round, children)) = fold_rx.recv() {
+    while let Ok(FoldJob {
+        round,
+        children,
+        bands,
+    }) = fold_rx.recv()
+    {
         let triples: u64 = children.iter().map(|c| c.nnz() as u64).sum();
         let sources = children.into_iter().map(PartialSource::from_csr).collect();
         let span = lane.begin("dist", "coordinator-merge");
-        let outcome = merge_sources(rows, cols, sources, &mut scratch);
-        lane.end_with(span, &[("round", round as u64), ("triples", triples)]);
+        let outcome = merge_bands(rows, cols, sources, &mut scratch, bands);
+        // The span records the bands the kernel ran with (a failed round
+        // counts as one).
+        let ran = outcome.as_ref().map_or(1, |&(_, ran)| ran);
+        let args = [
+            ("round", round as u64),
+            ("triples", triples),
+            ("bands", ran as u64),
+        ];
+        lane.end_with(span, &args);
+        let outcome = outcome.map(|(merged, _)| merged);
         if evt_tx.send(Ev::Folded { round, outcome }).is_err() {
             return;
         }
     }
+}
+
+/// A round above the cut handed to the fold thread: its children in
+/// plan order and the row bands to fold them in.
+struct FoldJob {
+    round: usize,
+    children: Vec<Csr>,
+    bands: usize,
 }
 
 /// Dispatch bookkeeping for one job: a subtree below the cut. Job ids
@@ -676,7 +704,11 @@ struct Run<'a> {
     cluster: Cluster<'a>,
     evt_rx: Receiver<Ev>,
     /// Rounds above the cut go here the moment their children are in.
-    fold_tx: Sender<(usize, Vec<Csr>)>,
+    fold_tx: Sender<FoldJob>,
+    /// Rounds sent to the fold thread that have not folded yet.
+    folds_inflight: usize,
+    /// The host's thread count: the bands of a round folding alone.
+    host_threads: usize,
     jobs: Vec<JobState>,
     /// Partial per plan node, from its job or its fold; taken (and so
     /// dropped once folded) by the round that consumes it.
@@ -722,6 +754,7 @@ impl Run<'_> {
             match self.evt_rx.recv_timeout(TICK) {
                 Ok(Ev::Worker { gen, kind }) => self.handle_event(gen, kind)?,
                 Ok(Ev::Folded { round, outcome }) => {
+                    self.folds_inflight -= 1;
                     self.landed(self.plan.round_output(round), outcome?)?;
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -758,13 +791,28 @@ impl Run<'_> {
         {
             return Ok(());
         }
-        let children = self
+        let children: Vec<Csr> = self
             .plan
             .round_children(round)
             .map(|child| self.results[child].take().expect("checked ready"))
             .collect();
+        // Once every job is done and no other round is folding, the
+        // round has the host to itself: fold it in row bands.
+        let alone = self.folds_inflight == 0 && self.jobs.iter().all(|j| j.done);
+        let triples = children.iter().map(Csr::nnz).sum();
+        let bands = if alone {
+            lone_round_bands(triples, self.host_threads)
+        } else {
+            1
+        };
+        self.folds_inflight += 1;
+        let job = FoldJob {
+            round,
+            children,
+            bands,
+        };
         self.fold_tx
-            .send((round, children))
+            .send(job)
             .map_err(|_| DistError::Io("coordinator merge thread is gone".into()))
     }
 

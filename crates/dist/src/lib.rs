@@ -30,7 +30,7 @@
 //!  ├─ per-worker reader thread      ◀──────    Result{partial, spans} | Failed{error}
 //!  │    (decode; read deadline =               / Heartbeat
 //!  │     heartbeat loss)                     }
-//!  ├─ fold thread: merge_sources on each     Shutdown → exit
+//!  ├─ fold thread: merge_bands on each       Shutdown → exit
 //!  │    round above the cut as its children land (inputs dropped after)
 //!  └─ retry / respawn / straggler dup
 //! ```

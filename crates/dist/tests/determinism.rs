@@ -15,7 +15,9 @@ mod common;
 
 use common::{assert_bits_equal, dist_config, plan_of};
 use sparch_dist::{DistConfig, DistCoordinator};
+use sparch_obs::{Recorder, Span};
 use sparch_sparse::{algo, gen, Coo, Csr};
+use sparch_stream::merge::{lone_round_bands, BAND_MIN_ENTRIES};
 use sparch_stream::{
     spill, MemoryBudget, PanelBalance, SpillCodec, StreamConfig, StreamingExecutor,
 };
@@ -302,5 +304,65 @@ fn injected_straggler_changes_timing_but_not_bits() {
     assert_eq!(
         report.heartbeat_timeouts, 0,
         "a heartbeating straggler must not be declared dead"
+    );
+}
+
+/// The root fold, once every job is done, has the host to itself: on
+/// R-MAT(2048, 8)² it holds enough entries for two row bands, so on any
+/// host with two or more threads its `coordinator-merge` span shows it
+/// cut into bands — and the fleet product stays bit-identical to the
+/// one-thread single-node run.
+#[test]
+fn a_lone_root_fold_bands_over_the_host_threads_bit_identically() {
+    let r = gen::rmat_graph500(2048, 8, 7);
+    let values = (0..r.nnz())
+        .map(|k| 1.0 + (k as f64 * 0.61).sin())
+        .collect();
+    let (rp, ci) = (r.row_ptr().to_vec(), r.col_indices().to_vec());
+    let a = Csr::try_new(r.rows(), r.cols(), rp, ci, values).unwrap();
+    let stream = StreamConfig {
+        budget: MemoryBudget::unbounded(),
+        panels: 16,
+        merge_ways: 4,
+        ..StreamConfig::pinned()
+    };
+    let (reference, _) = StreamingExecutor::new(StreamConfig {
+        threads: Some(1),
+        merge_workers: Some(1),
+        ..stream.clone()
+    })
+    .multiply(&a, &a)
+    .expect("single-node reference run");
+    let coordinator = DistCoordinator::new(DistConfig {
+        stream,
+        ..dist_config(2)
+    })
+    .with_recorder(Recorder::enabled());
+    let (c, report) = coordinator.multiply(&a, &a).expect("fleet run");
+    assert_bits_equal(&c, &reference, "banded root fold");
+
+    let trace = coordinator.recorder().drain("dist");
+    let arg = |span: &Span, key: &str| {
+        let found = span.args.iter().find(|x| x.key == key);
+        found
+            .unwrap_or_else(|| panic!("coordinator-merge without {key}"))
+            .value
+    };
+    let folds = trace.spans.iter().filter(|s| s.name == "coordinator-merge");
+    let root = folds
+        .max_by_key(|s| arg(s, "round"))
+        .expect("a coordinator fold");
+    assert_eq!(arg(root, "round") + 1, report.merge_rounds);
+    let triples = arg(root, "triples") as usize;
+    assert!(
+        triples >= 2 * BAND_MIN_ENTRIES,
+        "root fold of {triples} triples"
+    );
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let bands = arg(root, "bands") as usize;
+    assert_eq!(bands, lone_round_bands(triples, threads));
+    assert!(
+        threads == 1 || bands >= 2,
+        "{threads} threads, {bands} band(s)"
     );
 }

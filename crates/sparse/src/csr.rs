@@ -81,51 +81,7 @@ impl Csr {
         col_idx: Vec<Index>,
         values: Vec<Value>,
     ) -> Result<Self, SparseError> {
-        if row_ptr.len() != rows + 1 {
-            return Err(SparseError::MalformedPointers(format!(
-                "row_ptr length {} != rows + 1 = {}",
-                row_ptr.len(),
-                rows + 1
-            )));
-        }
-        if row_ptr.first() != Some(&0) {
-            return Err(SparseError::MalformedPointers("row_ptr[0] != 0".into()));
-        }
-        if col_idx.len() != values.len() {
-            return Err(SparseError::MalformedPointers(format!(
-                "col_idx length {} != values length {}",
-                col_idx.len(),
-                values.len()
-            )));
-        }
-        if *row_ptr.last().unwrap() != col_idx.len() {
-            return Err(SparseError::MalformedPointers(format!(
-                "row_ptr[rows] = {} != nnz = {}",
-                row_ptr.last().unwrap(),
-                col_idx.len()
-            )));
-        }
-        for r in 0..rows {
-            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-            if lo > hi {
-                return Err(SparseError::MalformedPointers(format!(
-                    "row_ptr decreases at row {r}"
-                )));
-            }
-            for k in lo..hi {
-                if col_idx[k] as usize >= cols {
-                    return Err(SparseError::IndexOutOfBounds {
-                        row: r as Index,
-                        col: col_idx[k],
-                        rows,
-                        cols,
-                    });
-                }
-                if k > lo && col_idx[k] <= col_idx[k - 1] {
-                    return Err(SparseError::UnsortedIndices { major: r });
-                }
-            }
-        }
+        check_parts(rows, cols, &row_ptr, &col_idx, &values)?;
         Ok(Csr {
             rows,
             cols,
@@ -133,6 +89,32 @@ impl Csr {
             col_idx,
             values,
         })
+    }
+
+    /// Assembles a matrix from raw parts the caller guarantees satisfy
+    /// every invariant [`Csr::try_new`] checks — the trusted twin for
+    /// kernels that build the parts in order by construction (e.g. a
+    /// merge that writes row bands in parallel). The invariants are
+    /// checked in debug builds only.
+    pub fn from_parts_trusted(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<Index>,
+        values: Vec<Value>,
+    ) -> Self {
+        if cfg!(debug_assertions) {
+            if let Err(e) = check_parts(rows, cols, &row_ptr, &col_idx, &values) {
+                panic!("from_parts_trusted given invalid parts: {e}");
+            }
+        }
+        Csr {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Builds from a COO matrix whose entries are already sorted by
@@ -471,6 +453,63 @@ impl Csr {
                 .zip(&other.values)
                 .all(|(a, b)| (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0))
     }
+}
+
+/// The invariants every [`Csr`] holds, checked over raw parts (see
+/// [`Csr::try_new`] for the errors).
+fn check_parts(
+    rows: usize,
+    cols: usize,
+    row_ptr: &[usize],
+    col_idx: &[Index],
+    values: &[Value],
+) -> Result<(), SparseError> {
+    if row_ptr.len() != rows + 1 {
+        return Err(SparseError::MalformedPointers(format!(
+            "row_ptr length {} != rows + 1 = {}",
+            row_ptr.len(),
+            rows + 1
+        )));
+    }
+    if row_ptr.first() != Some(&0) {
+        return Err(SparseError::MalformedPointers("row_ptr[0] != 0".into()));
+    }
+    if col_idx.len() != values.len() {
+        return Err(SparseError::MalformedPointers(format!(
+            "col_idx length {} != values length {}",
+            col_idx.len(),
+            values.len()
+        )));
+    }
+    if row_ptr[rows] != col_idx.len() {
+        return Err(SparseError::MalformedPointers(format!(
+            "row_ptr[rows] = {} != nnz = {}",
+            row_ptr[rows],
+            col_idx.len()
+        )));
+    }
+    for r in 0..rows {
+        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        if lo > hi {
+            return Err(SparseError::MalformedPointers(format!(
+                "row_ptr decreases at row {r}"
+            )));
+        }
+        for k in lo..hi {
+            if col_idx[k] as usize >= cols {
+                return Err(SparseError::IndexOutOfBounds {
+                    row: r as Index,
+                    col: col_idx[k],
+                    rows,
+                    cols,
+                });
+            }
+            if k > lo && col_idx[k] <= col_idx[k - 1] {
+                return Err(SparseError::UnsortedIndices { major: r });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Splits `0..total` into up to `panels` contiguous, balanced, non-empty

@@ -931,6 +931,64 @@ mod tests {
         assert!(first.partials > 0 && first.output_nnz > 0);
     }
 
+    /// A round that would otherwise run alone folds in row bands on every
+    /// merge worker: the root of an unbounded two-thread run over
+    /// R-MAT(2048, 8)² carries `bands` = 2 on its `merge-round` span, and
+    /// the product is bit-identical to a one-thread, one-merge-worker
+    /// run. A budget-0 run spills every input, so its root folds as one
+    /// band — to the same bits.
+    #[test]
+    fn a_lone_root_round_folds_in_row_bands_on_every_merge_worker() {
+        let r = gen::rmat_graph500(2048, 8, 7);
+        // Float values, so a change of fold order would show in the bits.
+        let values = (0..r.nnz())
+            .map(|k| 1.0 + (k as f64 * 0.61).sin())
+            .collect();
+        let (rp, ci) = (r.row_ptr().to_vec(), r.col_indices().to_vec());
+        let a = Csr::try_new(r.rows(), r.cols(), rp, ci, values).unwrap();
+        let run = |budget, threads| {
+            let executor = StreamingExecutor::new(StreamConfig {
+                budget,
+                panels: 16,
+                merge_ways: 4,
+                threads: Some(threads),
+                merge_workers: Some(threads),
+                ..StreamConfig::default()
+            })
+            .with_recorder(Recorder::enabled());
+            let (c, report) = executor.multiply(&a, &a).unwrap();
+            let trace = executor.recorder().drain("stream");
+            let arg = |span: &sparch_obs::Span, key: &str| {
+                let found = span.args.iter().find(|x| x.key == key);
+                found
+                    .unwrap_or_else(|| panic!("merge-round without {key}"))
+                    .value
+            };
+            let rounds = trace.spans.iter().filter(|s| s.name == "merge-round");
+            let root = rounds
+                .max_by_key(|s| arg(s, "round"))
+                .expect("a merge round");
+            assert_eq!(arg(root, "round") as usize, report.merge_rounds - 1);
+            (c, arg(root, "bands"), arg(root, "triples"))
+        };
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (want, bands, _) = run(MemoryBudget::unbounded(), 1);
+        assert_eq!(bands, 1, "one merge worker folds in one band");
+        let (got, bands, triples) = run(MemoryBudget::unbounded(), 2);
+        assert_eq!(
+            bands, 2,
+            "the root ({triples} triples) folded in {bands} band(s)"
+        );
+        assert_eq!(got, want);
+        assert_eq!(bits(&got), bits(&want));
+        let (spilled, bands, _) = run(MemoryBudget::from_bytes(0), 2);
+        assert_eq!(
+            bands, 1,
+            "a root with spilled inputs folded in {bands} bands"
+        );
+        assert_eq!(bits(&spilled), bits(&want));
+    }
+
     #[test]
     fn recorder_captures_every_pipeline_stage() {
         let a = int_matrix(96, 96, 700, 17);

@@ -29,9 +29,18 @@
 //!   chunks) is sorted by `(col, arrival)`, any other row goes through
 //!   the dense value array and its occupancy bitmap. The choice is made
 //!   by the row's own shape, never by the fan-in.
-//! * **Pre-sized output.** `merge_sources` pre-sizes its [`CsrBuilder`]
-//!   from the summed source nnz (an exact upper bound), so the output
-//!   never reallocates mid-merge.
+//! * **Pre-sized output.** A round pre-sizes its two output arrays from
+//!   the summed source nnz (an exact upper bound), so the output never
+//!   reallocates mid-merge.
+//! * **Row bands.** Because every output row folds on its own,
+//!   [`merge_bands`] can cut a round whose sources are all resident into
+//!   row bands at the quantiles of the input weight (read off the
+//!   sources' row pointers) and fold each band on its own scoped thread,
+//!   with its own lanes and accumulator from the [`MergeScratch`]. Each
+//!   band writes into a disjoint slice of the one output, pre-sized at
+//!   the summed source nnz; once the bands join, the later bands shift
+//!   down and their row pointers are rebased. A round with a spilled
+//!   source runs as one band — spill files carry no row index.
 //!
 //! Determinism: for one set of sources the fold order is fixed — key
 //! order by `(row, col)` with ties broken by source position, and source
@@ -39,9 +48,10 @@
 //! coordinate's values in arrival order from the first one (its slots
 //! hold `-0.0`, the additive identity), which is that order, so the
 //! merged values are bit-identical regardless of which sources happened
-//! to spill and how many threads produced them. The seed heap kernel is
-//! kept as [`merge_sources_reference`] and a differential suite pins the
-//! two to byte-equal outputs.
+//! to spill, how many threads produced them and how many bands folded
+//! them (a band folds whole rows, each exactly as one band would). The
+//! seed heap kernel is kept as [`merge_sources_reference`] and a
+//! differential suite pins the two to byte-equal outputs.
 
 use crate::spill::SpillReader;
 use crate::StreamError;
@@ -49,6 +59,8 @@ use sparch_sparse::algo::{Spa, SHORT_ROW};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Entries decoded per [`PartialSource::next_chunk`] call: 16 KiB of
 /// scratch per lane (8 B key + 8 B value), small enough that a full
@@ -56,14 +68,37 @@ use std::collections::BinaryHeap;
 /// enough to amortize decode and refill overhead.
 const CHUNK_ENTRIES: usize = 1024;
 
+/// Input entries per band below which a round is not cut. On a 2-core
+/// host, two bands fold four R-MAT panel partials in 0.95–1.04× one
+/// band's time at 2^14 entries per band, 0.71–0.78× at 2^15.6 and
+/// 0.60–0.69× from 2^16.5 to 2^18.6. The cutoff sits 8× above that
+/// break-even, so a band's fold (milliseconds) dwarfs its thread spawn
+/// and its share of the compaction copy.
+pub const BAND_MIN_ENTRIES: usize = 1 << 17;
+
+/// The row bands for a round of `triples` input entries that would
+/// otherwise run alone on `threads` threads: as many of them as the
+/// round fills with at least [`BAND_MIN_ENTRIES`] entries each, and at
+/// least one.
+pub fn lone_round_bands(triples: usize, threads: usize) -> usize {
+    (triples / BAND_MIN_ENTRIES).clamp(1, threads.max(1))
+}
+
 /// One sorted input stream of a merge round.
 #[derive(Debug)]
 pub struct PartialSource(Inner);
 
 #[derive(Debug)]
 enum Inner {
-    /// A resident partial, iterated in place.
-    Mem { csr: Csr, row: usize, pos: usize },
+    /// A resident partial, iterated in place over entries `pos..end`;
+    /// `row` is at or below the row holding `pos`. Bands share one
+    /// partial and view disjoint row ranges of it.
+    Mem {
+        csr: Arc<Csr>,
+        row: usize,
+        pos: usize,
+        end: usize,
+    },
     /// A spilled partial, streamed through a bounded buffer.
     Disk(SpillReader),
 }
@@ -71,10 +106,12 @@ enum Inner {
 impl PartialSource {
     /// A source over a resident CSR.
     pub fn from_csr(csr: Csr) -> Self {
+        let end = csr.nnz();
         PartialSource(Inner::Mem {
-            csr,
+            csr: Arc::new(csr),
             row: 0,
             pos: 0,
+            end,
         })
     }
 
@@ -87,9 +124,33 @@ impl PartialSource {
     /// spilled one through [`SpillReader::read_all`].
     pub(crate) fn into_csr(self) -> Result<Csr, StreamError> {
         match self.0 {
-            Inner::Mem { csr, .. } => Ok(csr),
+            Inner::Mem { csr, pos, end, .. } => {
+                debug_assert!(pos == 0 && end == csr.nnz(), "not a fresh source");
+                Ok(Arc::unwrap_or_clone(csr))
+            }
             Inner::Disk(reader) => reader.read_all(),
         }
+    }
+
+    /// The partial behind a resident source that has produced nothing
+    /// yet — one whose rows can be cut into bands — or `None`.
+    fn fresh_resident(&self) -> Option<Arc<Csr>> {
+        match &self.0 {
+            Inner::Mem {
+                csr, pos: 0, end, ..
+            } if *end == csr.nnz() => Some(Arc::clone(csr)),
+            _ => None,
+        }
+    }
+
+    /// A resident source over rows `band` of `csr` only.
+    fn band_of(csr: &Arc<Csr>, band: &Range<usize>) -> Self {
+        PartialSource(Inner::Mem {
+            csr: Arc::clone(csr),
+            row: band.start,
+            pos: csr.row_ptr()[band.start],
+            end: csr.row_ptr()[band.end],
+        })
     }
 
     /// Errors unless the source declares the shape `rows × cols`: a
@@ -113,7 +174,7 @@ impl PartialSource {
     /// nnz, used to pre-size merge outputs.
     pub fn remaining_nnz(&self) -> usize {
         match &self.0 {
-            Inner::Mem { csr, pos, .. } => csr.nnz() - pos,
+            Inner::Mem { pos, end, .. } => end - pos,
             Inner::Disk(reader) => reader.remaining() as usize,
         }
     }
@@ -122,8 +183,8 @@ impl PartialSource {
     /// per-triple path, used by [`merge_sources_reference`].
     fn next_triple(&mut self) -> Result<Option<Triple>, StreamError> {
         match &mut self.0 {
-            Inner::Mem { csr, row, pos } => {
-                if *pos >= csr.nnz() {
+            Inner::Mem { csr, row, pos, end } => {
+                if *pos >= *end {
                     return Ok(None);
                 }
                 while csr.row_ptr()[*row + 1] <= *pos {
@@ -149,26 +210,26 @@ impl PartialSource {
         vals: &mut Vec<f64>,
     ) -> Result<usize, StreamError> {
         match &mut self.0 {
-            Inner::Mem { csr, row, pos } => {
+            Inner::Mem { csr, row, pos, end } => {
                 keys.clear();
                 vals.clear();
-                let end = pos.saturating_add(max).min(csr.nnz());
+                let stop = pos.saturating_add(max).min(*end);
                 let rp = csr.row_ptr();
                 let ci = csr.col_indices();
                 let vs = csr.values();
                 let mut p = *pos;
                 let mut r = *row;
-                while p < end {
+                while p < stop {
                     while rp[r + 1] <= p {
                         r += 1;
                     }
-                    let stop = rp[r + 1].min(end);
+                    let row_stop = rp[r + 1].min(stop);
                     let hi = (r as u64) << 32;
-                    for j in p..stop {
+                    for j in p..row_stop {
                         keys.push(hi | ci[j] as u64);
                         vals.push(vs[j]);
                     }
-                    p = stop;
+                    p = row_stop;
                 }
                 let n = p - *pos;
                 *pos = p;
@@ -197,21 +258,52 @@ impl Lane {
     }
 }
 
-/// Reusable per-worker scratch for [`merge_sources`]: one decode lane
-/// per merge way and the accumulator shared rows fold through, kept
-/// allocated across rounds so steady-state merging never touches the
-/// allocator for scratch.
+/// What one row fold runs on: a decode lane per merge way and the
+/// accumulator shared rows fold through.
 #[derive(Debug, Default)]
-pub struct MergeScratch {
+struct FoldScratch {
     lanes: Vec<Lane>,
     spa: Spa,
 }
 
+impl FoldScratch {
+    /// Grows every buffer a fold of `ways` sources over `cols` columns
+    /// can reach, so a band thread folds without allocating — its
+    /// allocations would otherwise open a fresh allocator arena.
+    fn grow(&mut self, ways: usize, cols: usize) {
+        if self.lanes.len() < ways {
+            self.lanes.resize_with(ways, Lane::default);
+        }
+        for lane in &mut self.lanes {
+            lane.keys.reserve(CHUNK_ENTRIES);
+            lane.vals.reserve(CHUNK_ENTRIES);
+        }
+        self.spa.grow(cols);
+    }
+}
+
+/// Reusable per-worker scratch for [`merge_bands`]: one [`FoldScratch`]
+/// per band (the first serves one-band rounds), kept allocated across
+/// rounds so steady-state merging never touches the allocator for
+/// scratch.
+#[derive(Debug, Default)]
+pub struct MergeScratch {
+    bands: Vec<FoldScratch>,
+}
+
 impl MergeScratch {
-    /// An empty scratch; lanes and the accumulator grow on first use and
+    /// An empty scratch; lanes and accumulators grow on first use and
     /// are then reused.
     pub fn new() -> Self {
         MergeScratch::default()
+    }
+
+    /// The first `bands` band scratches, created on first use.
+    fn bands(&mut self, bands: usize) -> &mut [FoldScratch] {
+        if self.bands.len() < bands {
+            self.bands.resize_with(bands, FoldScratch::default);
+        }
+        &mut self.bands[..bands]
     }
 }
 
@@ -249,25 +341,155 @@ fn take_rows(
 }
 
 /// Merges sorted partial streams into one `rows × cols` partial, folding
-/// duplicate coordinates by addition (explicit zeros kept). The output
-/// builder is pre-sized from the summed source nnz, an exact upper
-/// bound, so it never reallocates mid-merge.
+/// duplicate coordinates by addition (explicit zeros kept) — one band of
+/// [`merge_bands`].
+pub fn merge_sources(
+    rows: usize,
+    cols: usize,
+    sources: Vec<PartialSource>,
+    scratch: &mut MergeScratch,
+) -> Result<Csr, StreamError> {
+    merge_bands(rows, cols, sources, scratch, 1).map(|(csr, _)| csr)
+}
+
+/// Merges sorted partial streams into one `rows × cols` partial, folding
+/// duplicate coordinates by addition (explicit zeros kept), with the
+/// output rows cut into up to `bands` bands, each folded on its own
+/// thread (the first on the caller's). Returns the partial and the number
+/// of bands that folded it. The output is pre-sized from the summed
+/// source nnz, an exact upper bound, so it never reallocates mid-merge,
+/// and it is bit-identical at every band count.
+///
+/// The cuts are read off the sources' row pointers, so a round with a
+/// spilled source (or one that has already produced entries) folds as
+/// one band, and a round never gets more bands than it has rows or
+/// input entries.
 ///
 /// Every source must declare the merge's own shape
 /// ([`PartialSource::expect_shape`]): entries are checked against their
 /// source's shape as they are decoded, and the output trusts them to fit.
-pub fn merge_sources(
+pub fn merge_bands(
     rows: usize,
     cols: usize,
-    mut sources: Vec<PartialSource>,
+    sources: Vec<PartialSource>,
     scratch: &mut MergeScratch,
-) -> Result<Csr, StreamError> {
+    bands: usize,
+) -> Result<(Csr, usize), StreamError> {
     for src in &sources {
         src.expect_shape(rows, cols)?;
     }
     let total: usize = sources.iter().map(PartialSource::remaining_nnz).sum();
-    let mut out = CsrBuilder::with_capacity(rows, cols, total);
-    let MergeScratch { lanes, spa } = scratch;
+    let bands = bands.min(rows).min(total);
+    let views: Option<Vec<Arc<Csr>>> = match bands {
+        0 | 1 => None,
+        _ => sources.iter().map(PartialSource::fresh_resident).collect(),
+    };
+    // Band `b` folds rows `cuts[b]..cuts[b + 1]` into the output from
+    // `offsets[b]`: the input entries below its first row bound the
+    // output entries before it.
+    let (cuts, offsets, band_sources) = match views {
+        None => (vec![0, rows], vec![0, total], vec![sources]),
+        Some(views) => {
+            // The band views hold the inputs now, and drop them as their
+            // folds end — before the compaction touches the output's gaps.
+            drop(sources);
+            // Input entries in rows below `r`, over all sources.
+            let below = |r: usize| -> usize { views.iter().map(|csr| csr.row_ptr()[r]).sum() };
+            // Each cut is the first row with at least its quantile of the
+            // input below it.
+            let mut cuts = vec![0];
+            for b in 1..bands {
+                let goal = (total as u128 * b as u128 / bands as u128) as usize;
+                let (mut lo, mut hi) = (cuts[b - 1], rows);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if below(mid) < goal {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                cuts.push(lo);
+            }
+            cuts.push(rows);
+            let offsets = cuts.iter().map(|&r| below(r)).collect();
+            let band_sources = cuts
+                .windows(2)
+                .map(|band| {
+                    let band = band[0]..band[1];
+                    views
+                        .iter()
+                        .map(|csr| PartialSource::band_of(csr, &band))
+                        .collect()
+                })
+                .collect();
+            (cuts, offsets, band_sources)
+        }
+    };
+    let bands = band_sources.len();
+
+    let mut row_ptr = vec![0; rows + 1];
+    let mut col_idx: Vec<Index> = vec![0; total];
+    let mut values = vec![0.0; total];
+    let filled: Vec<Result<usize, StreamError>> = std::thread::scope(|scope| {
+        let mut row_ends = &mut row_ptr[1..];
+        let (mut col_rest, mut val_rest) = (&mut col_idx[..], &mut values[..]);
+        let mut jobs = Vec::with_capacity(bands);
+        let folds = scratch.bands(bands).iter_mut().zip(band_sources);
+        for (b, (fold, sources)) in folds.enumerate() {
+            fold.grow(sources.len(), cols);
+            let band = cuts[b]..cuts[b + 1];
+            let len = offsets[b + 1] - offsets[b];
+            let ends;
+            (ends, row_ends) = std::mem::take(&mut row_ends).split_at_mut(band.len());
+            let out;
+            (out, col_rest) = std::mem::take(&mut col_rest).split_at_mut(len);
+            let vals;
+            (vals, val_rest) = std::mem::take(&mut val_rest).split_at_mut(len);
+            jobs.push(move || fold_band(sources, fold, cols, band, ends, out, vals));
+        }
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next().expect("at least one band");
+        let rest: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+        let mut filled = vec![first()];
+        for band in rest {
+            filled.push(band.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        filled
+    });
+    let mut nnz = 0;
+    for (b, filled) in filled.into_iter().enumerate() {
+        let n = filled?;
+        let from = offsets[b];
+        if from != nnz {
+            col_idx.copy_within(from..from + n, nnz);
+            values.copy_within(from..from + n, nnz);
+        }
+        for end in &mut row_ptr[cuts[b] + 1..=cuts[b + 1]] {
+            *end += nnz;
+        }
+        nnz += n;
+    }
+    col_idx.truncate(nnz);
+    values.truncate(nnz);
+    let merged = Csr::from_parts_trusted(rows, cols, row_ptr, col_idx, values);
+    Ok((merged, bands))
+}
+
+/// Folds one band — output rows `band` of `sources` — into its slices of
+/// the output: entries into `col_idx`/`values` from their start, and the
+/// end of each row, counted from the band's first entry, into
+/// `row_ends`. Returns the entries written.
+fn fold_band(
+    mut sources: Vec<PartialSource>,
+    scratch: &mut FoldScratch,
+    cols: usize,
+    band: Range<usize>,
+    row_ends: &mut [usize],
+    col_idx: &mut [Index],
+    values: &mut [f64],
+) -> Result<usize, StreamError> {
+    let FoldScratch { lanes, spa } = scratch;
     if lanes.len() < sources.len() {
         lanes.resize_with(sources.len(), Lane::default);
     }
@@ -277,8 +499,18 @@ pub fn merge_sources(
     }
     // Every source yields strictly increasing in-shape keys — resident
     // CSRs by invariant, spilled ones because `SpillReader` checks each
-    // entry it decodes — and rows leave in ascending order, so the
-    // output takes the trusted fast path.
+    // entry it decodes — and rows leave in ascending order, so entries
+    // go straight into the output.
+    let (mut row, mut n) = (band.start, 0);
+    let mut push = |r: Index, c: Index, v: f64| {
+        while row < r as usize {
+            row_ends[row - band.start] = n;
+            row += 1;
+        }
+        col_idx[n] = c;
+        values[n] = v;
+        n += 1;
+    };
     loop {
         // The lowest head row, the source holding it and the next head
         // row among the others (equal to `first` when it is shared).
@@ -296,7 +528,7 @@ pub fn merge_sources(
         if next > first {
             // One source alone holds rows `first..next`: copy them.
             take_rows(&mut sources[owner], &mut lanes[owner], next, |k, v| {
-                out.push_trusted((k >> 32) as Index, k as Index, v)
+                push((k >> 32) as Index, k as Index, v)
             })?;
             continue;
         }
@@ -314,7 +546,7 @@ pub fn merge_sources(
         // accumulator is left clean for the scratch's next merge.
         let segments = sources.iter_mut().zip(lanes.iter_mut());
         let mut segments = segments.filter(|(_, l)| l.head_row() == Some(first));
-        let mut emit = |c, v| out.push_trusted(first as Index, c, v);
+        let mut emit = |c, v| push(first as Index, c, v);
         let fed = if !open && items <= SHORT_ROW {
             let mut row = spa.short_row();
             let fed = segments.try_for_each(|(src, lane)| {
@@ -333,7 +565,8 @@ pub fn merge_sources(
         };
         fed?;
     }
-    Ok(out.finish())
+    row_ends[row - band.start..].fill(n);
+    Ok(n)
 }
 
 /// The seed per-triple kernel — `BinaryHeap` over source heads with an
@@ -635,8 +868,10 @@ mod tests {
         coo.to_csr()
     }
 
-    /// Merges `parts` resident, then with every other source spilled
-    /// under each codec, all through one scratch, and checks each result
+    /// Merges `parts` with every other source spilled under each codec
+    /// and four bands asked for — such a round runs as one band — then
+    /// resident at every band count from one to eight (more bands than
+    /// rows included), all through one scratch, and checks each result
     /// against the reference heap bit for bit.
     fn assert_matches_reference_bits(
         dir: &TempDir,
@@ -648,13 +883,17 @@ mod tests {
         let want = merge_sources_reference(rows, cols, parts.iter().cloned().map(mem).collect());
         let want = want.unwrap();
         let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let check = |got: Csr, how: &str| {
+            assert_eq!(got, want, "{what}, {how}");
+            assert_eq!(bits(&got), bits(&want), "{what}, {how}");
+        };
         let mut scratch = MergeScratch::new();
-        for codec in [None, Some(SpillCodec::Raw), Some(SpillCodec::Varint)] {
+        for codec in [SpillCodec::Raw, SpillCodec::Varint] {
             let sources = parts
                 .iter()
                 .enumerate()
-                .map(|(s, p)| match codec {
-                    Some(codec) if s % 2 == 0 => {
+                .map(|(s, p)| match s % 2 {
+                    0 => {
                         let path = dir.file(&format!("{s}.bin"));
                         write_partial(&path, p, codec).unwrap();
                         PartialSource::from_spill(SpillReader::open(&path).unwrap())
@@ -662,14 +901,24 @@ mod tests {
                     _ => mem(p.clone()),
                 })
                 .collect();
-            let got = merge_sources(rows, cols, sources, &mut scratch).unwrap();
-            assert_eq!(got, want, "{what}, spilled as {codec:?}");
-            assert_eq!(bits(&got), bits(&want), "{what}, spilled as {codec:?}");
+            let (got, ran) = merge_bands(rows, cols, sources, &mut scratch, 4).unwrap();
+            assert_eq!(ran, 1, "{what}: a spilled round ran in {ran} bands");
+            check(got, &format!("spilled as {codec}, 4 bands asked"));
+        }
+        assert_eq!(scratch.bands.len(), 1, "{what}: a spilled round banded");
+        let total: usize = parts.iter().map(Csr::nnz).sum();
+        for bands in 1..=8 {
+            let sources = parts.iter().cloned().map(mem).collect();
+            let (got, ran) = merge_bands(rows, cols, sources, &mut scratch, bands).unwrap();
+            let most = bands.min(rows).min(total).max(1);
+            assert_eq!(ran, most, "{what}: {bands} bands asked, {ran} ran");
+            check(got, &format!("resident in {bands} bands"));
         }
     }
 
     /// Degenerate fan-ins agree with the reference too: empty sources,
-    /// singletons, full cancellation, and every source identical. So do
+    /// singletons, full cancellation, every source identical, all the
+    /// weight in one row, and a one-row matrix. So do
     /// the row shapes the fold tells apart, at every fan-in: rows of
     /// exactly `SHORT_ROW` and `SHORT_ROW + 1` items, and `+0.0` / `-0.0`
     /// collisions in short and wide rows (a column of `-0.0`s sums to
@@ -691,6 +940,18 @@ mod tests {
         ];
         for (i, parts) in cases.into_iter().enumerate() {
             assert_matches_reference_bits(&dir, &parts, (9, 9), &format!("case {i}"));
+        }
+        // All the weight in one row (every other band is empty), and a
+        // one-row matrix (every band count exceeds the rows).
+        for (rows, row) in [(9, 4), (1, 0)] {
+            let parts: Vec<Csr> = (0..3)
+                .map(|s| {
+                    let entries = (0..20).map(|k| (row, (s + 2 * k) as Index, value(5 * s + k)));
+                    partial(rows, 48, entries)
+                })
+                .collect();
+            let what = format!("one heavy row of {rows}");
+            assert_matches_reference_bits(&dir, &parts, (rows, 48), &what);
         }
 
         for ways in 1..=9 {

@@ -9,7 +9,7 @@
 //!  reader thread       multiply workers        merge workers
 //!  (both operands, ──▶ (ShardPool::scoped_ ──┐ (ShardPool::scoped_
 //!   panel by panel) ch. workers, gustavson   │  workers, k-way
-//!                       per panel pair)      │  merge_sources per
+//!                       per panel pair)      │  merge_bands per
 //!                                            │  plan round)
 //!                                            ▼        ▲ round │ done
 //!                                     orchestrator ───┘ jobs  │ events
@@ -34,7 +34,12 @@
 //! off the orchestrator too: the store hands [`SpillJob`]s to a
 //! dedicated writer thread and marks the node unavailable until the
 //! write lands. Disk ingest, multiplies, spill writes and merge rounds
-//! all overlap instead of alternating.
+//! all overlap instead of alternating. A round that would otherwise run
+//! alone — the last leaves are in, nothing else is in flight or ready,
+//! its input is large — is cut into row bands folded on every merge
+//! worker's core at once ([`merge_bands`]; a round with a spilled input
+//! folds as one band), so the Huffman root no longer leaves all but one
+//! core idle.
 //!
 //! **Determinism.** This module decides nothing about the
 //! decomposition: every run is handed its [`ExecPlan`] and the
@@ -47,11 +52,12 @@
 //! front, so however rounds interleave across merge workers, each round
 //! folds exactly the same inputs in the same child order — the fold
 //! order, and therefore every output bit, depends only on the plan,
-//! never on which worker ran first. Timing can shift *which* partials
-//! spill and *when* a round is dispatched (spill and overlap counters
+//! never on which worker ran first or how many bands folded a round.
+//! Timing can shift *which* partials spill, *when* a round is dispatched
+//! and whether it runs alone (spill and overlap counters and band counts
 //! vary at `threads > 1`), but never what any round computes.
 
-use crate::merge::{merge_sources, MergeScratch, PartialSource};
+use crate::merge::{lone_round_bands, merge_bands, MergeScratch, PartialSource};
 use crate::plan::{ExecPlan, Subtree};
 use crate::spill::{raw_size, write_partial, SpillFile};
 use crate::store::{PartialStore, SpillJob, StoreStats};
@@ -110,7 +116,8 @@ pub struct StageReport {
     pub merge_busy_seconds: f64,
     /// Time inside the k-way merge kernel itself, summed over merge
     /// workers — the portion of `merge_busy_seconds` that scales with
-    /// `merge_triples`.
+    /// `merge_triples`. A round folded in row bands counts its wall time
+    /// once, not once per band thread.
     pub merge_kernel_seconds: f64,
     /// Wall time spent encoding + writing spill files (on the writer
     /// thread once the pipeline is running, so it overlaps every other
@@ -162,11 +169,13 @@ struct MultiplyJob {
     live: Vec<Index>,
 }
 
-/// A merge round handed to a merge worker: the plan round index plus its
-/// already-taken (budget-pinned or spill-streaming) inputs.
+/// A merge round handed to a merge worker: the plan round index, its
+/// already-taken (budget-pinned or spill-streaming) inputs, and the row
+/// bands to fold them in (see [`MergeStage::bands_for`]).
 struct RoundJob {
     round: usize,
     sources: Vec<PartialSource>,
+    bands: usize,
 }
 
 /// Everything the producer stages funnel into the orchestrator. One
@@ -575,7 +584,9 @@ fn multiply_worker(
 
 /// One merge worker: pulls round jobs until the orchestrator closes the
 /// channel, runs the k-way kernel (reusing its scratch lanes across
-/// rounds), and reports the result.
+/// rounds) in the job's row bands, and reports the result. A banded
+/// round's `merge-round` span covers its wall time once, however many
+/// threads its bands ran on.
 fn merge_worker(
     round_rx: &SharedQueue<RoundJob>,
     evt_tx: &Sender<Event>,
@@ -591,13 +602,20 @@ fn merge_worker(
         let Some(job) = job else { break };
         let triples: u64 = job.sources.iter().map(|s| s.remaining_nnz() as u64).sum();
         let span = lane.begin("stream", "merge-round");
-        let outcome = merge_sources(a_rows, b_cols, job.sources, &mut scratch);
-        let kernel_seconds =
-            lane.end_with(span, &[("round", job.round as u64), ("triples", triples)]);
+        let outcome = merge_bands(a_rows, b_cols, job.sources, &mut scratch, job.bands);
+        // The span records the bands the kernel ran with (a failed round
+        // counts as one).
+        let bands = outcome.as_ref().map_or(1, |&(_, bands)| bands);
+        let args = [
+            ("round", job.round as u64),
+            ("triples", triples),
+            ("bands", bands as u64),
+        ];
+        let kernel_seconds = lane.end_with(span, &args);
         if evt_tx
             .send(Event::RoundDone {
                 round: job.round,
-                outcome,
+                outcome: outcome.map(|(merged, _)| merged),
                 kernel_seconds,
                 triples,
             })
@@ -902,11 +920,7 @@ impl MergeStage {
             if self.failure.is_some() || self.rounds_inflight >= self.max_rounds_inflight {
                 return;
             }
-            // `available` is false while the node's spill write-back is
-            // still on the writer thread.
-            if self.dispatched[r]
-                || !plan.round_ready(r, |id| self.produced[id] && self.store.available(id))
-            {
+            if !self.dispatchable(r) {
                 continue;
             }
             let mut sources = Vec::new();
@@ -919,7 +933,13 @@ impl MergeStage {
                     }
                 }
             }
-            if links.round_tx.send(RoundJob { round: r, sources }).is_err() {
+            let bands = self.bands_for(r, &sources, links);
+            let job = RoundJob {
+                round: r,
+                sources,
+                bands,
+            };
+            if links.round_tx.send(job).is_err() {
                 self.failure = Some(StreamError::Io("merge worker stage is gone".into()));
                 return;
             }
@@ -933,6 +953,44 @@ impl MergeStage {
             self.dispatched[r] = true;
             self.rounds_inflight += 1;
         }
+    }
+
+    /// Whether round `r` is pending and its children are all available
+    /// (`available` is false while a node's spill write-back is still on
+    /// the writer thread).
+    fn dispatchable(&self, r: usize) -> bool {
+        !self.dispatched[r]
+            && self
+                .plan
+                .round_ready(r, |id| self.produced[id] && self.store.available(id))
+    }
+
+    /// The row bands to ask for round `r` over `sources`: one per merge
+    /// worker, as far as the round fills them ([`lone_round_bands`]),
+    /// when the round would otherwise run alone — no multiply is in
+    /// flight or left to run, and no other round is in flight or
+    /// dispatchable; one otherwise. [`merge_bands`] decides what it can
+    /// cut (a round with a spilled source folds as one band). Bands never
+    /// change the bits, only how many cores fold the rows.
+    fn bands_for(
+        &self,
+        r: usize,
+        sources: &[PartialSource],
+        links: &OrchestratorLinks<'_>,
+    ) -> usize {
+        let alone = links.inflight.load(Ordering::Relaxed) == 0
+            && self.rounds_inflight == 0
+            && self.scope.leaves.iter().all(|&leaf| self.produced[leaf])
+            && !self
+                .scope
+                .rounds
+                .iter()
+                .any(|&o| o != r && self.dispatchable(o));
+        if !alone {
+            return 1;
+        }
+        let triples = sources.iter().map(PartialSource::remaining_nnz).sum();
+        lone_round_bands(triples, self.max_rounds_inflight)
     }
 
     /// Resolves the run: reader errors win (they are the root cause),

@@ -1,9 +1,9 @@
 //! Allocator-audited pre-sizing guarantee for the merge kernel.
 //!
-//! [`merge_sources`] pre-sizes its output builder from the summed source
+//! [`merge_sources`] pre-sizes its output arrays from the summed source
 //! nnz — an exact upper bound — so the merge loop itself never touches
-//! the allocator: the only large allocations are the builder's two
-//! up-front reserves (column indices at 4 B/entry, values at 8 B/entry).
+//! the allocator: the only large allocations are the two up-front
+//! arrays (column indices at 4 B/entry, values at 8 B/entry).
 //! A counting global allocator pins that down: the pre-sized kernel makes
 //! **exactly two** allocations ≥ 64 KiB on a workload whose index/value
 //! arrays are each far above that threshold, while the seed
@@ -11,13 +11,18 @@
 //! strictly more — the doubling ladder this kernel exists to avoid. Peak
 //! heap growth of the pre-sized merge is bounded by the reserve itself
 //! (12 B per input entry) plus fixed scratch slack, and both kernels
-//! produce bit-identical output.
+//! produce bit-identical output. So does [`merge_bands`] cutting the
+//! same round into 2 and 4 row bands: each band writes a disjoint slice
+//! of the same two pre-sized arrays, so banding adds no large
+//! allocation.
 //!
 //! This file holds exactly one test so no neighbouring test's
 //! allocations can race the counters (same discipline as
 //! `budget_alloc.rs`).
 
-use sparch_stream::merge::{merge_sources, merge_sources_reference, MergeScratch, PartialSource};
+use sparch_stream::merge::{
+    merge_bands, merge_sources, merge_sources_reference, MergeScratch, PartialSource,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,4 +143,29 @@ fn presized_merge_allocates_once_per_output_array() {
         peak_growth <= bound,
         "pre-sized merge peak growth {peak_growth} exceeds bound {bound} ({total} nnz)"
     );
+
+    // Row bands, with each band's lanes and accumulator warmed first:
+    // still exactly the two output arrays, and the same bits.
+    let bits = |m: &sparch_sparse::Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for bands in [2, 4] {
+        merge_bands(400, 400, sources(), &mut scratch, bands).expect("warm-up banded merge failed");
+        let srcs = sources();
+        let (banded, banded_bigs, _) = audited(|| merge_bands(400, 400, srcs, &mut scratch, bands));
+        let (banded, ran) = banded.expect("banded merge failed");
+        assert_eq!(ran, bands, "a resident round asked for {bands} bands");
+        assert_eq!(
+            banded, reference,
+            "{bands} bands disagree with the reference"
+        );
+        assert_eq!(
+            bits(&banded),
+            bits(&reference),
+            "{bands} bands change the bits"
+        );
+        assert_eq!(
+            banded_bigs, 2,
+            "a merge in {bands} bands should make exactly two large allocations \
+             (col_idx + values), saw {banded_bigs}"
+        );
+    }
 }

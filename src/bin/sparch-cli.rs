@@ -78,10 +78,8 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                _ => "true".to_string(),
-            };
+            let value = it.next_if(|v| !v.starts_with("--"));
+            let value = value.map_or_else(|| "true".to_string(), Clone::clone);
             flags.insert(name.to_string(), value);
         } else {
             eprintln!("unexpected argument {arg:?}");
@@ -729,5 +727,29 @@ fn main() -> ExitCode {
         "dist" => cmd_dist(&flags),
         "trace-check" => cmd_trace_check(&flags),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flags;
+
+    #[test]
+    fn a_flag_without_a_value_is_true_even_last() {
+        let args = [
+            "--a",
+            "x.mtx",
+            "--verify",
+            "--threads",
+            "2",
+            "--no-prefetch",
+        ];
+        let flags = parse_flags(&args.map(String::from));
+        let get = |k: &str| flags.get(k).map(String::as_str);
+        assert_eq!(get("a"), Some("x.mtx"));
+        assert_eq!(get("verify"), Some("true"));
+        assert_eq!(get("threads"), Some("2"));
+        assert_eq!(get("no-prefetch"), Some("true"));
+        assert_eq!(flags.len(), 4);
     }
 }
