@@ -931,62 +931,88 @@ mod tests {
         assert!(first.partials > 0 && first.output_nnz > 0);
     }
 
-    /// A round that would otherwise run alone folds in row bands on every
-    /// merge worker: the root of an unbounded two-thread run over
-    /// R-MAT(2048, 8)² carries `bands` = 2 on its `merge-round` span, and
-    /// the product is bit-identical to a one-thread, one-merge-worker
-    /// run. A budget-0 run spills every input, so its root folds as one
-    /// band — to the same bits.
-    #[test]
-    fn a_lone_root_round_folds_in_row_bands_on_every_merge_worker() {
+    /// Squares a float-valued R-MAT(2048, 8) — a change of fold order
+    /// would show in the bits — at 16 panels and 4 ways, with `threads`
+    /// threads and merge workers under `budget`. Returns the product, the
+    /// report, and the `bands` and `triples` of the root's `merge-round`
+    /// span.
+    fn rmat_root_run(budget: MemoryBudget, threads: usize) -> (Csr, StreamReport, u64, u64) {
         let r = gen::rmat_graph500(2048, 8, 7);
-        // Float values, so a change of fold order would show in the bits.
         let values = (0..r.nnz())
             .map(|k| 1.0 + (k as f64 * 0.61).sin())
             .collect();
         let (rp, ci) = (r.row_ptr().to_vec(), r.col_indices().to_vec());
         let a = Csr::try_new(r.rows(), r.cols(), rp, ci, values).unwrap();
-        let run = |budget, threads| {
-            let executor = StreamingExecutor::new(StreamConfig {
-                budget,
-                panels: 16,
-                merge_ways: 4,
-                threads: Some(threads),
-                merge_workers: Some(threads),
-                ..StreamConfig::default()
-            })
-            .with_recorder(Recorder::enabled());
-            let (c, report) = executor.multiply(&a, &a).unwrap();
-            let trace = executor.recorder().drain("stream");
-            let arg = |span: &sparch_obs::Span, key: &str| {
-                let found = span.args.iter().find(|x| x.key == key);
-                found
-                    .unwrap_or_else(|| panic!("merge-round without {key}"))
-                    .value
-            };
-            let rounds = trace.spans.iter().filter(|s| s.name == "merge-round");
-            let root = rounds
-                .max_by_key(|s| arg(s, "round"))
-                .expect("a merge round");
-            assert_eq!(arg(root, "round") as usize, report.merge_rounds - 1);
-            (c, arg(root, "bands"), arg(root, "triples"))
+        let executor = StreamingExecutor::new(StreamConfig {
+            budget,
+            panels: 16,
+            merge_ways: 4,
+            threads: Some(threads),
+            merge_workers: Some(threads),
+            ..StreamConfig::default()
+        })
+        .with_recorder(Recorder::enabled());
+        let (c, report) = executor.multiply(&a, &a).unwrap();
+        let trace = executor.recorder().drain("stream");
+        let arg = |span: &sparch_obs::Span, key: &str| {
+            let found = span.args.iter().find(|x| x.key == key);
+            found
+                .unwrap_or_else(|| panic!("merge-round without {key}"))
+                .value
         };
-        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let (want, bands, _) = run(MemoryBudget::unbounded(), 1);
+        let rounds = trace.spans.iter().filter(|s| s.name == "merge-round");
+        let root = rounds
+            .max_by_key(|s| arg(s, "round"))
+            .expect("a merge round");
+        assert_eq!(arg(root, "round") as usize, report.merge_rounds - 1);
+        let (bands, triples) = (arg(root, "bands"), arg(root, "triples"));
+        (c, report, bands, triples)
+    }
+
+    fn bits(m: &Csr) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A round that would otherwise run alone folds in row bands on every
+    /// merge worker: the root of an unbounded two-thread run over
+    /// R-MAT(2048, 8)² carries `bands` = 2 on its `merge-round` span, and
+    /// the product is bit-identical to a one-thread, one-merge-worker
+    /// run.
+    #[test]
+    fn a_lone_root_round_folds_in_row_bands_on_every_merge_worker() {
+        let (want, _, bands, _) = rmat_root_run(MemoryBudget::unbounded(), 1);
         assert_eq!(bands, 1, "one merge worker folds in one band");
-        let (got, bands, triples) = run(MemoryBudget::unbounded(), 2);
+        let (got, _, bands, triples) = rmat_root_run(MemoryBudget::unbounded(), 2);
         assert_eq!(
             bands, 2,
             "the root ({triples} triples) folded in {bands} band(s)"
         );
         assert_eq!(got, want);
         assert_eq!(bits(&got), bits(&want));
-        let (spilled, bands, _) = run(MemoryBudget::from_bytes(0), 2);
-        assert_eq!(
-            bands, 1,
-            "a root with spilled inputs folded in {bands} bands"
-        );
-        assert_eq!(bits(&spilled), bits(&want));
+    }
+
+    /// A lone root over spilled children is cut at its spill files' row
+    /// marks: a budget-0 run spills every partial and a run at a quarter
+    /// of the partial footprint spills some, and in both the two-thread
+    /// root carries `bands` = 2, with bits equal to the unbounded run and
+    /// to the one-thread run under the same budget.
+    #[test]
+    fn a_lone_root_over_spilled_children_folds_in_row_bands() {
+        let (want, probe, _, _) = rmat_root_run(MemoryBudget::unbounded(), 2);
+        for budget in [0, probe.partial_bytes_total / 4] {
+            let budget = MemoryBudget::from_bytes(budget);
+            let (one, report, _, _) = rmat_root_run(budget, 1);
+            assert!(report.spill_reads > 0, "{budget:?}: nothing spilled");
+            let (got, report, bands, triples) = rmat_root_run(budget, 2);
+            assert!(report.spill_reads > 0, "{budget:?}: nothing spilled");
+            assert_eq!(
+                bands, 2,
+                "{budget:?}: the spilled root ({triples} triples) folded in {bands} band(s)"
+            );
+            assert_eq!(bits(&got), bits(&want), "{budget:?}");
+            assert_eq!(bits(&got), bits(&one), "{budget:?}");
+            assert_eq!(got, want, "{budget:?}");
+        }
     }
 
     #[test]

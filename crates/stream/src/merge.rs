@@ -33,14 +33,17 @@
 //!   the summed source nnz (an exact upper bound), so the output never
 //!   reallocates mid-merge.
 //! * **Row bands.** Because every output row folds on its own,
-//!   [`merge_bands`] can cut a round whose sources are all resident into
-//!   row bands at the quantiles of the input weight (read off the
-//!   sources' row pointers) and fold each band on its own scoped thread,
-//!   with its own lanes and accumulator from the [`MergeScratch`]. Each
-//!   band writes into a disjoint slice of the one output, pre-sized at
-//!   the summed source nnz; once the bands join, the later bands shift
-//!   down and their row pointers are rebased. A round with a spilled
-//!   source runs as one band — spill files carry no row index.
+//!   [`merge_bands`] can cut a round into row bands at the quantiles of
+//!   the input weight and fold each band on its own scoped thread, with
+//!   its own lanes and accumulator from the [`MergeScratch`]. The weight
+//!   is read off resident sources' row pointers and spilled sources' row
+//!   indexes ([`SpillFile`]'s marks, every `⌈rows / 1024⌉` rows), so an
+//!   all-resident round can be cut at any row and a round with a spilled
+//!   source at the marks; each band opens its own reader on every
+//!   spilled source, which costs a 64 KiB read buffer per band and way.
+//!   Each band writes into a disjoint slice of the one output, pre-sized
+//!   at the summed source nnz; once the bands join, the later bands
+//!   shift down and their row pointers are rebased.
 //!
 //! Determinism: for one set of sources the fold order is fixed — key
 //! order by `(row, col)` with ties broken by source position, and source
@@ -53,7 +56,7 @@
 //! seed heap kernel is kept as [`merge_sources_reference`] and a
 //! differential suite pins the two to byte-equal outputs.
 
-use crate::spill::SpillReader;
+use crate::spill::{mark_stride, SpillFile, SpillReader};
 use crate::StreamError;
 use sparch_sparse::algo::{Spa, SHORT_ROW};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
@@ -99,8 +102,20 @@ enum Inner {
         pos: usize,
         end: usize,
     },
-    /// A spilled partial, streamed through a bounded buffer.
-    Disk(SpillReader),
+    /// A spilled partial, streamed through a bounded buffer, with the
+    /// writer's record of the whole file — whose row index lets a band
+    /// open a reader at its own rows — or `None` for a band's reader.
+    Disk {
+        reader: SpillReader,
+        file: Option<Box<SpillFile>>,
+    },
+}
+
+/// The whole partial behind a source that has produced nothing yet: what
+/// [`merge_bands`] cuts a round from.
+enum Whole<'a> {
+    Mem(Arc<Csr>),
+    Disk(&'a SpillFile),
 }
 
 impl PartialSource {
@@ -115,9 +130,14 @@ impl PartialSource {
         })
     }
 
-    /// A source streaming a spilled partial back from disk.
-    pub fn from_spill(reader: SpillReader) -> Self {
-        PartialSource(Inner::Disk(reader))
+    /// A source streaming a spilled partial back from disk: the file is
+    /// opened and its header held to the shape written, with an error
+    /// that names the file.
+    pub fn from_spill(file: SpillFile) -> Result<Self, StreamError> {
+        let reader = SpillReader::open(&file.path)?;
+        reader.expect_shape(file.shape.0, file.shape.1)?;
+        let file = Some(Box::new(file));
+        Ok(PartialSource(Inner::Disk { reader, file }))
     }
 
     /// Drains a fresh source into a CSR: a resident one as it is, a
@@ -128,17 +148,21 @@ impl PartialSource {
                 debug_assert!(pos == 0 && end == csr.nnz(), "not a fresh source");
                 Ok(Arc::unwrap_or_clone(csr))
             }
-            Inner::Disk(reader) => reader.read_all(),
+            Inner::Disk { reader, .. } => reader.read_all(),
         }
     }
 
-    /// The partial behind a resident source that has produced nothing
-    /// yet — one whose rows can be cut into bands — or `None`.
-    fn fresh_resident(&self) -> Option<Arc<Csr>> {
+    /// The whole partial behind a source that has produced nothing yet —
+    /// one whose rows can be cut into bands — or `None`.
+    fn whole(&self) -> Option<Whole<'_>> {
         match &self.0 {
             Inner::Mem {
                 csr, pos: 0, end, ..
-            } if *end == csr.nnz() => Some(Arc::clone(csr)),
+            } if *end == csr.nnz() => Some(Whole::Mem(Arc::clone(csr))),
+            Inner::Disk {
+                reader,
+                file: Some(file),
+            } if reader.remaining() == file.index.entries() as u64 => Some(Whole::Disk(file)),
             _ => None,
         }
     }
@@ -166,7 +190,7 @@ impl PartialSource {
                 )))
             }
             Inner::Mem { .. } => Ok(()),
-            Inner::Disk(reader) => reader.expect_shape(rows, cols),
+            Inner::Disk { reader, .. } => reader.expect_shape(rows, cols),
         }
     }
 
@@ -175,7 +199,7 @@ impl PartialSource {
     pub fn remaining_nnz(&self) -> usize {
         match &self.0 {
             Inner::Mem { pos, end, .. } => end - pos,
-            Inner::Disk(reader) => reader.remaining() as usize,
+            Inner::Disk { reader, .. } => reader.remaining() as usize,
         }
     }
 
@@ -194,7 +218,7 @@ impl PartialSource {
                 *pos += 1;
                 Ok(Some(t))
             }
-            Inner::Disk(reader) => reader.next_triple(),
+            Inner::Disk { reader, .. } => reader.next_triple(),
         }
     }
 
@@ -236,7 +260,7 @@ impl PartialSource {
                 *row = r;
                 Ok(n)
             }
-            Inner::Disk(reader) => reader.next_chunk(max, keys, vals),
+            Inner::Disk { reader, .. } => reader.next_chunk(max, keys, vals),
         }
     }
 }
@@ -360,10 +384,12 @@ pub fn merge_sources(
 /// source nnz, an exact upper bound, so it never reallocates mid-merge,
 /// and it is bit-identical at every band count.
 ///
-/// The cuts are read off the sources' row pointers, so a round with a
-/// spilled source (or one that has already produced entries) folds as
-/// one band, and a round never gets more bands than it has rows or
-/// input entries.
+/// The cuts are read off the sources' row pointers and, for spilled
+/// sources, their row indexes: a round can be cut at any row when every
+/// source is resident and at the spill files' marks otherwise, and each
+/// band opens its own reader on every spilled source. A round that has
+/// already produced entries folds as one band, and a round never gets
+/// more bands than it has cut points or input entries.
 ///
 /// Every source must declare the merge's own shape
 /// ([`PartialSource::expect_shape`]): entries are checked against their
@@ -379,28 +405,37 @@ pub fn merge_bands(
         src.expect_shape(rows, cols)?;
     }
     let total: usize = sources.iter().map(PartialSource::remaining_nnz).sum();
-    let bands = bands.min(rows).min(total);
-    let views: Option<Vec<Arc<Csr>>> = match bands {
+    let wholes: Option<Vec<Whole>> = match bands.min(total) {
         0 | 1 => None,
-        _ => sources.iter().map(PartialSource::fresh_resident).collect(),
+        _ => sources.iter().map(PartialSource::whole).collect(),
     };
+    // Cut point `k` is row `k · grain`: every row when all sources are
+    // resident, every mark of the spill files' row indexes otherwise.
+    let spilled = wholes.iter().flatten().any(|w| matches!(w, Whole::Disk(_)));
+    let grain = if spilled { mark_stride(rows) } else { 1 };
+    let points = rows.div_ceil(grain);
+    let bands = bands.min(points).min(total);
     // Band `b` folds rows `cuts[b]..cuts[b + 1]` into the output from
     // `offsets[b]`: the input entries below its first row bound the
     // output entries before it.
-    let (cuts, offsets, band_sources) = match views {
+    let (cuts, offsets, band_sources) = match wholes.filter(|_| bands > 1) {
         None => (vec![0, rows], vec![0, total], vec![sources]),
-        Some(views) => {
-            // The band views hold the inputs now, and drop them as their
-            // folds end — before the compaction touches the output's gaps.
-            drop(sources);
-            // Input entries in rows below `r`, over all sources.
-            let below = |r: usize| -> usize { views.iter().map(|csr| csr.row_ptr()[r]).sum() };
-            // Each cut is the first row with at least its quantile of the
-            // input below it.
-            let mut cuts = vec![0];
+        Some(wholes) => {
+            let row = |k: usize| (k * grain).min(rows);
+            // Input entries before cut point `k`, over all sources.
+            let below = |k: usize| -> usize {
+                let before = |whole: &Whole| match whole {
+                    Whole::Mem(csr) => csr.row_ptr()[row(k)],
+                    Whole::Disk(file) => file.index.entries_before(k),
+                };
+                wholes.iter().map(before).sum()
+            };
+            // Each cut is the first point with at least its quantile of
+            // the input before it.
+            let mut at = vec![0];
             for b in 1..bands {
                 let goal = (total as u128 * b as u128 / bands as u128) as usize;
-                let (mut lo, mut hi) = (cuts[b - 1], rows);
+                let (mut lo, mut hi) = (at[b - 1], points);
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
                     if below(mid) < goal {
@@ -409,20 +444,36 @@ pub fn merge_bands(
                         hi = mid;
                     }
                 }
-                cuts.push(lo);
+                at.push(lo);
             }
-            cuts.push(rows);
-            let offsets = cuts.iter().map(|&r| below(r)).collect();
-            let band_sources = cuts
-                .windows(2)
-                .map(|band| {
-                    let band = band[0]..band[1];
-                    views
-                        .iter()
-                        .map(|csr| PartialSource::band_of(csr, &band))
-                        .collect()
-                })
-                .collect();
+            at.push(points);
+            let band = |span: &[usize]| {
+                let view = |whole: &Whole| match whole {
+                    Whole::Mem(csr) => {
+                        Ok(PartialSource::band_of(csr, &(row(span[0])..row(span[1]))))
+                    }
+                    Whole::Disk(file) => {
+                        debug_assert_eq!(
+                            file.index.spans(),
+                            points,
+                            "marks off the shape's stride"
+                        );
+                        let reader = SpillReader::open_band(file, span[0]..span[1])?;
+                        Ok(PartialSource(Inner::Disk { reader, file: None }))
+                    }
+                };
+                wholes
+                    .iter()
+                    .map(view)
+                    .collect::<Result<Vec<_>, StreamError>>()
+            };
+            let band_sources = at.windows(2).map(band).collect::<Result<_, _>>()?;
+            let offsets = at.iter().map(|&k| below(k)).collect();
+            let cuts = at.iter().map(|&k| row(k)).collect();
+            // The band views hold the inputs now, and drop them as their
+            // folds end — before the compaction touches the output's gaps.
+            drop(wholes);
+            drop(sources);
             (cuts, offsets, band_sources)
         }
     };
@@ -664,8 +715,8 @@ mod tests {
         for (s, p) in parts.iter().enumerate() {
             if s % 2 == 1 {
                 let path = dir.file(&format!("mixed{s}.bin"));
-                write_partial(&path, p, SpillCodec::Varint).unwrap();
-                mixed.push(PartialSource::from_spill(SpillReader::open(&path).unwrap()));
+                let file = write_partial(&path, p, SpillCodec::Varint).unwrap();
+                mixed.push(PartialSource::from_spill(file).unwrap());
             } else {
                 mixed.push(mem(p.clone()));
             }
@@ -685,10 +736,8 @@ mod tests {
         // All-ones values and < 64 columns: every varint entry is exactly
         // 5 bytes, so body byte `5 * e` is the row delta of entry `e`.
         let ones = |seed| linalg::map_values(&gen::uniform_random(64, 64, 2000, seed), |_| 1.0);
-        let clean = dir.file("clean.bin");
-        write_partial(&clean, &ones(2), SpillCodec::Varint).unwrap();
-        let spilled =
-            |path: &std::path::Path| PartialSource::from_spill(SpillReader::open(path).unwrap());
+        let clean = write_partial(&dir.file("clean.bin"), &ones(2), SpillCodec::Varint).unwrap();
+        let spilled = |file: &SpillFile| PartialSource::from_spill(file.clone()).unwrap();
         for entry in [120, CHUNK_ENTRIES + 76] {
             let damaged = dir.file("damaged.bin");
             let file = write_partial(&damaged, &ones(1), SpillCodec::Varint).unwrap();
@@ -702,7 +751,7 @@ mod tests {
                 for at in 0..ways {
                     let sources = (0..ways)
                         .map(|s| match s {
-                            _ if s == at => spilled(&damaged),
+                            _ if s == at => spilled(&file),
                             _ if s % 2 == 0 => spilled(&clean),
                             _ => mem(ones(2 + s as u64)),
                         })
@@ -749,14 +798,13 @@ mod tests {
     fn sources_must_declare_the_merge_shape() {
         let dir = TempDir::new("merge_shape");
         let part = gen::uniform_random(10, 12, 30, 4);
-        let path = dir.file("wide.bin");
-        write_partial(&path, &part, SpillCodec::Varint).unwrap();
+        let file = write_partial(&dir.file("wide.bin"), &part, SpillCodec::Varint).unwrap();
         for kernel in ["merge_sources", "merge_sources_reference"] {
             let run = |sources: Vec<PartialSource>| match kernel {
                 "merge_sources" => merge_sources(10, 8, sources, &mut MergeScratch::new()),
                 _ => merge_sources_reference(10, 8, sources),
             };
-            let spilled = PartialSource::from_spill(SpillReader::open(&path).unwrap());
+            let spilled = PartialSource::from_spill(file.clone()).unwrap();
             match run(vec![mem(Csr::zero(10, 8)), spilled]) {
                 Err(StreamError::Io(msg)) => assert!(
                     msg.contains("wide.bin") && msg.contains("declares shape 10x12"),
@@ -827,8 +875,8 @@ mod tests {
                         .map(|(s, p)| {
                             if spill_mask >> (s % 8) & 1 == 1 {
                                 let path = dir.file(&format!("d{ways}_{codec}_{spill_mask}_{s}"));
-                                write_partial(&path, p, codec).unwrap();
-                                PartialSource::from_spill(SpillReader::open(&path).unwrap())
+                                PartialSource::from_spill(write_partial(&path, p, codec).unwrap())
+                                    .unwrap()
                             } else {
                                 mem(p.clone())
                             }
@@ -868,11 +916,13 @@ mod tests {
         coo.to_csr()
     }
 
-    /// Merges `parts` with every other source spilled under each codec
-    /// and four bands asked for — such a round runs as one band — then
-    /// resident at every band count from one to eight (more bands than
-    /// rows included), all through one scratch, and checks each result
-    /// against the reference heap bit for bit.
+    /// Merges `parts` asked for four bands with every other source
+    /// spilled, and then every source, under each codec — a spilled
+    /// round is cut at its files' marks — then resident at every band
+    /// count from one to eight (more bands than rows included), all
+    /// through one scratch, and checks each result against the reference
+    /// heap bit for bit and each band count against what the round
+    /// allows.
     fn assert_matches_reference_bits(
         dir: &TempDir,
         parts: &[Csr],
@@ -887,31 +937,35 @@ mod tests {
             assert_eq!(got, want, "{what}, {how}");
             assert_eq!(bits(&got), bits(&want), "{what}, {how}");
         };
+        let total: usize = parts.iter().map(Csr::nnz).sum();
+        // The tests' shapes are under 1024 rows: every row is a mark.
+        assert_eq!(mark_stride(rows), 1);
+        let most = |bands: usize| bands.min(rows).min(total).max(1);
         let mut scratch = MergeScratch::new();
         for codec in [SpillCodec::Raw, SpillCodec::Varint] {
-            let sources = parts
-                .iter()
-                .enumerate()
-                .map(|(s, p)| match s % 2 {
-                    0 => {
-                        let path = dir.file(&format!("{s}.bin"));
-                        write_partial(&path, p, codec).unwrap();
-                        PartialSource::from_spill(SpillReader::open(&path).unwrap())
-                    }
-                    _ => mem(p.clone()),
-                })
-                .collect();
-            let (got, ran) = merge_bands(rows, cols, sources, &mut scratch, 4).unwrap();
-            assert_eq!(ran, 1, "{what}: a spilled round ran in {ran} bands");
-            check(got, &format!("spilled as {codec}, 4 bands asked"));
+            for every in [2, 1] {
+                let sources = parts
+                    .iter()
+                    .enumerate()
+                    .map(|(s, p)| match s % every {
+                        0 => {
+                            let path = dir.file(&format!("{s}.bin"));
+                            PartialSource::from_spill(write_partial(&path, p, codec).unwrap())
+                                .unwrap()
+                        }
+                        _ => mem(p.clone()),
+                    })
+                    .collect();
+                let (got, ran) = merge_bands(rows, cols, sources, &mut scratch, 4).unwrap();
+                let how = format!("every {every} spilled as {codec}, 4 bands asked, {ran} ran");
+                assert_eq!(ran, most(4), "{what}: {how}");
+                check(got, &how);
+            }
         }
-        assert_eq!(scratch.bands.len(), 1, "{what}: a spilled round banded");
-        let total: usize = parts.iter().map(Csr::nnz).sum();
         for bands in 1..=8 {
             let sources = parts.iter().cloned().map(mem).collect();
             let (got, ran) = merge_bands(rows, cols, sources, &mut scratch, bands).unwrap();
-            let most = bands.min(rows).min(total).max(1);
-            assert_eq!(ran, most, "{what}: {bands} bands asked, {ran} ran");
+            assert_eq!(ran, most(bands), "{what}: {bands} bands asked, {ran} ran");
             check(got, &format!("resident in {bands} bands"));
         }
     }

@@ -37,9 +37,9 @@
 //! all overlap instead of alternating. A round that would otherwise run
 //! alone — the last leaves are in, nothing else is in flight or ready,
 //! its input is large — is cut into row bands folded on every merge
-//! worker's core at once ([`merge_bands`]; a round with a spilled input
-//! folds as one band), so the Huffman root no longer leaves all but one
-//! core idle.
+//! worker's core at once ([`merge_bands`]; a round with spilled inputs is
+//! cut at their spill files' row marks), so the Huffman root no longer
+//! leaves all but one core idle.
 //!
 //! **Determinism.** This module decides nothing about the
 //! decomposition: every run is handed its [`ExecPlan`] and the
@@ -59,7 +59,7 @@
 
 use crate::merge::{lone_round_bands, merge_bands, MergeScratch, PartialSource};
 use crate::plan::{ExecPlan, Subtree};
-use crate::spill::{raw_size, write_partial, SpillFile};
+use crate::spill::{raw_size, SpillFile, SpillWriter};
 use crate::store::{PartialStore, SpillJob, StoreStats};
 use crate::{StreamConfig, StreamError};
 use serde::{Deserialize, Serialize};
@@ -626,15 +626,17 @@ fn merge_worker(
     }
 }
 
-/// The spill writer: encodes and writes each handed-off partial, then
-/// reports the outcome (never blocking — the event channel is
-/// unbounded), so the orchestrator keeps scheduling while spills land.
+/// The spill writer: encodes and writes each handed-off partial through
+/// one chunk buffer kept for the whole run, then reports the outcome
+/// (never blocking — the event channel is unbounded), so the
+/// orchestrator keeps scheduling while spills land.
 fn spill_writer(
     spill_rx: Receiver<SpillJob>,
     evt_tx: Sender<Event>,
     mut lane: ThreadRecorder,
     counters: SpillCounters,
 ) {
+    let mut writer = SpillWriter::default();
     while let Ok(SpillJob {
         id,
         path,
@@ -644,7 +646,7 @@ fn spill_writer(
     {
         let raw = raw_size(&csr);
         let span = lane.begin("stream", "spill-write");
-        let outcome = write_partial(&path, &csr, codec);
+        let outcome = writer.write(&path, &csr, codec);
         let seconds = lane.end_with(
             span,
             &[
@@ -970,8 +972,8 @@ impl MergeStage {
     /// when the round would otherwise run alone — no multiply is in
     /// flight or left to run, and no other round is in flight or
     /// dispatchable; one otherwise. [`merge_bands`] decides what it can
-    /// cut (a round with a spilled source folds as one band). Bands never
-    /// change the bits, only how many cores fold the rows.
+    /// cut (a round with a spilled source only at its files' row marks).
+    /// Bands never change the bits, only how many cores fold the rows.
     fn bands_for(
         &self,
         r: usize,

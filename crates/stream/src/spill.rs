@@ -37,10 +37,28 @@
 //! to the top of the word where LEB128 drops them: `3.0` encodes in 2
 //! bytes instead of 8. Values whose swapped varint would not beat the
 //! raw 8 bytes use mode 1, so an entry never pays more than
-//! `drow + token + 8`. As a final guarantee the writer computes the
-//! exact varint size first and falls back to `SPM1` whenever varint
-//! would not be strictly smaller — a *requested* varint spill is never
-//! larger than raw, on any input.
+//! `drow + token + 8`. As a final guarantee a varint encoding that is
+//! not strictly smaller than raw is thrown away and the partial is
+//! written raw instead — a *requested* varint spill is never larger
+//! than raw, on any input.
+//!
+//! **One pass.** The writer walks `row_ptr`, `col_idx` and `values`
+//! once. Every LEB128 field it emits fits in 7 bytes, so each is built
+//! as one little-endian word plus a length and stored whole into a
+//! fixed-size chunk buffer, which goes out with one `write_all` when the
+//! next entry might not fit. A varint encoding is abandoned the moment
+//! it reaches the raw size (an empty partial is the common case) and the
+//! partial is encoded again, raw.
+//!
+//! **Row index.** The same pass records a [`RowIndex`] in the returned
+//! [`SpillFile`]: a mark every `⌈rows / 1024⌉` rows holding the byte
+//! offset, the entries before it and the row of the entry before it —
+//! the decoder's whole state at a row boundary. The stride depends on
+//! the shape alone, so every partial of a merge round has its marks at
+//! the same rows, and [`SpillReader::open_band`] can start a reader at
+//! any mark. The index lives in memory only: the formats below do not
+//! change, because a spill file only ever comes back to the process
+//! that wrote it.
 //!
 //! The same encoding doubles as the **wire format** of the distributed
 //! layer: [`encode_partial`] produces the header + body as bytes for a
@@ -58,7 +76,8 @@
 //!   buffer; the decoder runs over each buffered window, taking an entry
 //!   only while a worst-case one fits or the window holds the file's
 //!   tail. `next_chunk`, `next_triple` and `read_all` are thin loops
-//!   over that one path;
+//!   over that one path. A band reader holds its entries to its rows
+//!   as well;
 //! * a **wire frame** is decoded whole by [`decode_partial`].
 //!
 //! Both hold the header's entry count against the body bytes present
@@ -72,7 +91,8 @@
 use crate::{SpillCodec, StreamError};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 const MAGIC_RAW: u32 = 0x5350_4d31;
@@ -89,6 +109,21 @@ const READ_BUF_BYTES: usize = 64 * 1024;
 /// window with this many bytes ahead holds the next entry whole.
 const MAX_VARINT_ENTRY_BYTES: usize = 30;
 
+/// Chunk-buffer capacity of the writer: encoded bytes collected per
+/// `write_all`. The same as a reader's buffer, and below the allocator's
+/// default mmap threshold, so a fresh one stays cheap.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Chunk room the writer keeps free before it encodes an entry. A raw
+/// entry is 16 bytes. A varint entry's fields are at most 5 (drow, a
+/// `u32` delta), 5 (token, 33 bits) and 8 (value) bytes, and each field
+/// is stored as a whole 8-byte word, so the last store ends at most 18
+/// bytes past the entry's start.
+const ENTRY_ROOM: usize = 18;
+
+/// Marks per [`RowIndex`], at most (plus the end mark).
+const MARKS: usize = 1024;
+
 /// Largest row/column count [`decode_partial`] accepts. The row-pointer
 /// array scales with the declared row count *before* any entry is read,
 /// so a corrupt wire header must not be able to provoke an unbounded
@@ -98,7 +133,7 @@ const MAX_VARINT_ENTRY_BYTES: usize = 30;
 const MAX_WIRE_DIM: u64 = 1 << 24;
 
 /// A partial matrix sitting on disk.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SpillFile {
     /// Where the partial lives.
     pub path: PathBuf,
@@ -107,6 +142,60 @@ pub struct SpillFile {
     /// Shape `(rows, cols)` of the partial written: the header a reader
     /// reopens must still declare it (see [`SpillReader::expect_shape`]).
     pub shape: (usize, usize),
+    /// Where the file's rows start, recorded while it was written.
+    pub(crate) index: RowIndex,
+}
+
+/// The rows between marks of a [`RowIndex`]: `⌈rows / 1024⌉`, and at
+/// least one. A function of the row count alone, so every partial of one
+/// shape has its marks at the same rows.
+pub(crate) fn mark_stride(rows: usize) -> usize {
+    rows.div_ceil(MARKS).max(1)
+}
+
+/// A spill file's row index: mark `k` sits at row `k · stride` (the last
+/// one at `rows`, the end of the file) and holds what a reader needs to
+/// start decoding there.
+#[derive(Debug, Clone)]
+pub(crate) struct RowIndex {
+    rows: usize,
+    stride: usize,
+    marks: Vec<Mark>,
+}
+
+/// One mark of a [`RowIndex`].
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Byte offset of the first entry at or after the mark's row.
+    offset: u64,
+    /// Entries before the mark.
+    entries: u64,
+    /// Row of the entry before the mark (0 when there is none): the
+    /// delta decoder's state at the mark, since the entry after it
+    /// starts a new row and so carries an absolute column.
+    prev_row: Index,
+}
+
+impl RowIndex {
+    /// The spans between marks: marks are numbered `0..=spans()`.
+    pub(crate) fn spans(&self) -> usize {
+        self.marks.len() - 1
+    }
+
+    /// The row mark `k` sits at.
+    pub(crate) fn row(&self, k: usize) -> usize {
+        (k * self.stride).min(self.rows)
+    }
+
+    /// Entries before mark `k`.
+    pub(crate) fn entries_before(&self, k: usize) -> usize {
+        self.marks[k].entries as usize
+    }
+
+    /// Entries in the whole file.
+    pub(crate) fn entries(&self) -> usize {
+        self.entries_before(self.spans())
+    }
 }
 
 /// The exact on-disk size `csr` would occupy in the raw format.
@@ -117,40 +206,86 @@ pub fn raw_size(csr: &Csr) -> u64 {
 /// The exact on-disk size `csr` would occupy in the delta+varint format
 /// (before the writer's raw fallback is applied).
 pub fn varint_size(csr: &Csr) -> u64 {
-    let mut body = 0u64;
-    let mut enc = DeltaState::new();
-    for (r, c, v) in csr.iter() {
-        let (drow, token, value) = enc.encode(r, c, v);
-        body += varint_len(drow) + varint_len(token);
-        body += match value {
-            ValueEnc::Varint(bits) => varint_len(bits),
-            ValueEnc::Raw(_) => 8,
-        };
-    }
-    HEADER_BYTES + body
+    let mut chunk = vec![0u8; chunk_len(csr)];
+    let sized = encode(csr, true, u64::MAX, &mut chunk, |_| Ok(()));
+    sized
+        .expect("a discarding sink cannot fail")
+        .expect("no limit")
+        .0
 }
 
 /// Writes `csr` to `path` under the requested codec.
 ///
-/// [`SpillCodec::Varint`] is a *request*: the writer computes the exact
-/// delta+varint size first and silently falls back to the raw format
-/// whenever varint would not be strictly smaller, so the returned
-/// [`SpillFile::bytes`] never exceeds [`raw_size`]. The magic records
-/// the format actually chosen.
+/// [`SpillCodec::Varint`] is a *request*: a varint encoding that is not
+/// strictly smaller than raw is thrown away and the file written raw,
+/// so the returned [`SpillFile::bytes`] never exceeds [`raw_size`]. The
+/// magic records the format actually chosen.
 pub fn write_partial(path: &Path, csr: &Csr, codec: SpillCodec) -> Result<SpillFile, StreamError> {
-    let write = || -> io::Result<u64> {
-        let mut w = BufWriter::new(File::create(path)?);
-        let (use_varint, _) = resolve_codec(csr, codec);
-        let bytes = encode_into(&mut w, csr, use_varint)?;
-        w.flush()?;
-        Ok(bytes)
-    };
-    let bytes = write().map_err(|e| spill_io(path, "write", &e))?;
-    Ok(SpillFile {
-        path: path.to_path_buf(),
-        bytes,
-        shape: (csr.rows(), csr.cols()),
-    })
+    SpillWriter::default().write(path, csr, codec)
+}
+
+/// The spill writer's chunk buffer, kept across writes: the pipeline's
+/// writer thread owns one, so a run of small spills allocates it once.
+#[derive(Debug, Default)]
+pub(crate) struct SpillWriter {
+    chunk: Vec<u8>,
+}
+
+impl SpillWriter {
+    /// [`write_partial`] through this writer's chunk buffer.
+    pub(crate) fn write(
+        &mut self,
+        path: &Path,
+        csr: &Csr,
+        codec: SpillCodec,
+    ) -> Result<SpillFile, StreamError> {
+        self.write_with(path, csr, codec, || File::create(path))
+    }
+
+    /// Encodes `csr` into what `create` opens — the file at `path`, or a
+    /// faulting writer under test — and reports it as a spill file at
+    /// `path`. A varint encoding that reaches the raw size is abandoned
+    /// and `create` is called again for the raw one, so `create` must
+    /// start an empty file each time. A failed write names `path` and
+    /// leaves no file there.
+    pub(crate) fn write_with<W: Write>(
+        &mut self,
+        path: &Path,
+        csr: &Csr,
+        codec: SpillCodec,
+        mut create: impl FnMut() -> io::Result<W>,
+    ) -> Result<SpillFile, StreamError> {
+        let want = chunk_len(csr);
+        if self.chunk.len() < want {
+            self.chunk.resize(want, 0);
+        }
+        let mut write = |varint: bool, limit: u64| {
+            let mut w = create()?;
+            let done = encode(csr, varint, limit, &mut self.chunk, |b| w.write_all(b))?;
+            w.flush()?;
+            Ok::<_, io::Error>(done)
+        };
+        // `None` when there is no varint encoding: not asked for, or
+        // abandoned at the raw size.
+        let varint = match codec {
+            SpillCodec::Raw => None,
+            SpillCodec::Varint => write(true, raw_size(csr)).transpose(),
+        };
+        let written = match varint {
+            Some(done) => done,
+            None => write(false, u64::MAX).map(|done| done.expect("raw is never abandoned")),
+        };
+        let (bytes, index) = written.map_err(|e| {
+            let _ = std::fs::remove_file(path);
+            spill_io(path, "write", &e)
+        })?;
+        Ok(SpillFile {
+            path: path.to_path_buf(),
+            bytes,
+            shape: (csr.rows(), csr.cols()),
+            index,
+        })
+    }
 }
 
 /// An I/O failure on a spill file, with the path it happened on — the
@@ -162,52 +297,153 @@ fn spill_io(path: &Path, verb: &str, detail: &dyn std::fmt::Display) -> StreamEr
     ))
 }
 
-/// What a codec request resolves to for `csr`: whether the body is
-/// delta+varint (the raw fallback applied) and the exact encoded size.
-fn resolve_codec(csr: &Csr, codec: SpillCodec) -> (bool, u64) {
-    let raw = raw_size(csr);
-    match codec {
-        SpillCodec::Raw => (false, raw),
-        SpillCodec::Varint => {
-            let varint = varint_size(csr);
-            (varint < raw, varint.min(raw))
-        }
+/// The chunk buffer [`encode`] needs for `csr`: [`CHUNK_BYTES`], or less
+/// when the partial's worst-case encoding is smaller.
+fn chunk_len(csr: &Csr) -> usize {
+    let worst = HEADER_BYTES as usize + ENTRY_ROOM * (csr.nnz() + 1);
+    worst.min(CHUNK_BYTES)
+}
+
+/// The encoder's output side: a fixed chunk buffer and the bytes it has
+/// already handed on.
+struct Chunk<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+    flushed: u64,
+}
+
+impl Chunk<'_> {
+    /// Bytes encoded so far.
+    fn bytes(&self) -> u64 {
+        self.flushed + self.pos as u64
+    }
+
+    /// Stores the low `len` bytes of `word` (little-endian); the whole
+    /// word is written, so 8 bytes must be free.
+    #[inline(always)]
+    fn word(&mut self, word: u64, len: usize) {
+        self.buf[self.pos..self.pos + 8].copy_from_slice(&word.to_le_bytes());
+        self.pos += len;
+    }
+
+    /// Stores `v` (below 2⁵⁶) as LEB128.
+    #[inline(always)]
+    fn varint(&mut self, v: u64) {
+        let (word, len) = leb128_word(v);
+        self.word(word, len);
+    }
+
+    /// Hands the buffered bytes to `sink`.
+    fn flush(&mut self, sink: &mut impl FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        sink(&self.buf[..self.pos])?;
+        self.flushed += self.pos as u64;
+        self.pos = 0;
+        Ok(())
     }
 }
 
-/// The shared encoder behind [`write_partial`] and [`encode_partial`]:
-/// header plus body in the format [`resolve_codec`] chose, returning the
-/// bytes written.
-fn encode_into<W: Write>(w: &mut W, csr: &Csr, use_varint: bool) -> io::Result<u64> {
-    let magic = if use_varint { MAGIC_VARINT } else { MAGIC_RAW };
-    w.write_all(&magic.to_le_bytes())?;
-    w.write_all(&(csr.rows() as u64).to_le_bytes())?;
-    w.write_all(&(csr.cols() as u64).to_le_bytes())?;
-    w.write_all(&(csr.nnz() as u64).to_le_bytes())?;
-    let mut bytes = HEADER_BYTES;
-    if use_varint {
-        let mut enc = DeltaState::new();
-        for (r, c, v) in csr.iter() {
-            let (drow, token, value) = enc.encode(r, c, v);
-            bytes += write_varint(w, drow)?;
-            bytes += write_varint(w, token)?;
-            match value {
-                ValueEnc::Varint(vbits) => bytes += write_varint(w, vbits)?,
-                ValueEnc::Raw(vbits) => {
-                    w.write_all(&vbits.to_le_bytes())?;
-                    bytes += 8;
+/// The LEB128 encoding of `v` (below 2⁵⁶) as one little-endian word and
+/// its length in bytes. Branch-free: field lengths vary entry to entry,
+/// and a branch on them mispredicts.
+#[inline(always)]
+fn leb128_word(v: u64) -> (u64, usize) {
+    let len = varint_len(v) as usize;
+    // Byte k takes bits 7k..7k+7 of `v`, spread in three halving steps:
+    // 28-bit groups into 32-bit lanes, 14-bit into 16-bit, 7-bit into
+    // bytes. Every byte but the last carries the continuation bit.
+    let v = (v & 0x0fff_ffff) | (v & 0x00ff_ffff_f000_0000) << 4;
+    let v = (v & 0x0000_3fff_0000_3fff) | (v & 0x0fff_c000_0fff_c000) << 2;
+    let v = (v & 0x007f_007f_007f_007f) | (v & 0x3f80_3f80_3f80_3f80) << 1;
+    let more = 0x8080_8080_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
+    (v | more, len)
+}
+
+/// The one encoder behind [`write_partial`], [`encode_partial`] and
+/// [`varint_size`]: header and body of `csr` in the varint (`varint`) or
+/// raw format, built in `buf` (at least [`chunk_len`] bytes) and handed
+/// to `sink` a chunk at a time, with the [`RowIndex`] recorded on the
+/// way. Returns the bytes encoded and the index, or `None` — with the
+/// bytes from `limit` on never handed over — once the encoding reaches
+/// `limit` bytes.
+fn encode(
+    csr: &Csr,
+    varint: bool,
+    limit: u64,
+    buf: &mut [u8],
+    mut sink: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<Option<(u64, RowIndex)>> {
+    debug_assert!(buf.len() >= chunk_len(csr));
+    let (rp, ci, vs) = (csr.row_ptr(), csr.col_indices(), csr.values());
+    let mut out = Chunk {
+        buf,
+        pos: 0,
+        flushed: 0,
+    };
+    let magic = if varint { MAGIC_VARINT } else { MAGIC_RAW };
+    out.word(magic.into(), 4);
+    for word in [csr.rows(), csr.cols(), csr.nnz()] {
+        out.word(word as u64, 8);
+    }
+    let rows = csr.rows();
+    let stride = mark_stride(rows);
+    let mut marks = Vec::with_capacity(rows.div_ceil(stride) + 1);
+    let mut prev_row: Index = 0;
+    for start in (0..rows).step_by(stride) {
+        marks.push(Mark {
+            offset: out.bytes(),
+            entries: rp[start] as u64,
+            prev_row,
+        });
+        for r in start..(start + stride).min(rows) {
+            let (lo, hi) = (rp[r], rp[r + 1]);
+            if lo == hi {
+                continue;
+            }
+            let row = r as Index;
+            // A row's first entry carries the row delta and an absolute
+            // column; the rest carry a zero delta and a column delta.
+            let (mut drow, mut base) = (u64::from(row - prev_row), 0);
+            for j in lo..hi {
+                if out.buf.len() - out.pos < ENTRY_ROOM {
+                    if out.bytes() >= limit {
+                        return Ok(None);
+                    }
+                    out.flush(&mut sink)?;
+                }
+                let (col, bits) = (ci[j], vs[j].to_bits());
+                if varint {
+                    // The value as the varint of its swapped bits when
+                    // that is shorter than 8 bytes (mode 0), else raw.
+                    let swapped = bits.swap_bytes();
+                    let raw = varint_len(swapped) >= 8;
+                    let value = if raw { (bits, 8) } else { leb128_word(swapped) };
+                    out.varint(drow);
+                    out.varint(u64::from(col - base) << 1 | u64::from(raw));
+                    out.word(value.0, value.1);
+                    (drow, base) = (0, col);
+                } else {
+                    out.word(u64::from(row) | u64::from(col) << 32, 8);
+                    out.word(bits, 8);
                 }
             }
+            prev_row = row;
         }
-    } else {
-        for (r, c, v) in csr.iter() {
-            w.write_all(&r.to_le_bytes())?;
-            w.write_all(&c.to_le_bytes())?;
-            w.write_all(&v.to_bits().to_le_bytes())?;
-        }
-        bytes += csr.nnz() as u64 * RAW_ENTRY_BYTES;
     }
-    Ok(bytes)
+    if out.bytes() >= limit {
+        return Ok(None);
+    }
+    marks.push(Mark {
+        offset: out.bytes(),
+        entries: csr.nnz() as u64,
+        prev_row,
+    });
+    out.flush(&mut sink)?;
+    let index = RowIndex {
+        rows,
+        stride,
+        marks,
+    };
+    Ok(Some((out.flushed, index)))
 }
 
 /// Encodes `csr` into the spill format in memory — the payload the
@@ -219,12 +455,32 @@ pub fn encode_partial(csr: &Csr, codec: SpillCodec) -> Vec<u8> {
     buf
 }
 
-/// [`encode_partial`] appended to `buf` — a frame under assembly — with
-/// no intermediate copy; returns the bytes appended.
+/// [`encode_partial`] appended to `buf` — a frame under assembly — a
+/// chunk at a time, with room for the whole partial reserved up front;
+/// returns the bytes appended.
 pub fn encode_partial_into(buf: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) -> u64 {
-    let (use_varint, size) = resolve_codec(csr, codec);
-    buf.reserve(size as usize);
-    encode_into(buf, csr, use_varint).expect("writing to a Vec cannot fail")
+    let (start, raw) = (buf.len(), raw_size(csr));
+    // Varint bytes from the raw size on are never appended, so the raw
+    // size bounds the frame either way.
+    buf.reserve(raw as usize);
+    let mut chunk = vec![0u8; chunk_len(csr)];
+    let mut append = |buf: &mut Vec<u8>, varint: bool, limit: u64| {
+        let sink = |b: &[u8]| {
+            buf.extend_from_slice(b);
+            Ok(())
+        };
+        let done = encode(csr, varint, limit, &mut chunk, sink);
+        done.expect("writing to a Vec cannot fail")
+    };
+    if codec == SpillCodec::Varint {
+        if let Some((bytes, _)) = append(buf, true, raw) {
+            return bytes;
+        }
+        buf.truncate(start);
+    }
+    append(buf, false, u64::MAX)
+        .expect("raw is never abandoned")
+        .0
 }
 
 /// Decodes a partial from an **untrusted** byte slice — the inverse of
@@ -293,13 +549,15 @@ fn take<const N: usize>(buf: &[u8], i: &mut usize) -> Option<[u8; N]> {
 }
 
 /// What every decoded entry is held to before it is believed: inside the
-/// header's shape, and strictly after its predecessor in `(row, col)`
-/// order — what `CsrBuilder::push_trusted` and the merge kernels assume
-/// of the keys they are fed.
+/// header's shape and the reader's rows, and strictly after its
+/// predecessor in `(row, col)` order — what `CsrBuilder::push_trusted`
+/// and the merge kernels assume of the keys they are fed.
 #[derive(Debug)]
 struct EntryCheck {
     rows: u64,
     cols: u64,
+    /// The rows admitted: all of them, or a band reader's.
+    band: Range<u64>,
     prev: Option<u64>,
 }
 
@@ -308,6 +566,7 @@ impl EntryCheck {
         EntryCheck {
             rows,
             cols,
+            band: 0..rows,
             prev: None,
         }
     }
@@ -315,11 +574,11 @@ impl EntryCheck {
     /// Admits `(row, col)` as the next entry.
     #[inline(always)]
     fn admit(&mut self, row: Index, col: Index) -> Result<(), StreamError> {
-        if u64::from(row) >= self.rows || u64::from(col) >= self.cols {
-            return Err(StreamError::Io(format!(
-                "partial entry ({row}, {col}) outside declared shape {}x{}",
-                self.rows, self.cols
-            )));
+        let band = &self.band;
+        if u64::from(row).wrapping_sub(band.start) >= band.end - band.start
+            || u64::from(col) >= self.cols
+        {
+            return Err(self.stray(row, col));
         }
         let key = pack_key(row, col);
         if self.prev.is_some_and(|p| p >= key) {
@@ -329,6 +588,17 @@ impl EntryCheck {
         }
         self.prev = Some(key);
         Ok(())
+    }
+
+    /// The error for an entry outside the shape or the band.
+    #[cold]
+    fn stray(&self, row: Index, col: Index) -> StreamError {
+        let (rows, cols, band) = (self.rows, self.cols, &self.band);
+        StreamError::Io(if u64::from(row) >= rows || u64::from(col) >= cols {
+            format!("partial entry ({row}, {col}) outside declared shape {rows}x{cols}")
+        } else {
+            format!("partial entry ({row}, {col}) outside band rows {band:?}")
+        })
     }
 }
 
@@ -397,6 +667,7 @@ impl BodyDecoder {
 }
 
 /// How one value is stored in the varint format.
+#[cfg(test)]
 enum ValueEnc {
     /// Varint of the byte-swapped bit pattern (shorter than 8 bytes).
     Varint(u64),
@@ -404,9 +675,9 @@ enum ValueEnc {
     Raw(u64),
 }
 
-/// Shared encoder state machine: the writer, the sizer and the decoder
-/// all walk the same (prev_row, prev_col) deltas, so the three can never
-/// disagree about the format.
+/// The delta decoder's state: the previous entry's coordinates. The
+/// per-entry encoder the writer replaced walks the same deltas; it is
+/// kept as the tests' byte-identity reference.
 #[derive(Debug)]
 struct DeltaState {
     prev_row: Index,
@@ -425,6 +696,7 @@ impl DeltaState {
 
     /// Encodes one `(row, col, value)` into its (drow, token, value)
     /// triplet, advancing the state.
+    #[cfg(test)]
     fn encode(&mut self, r: Index, c: Index, v: f64) -> (u64, u64, ValueEnc) {
         let drow = (r - self.prev_row) as u64;
         let cval = if self.first || drow > 0 {
@@ -558,6 +830,42 @@ impl SpillReader {
         let opened = File::open(path).and_then(|file| Ok((file.metadata()?.len(), file)));
         let (len, file) = opened.map_err(|e| with_path(path, e.into()))?;
         SpillReader::from_source(file, len, path)
+    }
+
+    /// Opens a reader over `file`'s rows from mark `marks.start` to mark
+    /// `marks.end` of its row index. The header is validated and held to
+    /// the written shape as by [`SpillReader::open`]; the reader then
+    /// seeks to the first mark, seeds the decoder with that mark's state
+    /// and yields exactly the entries the index counts between the two
+    /// marks. An entry outside their rows is an error naming the file.
+    pub(crate) fn open_band(file: &SpillFile, marks: Range<usize>) -> Result<Self, StreamError> {
+        let (path, index) = (&file.path, &file.index);
+        let (from, to) = (index.marks[marks.start], index.marks[marks.end]);
+        let open = || -> Result<(File, BodyDecoder), StreamError> {
+            let mut src = File::open(path)?;
+            let mut header = [0u8; HEADER_BYTES as usize];
+            src.read_exact(&mut header)?;
+            let (body, _) = decode_header(&header)?;
+            src.seek(SeekFrom::Start(from.offset))?;
+            Ok((src, body))
+        };
+        let (src, mut body) = open().map_err(|e| with_path(path, e))?;
+        if let Some(delta) = &mut body.delta {
+            // The entry after a mark starts a row, so only the row
+            // carries over — and nothing before the first entry.
+            delta.prev_row = from.prev_row;
+            delta.first = from.entries == 0;
+        }
+        body.check.band = index.row(marks.start) as u64..index.row(marks.end) as u64;
+        let reader = SpillReader {
+            buf: SpillBuf::new(src),
+            body,
+            remaining: to.entries - from.entries,
+            body_bytes: to.offset - from.offset,
+            path: path.clone(),
+        };
+        reader.expect_shape(file.shape.0, file.shape.1)?;
+        Ok(reader)
     }
 }
 
@@ -759,6 +1067,7 @@ fn varint_len(v: u64) -> u64 {
 }
 
 /// Writes `v` as LEB128, returning the bytes written.
+#[cfg(test)]
 fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<u64> {
     let mut written = 0u64;
     loop {
@@ -777,7 +1086,7 @@ fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<u64> {
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
-    use sparch_sparse::gen;
+    use sparch_sparse::{gen, linalg};
 
     #[test]
     fn raw_round_trips_through_disk() {
@@ -971,6 +1280,27 @@ mod tests {
             assert_eq!(written, buf.len() as u64);
             assert_eq!(written, varint_len(v), "declared length for {v}");
             assert_eq!(take_varint(&buf, &mut 0).unwrap(), v);
+        }
+        // The writer's one-word encoding agrees with the per-byte one at
+        // every length it is used for (1 to 8 bytes, below 2⁵⁶).
+        for bits in [
+            0, 6, 7, 13, 14, 20, 21, 27, 28, 34, 35, 41, 42, 48, 49, 55, 56,
+        ] {
+            for v in [
+                (1u64 << bits) - 1,
+                1 << bits,
+                0x5555_5555_5555_5555 >> (63 - bits),
+            ] {
+                let v = v & ((1 << 56) - 1);
+                let mut want = Vec::new();
+                write_varint(&mut want, v).unwrap();
+                let (word, len) = leb128_word(v);
+                assert_eq!(word.to_le_bytes()[..len], want[..], "{v:#x}");
+                assert!(
+                    len == 8 || word >> (8 * len) == 0,
+                    "{v:#x}: bytes past the length"
+                );
+            }
         }
     }
 
@@ -1480,5 +1810,384 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-entry encoder the one-pass writer replaced: the exact
+    /// varint size first, then `DeltaState::encode` and `write_varint`
+    /// field by field, raw when varint is not strictly smaller — the
+    /// byte-identity oracle for disk and wire.
+    fn reference_encoding(csr: &Csr, codec: SpillCodec) -> Vec<u8> {
+        let mut varint = Vec::new();
+        let mut enc = DeltaState::new();
+        for (r, c, v) in csr.iter() {
+            let (drow, token, value) = enc.encode(r, c, v);
+            write_varint(&mut varint, drow).unwrap();
+            write_varint(&mut varint, token).unwrap();
+            match value {
+                ValueEnc::Varint(bits) => {
+                    write_varint(&mut varint, bits).unwrap();
+                }
+                ValueEnc::Raw(bits) => varint.extend_from_slice(&bits.to_le_bytes()),
+            }
+        }
+        let use_varint =
+            codec == SpillCodec::Varint && HEADER_BYTES + (varint.len() as u64) < raw_size(csr);
+        let magic = if use_varint { MAGIC_VARINT } else { MAGIC_RAW };
+        let mut out = magic.to_le_bytes().to_vec();
+        for word in [csr.rows(), csr.cols(), csr.nnz()] {
+            out.extend_from_slice(&(word as u64).to_le_bytes());
+        }
+        if use_varint {
+            out.extend_from_slice(&varint);
+        } else {
+            for (r, c, v) in csr.iter() {
+                out.extend_from_slice(&raw_entry(r, c, v));
+            }
+        }
+        out
+    }
+
+    /// Four full-mantissa entries 2¹⁴ rows apart at columns ≥ 2²⁷: each
+    /// varint entry is 3 (drow) + 5 (token) + 8 (value) bytes, the raw
+    /// size, so a varint request falls back to raw.
+    fn fallback_partial() -> Csr {
+        let entries = (1..=4).map(|k| (k << 14, (1 << 27) + 3 * k, 0.1 * f64::from(k)));
+        let m = partial(5 << 14, 1 << 28, entries);
+        assert_eq!(
+            reference_encoding(&m, SpillCodec::Varint)[..4],
+            MAGIC_RAW.to_le_bytes()
+        );
+        m
+    }
+
+    /// A sorted `rows × cols` partial holding `entries`.
+    fn partial(rows: usize, cols: usize, entries: impl IntoIterator<Item = Triple>) -> Csr {
+        let mut coo = sparch_sparse::Coo::new(rows, cols);
+        for (r, c, v) in entries {
+            coo.push(r, c, v);
+        }
+        coo.to_csr()
+    }
+
+    /// A partial of 5-byte varint entries (all-ones values, < 64
+    /// columns) whose encoding runs over several chunks, with entry
+    /// 13 101 — bytes 65 533..65 538 — straddling the first chunk's end.
+    fn straddling_partial() -> Csr {
+        let m = linalg::map_values(&gen::uniform_random(1000, 64, 40_000, 23), |_| 1.0);
+        let bytes = reference_encoding(&m, SpillCodec::Varint);
+        assert_eq!(bytes.len(), 28 + 5 * m.nnz());
+        assert!(bytes.len() > 2 * CHUNK_BYTES);
+        let at = 28 + 5 * 13_101;
+        assert!(at < CHUNK_BYTES && at + 5 > CHUNK_BYTES);
+        m
+    }
+
+    /// The one-pass writer is byte for byte the per-entry encoder it
+    /// replaced — on disk and on the wire, under both codecs — over the
+    /// generators with full-mantissa and small-integer values, an empty
+    /// partial, one that falls back to raw, and one whose encoding runs
+    /// over several chunks with an entry straddling a chunk's end.
+    #[test]
+    fn the_writer_matches_the_per_entry_reference_byte_for_byte() {
+        let dir = TempDir::new("spill_identity");
+        let grid = [
+            ("uniform", gen::uniform_random(300, 200, 3000, 1)),
+            ("rmat", gen::rmat_graph500(256, 8, 2)),
+            ("banded", gen::banded(300, 4, 100, 3)),
+            ("diagonal", gen::diagonal_noise(300, 200, 4)),
+            ("poisson", gen::poisson3d(6, 6, 6)),
+            ("powerlaw", gen::powerlaw_rows(300, 2000, 1.5, 5)),
+            ("block", gen::block_sparse(256, 256, 16, 0.1, 6)),
+            ("wide", gen::uniform_random(2500, 70_000, 9000, 7)),
+        ];
+        let mut cases = Vec::new();
+        for (tag, m) in grid {
+            let int = linalg::map_values(&m, |v| (v * 4.0).round());
+            cases.push((format!("{tag} int"), int));
+            cases.push((format!("{tag} float"), m));
+        }
+        cases.push(("empty".into(), Csr::zero(6, 9)));
+        cases.push(("empty, no rows".into(), Csr::zero(0, 0)));
+        cases.push(("fallback".into(), fallback_partial()));
+        cases.push(("straddling".into(), straddling_partial()));
+        let mut writer = SpillWriter::default();
+        for (tag, m) in &cases {
+            for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+                let want = reference_encoding(m, codec);
+                assert!(
+                    encode_partial(m, codec) == want,
+                    "{tag} {codec}: wire bytes"
+                );
+                let mut framed = vec![7u8; 3];
+                let appended = encode_partial_into(&mut framed, m, codec);
+                assert_eq!(appended, want.len() as u64, "{tag} {codec}");
+                assert!(framed[3..] == want[..], "{tag} {codec}: appended bytes");
+                let path = dir.file("identity.bin");
+                for file in [
+                    write_partial(&path, m, codec).unwrap(),
+                    writer.write(&path, m, codec).unwrap(),
+                ] {
+                    assert_eq!(file.bytes, want.len() as u64, "{tag} {codec}");
+                    assert!(
+                        std::fs::read(&path).unwrap() == want,
+                        "{tag} {codec}: disk bytes"
+                    );
+                }
+            }
+            assert_eq!(varint_size(m), reference_varint_size(m), "{tag}");
+        }
+    }
+
+    /// The varint size the per-entry encoder computed field by field.
+    fn reference_varint_size(csr: &Csr) -> u64 {
+        let mut enc = DeltaState::new();
+        let fields = csr.iter().map(|(r, c, v)| match enc.encode(r, c, v) {
+            (drow, token, ValueEnc::Varint(bits)) => {
+                varint_len(drow) + varint_len(token) + varint_len(bits)
+            }
+            (drow, token, ValueEnc::Raw(_)) => varint_len(drow) + varint_len(token) + 8,
+        });
+        HEADER_BYTES + fields.sum::<u64>()
+    }
+
+    /// A varint encoding that reaches its limit stops there: nothing
+    /// from the limit on reaches the sink, and no index is returned.
+    #[test]
+    fn an_encoding_at_its_limit_is_abandoned_before_the_limit_is_handed_on() {
+        let m = straddling_partial();
+        let mut chunk = vec![0u8; chunk_len(&m)];
+        for limit in [28, 1000, CHUNK_BYTES as u64, 3 * CHUNK_BYTES as u64 / 2] {
+            let mut handed = 0u64;
+            let sink = |b: &[u8]| {
+                handed += b.len() as u64;
+                Ok(())
+            };
+            assert!(encode(&m, true, limit, &mut chunk, sink).unwrap().is_none());
+            assert!(handed < limit, "{limit}: {handed} bytes handed on");
+        }
+    }
+
+    /// A write sink over `inner` that takes at most `step` bytes a write,
+    /// fails its `interrupt`-th write with `Interrupted`, and from byte
+    /// `fail_at` on fails every write with a device error — or, with
+    /// `zero`, accepts nothing, which `write_all` reports as `WriteZero`.
+    #[derive(Debug)]
+    struct FaultySink<W> {
+        inner: W,
+        at: usize,
+        step: usize,
+        writes: usize,
+        interrupt: Option<usize>,
+        fail_at: Option<usize>,
+        zero: bool,
+    }
+
+    impl<W> FaultySink<W> {
+        fn new(inner: W, step: usize) -> Self {
+            FaultySink {
+                inner,
+                at: 0,
+                step,
+                writes: 0,
+                interrupt: None,
+                fail_at: None,
+                zero: false,
+            }
+        }
+    }
+
+    impl<W: Write> Write for FaultySink<W> {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            if self.interrupt == Some(self.writes) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            match self.fail_at {
+                Some(f) if self.at >= f && self.zero => return Ok(0),
+                Some(f) if self.at >= f => return Err(io::Error::other("injected device error")),
+                _ => {}
+            }
+            let end = self.fail_at.unwrap_or(usize::MAX);
+            let n = self.step.min(bytes.len()).min(end - self.at);
+            let n = self.inner.write(&bytes[..n])?;
+            self.at += n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// Writes of 7 bytes at a time, and a write interrupted once at the
+    /// header or mid-body, are retried into exactly the reference bytes,
+    /// varint and raw (the fallback rewrite included).
+    #[test]
+    fn short_and_interrupted_writes_produce_the_reference_bytes() {
+        let dir = TempDir::new("spill_short_writes");
+        let path = dir.file("short.bin");
+        let float = gen::uniform_random(400, 400, 20_000, 31);
+        let int = linalg::map_values(&float, |v| (v * 4.0).round());
+        for (tag, m) in [
+            ("int", int),
+            ("float", float),
+            ("fallback", fallback_partial()),
+        ] {
+            for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+                let want = reference_encoding(&m, codec);
+                for (step, interrupt) in [(7, None), (4096, Some(1)), (4096, Some(3))] {
+                    let case = format!("{tag} {codec} step {step} interrupt {interrupt:?}");
+                    let create = || {
+                        let sink = FaultySink::new(File::create(&path)?, step);
+                        Ok(FaultySink { interrupt, ..sink })
+                    };
+                    let mut writer = SpillWriter::default();
+                    let file = writer.write_with(&path, &m, codec, create).unwrap();
+                    assert_eq!(file.bytes, want.len() as u64, "{case}");
+                    assert!(std::fs::read(&path).unwrap() == want, "{case}");
+                }
+            }
+        }
+    }
+
+    /// A device error or a zero-length write mid-body fails the write
+    /// with an `Io` error naming the file and the cause — no spill file
+    /// is returned — and leaves nothing behind in the directory.
+    #[test]
+    fn a_write_error_mid_body_is_a_path_carrying_io_error_and_leaves_no_file() {
+        let dir = TempDir::new("spill_write_faults");
+        let path = dir.file("faulty.bin");
+        let m = gen::uniform_random(400, 400, 20_000, 31);
+        for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+            let half = reference_encoding(&m, codec).len() / 2;
+            assert!(
+                half > CHUNK_BYTES,
+                "{codec}: the fault must strike past a chunk"
+            );
+            for (zero, cause) in [
+                (false, "injected device error"),
+                (true, "write whole buffer"),
+            ] {
+                let create = || {
+                    let sink = FaultySink::new(File::create(&path)?, 4096);
+                    Ok(FaultySink {
+                        fail_at: Some(half),
+                        zero,
+                        ..sink
+                    })
+                };
+                let written = SpillWriter::default().write_with(&path, &m, codec, create);
+                match written {
+                    Err(StreamError::Io(msg)) => assert!(
+                        msg.contains("faulty.bin") && msg.contains(cause),
+                        "{codec} zero {zero}: {msg}"
+                    ),
+                    other => panic!("{codec} zero {zero}: expected an Io error, got {other:?}"),
+                }
+                let left: Vec<_> = std::fs::read_dir(dir.path()).unwrap().collect();
+                assert!(left.is_empty(), "{codec} zero {zero}: {left:?} left behind");
+            }
+        }
+    }
+
+    /// Drains a band reader of `file` from mark `lo` to mark `hi` as
+    /// `(row, col, value bits)`, after checking its entry count.
+    fn drain_band(
+        file: &SpillFile,
+        lo: usize,
+        hi: usize,
+    ) -> Result<Vec<(Index, Index, u64)>, StreamError> {
+        let reader = SpillReader::open_band(file, lo..hi)?;
+        let index = &file.index;
+        let entries = index.entries_before(hi) - index.entries_before(lo);
+        assert_eq!(reader.remaining(), entries as u64);
+        drain_chunks(reader, 7)
+    }
+
+    /// For both codecs and the raw fallback, a band reader between any
+    /// two marks yields exactly the entries of the rows between them,
+    /// value bits included: every pair of marks on partials with a mark
+    /// per row, and every pair among a spread of marks plus every
+    /// neighbouring pair on partials with several rows per mark.
+    #[test]
+    fn a_band_reader_between_marks_yields_exactly_those_rows() {
+        let dir = TempDir::new("spill_bands");
+        let small = gen::uniform_random(40, 50, 600, 11);
+        let tall = gen::uniform_random(2500, 3000, 30_000, 12);
+        let int = |m: &Csr| linalg::map_values(m, |v| (v * 8.0).round());
+        let cases = [
+            ("small float", small.clone(), SpillCodec::Varint),
+            ("small int", int(&small), SpillCodec::Varint),
+            ("small raw", small, SpillCodec::Raw),
+            ("tall float", tall.clone(), SpillCodec::Varint),
+            ("tall int", int(&tall), SpillCodec::Varint),
+            ("tall raw", tall, SpillCodec::Raw),
+            ("fallback", fallback_partial(), SpillCodec::Varint),
+        ];
+        for (tag, m, codec) in cases {
+            let path = dir.file(&format!("{tag}.bin"));
+            let file = write_partial(&path, &m, codec).unwrap();
+            let index = &file.index;
+            assert_eq!(index.stride, mark_stride(m.rows()), "{tag}");
+            assert_eq!(index.spans(), m.rows().div_ceil(index.stride), "{tag}");
+            assert_eq!(index.entries(), m.nnz(), "{tag}");
+            let spans = index.spans();
+            let pairs: Vec<(usize, usize)> = if index.stride == 1 {
+                (0..=spans)
+                    .flat_map(|lo| (lo..=spans).map(move |hi| (lo, hi)))
+                    .collect()
+            } else {
+                let spread: Vec<usize> = (0..=12).map(|k| k * spans / 12).collect();
+                let all = spread
+                    .iter()
+                    .flat_map(|&lo| spread.iter().map(move |&hi| (lo, hi)));
+                let neighbours = (0..spans).map(|k| (k, k + 1));
+                all.filter(|(lo, hi)| lo <= hi).chain(neighbours).collect()
+            };
+            for (lo, hi) in pairs {
+                let rows = index.row(lo)..index.row(hi);
+                let want: Vec<_> = m
+                    .iter()
+                    .filter(|(r, _, _)| rows.contains(&(*r as usize)))
+                    .map(|(r, c, v)| (r, c, v.to_bits()))
+                    .collect();
+                let got = drain_band(&file, lo, hi).unwrap();
+                assert_eq!(got, want, "{tag}: marks {lo}..{hi}");
+            }
+        }
+    }
+
+    /// A row delta damaged inside a band takes the entry past the band's
+    /// rows: the band reader fails with the file's path, while a band
+    /// that starts after the damage still reads clean.
+    #[test]
+    fn a_damaged_row_delta_inside_a_band_fails_with_the_path() {
+        let dir = TempDir::new("spill_band_damage");
+        let (mut bytes, rows) = five_byte_entries();
+        let path = dir.file("band.bin");
+        let m = linalg::map_values(&gen::uniform_random(64, 64, 2000, 21), |_| 1.0);
+        let file = write_partial(&path, &m, SpillCodec::Varint).unwrap();
+        assert!(std::fs::read(&path).unwrap() == bytes);
+        // An entry that is not its row's first: its row delta is 0.
+        let k = (rows.len() / 2..rows.len())
+            .find(|&k| rows[k] == rows[k - 1])
+            .unwrap();
+        let row = rows[k] as usize;
+        bytes[28 + 5 * k] = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        match drain_band(&file, row, row + 1) {
+            Err(StreamError::Io(msg)) => assert!(
+                msg.contains("band.bin") && msg.contains("outside band rows"),
+                "{msg}"
+            ),
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        let after = row + 1..64;
+        let want: Vec<_> = m
+            .iter()
+            .filter(|(r, _, _)| after.contains(&(*r as usize)))
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect();
+        assert_eq!(drain_band(&file, row + 1, 64).unwrap(), want);
     }
 }

@@ -14,7 +14,7 @@
 //! §II-E).
 
 use crate::merge::PartialSource;
-use crate::spill::{SpillFile, SpillReader};
+use crate::spill::SpillFile;
 use crate::{MemoryBudget, SpillCodec, StreamError};
 use sparch_sparse::Csr;
 use std::collections::{HashMap, HashSet};
@@ -172,7 +172,8 @@ impl PartialStore {
     /// Opens node `id` as a merge-round source. Resident partials stay
     /// counted against the budget (they remain in memory while the round
     /// runs); spilled partials come back as a bounded-buffer streaming
-    /// reader.
+    /// reader, handed the file's row index so the round can be cut into
+    /// bands.
     pub fn take(&mut self, id: usize) -> Result<PartialSource, StreamError> {
         debug_assert!(
             !self.spilling.contains(&id),
@@ -187,10 +188,10 @@ impl PartialStore {
             .remove(&id)
             .unwrap_or_else(|| panic!("partial {id} neither resident nor spilled"));
         self.stats.spill_reads += 1;
-        let reader = SpillReader::open(&file.path)?;
-        reader.expect_shape(file.shape.0, file.shape.1)?;
-        self.pending_delete.insert(id, file.path);
-        Ok(PartialSource::from_spill(reader))
+        let path = file.path.clone();
+        let source = PartialSource::from_spill(file)?;
+        self.pending_delete.insert(id, path);
+        Ok(source)
     }
 
     /// Marks node `id` fully consumed: un-counts pinned bytes and deletes
