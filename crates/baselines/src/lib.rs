@@ -11,9 +11,10 @@
 //!   in [`software`], with platform calibration constants documented in
 //!   [`calibrate`].
 //!
-//! The substitution rationale (DESIGN.md §5): speedup *shapes* across
-//! matrices track the algorithms (hash tables degrade on power-law rows,
-//! ESC sorting drowns in intermediate products, naive inner product
+//! The substitution rationale (the operands' is in the
+//! `sparch_bench::suite` module docs): speedup *shapes* across matrices
+//! track the algorithms (hash tables degrade on power-law rows, ESC
+//! sorting drowns in intermediate products, naive inner product
 //! collapses); the calibration constant only scales the axis to the
 //! paper's platform classes.
 

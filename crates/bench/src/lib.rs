@@ -1,24 +1,32 @@
-//! Benchmark harness for the SpArch reproduction.
+//! The SpArch paper's evaluation (§III), reproduced by one sweep.
 //!
-//! One binary per table/figure of the paper's evaluation section (see
-//! DESIGN.md §4 for the full index), plus criterion micro-benches. This
-//! library holds the shared pieces:
+//! `cargo run --release -p sparch-bench` runs [`sweep::run`] over the
+//! 20-benchmark suite and prints every figure and table from the one
+//! record it returns. The pieces:
 //!
-//! * [`suite`] — the 20-benchmark catalog (SuiteSparse/SNAP surrogates),
-//! * [`runner`] — measurement helpers (geometric means, table printing,
-//!   argument parsing, JSON dumps) and the sharded sweep entry points
-//!   ([`run_suite`], [`runner::runner`]) built on `sparch_exec`.
+//! * [`suite`] — the 20-benchmark catalog (SuiteSparse/SNAP surrogates)
+//!   and why synthetic surrogates stand in for the originals,
+//! * [`sweep`] — builds each operand once and runs each distinct
+//!   `(operand, SpArchConfig)` pair once into one [`Sweep`] record,
+//! * [`figures`] — one renderer per figure or table of the paper, a pure
+//!   function from the record to the tables it prints,
+//! * [`runner`] — the command line, geometric means, table printing and
+//!   the JSON dump.
 //!
-//! Every binary honors `--threads N` (or the `SPARCH_THREADS`
-//! environment variable) and produces bit-identical model-driven numbers
-//! at any thread count. (The software-baseline columns of fig11/12/14
-//! wall-clock the host, so they are measurement-noisy — and contended
-//! when sharded; prefer `--threads 1` when those columns matter.)
+//! The driver honors `--threads N` (or the `SPARCH_THREADS` environment
+//! variable), and every model-driven number is bit-identical at any
+//! thread count. The software-baseline columns of Figures 11, 12 and 14
+//! wall-clock the host, so they are measurement-noisy, and contended on
+//! several threads; prefer `--threads 1` when those columns matter.
+//!
+//! The criterion micro-benches under `benches/` time the merger, the
+//! schedulers, the prefetcher and the pipeline.
 
+pub mod figures;
 pub mod runner;
 pub mod suite;
+pub mod sweep;
 
-pub use runner::{
-    geomean, parse_args, parse_args_from, print_table, run_suite, Args, ArgsOutcome, USAGE,
-};
+pub use runner::{geomean, parse_args, parse_args_from, print_table, Args, ArgsOutcome, USAGE};
 pub use suite::{catalog, MatrixClass, SuiteEntry};
+pub use sweep::Sweep;

@@ -1,28 +1,17 @@
-//! Measurement and reporting helpers shared by the per-figure binaries.
-//!
-//! The sweep scaffolding the binaries used to copy-paste — the
-//! `for entry in catalog() { … }` loop, progress lines, JSON dumps — now
-//! lives here, on top of the `sparch_exec` sharded execution layer:
-//! [`run_suite`] shards a per-matrix measurement across worker threads
-//! and returns records in catalog order, bit-identical at any
-//! `--threads` count.
+//! The driver's command line, geometric means, table printing and the
+//! JSON dump.
 
-use crate::suite::SuiteEntry;
 use serde::Serialize;
-use sparch_exec::{FnWorkload, ParallelRunner, ShardPool};
-use sparch_sparse::Csr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Command-line options common to all figure binaries.
+/// The driver's command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// Linear scale applied to the suite matrices (default 0.04 keeps the
     /// whole suite tractable on a laptop; raise toward 1.0 for fidelity).
     pub scale: f64,
-    /// Optional path to dump machine-readable JSON results.
+    /// Where to write the sweep's record as JSON, if anywhere.
     pub json: Option<PathBuf>,
-    /// Free-form sub-selector (e.g. `--sweep buffer` for fig17).
-    pub sweep: Option<String>,
     /// Worker threads (`--threads N`); `None` falls back to
     /// `SPARCH_THREADS`, then to all available cores.
     pub threads: Option<usize>,
@@ -33,7 +22,6 @@ impl Default for Args {
         Args {
             scale: 0.04,
             json: None,
-            sweep: None,
             threads: None,
         }
     }
@@ -42,8 +30,7 @@ impl Default for Args {
 /// The full usage text, printed on `--help` and on any argument error.
 pub const USAGE: &str = "options:
   --scale X    surrogate scale in (0, 1] (default 0.04)
-  --json PATH  dump machine-readable JSON results to PATH
-  --sweep NAME sub-selector for multi-sweep binaries (e.g. fig17)
+  --json PATH  write the sweep's record as JSON to PATH
   --threads N  worker threads (default: SPARCH_THREADS, else all cores)
   --help, -h   print this message";
 
@@ -59,7 +46,7 @@ pub enum ArgsOutcome {
 /// Parses an argument list (without the program name) — a pure function
 /// with no printing or process exit, so it is unit-testable end to end.
 /// Returns the full usage text inside the error message on any malformed
-/// or unknown argument, so binaries never die on a bare flag name.
+/// or unknown argument, so the driver never dies on a bare flag name.
 pub fn parse_args_from<I>(args: I) -> Result<ArgsOutcome, String>
 where
     I: IntoIterator<Item = String>,
@@ -80,9 +67,6 @@ where
             }
             "--json" => {
                 parsed.json = Some(PathBuf::from(it.next().ok_or_else(|| missing("--json"))?));
-            }
-            "--sweep" => {
-                parsed.sweep = Some(it.next().ok_or_else(|| missing("--sweep"))?);
             }
             "--threads" => {
                 let v = it.next().ok_or_else(|| missing("--threads"))?;
@@ -116,35 +100,6 @@ pub fn parse_args() -> Args {
             std::process::exit(2);
         }
     }
-}
-
-/// The sharded runner configured by `args` (`--threads`, then
-/// `SPARCH_THREADS`, then all cores).
-pub fn runner(args: &Args) -> ParallelRunner {
-    ParallelRunner::new(ShardPool::with_override(args.threads))
-}
-
-/// Shards `f` over the suite entries: each worker builds its entry's
-/// surrogate at `args.scale` and maps it to a record. Records come back
-/// in `entries` order regardless of the thread count.
-pub fn run_suite<R, F>(entries: &[SuiteEntry], args: &Args, f: F) -> Vec<R>
-where
-    R: Serialize + Send,
-    F: Fn(&SuiteEntry, Csr) -> R + Sync,
-{
-    let f = &f;
-    let scale = args.scale;
-    let jobs: Vec<_> = entries
-        .iter()
-        .map(|&entry| {
-            FnWorkload::new(
-                entry.name,
-                move || entry.build(scale),
-                move |a| f(&entry, a),
-            )
-        })
-        .collect();
-    runner(args).run_all(&jobs)
 }
 
 /// Geometric mean, the paper's aggregate for speedups/savings.
@@ -197,17 +152,11 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes `value` as pretty JSON to `path` if given.
-///
-/// # Panics
-///
-/// Panics on serialization or I/O failure (benchmarks want loud errors).
-pub fn dump_json<T: Serialize>(path: &Option<PathBuf>, value: &T) {
-    if let Some(path) = path {
-        let json = serde_json::to_string_pretty(value).expect("serialize results");
-        std::fs::write(path, json).expect("write json results");
-        eprintln!("results written to {}", path.display());
-    }
+/// Writes `value` as pretty JSON to `path`. The error names the path.
+pub fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), String> {
+    let fail = |e: &dyn std::fmt::Display| format!("cannot write {}: {e}", path.display());
+    let json = serde_json::to_string_pretty(value).map_err(|e| fail(&e))?;
+    std::fs::write(path, json).map_err(|e| fail(&e))
 }
 
 #[cfg(test)]
@@ -255,20 +204,9 @@ mod tests {
 
     #[test]
     fn parses_every_flag() {
-        let a = parse(&[
-            "--scale",
-            "0.5",
-            "--json",
-            "out.json",
-            "--sweep",
-            "line",
-            "--threads",
-            "8",
-        ])
-        .unwrap();
+        let a = parse(&["--scale", "0.5", "--json", "out.json", "--threads", "8"]).unwrap();
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.json, Some(PathBuf::from("out.json")));
-        assert_eq!(a.sweep.as_deref(), Some("line"));
         assert_eq!(a.threads, Some(8));
     }
 
@@ -284,8 +222,8 @@ mod tests {
     fn scale_as_a_value_is_not_explicit_scale() {
         // "--scale" appearing as another flag's value must not be read
         // as the scale flag (which would then demand a value of its own).
-        let a = parse(&["--sweep", "--scale"]).unwrap();
-        assert_eq!(a.sweep.as_deref(), Some("--scale"));
+        let a = parse(&["--json", "--scale"]).unwrap();
+        assert_eq!(a.json, Some(PathBuf::from("--scale")));
         assert_eq!(a.scale, Args::default().scale);
     }
 
@@ -319,18 +257,19 @@ mod tests {
     }
 
     #[test]
-    fn run_suite_preserves_catalog_order() {
-        let entries: Vec<SuiteEntry> = crate::suite::catalog().into_iter().take(3).collect();
-        let args = Args {
-            scale: 0.001,
-            threads: Some(2),
-            ..Args::default()
-        };
-        let names = run_suite(&entries, &args, |e, a| {
-            assert!(a.rows() >= 512);
-            e.name.to_string()
-        });
-        let expected: Vec<String> = entries.iter().map(|e| e.name.to_string()).collect();
-        assert_eq!(names, expected);
+    fn the_removed_sweep_flag_is_an_unknown_argument() {
+        let err = parse(&["--sweep", "line"]).unwrap_err();
+        assert!(err.contains("unknown argument \"--sweep\""), "{err}");
+        assert!(err.contains("options:"), "full usage missing: {err}");
+        assert!(!USAGE.contains("--sweep"), "{USAGE}");
+    }
+
+    #[test]
+    fn a_failed_json_write_names_the_path() {
+        let dir = std::env::temp_dir().join(format!("sparch-bench-{}", std::process::id()));
+        let path = dir.join("missing").join("sweep.json");
+        let err = write_json(&path, &vec![1.0, 2.0]).unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(!path.exists());
     }
 }

@@ -4,10 +4,10 @@
 //! (ref. 28).
 //! We cannot redistribute them, so each entry records the original's
 //! published shape (rows, nnz) and structural class, and builds a
-//! structure-matched synthetic surrogate at a configurable scale
-//! (DESIGN.md §5): R-MAT for power-law graphs, 3-D stencils for FEM/PDE
-//! matrices, banded-plus-random for circuits and road networks, uniform
-//! for the quasi-regular combinatorial matrices.
+//! structure-matched synthetic surrogate at a configurable scale: R-MAT
+//! for power-law graphs, 3-D stencils for FEM/PDE matrices,
+//! banded-plus-random for circuits and road networks, uniform for the
+//! quasi-regular combinatorial matrices.
 //!
 //! `scale` shrinks rows and nnz together, preserving the average degree
 //! (the statistic SpArch's behaviour keys on); `scale = 1.0` reproduces

@@ -1,12 +1,13 @@
-//! The determinism guard: sharded sweep output is bit-identical no
-//! matter how many worker threads run it.
+//! The determinism guard: the sweep's record is bit-identical no matter
+//! how many worker threads run it.
 //!
-//! Only model-driven metrics are compared (cycles, traffic, result
-//! sizes, GFLOPS from the simulator's own cost model); the software
-//! baselines wall-clock the host and are inherently noisy.
+//! Every model-driven field is compared (simulated cycles, GFLOPS,
+//! traffic, energy and area of every simulation; the OuterSPACE model;
+//! the operands' statistics and densities). The software baselines
+//! wall-clock the host and are inherently noisy, so they are left out.
 
-use sparch_bench::{catalog, run_suite, Args, SuiteEntry};
-use sparch_core::{SpArchConfig, SpArchSim};
+use sparch_bench::{catalog, sweep, SuiteEntry, Sweep};
+use sparch_exec::ShardPool;
 
 /// A small, fast suite subset (the smallest published shapes).
 fn subset() -> Vec<SuiteEntry> {
@@ -19,34 +20,38 @@ fn subset() -> Vec<SuiteEntry> {
     picked
 }
 
-/// Runs the subset on `threads` workers and serializes every
-/// model-driven metric to JSON.
-fn sweep_json(threads: usize) -> String {
-    let args = Args {
-        scale: 0.002,
-        threads: Some(threads),
-        ..Args::default()
-    };
-    let rows = run_suite(&subset(), &args, |entry, a| {
-        let r = SpArchSim::new(SpArchConfig::default().with_tree_layers(3)).run(&a, &a);
-        (
-            entry.name.to_string(),
-            r.perf.cycles,
-            r.perf.gflops,
-            (r.perf.output_nnz, r.traffic.total_bytes()),
-            r.prefetch.line_misses,
-        )
-    });
-    serde_json::to_string_pretty(&rows).expect("serialize sweep rows")
+/// Every model-driven field of `s`, as JSON.
+fn model_json(s: &Sweep) -> String {
+    let suite: Vec<_> = s
+        .suite
+        .iter()
+        .map(|r| (&r.entry, &r.matrix, &r.task, &r.outerspace, &r.sim))
+        .collect();
+    let rmat: Vec<_> = s
+        .rmat
+        .iter()
+        .map(|r| (&r.name, r.density, &r.sim))
+        .collect();
+    serde_json::to_string_pretty(&(s.scale, suite, rmat, &s.ladders)).expect("serialize record")
 }
 
 #[test]
 fn sweep_is_bit_identical_across_thread_counts() {
-    let t1 = sweep_json(1);
-    let t2 = sweep_json(2);
-    let t8 = sweep_json(8);
-    assert_eq!(t1, t2, "1 vs 2 threads");
-    assert_eq!(t1, t8, "1 vs 8 threads");
-    // Sanity: the records actually carry signal.
-    assert!(t1.contains("facebook") && t1.len() > 100);
+    let entries = subset();
+    let run = |threads| sweep::run(&entries, 0.002, ShardPool::new(threads));
+    let t1 = run(1);
+    let json = model_json(&t1);
+    assert_eq!(json, model_json(&run(2)), "1 vs 2 threads");
+    assert_eq!(json, model_json(&run(8)), "1 vs 8 threads");
+
+    // The records come back in submission order and carry signal.
+    let names: Vec<&str> = t1.suite.iter().map(|r| r.entry.name).collect();
+    let expected: Vec<&str> = entries.iter().map(|e| e.name).collect();
+    assert_eq!(names, expected);
+    assert_eq!(t1.rmat.len(), sweep::RMAT.len());
+    assert!(t1.suite.iter().all(|r| r.sim.perf.cycles > 0));
+    assert!(t1
+        .ladders
+        .iter()
+        .all(|r| r.sims.len() == 4usize.div_ceil(r.step)));
 }

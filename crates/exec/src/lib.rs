@@ -4,8 +4,8 @@
 //! ablations × design-space points, every simulation independent of the
 //! rest. This crate is the execution layer that turns those sweeps into
 //! sharded multi-core runs with **deterministic, submission-ordered
-//! results** — the figure binaries produce bit-identical numbers at
-//! `--threads 1` and `--threads 8`.
+//! results** — the reproduction sweep (`sparch-bench`) produces
+//! bit-identical numbers at `--threads 1` and `--threads 8`.
 //!
 //! Four pieces:
 //!

@@ -29,8 +29,8 @@ pub trait Workload: Sync {
     fn run(&self, input: Self::Input) -> Self::Record;
 }
 
-/// A [`Workload`] assembled from two closures — the way the figure
-/// binaries define their sweeps without a bespoke struct each.
+/// A [`Workload`] assembled from two closures, so a sweep needs no
+/// bespoke struct per job kind.
 ///
 /// # Example
 ///
@@ -121,11 +121,9 @@ impl<R: Serialize> Serialize for Timed<R> {
 /// Shards a batch of [`Workload`]s across a [`ShardPool`], returning the
 /// records in submission order regardless of the worker count.
 ///
-/// This replaces the figure binaries' copy-pasted
-/// `for entry in catalog() { … eprintln!("done {}") }` loops: progress
-/// still goes to stderr (suppress with [`ParallelRunner::quiet`]), the
-/// records come back in catalog order, and the sweep uses every core the
-/// pool has.
+/// Progress goes to stderr (suppress with [`ParallelRunner::quiet`]),
+/// the records come back in submission order, and the sweep uses every
+/// core the pool has.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelRunner {
     pool: ShardPool,

@@ -2,10 +2,11 @@
 //!
 //! The paper evaluates on 20 SuiteSparse/SNAP matrices plus synthesized
 //! R-MAT graphs. We cannot ship the proprietary collections, so the
-//! benchmark suite substitutes structure-matched synthetic matrices
-//! (see DESIGN.md §5): R-MAT for power-law graphs, stencils for FEM/PDE
-//! matrices, banded-plus-random for circuit-like matrices. All generators
-//! take an explicit `seed` and are fully deterministic.
+//! benchmark suite substitutes structure-matched synthetic matrices (see
+//! the `sparch_bench::suite` module docs): R-MAT for power-law graphs,
+//! stencils for FEM/PDE matrices, banded-plus-random for circuit-like
+//! matrices. All generators take an explicit `seed` and are fully
+//! deterministic.
 
 #[cfg(any(test, feature = "arb"))]
 pub mod arb;
