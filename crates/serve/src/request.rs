@@ -223,6 +223,64 @@ mod tests {
         assert!(Batch::from_json("{\"operands\": [], \"requests\": [{\"Warp\": {}}]}").is_err());
     }
 
+    /// Hostile batches: each is refused with a typed error — at parse
+    /// time or before anything executes — never a panic or an abort.
+    #[test]
+    fn hostile_requests_are_typed_errors() {
+        use crate::{ServiceConfig, SpgemmService};
+        let operands = r#"[
+            {"name": "sq", "spec": {"Gen": {"recipe": {"Uniform": {"rows": 8, "cols": 8, "nnz": 20}}, "seed": 1}}},
+            {"name": "wide", "spec": {"Gen": {"recipe": {"Uniform": {"rows": 4, "cols": 12, "nnz": 20}}, "seed": 2}}}
+        ]"#;
+        let batch =
+            |requests: &str| format!(r#"{{"operands": {operands}, "requests": [{requests}]}}"#);
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        type Expected = fn(&ServeError) -> bool;
+        let table: [(&str, String, Expected); 6] = [
+            (
+                "deep nesting",
+                batch(&deep),
+                |e| matches!(e, ServeError::Parse(m) if m.contains("recursion limit")),
+            ),
+            ("unknown variant", batch(r#"{"Warp": {"a": "sq"}}"#), |e| {
+                matches!(e, ServeError::Parse(_))
+            }),
+            (
+                "unknown operand",
+                batch(r#"{"Single": {"a": "sq", "b": "ghost"}}"#),
+                |e| matches!(e, ServeError::Operand(m) if m.contains("ghost")),
+            ),
+            (
+                "one-operand chain",
+                batch(r#"{"Chain": {"operands": ["sq"]}}"#),
+                |e| matches!(e, ServeError::Shape(_)),
+            ),
+            (
+                "zeroth power",
+                batch(r#"{"Power": {"a": "sq", "k": 0, "threshold": 0.0}}"#),
+                |e| matches!(e, ServeError::Shape(m) if m.contains("k >= 1")),
+            ),
+            (
+                "mismatched shapes",
+                batch(r#"{"Single": {"a": "sq", "b": "wide"}}"#),
+                |e| matches!(e, ServeError::Shape(_)),
+            ),
+        ];
+        for (what, text, expected) in table {
+            let outcome = Batch::from_json(&text).and_then(|batch| {
+                SpgemmService::new(ServiceConfig {
+                    threads: Some(1),
+                    ..ServiceConfig::default()
+                })
+                .serve(&batch)
+            });
+            match outcome {
+                Err(e) => assert!(expected(&e), "{what}: unexpected error {e:?}"),
+                Ok(report) => panic!("{what}: served {} request(s)", report.total_requests),
+            }
+        }
+    }
+
     #[test]
     fn operand_names_follow_access_order() {
         let batch = sample_batch();

@@ -56,7 +56,9 @@ fn inner_product_impl(a: &Csr, b: &Csr) -> (Csr, InnerStats) {
             let (kb, vb) = bt.col(j);
             // Two-pointer merge over the sorted index lists.
             let (mut p, mut q) = (0usize, 0usize);
-            let mut acc = 0.0f64;
+            // `-0.0` is the additive identity (see `algo::spa`): an
+            // output whose every product is `-0.0` keeps its sign.
+            let mut acc = -0.0f64;
             let mut hit = false;
             while p < ka.len() && q < kb.len() {
                 stats.comparisons += 1;

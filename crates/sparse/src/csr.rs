@@ -441,8 +441,15 @@ impl Csr {
 
     /// Strict equality of structure plus value agreement within `tol`
     /// (absolute). Useful for comparing results of different SpGEMM
-    /// algorithms whose floating-point summation orders differ.
+    /// algorithms whose floating-point summation orders differ. The
+    /// tolerance applies to finite values; otherwise two NaNs (whatever
+    /// their payloads) or equal values agree, so a matrix always equals
+    /// itself and an infinity matches only itself.
     pub fn approx_eq(&self, other: &Csr, tol: f64) -> bool {
+        let close = |a: f64, b: f64| {
+            let d = a - b;
+            d.abs() <= tol * a.abs().max(b.abs()).max(1.0) && d.is_finite()
+        };
         self.rows == other.rows
             && self.cols == other.cols
             && self.row_ptr == other.row_ptr
@@ -451,7 +458,7 @@ impl Csr {
                 .values
                 .iter()
                 .zip(&other.values)
-                .all(|(a, b)| (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0))
+                .all(|(&a, &b)| close(a, b) || a == b || (a.is_nan() && b.is_nan()))
     }
 }
 
@@ -873,6 +880,22 @@ mod tests {
         assert!(a.approx_eq(&b, 1e-12));
         b.values[0] += 1.0;
         assert!(!a.approx_eq(&b, 1e-12));
+    }
+
+    #[test]
+    fn approx_eq_is_reflexive_over_edge_values() {
+        use crate::gen::arb::{self, ValueClass};
+        let edge = arb::csr_with(16, 16, 120, ValueClass::Edge);
+        let m = (0..50)
+            .map(|seed| arb::sample(&edge, seed))
+            .find(|m| m.values().iter().any(|v| v.is_nan()))
+            .expect("some seed draws a NaN");
+        assert!(m.values().iter().any(|v| v.is_infinite()));
+        assert!(m.approx_eq(&m, 0.0));
+        let mut flipped = m.clone();
+        let k = flipped.values.iter().position(|v| v.is_infinite()).unwrap();
+        flipped.values[k] = -flipped.values[k];
+        assert!(!m.approx_eq(&flipped, 1e-12));
     }
 
     #[test]

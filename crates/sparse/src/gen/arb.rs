@@ -9,7 +9,8 @@
 //! * **dims** — bounded shapes, including the degenerate `1×N` / `N×1`,
 //! * **density** — a target entry count drawn up to a bound,
 //! * **value class** — [`ValueClass`]: small integers (cancellation to
-//!   exact zero is common), unit pattern values, or continuous floats.
+//!   exact zero is common), unit pattern values, continuous floats, or
+//!   IEEE-754 edge values (signed zeros, infinities, NaN, subnormals).
 //!
 //! It is compiled for this crate's own unit tests and, for external
 //! consumers (the facade's `tests/`), behind the `arb` cargo feature:
@@ -34,13 +35,23 @@ pub enum ValueClass {
     /// Integers in `[-4, 4]` **excluding 0** — folds cancel to exact zero
     /// often, but no entry starts as an explicit zero.
     SmallInt,
-    /// Integers in `[-4, 4]` *including 0* — explicit zeros are stored.
+    /// Integers in `[-4, 4]` *including 0* — explicit zeros are stored,
+    /// as `+0.0` or `-0.0`.
     SmallIntWithZeros,
     /// Every value is `1.0` (pattern matrices).
     Unit,
     /// Continuous floats in `(-4, 4)`, never exactly zero.
     Float,
+    /// Mostly integers in `[-4, 4] \ {0}`, plus about one value in six
+    /// drawn from `±0.0`, `±∞`, a NaN with a payload, or `±` a
+    /// subnormal. No product or sum of these can overflow to `±∞`
+    /// from finite terms at any realistic inner dimension.
+    Edge,
 }
+
+/// The NaN [`ValueClass::Edge`] draws: quiet, with a non-zero payload,
+/// so a kernel that loses or rewrites the payload is visible in bits.
+pub const PAYLOAD_NAN: f64 = f64::from_bits(0x7ff8_0000_0000_beef);
 
 /// Strategy for one stored value of the given class.
 pub fn value(class: ValueClass) -> BoxedStrategy<f64> {
@@ -48,10 +59,21 @@ pub fn value(class: ValueClass) -> BoxedStrategy<f64> {
         ValueClass::SmallInt => (1i32..=4, prop_oneof![Just(1.0), Just(-1.0)])
             .prop_map(|(m, s)| m as f64 * s)
             .boxed(),
-        ValueClass::SmallIntWithZeros => (-4i32..=4).prop_map(|v| v as f64).boxed(),
+        ValueClass::SmallIntWithZeros => (-4i32..=4, prop_oneof![Just(1.0), Just(-1.0)])
+            .prop_map(|(v, s)| if v == 0 { 0.0 * s } else { v as f64 })
+            .boxed(),
         ValueClass::Unit => Just(1.0).boxed(),
         ValueClass::Float => (0.0625f64..4.0, prop_oneof![Just(1.0), Just(-1.0)])
             .prop_map(|(m, s)| m * s)
+            .boxed(),
+        ValueClass::Edge => (0u32..32, 1i32..=4, prop_oneof![Just(1.0), Just(-1.0)])
+            .prop_map(|(pick, m, s)| match pick {
+                0 => 0.0 * s,
+                1 => f64::INFINITY * s,
+                2 => PAYLOAD_NAN,
+                3 | 4 => f64::from_bits(m as u64 * 0x1_0000_0001) * s, // subnormal
+                _ => m as f64 * s,
+            })
             .boxed(),
     }
 }
@@ -174,6 +196,22 @@ mod tests {
             let v = sample(&value(ValueClass::Float), seed);
             assert!(v != 0.0 && v.abs() < 4.0);
         }
+        let zeros: Vec<u64> = (0..200)
+            .map(|seed| sample(&value(ValueClass::SmallIntWithZeros), seed))
+            .filter(|&v| v == 0.0)
+            .map(f64::to_bits)
+            .collect();
+        assert!(zeros.contains(&0.0f64.to_bits()) && zeros.contains(&(-0.0f64).to_bits()));
+        let edge: Vec<f64> = (0..400)
+            .map(|seed| sample(&value(ValueClass::Edge), seed))
+            .collect();
+        assert!(edge
+            .iter()
+            .all(|v| v.is_nan() || v.abs() <= 4.0 || v.is_infinite()));
+        assert!(edge.iter().any(|v| v.to_bits() == PAYLOAD_NAN.to_bits()));
+        assert!(edge.iter().any(|v| v.is_subnormal()));
+        assert!(edge.contains(&f64::NEG_INFINITY));
+        assert!(edge.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]

@@ -216,58 +216,3 @@ fn everything_spills_on_a_multi_round_merge() {
         report.spill_bytes_raw_equivalent
     );
 }
-
-/// Both operands streamed panel-by-panel from disk through the mm
-/// readers, on the ranges of a plan built from the file's histogram
-/// before either is read: the full out-of-core path the CLI uses. At the
-/// same knobs it is bit-identical to the in-memory entry point — floats
-/// included, since both execute the same plan — at 1 and 2 threads and
-/// under either balance mode, and to `gustavson` for integer values.
-#[test]
-fn disk_to_disk_pipeline_matches_gustavson() {
-    use sparch_sparse::mm;
-    use sparch_stream::{tempdir::TempDir, ExecPlan, StreamError};
-    let to_csr = |item: Result<(std::ops::Range<usize>, sparch_sparse::Coo), _>| {
-        item.map(|(r, coo)| (r, coo.into_csr()))
-            .map_err(StreamError::from)
-    };
-    let dir = TempDir::new("disk_to_disk");
-    let (a_path, b_path) = (dir.file("a.mtx"), dir.file("b.mtx"));
-    for (class, seed) in [(ValueClass::SmallInt, 17), (ValueClass::Float, 18)] {
-        let (a, b) = arb::sample(&arb::spgemm_pair(26, 110, class), seed);
-        mm::write_file(&a_path, &a.to_coo()).unwrap();
-        mm::write_file(&b_path, &b.to_coo()).unwrap();
-        let col_nnz = mm::scan_col_nnz(&a_path).unwrap();
-        for threads in [1, 2] {
-            for panels in [1, 3] {
-                for balance in BALANCES {
-                    let what = format!("{class:?} threads {threads} panels {panels} {balance}");
-                    let e = exec_with(0, panels, threads, SpillCodec::Varint, balance);
-                    let plan = ExecPlan::for_operand(&col_nnz, panels, balance, 3);
-                    let ranges: Vec<_> = plan.panel_sizes().map(|(r, _)| r.clone()).collect();
-                    let a_reader = mm::PanelReader::open_with_ranges(&a_path, ranges.clone());
-                    let b_reader = mm::RowPanelReader::open_with_ranges(&b_path, ranges);
-                    let (c, report) = e
-                        .multiply_streams(
-                            a.rows(),
-                            b.cols(),
-                            plan,
-                            a_reader.unwrap().map(to_csr),
-                            b_reader.unwrap().map(to_csr),
-                        )
-                        .unwrap();
-                    let (in_memory, in_memory_report) = e.multiply(&a, &b).unwrap();
-                    assert_eq!(c, in_memory, "{what}");
-                    assert_eq!(
-                        report.without_timing(),
-                        in_memory_report.without_timing(),
-                        "{what}"
-                    );
-                    if class == ValueClass::SmallInt {
-                        assert_eq!(c, algo::gustavson(&a, &b), "{what}");
-                    }
-                }
-            }
-        }
-    }
-}

@@ -1,16 +1,12 @@
 //! Executing a plan it is handed, one subtree at a time.
 //!
-//! A shard fleet cuts the plan at a frontier, runs each subtree below
-//! the cut through [`StreamingExecutor::multiply_subtree`] and folds the
-//! rounds above it with [`merge_sources`]. Every round then folds the
-//! same children in the same order as a whole-plan run, so the result
-//! must be **bit-identical** to [`StreamingExecutor::multiply`] for every
-//! cut — float operands make that the strongest check. And a handed-in
-//! plan that disagrees with the panels the reader sees is a typed
-//! [`StreamError::Shape`], never a panic.
+//! The root subtree is the whole multiply, and a handed-in plan that
+//! disagrees with the panels the reader sees is a typed
+//! [`StreamError::Shape`], never a panic. That every cut of the plan is
+//! bit-identical to the whole-plan run is checked by the facade's
+//! differential oracle (`tests/oracle.rs`).
 
 use sparch_sparse::{gen, Csr};
-use sparch_stream::merge::{merge_sources, MergeScratch, PartialSource};
 use sparch_stream::{
     ExecPlan, MemoryBudget, PanelBalance, StreamConfig, StreamError, StreamingExecutor,
 };
@@ -42,65 +38,10 @@ fn pairs_under(plan: &ExecPlan, node: usize, a: &Csr, b: &Csr) -> Vec<(Csr, Csr)
         .collect()
 }
 
-/// Subtrees below the cut through the pipeline, rounds above it folded
-/// here — what the shard fleet does, minus the processes.
-fn multiply_cut(exec: &StreamingExecutor, a: &Csr, b: &Csr, target: usize) -> Csr {
-    let plan = plan_for(a, exec.config());
-    let Some(root) = plan.root() else {
-        return Csr::zero(a.rows(), b.cols());
-    };
-    let cut = plan.frontier(target);
-    let mut have: Vec<Option<Csr>> = (0..plan.num_nodes()).map(|_| None).collect();
-    for &job in &cut.jobs {
-        let pairs = pairs_under(&plan, job, a, b);
-        let (partial, report) = exec
-            .multiply_subtree(a.rows(), b.cols(), plan.clone(), job, pairs)
-            .unwrap_or_else(|e| panic!("subtree {job}: {e}"));
-        let tree = plan.subtree(job);
-        assert_eq!(
-            (report.partials, report.merge_rounds, report.panels),
-            (tree.leaves.len(), tree.rounds.len(), plan.panels()),
-            "the report counts what ran"
-        );
-        have[job] = Some(partial);
-    }
-    let mut scratch = MergeScratch::new();
-    for &round in &cut.top_rounds {
-        let sources = plan
-            .round_children(round)
-            .map(|child| PartialSource::from_csr(have[child].take().expect("child is in")))
-            .collect();
-        let merged = merge_sources(a.rows(), b.cols(), sources, &mut scratch).expect("fold");
-        have[plan.round_output(round)] = Some(merged);
-    }
-    have[root].take().expect("the root landed")
-}
-
 fn assert_bits_equal(x: &Csr, y: &Csr, what: &str) {
     assert_eq!(x, y, "{what}");
     for (i, (p, q)) in x.values().iter().zip(y.values()).enumerate() {
         assert_eq!(p.to_bits(), q.to_bits(), "{what}: value {i}");
-    }
-}
-
-#[test]
-fn every_cut_is_bit_identical_to_the_whole_plan_run() {
-    // A skewed operand: under the uniform split the leaves differ wildly
-    // in weight, so cuts mix bare leaves with deep subtrees.
-    let a = gen::rmat_graph500(96, 6, 11);
-    let b = gen::uniform_random(96, 80, 700, 12);
-    for balance in [PanelBalance::Uniform, PanelBalance::Nnz] {
-        for (panels, ways) in [(1, 4), (4, 2), (16, 4), (33, 2), (33, 64)] {
-            for budget in [0, u64::MAX] {
-                let exec = StreamingExecutor::new(config(panels, ways, balance, budget));
-                let (reference, _) = exec.multiply(&a, &b).expect("whole-plan run");
-                for target in [1, 2, 4, 7, 16, 200] {
-                    let what = format!("{balance} panels {panels} ways {ways} target {target}");
-                    let c = multiply_cut(&exec, &a, &b, target);
-                    assert_bits_equal(&c, &reference, &what);
-                }
-            }
-        }
     }
 }
 

@@ -21,9 +21,9 @@
 //! This suite is the serving layer's safety net: `sparch-serve` may
 //! route any request to any backend (`fixed:<backend>`, or the footprint
 //! routes), so "all backends agree everywhere" is a correctness
-//! precondition for dispatch. The last row
-//! ([`adaptive_service_matches_fixed_gustavson_over_the_class_grid`])
-//! serves the generator classes through an adaptive `SpgemmService`.
+//! precondition for dispatch. The adaptive `SpgemmService`, the
+//! non-finite value classes and the fleet are checked by the
+//! differential oracle (`tests/oracle.rs`).
 
 use sparch::serve::Backend;
 use sparch::sparse::gen::arb::{self, ValueClass};
@@ -366,133 +366,4 @@ fn arb_randomized_sweep() {
         points.push(point("arb-unit", seed, a, b));
     }
     run_grid(points);
-}
-
-/// The generator classes served through `SpgemmService`: the adaptive
-/// policy returns what `fixed:gustavson` returns — same shapes, same nnz
-/// — and reports no step on any other backend.
-#[test]
-fn adaptive_service_matches_fixed_gustavson_over_the_class_grid() {
-    use sparch::serve::{
-        Batch, DispatchPolicy, OperandDef, OperandSpec, Request, ServiceConfig, SpgemmService,
-    };
-    use sparch::sparse::gen::Recipe;
-    let uniform = |rows, cols, nnz| Recipe::Uniform { rows, cols, nnz };
-    let classes = [
-        (
-            "rmat",
-            Recipe::Rmat {
-                n: 48,
-                avg_degree: 4,
-            },
-        ),
-        (
-            "rmat6",
-            Recipe::Rmat {
-                n: 48,
-                avg_degree: 6,
-            },
-        ),
-        (
-            "poisson",
-            Recipe::Poisson3d {
-                nx: 3,
-                ny: 3,
-                nz: 3,
-            },
-        ),
-        (
-            "banded",
-            Recipe::Banded {
-                n: 40,
-                half_bandwidth: 2,
-                extra_nnz: 30,
-            },
-        ),
-        (
-            "blocks",
-            Recipe::BlockSparse {
-                rows: 32,
-                cols: 32,
-                block: 4,
-                block_density: 0.3,
-            },
-        ),
-        (
-            "powerlaw",
-            Recipe::PowerlawRows {
-                n: 32,
-                nnz: 200,
-                alpha: 1.8,
-            },
-        ),
-        ("rect_l", uniform(5, 24, 15)),
-        ("rect_r", uniform(24, 33, 48)),
-        ("row", uniform(1, 24, 12)),
-        ("col", uniform(24, 1, 12)),
-        ("square", uniform(24, 24, 80)),
-    ];
-    let single = |a: &str, b: &str| Request::Single {
-        a: a.into(),
-        b: b.into(),
-    };
-    let batch = Batch {
-        operands: classes
-            .into_iter()
-            .zip(0u64..)
-            .map(|((name, recipe), seed)| OperandDef {
-                name: name.into(),
-                spec: OperandSpec::Gen { recipe, seed },
-            })
-            .collect(),
-        requests: vec![
-            single("rmat", "rmat6"),
-            single("poisson", "poisson"),
-            single("banded", "banded"),
-            single("blocks", "powerlaw"),
-            single("rect_l", "rect_r"),
-            single("row", "col"),
-            single("col", "row"),
-            single("row", "square"),
-            Request::Chain {
-                operands: vec!["rect_l".into(), "square".into(), "rect_r".into()],
-            },
-            Request::Power {
-                a: "powerlaw".into(),
-                k: 3,
-                threshold: 0.0,
-            },
-            Request::Masked {
-                a: "blocks".into(),
-                b: "powerlaw".into(),
-                mask: "blocks".into(),
-            },
-        ],
-    };
-    let serve = |policy| {
-        SpgemmService::new(ServiceConfig {
-            policy,
-            threads: Some(2),
-            ..ServiceConfig::default()
-        })
-        .serve(&batch)
-        .expect("class grid must serve")
-    };
-    let adaptive = serve(DispatchPolicy::Adaptive);
-    let fixed = serve(DispatchPolicy::Fixed(Backend::Gustavson));
-    assert_eq!(adaptive.total_steps, 8 + 2 + 2 + 1);
-    for (a, f) in adaptive.requests.iter().zip(&fixed.requests) {
-        assert_eq!(
-            (a.output_rows, a.output_cols, a.output_nnz),
-            (f.output_rows, f.output_cols, f.output_nnz),
-            "request {}",
-            a.index
-        );
-        assert!(
-            a.backends.iter().all(|b| b == "gustavson"),
-            "request {} ran {:?}",
-            a.index,
-            a.backends
-        );
-    }
 }

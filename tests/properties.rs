@@ -171,14 +171,6 @@ proptest! {
     }
 
     #[test]
-    fn simulator_matches_gustavson(pair in arb::spgemm_pair(24, 60, arb::ValueClass::SmallInt)) {
-        let (a, b) = pair;
-        let report = SpArchSim::new(SpArchConfig::default()).run(&a, &b);
-        let reference = algo::gustavson(&a, &b);
-        prop_assert!(report.result().approx_eq(&reference, 1e-9));
-    }
-
-    #[test]
     fn csr_round_trips(m in small_matrix()) {
         prop_assert_eq!(m.to_coo().to_csr(), m.clone());
         prop_assert_eq!(m.to_csc().to_csr(), m.clone());
