@@ -13,199 +13,163 @@
 //! # The functional model is a row-wise fold
 //!
 //! The hardware merges its inputs by comparing packed `(row, col)`
-//! coordinates. The model computes the same stream as software Gustavson
-//! does (the row-wise accumulation SparseZipper argues is the CPU's way to
-//! do SpGEMM's merge): it visits output rows in ascending order, adds every
-//! input's segment for the row into a sparse accumulator
-//! (`sparch_sparse::algo::Spa`, the one the Gustavson kernel uses), and
-//! emits the row's occupied columns in ascending order. The result is the
-//! comparator merge's, bit for bit:
+//! coordinates. The model computes the same stream through the one
+//! row-wise fold the product's merge rounds run too,
+//! [`sparch_sparse::algo::fold_rows`]: it visits output rows in ascending
+//! order, copies a run of rows one input alone holds straight through,
+//! and adds every input's segment of a shared row into the sparse
+//! accumulator the Gustavson kernel uses. Each coordinate receives its
+//! items in `(input, position)` order — the order a left-to-right merge
+//! tree (or a heap tie-broken by input then position) folds duplicates
+//! in — so the result is the comparator merge's, bit for bit. Every input
+//! item is either a coordinate's first or one addition, so the adds are
+//! inputs − outputs, as in the merge.
 //!
-//! * Each coordinate receives its items in `(input, position)` order — the
-//!   order a left-to-right merge tree (or a heap tie-broken by input then
-//!   position) folds duplicates in — because inputs are visited in plan
-//!   order within a row and each segment in stream order.
-//! * A row of at most `SHORT_ROW` items sorts them by `(column, arrival)`
-//!   and folds each column from its first item, as the merge's first push
-//!   does. A longer row adds into a value array that holds `-0.0` in
-//!   every unoccupied slot; `-0.0 + x` is exactly `x` for every `x`
-//!   (signed zeros included), so a coordinate's first item lands
-//!   unchanged there too, and later items are added exactly as the
-//!   merge's adder adds them. The row is emitted by walking a two-level
-//!   occupancy bitmap, so no occupied-column list is sorted.
-//! * Every input item is either a coordinate's first or one addition, so
-//!   the adds are inputs − outputs, as in the merge.
-//!
-//! Inputs are picked per row by a winner tree keyed `(head row, input)`,
-//! so a round costs O(items + segments · log inputs), independent of the
-//! number of rows an input skips.
+//! A round's inputs are [`FoldInput`]s: earlier rounds' output streams,
+//! and fresh left-matrix columns whose products are made as the fold
+//! consumes them, as the multiplier array feeds the tree.
 
 use crate::condense::CondensedElement;
 use serde::{Deserialize, Serialize};
 use sparch_engine::MergeItem;
-use sparch_sparse::algo::{Spa, SHORT_ROW};
-use sparch_sparse::{Csr, Index};
+use sparch_sparse::algo::{fold_rows, FoldScratch, RowSources};
+use sparch_sparse::Csr;
+use std::convert::Infallible;
 
 /// One input of a round's fold.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FoldInput<'s> {
     /// A coordinate-sorted stream: a partial result read back from DRAM.
     Stream(&'s [MergeItem]),
-    /// A left-matrix column (elements in ascending row order) whose
-    /// stream is each element times the `B` row it selects — produced on
-    /// the fly, as the multiplier array feeds the tree.
+    /// A left-matrix column (one element per row, in ascending row order)
+    /// whose stream is each element times the `B` row it selects —
+    /// produced on the fly, as the multiplier array feeds the tree.
     Leaf(&'s [CondensedElement], &'s Csr),
 }
 
-/// Winner-tree key of an input that has nothing left.
-const EXHAUSTED: u64 = u64::MAX;
-
-/// Calls `f(col, value)` for every item of `source` in `[start, end)`, in
-/// stream order (a leaf's products are made here).
-#[inline]
-fn for_each_item<F: FnMut(Index, f64)>(source: FoldInput<'_>, start: usize, end: usize, mut f: F) {
-    match source {
-        FoldInput::Stream(s) => {
-            for item in &s[start..end] {
-                f(item.col(), item.value);
-            }
+impl FoldInput<'_> {
+    /// Row of unit `pos` — an item or an element — if there is one.
+    fn row(self, pos: usize) -> Option<u64> {
+        match self {
+            FoldInput::Stream(s) => s.get(pos).map(|item| item.coord >> 32),
+            FoldInput::Leaf(elements, _) => elements.get(pos).map(|e| u64::from(e.row)),
         }
-        FoldInput::Leaf(elements, b) => {
-            for e in &elements[start..end] {
-                let (cols, vals) = b.row(e.orig_col as usize);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    f(c, e.value * v);
+    }
+
+    /// Feeds every entry of the units from `pos` in rows below `limit` to
+    /// `f` (a leaf's products are made here) and returns how many units
+    /// that was.
+    fn feed(self, pos: usize, limit: u64, mut f: impl FnMut(u64, f64)) -> usize {
+        let mut n = 0;
+        match self {
+            FoldInput::Stream(s) => {
+                for item in s[pos..].iter().take_while(|x| x.coord >> 32 < limit) {
+                    f(item.coord, item.value);
+                    n += 1;
+                }
+            }
+            FoldInput::Leaf(elements, b) => {
+                for e in elements[pos..]
+                    .iter()
+                    .take_while(|e| u64::from(e.row) < limit)
+                {
+                    let (cols, vals) = b.row(e.orig_col as usize);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        f(u64::from(e.row) << 32 | u64::from(c), e.value * v);
+                    }
+                    n += 1;
                 }
             }
         }
+        n
     }
 }
 
-/// End of `source`'s segment for row `r` starting at `start`, and the
-/// number of items in it.
-fn segment_end(source: FoldInput<'_>, start: usize, r: Index) -> (usize, usize) {
-    match source {
-        FoldInput::Stream(s) => {
-            let n = s[start..].iter().take_while(|item| item.row() == r).count();
-            (start + n, n)
-        }
-        FoldInput::Leaf(elements, b) => {
-            let mut end = start;
-            let mut n = 0;
-            while end < elements.len() && elements[end].row == r {
-                n += b.row_nnz(elements[end].orig_col as usize);
-                end += 1;
+/// A round's inputs as the fold's sources: input `k` is `input(k)`,
+/// consumed up to unit `cursors[k]`.
+struct Inputs<'c, I> {
+    input: I,
+    cursors: &'c mut [usize],
+}
+
+impl<'s, I: Fn(usize) -> FoldInput<'s>> RowSources for Inputs<'_, I> {
+    type Error = Infallible;
+
+    fn count(&self) -> usize {
+        self.cursors.len()
+    }
+
+    fn buffered(&self, k: usize) -> (usize, bool) {
+        let pos = self.cursors[k];
+        let n = match (self.input)(k) {
+            FoldInput::Stream(s) => {
+                let row = s[pos].coord >> 32;
+                s[pos..].iter().take_while(|x| x.coord >> 32 == row).count()
             }
-            (end, n)
-        }
+            FoldInput::Leaf(elements, b) => b.row_nnz(elements[pos].orig_col as usize),
+        };
+        (n, true)
     }
-}
 
-/// Winner-tree key of input `k` whose first unconsumed position is `pos`.
-fn head_key(source: FoldInput<'_>, pos: usize, k: usize) -> u64 {
-    let row = match source {
-        FoldInput::Stream(s) => s.get(pos).map(MergeItem::row),
-        FoldInput::Leaf(elements, _) => elements.get(pos).map(|e| e.row),
-    };
-    row.map_or(EXHAUSTED, |r| (u64::from(r) << 32) | k as u64)
-}
-
-/// The row-wise merge-fold and its reusable state (see the module docs).
-///
-/// After one call at a given width and fan-in, further calls allocate
-/// nothing beyond growth of `out`.
-#[derive(Debug, Default)]
-pub(crate) struct RowFold {
-    /// The accumulator every row folds through.
-    spa: Spa,
-    /// The current row's segments `(input, start, end)`, in input order.
-    segments: Vec<(usize, usize, usize)>,
-    /// Per input: position of its first unconsumed item (or element).
-    cursors: Vec<usize>,
-    /// Winner tree over the inputs' head keys `(row << 32) | input`:
-    /// leaves at `[cap, 2 cap)`, the minimum at index 1.
-    tree: Vec<u64>,
-}
-
-impl RowFold {
-    /// Folds inputs `0..num_inputs` (looked up through `input`) into
-    /// `out`, which is cleared first. Every output column must be below
-    /// `width`. Returns the number of additions performed.
-    pub(crate) fn fold<'s, I>(
+    fn feed(
         &mut self,
-        num_inputs: usize,
-        input: I,
-        width: usize,
-        out: &mut Vec<MergeItem>,
-    ) -> u64
-    where
-        I: Fn(usize) -> FoldInput<'s>,
-    {
-        out.clear();
-        if num_inputs == 0 {
-            return 0;
-        }
-        self.spa.grow(width);
-        self.cursors.clear();
-        self.cursors.resize(num_inputs, 0);
-        let cap = num_inputs.next_power_of_two();
-        self.tree.clear();
-        self.tree.resize(2 * cap, EXHAUSTED);
-        for k in 0..num_inputs {
-            let source = input(k);
-            if let FoldInput::Stream(s) = source {
-                debug_assert!(
-                    sparch_engine::item::is_sorted(s),
-                    "input {k} is not sorted by coordinate"
-                );
-            }
-            self.tree[cap + k] = head_key(source, 0, k);
-        }
-        for i in (1..cap).rev() {
-            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
-        }
-
-        let mut items = 0usize;
-        while self.tree[1] != EXHAUSTED {
-            // Take every input whose head is row r, in input order.
-            let r = (self.tree[1] >> 32) as Index;
-            let mut row_items = 0;
-            self.segments.clear();
-            while self.tree[1] != EXHAUSTED && (self.tree[1] >> 32) as Index == r {
-                let k = (self.tree[1] & u64::from(u32::MAX)) as usize;
-                let source = input(k);
-                let start = self.cursors[k];
-                let (end, n) = segment_end(source, start, r);
-                row_items += n;
-                self.cursors[k] = end;
-                self.segments.push((k, start, end));
-                let mut i = cap + k;
-                self.tree[i] = head_key(source, end, k);
-                while i > 1 {
-                    i /= 2;
-                    self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
-                }
-            }
-            items += row_items;
-
-            let Self { spa, segments, .. } = self;
-            let mut emit = |c, v| out.push(MergeItem::new(r, c, v));
-            if row_items <= SHORT_ROW {
-                let mut row = spa.short_row();
-                for &(k, start, end) in segments.iter() {
-                    for_each_item(input(k), start, end, |c, x| row.add(c, x));
-                }
-                row.drain(&mut emit);
-            } else {
-                let mut row = spa.wide_row();
-                for &(k, start, end) in segments.iter() {
-                    for_each_item(input(k), start, end, |c, x| row.add(c, x));
-                }
-                row.drain(&mut emit);
-            }
-        }
-        (items - out.len()) as u64
+        k: usize,
+        limit: u64,
+        f: impl FnMut(u64, f64),
+    ) -> Result<Option<u64>, Infallible> {
+        let input = (self.input)(k);
+        self.cursors[k] += input.feed(self.cursors[k], limit, f);
+        Ok(input.row(self.cursors[k]))
     }
+
+    /// A stream may repeat a coordinate: its values are added from the
+    /// first, as a shared row's accumulator would add them.
+    fn copy(
+        &mut self,
+        k: usize,
+        limit: u64,
+        mut f: impl FnMut(u64, f64),
+    ) -> Result<Option<u64>, Infallible> {
+        let FoldInput::Stream(s) = (self.input)(k) else {
+            return self.feed(k, limit, f);
+        };
+        let run = &s[self.cursors[k]..];
+        let run = &run[..run.iter().take_while(|x| x.coord >> 32 < limit).count()];
+        for same in run.chunk_by(|x, y| x.coord == y.coord) {
+            f(
+                same[0].coord,
+                same[1..].iter().fold(same[0].value, |sum, x| sum + x.value),
+            );
+        }
+        self.cursors[k] += run.len();
+        Ok(s.get(self.cursors[k]).map(|x| x.coord >> 32))
+    }
+}
+
+/// Folds inputs `0..num_inputs` (looked up through `input`) into `out`,
+/// which is cleared first, through `fold` with `cursors` as the inputs'
+/// positions. Every output column must be below `width`.
+pub(crate) fn fold_round<'s>(
+    num_inputs: usize,
+    input: impl Fn(usize) -> FoldInput<'s>,
+    width: usize,
+    fold: &mut FoldScratch,
+    cursors: &mut Vec<usize>,
+    out: &mut Vec<MergeItem>,
+) {
+    out.clear();
+    cursors.clear();
+    cursors.resize(num_inputs, 0);
+    debug_assert!(
+        (0..num_inputs).all(|k| match input(k) {
+            FoldInput::Stream(s) => sparch_engine::item::is_sorted(s),
+            FoldInput::Leaf(elements, _) => elements.windows(2).all(|w| w[0].row < w[1].row),
+        }),
+        "an input is not sorted by coordinate, or a leaf holds a row twice"
+    );
+    let mut inputs = Inputs { input, cursors };
+    let emit = |r, c, v| out.push(MergeItem::new(r, c, v));
+    let Ok(()) = fold_rows(&mut inputs, width, fold, emit);
 }
 
 /// Merges `k` sorted streams into one, folding duplicate coordinates
@@ -244,13 +208,23 @@ pub fn kway_merge_fold(streams: &[&[MergeItem]]) -> (Vec<MergeItem>, u64) {
 ///
 /// Panics in debug builds if an input stream is not sorted by coordinate.
 pub fn kway_merge_fold_into(streams: &[&[MergeItem]], out: &mut Vec<MergeItem>) -> u64 {
+    let items = streams.iter().map(|s| s.len()).sum::<usize>();
     let width = streams
         .iter()
         .flat_map(|s| s.iter())
         .map(|item| item.col() as usize + 1)
         .max()
         .unwrap_or(0);
-    RowFold::default().fold(streams.len(), |k| FoldInput::Stream(streams[k]), width, out)
+    let (fold, cursors) = (&mut FoldScratch::default(), &mut Vec::new());
+    fold_round(
+        streams.len(),
+        |k| FoldInput::Stream(streams[k]),
+        width,
+        fold,
+        cursors,
+        out,
+    );
+    (items - out.len()) as u64
 }
 
 /// Inputs to the per-round cycle model.
@@ -335,6 +309,7 @@ impl CostParams {
 mod tests {
     use super::*;
     use sparch_engine::item::{is_sorted_unique, stream_of};
+    use sparch_sparse::algo::SHORT_ROW;
 
     #[test]
     fn kway_merge_matches_oracle() {
@@ -463,6 +438,28 @@ mod tests {
         assert_eq!(adds, want_adds);
     }
 
+    /// Rows 0 and 2 belong to the first stream alone, so they are copied
+    /// through, and it repeats coordinates there: each must still be
+    /// folded from its first item, in stream order.
+    #[test]
+    fn a_lone_stream_folds_its_repeated_coordinates() {
+        let s1 = stream_of(&[
+            (0, 0, 1e16),
+            (0, 0, 1.0),
+            (0, 0, -1e16),
+            (0, 3, -0.0),
+            (0, 3, -0.0),
+            (2, 1, 0.1),
+            (2, 1, 0.2),
+        ]);
+        let s2 = stream_of(&[(1, 0, 5.0)]);
+        let refs: [&[MergeItem]; 2] = [&s1, &s2];
+        let (want, want_adds) = sorted_oracle(&refs);
+        let (got, adds) = kway_merge_fold(&refs);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!((got.len(), adds), (4, want_adds));
+    }
+
     #[test]
     fn first_item_lands_unchanged_including_negative_zero() {
         let neg_zero = (-0.0f64).to_bits();
@@ -479,40 +476,78 @@ mod tests {
         }
     }
 
+    /// Rows `0..5` of a 10 × 3 matrix hold one entry each, in column 0,
+    /// and rows `5..10` one in every column; row 0 of the 3 × 48 right
+    /// matrix is full, so the first condensed leaf alone owns a run of five
+    /// rows of 48 products each, wider than `SHORT_ROW`, before all three
+    /// leaves share the rest. Values of both mix signed zeros with
+    /// magnitudes whose sums round, so `-0.0` products land in the copied
+    /// run and in shared rows.
+    fn lone_wide_run() -> (Csr, Csr) {
+        let zeros = |n: usize| match n % 5 {
+            0 => -0.0,
+            1 => 1e16,
+            2 => -1e16 + 1.0,
+            3 => 0.0,
+            _ => 0.1 * n as f64,
+        };
+        let a_cols: Vec<u32> = (0..10)
+            .flat_map(|r| if r < 5 { 0..1 } else { 0..3 })
+            .collect();
+        let a_vals = (0..a_cols.len())
+            .map(|n| [-1.0, 0.5, -0.0][n % 3])
+            .collect();
+        let a_ptr = (0..=10)
+            .map(|r: usize| r.min(5) + 3 * r.saturating_sub(5))
+            .collect();
+        let a = Csr::try_new(10, 3, a_ptr, a_cols, a_vals).unwrap();
+        let b_cols: Vec<u32> = (0..48).chain(4..44).chain((0..10).map(|c| 3 * c)).collect();
+        let b_vals = (0..b_cols.len()).map(zeros).collect();
+        let b = Csr::try_new(3, 48, vec![0, 48, 88, 98], b_cols, b_vals).unwrap();
+        (a, b)
+    }
+
     #[test]
     fn leaf_inputs_fold_like_their_materialised_streams() {
         use crate::condense::CondensedView;
-        let a = sparch_sparse::gen::rmat_graph500(64, 6, 3);
-        let b = sparch_sparse::gen::rmat_graph500(64, 6, 4);
-        let view = CondensedView::new(&a);
-        let leaves: Vec<Vec<CondensedElement>> = (0..view.num_cols())
-            .map(|j| view.col(j).collect())
-            .collect();
-        let streams: Vec<Vec<MergeItem>> = leaves
-            .iter()
-            .map(|col| {
-                col.iter()
-                    .flat_map(|e| {
-                        let (cols, vals) = b.row(e.orig_col as usize);
-                        cols.iter()
-                            .zip(vals)
-                            .map(move |(&c, &v)| MergeItem::new(e.row, c, e.value * v))
-                    })
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[MergeItem]> = streams.iter().map(|s| s.as_slice()).collect();
-        let (want, want_adds) = sorted_oracle(&refs);
+        let rmat = |seed| sparch_sparse::gen::rmat_graph500(64, 6, seed);
+        for (a, b) in [(rmat(3), rmat(4)), lone_wide_run()] {
+            let view = CondensedView::new(&a);
+            let leaves: Vec<Vec<CondensedElement>> = (0..view.num_cols())
+                .map(|j| view.col(j).collect())
+                .collect();
+            let streams: Vec<Vec<MergeItem>> = leaves
+                .iter()
+                .map(|col| {
+                    col.iter()
+                        .flat_map(|e| {
+                            let (cols, vals) = b.row(e.orig_col as usize);
+                            cols.iter()
+                                .zip(vals)
+                                .map(move |(&c, &v)| MergeItem::new(e.row, c, e.value * v))
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[MergeItem]> = streams.iter().map(|s| s.as_slice()).collect();
+            let (want, want_adds) = sorted_oracle(&refs);
 
-        let mut out = Vec::new();
-        let adds = RowFold::default().fold(
-            leaves.len(),
-            |k| FoldInput::Leaf(&leaves[k], &b),
-            b.cols(),
-            &mut out,
+            let mut out = Vec::new();
+            let (fold, cursors) = (&mut FoldScratch::default(), &mut Vec::new());
+            let input = |k: usize| FoldInput::Leaf(leaves[k].as_slice(), &b);
+            fold_round(leaves.len(), input, b.cols(), fold, cursors, &mut out);
+            assert_eq!(bits(&out), bits(&want));
+            let items: usize = streams.iter().map(Vec::len).sum();
+            assert_eq!((items - out.len()) as u64, want_adds);
+        }
+        // The hand-built pair does reach the path it is built for.
+        let (a, b) = lone_wide_run();
+        let view = CondensedView::new(&a);
+        assert_eq!(
+            (view.num_cols(), view.col(0).count(), b.row_nnz(0)),
+            (3, 10, 48)
         );
-        assert_eq!(bits(&out), bits(&want));
-        assert_eq!(adds, want_adds);
+        assert!(view.col(1).all(|e| e.row >= 5) && 48 > SHORT_ROW);
     }
 
     fn params() -> CostParams {

@@ -11,7 +11,7 @@
 //! * the per-round merged outputs (partial results),
 //! * the row-wise fold's accumulator (a `-0.0`-filled value array, one
 //!   slot per output column, a two-level occupancy bitmap and a short-row
-//!   sort buffer), and its per-input cursors and winner tree,
+//!   sort buffer), its winner tree and the per-input cursors,
 //! * the prefetch stage's access lists and per-round MatB accounting.
 //!
 //! Leaf streams are never materialised: the fold multiplies each leaf's
@@ -24,8 +24,8 @@
 //! buffers simply grow to the high-water mark and stay there.
 
 use crate::condense::CondensedElement;
-use crate::pipeline::RowFold;
 use sparch_engine::MergeItem;
+use sparch_sparse::algo::FoldScratch;
 
 /// Per-round MatB accounting produced by the prefetch stage and consumed
 /// by the execute stage.
@@ -62,7 +62,9 @@ pub struct SimScratch {
     /// entry is the final result stream consumed by the writeback stage).
     pub(crate) round_outputs: Vec<Vec<MergeItem>>,
     /// The row-wise fold every round runs through.
-    pub(crate) fold: RowFold,
+    pub(crate) fold: FoldScratch,
+    /// The fold's per-input positions.
+    pub(crate) cursors: Vec<usize>,
     /// Guard: which round outputs have been consumed by a later round
     /// (every spill is read back exactly once; a malformed plan that
     /// references a round twice must fail loudly, not double-merge).

@@ -34,7 +34,7 @@
 
 use crate::condense::{CondensedElement, CondensedView};
 use crate::config::SpArchConfig;
-use crate::pipeline::{CostParams, FoldInput, RoundCost};
+use crate::pipeline::{fold_round, CostParams, FoldInput, RoundCost};
 use crate::prefetch::{PrefetchStats, RowPrefetcher};
 use crate::report::{PerfSummary, SimReport};
 use crate::sched::{MergePlan, PlanNode};
@@ -314,6 +314,7 @@ impl SpArchSim {
         let SimScratch {
             round_outputs,
             fold,
+            cursors,
             round_matb,
             round_consumed,
             ..
@@ -369,15 +370,13 @@ impl SpArchSim {
             // round's buffer is written.
             let (earlier, rest) = round_outputs.split_at_mut(round_idx);
             let out = &mut rest[0];
-            let adds = fold.fold(
-                children.len(),
-                |c| match children[c] {
-                    PlanNode::Leaf(i) => FoldInput::Leaf(&plan.leaves[i], b),
-                    PlanNode::Round(r) => FoldInput::Stream(&earlier[r]),
-                },
-                b.cols(),
-                out,
-            );
+            let input = |c| match children[c] {
+                PlanNode::Leaf(i) => FoldInput::Leaf(&plan.leaves[i], b),
+                PlanNode::Round(r) => FoldInput::Stream(&earlier[r]),
+            };
+            fold_round(children.len(), input, b.cols(), fold, cursors, out);
+            // Every input element is a coordinate's first or one addition.
+            let adds = input_elements - out.len() as u64;
 
             let out_bytes = if is_final {
                 out.len() as u64 * 12 + (plan.output_rows as u64 + 1) * 8

@@ -21,6 +21,7 @@
 //! [`multiply_flops`] helper counts the scalar multiplications any of them
 //! performs, which is the paper's FLOP definition (`2*mults` counting adds).
 
+mod fold;
 mod gustavson;
 mod hash;
 mod heap;
@@ -29,6 +30,7 @@ mod outer;
 mod sort_merge;
 mod spa;
 
+pub use fold::{fold_rows, FoldScratch, RowSources};
 pub use gustavson::{
     gustavson, gustavson_reference, gustavson_scratch, gustavson_scratch_on_rows, output_nnz_bound,
     MultiplyScratch,
@@ -38,7 +40,7 @@ pub use heap::heap_spgemm;
 pub use inner::{inner_product, inner_product_stats, InnerStats};
 pub use outer::{outer_product, outer_product_partials};
 pub use sort_merge::{expansion_size, sort_merge};
-pub use spa::{ShortRow, Spa, WideRow, SHORT_ROW};
+pub use spa::SHORT_ROW;
 
 use crate::Csr;
 

@@ -1,11 +1,10 @@
 //! The sparse accumulator (SPA) shared by every row-wise fold in the
-//! workspace. It has three users:
+//! workspace. It has two users:
 //!
 //! * the Gustavson kernel (`algo::gustavson`), which folds products;
-//! * the simulator's merge-round fold (`sparch_core`'s `RowFold`), which
-//!   folds partial-result items;
-//! * the streaming pipeline's merge rounds (`sparch_stream::merge`),
-//!   which fold the rows two or more partials share.
+//! * [`fold_rows`](super::fold_rows), the one merge of sorted streams,
+//!   which folds the rows two or more of its sources share — for the
+//!   simulator's merge rounds and the streaming pipeline's alike.
 //!
 //! Each folds one output row at a time from items that arrive in no
 //! particular column order, and each must emit the row in ascending
@@ -74,11 +73,6 @@ pub struct Spa {
 }
 
 impl Spa {
-    /// Creates an empty accumulator; buffers are sized by [`Spa::grow`].
-    pub fn new() -> Self {
-        Spa::default()
-    }
-
     /// Makes room for columns `0..width`. Returns `true` if any buffer
     /// grew, so a caller can tell a warm call from a cold one.
     pub fn grow(&mut self, width: usize) -> bool {
@@ -403,7 +397,7 @@ mod tests {
 
     #[test]
     fn columns_at_word_and_summary_edges() {
-        let mut spa = Spa::new();
+        let mut spa = Spa::default();
         for width in [4098, 4100, 5000, 8193, 12_345] {
             spa.grow(width);
             let edges = [0, 63, 64, 4095, 4096, 4097, width as Index - 1];
@@ -423,7 +417,7 @@ mod tests {
 
     #[test]
     fn runs_cross_word_and_summary_boundaries() {
-        let mut spa = Spa::new();
+        let mut spa = Spa::default();
         spa.grow(9000);
         let run = |j0: Index, n: usize, a: f64| marked(&[], j0, n, &[], a);
         let cases: Vec<(&str, Vec<Op>)> = vec![
@@ -477,7 +471,7 @@ mod tests {
 
     #[test]
     fn unordered_products_fold_in_arrival_order() {
-        let mut spa = Spa::new();
+        let mut spa = Spa::default();
         spa.grow(300);
         // Every product into word 1 is interrupted by one into another
         // word, so each pending mask is flushed mid-row.
@@ -495,7 +489,7 @@ mod tests {
 
     #[test]
     fn signed_zeros_keep_their_bits() {
-        let mut spa = Spa::new();
+        let mut spa = Spa::default();
         spa.grow(200);
         // A lone -0.0 stays -0.0, a lone +0.0 stays +0.0, -0 + -0 = -0,
         // -0 + +0 = +0, and a marked group keeps each slot's sign.
@@ -530,7 +524,7 @@ mod tests {
 
     #[test]
     fn one_accumulator_serves_rows_of_every_width() {
-        let mut spa = Spa::new();
+        let mut spa = Spa::default();
         assert!(spa.grow(10));
         assert!(!spa.grow(10), "a second grow to the same width is warm");
         check_row(&mut spa, &[Op::Add(9, 1.0), Op::Add(0, 2.0)], "narrow");
@@ -558,7 +552,7 @@ mod tests {
             state ^= state << 17;
             (state % bound as u64) as usize
         };
-        let mut spa = Spa::new();
+        let mut spa = Spa::default();
         for round in 0..200 {
             let width = 1 + next(10_000);
             spa.grow(width);

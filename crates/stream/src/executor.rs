@@ -1014,61 +1014,4 @@ mod tests {
             assert_eq!(got, want, "{budget:?}");
         }
     }
-
-    #[test]
-    fn recorder_captures_every_pipeline_stage() {
-        let a = int_matrix(96, 96, 700, 17);
-        let executor = exec(MemoryBudget::from_bytes(0), 6, 2).with_recorder(Recorder::enabled());
-        let (_, report) = executor.multiply(&a, &a).unwrap();
-        let trace = executor.recorder().drain("stream");
-        for name in [
-            "read-panel",
-            "multiply-job",
-            "kernel",
-            "merge-round",
-            "spill-write",
-        ] {
-            assert!(
-                trace.count_named(name) > 0,
-                "no {name} span in the trace: {:?}",
-                trace
-                    .spans
-                    .iter()
-                    .map(|s| s.name.as_str())
-                    .collect::<Vec<_>>()
-            );
-        }
-        // Span sums are the same accumulations the report publishes.
-        let tol = |x: f64| 0.05 * x + 1e-4;
-        let s = &report.stages;
-        assert!(
-            (trace.seconds_named("read-panel") - s.reader_busy_seconds).abs()
-                <= tol(s.reader_busy_seconds)
-        );
-        assert!(
-            (trace.seconds_named("multiply-job") - s.multiply_busy_seconds).abs()
-                <= tol(s.multiply_busy_seconds)
-        );
-        assert!(
-            (trace.seconds_named("kernel") - s.multiply_kernel_seconds).abs()
-                <= tol(s.multiply_kernel_seconds)
-        );
-        assert!(
-            (trace.seconds_named("spill-write") - s.spill_write_seconds).abs()
-                <= tol(s.spill_write_seconds)
-        );
-        // Spill counters mirror the report's byte accounting exactly.
-        assert_eq!(
-            trace.metrics.counter("stream.spill_bytes_written"),
-            report.spill_bytes_written
-        );
-        assert_eq!(
-            trace.metrics.counter("stream.spill_bytes_raw_equivalent"),
-            report.spill_bytes_raw_equivalent
-        );
-        assert_eq!(
-            trace.metrics.counter("stream.spill_files_written"),
-            report.spill_writes
-        );
-    }
 }

@@ -18,17 +18,18 @@
 //!   partials batch-decode whole buffered spans (branch-free LEB128 in
 //!   `spill.rs`); resident CSRs are walked with the row scan amortized
 //!   per chunk instead of per triple.
-//! * **One row-wise fold.** The round visits output rows in ascending
-//!   order, as `gustavson` and the simulator's round fold do. When one
-//!   source alone holds every row below the next source's head row, that
-//!   run is copied straight through, across refills — a one-source
-//!   round is a single such run. A row two or more sources share gathers
-//!   its segments in source order into the shared accumulator
-//!   ([`sparch_sparse::algo::Spa`]), folded from the lanes in place: a
-//!   short row (at most `SHORT_ROW` items, all inside the current
-//!   chunks) is sorted by `(col, arrival)`, any other row goes through
-//!   the dense value array and its occupancy bitmap. The choice is made
-//!   by the row's own shape, never by the fan-in.
+//! * **One row-wise fold.** The decode lanes are the sources of
+//!   [`sparch_sparse::algo::fold_rows`], the fold the simulator's merge
+//!   rounds run too. It visits output rows in ascending order, picking
+//!   them with a winner tree over the lanes' head rows. When one source
+//!   alone holds every row below the next source's head row, that run is
+//!   copied straight through, across refills — a one-source round is a
+//!   single such run. A row two or more sources share gathers its
+//!   segments in source order into the shared accumulator, folded from
+//!   the lanes in place: a short row (at most `SHORT_ROW` items, all
+//!   inside the current chunks) is sorted by `(col, arrival)`, any other
+//!   row goes through the dense value array and its occupancy bitmap.
+//!   The choice is made by the row's own shape, never by the fan-in.
 //! * **Pre-sized output.** A round pre-sizes its two output arrays from
 //!   the summed source nnz (an exact upper bound), so the output never
 //!   reallocates mid-merge.
@@ -58,7 +59,7 @@
 
 use crate::spill::{mark_stride, SpillFile, SpillReader};
 use crate::StreamError;
-use sparch_sparse::algo::{Spa, SHORT_ROW};
+use sparch_sparse::algo::{fold_rows, FoldScratch, RowSources};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -275,22 +276,15 @@ struct Lane {
     pos: usize,
 }
 
-impl Lane {
-    /// Row of the head entry, or `None` once the source is exhausted.
-    fn head_row(&self) -> Option<u64> {
-        self.keys.get(self.pos).map(|&k| k >> 32)
-    }
-}
-
-/// What one row fold runs on: a decode lane per merge way and the
-/// accumulator shared rows fold through.
+/// What one band's fold runs on: a decode lane per merge way and the
+/// shared fold's scratch.
 #[derive(Debug, Default)]
-struct FoldScratch {
+struct BandScratch {
     lanes: Vec<Lane>,
-    spa: Spa,
+    fold: FoldScratch,
 }
 
-impl FoldScratch {
+impl BandScratch {
     /// Grows every buffer a fold of `ways` sources over `cols` columns
     /// can reach, so a band thread folds without allocating — its
     /// allocations would otherwise open a fresh allocator arena.
@@ -302,17 +296,17 @@ impl FoldScratch {
             lane.keys.reserve(CHUNK_ENTRIES);
             lane.vals.reserve(CHUNK_ENTRIES);
         }
-        self.spa.grow(cols);
+        self.fold.grow(ways, cols);
     }
 }
 
-/// Reusable per-worker scratch for [`merge_bands`]: one [`FoldScratch`]
+/// Reusable per-worker scratch for [`merge_bands`]: one band scratch
 /// per band (the first serves one-band rounds), kept allocated across
 /// rounds so steady-state merging never touches the allocator for
 /// scratch.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    bands: Vec<FoldScratch>,
+    bands: Vec<BandScratch>,
 }
 
 impl MergeScratch {
@@ -323,9 +317,9 @@ impl MergeScratch {
     }
 
     /// The first `bands` band scratches, created on first use.
-    fn bands(&mut self, bands: usize) -> &mut [FoldScratch] {
+    fn bands(&mut self, bands: usize) -> &mut [BandScratch] {
         if self.bands.len() < bands {
-            self.bands.resize_with(bands, FoldScratch::default);
+            self.bands.resize_with(bands, BandScratch::default);
         }
         &mut self.bands[..bands]
     }
@@ -337,29 +331,51 @@ fn refill(src: &mut PartialSource, lane: &mut Lane) -> Result<bool, StreamError>
     Ok(src.next_chunk(CHUNK_ENTRIES, &mut lane.keys, &mut lane.vals)? > 0)
 }
 
-/// Feeds every entry of `lane` in rows below `limit` to `f` as
-/// `(key, value)` in stream order, refilling from `src` whenever the run
-/// reaches the end of the chunk.
-fn take_rows(
-    src: &mut PartialSource,
-    lane: &mut Lane,
-    limit: u64,
-    mut f: impl FnMut(u64, f64),
-) -> Result<(), StreamError> {
-    loop {
-        let keys = &lane.keys[lane.pos..];
-        let vals = &lane.vals[lane.pos..];
-        let mut n = 0;
-        for (&k, &v) in keys.iter().zip(vals) {
-            if k >> 32 >= limit {
-                break;
+/// A band's sources, each read through its decode lane, as the shared
+/// fold's sources.
+struct Lanes<'a> {
+    sources: &'a mut [PartialSource],
+    lanes: &'a mut [Lane],
+}
+
+impl RowSources for Lanes<'_> {
+    type Error = StreamError;
+
+    fn count(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// A segment that reaches the end of the chunk may go on past it.
+    fn buffered(&self, k: usize) -> (usize, bool) {
+        let lane = &self.lanes[k];
+        let row = lane.keys[lane.pos] >> 32;
+        let segment = lane.keys[lane.pos..].iter();
+        let n = segment.take_while(|&&key| key >> 32 == row).count();
+        (n, lane.pos + n < lane.keys.len())
+    }
+
+    fn feed(
+        &mut self,
+        k: usize,
+        limit: u64,
+        mut f: impl FnMut(u64, f64),
+    ) -> Result<Option<u64>, StreamError> {
+        let (src, lane) = (&mut self.sources[k], &mut self.lanes[k]);
+        loop {
+            let keys = &lane.keys[lane.pos..];
+            let vals = &lane.vals[lane.pos..];
+            let mut n = 0;
+            for (&key, &v) in keys.iter().zip(vals) {
+                if key >> 32 >= limit {
+                    break;
+                }
+                f(key, v);
+                n += 1;
             }
-            f(k, v);
-            n += 1;
-        }
-        lane.pos += n;
-        if lane.pos < lane.keys.len() || !refill(src, lane)? {
-            return Ok(());
+            lane.pos += n;
+            if lane.pos < lane.keys.len() || !refill(src, lane)? {
+                return Ok(lane.keys.get(lane.pos).map(|&key| key >> 32));
+            }
         }
     }
 }
@@ -530,20 +546,18 @@ pub fn merge_bands(
 /// Folds one band — output rows `band` of `sources` — into its slices of
 /// the output: entries into `col_idx`/`values` from their start, and the
 /// end of each row, counted from the band's first entry, into
-/// `row_ends`. Returns the entries written.
+/// `row_ends`. Returns the entries written. `scratch` must have grown to
+/// the sources ([`BandScratch::grow`]).
 fn fold_band(
     mut sources: Vec<PartialSource>,
-    scratch: &mut FoldScratch,
+    scratch: &mut BandScratch,
     cols: usize,
     band: Range<usize>,
     row_ends: &mut [usize],
     col_idx: &mut [Index],
     values: &mut [f64],
 ) -> Result<usize, StreamError> {
-    let FoldScratch { lanes, spa } = scratch;
-    if lanes.len() < sources.len() {
-        lanes.resize_with(sources.len(), Lane::default);
-    }
+    let BandScratch { lanes, fold } = scratch;
     let lanes = &mut lanes[..sources.len()];
     for (src, lane) in sources.iter_mut().zip(lanes.iter_mut()) {
         refill(src, lane)?;
@@ -553,7 +567,7 @@ fn fold_band(
     // entry it decodes — and rows leave in ascending order, so entries
     // go straight into the output.
     let (mut row, mut n) = (band.start, 0);
-    let mut push = |r: Index, c: Index, v: f64| {
+    let push = |r: Index, c: Index, v: f64| {
         while row < r as usize {
             row_ends[row - band.start] = n;
             row += 1;
@@ -562,60 +576,8 @@ fn fold_band(
         values[n] = v;
         n += 1;
     };
-    loop {
-        // The lowest head row, the source holding it and the next head
-        // row among the others (equal to `first` when it is shared).
-        let (mut first, mut owner, mut next) = (u64::MAX, 0, u64::MAX);
-        for (s, lane) in lanes.iter().enumerate() {
-            match lane.head_row() {
-                Some(r) if r < first => (next, first, owner) = (first, r, s),
-                Some(r) => next = next.min(r),
-                None => {}
-            }
-        }
-        if first == u64::MAX {
-            break;
-        }
-        if next > first {
-            // One source alone holds rows `first..next`: copy them.
-            take_rows(&mut sources[owner], &mut lanes[owner], next, |k, v| {
-                push((k >> 32) as Index, k as Index, v)
-            })?;
-            continue;
-        }
-        // A shared row: its segments fold in source order, so each
-        // coordinate adds its values from the first, as the reference
-        // heap's tie order does. A row that may run past a chunk is wide.
-        let (mut items, mut open) = (0, false);
-        for lane in lanes.iter().filter(|l| l.head_row() == Some(first)) {
-            let segment = lane.keys[lane.pos..].iter();
-            let n = segment.take_while(|&&k| k >> 32 == first).count();
-            items += n;
-            open |= lane.pos + n == lane.keys.len();
-        }
-        // The row is drained even when a source fails mid-row, so the
-        // accumulator is left clean for the scratch's next merge.
-        let segments = sources.iter_mut().zip(lanes.iter_mut());
-        let mut segments = segments.filter(|(_, l)| l.head_row() == Some(first));
-        let mut emit = |c, v| push(first as Index, c, v);
-        let fed = if !open && items <= SHORT_ROW {
-            let mut row = spa.short_row();
-            let fed = segments.try_for_each(|(src, lane)| {
-                take_rows(src, lane, first + 1, |k, v| row.add(k as Index, v))
-            });
-            row.drain(&mut emit);
-            fed
-        } else {
-            spa.grow(cols);
-            let mut row = spa.wide_row();
-            let fed = segments.try_for_each(|(src, lane)| {
-                take_rows(src, lane, first + 1, |k, v| row.add(k as Index, v))
-            });
-            row.drain(&mut emit);
-            fed
-        };
-        fed?;
-    }
+    let sources = &mut sources[..];
+    fold_rows(&mut Lanes { sources, lanes }, cols, fold, push)?;
     row_ends[row - band.start..].fill(n);
     Ok(n)
 }
@@ -675,6 +637,7 @@ mod tests {
     use crate::spill::write_partial;
     use crate::tempdir::TempDir;
     use crate::SpillCodec;
+    use sparch_sparse::algo::SHORT_ROW;
     use sparch_sparse::{algo, gen, linalg};
 
     fn mem(csr: Csr) -> PartialSource {

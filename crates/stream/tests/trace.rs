@@ -3,11 +3,12 @@
 //! A budgeted two-thread run with an enabled recorder must produce a
 //! Chrome trace that (a) parses as strict JSON, (b) contains at least
 //! one complete event for every pipeline stage — `read-panel`,
-//! `multiply-job`, `merge-round`, `spill-write` — on correctly labelled
-//! thread lanes, and (c) attributes per-stage span time to within 1 ns
-//! of the `StageReport` busy figures the same run publishes — each busy
-//! figure is a sum of the very span durations the trace holds, so only
-//! float rounding may tell them apart.
+//! `multiply-job`, `kernel`, `merge-round`, `spill-write` — on
+//! correctly labelled thread lanes, (c) attributes per-stage span time to
+//! within 1 ns of the `StageReport` busy figures the same run publishes —
+//! each busy figure is a sum of the very span durations the trace holds,
+//! so only float rounding may tell them apart — and (d) counts exactly
+//! the spill bytes, raw-equivalent bytes and files the report does.
 
 use serde_json::Value;
 use sparch_obs::{chrome_trace_json, Recorder};
@@ -70,6 +71,20 @@ fn budgeted_two_thread_run_exports_full_stage_coverage() {
         s.merge_busy_seconds
     );
 
+    // Spill counters mirror the report's byte accounting exactly.
+    assert_eq!(
+        trace.metrics.counter("stream.spill_bytes_written"),
+        report.spill_bytes_written
+    );
+    assert_eq!(
+        trace.metrics.counter("stream.spill_bytes_raw_equivalent"),
+        report.spill_bytes_raw_equivalent
+    );
+    assert_eq!(
+        trace.metrics.counter("stream.spill_files_written"),
+        report.spill_writes
+    );
+
     // The exported Chrome trace parses strictly and covers every stage.
     let json = chrome_trace_json(&trace);
     let root: Value = serde_json::from_str(&json).expect("exporter must emit valid JSON");
@@ -77,7 +92,13 @@ fn budgeted_two_thread_run_exports_full_stage_coverage() {
         .get("traceEvents")
         .and_then(Value::as_arr)
         .expect("traceEvents array");
-    for stage in ["read-panel", "multiply-job", "merge-round", "spill-write"] {
+    for stage in [
+        "read-panel",
+        "multiply-job",
+        "kernel",
+        "merge-round",
+        "spill-write",
+    ] {
         let count = events
             .iter()
             .filter(|e| str_field(e, "ph") == "X" && str_field(e, "name") == stage)

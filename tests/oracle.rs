@@ -298,9 +298,10 @@ fn draw(seed: u64, dim: usize) -> Case {
 
 /// The quick corpus: [`QUICK`] seeded draws plus hand-picked cases — a
 /// 120×120 integer all-spill deep plan (panels 11, ways 3, budget 0),
-/// R-MAT(96, 6) × uniform at 33 panels and ways 64 or 2, and
+/// R-MAT(96, 6) × uniform at 33 panels and ways 64 or 2,
 /// R-MAT(2048, 8)² at 2 merge workers, big enough that the root round
-/// bands, at budgets ∞ and 0.
+/// bands, at budgets ∞ and 0, a 1×1 scalar times a 1×1 scalar, and a
+/// 7×9 matrix times an all-empty 9×5 one.
 fn corpus() -> &'static [Case] {
     static CORPUS: OnceLock<Vec<Case>> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -314,6 +315,11 @@ fn corpus() -> &'static [Case] {
         let (iwide, big) = (
             revalued(&wide, SmallInt),
             revalued(&rmat(2048, 8, 7), Float),
+        );
+        let scalars = [1, 2].map(|s| gen::uniform_random(1, 1, 1, s));
+        let (dense, empty) = (
+            revalued(&gen::uniform_random(7, 9, 30, 2), SmallInt),
+            Csr::zero(9, 5),
         );
         let knobs = |panels, ways, balance, budget, merge_workers| Knobs {
             panels,
@@ -332,6 +338,8 @@ fn corpus() -> &'static [Case] {
             (Float, knobs(33, 2, Nnz, u64::MAX, 1), &fskewed, &fwide),
             (Float, knobs(16, 4, Nnz, u64::MAX, 2), &big, &big),
             (Float, knobs(16, 4, Nnz, 0, 2), &big, &big),
+            (Float, knobs(1, 2, Nnz, 0, 1), &scalars[0], &scalars[1]),
+            (SmallInt, knobs(3, 2, Nnz, 0, 1), &dense, &empty),
         ];
         let mut cases: Vec<Case> = (0..QUICK).map(|seed| draw(seed, QUICK_DIM)).collect();
         for (seed, (class, knobs, a, b)) in (9001..).zip(hand_picked) {

@@ -8,7 +8,7 @@ use sparch::core::{
 };
 use sparch::engine::{item, merge_step, ComparatorMerger, HierarchicalMerger, MergeItem};
 use sparch::sparse::gen::arb;
-use sparch::sparse::{algo, Coo, Csr};
+use sparch::sparse::{Coo, Csr};
 
 /// Strategy: a sorted, strictly-increasing coordinate stream.
 fn sorted_stream() -> impl Strategy<Value = Vec<MergeItem>> {
@@ -178,17 +178,6 @@ proptest! {
         let text = sparch::sparse::mm::write_string(&m.to_coo());
         let parsed = sparch::sparse::mm::read_str(&text).unwrap();
         prop_assert_eq!(parsed.to_csr(), m);
-    }
-
-    #[test]
-    fn software_algorithms_cross_agree(pair in arb::spgemm_pair(24, 60, arb::ValueClass::SmallInt)) {
-        let (a, b) = pair;
-        let g = algo::gustavson(&a, &b);
-        prop_assert!(algo::hash_spgemm(&a, &b).approx_eq(&g, 1e-9));
-        prop_assert!(algo::heap_spgemm(&a, &b).approx_eq(&g, 1e-9));
-        prop_assert!(algo::sort_merge(&a, &b).approx_eq(&g, 1e-9));
-        prop_assert!(algo::outer_product(&a, &b).approx_eq(&g, 1e-9));
-        prop_assert!(algo::inner_product(&a, &b).approx_eq(&g, 1e-9));
     }
 
     #[test]
