@@ -114,7 +114,7 @@ pub fn run_from_args(args: &[String]) -> Result<(), DistError> {
 
 /// Connects to the coordinator and serves jobs until shutdown. With
 /// `trace` on, each job is recorded as one `compute-subtree` span with
-/// the pipeline's own spans (`multiply-job`, `merge-round`, …) nested in
+/// the pipeline's own spans (`read-panel`, `merge-round`, …) nested in
 /// it (worker-clock timestamps), shipped in the job's `Result` frame.
 pub fn run(
     socket: &Path,

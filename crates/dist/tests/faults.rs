@@ -186,13 +186,16 @@ fn stalled_subtree_is_duplicated_not_killed() {
 #[test]
 fn a_job_the_pipeline_rejects_names_its_cause() {
     let (a, b) = operands();
-    // A zero budget makes every shard spill, and the spill directory is
-    // a path under a regular file: every job fails inside the worker's
-    // pipeline with an I/O error, deterministically. The run must end
-    // with the pipeline's own message, not a guess about the socket.
+    // A zero budget makes every shard spill — sixteen panels give every
+    // job a subtree of several rounds, whose inner outputs go to disk —
+    // and the spill directory is a path under a regular file: every job
+    // fails inside the worker's pipeline with an I/O error,
+    // deterministically. The run must end with the pipeline's own
+    // message, not a guess about the socket.
     let blocker = std::env::temp_dir().join(format!("sparch-dist-faults-{}", std::process::id()));
     std::fs::write(&blocker, b"not a directory").expect("create blocker file");
     let mut cfg = subtree_config();
+    cfg.stream.panels = 16;
     cfg.stream.budget = sparch_stream::MemoryBudget::from_bytes(0);
     cfg.stream.spill_dir = Some(blocker.join("spills"));
     let outcome = DistCoordinator::new(cfg).multiply(&a, &b);

@@ -5,7 +5,9 @@
 //! covering dispatch→reply, and — shipped back in `Result` frames and
 //! re-based onto the coordinator's timeline — one worker-side
 //! `compute-subtree` span per job with the shard pipeline's own
-//! `multiply-job` / `merge-round` spans nested inside it. The rounds
+//! `read-panel` / `merge-round` spans nested inside it — one
+//! `read-panel` per leaf pair plus the pull that ends each job's stream,
+//! the leaves multiplied inside the shard rounds. The rounds
 //! above the cut show as `coordinator-merge` spans on the coordinator's
 //! lane. Wire-byte counters must equal the report's wire accounting, and
 //! the Chrome export must parse.
@@ -40,13 +42,17 @@ fn two_shard_run_traces_dispatch_compute_and_reply() {
 
     // Every dispatch wrote one dispatch span; every job produced one
     // dispatch→reply span and shipped one compute span home; every leaf
-    // multiply and every merge round shows exactly once — the rounds
-    // either inside a shard's subtree or on the coordinator's lane.
+    // pair was read once (plus one final empty pull per job) and every
+    // merge round shows exactly once — either inside a shard's subtree,
+    // multiplying its leaves, or on the coordinator's lane.
     assert!(report.jobs < report.partials && report.coordinator_rounds >= 1);
     assert_eq!(trace.count_named("dispatch") as u64, report.dispatches);
     assert_eq!(trace.count_named("job"), report.jobs);
     assert_eq!(trace.count_named("compute-subtree"), report.jobs);
-    assert_eq!(trace.count_named("multiply-job"), report.partials);
+    assert_eq!(
+        trace.count_named("read-panel"),
+        report.partials + report.jobs
+    );
     assert_eq!(
         trace.count_named("coordinator-merge") as u64,
         report.coordinator_rounds
@@ -70,7 +76,7 @@ fn two_shard_run_traces_dispatch_compute_and_reply() {
     for span in &trace.spans {
         match span.name.as_str() {
             "compute-subtree" => assert!(inside(span, "job"), "compute span escapes its job"),
-            "multiply-job" | "merge-round" | "kernel" | "read-panel" => assert!(
+            "merge-round" | "read-panel" | "orchestrate" => assert!(
                 span.depth >= 1 && inside(span, "compute-subtree"),
                 "shipped {} span (depth {}) is not nested in a compute-subtree span",
                 span.name,
@@ -115,7 +121,7 @@ fn two_shard_run_traces_dispatch_compute_and_reply() {
         "dispatch",
         "job",
         "compute-subtree",
-        "multiply-job",
+        "read-panel",
         "merge-round",
         "coordinator-merge",
     ] {

@@ -5,13 +5,19 @@
 //! accumulator (SPA) and emit the row's occupied columns in ascending
 //! order, giving O(flops) time with good constant factors on CPUs.
 //!
-//! There is one production kernel and one oracle:
+//! There is one per-row body, one production kernel and one oracle:
 //!
+//! * `BTable::row` — one output row, folded short or wide. Both of the
+//!   following run it, so their bits cannot drift apart.
 //! * `multiply_on_rows` — behind [`gustavson`] (fresh scratch, every
 //!   row), [`gustavson_scratch`] (caller-owned [`MultiplyScratch`], live
 //!   rows found by one sweep) and [`gustavson_scratch_on_rows`] (live
 //!   rows supplied — the condensed-matrix idea of the paper's §II-B
 //!   applied to narrow column panels where most rows are empty).
+//! * [`RowProduct`] — the same product a few rows at a time, on demand:
+//!   the streaming pipeline's merge rounds read their leaf panel pairs
+//!   through it, so a leaf's partial is folded as it is produced and never
+//!   built whole (the paper's §II-A pipelining of multiply and merge).
 //! * [`gustavson_reference`] — the seed kernel, kept verbatim as the
 //!   differential oracle and bench baseline.
 //!
@@ -30,7 +36,7 @@
 //!   the bitmap in ascending column order — no column list and no sort.
 //!   A *word-dense* `B` row (at least four entries per 64-column word it
 //!   touches: band, block and hub rows) is marked occupied from word masks
-//!   built once per call, one OR per word, and its longest
+//!   built once per `B` operand, one OR per word, and its longest
 //!   column-contiguous run is added as a slice,
 //!   `values[j0..j0 + n] += a * vb[..]`, which the compiler vectorises.
 //!   A sparser `B` row sets its bits product by product, once per word.
@@ -40,6 +46,7 @@
 
 use super::spa::{word_masks, Spa, SHORT_ROW};
 use crate::{Csr, CsrBuilder, Index};
+use std::ops::Range;
 
 /// Flop count and output span `[lo, hi)` of one `A` row with column
 /// indices `ka`; `b_row(k)` gives `(nnz, first column, last column)` of
@@ -223,10 +230,94 @@ impl BRow {
     }
 }
 
-/// Reusable working state for [`gustavson_scratch`] — the multiply-stage
-/// twin of the merge stage's `MergeScratch`.
+/// What the kernel reads off `B` beyond its entries: one [`BRow`] per
+/// row and the word masks of its word-dense rows, rebuilt per `B` in
+/// O(nnz(B)).
+#[derive(Debug, Default)]
+struct BTable {
+    rows: Vec<BRow>,
+    /// The word masks of the word-dense rows, indexed by `rows`.
+    masks: Vec<(Index, u64)>,
+}
+
+impl BTable {
+    /// Rebuilds the table for `b`. Returns `true` if a buffer grew.
+    fn build(&mut self, b: &Csr) -> bool {
+        let caps = (self.rows.capacity(), self.masks.capacity());
+        self.rows.clear();
+        self.masks.clear();
+        let masks = &mut self.masks;
+        self.rows
+            .extend((0..b.rows()).map(|k| BRow::of(b.row(k).0, masks)));
+        caps != (self.rows.capacity(), self.masks.capacity())
+    }
+
+    /// `min(flops, hi − lo)` of row `i` of `a · b`: a true upper bound on
+    /// its entries.
+    fn bound(&self, a: &Csr, b: &Csr, i: usize) -> usize {
+        let (flops, lo, hi) = row_extent(a.row(i).0, |k| {
+            let shape = self.rows[k];
+            (shape.first <= shape.last).then(|| (b.row_nnz(k), shape.first, shape.last))
+        });
+        flops.min(hi - lo)
+    }
+
+    /// The one per-row body: row `i` of `a · b` folded through `spa` as a
+    /// short or a wide row by its flop count (see the module docs), and
+    /// emitted as `(col, value)` in ascending column order.
+    // Inlined into each caller's row loop, so that loop optimizes as one
+    // function.
+    #[inline(always)]
+    fn row(&self, a: &Csr, b: &Csr, i: usize, spa: &mut Spa, emit: impl FnMut(Index, f64)) {
+        let (b_rows, masks) = (&self.rows[..], &self.masks[..]);
+        let (ka, va) = a.row(i);
+        let flops: usize = ka.iter().map(|&k| b.row_nnz(k as usize)).sum();
+        if flops <= SHORT_ROW {
+            let mut row = spa.short_row();
+            for (&k, &av) in ka.iter().zip(va) {
+                let (jb, vb) = b.row(k as usize);
+                for (&j, &bv) in jb.iter().zip(vb) {
+                    row.add(j, av * bv);
+                }
+            }
+            row.drain(emit);
+        } else {
+            let mut row = spa.wide_row();
+            for (&k, &av) in ka.iter().zip(va) {
+                let (jb, vb) = b.row(k as usize);
+                let shape = b_rows[k as usize];
+                if shape.masks_len == 0 {
+                    for (&j, &bv) in jb.iter().zip(vb) {
+                        row.add(j, av * bv);
+                    }
+                } else {
+                    let run = shape.run_at as usize..(shape.run_at + shape.run_len) as usize;
+                    let marks = &masks[shape.masks_at as usize..][..shape.masks_len as usize];
+                    row.add_marked(jb, av, vb, run, marks);
+                }
+            }
+            row.drain(emit);
+        }
+    }
+
+    /// The rows `live` of `a · b` as one matrix, pre-sized from
+    /// `Σ_i min(flops_i, hi_i − lo_i)` over them — a true upper bound — so
+    /// the push loop never climbs a realloc ladder.
+    #[inline]
+    fn multiply(&self, a: &Csr, b: &Csr, live: &[Index], spa: &mut Spa) -> Csr {
+        let bound = live.iter().map(|&i| self.bound(a, b, i as usize)).sum();
+        let mut out = CsrBuilder::with_capacity(a.rows(), b.cols(), bound);
+        for &i in live {
+            self.row(a, b, i as usize, spa, |j, v| out.push_trusted(i, j, v));
+        }
+        out.finish()
+    }
+}
+
+/// Reusable working state for [`gustavson_scratch`] and
+/// [`RowProduct::rows_into`].
 ///
-/// A worker constructs one scratch and feeds every job through it. The
+/// A caller constructs one scratch and feeds every job through it. The
 /// accumulator grows monotonically to the widest `b.cols()` seen and is
 /// never shrunk or wiped: every row the kernel folds leaves it in its
 /// between-rows state (value slots `-0.0`, occupancy bitmap zero), so
@@ -239,12 +330,8 @@ pub struct MultiplyScratch {
     /// Occupied-row index computed by [`gustavson_scratch`] when the
     /// caller does not supply one.
     live_rows: Vec<Index>,
-    /// One [`BRow`] per row of the `B` operand of the call in flight,
-    /// rebuilt per call in O(nnz(B)).
-    b_rows: Vec<BRow>,
-    /// The word masks of the call's word-dense `B` rows, indexed by
-    /// `b_rows`.
-    masks: Vec<(Index, u64)>,
+    /// The `B` table of the call in flight.
+    table: BTable,
     /// Calls served entirely from already-sized buffers.
     reuses: u64,
 }
@@ -260,19 +347,6 @@ impl MultiplyScratch {
     /// pipeline's `StageReport::multiply_scratch_reuses`.
     pub fn reuses(&self) -> u64 {
         self.reuses
-    }
-
-    /// Grows the accumulator to `b`'s width and rebuilds the per-`B`-row
-    /// table. Returns `true` if any buffer grew (i.e. this call is cold).
-    fn prepare(&mut self, b: &Csr) -> bool {
-        let (table_cap, masks_cap) = (self.b_rows.capacity(), self.masks.capacity());
-        self.b_rows.clear();
-        self.masks.clear();
-        let masks = &mut self.masks;
-        self.b_rows
-            .extend((0..b.rows()).map(|k| BRow::of(b.row(k).0, masks)));
-        let grew_spa = self.spa.grow(b.cols());
-        grew_spa || self.b_rows.capacity() != table_cap || self.masks.capacity() != masks_cap
     }
 }
 
@@ -326,21 +400,24 @@ pub fn gustavson_scratch_on_rows(
     live: &[Index],
     scratch: &mut MultiplyScratch,
 ) -> Csr {
+    check_live_rows(a, b, live);
+    multiply_on_rows(a, b, live, scratch, false)
+}
+
+/// The shape contract of [`gustavson_scratch_on_rows`] and
+/// [`RowProduct::new`]: rows are appended without a check, so a list out
+/// of order would build an invalid matrix.
+fn check_live_rows(a: &Csr, b: &Csr, live: &[Index]) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    // The output is appended row by row without a check, so a list out
-    // of order would build an invalid matrix.
     assert!(
         live.windows(2).all(|w| w[0] < w[1])
             && live.last().is_none_or(|&r| (r as usize) < a.rows()),
         "live rows must be strictly increasing and below a.rows()"
     );
-    multiply_on_rows(a, b, live, scratch, false)
 }
 
-/// The production kernel (see the module docs for the row classes and
-/// the slice path). The output is pre-sized from
-/// `Σ_i min(flops_i, hi_i − lo_i)` over the live rows — a true upper
-/// bound — so the push loop never climbs a realloc ladder.
+/// The production kernel: rebuilds the scratch's `B` table, grows its
+/// accumulator to `b`'s width and multiplies the rows `live`.
 fn multiply_on_rows(
     a: &Csr,
     b: &Csr,
@@ -348,58 +425,103 @@ fn multiply_on_rows(
     scratch: &mut MultiplyScratch,
     grew_live: bool,
 ) -> Csr {
-    let grew = scratch.prepare(b);
-    let spa = &mut scratch.spa;
-    let b_rows = &scratch.b_rows[..];
-    let masks = &scratch.masks[..];
-
-    let bound = live
-        .iter()
-        .map(|&i| {
-            let (flops, lo, hi) = row_extent(a.row(i as usize).0, |k| {
-                let shape = b_rows[k];
-                (shape.first <= shape.last).then(|| (b.row_nnz(k), shape.first, shape.last))
-            });
-            flops.min(hi - lo)
-        })
-        .sum();
-    let mut out = CsrBuilder::with_capacity(a.rows(), b.cols(), bound);
-
-    for &i in live {
-        let (ka, va) = a.row(i as usize);
-        let flops: usize = ka.iter().map(|&k| b.row_nnz(k as usize)).sum();
-        if flops <= SHORT_ROW {
-            let mut row = spa.short_row();
-            for (&k, &av) in ka.iter().zip(va) {
-                let (jb, vb) = b.row(k as usize);
-                for (&j, &bv) in jb.iter().zip(vb) {
-                    row.add(j, av * bv);
-                }
-            }
-            row.drain(|j, v| out.push_trusted(i, j, v));
-        } else {
-            let mut row = spa.wide_row();
-            for (&k, &av) in ka.iter().zip(va) {
-                let (jb, vb) = b.row(k as usize);
-                let shape = b_rows[k as usize];
-                if shape.masks_len == 0 {
-                    for (&j, &bv) in jb.iter().zip(vb) {
-                        row.add(j, av * bv);
-                    }
-                } else {
-                    let run = shape.run_at as usize..(shape.run_at + shape.run_len) as usize;
-                    let marks = &masks[shape.masks_at as usize..][..shape.masks_len as usize];
-                    row.add_marked(jb, av, vb, run, marks);
-                }
-            }
-            row.drain(|j, v| out.push_trusted(i, j, v));
-        }
-    }
-
+    let grew = scratch.table.build(b) | scratch.spa.grow(b.cols());
+    let out = scratch.table.multiply(a, b, live, &mut scratch.spa);
     if !grew && !grew_live {
         scratch.reuses += 1;
     }
-    out.finish()
+    out
+}
+
+/// One product `A · B` that is computed a few live rows at a time, on
+/// demand — how a streaming merge round reads a leaf panel pair without
+/// the leaf's partial ever existing as a whole matrix. Its `B` table and
+/// its per-row output bounds are built once, at construction; every row
+/// then runs the kernel's one per-row body, so the rows are those of
+/// [`gustavson_scratch_on_rows`] over the same `live` rows, bit for bit.
+#[derive(Debug)]
+pub struct RowProduct {
+    a: Csr,
+    b: Csr,
+    live: Vec<Index>,
+    table: BTable,
+    /// `bounds[t]`: the summed output bound of live rows `..t`.
+    bounds: Vec<usize>,
+}
+
+impl RowProduct {
+    /// The product of `a` and `b` over the occupied-row index `live`.
+    ///
+    /// # Panics
+    ///
+    /// As [`gustavson_scratch_on_rows`].
+    pub fn new(a: Csr, b: Csr, live: Vec<Index>) -> Self {
+        check_live_rows(&a, &b, &live);
+        let mut table = BTable::default();
+        table.build(&b);
+        let mut bounds = vec![0];
+        for &i in &live {
+            bounds.push(bounds[bounds.len() - 1] + table.bound(&a, &b, i as usize));
+        }
+        RowProduct {
+            a,
+            b,
+            live,
+            table,
+            bounds,
+        }
+    }
+
+    /// `(rows, cols)` of the product.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.a.rows(), self.b.cols())
+    }
+
+    /// The rows the product visits, strictly increasing.
+    pub fn live(&self) -> &[Index] {
+        &self.live
+    }
+
+    /// A true upper bound on the entries of the live rows at positions
+    /// `span` of [`live`](Self::live): each row's `min(flops, hi − lo)`.
+    pub fn bound(&self, span: Range<usize>) -> usize {
+        self.bounds[span.end] - self.bounds[span.start]
+    }
+
+    /// Multiplies the live rows at positions `span.start..` into `emit` as
+    /// `(row, col, value)` in row-major order, and stops after the row
+    /// that brings the entries emitted to `max` or at `span.end`. Returns
+    /// the position after the last row computed. A call that does not
+    /// grow `scratch` counts as one of its reuses.
+    pub fn rows_into(
+        &self,
+        span: Range<usize>,
+        max: usize,
+        scratch: &mut MultiplyScratch,
+        mut emit: impl FnMut(Index, Index, f64),
+    ) -> usize {
+        if !scratch.spa.grow(self.b.cols()) {
+            scratch.reuses += 1;
+        }
+        let (mut at, mut n) = (span.start, 0);
+        while at < span.end && n < max {
+            let i = self.live[at];
+            let spa = &mut scratch.spa;
+            self.table.row(&self.a, &self.b, i as usize, spa, |j, v| {
+                emit(i, j, v);
+                n += 1;
+            });
+            at += 1;
+        }
+        at
+    }
+
+    /// The whole product as one matrix.
+    pub fn multiply(&self, scratch: &mut MultiplyScratch) -> Csr {
+        scratch.spa.grow(self.b.cols());
+        self.table
+            .multiply(&self.a, &self.b, &self.live, &mut scratch.spa)
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +560,26 @@ mod tests {
             what,
         );
         clean(scratch);
+        // Row by row, in chunks of every size, through the same scratch.
+        let product = RowProduct::new(a.clone(), b.clone(), live.clone());
+        assert_bit_identical(&product.multiply(scratch), &want, what);
+        assert!(product.bound(0..live.len()) >= want.nnz(), "{what}: bound");
+        for max in [1, 7, usize::MAX] {
+            let mut out = CsrBuilder::new(a.rows(), b.cols());
+            let mut at = 0;
+            while at < live.len() {
+                let before = out.nnz();
+                let next =
+                    product.rows_into(at..live.len(), max, scratch, |i, j, v| out.push(i, j, v));
+                assert!(next > at, "{what}: no progress");
+                let taken = out.nnz() - before;
+                let last = product.bound(next - 1..next);
+                assert!(taken < max.saturating_add(last), "{what}: chunk overran");
+                at = next;
+            }
+            assert_bit_identical(&out.finish(), &want, &format!("{what}, chunks of {max}"));
+            clean(scratch);
+        }
     }
 
     /// A matrix from per-row column lists, with values that are not

@@ -33,7 +33,7 @@ mod spa;
 pub use fold::{fold_rows, FoldScratch, RowSources};
 pub use gustavson::{
     gustavson, gustavson_reference, gustavson_scratch, gustavson_scratch_on_rows, output_nnz_bound,
-    MultiplyScratch,
+    MultiplyScratch, RowProduct,
 };
 pub use hash::hash_spgemm;
 pub use heap::heap_spgemm;

@@ -292,7 +292,13 @@ impl Csr {
     /// the accelerator's DRAM layout also spends 12 bytes per element and
     /// 8 per row pointer — but the two model different memories.)
     pub fn estimated_bytes(&self) -> u64 {
-        self.nnz() as u64 * 12 + (self.rows as u64 + 1) * 8
+        Csr::estimated_bytes_of(self.rows, self.nnz())
+    }
+
+    /// [`Csr::estimated_bytes`] of a `rows`-row matrix holding `nnz`
+    /// entries, before it exists.
+    pub fn estimated_bytes_of(rows: usize, nnz: usize) -> u64 {
+        nnz as u64 * 12 + (rows as u64 + 1) * 8
     }
 
     /// Non-zeros per column — the weight vector the nnz-balanced panel

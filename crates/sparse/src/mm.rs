@@ -259,6 +259,9 @@ pub struct AxisPanelReader<const BY_ROW: bool, R = BufReader<File>> {
     scanner: Option<Scanner<R>>,
     preamble: Preamble,
     ranges: Vec<Range<usize>>,
+    /// The yield order: indices into `ranges`, range order unless
+    /// [`in_order`](Self::in_order) sets another.
+    order: Vec<usize>,
     next: usize,
     staging: Staging,
 }
@@ -348,9 +351,30 @@ impl<const BY_ROW: bool, R: BufRead> AxisPanelReader<BY_ROW, R> {
             staging: Staging::new(ranges.len(), buffered / ranges.len().max(1)),
             scanner: Some(scanner),
             preamble,
+            order: (0..ranges.len()).collect(),
             ranges,
             next: 0,
         })
+    }
+
+    /// Yields the panels in `order` — indices into
+    /// [`ranges`](Self::ranges) — instead of range order. The one text
+    /// scan fills every bucket before the first panel is handed back, and
+    /// a bucket is read back by its index, so any order costs the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `order` is a permutation of `0..panels()`.
+    pub fn in_order(mut self, order: Vec<usize>) -> Self {
+        let mut seen = vec![false; self.ranges.len()];
+        let fresh = |&p: &usize| p < seen.len() && !std::mem::replace(&mut seen[p], true);
+        assert!(
+            order.len() == self.ranges.len() && order.iter().all(fresh),
+            "panel order {order:?} is not a permutation of 0..{}",
+            self.ranges.len()
+        );
+        self.order = order;
+        self
     }
 
     /// Declared number of rows.
@@ -375,34 +399,34 @@ impl<const BY_ROW: bool, R: BufRead> AxisPanelReader<BY_ROW, R> {
         self.ranges.len()
     }
 
-    /// The panel-axis ranges this reader will yield, in order — hand a
-    /// [`PanelReader`]'s to [`RowPanelReader::open_with_ranges`] to split
-    /// the right operand identically.
+    /// The panel-axis ranges this reader will yield, in range order
+    /// (whatever order [`in_order`](Self::in_order) yields them in) —
+    /// hand a [`PanelReader`]'s to [`RowPanelReader::open_with_ranges`] to
+    /// split the right operand identically.
     pub fn ranges(&self) -> &[Range<usize>] {
         &self.ranges
     }
 
-    /// Yields the next panel: its range on the panel axis and the entries
-    /// (after symmetry expansion) that fall in it, in file order, with
-    /// the panel-axis index localized. The first call scans the whole
+    /// Yields the next panel in the reader's order: its range on the
+    /// panel axis and the entries (after symmetry expansion) that fall in
+    /// it, in file order, with the panel-axis index localized. The first call scans the whole
     /// text; later calls only read a bucket back.
     ///
     /// Returns `None` once every panel has been yielded, or after an
     /// error.
     #[allow(clippy::type_complexity)]
     pub fn next_panel(&mut self) -> Option<Result<(Range<usize>, Coo), SparseError>> {
-        let range = self.ranges.get(self.next)?.clone();
+        let p = *self.order.get(self.next)?;
+        let range = self.ranges[p].clone();
         let (rows, cols) = if BY_ROW {
             (range.len(), self.preamble.cols)
         } else {
             (self.preamble.rows, range.len())
         };
-        let panel = self
-            .stage()
-            .and_then(|()| self.staging.take(self.next, rows, cols));
+        let panel = self.stage().and_then(|()| self.staging.take(p, rows, cols));
         self.next = match panel {
             Ok(_) => self.next + 1,
-            Err(_) => self.ranges.len(),
+            Err(_) => self.order.len(),
         };
         Some(panel.map(|coo| (range, coo)))
     }
@@ -1264,6 +1288,85 @@ mod tests {
             // Every entry sits in exactly one panel, so the panels
             // reassemble to the whole read.
             assert_eq!(total, full.nnz());
+        }
+
+        /// One panel: its range and its entries as `(row, col, value bits)`.
+        type RangeBits = (Range<usize>, Vec<(u32, u32, u64)>);
+
+        /// Every panel of both axes, keyed by range, read in `order` (range
+        /// order when `None`) through 3-entry buffers, so most entries
+        /// round-trip through the staging run.
+        fn panels_in<const BY_ROW: bool>(
+            text: &str,
+            panels: usize,
+            order: Option<Vec<usize>>,
+        ) -> Vec<RangeBits> {
+            let reader =
+                AxisPanelReader::<BY_ROW, _>::from_source(text.as_bytes(), 3 * panels, |n| {
+                    panel_ranges(n, panels)
+                })
+                .unwrap();
+            let ranges = reader.ranges().to_vec();
+            let reader = match order {
+                Some(order) => reader.in_order(order),
+                None => reader,
+            };
+            let mut got: Vec<_> = reader
+                .map(|panel| {
+                    let (range, coo) = panel.unwrap();
+                    let bits = coo.entries().iter().map(|&(r, c, v)| (r, c, v.to_bits()));
+                    (range, bits.collect())
+                })
+                .collect();
+            assert_eq!(got.len(), ranges.len());
+            got.sort_by_key(|(range, _)| range.start);
+            got
+        }
+
+        #[test]
+        fn any_panel_order_reads_back_the_panels_of_range_order() {
+            let m = gen::uniform_random(40, 36, 700, 23).to_coo();
+            let text = write_string(&m);
+            let panels = 7;
+            let want = (
+                panels_in::<false>(&text, panels, None),
+                panels_in::<true>(&text, panels, None),
+            );
+            let orders = [
+                vec![6, 5, 4, 3, 2, 1, 0],
+                vec![3, 0, 6, 1, 5, 2, 4],
+                vec![2, 3, 4, 5, 6, 0, 1],
+            ];
+            for order in orders {
+                let got = (
+                    panels_in::<false>(&text, panels, Some(order.clone())),
+                    panels_in::<true>(&text, panels, Some(order.clone())),
+                );
+                assert!(got == want, "order {order:?}");
+            }
+            // The order a reader was given is the order it yields.
+            let reader = AxisPanelReader::<false, _>::from_source(text.as_bytes(), 64, |n| {
+                panel_ranges(n, panels)
+            })
+            .unwrap();
+            let ranges = reader.ranges().to_vec();
+            let yielded: Vec<_> = reader
+                .in_order(vec![4, 1, 6, 0, 2, 5, 3])
+                .map(|p| p.unwrap().0)
+                .collect();
+            let expect: Vec<_> = [4, 1, 6, 0, 2, 5, 3].map(|p| ranges[p].clone()).to_vec();
+            assert_eq!(yielded, expect);
+        }
+
+        #[test]
+        #[should_panic(expected = "not a permutation")]
+        fn a_panel_order_with_a_repeat_panics() {
+            let text = write_string(&gen::uniform_random(8, 8, 20, 1).to_coo());
+            let reader = AxisPanelReader::<true, _>::from_source(text.as_bytes(), 64, |n| {
+                panel_ranges(n, 3)
+            })
+            .unwrap();
+            let _ = reader.in_order(vec![0, 1, 1]);
         }
 
         proptest! {

@@ -4,7 +4,8 @@
 //! and cheap to clone per task; every run creates (and removes) its own
 //! unique spill directory, so concurrent runs never collide.
 
-use crate::pipeline::{self, PanelPair};
+use crate::merge::Leaf;
+use crate::pipeline;
 use crate::plan::{ExecPlan, Subtree};
 use crate::{StreamConfig, StreamError};
 use serde::{Deserialize, Serialize};
@@ -35,7 +36,7 @@ pub struct StreamReport {
     /// inner dimension).
     pub panels: usize,
     /// Merge-plan leaves: panels whose `A` panel held any non-zeros
-    /// (all-empty panels are pruned before the multiply stage).
+    /// (all-empty panels are pruned before the first read).
     pub partials: usize,
     /// Merge rounds the Huffman plan scheduled.
     pub merge_rounds: usize,
@@ -48,14 +49,16 @@ pub struct StreamReport {
     /// The configured budget, in bytes.
     pub budget_bytes: u64,
     /// High-water mark of resident partial bytes — never exceeds
-    /// `budget_bytes` (the store's structural invariant).
+    /// `budget_bytes` (the store's structural invariant). Only round
+    /// outputs are ever resident: leaves are multiplied inside the rounds
+    /// that fold them.
     pub peak_live_bytes: u64,
-    /// Combined footprint of every partial produced: what "no budget"
-    /// would have held resident after the multiply phase.
+    /// Combined footprint of every leaf partial, counted as the rounds
+    /// produce their rows: what holding every leaf whole would take.
     pub partial_bytes_total: u64,
-    /// The largest single partial's footprint.
+    /// The largest single leaf partial's footprint.
     pub largest_partial_bytes: u64,
-    /// Partials written to disk (evictions + direct spills).
+    /// Round outputs written to disk (evictions + direct spills).
     pub spill_writes: u64,
     /// Spilled partials streamed back for a merge round.
     pub spill_reads: u64,
@@ -66,7 +69,8 @@ pub struct StreamReport {
     pub spill_bytes_raw_equivalent: u64,
     /// Stored entries of the result.
     pub output_nnz: usize,
-    /// Worker threads used by the panel-multiply stage.
+    /// The thread count `threads` resolved to: the merge worker pool's
+    /// size unless `merge_workers` pins it.
     pub threads: usize,
     /// Per-stage busy time and overlap counters.
     pub stages: StageReport,
@@ -153,7 +157,8 @@ impl StreamingExecutor {
     /// Computes `C = A · B` through the staged pipeline, executing
     /// [`ExecPlan::for_operand`] over `A`'s column histogram:
     /// `config.balance` picks uniform widths or equal `A`-column
-    /// non-zeros per panel, and only the plan's leaf panels are sliced.
+    /// non-zeros per panel, and only the plan's leaf panels are sliced,
+    /// in [`ExecPlan::production_order`].
     ///
     /// # Panics
     ///
@@ -167,17 +172,13 @@ impl StreamingExecutor {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
         let cfg = &self.config;
         let plan = ExecPlan::for_operand(&a.col_nnz(), cfg.panels, cfg.balance, cfg.merge_ways);
-        let ranges: Vec<Range<usize>> = plan.leaf_ranges().cloned().collect();
-        let pairs = ranges.into_iter().map(|r| {
+        let order = plan.production_order();
+        let ranges: Vec<_> = order.iter().map(|&l| plan.leaf_range(l).clone()).collect();
+        let pairs = order.into_iter().zip(ranges).map(|(leaf, r)| {
             // The condensed slicer records each panel's occupied rows for
-            // free — the multiply kernel then visits only those.
+            // free — the leaf's product then visits only those.
             let (a_panel, live) = a.col_panel_condensed(r.clone());
-            Ok(PanelPair {
-                a: a_panel,
-                b: b.row_panel(r.clone()),
-                live,
-                range: r,
-            })
+            Ok((leaf, Leaf::new(a_panel, b.row_panel(r), live)))
         });
         let scope = plan.whole();
         self.run_pipeline(a.rows(), b.cols(), plan, scope, pairs)
@@ -188,7 +189,8 @@ impl StreamingExecutor {
     /// same children in the same order as a whole-plan run, through the
     /// same staged pipeline (budget, spill codec and merge workers
     /// apply). `pairs` yields the `(A column panel, B row panel)` of each
-    /// leaf of [`ExecPlan::subtree`]`(root)`, in leaf order; the result is
+    /// leaf of [`ExecPlan::subtree`]`(root)`, in the order of its
+    /// [`Subtree::leaves`] — production order; the result is
     /// node `root`'s partial — the full product when `root` is the plan's
     /// root. The report counts what ran: the subtree's leaves and rounds.
     ///
@@ -226,7 +228,7 @@ impl StreamingExecutor {
             .collect::<Vec<_>>()
             .into_iter();
         let pairs = pairs.into_iter().map(move |(a, b)| {
-            let range = match leaves.next() {
+            let (leaf, range) = match leaves.next() {
                 Some((leaf, range, nnz)) if a.nnz() as u64 != nnz => {
                     return Err(StreamError::Shape(format!(
                         "panel {range:?} holds {} A non-zeros where the plan's leaf {leaf} \
@@ -234,11 +236,15 @@ impl StreamingExecutor {
                         a.nnz()
                     )))
                 }
-                Some((_, range, _)) => range,
-                None => 0..0,
+                Some((leaf, range, _)) => (leaf, range),
+                None => {
+                    let msg = "a panel arrived after the plan's last leaf";
+                    return Err(StreamError::Shape(msg.into()));
+                }
             };
+            pipeline::validate_shapes(&range, &a, &b, a_rows, b_cols)?;
             let live = a.occupied_rows();
-            Ok(PanelPair { range, a, b, live })
+            Ok((leaf, Leaf::new(a, b, live)))
         });
         self.run_pipeline(a_rows, b_cols, plan, scope, pairs)
     }
@@ -255,18 +261,27 @@ impl StreamingExecutor {
     /// merge rounds run while the streams are still being ingested.
     ///
     /// The two streams are consumed in lockstep and must yield every
-    /// panel of the plan, pruned ones included, under the plan's ranges
-    /// in range order. A pruned panel's `A` side must be empty; the pair
-    /// is dropped unmultiplied. A leaf panel's `A` non-zeros only weight
-    /// the merge order, so a panel holding fewer than the plan counted —
-    /// duplicate coordinates the reader folded — runs as read.
+    /// panel of the plan once, pruned ones included, under the plan's
+    /// ranges, both in the same order. Any order runs, but
+    /// [`ExecPlan::panel_order`] — the leaves in production order, then
+    /// the pruned panels — is the one to use: each round's pairs then
+    /// arrive together, so a round runs the moment its last pair lands
+    /// and the reader holds at most one round's pairs ahead of the
+    /// rounds (the `mm` readers yield it through `in_order`). In range
+    /// order a pair can wait for pairs of its round far down the stream,
+    /// and every pair read meanwhile is held. A pruned panel's `A` side
+    /// must be empty; the pair is dropped unmultiplied. A leaf panel's `A`
+    /// non-zeros only weight the merge order, so a panel holding fewer
+    /// than the plan counted — duplicate coordinates the reader folded —
+    /// runs as read.
     ///
     /// # Errors
     ///
     /// [`StreamError::Shape`] when a stream disagrees with the plan (a
-    /// different range, a pruned panel carrying `A` non-zeros, a panel
-    /// short or beyond it — including one stream ending while the other
-    /// still yields panels) or a panel's shape with `a_rows`/`b_cols`;
+    /// range that is not one of its panels, a panel yielded twice, a
+    /// pruned panel carrying `A` non-zeros, a panel short — including one
+    /// stream ending while the other still yields panels) or a panel's
+    /// shape with `a_rows`/`b_cols`;
     /// errors yielded *by* the streams are passed through;
     /// [`StreamError::Io`] on spill I/O failure.
     pub fn multiply_streams<IA, IB>(
@@ -283,63 +298,70 @@ impl StreamingExecutor {
         IA::IntoIter: Send,
         IB::IntoIter: Send,
     {
-        let plan_panels = plan.panels();
-        let mut panels = plan
+        // Every panel by range start: its range, its leaf (`None` when
+        // pruned) and whether the streams have yielded it yet.
+        let mut leaves = 0..;
+        let mut panels: Vec<(Range<usize>, Option<usize>, bool)> = plan
             .panel_sizes()
-            .map(|(range, nnz)| (range.clone(), nnz > 0))
-            .collect::<Vec<_>>()
-            .into_iter();
+            .map(|(range, nnz)| {
+                (
+                    range.clone(),
+                    (nnz > 0).then(|| leaves.next().unwrap()),
+                    false,
+                )
+            })
+            .collect();
+        let mut missing = panels.len();
         let mut a_panels = a_panels.into_iter();
         let mut b_panels = b_panels.into_iter();
-        // Hand-rolled lockstep pairing instead of `zip`: past the plan's
-        // last panel both streams are polled once more, so a surplus
+        // Hand-rolled lockstep pairing instead of `zip`: once every panel
+        // has arrived both streams are polled once more, so a surplus
         // panel — or a trailing error the docs promise to surface — is
         // reported instead of silently dropped. The reader stops at the
         // first error or `None`.
         let pairs = std::iter::from_fn(move || loop {
             let shape = |msg: String| Some(Err(StreamError::Shape(msg)));
-            let (range, leaf, a, b) = match (panels.next(), a_panels.next(), b_panels.next()) {
-                (_, Some(Err(e)), _) | (_, _, Some(Err(e))) => return Some(Err(e)),
-                (None, None, None) => return None,
-                (None, Some(Ok((r, _))), _) | (None, _, Some(Ok((r, _)))) => {
+            let (range, a, b) = match (a_panels.next(), b_panels.next()) {
+                (Some(Err(e)), _) | (_, Some(Err(e))) => return Some(Err(e)),
+                (None, None) if missing == 0 => return None,
+                (None, None) => {
                     return shape(format!(
-                        "operand panel streams yield {r:?} beyond the plan's {plan_panels} panels"
+                        "panel streams ended {missing} panels short of the plan"
                     ))
                 }
-                (Some(_), None, None) => {
-                    return shape(format!(
-                        "panel streams ended {} panels short of the plan",
-                        panels.len() + 1
-                    ))
-                }
-                (Some(_), Some(Ok((ra, _))), None) => {
+                (Some(Ok((ra, _))), None) => {
                     return shape(format!(
                         "A stream yields panel {ra:?} after the B stream ended"
                     ))
                 }
-                (Some(_), None, Some(Ok((rb, _)))) => {
+                (None, Some(Ok((rb, _)))) => {
                     return shape(format!(
                         "B stream yields panel {rb:?} after the A stream ended"
                     ))
                 }
-                (Some((range, leaf)), Some(Ok((ra, a))), Some(Ok((rb, b)))) => {
-                    if ra != range || rb != range {
-                        return shape(format!(
-                            "operand panel streams yield A {ra:?} and B {rb:?} where the plan \
-                             has {range:?}"
-                        ));
-                    }
-                    (range, leaf, a, b)
+                (Some(Ok((ra, a))), Some(Ok((rb, b)))) if ra == rb => (ra, a, b),
+                (Some(Ok((ra, _))), Some(Ok((rb, _)))) => {
+                    return shape(format!(
+                        "operand panel streams yield A {ra:?} and B {rb:?} together"
+                    ))
                 }
             };
-            if leaf {
-                let live = a.occupied_rows();
-                return Some(Ok(PanelPair { range, a, b, live }));
-            }
-            // A pruned panel: checked, then dropped unmultiplied.
+            let at = panels.partition_point(|(r, ..)| r.start < range.start);
+            let Some((_, leaf, seen)) = panels.get_mut(at).filter(|p| p.0 == range && !p.2) else {
+                return shape(format!(
+                    "operand panel streams yield {range:?}, which is not a panel of the plan \
+                     still to come"
+                ));
+            };
+            (*seen, missing) = (true, missing - 1);
             if let Err(e) = pipeline::validate_shapes(&range, &a, &b, a_rows, b_cols) {
                 return Some(Err(e));
             }
+            if let Some(leaf) = *leaf {
+                let live = a.occupied_rows();
+                return Some(Ok((leaf, Leaf::new(a, b, live))));
+            }
+            // A pruned panel: dropped unmultiplied.
             if a.nnz() > 0 {
                 return shape(format!(
                     "panel {range:?} holds {} A non-zeros where the plan prunes it",
@@ -362,7 +384,7 @@ impl StreamingExecutor {
         pairs: I,
     ) -> Result<(Csr, StreamReport), StreamError>
     where
-        I: Iterator<Item = Result<PanelPair, StreamError>> + Send,
+        I: Iterator<Item = Result<(usize, Leaf), StreamError>> + Send,
     {
         let inner_dim = plan.inner_dim();
         let outcome = pipeline::run(
@@ -375,7 +397,6 @@ impl StreamingExecutor {
             plan,
             scope,
         )?;
-        let threads = sparch_exec::ShardPool::with_override(self.config.threads).threads();
         self.recorder
             .metrics()
             .gauge("stream.peak_live_bytes")
@@ -400,7 +421,7 @@ impl StreamingExecutor {
             spill_bytes_written: outcome.store_stats.spill_bytes_written,
             spill_bytes_raw_equivalent: outcome.store_stats.spill_bytes_raw_equivalent,
             output_nnz: outcome.result.nnz(),
-            threads,
+            threads: sparch_exec::ShardPool::with_override(self.config.threads).threads(),
             stages: outcome.stages,
         };
         Ok((outcome.result, report))
@@ -487,7 +508,10 @@ mod tests {
             .unwrap();
         assert_eq!(c, algo::gustavson(&a, &a));
         assert_eq!(report.peak_live_bytes, 0);
-        assert!(report.spill_writes >= report.partials as u64);
+        // Every partial that enters the store is a round output, and all
+        // of them but the root's go to disk.
+        assert!(report.merge_rounds >= 2);
+        assert_eq!(report.spill_writes, report.merge_rounds as u64 - 1);
         assert!(report.spill_reads > 0);
         assert!(report.spill_bytes_written > 0);
         assert!(report.stages.spill_write_seconds > 0.0);
@@ -824,9 +848,10 @@ mod tests {
     }
 
     /// The plan exists before the first panel is read, so a round runs as
-    /// soon as its children have: here the `A` stream holds back its last
-    /// panel until a round output has spilled, which happens only if
-    /// rounds are dispatched while ingest is still under way.
+    /// soon as its inputs have arrived: here both streams yield the plan's
+    /// production order and the `A` stream holds back its last panel until
+    /// a round output has spilled, which happens only if rounds are
+    /// dispatched while ingest is still under way.
     #[test]
     fn rounds_merge_before_the_last_panel_is_read() {
         // Four 3-column panels, lightest first (A weights 6, 12, 24, 48),
@@ -852,14 +877,19 @@ mod tests {
             ..StreamConfig::default()
         });
         let round_spilled = AtomicBool::new(false);
-        let a_stream = ranges.iter().enumerate().map(|(p, r)| {
-            if p + 1 == ranges.len() {
+        let order: Vec<Range<usize>> = plan
+            .panel_order()
+            .iter()
+            .map(|&p| ranges[p].clone())
+            .collect();
+        let a_stream = order.iter().enumerate().map(|(at, r)| {
+            if at + 1 == order.len() {
                 let spilled = round_output_spills(dir.path(), leaves);
                 round_spilled.store(spilled, Ordering::Relaxed);
             }
             Ok((r.clone(), a.col_panel(r.clone())))
         });
-        let b_stream = ranges
+        let b_stream = order
             .iter()
             .map(|r| Ok((r.clone(), b.row_panel(r.clone()))));
         let (c, report) = e
@@ -875,8 +905,8 @@ mod tests {
 
     #[test]
     fn stage_telemetry_reports_overlap_on_parallel_runs() {
-        // With multiple panels and workers, the reader should observe
-        // multiplies in flight at least once on a workload this size —
+        // With multiple panels and workers, rounds should start while the
+        // reader still ingests at least once on a workload this size —
         // and busy seconds must be populated for every stage.
         let a = int_matrix(160, 160, 160 * 12, 21);
         let (c, report) = exec(MemoryBudget::from_kb(16), 12, 2)
@@ -885,14 +915,15 @@ mod tests {
         assert_eq!(c, algo::gustavson(&a, &a));
         let s = &report.stages;
         assert!(s.reader_busy_seconds > 0.0);
-        assert!(s.multiply_busy_seconds > 0.0);
+        // The leaves are multiplied inside the rounds: with no multiply
+        // stage left, the kernel time is the whole multiply time.
         assert!(
-            s.multiply_kernel_seconds > 0.0 && s.multiply_kernel_seconds <= s.multiply_busy_seconds,
-            "kernel time must be a positive share of multiply busy time: {s:?}"
+            s.multiply_kernel_seconds > 0.0 && s.multiply_kernel_seconds == s.multiply_busy_seconds,
+            "kernel time must be the positive multiply busy time: {s:?}"
         );
         assert!(
             s.multiply_scratch_reuses > 0,
-            "12 panels on 2 workers must reuse scratch at least once: {s:?}"
+            "12 leaves on 2 merge workers must multiply on warm scratch at least once: {s:?}"
         );
         assert!(s.merge_busy_seconds > 0.0);
         assert!(
@@ -1012,6 +1043,168 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "{budget:?}");
             assert_eq!(bits(&got), bits(&one), "{budget:?}");
             assert_eq!(got, want, "{budget:?}");
+        }
+    }
+
+    /// The node ids of every `spill-write` span of `run`'s trace.
+    fn spilled_nodes(executor: &StreamingExecutor) -> Vec<u64> {
+        let trace = executor.recorder().drain("stream");
+        let writes = trace.spans.iter().filter(|s| s.name == "spill-write");
+        let node = |s: &sparch_obs::Span| s.args.iter().find(|x| x.key == "node").unwrap().value;
+        writes.map(node).collect()
+    }
+
+    /// Leaves are multiplied inside the rounds that fold them and never
+    /// enter the store: under budgets that force spilling, every spill
+    /// file written is a round output's (`partial-{id}.bin` with `id` at
+    /// or past the leaf count), and at budget 0 every round output but
+    /// the root's is written, at one thread and at two.
+    #[test]
+    fn no_leaf_partial_is_ever_spilled() {
+        let a = int_matrix(120, 120, 1400, 9);
+        let expected = algo::gustavson(&a, &a);
+        let probe = exec(MemoryBudget::unbounded(), 11, 1)
+            .multiply(&a, &a)
+            .unwrap()
+            .1;
+        for budget in [0, probe.partial_bytes_total / 8] {
+            for threads in [1, 2] {
+                let executor = StreamingExecutor::new(StreamConfig {
+                    budget: MemoryBudget::from_bytes(budget),
+                    panels: 11,
+                    merge_ways: 3,
+                    threads: Some(threads),
+                    ..StreamConfig::default()
+                })
+                .with_recorder(Recorder::enabled());
+                let (c, report) = executor.multiply(&a, &a).unwrap();
+                let what = format!("budget {budget}, {threads} thread(s)");
+                assert_eq!(c, expected, "{what}");
+                let nodes = spilled_nodes(&executor);
+                assert!(!nodes.is_empty(), "{what}: nothing spilled");
+                assert_eq!(nodes.len() as u64, report.spill_writes, "{what}");
+                let leaves = report.partials as u64;
+                assert!(
+                    nodes.iter().all(|&id| id >= leaves),
+                    "{what}: spilled {nodes:?}"
+                );
+                if budget == 0 {
+                    assert_eq!(
+                        report.spill_writes,
+                        report.merge_rounds as u64 - 1,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `partial_bytes_total` and `largest_partial_bytes` are what the leaf
+    /// partials would occupy had each been built whole by the kernel — at
+    /// every budget, thread count and band count, and through every entry
+    /// point — so a budget taken as a fraction of a probe run's footprint
+    /// means what it did when leaves were materialized.
+    #[test]
+    fn leaf_footprints_equal_the_materialized_leaves() {
+        let a = gen::rmat_graph500(256, 6, 5);
+        let b = gen::uniform_random(256, 200, 1500, 6);
+        let plan = ExecPlan::for_operand(&a.col_nnz(), 9, PanelBalance::Nnz, 3);
+        let mut scratch = algo::MultiplyScratch::new();
+        let bytes: Vec<u64> = plan
+            .leaf_ranges()
+            .map(|r| {
+                let (a_panel, live) = a.col_panel_condensed(r.clone());
+                let leaf = algo::gustavson_scratch_on_rows(
+                    &a_panel,
+                    &b.row_panel(r.clone()),
+                    &live,
+                    &mut scratch,
+                );
+                leaf.estimated_bytes()
+            })
+            .collect();
+        let total: u64 = bytes.iter().sum();
+        let largest = *bytes.iter().max().unwrap();
+        for budget in [u64::MAX, total / 4, 0] {
+            for threads in [1, 2] {
+                let mut e = exec(MemoryBudget::from_bytes(budget), 9, threads);
+                e.config.merge_ways = 3;
+                e.config.balance = PanelBalance::Nnz;
+                let (_, report) = e.multiply(&a, &b).unwrap();
+                let what = format!("budget {budget}, {threads} thread(s)");
+                assert_eq!(report.partial_bytes_total, total, "{what}");
+                assert_eq!(report.largest_partial_bytes, largest, "{what}");
+                let root = plan.root().unwrap();
+                let leaves = plan.subtree(root).leaves;
+                let pairs: Vec<_> = leaves
+                    .iter()
+                    .map(|&leaf| {
+                        let r = plan.leaf_range(leaf).clone();
+                        (a.col_panel(r.clone()), b.row_panel(r))
+                    })
+                    .collect();
+                let (_, cut) = e
+                    .multiply_subtree(a.rows(), b.cols(), plan.clone(), root, pairs)
+                    .unwrap();
+                assert_eq!(
+                    (cut.partial_bytes_total, cut.largest_partial_bytes),
+                    (total, largest),
+                    "{what}"
+                );
+            }
+        }
+        // A lone leaf is multiplied whole at the end of the run.
+        let (_, one) = exec(MemoryBudget::unbounded(), 1, 1)
+            .multiply(&a, &b)
+            .unwrap();
+        let whole = algo::gustavson(&a, &b).estimated_bytes();
+        assert_eq!(
+            (one.partial_bytes_total, one.largest_partial_bytes),
+            (whole, whole)
+        );
+    }
+
+    /// `multiply_streams` accepts the plan's panels in any order — range
+    /// order, production order, reversed — with the same bits, and the
+    /// same report apart from timing, as the in-memory run.
+    #[test]
+    fn multiply_streams_accepts_the_panels_in_any_order() {
+        let a = gen::rmat_graph500(128, 6, 8);
+        let b = gen::uniform_random(128, 90, 700, 9);
+        let mut hist = a.col_nnz();
+        hist[40..60].fill(0);
+        let kept = a.iter().filter(|&(_, c, _)| !(40..60).contains(&c));
+        let a = Coo::from_entries(128, 128, kept.collect()).to_csr();
+        assert_eq!(a.col_nnz(), hist);
+        for budget in [0, u64::MAX] {
+            let mut e = exec(MemoryBudget::from_bytes(budget), 12, 2);
+            e.config.balance = PanelBalance::Uniform;
+            let (want, report) = e.multiply(&a, &b).unwrap();
+            let plan = ExecPlan::for_operand(&hist, 12, e.config.balance, e.config.merge_ways);
+            assert!(plan.num_leaves() < plan.panels(), "a panel must be pruned");
+            let ranges: Vec<_> = plan.panel_sizes().map(|(r, _)| r.clone()).collect();
+            let production = plan.panel_order();
+            let reversed: Vec<usize> = production.iter().rev().copied().collect();
+            for order in [(0..ranges.len()).collect(), production, reversed] {
+                let side = |f: &dyn Fn(Range<usize>) -> Csr| {
+                    let panels = order
+                        .iter()
+                        .map(|&p| Ok((ranges[p].clone(), f(ranges[p].clone()))));
+                    panels.collect::<Vec<_>>()
+                };
+                let a_side = side(&|r| a.col_panel(r));
+                let b_side = side(&|r| b.row_panel(r));
+                let (c, got) = e
+                    .multiply_streams(128, 90, plan.clone(), a_side, b_side)
+                    .unwrap();
+                assert_eq!(bits(&c), bits(&want), "budget {budget}, order {order:?}");
+                assert_eq!(c, want, "budget {budget}, order {order:?}");
+                assert_eq!(
+                    got.without_timing(),
+                    report.without_timing(),
+                    "order {order:?}"
+                );
+            }
         }
     }
 }

@@ -9,33 +9,35 @@
 //! matrices larger than memory are simply out of scope.
 //!
 //! This crate brings the paper's partial-matrix discipline to the
-//! software layer as a **staged dataflow pipeline** — three concurrent
-//! stages connected by bounded channels, so disk ingest, panel
-//! multiplies, spill write-back and merge rounds overlap instead of
-//! alternating (see the [`pipeline`-module](crate) docs for the stage
-//! diagram). A [`StreamingExecutor`]:
+//! software layer as a **staged dataflow pipeline** — concurrent stages
+//! connected by bounded channels, so disk ingest, the multiply-merge
+//! rounds and spill write-back overlap instead of alternating (see the
+//! [`pipeline`-module](crate) docs for the stage diagram). A
+//! [`StreamingExecutor`]:
 //!
 //! 1. **reader stage** — streams *both* operands panel pair by panel
 //!    pair: `A`'s column panels and `B`'s matching row panels
 //!    (`A · B = Σ_p A[:, p] · B[p, :]`), from memory, or from disk via
 //!    `sparch_sparse::mm::{PanelReader, RowPanelReader}` — one text
-//!    scan per file at any panel count — so neither operand is ever
-//!    materialized whole. The panels are those of an [`ExecPlan`] built
-//!    from `A`'s column histogram (uniform or nnz-balanced,
-//!    [`PanelBalance`]) before the first one is read, and the reader
-//!    checks each pair against it,
-//! 2. **multiply stage** — `sparch_exec::ShardPool` workers pull pairs
-//!    from the bounded channel and multiply them while the reader keeps
-//!    reading,
-//! 3. **merge/spill stage** — folds arriving partials through a
+//!    scan per file at any panel count, buckets yielded in any order —
+//!    so neither operand is ever materialized whole. The panels are
+//!    those of an [`ExecPlan`] built from `A`'s column histogram
+//!    (uniform or nnz-balanced, [`PanelBalance`]) before the first one
+//!    is read, and they arrive in its production order
+//!    ([`ExecPlan::production_order`]: each round's leaf pairs together,
+//!    rounds in order); the reader checks each pair against it,
+//! 2. **fused multiply-merge rounds** — folds the partials through a
 //!    multi-round k-way merge whose round order is the [`ExecPlan`]'s:
 //!    the **same** k-ary Huffman scheduler the cycle-level simulator
 //!    uses (`sparch_core::sched::huffman_plan`, smallest first, weighted
-//!    by per-panel `A` non-zeros), executing each round the moment its
-//!    children are present — concurrently with the multiplies still in
-//!    flight — and
-//! 4. keeps the resident set of partials under an explicit
-//!    [`MemoryBudget`]: partials that do not fit spill to a temp
+//!    by per-panel `A` non-zeros). A round runs on a
+//!    `sparch_exec::ShardPool` merge worker the moment its pairs and
+//!    children are present — while the reader keeps reading — and
+//!    multiplies its leaf pairs row by row *inside* its fold, so a leaf's
+//!    partial is merged as it is produced (SpArch §II-A) and never
+//!    built, stored or spilled, and
+//! 3. keeps the resident set of round outputs under an explicit
+//!    [`MemoryBudget`]: outputs that do not fit spill to a temp
 //!    directory in a compact binary format — raw sorted COO or the
 //!    delta+varint codec ([`SpillCodec`], [`spill`]-module docs) — and
 //!    *stream* back in for their merge round — a spilled partial is

@@ -1,9 +1,10 @@
 //! Streaming k-way merge of partial matrices.
 //!
-//! Each merge round consumes up to `ways` partials — resident CSRs or
-//! spilled-partial readers — as sorted `(row, col)` streams and folds
-//! them into one partial, summing duplicate coordinates. This is the
-//! software analogue of the paper's comparator-array merge tree: the
+//! Each merge round consumes up to `ways` inputs — leaf panel pairs,
+//! resident CSRs or spilled-partial readers — as sorted `(row, col)`
+//! streams and folds them into one partial, summing duplicate
+//! coordinates. This is the software analogue of the paper's
+//! comparator-array merge tree: the
 //! inputs are sorted COO streams, the output is a sorted COO stream, and
 //! entries that fold to zero are **kept** (zero elimination is a
 //! separate, explicit stage everywhere in this repository).
@@ -11,13 +12,20 @@
 //! The kernel is built for throughput, mirroring how the paper's merger
 //! is a wide comparator array rather than a one-comparator heap:
 //!
-//! * **Chunked sources.** [`PartialSource::next_chunk`] decodes sources
-//!   in batches into reused scratch columns — packed
-//!   `(row << 32) | col` keys plus values — so the inner merge loop
-//!   compares single `u64`s and never touches the decoder. Spilled
-//!   partials batch-decode whole buffered spans (branch-free LEB128 in
-//!   `spill.rs`); resident CSRs are walked with the row scan amortized
-//!   per chunk instead of per triple.
+//! * **Chunked sources.** Every source refills its decode lane in batches
+//!   of reused scratch columns — packed `(row << 32) | col` keys plus
+//!   values — so the inner merge loop compares single `u64`s and never
+//!   touches the decoder. Spilled partials batch-decode whole buffered
+//!   spans (branch-free LEB128 in `spill.rs`); resident CSRs are walked
+//!   with the row scan amortized per chunk instead of per triple.
+//! * **Leaves multiplied in the fold.** A [`Leaf`] source is a panel pair
+//!   `A[:, p]`, `B[p, :]`, not a partial: each refill multiplies its next
+//!   live rows straight into the lane ([`RowProduct::rows_into`], the
+//!   Gustavson kernel's own per-row body, through the band's
+//!   [`MultiplyScratch`]), so the round folds the leaf's rows as they are
+//!   produced — SpArch's pipelined multiply and merge (§II-A). The leaf's
+//!   partial is never built, stored or spilled, and its row bounds let a
+//!   round cut it into bands at any row.
 //! * **One row-wise fold.** The decode lanes are the sources of
 //!   [`sparch_sparse::algo::fold_rows`], the fold the simulator's merge
 //!   rounds run too. It visits output rows in ascending order, picking
@@ -31,17 +39,19 @@
 //!   row goes through the dense value array and its occupancy bitmap.
 //!   The choice is made by the row's own shape, never by the fan-in.
 //! * **Pre-sized output.** A round pre-sizes its two output arrays from
-//!   the summed source nnz (an exact upper bound), so the output never
+//!   the summed source nnz — a leaf's counted at its rows'
+//!   `min(flops, span)` bounds — an upper bound, so the output never
 //!   reallocates mid-merge.
 //! * **Row bands.** Because every output row folds on its own,
 //!   [`merge_bands`] can cut a round into row bands at the quantiles of
 //!   the input weight and fold each band on its own scoped thread, with
 //!   its own lanes and accumulator from the [`MergeScratch`]. The weight
-//!   is read off resident sources' row pointers and spilled sources' row
-//!   indexes ([`SpillFile`]'s marks, every `⌈rows / 1024⌉` rows), so an
-//!   all-resident round can be cut at any row and a round with a spilled
-//!   source at the marks; each band opens its own reader on every
-//!   spilled source, which costs a 64 KiB read buffer per band and way.
+//!   is read off resident sources' row pointers, leaves' row bounds and
+//!   spilled sources' row indexes ([`SpillFile`]'s marks, every
+//!   `⌈rows / 1024⌉` rows), so a round without a spilled source can be
+//!   cut at any row and a round with one at the marks; each band opens
+//!   its own reader on every spilled source, which costs a 64 KiB read
+//!   buffer per band and way.
 //!   Each band writes into a disjoint slice of the one output, pre-sized
 //!   at the summed source nnz; once the bands join, the later bands
 //!   shift down and their row pointers are rebased.
@@ -59,12 +69,14 @@
 
 use crate::spill::{mark_stride, SpillFile, SpillReader};
 use crate::StreamError;
-use sparch_sparse::algo::{fold_rows, FoldScratch, RowSources};
+use sparch_sparse::algo::{fold_rows, FoldScratch, MultiplyScratch, RowProduct, RowSources};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Entries decoded per [`PartialSource::next_chunk`] call: 16 KiB of
 /// scratch per lane (8 B key + 8 B value), small enough that a full
@@ -86,6 +98,50 @@ pub const BAND_MIN_ENTRIES: usize = 1 << 17;
 /// least one.
 pub fn lone_round_bands(triples: usize, threads: usize) -> usize {
     (triples / BAND_MIN_ENTRIES).clamp(1, threads.max(1))
+}
+
+/// A leaf of the plan: the panel pair `A[:, p]`, `B[p, :]` whose product
+/// the round that folds it computes row by row ([`PartialSource::from_leaf`]).
+/// The bands of a round share it, each computing its own rows, and it
+/// tallies the entries and the multiply time they took.
+#[derive(Debug)]
+pub struct Leaf {
+    product: RowProduct,
+    entries: AtomicUsize,
+    nanos: AtomicU64,
+}
+
+impl Leaf {
+    /// The leaf `a · b` over `a`'s occupied rows `live`; builds the
+    /// product's `B` table and row bounds.
+    ///
+    /// # Panics
+    ///
+    /// As [`RowProduct::new`].
+    pub fn new(a: Csr, b: Csr, live: Vec<Index>) -> Self {
+        Leaf {
+            product: RowProduct::new(a, b, live),
+            entries: AtomicUsize::new(0),
+            nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// The entries its rows have produced so far, and the nanoseconds
+    /// they took, summed over the threads that computed them.
+    pub fn tally(&self) -> (usize, u64) {
+        (self.entries.load(Relaxed), self.nanos.load(Relaxed))
+    }
+
+    /// [`Csr::estimated_bytes`] of the leaf's partial, had it been built
+    /// from the entries produced so far.
+    pub fn estimated_bytes(&self) -> u64 {
+        Csr::estimated_bytes_of(self.product.shape().0, self.tally().0)
+    }
+
+    /// The position in the live rows of the first one at or past `row`.
+    fn position(&self, row: usize) -> usize {
+        self.product.live().partition_point(|&i| (i as usize) < row)
+    }
 }
 
 /// One sorted input stream of a merge round.
@@ -110,13 +166,13 @@ enum Inner {
         reader: SpillReader,
         file: Option<Box<SpillFile>>,
     },
-}
-
-/// The whole partial behind a source that has produced nothing yet: what
-/// [`merge_bands`] cuts a round from.
-enum Whole<'a> {
-    Mem(Arc<Csr>),
-    Disk(&'a SpillFile),
+    /// A leaf multiplied as it is read: its live rows at positions
+    /// `at..end` are still to come.
+    Leaf {
+        leaf: Arc<Leaf>,
+        at: usize,
+        end: usize,
+    },
 }
 
 impl PartialSource {
@@ -141,8 +197,15 @@ impl PartialSource {
         Ok(PartialSource(Inner::Disk { reader, file }))
     }
 
+    /// A source multiplying `leaf`'s rows as the fold reads them.
+    pub fn from_leaf(leaf: Arc<Leaf>) -> Self {
+        let end = leaf.position(usize::MAX);
+        PartialSource(Inner::Leaf { leaf, at: 0, end })
+    }
+
     /// Drains a fresh source into a CSR: a resident one as it is, a
-    /// spilled one through [`SpillReader::read_all`].
+    /// spilled one through [`SpillReader::read_all`], a leaf multiplied
+    /// whole.
     pub(crate) fn into_csr(self) -> Result<Csr, StreamError> {
         match self.0 {
             Inner::Mem { csr, pos, end, .. } => {
@@ -150,62 +213,85 @@ impl PartialSource {
                 Ok(Arc::unwrap_or_clone(csr))
             }
             Inner::Disk { reader, .. } => reader.read_all(),
+            Inner::Leaf { leaf, .. } => Ok(leaf.product.multiply(&mut MultiplyScratch::new())),
         }
     }
 
-    /// The whole partial behind a source that has produced nothing yet —
-    /// one whose rows can be cut into bands — or `None`.
-    fn whole(&self) -> Option<Whole<'_>> {
+    /// Whether the source has produced nothing yet, so that
+    /// [`merge_bands`] can cut its rows into bands (a band's own reader
+    /// of a spilled partial cannot be cut again).
+    fn fresh(&self) -> bool {
         match &self.0 {
-            Inner::Mem {
-                csr, pos: 0, end, ..
-            } if *end == csr.nnz() => Some(Whole::Mem(Arc::clone(csr))),
-            Inner::Disk {
-                reader,
-                file: Some(file),
-            } if reader.remaining() == file.index.entries() as u64 => Some(Whole::Disk(file)),
-            _ => None,
+            Inner::Mem { csr, pos, end, .. } => *pos == 0 && *end == csr.nnz(),
+            Inner::Disk { reader, file } => file
+                .as_ref()
+                .is_some_and(|f| reader.remaining() == f.index.entries() as u64),
+            Inner::Leaf { leaf, at, end } => *at == 0 && *end == leaf.position(usize::MAX),
         }
     }
 
-    /// A resident source over rows `band` of `csr` only.
-    fn band_of(csr: &Arc<Csr>, band: &Range<usize>) -> Self {
-        PartialSource(Inner::Mem {
-            csr: Arc::clone(csr),
-            row: band.start,
-            pos: csr.row_ptr()[band.start],
-            end: csr.row_ptr()[band.end],
-        })
+    /// Input entries of a fresh source before row `row`, cut point `k` of
+    /// a spilled one's row index (a leaf's counted at its row bounds).
+    fn before(&self, row: usize, k: usize) -> usize {
+        match &self.0 {
+            Inner::Mem { csr, .. } => csr.row_ptr()[row],
+            Inner::Disk { file, .. } => file.as_ref().map_or(0, |f| f.index.entries_before(k)),
+            Inner::Leaf { leaf, .. } => leaf.product.bound(0..leaf.position(row)),
+        }
+    }
+
+    /// A source over rows `rows` — cut points `points` — of a fresh one.
+    fn band(&self, rows: Range<usize>, points: Range<usize>) -> Result<Self, StreamError> {
+        Ok(PartialSource(match &self.0 {
+            Inner::Mem { csr, .. } => Inner::Mem {
+                csr: Arc::clone(csr),
+                row: rows.start,
+                pos: csr.row_ptr()[rows.start],
+                end: csr.row_ptr()[rows.end],
+            },
+            Inner::Disk { file, .. } => {
+                let file = file.as_deref().expect("a fresh spilled source");
+                let reader = SpillReader::open_band(file, points)?;
+                Inner::Disk { reader, file: None }
+            }
+            Inner::Leaf { leaf, .. } => Inner::Leaf {
+                leaf: Arc::clone(leaf),
+                at: leaf.position(rows.start),
+                end: leaf.position(rows.end),
+            },
+        }))
     }
 
     /// Errors unless the source declares the shape `rows × cols`: a
     /// resident CSR its own, a spilled partial its header (an error that
     /// names the file).
     pub fn expect_shape(&self, rows: usize, cols: usize) -> Result<(), StreamError> {
-        match &self.0 {
-            Inner::Mem { csr, .. } if (csr.rows(), csr.cols()) != (rows, cols) => {
-                Err(StreamError::Shape(format!(
-                    "resident partial is {}x{}, expected {rows}x{cols}",
-                    csr.rows(),
-                    csr.cols()
-                )))
-            }
-            Inner::Mem { .. } => Ok(()),
-            Inner::Disk { reader, .. } => reader.expect_shape(rows, cols),
+        let (r, c) = match &self.0 {
+            Inner::Mem { csr, .. } => (csr.rows(), csr.cols()),
+            Inner::Disk { reader, .. } => return reader.expect_shape(rows, cols),
+            Inner::Leaf { leaf, .. } => leaf.product.shape(),
+        };
+        if (r, c) == (rows, cols) {
+            return Ok(());
         }
+        let msg = format!("resident partial or leaf is {r}x{c}, expected {rows}x{cols}");
+        Err(StreamError::Shape(msg))
     }
 
     /// Entries this source has not yet produced — the exact residual
-    /// nnz, used to pre-size merge outputs.
+    /// nnz of a partial, an upper bound for a leaf (its rows'
+    /// `min(flops, span)`) — used to pre-size merge outputs.
     pub fn remaining_nnz(&self) -> usize {
         match &self.0 {
             Inner::Mem { pos, end, .. } => end - pos,
             Inner::Disk { reader, .. } => reader.remaining() as usize,
+            Inner::Leaf { leaf, at, end } => leaf.product.bound(*at..*end),
         }
     }
 
     /// The next `(row, col, value)` in row-major order, or `None` — the
-    /// per-triple path, used by [`merge_sources_reference`].
+    /// per-triple path of a partial, used by [`merge_sources_reference`]
+    /// (which multiplies leaves whole first).
     fn next_triple(&mut self) -> Result<Option<Triple>, StreamError> {
         match &mut self.0 {
             Inner::Mem { csr, row, pos, end } => {
@@ -220,24 +306,30 @@ impl PartialSource {
                 Ok(Some(t))
             }
             Inner::Disk { reader, .. } => reader.next_triple(),
+            Inner::Leaf { .. } => {
+                unreachable!("leaves are multiplied whole before a per-triple merge")
+            }
         }
     }
 
-    /// Decodes up to `max` entries into the caller's scratch columns —
-    /// packed `(row << 32) | col` keys plus values — returning how many
-    /// were produced (0 only when the source is exhausted). Resident
-    /// CSRs amortize the row scan across the chunk; spilled partials
-    /// batch-decode through [`SpillReader::next_chunk`].
-    pub fn next_chunk(
+    /// Refills `lane` from its start with up to [`CHUNK_ENTRIES`] entries
+    /// — packed `(row << 32) | col` keys plus values — and returns
+    /// whether any came (`false` only when the source is exhausted).
+    /// Resident CSRs amortize the row scan across the chunk; spilled
+    /// partials batch-decode through [`SpillReader::next_chunk`]; a leaf
+    /// multiplies whole rows through `product` until the chunk is full, so
+    /// a row wider than a chunk comes whole.
+    fn refill(
         &mut self,
-        max: usize,
-        keys: &mut Vec<u64>,
-        vals: &mut Vec<f64>,
-    ) -> Result<usize, StreamError> {
+        lane: &mut Lane,
+        product: &mut MultiplyScratch,
+    ) -> Result<bool, StreamError> {
+        let (keys, vals, max) = (&mut lane.keys, &mut lane.vals, CHUNK_ENTRIES);
+        lane.pos = 0;
+        keys.clear();
+        vals.clear();
         match &mut self.0 {
             Inner::Mem { csr, row, pos, end } => {
-                keys.clear();
-                vals.clear();
                 let stop = pos.saturating_add(max).min(*end);
                 let rp = csr.row_ptr();
                 let ci = csr.col_indices();
@@ -259,9 +351,20 @@ impl PartialSource {
                 let n = p - *pos;
                 *pos = p;
                 *row = r;
-                Ok(n)
+                Ok(n > 0)
             }
-            Inner::Disk { reader, .. } => reader.next_chunk(max, keys, vals),
+            Inner::Disk { reader, .. } => Ok(reader.next_chunk(max, keys, vals)? > 0),
+            Inner::Leaf { leaf, at, end } => {
+                let start = Instant::now();
+                *at = leaf.product.rows_into(*at..*end, max, product, |i, j, v| {
+                    keys.push(u64::from(i) << 32 | u64::from(j));
+                    vals.push(v);
+                });
+                let nanos = start.elapsed().as_nanos() as u64;
+                leaf.entries.fetch_add(keys.len(), Relaxed);
+                leaf.nanos.fetch_add(nanos, Relaxed);
+                Ok(!keys.is_empty())
+            }
         }
     }
 }
@@ -276,12 +379,14 @@ struct Lane {
     pos: usize,
 }
 
-/// What one band's fold runs on: a decode lane per merge way and the
-/// shared fold's scratch.
+/// What one band's fold runs on: a decode lane per merge way, the
+/// shared fold's scratch and the accumulator its leaves' rows are
+/// multiplied through.
 #[derive(Debug, Default)]
 struct BandScratch {
     lanes: Vec<Lane>,
     fold: FoldScratch,
+    product: MultiplyScratch,
 }
 
 impl BandScratch {
@@ -316,6 +421,12 @@ impl MergeScratch {
         MergeScratch::default()
     }
 
+    /// Leaf-row chunks multiplied on already-warm scratch, over every
+    /// band ([`MultiplyScratch::reuses`]).
+    pub fn multiply_reuses(&self) -> u64 {
+        self.bands.iter().map(|band| band.product.reuses()).sum()
+    }
+
     /// The first `bands` band scratches, created on first use.
     fn bands(&mut self, bands: usize) -> &mut [BandScratch] {
         if self.bands.len() < bands {
@@ -325,17 +436,12 @@ impl MergeScratch {
     }
 }
 
-/// Refills `lane` from `src`; `false` means the source is exhausted.
-fn refill(src: &mut PartialSource, lane: &mut Lane) -> Result<bool, StreamError> {
-    lane.pos = 0;
-    Ok(src.next_chunk(CHUNK_ENTRIES, &mut lane.keys, &mut lane.vals)? > 0)
-}
-
 /// A band's sources, each read through its decode lane, as the shared
 /// fold's sources.
 struct Lanes<'a> {
     sources: &'a mut [PartialSource],
     lanes: &'a mut [Lane],
+    product: &'a mut MultiplyScratch,
 }
 
 impl RowSources for Lanes<'_> {
@@ -373,7 +479,7 @@ impl RowSources for Lanes<'_> {
                 n += 1;
             }
             lane.pos += n;
-            if lane.pos < lane.keys.len() || !refill(src, lane)? {
+            if lane.pos < lane.keys.len() || !src.refill(lane, self.product)? {
                 return Ok(lane.keys.get(lane.pos).map(|&key| key >> 32));
             }
         }
@@ -421,77 +527,50 @@ pub fn merge_bands(
         src.expect_shape(rows, cols)?;
     }
     let total: usize = sources.iter().map(PartialSource::remaining_nnz).sum();
-    let wholes: Option<Vec<Whole>> = match bands.min(total) {
-        0 | 1 => None,
-        _ => sources.iter().map(PartialSource::whole).collect(),
-    };
-    // Cut point `k` is row `k · grain`: every row when all sources are
-    // resident, every mark of the spill files' row indexes otherwise.
-    let spilled = wholes.iter().flatten().any(|w| matches!(w, Whole::Disk(_)));
+    // Cut point `k` is row `k · grain`: every row when no source is
+    // spilled, every mark of the spill files' row indexes otherwise.
+    let spilled = sources.iter().any(|s| matches!(s.0, Inner::Disk { .. }));
     let grain = if spilled { mark_stride(rows) } else { 1 };
     let points = rows.div_ceil(grain);
     let bands = bands.min(points).min(total);
     // Band `b` folds rows `cuts[b]..cuts[b + 1]` into the output from
     // `offsets[b]`: the input entries below its first row bound the
     // output entries before it.
-    let (cuts, offsets, band_sources) = match wholes.filter(|_| bands > 1) {
-        None => (vec![0, rows], vec![0, total], vec![sources]),
-        Some(wholes) => {
-            let row = |k: usize| (k * grain).min(rows);
-            // Input entries before cut point `k`, over all sources.
-            let below = |k: usize| -> usize {
-                let before = |whole: &Whole| match whole {
-                    Whole::Mem(csr) => csr.row_ptr()[row(k)],
-                    Whole::Disk(file) => file.index.entries_before(k),
-                };
-                wholes.iter().map(before).sum()
-            };
-            // Each cut is the first point with at least its quantile of
-            // the input before it.
-            let mut at = vec![0];
-            for b in 1..bands {
-                let goal = (total as u128 * b as u128 / bands as u128) as usize;
-                let (mut lo, mut hi) = (at[b - 1], points);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if below(mid) < goal {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
+    let (cuts, offsets, band_sources) = if bands < 2 || !sources.iter().all(|s| s.fresh()) {
+        (vec![0, rows], vec![0, total], vec![sources])
+    } else {
+        let row = |k: usize| (k * grain).min(rows);
+        // Input entries before cut point `k`, over all sources.
+        let below = |k: usize| -> usize { sources.iter().map(|s| s.before(row(k), k)).sum() };
+        // Each cut is the first point with at least its quantile of
+        // the input before it.
+        let mut at = vec![0];
+        for b in 1..bands {
+            let goal = (total as u128 * b as u128 / bands as u128) as usize;
+            let (mut lo, mut hi) = (at[b - 1], points);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if below(mid) < goal {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
                 }
-                at.push(lo);
             }
-            at.push(points);
-            let band = |span: &[usize]| {
-                let view = |whole: &Whole| match whole {
-                    Whole::Mem(csr) => {
-                        Ok(PartialSource::band_of(csr, &(row(span[0])..row(span[1]))))
-                    }
-                    Whole::Disk(file) => {
-                        debug_assert_eq!(
-                            file.index.spans(),
-                            points,
-                            "marks off the shape's stride"
-                        );
-                        let reader = SpillReader::open_band(file, span[0]..span[1])?;
-                        Ok(PartialSource(Inner::Disk { reader, file: None }))
-                    }
-                };
-                wholes
-                    .iter()
-                    .map(view)
-                    .collect::<Result<Vec<_>, StreamError>>()
-            };
-            let band_sources = at.windows(2).map(band).collect::<Result<_, _>>()?;
-            let offsets = at.iter().map(|&k| below(k)).collect();
-            let cuts = at.iter().map(|&k| row(k)).collect();
-            // The band views hold the inputs now, and drop them as their
-            // folds end — before the compaction touches the output's gaps.
-            drop(wholes);
-            drop(sources);
-            (cuts, offsets, band_sources)
+            at.push(lo);
         }
+        at.push(points);
+        let band = |span: &[usize]| {
+            let rows = row(span[0])..row(span[1]);
+            let view = |s: &PartialSource| s.band(rows.clone(), span[0]..span[1]);
+            sources.iter().map(view).collect::<Result<Vec<_>, _>>()
+        };
+        let band_sources = at.windows(2).map(band).collect::<Result<_, _>>()?;
+        let offsets = at.iter().map(|&k| below(k)).collect();
+        let cuts = at.iter().map(|&k| row(k)).collect();
+        // The band views hold the inputs now, and drop them as their
+        // folds end — before the compaction touches the output's gaps.
+        drop(sources);
+        (cuts, offsets, band_sources)
     };
     let bands = band_sources.len();
 
@@ -557,10 +636,14 @@ fn fold_band(
     col_idx: &mut [Index],
     values: &mut [f64],
 ) -> Result<usize, StreamError> {
-    let BandScratch { lanes, fold } = scratch;
+    let BandScratch {
+        lanes,
+        fold,
+        product,
+    } = scratch;
     let lanes = &mut lanes[..sources.len()];
     for (src, lane) in sources.iter_mut().zip(lanes.iter_mut()) {
-        refill(src, lane)?;
+        src.refill(lane, product)?;
     }
     // Every source yields strictly increasing in-shape keys — resident
     // CSRs by invariant, spilled ones because `SpillReader` checks each
@@ -577,23 +660,40 @@ fn fold_band(
         n += 1;
     };
     let sources = &mut sources[..];
-    fold_rows(&mut Lanes { sources, lanes }, cols, fold, push)?;
+    fold_rows(
+        &mut Lanes {
+            sources,
+            lanes,
+            product,
+        },
+        cols,
+        fold,
+        push,
+    )?;
     row_ends[row - band.start..].fill(n);
     Ok(n)
 }
 
 /// The seed per-triple kernel — `BinaryHeap` over source heads with an
 /// `Option` accumulator — kept verbatim as the differential oracle and
-/// the micro-bench baseline. Output is byte-identical to
-/// [`merge_sources`] on every input.
+/// the micro-bench baseline; fresh leaf sources are multiplied whole
+/// first. Output is byte-identical to [`merge_sources`] on every input.
 pub fn merge_sources_reference(
     rows: usize,
     cols: usize,
-    mut sources: Vec<PartialSource>,
+    sources: Vec<PartialSource>,
 ) -> Result<Csr, StreamError> {
     for src in &sources {
         src.expect_shape(rows, cols)?;
     }
+    let partial = |src: PartialSource| match src.0 {
+        Inner::Leaf { .. } => src.into_csr().map(PartialSource::from_csr),
+        _ => Ok(src),
+    };
+    let mut sources = sources
+        .into_iter()
+        .map(partial)
+        .collect::<Result<Vec<_>, _>>()?;
     let mut out = CsrBuilder::new(rows, cols);
     // Heap keys are (row, col, source-index): coordinate order first, and
     // within one coordinate the plan's child order — a fixed, documented
@@ -1059,5 +1159,114 @@ mod tests {
             let what = format!("chunk-aligned runs, {ways}-way");
             assert_matches_reference_bits(&dir, &parts, (26, 128), &what);
         }
+    }
+
+    /// A round over leaf sources folds exactly what the same round folds
+    /// over the leaves' partials as the kernel builds them
+    /// (`gustavson_scratch_on_rows`), bit for bit: at every band count,
+    /// so bands are cut inside leaves; mixed with a resident and a spilled
+    /// partial; over short and wide rows, `-0.0` products, a leaf that
+    /// alone owns a run of rows, a leaf spanning many chunks, a leaf whose
+    /// rows all multiply empty `B` rows and a leaf with no live row. Each
+    /// leaf's tallies then match its partial.
+    #[test]
+    fn leaf_sources_fold_like_their_materialized_partials() {
+        let dir = TempDir::new("merge_leaves");
+        let (rows, inner, cols) = (70, 15, 96);
+        // B: inner rows 0..3 wide (40 columns each), 3..6 short with
+        // signed zeros, 6..9 mixed, 9..12 empty, 12..15 never reached.
+        let mut b = Vec::new();
+        for k in 0..3u32 {
+            b.extend((0..40).map(|c| (k, 2 * c + k, value(c as usize + 3 * k as usize))));
+        }
+        for k in 3..6u32 {
+            b.extend([
+                (k, k, 0.0),
+                (k, k + 1, -0.0),
+                (k, 50 + k, value(k as usize)),
+            ]);
+        }
+        for k in 6..9u32 {
+            b.extend((0..(5 + 9 * (k - 6))).map(|c| (k, 7 * c % 96, value(c as usize))));
+        }
+        let b = partial(inner, cols, b);
+        // A: rows 0..6 touch only panel 0 (one leaf alone owns them), rows
+        // 6..60 every panel, rows 60..70 panels 1 and 2 with -1.0 (so
+        // -1 · 0.0 = -0.0).
+        let mut a = Vec::new();
+        for r in 0..rows as u32 {
+            let cols: Vec<u32> = match r {
+                0..6 => vec![r % 3],
+                6..60 => (0..12).filter(|k| (r + k) % 3 != 0).collect(),
+                _ => vec![3 + r % 3, 4, 6 + r % 3],
+            };
+            let v = |k: u32| {
+                if r >= 60 {
+                    -1.0
+                } else {
+                    value((r * 12 + k) as usize)
+                }
+            };
+            a.extend(cols.into_iter().map(|k| (r, k, v(k))));
+        }
+        let a = partial(rows, inner, a);
+        let panels = [0..3, 3..6, 6..9, 9..12, 12..15];
+        let mut scratch = algo::MultiplyScratch::new();
+        let parts: Vec<Csr> = panels
+            .iter()
+            .map(|r| {
+                let (a_p, live) = a.col_panel_condensed(r.clone());
+                algo::gustavson_scratch_on_rows(&a_p, &b.row_panel(r.clone()), &live, &mut scratch)
+            })
+            .collect();
+        assert!(parts[0].nnz() > 2 * CHUNK_ENTRIES, "leaf 0 spans chunks");
+        assert!(parts[1]
+            .values()
+            .iter()
+            .any(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!((parts[3].nnz(), parts[4].nnz()), (0, 0));
+        let leaf = |p: usize| {
+            let (a_p, live) = a.col_panel_condensed(panels[p].clone());
+            Arc::new(Leaf::new(a_p, b.row_panel(panels[p].clone()), live))
+        };
+        let want = merge_sources_reference(rows, cols, parts.iter().cloned().map(mem).collect());
+        let want = want.unwrap();
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let spilled = write_partial(&dir.file("p2.bin"), &parts[2], SpillCodec::Varint).unwrap();
+        let mut merge_scratch = MergeScratch::new();
+        for bands in 1..=5 {
+            for mix in ["leaves", "mixed"] {
+                let leaves: Vec<Arc<Leaf>> = (0..5).map(leaf).collect();
+                let sources = (0..5)
+                    .map(|p| match (mix, p) {
+                        ("mixed", 1) => mem(parts[1].clone()),
+                        ("mixed", 2) => PartialSource::from_spill(spilled.clone()).unwrap(),
+                        _ => PartialSource::from_leaf(Arc::clone(&leaves[p])),
+                    })
+                    .collect();
+                let (got, ran) =
+                    merge_bands(rows, cols, sources, &mut merge_scratch, bands).unwrap();
+                let what = format!("{mix}, {bands} bands asked, {ran} ran");
+                assert_eq!(ran, bands, "{what}");
+                assert_eq!(got, want, "{what}");
+                assert_eq!(bits(&got), bits(&want), "{what}");
+                for (p, leaf) in leaves.iter().enumerate() {
+                    if mix == "mixed" && (p == 1 || p == 2) {
+                        assert_eq!(leaf.tally().0, 0, "{what}: leaf {p} was not read");
+                        continue;
+                    }
+                    assert_eq!(leaf.tally().0, parts[p].nnz(), "{what}: leaf {p}");
+                    assert_eq!(leaf.estimated_bytes(), parts[p].estimated_bytes(), "{what}");
+                }
+            }
+        }
+        // The per-triple reference multiplies leaves whole first.
+        let sources = (0..5).map(|p| PartialSource::from_leaf(leaf(p))).collect();
+        let reference = merge_sources_reference(rows, cols, sources).unwrap();
+        assert_eq!(bits(&reference), bits(&want));
+        assert!(
+            merge_scratch.multiply_reuses() > 0,
+            "leaf chunks never ran warm"
+        );
     }
 }

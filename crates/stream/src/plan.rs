@@ -70,8 +70,10 @@ pub struct Subtree {
     /// The node whose partial the subtree produces; `None` only for the
     /// whole of an all-pruned plan.
     pub root: Option<usize>,
-    /// Leaf ids beneath the root, ascending — range order, the order
-    /// their panel pairs are read in.
+    /// Leaf ids beneath the root in production order — each round's leaf
+    /// children in fold order, rounds ascending — the order their panel
+    /// pairs are read in, so each round's pairs arrive together and
+    /// before any later round's.
     pub leaves: Vec<usize>,
     /// Round indices beneath the root, ascending — children always
     /// precede the round that folds them.
@@ -263,16 +265,18 @@ impl ExecPlan {
         };
         let mut pending = vec![node];
         while let Some(node) = pending.pop() {
-            match node.checked_sub(self.num_leaves()) {
-                None => tree.leaves.push(node),
-                Some(round) => {
-                    tree.rounds.push(round);
-                    pending.extend(self.round_children(round));
-                }
+            if let Some(round) = node.checked_sub(self.num_leaves()) {
+                tree.rounds.push(round);
+                pending.extend(self.round_children(round));
             }
         }
-        tree.leaves.sort_unstable();
         tree.rounds.sort_unstable();
+        tree.leaves = if tree.rounds.is_empty() {
+            vec![node]
+        } else {
+            let children = tree.rounds.iter().flat_map(|&r| self.round_children(r));
+            children.filter(|&c| c < self.num_leaves()).collect()
+        };
         tree
     }
 
@@ -280,6 +284,26 @@ impl ExecPlan {
     pub fn whole(&self) -> Subtree {
         self.root()
             .map_or_else(Subtree::default, |root| self.subtree(root))
+    }
+
+    /// Every leaf id in production order: round 0's leaf children in fold
+    /// order, then round 1's, and so on (the whole plan's
+    /// [`Subtree::leaves`]). Read in this order, each round's panel pairs
+    /// arrive together and the round can run the moment its last one
+    /// lands, so no pair waits on a later round's.
+    pub fn production_order(&self) -> Vec<usize> {
+        self.whole().leaves
+    }
+
+    /// Every panel index in the order a stream fed to
+    /// `StreamingExecutor::multiply_streams` should yield them: the leaf
+    /// panels in [`production_order`](Self::production_order), then the
+    /// pruned panels left to right.
+    pub fn panel_order(&self) -> Vec<usize> {
+        let leaves = self.production_order().into_iter();
+        let leaf_panels = leaves.map(|leaf| self.leaf_panels[leaf]);
+        let pruned = (0..self.panels()).filter(|p| self.leaf_panels.binary_search(p).is_err());
+        leaf_panels.chain(pruned).collect()
     }
 
     /// Cuts the plan into about `target` subtree jobs: start from the
@@ -416,7 +440,9 @@ mod tests {
             (Some(1), &[1][..], &[][..])
         );
         assert_eq!(plan.subtree(plan.root().unwrap()), plan.whole());
-        assert_eq!(plan.whole().leaves, [0, 1, 2]);
+        // Production order: round 0 folds leaves 1 and 2, round 1 its
+        // output and leaf 0.
+        assert_eq!(plan.whole().leaves, [1, 2, 0]);
         assert_eq!(plan.whole().rounds, [0, 1]);
         // All pruned: the whole plan is the empty subtree, and so is its cut.
         let empty = ExecPlan::from_panel_nnz(vec![0..2, 2..4], &[0, 0], 4);
@@ -484,6 +510,55 @@ mod tests {
                 assert!(plan.root().is_none_or(|root| have[root]), "{what}");
             }
         }
+    }
+
+    /// Production order lists every leaf once, each round's leaf children
+    /// together, in fold order, and rounds in ascending order; the panel
+    /// order maps it onto panels and ends with the pruned ones.
+    #[test]
+    fn production_order_reads_each_rounds_pairs_together_and_in_round_order() {
+        let nnz = [5, 0, 3, 9, 1, 0, 4, 4, 2, 7, 6];
+        let ranges: Vec<Range<usize>> = (0..nnz.len()).map(|p| p..p + 1).collect();
+        for ways in [2, 3, 4, 64] {
+            let plan = ExecPlan::from_panel_nnz(ranges.clone(), &nnz, ways);
+            let order = plan.production_order();
+            let expected: Vec<usize> = (0..plan.num_rounds())
+                .flat_map(|r| plan.round_children(r).filter(|&c| c < plan.num_leaves()))
+                .collect();
+            assert_eq!(order, expected, "ways {ways}");
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert!(
+                sorted.iter().copied().eq(0..plan.num_leaves()),
+                "ways {ways}"
+            );
+            let panels = plan.panel_order();
+            let leaf_ranges: Vec<_> = plan.leaf_ranges().cloned().collect();
+            for (at, &leaf) in order.iter().enumerate() {
+                assert_eq!(ranges[panels[at]], leaf_ranges[leaf], "ways {ways}");
+            }
+            assert_eq!(panels[order.len()..], [1, 5], "ways {ways}");
+            // A subtree's leaves are the whole order's, restricted to it.
+            for node in 0..plan.num_nodes() {
+                let tree = plan.subtree(node);
+                let within: Vec<usize> = order
+                    .iter()
+                    .copied()
+                    .filter(|l| tree.leaves.contains(l))
+                    .collect();
+                assert_eq!(tree.leaves, within, "ways {ways} node {node}");
+            }
+        }
+        let lone = ExecPlan::from_panel_nnz(vec![0..3, 3..6], &[0, 7], 4);
+        assert_eq!(
+            (lone.production_order(), lone.panel_order()),
+            (vec![0], vec![1, 0])
+        );
+        let empty = ExecPlan::from_panel_nnz(vec![0..3, 3..6], &[0, 0], 4);
+        assert_eq!(
+            (empty.production_order(), empty.panel_order()),
+            (vec![], vec![0, 1])
+        );
     }
 
     proptest! {

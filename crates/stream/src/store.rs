@@ -1,7 +1,8 @@
 //! The memory-budgeted partial store.
 //!
-//! Between the multiply phase and each merge round, the pipeline's
-//! partials live here. The store enforces the [`MemoryBudget`] as an
+//! Between the merge round that produces a partial and the one that
+//! consumes it, the pipeline's round outputs live here — leaves never do:
+//! the round that folds a leaf multiplies it as it reads it. The store enforces the [`MemoryBudget`] as an
 //! invariant — the bytes of resident (in-memory) partials never exceed
 //! the budget, and `peak_live_bytes` records the high-water mark — by
 //! spilling partials to disk via the [`spill`](crate::spill) format.
@@ -9,14 +10,15 @@
 //! Eviction order is the software twin of the paper's look-ahead idea:
 //! the store is built with the Huffman merge plan's consumption
 //! schedule, so it knows exactly when every partial is consumed and
-//! evicts the one needed *farthest in the future* (Bélády's optimal
-//! policy — the same principle as the row prefetcher's replacement,
-//! §II-E).
+//! keeps out the one needed *farthest in the future* — an arriving
+//! partial included (Bélády's optimal policy — the same principle as the
+//! row prefetcher's replacement, §II-E).
 
 use crate::merge::PartialSource;
 use crate::spill::SpillFile;
 use crate::{MemoryBudget, SpillCodec, StreamError};
 use sparch_sparse::Csr;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::mpsc::SyncSender;
@@ -147,21 +149,22 @@ impl PartialStore {
         Ok(())
     }
 
-    /// Accepts a freshly produced partial. If it does not fit alongside
-    /// the current residents, other residents are evicted
-    /// (farthest-future-use first); if it still does not fit — the
-    /// budget is smaller than this single partial — it goes straight to
-    /// disk and is never counted as live.
+    /// Accepts a freshly produced partial. While it does not fit
+    /// alongside the current residents, whichever of them and it is used
+    /// farthest in the future (then largest, then smallest id) leaves
+    /// memory: a resident is evicted and the loop goes on, the newcomer
+    /// goes straight to disk and is never counted as live — as it does
+    /// when nothing is left to evict.
     pub fn insert(&mut self, id: usize, csr: Csr) -> Result<(), StreamError> {
         let bytes = csr.estimated_bytes();
+        let key = (self.consumers[id], bytes, Reverse(id));
         while self.live_bytes.saturating_add(bytes) > self.budget {
-            if !self.evict_one()? {
-                break;
-            }
-        }
-        if self.live_bytes.saturating_add(bytes) > self.budget {
-            self.spill(id, csr)?;
-            return Ok(());
+            let Some((.., Reverse(victim))) = self.farthest().filter(|&far| far > key) else {
+                return self.spill(id, csr);
+            };
+            let evicted = self.resident.remove(&victim).expect("victim is resident");
+            self.live_bytes -= evicted.estimated_bytes();
+            self.spill(victim, evicted)?;
         }
         self.resident.insert(id, csr);
         self.live_bytes += bytes;
@@ -205,14 +208,6 @@ impl PartialStore {
         }
     }
 
-    /// Fully materializes node `id` — used only when a lone partial *is*
-    /// the final result.
-    pub fn take_full(&mut self, id: usize) -> Result<Csr, StreamError> {
-        let csr = self.take(id)?.into_csr()?;
-        self.release(id);
-        Ok(csr)
-    }
-
     /// Spill/residency counters accumulated so far.
     pub fn stats(&self) -> &StoreStats {
         &self.stats
@@ -228,24 +223,14 @@ impl PartialStore {
         }
     }
 
-    /// Evicts one resident partial to disk. Returns `false` when nothing
-    /// is evictable (only pinned partials remain live).
-    fn evict_one(&mut self) -> Result<bool, StreamError> {
-        // Farthest future use, then largest; ties break toward the
-        // smallest id — fully deterministic.
-        let victim = self
-            .resident
-            .iter()
-            .map(|(&id, csr)| (self.consumers[id], csr.estimated_bytes(), id))
-            .max_by_key(|&(round, bytes, id)| (round, bytes, std::cmp::Reverse(id)))
-            .map(|(_, _, id)| id);
-        let Some(id) = victim else {
-            return Ok(false);
-        };
-        let csr = self.resident.remove(&id).expect("victim is resident");
-        self.live_bytes -= csr.estimated_bytes();
-        self.spill(id, csr)?;
-        Ok(true)
+    /// The eviction key `(consuming round, bytes, Reverse(id))` of the
+    /// resident used farthest in the future — the largest key goes first,
+    /// so ties break toward more bytes, then the smallest id, fully
+    /// deterministically — or `None` when only pinned partials are live.
+    fn farthest(&self) -> Option<(usize, u64, Reverse<usize>)> {
+        let key =
+            |(&id, csr): (&usize, &Csr)| (self.consumers[id], csr.estimated_bytes(), Reverse(id));
+        self.resident.iter().map(key).max()
     }
 
     /// Hands node `id` to the writer thread; the partial's bytes travel
@@ -294,6 +279,15 @@ mod tests {
     use crate::spill::{raw_size, write_partial};
     use sparch_sparse::gen;
     use std::sync::mpsc::{sync_channel, Receiver};
+
+    impl PartialStore {
+        /// Fully materializes node `id`.
+        fn take_full(&mut self, id: usize) -> Result<Csr, StreamError> {
+            let csr = self.take(id)?.into_csr()?;
+            self.release(id);
+            Ok(csr)
+        }
+    }
 
     fn dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("sparch_store_{tag}_{}", std::process::id()))
@@ -404,6 +398,28 @@ mod tests {
         assert!(store.resident.contains_key(&1) && store.resident.contains_key(&2));
         assert!(store.spilled.contains_key(&0));
         for id in [1, 2, 0] {
+            store.take(id).unwrap();
+            store.release(id);
+        }
+        store.cleanup();
+    }
+
+    /// The arrival is weighed like the residents: used after both of them,
+    /// it is the one that goes to disk, and they stay.
+    #[test]
+    fn an_arrival_used_farthest_spills_and_the_residents_stay() {
+        let p = partial(7);
+        let budget = MemoryBudget::from_bytes(p.estimated_bytes() * 2 + 16);
+        let (mut store, jobs) = consumed_by(budget, dir("belady_arrival"), vec![0, 1, 3]);
+        store.insert(0, partial(10)).unwrap();
+        store.insert(1, partial(11)).unwrap();
+        store.insert(2, partial(12)).unwrap();
+        assert_eq!(store.stats().spill_writes, 1);
+        land_spills(&mut store, &jobs);
+        assert!(store.resident.contains_key(&0) && store.resident.contains_key(&1));
+        assert!(store.spilled.contains_key(&2));
+        assert!(store.stats().peak_live_bytes <= budget.bytes());
+        for id in [0, 1, 2] {
             store.take(id).unwrap();
             store.release(id);
         }

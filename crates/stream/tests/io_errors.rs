@@ -16,9 +16,10 @@ fn blocked_spill_dir(tag: &str) -> std::path::PathBuf {
     blocker.join("spills")
 }
 
-/// A zero budget forces every partial through the spill writer; with the
-/// spill directory uncreatable the run must fail with `Io` and the error
-/// must name the path, at one merge worker and at two.
+/// A zero budget forces every round output but the root's through the
+/// spill writer (two-way rounds over four leaves give two of them); with
+/// the spill directory uncreatable the run must fail with `Io` and the
+/// error must name the path, at one merge worker and at two.
 #[test]
 fn spill_failure_surfaces_as_io_error_with_path_context() {
     let a = gen::uniform_random(48, 48, 400, 21);
@@ -28,6 +29,7 @@ fn spill_failure_surfaces_as_io_error_with_path_context() {
         let exec = StreamingExecutor::new(StreamConfig {
             budget: MemoryBudget::from_bytes(0),
             panels: 4,
+            merge_ways: 2,
             threads: Some(2),
             merge_workers: Some(merge_workers),
             spill_dir: Some(spill_dir.clone()),
@@ -57,10 +59,11 @@ fn late_spill_failure_aborts_cleanly() {
     let a = gen::rmat_graph500(128, 8, 31);
     let spill_dir = blocked_spill_dir("late");
     let exec = StreamingExecutor::new(StreamConfig {
-        // Small but non-zero: the first partials fit, pressure builds,
-        // then the first eviction hits the broken volume.
+        // Small but non-zero: the first round outputs fit, pressure
+        // builds, then the first eviction hits the broken volume.
         budget: MemoryBudget::from_kb(8),
         panels: 6,
+        merge_ways: 2,
         threads: Some(2),
         merge_workers: Some(2),
         spill_dir: Some(spill_dir.clone()),
@@ -84,6 +87,7 @@ fn control_run_with_working_spill_dir_succeeds() {
     let exec = StreamingExecutor::new(StreamConfig {
         budget: MemoryBudget::from_bytes(0),
         panels: 4,
+        merge_ways: 2,
         threads: Some(2),
         merge_workers: Some(2),
         ..StreamConfig::default()

@@ -3,12 +3,15 @@
 //! A budgeted two-thread run with an enabled recorder must produce a
 //! Chrome trace that (a) parses as strict JSON, (b) contains at least
 //! one complete event for every pipeline stage — `read-panel`,
-//! `multiply-job`, `kernel`, `merge-round`, `spill-write` — on
-//! correctly labelled thread lanes, (c) attributes per-stage span time to
-//! within 1 ns of the `StageReport` busy figures the same run publishes —
-//! each busy figure is a sum of the very span durations the trace holds,
-//! so only float rounding may tell them apart — and (d) counts exactly
-//! the spill bytes, raw-equivalent bytes and files the report does.
+//! `merge-round` (which multiplies its leaves as it folds them),
+//! `spill-write`, `orchestrate` — on correctly labelled thread lanes,
+//! (c) attributes per-stage span time to within 1 ns of the
+//! `StageReport` busy figures the same run publishes — each busy figure
+//! is a sum of the very span durations, and of the `multiply_ns` share
+//! each `merge-round` span records, that the trace holds, so only float
+//! rounding may tell them apart — with every leaf multiplied in exactly
+//! one round, and (d) counts exactly the spill bytes, raw-equivalent
+//! bytes and files the report does.
 
 use serde_json::Value;
 use sparch_obs::{chrome_trace_json, Recorder};
@@ -58,16 +61,50 @@ fn budgeted_two_thread_run_exports_full_stage_coverage() {
         );
     };
     close("read-panel", s.reader_busy_seconds);
-    close("multiply-job", s.multiply_busy_seconds);
-    close("kernel", s.multiply_kernel_seconds);
-    close("merge-round", s.merge_kernel_seconds);
+    // A round's wall time is its leaves' multiply share plus the merge
+    // kernel's rest; the share is the span's `multiply_ns` argument.
+    close(
+        "merge-round",
+        s.merge_kernel_seconds + s.multiply_kernel_seconds,
+    );
     close("spill-write", s.spill_write_seconds);
-    // Orchestrator bookkeeping + merge rounds together are the merge
-    // stage's busy time.
-    let merge_busy = trace.seconds_named("orchestrate") + trace.seconds_named("merge-round");
+    let rounds: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|x| x.name == "merge-round")
+        .collect();
+    let arg = |span: &sparch_obs::Span, key: &str| {
+        let found = span.args.iter().find(|x| x.key == key);
+        found
+            .unwrap_or_else(|| panic!("merge-round without {key}"))
+            .value
+    };
+    let multiply: f64 = rounds
+        .iter()
+        .map(|r| arg(r, "multiply_ns") as f64 * 1e-9)
+        .sum();
+    for (what, figure) in [
+        ("multiply_busy_seconds", s.multiply_busy_seconds),
+        ("multiply_kernel_seconds", s.multiply_kernel_seconds),
+    ] {
+        assert!(
+            (multiply - figure).abs() <= tol,
+            "multiply_ns shares sum to {multiply}s, report's {what} is {figure}s"
+        );
+    }
+    assert!(multiply > 0.0, "no leaf row took any time");
+    let leaves: u64 = rounds.iter().map(|r| arg(r, "leaves")).sum();
+    assert_eq!(
+        leaves, report.partials as u64,
+        "each leaf is multiplied in one round"
+    );
+    // Orchestrator bookkeeping + merge rounds less their multiply share
+    // together are the merge stage's busy time.
+    let merge_busy =
+        trace.seconds_named("orchestrate") + trace.seconds_named("merge-round") - multiply;
     assert!(
         (merge_busy - s.merge_busy_seconds).abs() <= tol,
-        "orchestrate + merge-round = {merge_busy}s, report says {}s",
+        "orchestrate + merge-round - multiply = {merge_busy}s, report says {}s",
         s.merge_busy_seconds
     );
 
@@ -92,13 +129,7 @@ fn budgeted_two_thread_run_exports_full_stage_coverage() {
         .get("traceEvents")
         .and_then(Value::as_arr)
         .expect("traceEvents array");
-    for stage in [
-        "read-panel",
-        "multiply-job",
-        "kernel",
-        "merge-round",
-        "spill-write",
-    ] {
+    for stage in ["read-panel", "merge-round", "spill-write", "orchestrate"] {
         let count = events
             .iter()
             .filter(|e| str_field(e, "ph") == "X" && str_field(e, "name") == stage)
@@ -117,13 +148,7 @@ fn budgeted_two_thread_run_exports_full_stage_coverage() {
                 .to_string()
         })
         .collect();
-    for lane in [
-        "reader",
-        "multiply",
-        "merge",
-        "spill-writer",
-        "orchestrator",
-    ] {
+    for lane in ["reader", "merge", "spill-writer", "orchestrator"] {
         assert!(
             lane_names.iter().any(|n| n.starts_with(lane)),
             "no {lane} lane declared; lanes: {lane_names:?}"

@@ -467,15 +467,18 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     };
     let plan = ExecPlan::for_operand(&a_col_nnz, config.panels, config.balance, config.merge_ways);
     let ranges: Vec<_> = plan.panel_sizes().map(|(range, _)| range.clone()).collect();
+    // Both readers yield the plan's panel order, so each merge round's
+    // pairs arrive together and the round runs as soon as they have.
+    let order = plan.panel_order();
     let a_reader = match mm::PanelReader::open_with_ranges(a_path, ranges.clone()) {
-        Ok(reader) => reader,
+        Ok(reader) => reader.in_order(order.clone()),
         Err(e) => {
             eprintln!("failed to open {a_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
     let b_reader = match mm::RowPanelReader::open_with_ranges(b_path, ranges) {
-        Ok(reader) => reader,
+        Ok(reader) => reader.in_order(order),
         Err(e) => {
             eprintln!("failed to open {b_path}: {e}");
             return ExitCode::FAILURE;
@@ -543,7 +546,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     let s = &report.stages;
     println!(
         "stages: reader {:.3}s, multiply {:.3}s, merge {:.3}s (spill write {:.3}s); \
-         overlap: {} reads / {} rounds while multiplies in flight",
+         overlap: {} reads while rounds ran / {} rounds while reads went on",
         s.reader_busy_seconds,
         s.multiply_busy_seconds,
         s.merge_busy_seconds,
