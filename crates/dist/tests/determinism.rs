@@ -44,18 +44,18 @@ fn grid_of_shards_panels_workers_and_budgets_is_bit_identical() {
             };
             let tag = format!("budget={:?} panels={panels}", budget.bytes());
             let (reference, stream_report) = StreamingExecutor::new(StreamConfig {
-                merge_workers: Some(1),
+                threads: Some(1),
                 ..base.clone()
             })
             .multiply(&a, &b)
             .expect("single-node reference run");
-            let (two_merge_workers, _) = StreamingExecutor::new(StreamConfig {
-                merge_workers: Some(2),
+            let (two_threads, _) = StreamingExecutor::new(StreamConfig {
+                threads: Some(2),
                 ..base.clone()
             })
             .multiply(&a, &b)
-            .expect("two-merge-worker run");
-            assert_bits_equal(&reference, &two_merge_workers, &format!("{tag} mw=2"));
+            .expect("two-thread run");
+            assert_bits_equal(&reference, &two_threads, &format!("{tag} threads=2"));
 
             for shards in [1usize, 2, 4, 8] {
                 let cfg = DistConfig {
@@ -328,7 +328,6 @@ fn a_lone_root_fold_bands_over_the_host_threads_bit_identically() {
     };
     let (reference, _) = StreamingExecutor::new(StreamConfig {
         threads: Some(1),
-        merge_workers: Some(1),
         ..stream.clone()
     })
     .multiply(&a, &a)

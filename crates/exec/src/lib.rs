@@ -7,19 +7,17 @@
 //! results** — the reproduction sweep (`sparch-bench`) produces
 //! bit-identical numbers at `--threads 1` and `--threads 8`.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`ShardPool`] — a std-only scoped worker pool (the build environment
 //!   is offline, so no rayon): dynamic work claiming over an atomic
-//!   cursor, results returned by submission index,
+//!   cursor, results returned by submission index
+//!   ([`ShardPool::scoped_map`]),
 //! * [`SharedQueue`] — the worker-side job-claiming protocol for pools
 //!   fed by a channel (the streaming pipeline's stages and the
 //!   distributed shard worker both speak it),
-//! * [`Workload`] — the unit of a sweep: a name, a `build` producing the
-//!   inputs on the worker, and a pure `run` to a serializable record
-//!   ([`FnWorkload`] assembles one from closures),
-//! * [`ParallelRunner`] — shards a batch of workloads over a pool, with
-//!   per-workload progress and optional wall-clock timing ([`Timed`]).
+//! * [`Permits`] — a counting semaphore bounding how far a producer runs
+//!   ahead of its consumers (the streaming pipeline's read-ahead window).
 //!
 //! Worker counts come from (in priority order) an explicit override such
 //! as a `--threads N` flag, the `SPARCH_THREADS` environment variable,
@@ -28,21 +26,15 @@
 //! # Example
 //!
 //! ```
-//! use sparch_exec::{FnWorkload, ParallelRunner, ShardPool};
+//! use sparch_exec::ShardPool;
 //!
-//! let sweep: Vec<_> = (1u64..=5)
-//!     .map(|n| FnWorkload::new(format!("point-{n}"), move || n, |n| n * n))
-//!     .collect();
-//! let records = ParallelRunner::new(ShardPool::with_override(Some(2)))
-//!     .quiet()
-//!     .run_all(&sweep);
+//! let sweep: Vec<u64> = (1..=5).collect();
+//! let records = ShardPool::with_override(Some(2)).scoped_map(&sweep, |_, &n| n * n);
 //! assert_eq!(records, vec![1, 4, 9, 16, 25]);
 //! ```
 
 pub mod pool;
 pub mod queue;
-pub mod workload;
 
 pub use pool::{env_threads, Permits, ShardPool, THREADS_ENV};
 pub use queue::SharedQueue;
-pub use workload::{FnWorkload, ParallelRunner, Timed, Workload};

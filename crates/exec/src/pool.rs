@@ -99,8 +99,7 @@ impl ShardPool {
     /// per atomic operation instead of one, amortizing cursor contention;
     /// results are still written to per-index slots, so the output stays
     /// submission-ordered and thread-count-invariant. `f` must be pure
-    /// with respect to the item for that invariance to hold — which every
-    /// [`crate::Workload`] is by contract.
+    /// with respect to the item for that invariance to hold.
     ///
     /// # Panics
     ///

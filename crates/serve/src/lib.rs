@@ -12,7 +12,7 @@
 //! reuses each operand's CSC/statistics conversions across requests — the
 //! paper's condensed-MatA idea lifted to the serving layer.
 //!
-//! Requests fan out through `sparch_exec::ParallelRunner`; every
+//! Requests fan out through `sparch_exec::ShardPool::scoped_map`; every
 //! model-driven number in the resulting [`BatchReport`] (backend choices,
 //! model costs, output shapes, cache telemetry) is bit-identical at any
 //! worker count.

@@ -7,11 +7,11 @@
 //!    probe the [`OperandCache`]; because this walk is sequential, the
 //!    per-request hit/miss telemetry and LRU evictions are identical at
 //!    any worker count.
-//! 2. **Execute** (parallel) — requests fan out through
-//!    [`ParallelRunner`] as independent workloads; each multiply step
-//!    measures its [`TaskFeatures`], asks the dispatcher for a backend,
-//!    and runs it. Choices depend only on matrix structure, so they too
-//!    are thread-count-invariant.
+//! 2. **Execute** (parallel) — requests fan out over the worker pool
+//!    ([`ShardPool::scoped_map`]), each timed on its worker; each
+//!    multiply step measures its [`TaskFeatures`], asks the dispatcher
+//!    for a backend, and runs it. Choices depend only on matrix
+//!    structure, so they too are thread-count-invariant.
 //! 3. **Report** — per-request records (backend per step, model cost,
 //!    output shape, cache telemetry, wall time) aggregate into a
 //!    serializable [`BatchReport`].
@@ -21,7 +21,7 @@ use crate::dispatch::{AdaptiveDispatcher, Calibration, DispatchPolicy, TaskFeatu
 use crate::request::{Batch, Request};
 use crate::{Backend, ServeError};
 use serde::{Deserialize, Serialize};
-use sparch_exec::{ParallelRunner, ShardPool, Workload};
+use sparch_exec::ShardPool;
 use sparch_obs::{Counter, Recorder, ThreadRecorder};
 use sparch_sparse::{linalg, Csr};
 use std::collections::HashMap;
@@ -334,28 +334,18 @@ impl SpgemmService {
         let wall_start = Instant::now();
         let plans = self.resolve(batch)?;
 
-        let dispatcher = &self.dispatcher;
-        let stream_config = &self.stream_config;
-        let recorder = &self.recorder;
-        let auto_tune = self.auto_tune;
-        let jobs: Vec<RequestJob<'_>> = plans
-            .into_iter()
-            .map(|plan| RequestJob {
-                plan,
-                dispatcher,
-                stream_config,
-                recorder,
-                auto_tune,
-            })
-            .collect();
-        let timed = ParallelRunner::new(self.pool).quiet().run_all_timed(&jobs);
-
-        let mut requests: Vec<RequestReport> = Vec::with_capacity(timed.len());
-        for t in timed {
-            let mut report = t.record;
-            report.wall_seconds = t.run_seconds;
-            requests.push(report);
-        }
+        let runner = RequestRunner {
+            dispatcher: &self.dispatcher,
+            stream_config: &self.stream_config,
+            recorder: &self.recorder,
+            auto_tune: self.auto_tune,
+        };
+        let requests = self.pool.scoped_map(&plans, |_, plan| {
+            let start = Instant::now();
+            let mut report = runner.run(plan);
+            report.wall_seconds = start.elapsed().as_secs_f64();
+            report
+        });
 
         let mean_abs_cost_error_seconds = mean_abs_cost_error(&requests);
 
@@ -529,9 +519,8 @@ fn mean_abs_cost_error(requests: &[RequestReport]) -> f64 {
     }
 }
 
-/// One planned request as an exec-layer workload.
-struct RequestJob<'a> {
-    plan: PlannedRequest,
+/// What every request of a batch runs with.
+struct RequestRunner<'a> {
     dispatcher: &'a AdaptiveDispatcher,
     stream_config: &'a sparch_stream::StreamConfig,
     recorder: &'a Recorder,
@@ -671,26 +660,19 @@ impl<'a> StepLog<'a> {
     }
 }
 
-impl Workload for RequestJob<'_> {
-    type Input = ();
-    type Record = RequestReport;
-
-    fn name(&self) -> String {
-        format!("req-{}", self.plan.index)
-    }
-
-    fn build(&self) {}
-
-    fn run(&self, (): ()) -> RequestReport {
+impl RequestRunner<'_> {
+    /// Runs one planned request to its report (`wall_seconds` left for
+    /// the caller, which times the run).
+    fn run(&self, plan: &PlannedRequest) -> RequestReport {
         let d = self.dispatcher;
-        let ops = &self.plan.ops;
+        let ops = &plan.ops;
         let mut log = StepLog::new(
             self.stream_config,
             self.auto_tune,
             self.recorder,
-            self.plan.index as u64,
+            plan.index as u64,
         );
-        let result = match &self.plan.request {
+        let result = match &plan.request {
             Request::Single { .. } => log.multiply_pair(d, &ops[0], &ops[1]),
             Request::Chain { .. } => {
                 let mut cur = log.multiply_pair(d, &ops[0], &ops[1]);
@@ -720,17 +702,17 @@ impl Workload for RequestJob<'_> {
             }
         };
         RequestReport {
-            index: self.plan.index,
-            kind: self.plan.request.kind().to_string(),
+            index: plan.index,
+            kind: plan.request.kind().to_string(),
             steps: log.backends.len(),
             backends: log.backends,
             model_cost: log.model_cost,
             output_rows: result.rows(),
             output_cols: result.cols(),
             output_nnz: result.nnz(),
-            cache_hits: self.plan.cache_hits,
-            cache_misses: self.plan.cache_misses,
-            wall_seconds: 0.0, // filled from the runner's measurement
+            cache_hits: plan.cache_hits,
+            cache_misses: plan.cache_misses,
+            wall_seconds: 0.0, // filled from the caller's measurement
             step_model_seconds: log.step_model_seconds,
             step_actual_seconds: log.step_actual_seconds,
         }

@@ -295,6 +295,14 @@ impl Csr {
         Csr::estimated_bytes_of(self.rows, self.nnz())
     }
 
+    /// Releases the index and value arrays' spare capacity, so the heap
+    /// the matrix holds is its [`Csr::estimated_bytes`] — e.g. for a
+    /// merge output pre-sized to its inputs' entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.col_idx.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
     /// [`Csr::estimated_bytes`] of a `rows`-row matrix holding `nnz`
     /// entries, before it exists.
     pub fn estimated_bytes_of(rows: usize, nnz: usize) -> u64 {

@@ -169,14 +169,11 @@ pub struct StreamConfig {
     /// Worker threads: `Some(n)` pins `n`, `None` falls back to
     /// `SPARCH_THREADS`, then all cores. It sizes the one worker pool —
     /// the merge workers, whose rounds multiply their leaves as they fold
-    /// them — unless `merge_workers` pins that.
+    /// them. Independent rounds of the Huffman plan dispatch onto these
+    /// workers concurrently, and a round that would run alone is cut
+    /// into row bands across them; the plan's fold order keeps results
+    /// bit-identical at any worker count.
     pub threads: Option<usize>,
-    /// Worker threads for the rounds: `Some(n)` pins `n`, `None` follows
-    /// `threads`. Independent rounds of the Huffman plan dispatch onto
-    /// these workers concurrently, and a round that would run alone is
-    /// cut into row bands across them; the plan's fold order keeps
-    /// results bit-identical at any worker count.
-    pub merge_workers: Option<usize>,
     /// Where spilled partials go. `None` uses the system temp directory.
     /// Each run creates (and removes) its own unique subdirectory.
     /// Serialized as a string path (lossy for non-UTF-8 paths).
@@ -192,7 +189,6 @@ impl Default for StreamConfig {
             merge_ways: 8,
             spill_codec: SpillCodec::Varint,
             threads: None,
-            merge_workers: None,
             spill_dir: None,
         }
     }

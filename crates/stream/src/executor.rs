@@ -70,7 +70,7 @@ pub struct StreamReport {
     /// Stored entries of the result.
     pub output_nnz: usize,
     /// The thread count `threads` resolved to: the merge worker pool's
-    /// size unless `merge_workers` pins it.
+    /// size.
     pub threads: usize,
     /// Per-stage busy time and overlap counters.
     pub stages: StageReport,
@@ -172,13 +172,13 @@ impl StreamingExecutor {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
         let cfg = &self.config;
         let plan = ExecPlan::for_operand(&a.col_nnz(), cfg.panels, cfg.balance, cfg.merge_ways);
-        let order = plan.production_order();
-        let ranges: Vec<_> = order.iter().map(|&l| plan.leaf_range(l).clone()).collect();
-        let pairs = order.into_iter().zip(ranges).map(|(leaf, r)| {
+        let order = plan.production_order().into_iter();
+        let ranges: Vec<_> = order.map(|l| plan.leaf_range(l).clone()).collect();
+        let pairs = ranges.into_iter().map(|r| {
             // The condensed slicer records each panel's occupied rows for
             // free — the leaf's product then visits only those.
             let (a_panel, live) = a.col_panel_condensed(r.clone());
-            Ok((leaf, Leaf::new(a_panel, b.row_panel(r), live)))
+            Ok(Leaf::new(a_panel, b.row_panel(r), live))
         });
         let scope = plan.whole();
         self.run_pipeline(a.rows(), b.cols(), plan, scope, pairs)
@@ -218,33 +218,27 @@ impl StreamingExecutor {
                 plan.num_nodes()
             )));
         }
-        // The plan names the range and `A` non-zeros each pair must have;
-        // a surplus pair gets an empty range and fails the reader's count.
+        // The plan names the range and `A` non-zeros the i-th pair must
+        // have. A pair past the last leaf is checked against itself alone:
+        // the reader rejects it by its position.
         let scope = plan.subtree(root);
         let mut leaves = scope
             .leaves
             .iter()
-            .map(|&leaf| (leaf, plan.leaf_range(leaf).clone(), plan.weight(leaf)))
+            .map(|&leaf| (plan.leaf_range(leaf).clone(), plan.weight(leaf)))
             .collect::<Vec<_>>()
             .into_iter();
         let pairs = pairs.into_iter().map(move |(a, b)| {
-            let (leaf, range) = match leaves.next() {
-                Some((leaf, range, nnz)) if a.nnz() as u64 != nnz => {
-                    return Err(StreamError::Shape(format!(
-                        "panel {range:?} holds {} A non-zeros where the plan's leaf {leaf} \
-                         has {nnz}",
-                        a.nnz()
-                    )))
-                }
-                Some((leaf, range, _)) => (leaf, range),
-                None => {
-                    let msg = "a panel arrived after the plan's last leaf";
-                    return Err(StreamError::Shape(msg.into()));
-                }
-            };
+            let (range, nnz) = leaves.next().unwrap_or((0..a.cols(), a.nnz() as u64));
+            if a.nnz() as u64 != nnz {
+                return Err(StreamError::Shape(format!(
+                    "panel {range:?} holds {} A non-zeros where the plan's leaf has {nnz}",
+                    a.nnz()
+                )));
+            }
             pipeline::validate_shapes(&range, &a, &b, a_rows, b_cols)?;
             let live = a.occupied_rows();
-            Ok((leaf, Leaf::new(a, b, live)))
+            Ok(Leaf::new(a, b, live))
         });
         self.run_pipeline(a_rows, b_cols, plan, scope, pairs)
     }
@@ -262,26 +256,24 @@ impl StreamingExecutor {
     ///
     /// The two streams are consumed in lockstep and must yield every
     /// panel of the plan once, pruned ones included, under the plan's
-    /// ranges, both in the same order. Any order runs, but
-    /// [`ExecPlan::panel_order`] — the leaves in production order, then
-    /// the pruned panels — is the one to use: each round's pairs then
-    /// arrive together, so a round runs the moment its last pair lands
-    /// and the reader holds at most one round's pairs ahead of the
-    /// rounds (the `mm` readers yield it through `in_order`). In range
-    /// order a pair can wait for pairs of its round far down the stream,
-    /// and every pair read meanwhile is held. A pruned panel's `A` side
-    /// must be empty; the pair is dropped unmultiplied. A leaf panel's `A`
-    /// non-zeros only weight the merge order, so a panel holding fewer
-    /// than the plan counted — duplicate coordinates the reader folded —
-    /// runs as read.
+    /// ranges, both in [`ExecPlan::panel_order`]: the leaves in
+    /// production order, then the pruned panels (the `mm` readers yield
+    /// it through `in_order`). Each round's pairs then arrive together,
+    /// so a round runs the moment its last pair lands and the reader
+    /// holds at most one round's pairs ahead of the rounds. A pruned
+    /// panel's `A` side must be empty; the pair is dropped unmultiplied.
+    /// A leaf panel's `A` non-zeros only weight the merge order, so a
+    /// panel holding fewer than the plan counted — duplicate coordinates
+    /// the reader folded — runs as read.
     ///
     /// # Errors
     ///
     /// [`StreamError::Shape`] when a stream disagrees with the plan (a
-    /// range that is not one of its panels, a panel yielded twice, a
-    /// pruned panel carrying `A` non-zeros, a panel short — including one
-    /// stream ending while the other still yields panels) or a panel's
-    /// shape with `a_rows`/`b_cols`;
+    /// range other than the one `panel_order` names next — another
+    /// split, another order, a panel yielded twice —, a pruned panel
+    /// carrying `A` non-zeros, a panel short or beyond the last —
+    /// including one stream ending while the other still yields panels)
+    /// or a panel's shape with `a_rows`/`b_cols`;
     /// errors yielded *by* the streams are passed through;
     /// [`StreamError::Io`] on spill I/O failure.
     pub fn multiply_streams<IA, IB>(
@@ -298,20 +290,15 @@ impl StreamingExecutor {
         IA::IntoIter: Send,
         IB::IntoIter: Send,
     {
-        // Every panel by range start: its range, its leaf (`None` when
-        // pruned) and whether the streams have yielded it yet.
-        let mut leaves = 0..;
-        let mut panels: Vec<(Range<usize>, Option<usize>, bool)> = plan
-            .panel_sizes()
-            .map(|(range, nnz)| {
-                (
-                    range.clone(),
-                    (nnz > 0).then(|| leaves.next().unwrap()),
-                    false,
-                )
-            })
+        // The plan's panel ranges in panel order: the first `leaves` are
+        // the leaves in production order, the rest the pruned panels.
+        let ranges: Vec<_> = plan.panel_sizes().map(|(r, _)| r.clone()).collect();
+        let order: Vec<_> = plan
+            .panel_order()
+            .into_iter()
+            .map(|p| ranges[p].clone())
             .collect();
-        let mut missing = panels.len();
+        let (leaves, mut at) = (plan.num_leaves(), 0);
         let mut a_panels = a_panels.into_iter();
         let mut b_panels = b_panels.into_iter();
         // Hand-rolled lockstep pairing instead of `zip`: once every panel
@@ -323,10 +310,11 @@ impl StreamingExecutor {
             let shape = |msg: String| Some(Err(StreamError::Shape(msg)));
             let (range, a, b) = match (a_panels.next(), b_panels.next()) {
                 (Some(Err(e)), _) | (_, Some(Err(e))) => return Some(Err(e)),
-                (None, None) if missing == 0 => return None,
+                (None, None) if at == order.len() => return None,
                 (None, None) => {
                     return shape(format!(
-                        "panel streams ended {missing} panels short of the plan"
+                        "panel streams ended {} panels short of the plan",
+                        order.len() - at
                     ))
                 }
                 (Some(Ok((ra, _))), None) => {
@@ -346,20 +334,27 @@ impl StreamingExecutor {
                     ))
                 }
             };
-            let at = panels.partition_point(|(r, ..)| r.start < range.start);
-            let Some((_, leaf, seen)) = panels.get_mut(at).filter(|p| p.0 == range && !p.2) else {
-                return shape(format!(
-                    "operand panel streams yield {range:?}, which is not a panel of the plan \
-                     still to come"
-                ));
+            let is_leaf = match order.get(at) {
+                Some(want) if *want == range => at < leaves,
+                Some(want) => {
+                    return shape(format!(
+                        "operand panel streams yield {range:?} where the plan's panel order \
+                         expects {want:?}"
+                    ))
+                }
+                None => {
+                    return shape(format!(
+                        "operand panel streams yield {range:?} after the plan's last panel"
+                    ))
+                }
             };
-            (*seen, missing) = (true, missing - 1);
+            at += 1;
             if let Err(e) = pipeline::validate_shapes(&range, &a, &b, a_rows, b_cols) {
                 return Some(Err(e));
             }
-            if let Some(leaf) = *leaf {
+            if is_leaf {
                 let live = a.occupied_rows();
-                return Some(Ok((leaf, Leaf::new(a, b, live))));
+                return Some(Ok(Leaf::new(a, b, live)));
             }
             // A pruned panel: dropped unmultiplied.
             if a.nnz() > 0 {
@@ -384,7 +379,7 @@ impl StreamingExecutor {
         pairs: I,
     ) -> Result<(Csr, StreamReport), StreamError>
     where
-        I: Iterator<Item = Result<(usize, Leaf), StreamError>> + Send,
+        I: Iterator<Item = Result<Leaf, StreamError>> + Send,
     {
         let inner_dim = plan.inner_dim();
         let outcome = pipeline::run(
@@ -665,12 +660,14 @@ mod tests {
             e.multiply_streams(10, 10, plan.clone(), a_stream, b_stream)
         };
         let sliced = |r: Range<usize>| (r.clone(), a.col_panel(r.clone()), b.row_panel(r));
+        // The three panels in the plan's panel order: the leaves in
+        // production order, then the pruned middle panel.
+        let ranges = panel_ranges(12, 3);
         let good = || {
-            panel_ranges(12, 3)
-                .into_iter()
-                .map(sliced)
-                .collect::<Vec<_>>()
+            let order = three.panel_order().into_iter();
+            order.map(|p| sliced(ranges[p].clone())).collect::<Vec<_>>()
         };
+        assert_eq!(good()[2].0, 4..8);
 
         assert_shape_error(
             "a gap in coverage",
@@ -697,17 +694,9 @@ mod tests {
         );
         let carried = full.col_panel(4..8);
         assert!(carried.nnz() > 0);
-        assert_shape_error(
-            "a pruned panel carrying A non-zeros",
-            run(
-                &three,
-                vec![
-                    sliced(0..4),
-                    (4..8, carried, b.row_panel(4..8)),
-                    sliced(8..12),
-                ],
-            ),
-        );
+        let mut carrying = good();
+        carrying[2].1 = carried;
+        assert_shape_error("a pruned panel carrying A non-zeros", run(&three, carrying));
         // And the happy path through the same entry point: the pruned
         // panel is drained from both streams and never multiplied.
         let (c, report) = run(&three, good()).unwrap();
@@ -733,7 +722,13 @@ mod tests {
                 .map(|r| Ok((r.clone(), b.row_panel(r.clone()))))
                 .collect::<Vec<_>>()
         };
-        let ranges = panel_ranges(24, 4);
+        // The plan's ranges in its panel order.
+        let in_panel_order = |plan: &ExecPlan| {
+            let ranges: Vec<_> = plan.panel_sizes().map(|(r, _)| r.clone()).collect();
+            let order = plan.panel_order().into_iter();
+            order.map(|p| ranges[p].clone()).collect::<Vec<_>>()
+        };
+        let ranges = in_panel_order(&plan(4));
         let (c, report) = e
             .multiply_streams(20, 16, plan(4), a_side(&ranges), b_side(&ranges))
             .unwrap();
@@ -772,6 +767,8 @@ mod tests {
         let mut hist = a.col_nnz();
         hist[6..12].fill(0);
         let pruned = ExecPlan::for_operand(&hist, 4, PanelBalance::Uniform, 4);
+        let ranges = in_panel_order(&pruned);
+        assert_eq!(ranges[3], 6..12);
         assert_shape_error(
             "a pruned panel carrying A non-zeros",
             e.multiply_streams(20, 16, pruned, a_side(&ranges), b_side(&ranges)),
@@ -804,13 +801,8 @@ mod tests {
         ));
         // A surplus A panel after B ended reports the disagreement, not
         // a misleading coverage error.
-        match e.multiply_streams(
-            20,
-            16,
-            plan(2),
-            a_side(&panel_ranges(24, 2)),
-            b_side(&panel_ranges(12, 1)),
-        ) {
+        let halves = in_panel_order(&plan(2));
+        match e.multiply_streams(20, 16, plan(2), a_side(&halves), b_side(&halves[..1])) {
             Err(StreamError::Shape(msg)) => {
                 assert!(msg.contains("after the B stream ended"), "{msg}")
             }
@@ -979,7 +971,6 @@ mod tests {
             panels: 16,
             merge_ways: 4,
             threads: Some(threads),
-            merge_workers: Some(threads),
             ..StreamConfig::default()
         })
         .with_recorder(Recorder::enabled());
@@ -1164,11 +1155,13 @@ mod tests {
         );
     }
 
-    /// `multiply_streams` accepts the plan's panels in any order — range
-    /// order, production order, reversed — with the same bits, and the
-    /// same report apart from timing, as the in-memory run.
+    /// `multiply_streams` takes the plan's panels in its panel order
+    /// only: in production order the bits equal `multiply`'s and so does
+    /// the report apart from timing; range order, reversed order and a
+    /// repeated panel are each one prompt `Shape` error naming the range
+    /// expected and the range that arrived — never a hang.
     #[test]
-    fn multiply_streams_accepts_the_panels_in_any_order() {
+    fn multiply_streams_rejects_panels_out_of_production_order() {
         let a = gen::rmat_graph500(128, 6, 8);
         let b = gen::uniform_random(128, 90, 700, 9);
         let mut hist = a.col_nnz();
@@ -1183,26 +1176,56 @@ mod tests {
             let plan = ExecPlan::for_operand(&hist, 12, e.config.balance, e.config.merge_ways);
             assert!(plan.num_leaves() < plan.panels(), "a panel must be pruned");
             let ranges: Vec<_> = plan.panel_sizes().map(|(r, _)| r.clone()).collect();
-            let production = plan.panel_order();
-            let reversed: Vec<usize> = production.iter().rev().copied().collect();
-            for order in [(0..ranges.len()).collect(), production, reversed] {
+            let run = |order: &[usize]| {
                 let side = |f: &dyn Fn(Range<usize>) -> Csr| {
                     let panels = order
                         .iter()
                         .map(|&p| Ok((ranges[p].clone(), f(ranges[p].clone()))));
                     panels.collect::<Vec<_>>()
                 };
-                let a_side = side(&|r| a.col_panel(r));
-                let b_side = side(&|r| b.row_panel(r));
-                let (c, got) = e
-                    .multiply_streams(128, 90, plan.clone(), a_side, b_side)
+                let (a_side, b_side) = (side(&|r| a.col_panel(r)), side(&|r| b.row_panel(r)));
+                e.multiply_streams(128, 90, plan.clone(), a_side, b_side)
+            };
+
+            let production = plan.panel_order();
+            let (c, got) = run(&production).unwrap();
+            assert_eq!(bits(&c), bits(&want), "budget {budget}");
+            assert_eq!(c, want, "budget {budget}");
+            assert_eq!(
+                got.without_timing(),
+                report.without_timing(),
+                "budget {budget}"
+            );
+
+            let range_order: Vec<usize> = (0..ranges.len()).collect();
+            let reversed: Vec<usize> = production.iter().rev().copied().collect();
+            let mut repeated = production.clone();
+            repeated[1] = repeated[0];
+            for (what, order) in [
+                ("range order", range_order),
+                ("reversed order", reversed),
+                ("a repeated panel", repeated),
+            ] {
+                assert_ne!(order, production, "{what}");
+                let at = (0..order.len())
+                    .find(|&i| order[i] != production[i])
                     .unwrap();
-                assert_eq!(bits(&c), bits(&want), "budget {budget}, order {order:?}");
-                assert_eq!(c, want, "budget {budget}, order {order:?}");
-                assert_eq!(
-                    got.without_timing(),
-                    report.without_timing(),
-                    "order {order:?}"
+                let (expected, arrived) = (&ranges[production[at]], &ranges[order[at]]);
+                let started = Instant::now();
+                match run(&order) {
+                    Err(StreamError::Shape(msg)) => assert!(
+                        msg.contains(&format!("{arrived:?}"))
+                            && msg.contains(&format!("expects {expected:?}")),
+                        "budget {budget}, {what}: {msg}"
+                    ),
+                    other => {
+                        panic!("budget {budget}, {what}: expected a shape error, got {other:?}")
+                    }
+                }
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "budget {budget}, {what}: the error took {:?}",
+                    started.elapsed()
                 );
             }
         }

@@ -19,11 +19,11 @@
 //!    pair: `A`'s column panels and `B`'s matching row panels
 //!    (`A · B = Σ_p A[:, p] · B[p, :]`), from memory, or from disk via
 //!    `sparch_sparse::mm::{PanelReader, RowPanelReader}` — one text
-//!    scan per file at any panel count, buckets yielded in any order —
-//!    so neither operand is ever materialized whole. The panels are
-//!    those of an [`ExecPlan`] built from `A`'s column histogram
-//!    (uniform or nnz-balanced, [`PanelBalance`]) before the first one
-//!    is read, and they arrive in its production order
+//!    scan per file at any panel count, buckets yielded in the plan's
+//!    panel order — so neither operand is ever materialized whole. The
+//!    panels are those of an [`ExecPlan`] built from `A`'s column
+//!    histogram (uniform or nnz-balanced, [`PanelBalance`]) before the
+//!    first one is read, and they must arrive in its production order
 //!    ([`ExecPlan::production_order`]: each round's leaf pairs together,
 //!    rounds in order); the reader checks each pair against it,
 //! 2. **fused multiply-merge rounds** — folds the partials through a

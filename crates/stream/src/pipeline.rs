@@ -28,14 +28,13 @@
 //! them ([`PartialSource::from_leaf`]). No leaf partial is ever built,
 //! stored or spilled; only round outputs enter the budgeted
 //! [`PartialStore`], so the budget and every spill cover round outputs
-//! alone. Read in production order ([`ExecPlan::production_order`]:
-//! round 0's pairs, then round 1's, …) each round's pairs arrive
-//! together, and a read-ahead window of `ways` pairs — permits the
-//! orchestrator returns as it hands pairs to rounds — bounds how much of
-//! either operand is resident. A stream in another order still runs: when
-//! the reader has filled the window with pairs whose rounds cannot start
-//! yet and nothing else is in flight, the orchestrator lends it one more
-//! permit at a time, and takes the loan back as rounds start.
+//! alone. Pairs arrive in production order
+//! ([`ExecPlan::production_order`]: round 0's pairs, then round 1's, …;
+//! the reader names the i-th pair the i-th of the subtree's
+//! [`Subtree::leaves`]), so each round's pairs arrive together, and a
+//! read-ahead window of `ways` pairs — permits the orchestrator returns
+//! as it hands pairs to rounds — bounds how much of either operand is
+//! resident.
 //!
 //! The orchestrator dispatches every round of the Huffman plan whose
 //! pairs and stored children are all present onto the merge workers —
@@ -62,11 +61,11 @@
 //! folds exactly the same inputs in the same child order, and a leaf's
 //! rows are those of the Gustavson kernel whichever band computes them —
 //! the fold order, and therefore every output bit, depends only on the
-//! plan, never on which worker ran first, how many bands folded a round or
-//! in what order the pairs arrived. Timing can shift *which* partials
-//! spill, *when* a round is dispatched and whether it runs alone (spill
-//! and overlap counters and band counts vary at `threads > 1`), but never
-//! what any round computes.
+//! plan, never on which worker ran first or how many bands folded a
+//! round. Timing can shift *which* partials spill, *when* a round is
+//! dispatched and whether it runs alone (spill and overlap counters and
+//! band counts vary at `threads > 1`), but never what any round
+//! computes.
 
 use crate::merge::{lone_round_bands, merge_bands, Leaf, MergeScratch, PartialSource};
 use crate::plan::{ExecPlan, Subtree};
@@ -180,7 +179,8 @@ struct RoundJob {
 /// dispatch cap, spills by the writer's `sync_channel(1)` — so the queue
 /// never grows past a few entries.
 enum Event {
-    /// The reader read leaf `leaf`'s panel pair.
+    /// The reader read leaf `leaf`'s panel pair (named by its position
+    /// in production order).
     Pair { leaf: usize, product: Leaf },
     /// A merge worker finished plan round `round`.
     RoundDone {
@@ -242,14 +242,15 @@ struct OrchestratorLinks<'a> {
 /// Runs `subtree` of `plan` (the whole plan for a full multiply) over a
 /// stream of leaves.
 ///
-/// `pairs` must yield exactly the subtree's leaves, each once and tagged
-/// with its leaf id, best in production order ([`Subtree::leaves`]) —
-/// each built from a panel pair whose shapes [`validate_shapes`] passed
-/// (`A[:, range]` with localized columns, `B[range, :]` with localized
-/// rows, and the `A` panel's occupied rows, which the executor records
-/// while slicing or with one row-pointer sweep). The iterator runs on the
-/// reader thread, so the slicing and the leaves' product tables are
-/// built there. The reader checks the count; iterator errors (e.g. a
+/// `pairs` must yield exactly the subtree's leaves in production order:
+/// the i-th item is the pair of leaf `subtree.leaves[i]` — built from a
+/// panel pair whose shapes [`validate_shapes`] passed (`A[:, range]` with
+/// localized columns, `B[range, :]` with localized rows, and the `A`
+/// panel's occupied rows, which the executor records while slicing or
+/// with one row-pointer sweep). The iterator runs on the reader thread,
+/// so the slicing and the leaves' product tables are built there. The
+/// reader checks the count — a pair past the last leaf, or a stream
+/// ending short, is a [`StreamError::Shape`]; iterator errors (e.g. a
 /// disk reader failing mid-file or a panel of the wrong shape) abort the
 /// run with that error.
 /// Every stage runs its timing through an [`sparch_obs`] span lane: the
@@ -272,10 +273,9 @@ pub(crate) fn run<I>(
     subtree: Subtree,
 ) -> Result<PipelineOutcome, StreamError>
 where
-    I: Iterator<Item = Result<(usize, Leaf), StreamError>> + Send,
+    I: Iterator<Item = Result<Leaf, StreamError>> + Send,
 {
-    let threads = ShardPool::with_override(config.threads).threads();
-    let merge_pool = ShardPool::new(config.merge_workers.unwrap_or(threads));
+    let merge_pool = ShardPool::with_override(config.threads);
     let mut store = PartialStore::new(
         config.budget,
         spill_dir,
@@ -308,14 +308,14 @@ where
     // stops ingesting promptly — a disk-full on the first spill must not
     // cost the whole remaining ingest.
     let abort = AtomicBool::new(false);
-    let expected = subtree.leaves.len();
+    let leaves = subtree.leaves.clone();
 
     std::thread::scope(|scope| {
         let refs = (&inflight, &abort, &window);
         let closing = Closing(evt_tx.clone());
         let reader_lane = recorder.thread("reader");
         let reader =
-            scope.spawn(move || reader_stage(pairs, expected, &closing.0, refs, reader_lane));
+            scope.spawn(move || reader_stage(pairs, &leaves, &closing.0, refs, reader_lane));
 
         let merge_evt = evt_tx.clone();
         let round_rx_ref = &round_rx;
@@ -361,7 +361,6 @@ where
             dispatched: vec![false; plan.num_rounds()],
             parked: (0..plan.num_leaves()).map(|_| None).collect(),
             arrived: 0,
-            lent: 0,
             plan,
             scope: subtree,
             rounds_done: 0,
@@ -391,19 +390,19 @@ where
     })
 }
 
-/// The reader stage: takes a permit of the `window`, pulls the next of
-/// the `expected` leaves and hands it to the orchestrator, sampling the
-/// rounds `inflight`. Stops early when the orchestrator raises `abort`
-/// (its failure is the one reported).
+/// The reader stage: takes a permit of the `window`, pulls the next pair,
+/// names it the next of `leaves` and hands it to the orchestrator,
+/// sampling the rounds `inflight`. Stops early when the orchestrator
+/// raises `abort` (its failure is the one reported).
 fn reader_stage<I>(
     mut pairs: I,
-    expected: usize,
+    leaves: &[usize],
     evt_tx: &Sender<Event>,
     (inflight, abort, window): (&AtomicUsize, &AtomicBool, &Permits),
     mut lane: ThreadRecorder,
 ) -> ReaderOutcome
 where
-    I: Iterator<Item = Result<(usize, Leaf), StreamError>> + Send,
+    I: Iterator<Item = Result<Leaf, StreamError>> + Send,
 {
     let (mut panels, mut busy, mut overlapping) = (0usize, 0f64, 0u64);
     let mut error = None;
@@ -427,25 +426,30 @@ where
             break;
         };
         busy += lane.end_with(span, &[("panel", panels as u64)]);
-        panels += 1;
         if inflight.load(Ordering::Relaxed) > 0 {
             overlapping += 1;
         }
-        let (leaf, product) = match item {
+        let product = match item {
             Ok(read) => read,
             Err(e) => {
                 error = Some(e);
                 break;
             }
         };
+        let Some(&leaf) = leaves.get(panels) else {
+            let msg = "a panel arrived after the plan's last leaf";
+            error = Some(StreamError::Shape(msg.into()));
+            break;
+        };
+        panels += 1;
         if evt_tx.send(Event::Pair { leaf, product }).is_err() {
             break;
         }
     }
-    if error.is_none() && !aborted && panels < expected {
+    if error.is_none() && !aborted && panels < leaves.len() {
         error = Some(StreamError::Shape(format!(
             "panel stream ended {} leaf panels short of the plan",
-            expected - panels
+            leaves.len() - panels
         )));
     }
     ReaderOutcome {
@@ -613,8 +617,6 @@ struct MergeStage {
     parked: Vec<Option<Leaf>>,
     /// Pairs arrived so far.
     arrived: usize,
-    /// Permits lent to the reader beyond its window of `ways`.
-    lent: usize,
     rounds_done: usize,
     rounds_inflight: usize,
     reader_closed: bool,
@@ -650,19 +652,7 @@ impl MergeStage {
                 break;
             };
             self.handle(event, &links);
-            if self.failure.is_some() {
-                if !links.abort.swap(true, Ordering::Relaxed) {
-                    links.window.release();
-                }
-            } else if !self.reader_closed
-                && self.rounds_inflight == 0
-                && self.store.spills_in_flight() == 0
-                && self.parked.iter().flatten().count() >= self.plan.ways() + self.lent
-            {
-                // Every permit is held by a parked pair whose round cannot
-                // start, and no other event can come: the stream is not in
-                // production order. Lend the reader one more pair.
-                self.lent += 1;
+            if self.failure.is_some() && !links.abort.swap(true, Ordering::Relaxed) {
                 links.window.release();
             }
         }
@@ -679,7 +669,6 @@ impl MergeStage {
                     return;
                 }
                 let span = self.lane.begin("stream", "orchestrate");
-                debug_assert!(!self.produced[leaf], "leaf {leaf} arrived twice");
                 self.produced[leaf] = true;
                 self.parked[leaf] = Some(product);
                 self.dispatch_rounds(links);
@@ -789,9 +778,9 @@ impl MergeStage {
     /// Dispatches every pending round in scope whose inputs are all
     /// present, lowest round id first, until the in-flight cap is
     /// reached, and returns the window permits of the pairs it hands
-    /// over (a loan first). Round children always reference earlier
-    /// rounds, so one ascending scan per call suffices; later events
-    /// re-scan as inputs land.
+    /// over. Round children always reference earlier rounds, so one
+    /// ascending scan per call suffices; later events re-scan as inputs
+    /// land.
     fn dispatch_rounds(&mut self, links: &OrchestratorLinks<'_>) {
         let (plan, scope) = (&self.plan, &self.scope);
         for &r in &scope.rounds {
@@ -820,9 +809,7 @@ impl MergeStage {
                     }
                 }
             }
-            let repaid = leaves.len().min(self.lent);
-            self.lent -= repaid;
-            (repaid..leaves.len()).for_each(|_| links.window.release());
+            leaves.iter().for_each(|_| links.window.release());
             let bands = self.bands_for(r, &sources);
             let job = RoundJob {
                 round: r,

@@ -296,9 +296,10 @@ impl ExecPlan {
     }
 
     /// Every panel index in the order a stream fed to
-    /// `StreamingExecutor::multiply_streams` should yield them: the leaf
-    /// panels in [`production_order`](Self::production_order), then the
-    /// pruned panels left to right.
+    /// `StreamingExecutor::multiply_streams` must yield them — any other
+    /// order is a shape error: the leaf panels in
+    /// [`production_order`](Self::production_order), then the pruned
+    /// panels left to right.
     pub fn panel_order(&self) -> Vec<usize> {
         let leaves = self.production_order().into_iter();
         let leaf_panels = leaves.map(|leaf| self.leaf_panels[leaf]);

@@ -154,8 +154,9 @@ impl PartialStore {
     /// farthest in the future (then largest, then smallest id) leaves
     /// memory: a resident is evicted and the loop goes on, the newcomer
     /// goes straight to disk and is never counted as live — as it does
-    /// when nothing is left to evict.
-    pub fn insert(&mut self, id: usize, csr: Csr) -> Result<(), StreamError> {
+    /// when nothing is left to evict. A partial that stays is shrunk to
+    /// fit first, so the heap it holds is the bytes the budget counts.
+    pub fn insert(&mut self, id: usize, mut csr: Csr) -> Result<(), StreamError> {
         let bytes = csr.estimated_bytes();
         let key = (self.consumers[id], bytes, Reverse(id));
         while self.live_bytes.saturating_add(bytes) > self.budget {
@@ -166,6 +167,7 @@ impl PartialStore {
             self.live_bytes -= evicted.estimated_bytes();
             self.spill(victim, evicted)?;
         }
+        csr.shrink_to_fit();
         self.resident.insert(id, csr);
         self.live_bytes += bytes;
         self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.live_bytes);

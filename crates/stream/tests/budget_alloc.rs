@@ -173,16 +173,18 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
         })
         .max()
         .unwrap();
+    let order = plan.panel_order();
     let ((c, report), streamed_peak) = audited(|| {
         let a_stream = mm::read_panels(&a_path, PANELS)
             .expect("open A")
+            .in_order(order.clone())
             .map(|item| {
                 item.map(|(range, coo)| (range, coo.into_csr()))
                     .map_err(sparch_stream::StreamError::from)
             });
-        let b_stream = ranges
-            .iter()
-            .map(|r| Ok((r.clone(), b.row_panel(r.clone()))));
+        let b_stream = order
+            .into_iter()
+            .map(|p| Ok((ranges[p].clone(), b.row_panel(ranges[p].clone()))));
         exec.multiply_streams(n, n, plan, a_stream, b_stream)
             .expect("pipelined multiply failed")
     });

@@ -24,14 +24,13 @@ fn blocked_spill_dir(tag: &str) -> std::path::PathBuf {
 fn spill_failure_surfaces_as_io_error_with_path_context() {
     let a = gen::uniform_random(48, 48, 400, 21);
     let b = gen::uniform_random(48, 48, 400, 22);
-    for merge_workers in [1usize, 2] {
-        let spill_dir = blocked_spill_dir(&format!("mw{merge_workers}"));
+    for threads in [1usize, 2] {
+        let spill_dir = blocked_spill_dir(&format!("t{threads}"));
         let exec = StreamingExecutor::new(StreamConfig {
             budget: MemoryBudget::from_bytes(0),
             panels: 4,
             merge_ways: 2,
-            threads: Some(2),
-            merge_workers: Some(merge_workers),
+            threads: Some(threads),
             spill_dir: Some(spill_dir.clone()),
             ..StreamConfig::default()
         });
@@ -65,7 +64,6 @@ fn late_spill_failure_aborts_cleanly() {
         panels: 6,
         merge_ways: 2,
         threads: Some(2),
-        merge_workers: Some(2),
         spill_dir: Some(spill_dir.clone()),
         ..StreamConfig::default()
     });
@@ -89,7 +87,6 @@ fn control_run_with_working_spill_dir_succeeds() {
         panels: 4,
         merge_ways: 2,
         threads: Some(2),
-        merge_workers: Some(2),
         ..StreamConfig::default()
     });
     let (c, report) = exec.multiply(&a, &b).unwrap();

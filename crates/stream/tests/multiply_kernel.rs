@@ -210,7 +210,6 @@ fn streaming_unchanged_across_threads_and_panels() {
             merge_ways: 3,
             spill_codec: SpillCodec::Varint,
             threads: Some(threads),
-            merge_workers: None,
             spill_dir: None,
         })
     };

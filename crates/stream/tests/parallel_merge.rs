@@ -3,9 +3,9 @@
 //! The Huffman plan fixes every round's children before any round runs,
 //! so however rounds interleave across merge workers, each one folds the
 //! same inputs in the same order — results must be **bit-identical** to
-//! the serial (one merge worker, one thread, in-core, raw codec)
-//! reference at every merge-worker count, thread count, budget (zero
-//! budget = every round reads all-spilled children) and spill codec.
+//! the serial (one thread — one merge worker —, in-core, raw codec)
+//! reference at every thread count, budget (zero budget = every round
+//! reads all-spilled children) and spill codec.
 //! Float values make this the strongest possible check: one reordered
 //! fold would shift ulps and fail `assert_eq!`.
 
@@ -22,7 +22,6 @@ fn exec(
     budget: u64,
     panels: usize,
     threads: usize,
-    merge_workers: usize,
     ways: usize,
     codec: SpillCodec,
     balance: PanelBalance,
@@ -34,7 +33,6 @@ fn exec(
         merge_ways: ways,
         spill_codec: codec,
         threads: Some(threads),
-        merge_workers: Some(merge_workers),
         spill_dir: None,
     })
 }
@@ -42,7 +40,7 @@ fn exec(
 /// The serial reference at the same (panels, balance, ways) — the only
 /// knobs the fold order may depend on.
 fn serial_reference(a: &Csr, b: &Csr, panels: usize, ways: usize, balance: PanelBalance) -> Csr {
-    exec(u64::MAX, panels, 1, 1, ways, SpillCodec::Raw, balance)
+    exec(u64::MAX, panels, 1, ways, SpillCodec::Raw, balance)
         .multiply(a, b)
         .expect("serial reference multiply failed")
         .0
@@ -62,7 +60,7 @@ proptest! {
     ) {
         let (a, b) = pair;
         let reference = serial_reference(&a, &b, 5, ways, balance);
-        let (c, report) = exec(budget, 5, 2, workers, ways, codec, balance)
+        let (c, report) = exec(budget, 5, workers, ways, codec, balance)
             .multiply(&a, &b)
             .expect("parallel multiply failed");
         prop_assert_eq!(c, reference, "ways {} workers {} budget {} {} {}", ways, workers, budget, codec, balance);
@@ -80,38 +78,34 @@ fn merge_worker_grid_sweep() {
         for ways in WAYS {
             let reference = serial_reference(&a, &b, 6, ways, PanelBalance::Nnz);
             for workers in WORKERS {
-                for threads in [1, 2, 8] {
-                    for budget in [0, u64::MAX] {
-                        let (c, report) = exec(
-                            budget,
-                            6,
-                            threads,
-                            workers,
-                            ways,
-                            SpillCodec::Varint,
-                            PanelBalance::Nnz,
-                        )
-                        .multiply(&a, &b)
-                        .expect("multiply failed");
-                        assert_eq!(
-                            c, reference,
-                            "seed {seed} ways {ways} workers {workers} \
-                             threads {threads} budget {budget}"
-                        );
-                        let stages = &report.stages;
-                        assert!(stages.rounds_merged_concurrently <= report.merge_rounds as u64);
-                        assert!(stages.merge_kernel_seconds <= stages.merge_busy_seconds);
-                        if report.merge_rounds > 0 {
-                            // Every round consumes at least its output's
-                            // worth of triples.
-                            assert!(stages.merge_triples >= report.output_nnz as u64);
-                        }
-                        if budget == 0 {
-                            // Every round output but the root's spills;
-                            // leaves never enter the store.
-                            let stored = report.merge_rounds.saturating_sub(1) as u64;
-                            assert_eq!(report.spill_writes, stored);
-                        }
+                for budget in [0, u64::MAX] {
+                    let (c, report) = exec(
+                        budget,
+                        6,
+                        workers,
+                        ways,
+                        SpillCodec::Varint,
+                        PanelBalance::Nnz,
+                    )
+                    .multiply(&a, &b)
+                    .expect("multiply failed");
+                    assert_eq!(
+                        c, reference,
+                        "seed {seed} ways {ways} workers {workers} budget {budget}"
+                    );
+                    let stages = &report.stages;
+                    assert!(stages.rounds_merged_concurrently <= report.merge_rounds as u64);
+                    assert!(stages.merge_kernel_seconds <= stages.merge_busy_seconds);
+                    if report.merge_rounds > 0 {
+                        // Every round consumes at least its output's
+                        // worth of triples.
+                        assert!(stages.merge_triples >= report.output_nnz as u64);
+                    }
+                    if budget == 0 {
+                        // Every round output but the root's spills;
+                        // leaves never enter the store.
+                        let stored = report.merge_rounds.saturating_sub(1) as u64;
+                        assert_eq!(report.spill_writes, stored);
                     }
                 }
             }
@@ -131,7 +125,7 @@ fn all_spilled_rounds_merge_in_parallel() {
     });
     let expected = algo::gustavson(&a, &a);
     for workers in [2, 8] {
-        let (c, report) = exec(0, 11, 2, workers, 3, SpillCodec::Varint, PanelBalance::Nnz)
+        let (c, report) = exec(0, 11, workers, 3, SpillCodec::Varint, PanelBalance::Nnz)
             .multiply(&a, &a)
             .expect("all-spilled multiply failed");
         assert_eq!(c, expected, "workers {workers}");
@@ -160,7 +154,7 @@ fn parallel_rounds_actually_overlap() {
     let expected = algo::gustavson(&a, &a);
     let (mut best_rounds, mut best_reads) = (0u64, 0u64);
     for _attempt in 0..5 {
-        let (c, report) = exec(u64::MAX, 8, 2, 2, 2, SpillCodec::Raw, PanelBalance::Nnz)
+        let (c, report) = exec(u64::MAX, 8, 2, 2, SpillCodec::Raw, PanelBalance::Nnz)
             .multiply(&a, &a)
             .expect("multiply failed");
         assert_eq!(c, expected);

@@ -30,7 +30,6 @@ fn exec_with(
         merge_ways: 3, // small fan-in → multi-round merges even on tiny grids
         spill_codec: codec,
         threads: Some(threads),
-        merge_workers: None,
         spill_dir: None,
     })
 }

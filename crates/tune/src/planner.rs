@@ -116,8 +116,8 @@ pub fn row_nnz_histogram(m: &Csr) -> Vec<usize> {
 pub struct Plan {
     /// The derived configuration: budget, panel count and balance, merge
     /// fan-in, spill codec. `threads` is pinned to the planner's thread
-    /// count; `merge_workers` and `spill_dir` are left at their defaults
-    /// for the caller to override.
+    /// count; `spill_dir` is left at its default for the caller to
+    /// override.
     pub config: StreamConfig,
     /// Projected bytes of each panel's partial matrix (flops upper
     /// bound × 12 B per entry + the row-pointer array), largest first
@@ -145,12 +145,11 @@ pub struct Plan {
 
 impl Plan {
     /// The planned data knobs (budget, panels, balance, fan-in, codec)
-    /// laid over `base`'s execution knobs — thread count, merge workers
-    /// and spill directory stay the caller's.
+    /// laid over `base`'s execution knobs — thread count and spill
+    /// directory stay the caller's.
     pub fn config_over(&self, base: &StreamConfig) -> StreamConfig {
         StreamConfig {
             threads: base.threads,
-            merge_workers: base.merge_workers,
             spill_dir: base.spill_dir.clone(),
             ..self.config.clone()
         }

@@ -174,10 +174,10 @@ fn plans_match_the_pinned_decisions() {
 
 /// `serde_json::to_string(&plan)` of each case above, in order.
 const PINNED_PLANS: [&str; 6] = [
-    r#"{"config":{"budget":{"bytes":131072},"panels":48,"balance":"Uniform","merge_ways":2,"spill_codec":"Varint","threads":1,"merge_workers":null,"spill_dir":null},"projected_partial_bytes":[60812,14744,12452,3512,13952,2504,2648,1796,14636,3656,3308,1748,2672,1616,1724,1580,11024,2180,3752,1808,3560,1700,1832,1556,2840,1676,1616,1544,1964,1544,1580,1556,13028,3908,2876,1760,2060,1856,1616,1568,4292,1796,1736,1556,1856,1544,1544,1556],"projected_largest_partial_bytes":60812,"projected_total_partial_bytes":229644,"projected_merge_weight":44194,"projected_spill_bytes":473368,"col_skew":13.134328358208956,"budget_satisfied":true}"#,
-    r#"{"config":{"budget":{"bytes":262144},"panels":7,"balance":"Nnz","merge_ways":4,"spill_codec":"Raw","threads":4,"merge_workers":null,"spill_dir":null},"projected_partial_bytes":[60044,27824,26552,10376,16184,17180,8180],"projected_largest_partial_bytes":60044,"projected_total_partial_bytes":166340,"projected_merge_weight":16773,"projected_spill_bytes":0,"col_skew":13.134328358208956,"budget_satisfied":true}"#,
-    r#"{"config":{"budget":{"bytes":8192},"panels":2,"balance":"Nnz","merge_ways":2,"spill_codec":"Varint","threads":2,"merge_workers":null,"spill_dir":null},"projected_partial_bytes":[369416,215816],"projected_largest_partial_bytes":369416,"projected_total_partial_bytes":585232,"projected_merge_weight":48640,"projected_spill_bytes":577040,"col_skew":2.4,"budget_satisfied":false}"#,
-    r#"{"config":{"budget":{"bytes":262144},"panels":44,"balance":"Uniform","merge_ways":4,"spill_codec":"Varint","threads":1,"merge_workers":null,"spill_dir":null},"projected_partial_bytes":[5384,5384,6920,9992,9992,3848,776,776,65288,65288,65288,65288,5384,5384,5384,5384,19208,19208,19208,19208,19208,19208,19208,19208,3848,3848,3848,3848,9992,9992,9992,9992,6920,6920,6920,6920,9992,9992,9992,9992,3848,3848,3848,3848],"projected_largest_partial_bytes":65288,"projected_total_partial_bytes":617824,"projected_merge_weight":118272,"projected_spill_bytes":1191264,"col_skew":2.4,"budget_satisfied":true}"#,
-    r#"{"config":{"budget":{"bytes":16384},"panels":32,"balance":"Uniform","merge_ways":4,"spill_codec":"Varint","threads":1,"merge_workers":null,"spill_dir":null},"projected_partial_bytes":[2616,3552,3552,3564,3552,3384,3720,3816,3468,3552,3468,3720,3816,3720,3552,3552,3636,3648,3384,3468,3552,3468,3552,3636,3732,3564,3732,3732,3636,3552,3384,2760],"projected_largest_partial_bytes":3816,"projected_total_partial_bytes":113040,"projected_merge_weight":17758,"projected_spill_bytes":229736,"col_skew":1.2494577006507592,"budget_satisfied":true}"#,
-    r#"{"config":{"budget":{"bytes":524288},"panels":4,"balance":"Uniform","merge_ways":4,"spill_codec":"Raw","threads":4,"merge_workers":null,"spill_dir":null},"projected_partial_bytes":[20532,21624,21120,20868],"projected_largest_partial_bytes":21624,"projected_total_partial_bytes":84144,"projected_merge_weight":6668,"projected_spill_bytes":0,"col_skew":1.2494577006507592,"budget_satisfied":true}"#,
+    r#"{"config":{"budget":{"bytes":131072},"panels":48,"balance":"Uniform","merge_ways":2,"spill_codec":"Varint","threads":1,"spill_dir":null},"projected_partial_bytes":[60812,14744,12452,3512,13952,2504,2648,1796,14636,3656,3308,1748,2672,1616,1724,1580,11024,2180,3752,1808,3560,1700,1832,1556,2840,1676,1616,1544,1964,1544,1580,1556,13028,3908,2876,1760,2060,1856,1616,1568,4292,1796,1736,1556,1856,1544,1544,1556],"projected_largest_partial_bytes":60812,"projected_total_partial_bytes":229644,"projected_merge_weight":44194,"projected_spill_bytes":473368,"col_skew":13.134328358208956,"budget_satisfied":true}"#,
+    r#"{"config":{"budget":{"bytes":262144},"panels":7,"balance":"Nnz","merge_ways":4,"spill_codec":"Raw","threads":4,"spill_dir":null},"projected_partial_bytes":[60044,27824,26552,10376,16184,17180,8180],"projected_largest_partial_bytes":60044,"projected_total_partial_bytes":166340,"projected_merge_weight":16773,"projected_spill_bytes":0,"col_skew":13.134328358208956,"budget_satisfied":true}"#,
+    r#"{"config":{"budget":{"bytes":8192},"panels":2,"balance":"Nnz","merge_ways":2,"spill_codec":"Varint","threads":2,"spill_dir":null},"projected_partial_bytes":[369416,215816],"projected_largest_partial_bytes":369416,"projected_total_partial_bytes":585232,"projected_merge_weight":48640,"projected_spill_bytes":577040,"col_skew":2.4,"budget_satisfied":false}"#,
+    r#"{"config":{"budget":{"bytes":262144},"panels":44,"balance":"Uniform","merge_ways":4,"spill_codec":"Varint","threads":1,"spill_dir":null},"projected_partial_bytes":[5384,5384,6920,9992,9992,3848,776,776,65288,65288,65288,65288,5384,5384,5384,5384,19208,19208,19208,19208,19208,19208,19208,19208,3848,3848,3848,3848,9992,9992,9992,9992,6920,6920,6920,6920,9992,9992,9992,9992,3848,3848,3848,3848],"projected_largest_partial_bytes":65288,"projected_total_partial_bytes":617824,"projected_merge_weight":118272,"projected_spill_bytes":1191264,"col_skew":2.4,"budget_satisfied":true}"#,
+    r#"{"config":{"budget":{"bytes":16384},"panels":32,"balance":"Uniform","merge_ways":4,"spill_codec":"Varint","threads":1,"spill_dir":null},"projected_partial_bytes":[2616,3552,3552,3564,3552,3384,3720,3816,3468,3552,3468,3720,3816,3720,3552,3552,3636,3648,3384,3468,3552,3468,3552,3636,3732,3564,3732,3732,3636,3552,3384,2760],"projected_largest_partial_bytes":3816,"projected_total_partial_bytes":113040,"projected_merge_weight":17758,"projected_spill_bytes":229736,"col_skew":1.2494577006507592,"budget_satisfied":true}"#,
+    r#"{"config":{"budget":{"bytes":524288},"panels":4,"balance":"Uniform","merge_ways":4,"spill_codec":"Raw","threads":4,"spill_dir":null},"projected_partial_bytes":[20532,21624,21120,20868],"projected_largest_partial_bytes":21624,"projected_total_partial_bytes":84144,"projected_merge_weight":6668,"projected_spill_bytes":0,"col_skew":1.2494577006507592,"budget_satisfied":true}"#,
 ];

@@ -380,7 +380,6 @@ fn cmd_stream(flags: &HashMap<String, String>) -> ExitCode {
     let budget = flag_value(flags, "budget-mb").map_or(defaults.budget, MemoryBudget::from_mb);
     let base = StreamConfig {
         threads: flag_value(flags, "threads"),
-        merge_workers: flag_value(flags, "merge-workers"),
         spill_dir: None,
         ..defaults.clone()
     };

@@ -11,8 +11,9 @@
 //! * [`core`] — the SpArch accelerator simulator (condensing, Huffman
 //!   scheduler, row prefetcher, full pipeline), staged plan → prefetch →
 //!   execute → writeback with reusable [`core::SimScratch`] buffers,
-//! * [`exec`] — the parallel sharded execution layer ([`exec::ShardPool`],
-//!   [`exec::Workload`], [`exec::ParallelRunner`]) for multi-core sweeps,
+//! * [`exec`] — the parallel sharded execution layer ([`exec::ShardPool`]
+//!   with its submission-ordered [`exec::ShardPool::scoped_map`]) for
+//!   multi-core sweeps,
 //! * [`obs`] — unified tracing and metrics ([`obs::Recorder`] span lanes
 //!   feeding Chrome-trace export, counters/gauges/histograms; the report
 //!   structs across stream/dist/serve derive from the same recorder),
@@ -65,7 +66,7 @@ pub mod prelude {
     };
     pub use sparch_dist::{DistConfig, DistCoordinator, DistReport};
     pub use sparch_engine::{Clock, Clocked, MergeItem, MergeTree, MergeTreeConfig};
-    pub use sparch_exec::{FnWorkload, ParallelRunner, ShardPool, Workload};
+    pub use sparch_exec::ShardPool;
     pub use sparch_obs::{MetricsSnapshot, Recorder, Trace};
     pub use sparch_serve::{
         Backend, Batch, BatchReport, Calibration, DispatchPolicy, Request, ServiceConfig,

@@ -51,7 +51,6 @@ fn non_numeric_flag_values_are_usage_errors() {
         ("stream --a absent.mtx", "--ways"),
         ("stream --a absent.mtx", "--budget-mb"),
         ("stream --a absent.mtx", "--threads"),
-        ("stream --a absent.mtx", "--merge-workers"),
         ("stream --a absent.mtx", "--balance"),
         ("multiply --a absent.mtx", "--layers"),
         ("generate --out absent.mtx", "--n"),

@@ -97,7 +97,6 @@ struct Knobs {
     budget: u64,
     codec: SpillCodec,
     threads: usize,
-    merge_workers: usize,
     shards: usize,
     /// The frontier target the cut executor cuts the plan at.
     target: usize,
@@ -113,7 +112,6 @@ impl Knobs {
             budget: [0, 2 << 10, u64::MAX][pick(&[0, 1, 2])],
             codec: [SpillCodec::Raw, SpillCodec::Varint][pick(&[0, 1])],
             threads: pick(&[1, 2, 8]),
-            merge_workers: pick(&[1, 2, 8]),
             shards: pick(&[1, 2, 4]),
             target: pick(&[1, 2, 4, 7, 200]),
         }
@@ -127,7 +125,6 @@ impl Knobs {
             merge_ways: self.ways,
             spill_codec: self.codec,
             threads: Some(self.threads),
-            merge_workers: Some(self.merge_workers),
             spill_dir: None,
         }
     }
@@ -299,7 +296,7 @@ fn draw(seed: u64, dim: usize) -> Case {
 /// The quick corpus: [`QUICK`] seeded draws plus hand-picked cases — a
 /// 120×120 integer all-spill deep plan (panels 11, ways 3, budget 0),
 /// R-MAT(96, 6) × uniform at 33 panels and ways 64 or 2,
-/// R-MAT(2048, 8)² at 2 merge workers, big enough that the root round
+/// R-MAT(2048, 8)² at 2 threads, big enough that the root round
 /// bands, at budgets ∞ and 0, a 1×1 scalar times a 1×1 scalar, and a
 /// 7×9 matrix times an all-empty 9×5 one.
 fn corpus() -> &'static [Case] {
@@ -321,14 +318,13 @@ fn corpus() -> &'static [Case] {
             revalued(&gen::uniform_random(7, 9, 30, 2), SmallInt),
             Csr::zero(9, 5),
         );
-        let knobs = |panels, ways, balance, budget, merge_workers| Knobs {
+        let knobs = |panels, ways, balance, budget, threads| Knobs {
             panels,
             ways,
             balance,
             budget,
             codec: SpillCodec::Varint,
-            threads: 2,
-            merge_workers,
+            threads,
             shards: 2,
             target: 7,
         };
@@ -448,7 +444,6 @@ fn via_streaming(case: &Case) -> Run<()> {
         budget: MemoryBudget::unbounded(),
         spill_codec: SpillCodec::Raw,
         threads: Some(1),
-        merge_workers: Some(1),
         ..k.stream()
     };
     same_bits(&c, &stream(serial, a, b)?.0, "the serial run")
@@ -463,9 +458,11 @@ fn via_files(case: &Case) -> Run<()> {
     let [pa, pb] = write_operands(&case.a, &case.b, dir.path());
     let plan = ExecPlan::for_operand(&mm::scan_col_nnz(&pa)?, k.panels, k.balance, k.ways);
     let ranges: Vec<Range<usize>> = plan.panel_sizes().map(|(r, _)| r.clone()).collect();
+    let order = plan.panel_order();
     let csr = |item: Result<(_, Coo), _>| Ok(item.map(|(r, coo)| (r, coo.into_csr()))?);
-    let a_panels = mm::PanelReader::open_with_ranges(&pa, ranges.clone())?.map(csr);
-    let b_panels = mm::RowPanelReader::open_with_ranges(&pb, ranges)?.map(csr);
+    let a_panels = mm::PanelReader::open_with_ranges(&pa, ranges.clone())?.in_order(order.clone());
+    let b_panels = mm::RowPanelReader::open_with_ranges(&pb, ranges)?.in_order(order);
+    let (a_panels, b_panels) = (a_panels.map(csr), b_panels.map(csr));
     let exec = StreamingExecutor::new(k.stream());
     let (rows, cols) = (case.a.rows(), case.b.cols());
     let (c, report) = exec.multiply_streams(rows, cols, plan, a_panels, b_panels)?;
@@ -778,11 +775,10 @@ fn the_corpus_covers_every_family_class_and_knob() {
         [
             c.knobs.budget.min(1 << 20) as usize,
             c.knobs.threads,
-            c.knobs.merge_workers,
             c.knobs.shards,
         ]
     };
-    for i in 0..4 {
+    for i in 0..3 {
         let seen: HashSet<usize> = corpus().iter().map(|c| knobs(c)[i]).collect();
         assert_eq!(seen.len(), 3, "knob {i}: {seen:?}");
     }
