@@ -7,9 +7,10 @@
 //! every round with its children in the plan's fold order — so the two
 //! reports count the same decomposition (by construction — asserted per
 //! grid cell) and the result must match the single-node run *bit for
-//! bit* — not to tolerance — at every shard count, panel count, fan-in,
-//! balance, merge-worker count and memory budget, and even when a
-//! straggler forces a duplicate dispatch.
+//! bit* — not to tolerance — at every shard count, panel count and
+//! memory budget, and even when a straggler forces a duplicate dispatch.
+//! Every cut of every drawn plan shape (fan-in, balance, threads, shards)
+//! is the differential oracle's `fleet` test (`tests/oracle.rs`).
 
 mod common;
 
@@ -87,83 +88,6 @@ fn grid_of_shards_panels_workers_and_budgets_is_bit_identical() {
             }
         }
     }
-}
-
-#[test]
-fn every_cut_of_every_plan_shape_is_bit_identical() {
-    // A skewed R-MAT left operand: under the uniform split its panels
-    // differ wildly in weight (some are empty and pruned), so the cuts
-    // mix bare leaves with deep subtrees; the nnz split evens them out.
-    let a = gen::rmat_graph500(64, 6, 91);
-    let b = gen::uniform_random(64, 52, 600, 92);
-    let mut mixed_cuts = 0;
-    let mut cell = 0u64;
-    for balance in [PanelBalance::Uniform, PanelBalance::Nnz] {
-        for panels in [1usize, 4, 16, 33] {
-            for ways in [2usize, 4, 64] {
-                cell += 1;
-                let base = StreamConfig {
-                    // Alternate the budget so half the cells spill every
-                    // partial on the shards.
-                    budget: if cell.is_multiple_of(2) {
-                        MemoryBudget::from_bytes(0)
-                    } else {
-                        MemoryBudget::unbounded()
-                    },
-                    panels,
-                    balance,
-                    merge_ways: ways,
-                    ..StreamConfig::pinned()
-                };
-                let (reference, stream_report) = StreamingExecutor::new(base.clone())
-                    .multiply(&a, &b)
-                    .expect("single-node reference run");
-                let plan = plan_of(&a, &base);
-                for shards in [1usize, 2, 3, 5, 8] {
-                    let tag = format!("{balance} panels={panels} ways={ways} shards={shards}");
-                    let cfg = DistConfig {
-                        stream: base.clone(),
-                        ..dist_config(shards)
-                    };
-                    let (c, report) = DistCoordinator::new(cfg)
-                        .multiply(&a, &b)
-                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    assert_bits_equal(&c, &reference, &tag);
-                    assert_eq!(
-                        (report.panels, report.partials, report.merge_rounds as usize),
-                        (
-                            stream_report.panels,
-                            stream_report.partials,
-                            stream_report.merge_rounds
-                        ),
-                        "{tag}: one plan, one set of counters"
-                    );
-                    // The cut is the plan's own, and every round runs
-                    // exactly once: on a shard or here.
-                    let cut = plan.frontier(2 * shards.min(plan.num_leaves()));
-                    assert_eq!(
-                        (report.jobs, report.coordinator_rounds as usize),
-                        (cut.jobs.len(), cut.top_rounds.len()),
-                        "{tag}"
-                    );
-                    let on_shards: usize =
-                        cut.jobs.iter().map(|&j| plan.subtree(j).rounds.len()).sum();
-                    assert_eq!(on_shards + cut.top_rounds.len(), plan.num_rounds(), "{tag}");
-                    assert_eq!(
-                        report.dispatches, report.jobs as u64,
-                        "{tag}: one frame per job"
-                    );
-                    assert_eq!((report.retries, report.respawns), (0, 0), "{tag}");
-                    let bare = cut.jobs.iter().filter(|&&j| j < plan.num_leaves()).count();
-                    mixed_cuts += usize::from(bare > 0 && bare < cut.jobs.len());
-                }
-            }
-        }
-    }
-    assert!(
-        mixed_cuts > 0,
-        "no cell cut the plan into both bare leaves and deeper subtrees"
-    );
 }
 
 #[test]

@@ -6,15 +6,14 @@
 //! patterns, continuous floats, rectangular shapes, empty rows and
 //! columns — whether the scratch is cold or reused across jobs — and on
 //! a grid of structured operands that puts each of the kernel's row
-//! classes next to the others under one reused scratch. On top
-//! of the kernel contract, a deterministic sweep pins the streaming
-//! pipeline's output unchanged across threads {1, 2, 8} × panels {1..6}
-//! now that its multiply workers run the scratch kernel.
+//! classes next to the others under one reused scratch. The streaming
+//! pipeline that runs the kernel inside its merge rounds is checked at
+//! every drawn thread and panel count by the differential oracle
+//! (`tests/oracle.rs`).
 
 use proptest::prelude::*;
 use sparch_sparse::gen::arb::{self, ValueClass};
 use sparch_sparse::{algo, Csr, CsrBuilder};
-use sparch_stream::{MemoryBudget, PanelBalance, SpillCodec, StreamConfig, StreamingExecutor};
 
 /// Structure equal and every value bit equal — stricter than `PartialEq`
 /// on `f64` (which would let `-0.0` alias `0.0`).
@@ -191,49 +190,6 @@ fn row_class_grid_through_one_scratch() {
             } else {
                 assert_eq!(partial.row_nnz(i), 0, "{what}: row {i} was not listed");
             }
-        }
-    }
-}
-
-/// Streaming output is unchanged across threads {1, 2, 8} × panels
-/// {1..6}: bit-identical to `gustavson` for integer inputs at every grid
-/// point, and bit-identical to a fixed single-thread reference for float
-/// inputs at every thread count (the fold order is pinned by the panel
-/// split alone — worker scratch reuse must not leak into results).
-#[test]
-fn streaming_unchanged_across_threads_and_panels() {
-    let exec = |panels: usize, threads: usize| {
-        StreamingExecutor::new(StreamConfig {
-            budget: MemoryBudget::from_kb(2),
-            panels,
-            balance: PanelBalance::Nnz,
-            merge_ways: 3,
-            spill_codec: SpillCodec::Varint,
-            threads: Some(threads),
-            spill_dir: None,
-        })
-    };
-    let int_pairs = arb::spgemm_pair(24, 90, ValueClass::SmallInt);
-    let (a, b) = arb::sample(&int_pairs, 5);
-    let expected = algo::gustavson(&a, &b);
-    for panels in 1..6 {
-        for threads in [1, 2, 8] {
-            let (c, report) = exec(panels, threads).multiply(&a, &b).unwrap();
-            assert_bit_identical(&c, &expected, &format!("int p{panels} t{threads}"));
-            assert!(
-                report.stages.multiply_kernel_seconds <= report.stages.multiply_busy_seconds,
-                "kernel seconds exceed busy seconds: {:?}",
-                report.stages
-            );
-        }
-    }
-    let float_pairs = arb::spgemm_pair(24, 90, ValueClass::Float);
-    let (a, b) = arb::sample(&float_pairs, 6);
-    for panels in 1..6 {
-        let reference = exec(panels, 1).multiply(&a, &b).unwrap().0;
-        for threads in [2, 8] {
-            let (c, _) = exec(panels, threads).multiply(&a, &b).unwrap();
-            assert_bit_identical(&c, &reference, &format!("float p{panels} t{threads}"));
         }
     }
 }

@@ -113,33 +113,6 @@ fn merge_worker_grid_sweep() {
     }
 }
 
-/// Zero budget forces every merge round to stream all of its stored
-/// children — every child that is not a leaf — from disk, the
-/// all-spilled regime, while the rounds themselves run
-/// on parallel workers. Results must still match `gustavson` exactly
-/// (integer values ⇒ bit-identical), and every write must be timed.
-#[test]
-fn all_spilled_rounds_merge_in_parallel() {
-    let a = linalg::map_values(&gen::uniform_random(120, 120, 1400, 9), |v| {
-        (v * 4.0).round()
-    });
-    let expected = algo::gustavson(&a, &a);
-    for workers in [2, 8] {
-        let (c, report) = exec(0, 11, workers, 3, SpillCodec::Varint, PanelBalance::Nnz)
-            .multiply(&a, &a)
-            .expect("all-spilled multiply failed");
-        assert_eq!(c, expected, "workers {workers}");
-        assert!(report.merge_rounds >= 4, "want a deep plan: {report:?}");
-        assert_eq!(report.peak_live_bytes, 0);
-        assert_eq!(report.spill_writes, report.merge_rounds as u64 - 1);
-        assert!(
-            report.stages.spill_write_seconds > 0.0,
-            "offloaded writes must still be timed"
-        );
-        assert!(report.stages.merge_triples > 0);
-    }
-}
-
 /// On a workload with several independent rounds and long multiplies,
 /// the scheduler overlaps rounds with other in-flight work, and the
 /// reader keeps ingesting while multiplies are outstanding. Scheduling

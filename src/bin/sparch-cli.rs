@@ -73,11 +73,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses `--name [value]` pairs. A flag missing from `known` — the
+/// flags the subcommand reads — is a usage error (exit code 2), so a
+/// mistyped or retired flag never runs silently at a default.
+fn parse_flags(args: &[String], known: &str) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !known.split(' ').any(|k| k == name) {
+                eprintln!("unknown flag {arg}");
+                usage();
+            }
             let value = it.next_if(|v| !v.starts_with("--"));
             let value = value.map_or_else(|| "true".to_string(), Clone::clone);
             flags.insert(name.to_string(), value);
@@ -714,43 +721,60 @@ fn cmd_trace_check(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+type Command = fn(&HashMap<String, String>) -> ExitCode;
+
+/// Every subcommand with the flags it reads, space-separated.
+const COMMANDS: [(&str, Command, &str); 7] = [
+    (
+        "multiply",
+        cmd_multiply,
+        "a b layers no-prefetch no-condense verify json",
+    ),
+    ("generate", cmd_generate, "kind n degree seed out"),
+    ("stats", cmd_stats, "a"),
+    // `--reference-calibration` is retired: the reference table is the
+    // default now, so old command lines still mean the same.
+    (
+        "batch",
+        cmd_batch,
+        "file policy threads tune json trace reference-calibration",
+    ),
+    (
+        "stream",
+        cmd_stream,
+        "a b budget-mb panels tune balance ways spill-codec threads verify json trace",
+    ),
+    (
+        "dist",
+        cmd_dist,
+        "a b shards panels tune budget-mb verify json trace",
+    ),
+    ("trace-check", cmd_trace_check, "file expect"),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage()
     };
-    let flags = parse_flags(rest);
-    match cmd.as_str() {
-        "multiply" => cmd_multiply(&flags),
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "batch" => cmd_batch(&flags),
-        "stream" => cmd_stream(&flags),
-        "dist" => cmd_dist(&flags),
-        "trace-check" => cmd_trace_check(&flags),
-        _ => usage(),
-    }
+    let Some(&(_, run, known)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        usage()
+    };
+    run(&parse_flags(rest, known))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{parse_flags, COMMANDS};
 
     #[test]
     fn a_flag_without_a_value_is_true_even_last() {
-        let args = [
-            "--a",
-            "x.mtx",
-            "--verify",
-            "--threads",
-            "2",
-            "--no-prefetch",
-        ];
-        let flags = parse_flags(&args.map(String::from));
+        let args = ["--a", "x.mtx", "--verify", "--layers", "2", "--no-prefetch"];
+        let flags = parse_flags(&args.map(String::from), COMMANDS[0].2);
         let get = |k: &str| flags.get(k).map(String::as_str);
         assert_eq!(get("a"), Some("x.mtx"));
         assert_eq!(get("verify"), Some("true"));
-        assert_eq!(get("threads"), Some("2"));
+        assert_eq!(get("layers"), Some("2"));
         assert_eq!(get("no-prefetch"), Some("true"));
         assert_eq!(flags.len(), 4);
     }

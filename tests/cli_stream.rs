@@ -42,6 +42,19 @@ fn assert_empty(dir: &Path) {
     assert!(left.is_empty(), "left in {}: {left:?}", dir.display());
 }
 
+/// `sparch-cli <command> <flag> lots` ends in the usage text and exit
+/// code 2, naming the flag — before any file is opened.
+fn assert_usage_error(tmp: &Path, command: &str, flag: &str) {
+    let out = cli(tmp, &format!("{command} {flag} lots"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{command} {flag}: {stderr}");
+    assert!(
+        stderr.contains(flag) && stderr.contains("usage:"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{command} {flag}: {stderr}");
+}
+
 #[test]
 fn non_numeric_flag_values_are_usage_errors() {
     // Flags are parsed before any file is opened — in every subcommand.
@@ -61,14 +74,24 @@ fn non_numeric_flag_values_are_usage_errors() {
         ("dist --a absent.mtx", "--panels"),
         ("dist --a absent.mtx", "--budget-mb"),
     ] {
-        let out = cli(tmp.path(), &format!("{command} {flag} lots"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{command} {flag}: {stderr}");
-        assert!(
-            stderr.contains(flag) && stderr.contains("usage:"),
-            "{stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "{command} {flag}: {stderr}");
+        assert_usage_error(tmp.path(), command, flag);
+    }
+}
+
+#[test]
+fn a_flag_the_subcommand_does_not_read_is_a_usage_error() {
+    // Each flag here is another subcommand's, or a retired one.
+    let tmp = TempDir::new("cli_unknown_flag");
+    for (command, flag) in [
+        ("multiply --a absent.mtx", "--panels"),
+        ("generate --out absent.mtx", "--a"),
+        ("stats --a absent.mtx", "--b"),
+        ("batch --file absent.json", "--a"),
+        ("stream --a absent.mtx", "--merge-workers"),
+        ("dist --a absent.mtx", "--ways"),
+        ("trace-check --file absent.json", "--verify"),
+    ] {
+        assert_usage_error(tmp.path(), command, flag);
     }
 }
 

@@ -11,7 +11,8 @@
 //! [`FAMILIES`] families — every `gen` family plus the edge shapes (empty
 //! rows and columns, one dense row, `1×n`, `n×1`, inner dimension 1, an
 //! all-empty `A`, duplicate-coordinate COO, explicit zeros) — revalues
-//! it in one [`ValueClass`] and draws the executor [`Knobs`]. Draw `s`
+//! it in one [`ValueClass`] and draws the executor [`Knobs`], the
+//! simulator's configuration among them ([`SIM_CONFIGS`]). Draw `s`
 //! takes family `s % FAMILIES` and class `(s + s / FAMILIES) % 5`, so any
 //! `5 × FAMILIES` consecutive seeds cover every (family, class) pair.
 //!
@@ -40,7 +41,7 @@
 
 use proptest::prelude::Strategy;
 use proptest::TestRng;
-use sparch::core::{SpArchConfig, SpArchSim};
+use sparch::core::{SchedulerKind, SpArchConfig, SpArchSim};
 use sparch::dist::{DistConfig, DistCoordinator};
 use sparch::serve::{Backend, Batch, DispatchPolicy, OperandDef, OperandSpec, RequestReport};
 use sparch::serve::{ServiceConfig, SpgemmService};
@@ -74,6 +75,31 @@ const MAX_TRIES: usize = 400;
 
 const CLASSES: [ValueClass; 5] = [SmallInt, SmallIntWithZeros, Unit, Float, Edge];
 
+/// A named simulator configuration, built from the default.
+type SimConfig = (&'static str, fn(SpArchConfig) -> SpArchConfig);
+
+/// The simulator configurations a draw picks from: the default and one
+/// step from it along each axis the paper varies.
+const SIM_CONFIGS: [SimConfig; 8] = [
+    ("default", |c| c),
+    ("tiny tree", |c| c.with_tree_layers(1)),
+    ("narrow merger", |c| c.with_merger_width(2)),
+    ("no prefetch", |c| c.without_prefetcher()),
+    ("no condensing", |c| c.without_condensing()),
+    ("sequential sched", |c| {
+        c.with_scheduler(SchedulerKind::Sequential)
+    }),
+    ("random sched", |c| {
+        c.with_scheduler(SchedulerKind::Random(99))
+    }),
+    ("tiny buffer", |mut c| {
+        c.prefetch.lines = 4;
+        c.prefetch.line_elems = 8;
+        c.prefetch.lookahead = 16;
+        c
+    }),
+];
+
 type Run<T> = Result<T, Box<dyn Error>>;
 
 /// Returns an error naming the first condition that does not hold, with
@@ -100,6 +126,8 @@ struct Knobs {
     shards: usize,
     /// The frontier target the cut executor cuts the plan at.
     target: usize,
+    /// The simulator's configuration, one of [`SIM_CONFIGS`].
+    sim: &'static str,
 }
 
 impl Knobs {
@@ -114,6 +142,8 @@ impl Knobs {
             threads: pick(&[1, 2, 8]),
             shards: pick(&[1, 2, 4]),
             target: pick(&[1, 2, 4, 7, 200]),
+            // Drawn last: a new knob must not move any seed's earlier knobs.
+            sim: SIM_CONFIGS[pick(&[0, 1, 2, 3, 4, 5, 6, 7])].0,
         }
     }
 
@@ -327,6 +357,7 @@ fn corpus() -> &'static [Case] {
             threads,
             shards: 2,
             target: 7,
+            sim: "default",
         };
         let hand_picked = [
             (SmallIntWithZeros, knobs(11, 3, Nnz, 0, 8), &deep, &deep),
@@ -382,7 +413,8 @@ fn same_bits(x: &Csr, y: &Csr, what: &str) -> Run<()> {
 
 /// The invariants every streaming report keeps. Only round outputs enter
 /// the store — the rounds multiply their leaves as they fold them — so at
-/// budget 0 exactly the round outputs but the root's are spilled.
+/// budget 0 exactly the round outputs but the root's are spilled, and a
+/// spill, on the writer thread or not, is timed.
 fn report_invariants(r: &StreamReport, budget: u64) -> Run<()> {
     let stored = r.merge_rounds.saturating_sub(1) as u64;
     let (s, spilled) = (&r.stages, r.spill_writes == stored);
@@ -392,8 +424,10 @@ fn report_invariants(r: &StreamReport, budget: u64) -> Run<()> {
         budget > 0 || (r.peak_live_bytes == 0 && spilled),
         r.spill_bytes_written <= r.spill_bytes_raw_equivalent,
         r.spill_reads >= r.spill_writes,
+        r.spill_writes == 0 || s.spill_write_seconds > 0.0,
         s.rounds_merged_concurrently <= r.merge_rounds as u64,
         s.merge_kernel_seconds <= s.merge_busy_seconds,
+        s.multiply_kernel_seconds <= s.multiply_busy_seconds,
         r.merge_rounds == 0 || s.merge_triples >= r.output_nnz as u64,
     );
     Ok(())
@@ -607,9 +641,13 @@ fn via_service(case: &Case) -> Run<()> {
     Ok(())
 }
 
-/// `SpArchSim` at the default configuration.
+/// `SpArchSim` at the drawn configuration.
 fn via_simulator(case: &Case) -> Run<()> {
-    let report = SpArchSim::new(SpArchConfig::default()).run(&case.a, &case.b);
+    let config = SIM_CONFIGS
+        .iter()
+        .find(|c| c.0 == case.knobs.sim)
+        .expect("a name");
+    let report = SpArchSim::new(config.1(SpArchConfig::default())).run(&case.a, &case.b);
     against_anchor(report.result(), case)
 }
 
@@ -782,6 +820,17 @@ fn the_corpus_covers_every_family_class_and_knob() {
         let seen: HashSet<usize> = corpus().iter().map(|c| knobs(c)[i]).collect();
         assert_eq!(seen.len(), 3, "knob {i}: {seen:?}");
     }
+    let sims: HashSet<&str> = corpus().iter().map(|c| c.knobs.sim).collect();
+    assert_eq!(
+        sims.len(),
+        SIM_CONFIGS.len(),
+        "simulator configurations {sims:?}"
+    );
+    let deep_spill = |c: &Case| c.knobs.budget == 0 && c.knobs.plan(&c.a).num_rounds() >= 4;
+    assert!(
+        corpus().iter().any(deep_spill),
+        "no all-spill plan of 4+ rounds"
+    );
 }
 
 /// The long mode: every executor over 40 × [`QUICK`] draws up to three
