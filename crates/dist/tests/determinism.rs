@@ -201,8 +201,11 @@ fn empty_and_degenerate_shapes_short_circuit() {
 #[test]
 fn injected_straggler_changes_timing_but_not_bits() {
     let (a, b) = float_pair();
+    // Four panels folded two at a time: two leaf-only rounds, which the
+    // cut never splits, so two jobs and two workers.
     let base = StreamConfig {
         panels: 4,
+        merge_ways: 2,
         ..StreamConfig::pinned()
     };
     let (reference, _) = StreamingExecutor::new(base.clone())

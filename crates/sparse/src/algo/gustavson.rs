@@ -7,8 +7,8 @@
 //!
 //! There is one per-row body, one production kernel and one oracle:
 //!
-//! * `BTable::row` — one output row, folded short or wide. Both of the
-//!   following run it, so their bits cannot drift apart.
+//! * `fold_row` — the row of one product, folded short or wide by its
+//!   flops. Everything below runs it, so their bits cannot drift apart.
 //! * `multiply_on_rows` — behind [`gustavson`] (fresh scratch, every
 //!   row), [`gustavson_scratch`] (caller-owned [`MultiplyScratch`], live
 //!   rows found by one sweep) and [`gustavson_scratch_on_rows`] (live
@@ -18,6 +18,10 @@
 //!   the streaming pipeline's merge rounds read their leaf panel pairs
 //!   through it, so a leaf's partial is folded as it is produced and never
 //!   built whole (the paper's §II-A pipelining of multiply and merge).
+//!   [`RowProduct::sum_rows_into`] sums several of them row by row — a
+//!   round of leaf panel pairs alone — each row through one accumulator
+//!   (`fold_parts`), so their rows are never buffered or merged, yet each
+//!   output is the fold of their rows, bit for bit.
 //! * [`gustavson_reference`] — the seed kernel, kept verbatim as the
 //!   differential oracle and bench baseline.
 //!
@@ -43,8 +47,17 @@
 //!   Multiply and add stay separate operations and every slot still
 //!   receives its products in `k` order, starting from `-0.0`, the
 //!   additive identity, so rounding is unchanged.
+//!
+//! A row summed from several products keeps each product's own row sum
+//! intact: a product with one `A` entry in the row contributes its `B`
+//! row's products as they are, one per column, so they go straight into
+//! the row's accumulator; any other product's row is folded in a second
+//! accumulator first and its entries added. Every slot therefore adds the
+//! products' row sums in product order — the fold of their rows — and
+//! each product's entries are known without counting: a `B` row's
+//! length, or the entries the second accumulator drained.
 
-use super::spa::{word_masks, Spa, SHORT_ROW};
+use super::spa::{word_masks, Spa, WideRow, SHORT_ROW};
 use crate::{Csr, CsrBuilder, Index};
 use std::ops::Range;
 
@@ -262,44 +275,6 @@ impl BTable {
         flops.min(hi - lo)
     }
 
-    /// The one per-row body: row `i` of `a · b` folded through `spa` as a
-    /// short or a wide row by its flop count (see the module docs), and
-    /// emitted as `(col, value)` in ascending column order.
-    // Inlined into each caller's row loop, so that loop optimizes as one
-    // function.
-    #[inline(always)]
-    fn row(&self, a: &Csr, b: &Csr, i: usize, spa: &mut Spa, emit: impl FnMut(Index, f64)) {
-        let (b_rows, masks) = (&self.rows[..], &self.masks[..]);
-        let (ka, va) = a.row(i);
-        let flops: usize = ka.iter().map(|&k| b.row_nnz(k as usize)).sum();
-        if flops <= SHORT_ROW {
-            let mut row = spa.short_row();
-            for (&k, &av) in ka.iter().zip(va) {
-                let (jb, vb) = b.row(k as usize);
-                for (&j, &bv) in jb.iter().zip(vb) {
-                    row.add(j, av * bv);
-                }
-            }
-            row.drain(emit);
-        } else {
-            let mut row = spa.wide_row();
-            for (&k, &av) in ka.iter().zip(va) {
-                let (jb, vb) = b.row(k as usize);
-                let shape = b_rows[k as usize];
-                if shape.masks_len == 0 {
-                    for (&j, &bv) in jb.iter().zip(vb) {
-                        row.add(j, av * bv);
-                    }
-                } else {
-                    let run = shape.run_at as usize..(shape.run_at + shape.run_len) as usize;
-                    let marks = &masks[shape.masks_at as usize..][..shape.masks_len as usize];
-                    row.add_marked(jb, av, vb, run, marks);
-                }
-            }
-            row.drain(emit);
-        }
-    }
-
     /// The rows `live` of `a · b` as one matrix, pre-sized from
     /// `Σ_i min(flops_i, hi_i − lo_i)` over them — a true upper bound — so
     /// the push loop never climbs a realloc ladder.
@@ -308,9 +283,136 @@ impl BTable {
         let bound = live.iter().map(|&i| self.bound(a, b, i as usize)).sum();
         let mut out = CsrBuilder::with_capacity(a.rows(), b.cols(), bound);
         for &i in live {
-            self.row(a, b, i as usize, spa, |j, v| out.push_trusted(i, j, v));
+            let part = Part::of(a, i as usize, b, self);
+            fold_row(part, spa, |j, v| out.push_trusted(i, j, v));
         }
         out.finish()
+    }
+}
+
+/// One term of an output row: the `A`-row segment `(ka, va)` times `b`,
+/// whose table is `table`.
+#[derive(Debug, Clone, Copy)]
+struct Part<'a> {
+    ka: &'a [Index],
+    va: &'a [f64],
+    b: &'a Csr,
+    table: &'a BTable,
+}
+
+impl<'a> Part<'a> {
+    /// Row `i` of `a` times `b`.
+    #[inline(always)]
+    fn of(a: &'a Csr, i: usize, b: &'a Csr, table: &'a BTable) -> Self {
+        let (ka, va) = a.row(i);
+        Part { ka, va, b, table }
+    }
+
+    /// The products the part adds.
+    #[inline(always)]
+    fn flops(&self) -> usize {
+        self.ka.iter().map(|&k| self.b.row_nnz(k as usize)).sum()
+    }
+
+    /// Adds the part's products into a wide row, `k` by `k`.
+    #[inline(always)]
+    fn add_wide(&self, row: &mut WideRow<'_>) {
+        let (b_rows, masks) = (&self.table.rows[..], &self.table.masks[..]);
+        for (&k, &av) in self.ka.iter().zip(self.va) {
+            let (jb, vb) = self.b.row(k as usize);
+            let shape = b_rows[k as usize];
+            if shape.masks_len == 0 {
+                for (&j, &bv) in jb.iter().zip(vb) {
+                    row.add(j, av * bv);
+                }
+            } else {
+                let run = shape.run_at as usize..(shape.run_at + shape.run_len) as usize;
+                let marks = &masks[shape.masks_at as usize..][..shape.masks_len as usize];
+                row.add_marked(jb, av, vb, run, marks);
+            }
+        }
+    }
+}
+
+/// The one per-row body: the row of one product `part`, folded through
+/// `spa` as a short or a wide row by its flop count (see the module docs)
+/// and emitted as `(col, value)` in ascending column order.
+// Inlined into each caller's row loop, so that loop optimizes as one
+// function.
+#[inline(always)]
+fn fold_row(part: Part<'_>, spa: &mut Spa, emit: impl FnMut(Index, f64)) {
+    if part.flops() <= SHORT_ROW {
+        let mut row = spa.short_row();
+        for (&k, &av) in part.ka.iter().zip(part.va) {
+            let (jb, vb) = part.b.row(k as usize);
+            for (&j, &bv) in jb.iter().zip(vb) {
+                row.add(j, av * bv);
+            }
+        }
+        row.drain(emit);
+    } else {
+        let mut row = spa.wide_row();
+        part.add_wide(&mut row);
+        row.drain(emit);
+    }
+}
+
+/// [`fold_row`], returning the entries emitted.
+#[inline(always)]
+fn fold_row_counted(part: Part<'_>, spa: &mut Spa, mut emit: impl FnMut(Index, f64)) -> usize {
+    let mut n = 0;
+    fold_row(part, spa, |j, v| {
+        emit(j, v);
+        n += 1;
+    });
+    n
+}
+
+/// One output row as the sum of several products' rows — `(p, part)`, in
+/// the order given — through one accumulator `spa`, short or wide by the
+/// parts' summed flops, and emitted once in ascending column order.
+/// Every slot adds the parts' own sums in part order from `-0.0`, which
+/// is the fold of their rows as [`fold_row`] builds them, bit for bit:
+/// the row of a part with one `k` holds its products as they are, so they
+/// go into `spa` directly; any other part's row is folded in `sub` first
+/// and its entries added. Adds to `counts[p]` the entries of part `p`'s
+/// own row.
+#[inline(always)]
+fn fold_parts<'a>(
+    parts: impl Iterator<Item = (usize, Part<'a>)> + Clone,
+    spa: &mut Spa,
+    sub: &mut Spa,
+    counts: &mut [usize],
+    emit: impl FnMut(Index, f64),
+) {
+    let flops: usize = parts.clone().map(|(_, part)| part.flops()).sum();
+    if flops <= SHORT_ROW {
+        let mut row = spa.short_row();
+        for (p, part) in parts {
+            counts[p] += match *part.ka {
+                [k] => {
+                    let (jb, vb) = part.b.row(k as usize);
+                    for (&j, &bv) in jb.iter().zip(vb) {
+                        row.add(j, part.va[0] * bv);
+                    }
+                    jb.len()
+                }
+                _ => fold_row_counted(part, sub, |j, v| row.add(j, v)),
+            };
+        }
+        row.drain(emit);
+    } else {
+        let mut row = spa.wide_row();
+        for (p, part) in parts {
+            counts[p] += match *part.ka {
+                [k] => {
+                    part.add_wide(&mut row);
+                    part.b.row_nnz(k as usize)
+                }
+                _ => fold_row_counted(part, sub, |j, v| row.add(j, v)),
+            };
+        }
+        row.drain(emit);
     }
 }
 
@@ -327,6 +429,14 @@ impl BTable {
 pub struct MultiplyScratch {
     /// The sparse accumulator every row folds through.
     spa: Spa,
+    /// [`RowProduct::sum_rows_into`]'s accumulator for the rows of parts
+    /// that are summed before they are added.
+    sub: Spa,
+    /// [`RowProduct::sum_rows_into`]'s position in each product's live
+    /// rows, the row there, and the products holding the row in flight.
+    cursors: Vec<usize>,
+    heads: Vec<Index>,
+    holders: Vec<usize>,
     /// Occupied-row index computed by [`gustavson_scratch`] when the
     /// caller does not supply one.
     live_rows: Vec<Index>,
@@ -506,14 +616,97 @@ impl RowProduct {
         let (mut at, mut n) = (span.start, 0);
         while at < span.end && n < max {
             let i = self.live[at];
-            let spa = &mut scratch.spa;
-            self.table.row(&self.a, &self.b, i as usize, spa, |j, v| {
-                emit(i, j, v);
-                n += 1;
-            });
+            let part = Part::of(&self.a, i as usize, &self.b, &self.table);
+            n += fold_row_counted(part, &mut scratch.spa, |j, v| emit(i, j, v));
             at += 1;
         }
         at
+    }
+
+    /// Rows `rows` of the sum of `products`, which must share one shape,
+    /// each row through one accumulator: every product whose live rows
+    /// hold the row adds its row into `scratch`'s accumulator, in the
+    /// order of `products`, and the row is drained once into `emit` as
+    /// `(row, col, value)`, rows ascending. Each output is the fold of the
+    /// products' own rows in that order — what a merge of their partials,
+    /// tie-broken by position, folds — bit for bit, but no product's row
+    /// is ever buffered: a row with one `A` entry in a product holds that
+    /// product's products as they are and adds them straight in. Adds to
+    /// `counts[p]` the entries of `products[p]`'s own rows — what
+    /// [`rows_into`](Self::rows_into) would emit for them. A call that
+    /// does not grow `scratch` counts as one of its reuses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the products differ in shape or `counts` is shorter than
+    /// `products`.
+    pub fn sum_rows_into(
+        products: &[&RowProduct],
+        rows: Range<usize>,
+        scratch: &mut MultiplyScratch,
+        counts: &mut [usize],
+        mut emit: impl FnMut(Index, Index, f64),
+    ) {
+        let Some(first) = products.first() else {
+            return;
+        };
+        let shape = first.shape();
+        assert!(
+            products.iter().all(|p| p.shape() == shape),
+            "summed products must share one shape"
+        );
+        assert!(counts.len() >= products.len(), "a count per product");
+        if !(scratch.spa.grow(shape.1) | scratch.sub.grow(shape.1)) {
+            scratch.reuses += 1;
+        }
+        let MultiplyScratch {
+            spa,
+            sub,
+            cursors,
+            heads,
+            holders,
+            ..
+        } = scratch;
+        // Product `p`'s next live row at or past the one in flight is
+        // `heads[p]`, at position `cursors[p]` of its live rows
+        // (`Index::MAX` once it has none left).
+        let head = |p: &RowProduct, at: usize| p.live.get(at).copied().unwrap_or(Index::MAX);
+        cursors.clear();
+        cursors.extend(
+            products
+                .iter()
+                .map(|p| p.live.partition_point(|&i| (i as usize) < rows.start)),
+        );
+        heads.clear();
+        heads.extend(
+            products
+                .iter()
+                .zip(cursors.iter())
+                .map(|(p, &at)| head(p, at)),
+        );
+        loop {
+            let i = heads.iter().copied().min().unwrap_or(Index::MAX);
+            if i as usize >= rows.end {
+                break;
+            }
+            let row = i as usize;
+            holders.clear();
+            holders.extend((0..products.len()).filter(|&p| heads[p] == i));
+            let part = |p: usize| {
+                let product = products[p];
+                (p, Part::of(&product.a, row, &product.b, &product.table))
+            };
+            if let [only] = holders[..] {
+                counts[only] += fold_row_counted(part(only).1, spa, |j, v| emit(i, j, v));
+            } else {
+                let parts = holders.iter().map(|&p| part(p));
+                fold_parts(parts, spa, sub, counts, |j, v| emit(i, j, v));
+            }
+            for &p in holders.iter() {
+                cursors[p] += 1;
+                heads[p] = head(products[p], cursors[p]);
+            }
+        }
     }
 
     /// The whole product as one matrix.
@@ -953,6 +1146,128 @@ mod tests {
             let want = [-0.0, -0.0, 0.0, -0.0, 0.0, -1.75f64].map(f64::to_bits);
             assert_eq!(bits[..6], want, "{what}");
         }
+    }
+
+    /// The products `A[:, r] · B[r, :]` over the panels `ranges` of `a`'s
+    /// inner dimension, each over its panel's occupied rows.
+    fn panel_products(a: &Csr, b: &Csr, ranges: &[Range<usize>]) -> Vec<RowProduct> {
+        let product = |r: &Range<usize>| {
+            let (a_panel, live) = a.col_panel_condensed(r.clone());
+            RowProduct::new(a_panel, b.row_panel(r.clone()), live)
+        };
+        ranges.iter().map(product).collect()
+    }
+
+    /// The fold of `partials` in order: per slot, their values added from
+    /// the first — what a merge tie-broken by position folds.
+    fn fold_in_order(partials: &[Csr]) -> Csr {
+        let (rows, cols) = (partials[0].rows(), partials[0].cols());
+        let mut out = CsrBuilder::new(rows, cols);
+        for i in 0..rows {
+            let mut sums = std::collections::BTreeMap::new();
+            for m in partials {
+                let (cs, vs) = m.row(i);
+                for (&c, &v) in cs.iter().zip(vs) {
+                    sums.entry(c).and_modify(|s| *s += v).or_insert(v);
+                }
+            }
+            for (c, v) in sums {
+                out.push(i as Index, c, v);
+            }
+        }
+        out.finish()
+    }
+
+    /// Summing panel products row by row through one accumulator folds
+    /// their rows in the order given, bit for bit, with the rows cut
+    /// anywhere: over one panel that is the kernel; over several, in any
+    /// order, the fold of the panels' partials. Each product's count is
+    /// its own product's entries, and both accumulators are left clean.
+    fn assert_panel_sums_fold_their_rows(a: &Csr, b: &Csr, scratch: &mut MultiplyScratch) {
+        let five = crate::panel_ranges(a.cols(), 5);
+        let reversed: Vec<_> = five.iter().rev().cloned().collect();
+        let every_other: Vec<_> = five.iter().step_by(2).cloned().collect();
+        let one = crate::panel_ranges(a.cols(), 1);
+        for (what, ranges) in [
+            ("one panel", &one),
+            ("five panels", &five),
+            ("five panels reversed", &reversed),
+            ("every other panel", &every_other),
+        ] {
+            let products = panel_products(a, b, ranges);
+            let own: Vec<Csr> = products.iter().map(|p| p.multiply(scratch)).collect();
+            let want = fold_in_order(&own);
+            if ranges.len() == 1 {
+                assert_bit_identical(&want, &gustavson_reference(a, b), what);
+            }
+            let refs: Vec<&RowProduct> = products.iter().collect();
+            for cut in [0, a.rows() / 3, a.rows()] {
+                let mut out = CsrBuilder::new(a.rows(), b.cols());
+                let mut counts = vec![0; refs.len()];
+                for rows in [0..cut, cut..a.rows()] {
+                    RowProduct::sum_rows_into(&refs, rows, scratch, &mut counts, |i, j, v| {
+                        out.push(i, j, v)
+                    });
+                    let clean = scratch.spa.is_clean() && scratch.sub.is_clean();
+                    assert!(clean, "{what}: accumulator left dirty");
+                }
+                let how = format!("{what}, rows cut at {cut}");
+                assert_bit_identical(&out.finish(), &want, &how);
+                let nnz: Vec<usize> = own.iter().map(Csr::nnz).collect();
+                assert_eq!(counts, nnz, "{how}: per-product entries");
+            }
+        }
+    }
+
+    #[test]
+    fn summed_panel_products_fold_their_rows() {
+        // Values of both signs and stored zeros of both signs, so
+        // `-0.0` products and the order of every sum show in the bits.
+        let dress = |m: &Csr| {
+            linalg::map_values(m, |v| match (v * 64.0) as i64 % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                2 | 3 => -v - 1e-3,
+                _ => v + 1e16 * f64::from(u8::from(v > 0.9)),
+            })
+        };
+        let mut scratch = MultiplyScratch::new();
+        // Short and wide rows, word-dense runs and sparse scatter, rows a
+        // single panel holds and rows every panel does, and empty rows.
+        let band = dress(&gen::banded(90, 9, 12, 1));
+        let blocks = dress(&gen::block_sparse(64, 64, 4, 0.2, 2));
+        let rmat = dress(&gen::rmat_graph500(128, 6, 3));
+        let wide = dress(&gen::uniform_random(128, 900, 500, 4));
+        let sparse = dress(&gen::uniform_random(64, 64, 100, 5));
+        for (a, b) in [
+            (&band, &band),
+            (&blocks, &blocks),
+            (&rmat, &rmat),
+            (&rmat, &wide),
+            (&sparse, &sparse),
+        ] {
+            assert_panel_sums_fold_their_rows(a, b, &mut scratch);
+        }
+        // The grid reaches rows of several panels, one of which has more
+        // than one `A` entry (its row is summed before it is added), in
+        // both row classes.
+        let (mut short_row, mut wide_row) = (false, false);
+        for (a, b) in [(&rmat, &wide), (&sparse, &sparse), (&band, &band)] {
+            let ranges = crate::panel_ranges(a.cols(), 5);
+            for i in 0..a.rows() {
+                let per_panel = |r: &Range<usize>| {
+                    let ka = a.row(i).0;
+                    ka.iter().filter(|&&k| r.contains(&(k as usize))).count()
+                };
+                let entries: Vec<usize> = ranges.iter().map(per_panel).collect();
+                let panels = entries.iter().filter(|&&n| n > 0).count();
+                if panels >= 2 && entries.iter().any(|&n| n >= 2) {
+                    short_row |= flops(a, b, i) <= SHORT_ROW;
+                    wide_row |= flops(a, b, i) > SHORT_ROW;
+                }
+            }
+        }
+        assert!(short_row && wide_row, "short {short_row}, wide {wide_row}");
     }
 
     #[test]

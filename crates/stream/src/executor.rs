@@ -954,21 +954,37 @@ mod tests {
         assert!(first.partials > 0 && first.output_nnz > 0);
     }
 
-    /// Squares a float-valued R-MAT(2048, 8) — a change of fold order
-    /// would show in the bits — at 16 panels and 4 ways, with `threads`
-    /// threads and merge workers under `budget`. Returns the product, the
-    /// report, and the `bands` and `triples` of the root's `merge-round`
-    /// span.
-    fn rmat_root_run(budget: MemoryBudget, threads: usize) -> (Csr, StreamReport, u64, u64) {
+    /// A float-valued R-MAT(2048, 8): a change of fold order would show
+    /// in the bits of its square.
+    fn float_rmat() -> Csr {
         let r = gen::rmat_graph500(2048, 8, 7);
         let values = (0..r.nnz())
             .map(|k| 1.0 + (k as f64 * 0.61).sin())
             .collect();
         let (rp, ci) = (r.row_ptr().to_vec(), r.col_indices().to_vec());
-        let a = Csr::try_new(r.rows(), r.cols(), rp, ci, values).unwrap();
+        Csr::try_new(r.rows(), r.cols(), rp, ci, values).unwrap()
+    }
+
+    /// The value of argument `key` of a `merge-round` span.
+    fn span_arg(span: &sparch_obs::Span, key: &str) -> u64 {
+        let found = span.args.iter().find(|x| x.key == key);
+        found
+            .unwrap_or_else(|| panic!("merge-round without {key}"))
+            .value
+    }
+
+    /// Squares [`float_rmat`] at `panels` panels and 4 ways, with
+    /// `threads` threads and merge workers under `budget`. Returns the
+    /// product, the report and the run's `merge-round` spans.
+    fn rmat_run(
+        budget: MemoryBudget,
+        panels: usize,
+        threads: usize,
+    ) -> (Csr, StreamReport, Vec<sparch_obs::Span>) {
+        let a = float_rmat();
         let executor = StreamingExecutor::new(StreamConfig {
             budget,
-            panels: 16,
+            panels,
             merge_ways: 4,
             threads: Some(threads),
             ..StreamConfig::default()
@@ -976,18 +992,22 @@ mod tests {
         .with_recorder(Recorder::enabled());
         let (c, report) = executor.multiply(&a, &a).unwrap();
         let trace = executor.recorder().drain("stream");
-        let arg = |span: &sparch_obs::Span, key: &str| {
-            let found = span.args.iter().find(|x| x.key == key);
-            found
-                .unwrap_or_else(|| panic!("merge-round without {key}"))
-                .value
-        };
-        let rounds = trace.spans.iter().filter(|s| s.name == "merge-round");
+        let rounds = trace.spans.into_iter().filter(|s| s.name == "merge-round");
+        (c, report, rounds.collect())
+    }
+
+    /// Squares [`float_rmat`] at 16 panels and 4 ways, with `threads`
+    /// threads and merge workers under `budget`. Returns the product, the
+    /// report, and the `bands` and `triples` of the root's `merge-round`
+    /// span.
+    fn rmat_root_run(budget: MemoryBudget, threads: usize) -> (Csr, StreamReport, u64, u64) {
+        let (c, report, rounds) = rmat_run(budget, 16, threads);
         let root = rounds
-            .max_by_key(|s| arg(s, "round"))
+            .iter()
+            .max_by_key(|s| span_arg(s, "round"))
             .expect("a merge round");
-        assert_eq!(arg(root, "round") as usize, report.merge_rounds - 1);
-        let (bands, triples) = (arg(root, "bands"), arg(root, "triples"));
+        assert_eq!(span_arg(root, "round") as usize, report.merge_rounds - 1);
+        let (bands, triples) = (span_arg(root, "bands"), span_arg(root, "triples"));
         (c, report, bands, triples)
     }
 
@@ -1011,6 +1031,29 @@ mod tests {
         );
         assert_eq!(got, want);
         assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// A one-leaf plan runs its leaf as a one-source round of its own,
+    /// banded like any round that would otherwise run alone: a one-panel
+    /// run over R-MAT(2048, 8)² at two threads carries `bands` = 2 on its
+    /// only `merge-round` span, and is bit-identical to `gustavson`.
+    #[test]
+    fn a_lone_leaf_runs_as_a_round_in_row_bands_on_every_merge_worker() {
+        let (got, report, rounds) = rmat_run(MemoryBudget::unbounded(), 1, 2);
+        assert_eq!((report.partials, report.merge_rounds), (1, 0));
+        assert_eq!(rounds.len(), 1, "one round for the lone leaf");
+        let arg = |key| span_arg(&rounds[0], key);
+        let (bands, triples) = (arg("bands"), arg("triples"));
+        assert_eq!(arg("leaves"), 1);
+        assert_eq!(
+            bands, 2,
+            "the lone leaf ({triples} triples) ran in {bands} band(s)"
+        );
+        let a = float_rmat();
+        let want = algo::gustavson(&a, &a);
+        assert_eq!(got, want);
+        assert_eq!(bits(&got), bits(&want));
+        assert!(report.stages.multiply_kernel_seconds > 0.0);
     }
 
     /// A lone root over spilled children is cut at its spill files' row

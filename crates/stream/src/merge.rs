@@ -19,13 +19,22 @@
 //!   spans (branch-free LEB128 in `spill.rs`); resident CSRs are walked
 //!   with the row scan amortized per chunk instead of per triple.
 //! * **Leaves multiplied in the fold.** A [`Leaf`] source is a panel pair
-//!   `A[:, p]`, `B[p, :]`, not a partial: each refill multiplies its next
-//!   live rows straight into the lane ([`RowProduct::rows_into`], the
-//!   Gustavson kernel's own per-row body, through the band's
-//!   [`MultiplyScratch`]), so the round folds the leaf's rows as they are
-//!   produced — SpArch's pipelined multiply and merge (§II-A). The leaf's
-//!   partial is never built, stored or spilled, and its row bounds let a
-//!   round cut it into bands at any row.
+//!   `A[:, p]`, `B[p, :]`, not a partial, so a round folds a leaf's rows
+//!   as they are produced — SpArch's pipelined multiply and merge
+//!   (§II-A). The leaf's partial is never built, stored or spilled, and
+//!   its row bounds let a round cut it into bands at any row. A round of
+//!   fresh leaves alone has no lanes and no fold: each of its output rows
+//!   is one Gustavson pass over its leaves in round order
+//!   ([`RowProduct::sum_rows_into`]). A leaf with one `A` entry in the row
+//!   adds its `B` row's products straight into the band's one
+//!   accumulator; any other leaf's row is summed in a second accumulator
+//!   first and its entries added; the row is drained once. Each output is
+//!   then what folding the leaves' rows gives, bit for bit, and the
+//!   leaves' own entries are counted on the way for their footprints. In
+//!   a round that mixes leaves with stored partials, each refill of a
+//!   leaf's lane multiplies its next live rows straight into the lane
+//!   ([`RowProduct::rows_into`], the kernel's own per-row body, through
+//!   the band's [`MultiplyScratch`]), and the lanes are folded.
 //! * **One row-wise fold.** The decode lanes are the sources of
 //!   [`sparch_sparse::algo::fold_rows`], the fold the simulator's merge
 //!   rounds run too. It visits output rows in ascending order, picking
@@ -41,7 +50,8 @@
 //! * **Pre-sized output.** A round pre-sizes its two output arrays from
 //!   the summed source nnz — a leaf's counted at its rows'
 //!   `min(flops, span)` bounds — an upper bound, so the output never
-//!   reallocates mid-merge.
+//!   reallocates mid-merge. The pipeline shrinks the root's arrays to the
+//!   entries they hold before it hands the product back.
 //! * **Row bands.** Because every output row folds on its own,
 //!   [`merge_bands`] can cut a round into row bands at the quantiles of
 //!   the input weight and fold each band on its own scoped thread, with
@@ -63,9 +73,11 @@
 //! hold `-0.0`, the additive identity), which is that order, so the
 //! merged values are bit-identical regardless of which sources happened
 //! to spill, how many threads produced them and how many bands folded
-//! them (a band folds whole rows, each exactly as one band would). The
-//! seed heap kernel is kept as [`merge_sources_reference`] and a
-//! differential suite pins the two to byte-equal outputs.
+//! them (a band folds whole rows, each exactly as one band would), and
+//! whether a round of leaves alone sums its rows in one accumulator or
+//! its leaves' partials were built and folded. The seed heap kernel is
+//! kept as [`merge_sources_reference`] and a differential suite pins the
+//! two to byte-equal outputs.
 
 use crate::spill::{mark_stride, SpillFile, SpillReader};
 use crate::StreamError;
@@ -127,7 +139,8 @@ impl Leaf {
     }
 
     /// The entries its rows have produced so far, and the nanoseconds
-    /// they took, summed over the threads that computed them.
+    /// they took, summed over the threads that computed them (a round of
+    /// leaves alone tallies each band's row time on its first leaf).
     pub fn tally(&self) -> (usize, u64) {
         (self.entries.load(Relaxed), self.nanos.load(Relaxed))
     }
@@ -381,12 +394,14 @@ struct Lane {
 
 /// What one band's fold runs on: a decode lane per merge way, the
 /// shared fold's scratch and the accumulator its leaves' rows are
-/// multiplied through.
+/// multiplied through, and — in a round of leaves alone — each leaf's
+/// entry count.
 #[derive(Debug, Default)]
 struct BandScratch {
     lanes: Vec<Lane>,
     fold: FoldScratch,
     product: MultiplyScratch,
+    counts: Vec<usize>,
 }
 
 impl BandScratch {
@@ -402,6 +417,47 @@ impl BandScratch {
             lane.vals.reserve(CHUNK_ENTRIES);
         }
         self.fold.grow(ways, cols);
+    }
+}
+
+/// What one band folds: its views of the round's sources, each read
+/// through a decode lane, or — in a round of fresh leaves alone — its
+/// rows of the leaves' summed products.
+enum BandInput {
+    Lanes(Vec<PartialSource>),
+    LeafRows,
+}
+
+/// One band's slices of the output, filled in row-major order: entries
+/// into `col_idx`/`values` from their start, and the end of each of the
+/// band's rows, counted from its first entry, into `row_ends`.
+struct BandOut<'a> {
+    band: Range<usize>,
+    /// The first row whose end is not yet written.
+    row: usize,
+    /// Entries written.
+    n: usize,
+    row_ends: &'a mut [usize],
+    col_idx: &'a mut [Index],
+    values: &'a mut [f64],
+}
+
+impl BandOut<'_> {
+    #[inline]
+    fn push(&mut self, r: Index, c: Index, v: f64) {
+        while self.row < r as usize {
+            self.row_ends[self.row - self.band.start] = self.n;
+            self.row += 1;
+        }
+        self.col_idx[self.n] = c;
+        self.values[self.n] = v;
+        self.n += 1;
+    }
+
+    /// Ends the band's last rows and returns the entries written.
+    fn finish(self) -> usize {
+        self.row_ends[self.row - self.band.start..].fill(self.n);
+        self.n
     }
 }
 
@@ -513,6 +569,12 @@ pub fn merge_sources(
 /// already produced entries folds as one band, and a round never gets
 /// more bands than it has cut points or input entries.
 ///
+/// When every source is a fresh leaf, each band sums its rows of the
+/// leaves' products in one accumulator, in source order, instead of
+/// folding them ([`RowProduct::sum_rows_into`]) — the same bits; each
+/// leaf's tally then counts the entries its own partial would hold, and
+/// the band's row time is tallied as multiply time.
+///
 /// Every source must declare the merge's own shape
 /// ([`PartialSource::expect_shape`]): entries are checked against their
 /// source's shape as they are decoded, and the output trusts them to fit.
@@ -533,11 +595,28 @@ pub fn merge_bands(
     let grain = if spilled { mark_stride(rows) } else { 1 };
     let points = rows.div_ceil(grain);
     let bands = bands.min(points).min(total);
+    let fresh = sources.iter().all(PartialSource::fresh);
+    // A round of fresh leaves alone sums each output row of its leaves in
+    // one accumulator instead of folding their rows.
+    let mut leaves: Vec<Arc<Leaf>> = (sources.iter())
+        .map_while(|src| match &src.0 {
+            Inner::Leaf { leaf, .. } if fresh => Some(Arc::clone(leaf)),
+            _ => None,
+        })
+        .collect();
+    if leaves.len() < sources.len() {
+        leaves.clear();
+    }
     // Band `b` folds rows `cuts[b]..cuts[b + 1]` into the output from
     // `offsets[b]`: the input entries below its first row bound the
     // output entries before it.
-    let (cuts, offsets, band_sources) = if bands < 2 || !sources.iter().all(|s| s.fresh()) {
-        (vec![0, rows], vec![0, total], vec![sources])
+    let (cuts, offsets, inputs) = if bands < 2 || !fresh {
+        let input = if leaves.is_empty() {
+            BandInput::Lanes(sources)
+        } else {
+            BandInput::LeafRows
+        };
+        (vec![0, rows], vec![0, total], vec![input])
     } else {
         let row = |k: usize| (k * grain).min(rows);
         // Input entries before cut point `k`, over all sources.
@@ -560,30 +639,35 @@ pub fn merge_bands(
         }
         at.push(points);
         let band = |span: &[usize]| {
+            if !leaves.is_empty() {
+                return Ok(BandInput::LeafRows);
+            }
             let rows = row(span[0])..row(span[1]);
             let view = |s: &PartialSource| s.band(rows.clone(), span[0]..span[1]);
-            sources.iter().map(view).collect::<Result<Vec<_>, _>>()
+            let views = sources.iter().map(view).collect::<Result<_, _>>()?;
+            Ok::<_, StreamError>(BandInput::Lanes(views))
         };
-        let band_sources = at.windows(2).map(band).collect::<Result<_, _>>()?;
+        let inputs = at.windows(2).map(band).collect::<Result<_, _>>()?;
         let offsets = at.iter().map(|&k| below(k)).collect();
         let cuts = at.iter().map(|&k| row(k)).collect();
         // The band views hold the inputs now, and drop them as their
         // folds end — before the compaction touches the output's gaps.
         drop(sources);
-        (cuts, offsets, band_sources)
+        (cuts, offsets, inputs)
     };
-    let bands = band_sources.len();
+    let bands = inputs.len();
 
     let mut row_ptr = vec![0; rows + 1];
     let mut col_idx: Vec<Index> = vec![0; total];
     let mut values = vec![0.0; total];
+    let products: Vec<&RowProduct> = leaves.iter().map(|leaf| &leaf.product).collect();
+    let (leaves, products) = (&leaves[..], &products[..]);
     let filled: Vec<Result<usize, StreamError>> = std::thread::scope(|scope| {
         let mut row_ends = &mut row_ptr[1..];
         let (mut col_rest, mut val_rest) = (&mut col_idx[..], &mut values[..]);
         let mut jobs = Vec::with_capacity(bands);
-        let folds = scratch.bands(bands).iter_mut().zip(band_sources);
-        for (b, (fold, sources)) in folds.enumerate() {
-            fold.grow(sources.len(), cols);
+        let folds = scratch.bands(bands).iter_mut().zip(inputs);
+        for (b, (fold, input)) in folds.enumerate() {
             let band = cuts[b]..cuts[b + 1];
             let len = offsets[b + 1] - offsets[b];
             let ends;
@@ -592,7 +676,23 @@ pub fn merge_bands(
             (out, col_rest) = std::mem::take(&mut col_rest).split_at_mut(len);
             let vals;
             (vals, val_rest) = std::mem::take(&mut val_rest).split_at_mut(len);
-            jobs.push(move || fold_band(sources, fold, cols, band, ends, out, vals));
+            let out = BandOut {
+                row: band.start,
+                band,
+                n: 0,
+                row_ends: ends,
+                col_idx: out,
+                values: vals,
+            };
+            if let BandInput::Lanes(sources) = &input {
+                fold.grow(sources.len(), cols);
+            } else {
+                fold.counts.resize(leaves.len(), 0);
+            }
+            jobs.push(move || match input {
+                BandInput::Lanes(sources) => fold_band(sources, fold, cols, out),
+                BandInput::LeafRows => Ok(sum_band(leaves, products, fold, out)),
+            });
         }
         let mut jobs = jobs.into_iter();
         let first = jobs.next().expect("at least one band");
@@ -622,24 +722,20 @@ pub fn merge_bands(
     Ok((merged, bands))
 }
 
-/// Folds one band — output rows `band` of `sources` — into its slices of
-/// the output: entries into `col_idx`/`values` from their start, and the
-/// end of each row, counted from the band's first entry, into
-/// `row_ends`. Returns the entries written. `scratch` must have grown to
-/// the sources ([`BandScratch::grow`]).
+/// Folds one band of `sources` into its slices of the output `out`, each
+/// source read through a decode lane, and returns the entries written.
+/// `scratch` must have grown to the sources ([`BandScratch::grow`]).
 fn fold_band(
     mut sources: Vec<PartialSource>,
     scratch: &mut BandScratch,
     cols: usize,
-    band: Range<usize>,
-    row_ends: &mut [usize],
-    col_idx: &mut [Index],
-    values: &mut [f64],
+    mut out: BandOut<'_>,
 ) -> Result<usize, StreamError> {
     let BandScratch {
         lanes,
         fold,
         product,
+        ..
     } = scratch;
     let lanes = &mut lanes[..sources.len()];
     for (src, lane) in sources.iter_mut().zip(lanes.iter_mut()) {
@@ -649,16 +745,6 @@ fn fold_band(
     // CSRs by invariant, spilled ones because `SpillReader` checks each
     // entry it decodes — and rows leave in ascending order, so entries
     // go straight into the output.
-    let (mut row, mut n) = (band.start, 0);
-    let push = |r: Index, c: Index, v: f64| {
-        while row < r as usize {
-            row_ends[row - band.start] = n;
-            row += 1;
-        }
-        col_idx[n] = c;
-        values[n] = v;
-        n += 1;
-    };
     let sources = &mut sources[..];
     fold_rows(
         &mut Lanes {
@@ -668,10 +754,38 @@ fn fold_band(
         },
         cols,
         fold,
-        push,
+        |r, c, v| out.push(r, c, v),
     )?;
-    row_ends[row - band.start..].fill(n);
-    Ok(n)
+    Ok(out.finish())
+}
+
+/// Sums one band of a round of leaves alone — `products`, the leaves'
+/// products in source order — each row through the band's one
+/// accumulator ([`RowProduct::sum_rows_into`]), into its slices of the
+/// output `out`, and returns the entries written. Each leaf's tally gains
+/// the entries of its own rows; the band's row time, all of it multiply
+/// time, is tallied on the first leaf. `scratch.counts` must hold a slot
+/// per leaf.
+fn sum_band(
+    leaves: &[Arc<Leaf>],
+    products: &[&RowProduct],
+    scratch: &mut BandScratch,
+    mut out: BandOut<'_>,
+) -> usize {
+    let counts = &mut scratch.counts[..leaves.len()];
+    counts.fill(0);
+    let start = Instant::now();
+    let rows = out.band.clone();
+    let push = |r, c, v| out.push(r, c, v);
+    RowProduct::sum_rows_into(products, rows, &mut scratch.product, counts, push);
+    let nanos = start.elapsed().as_nanos() as u64;
+    for (leaf, &count) in leaves.iter().zip(counts.iter()) {
+        leaf.entries.fetch_add(count, Relaxed);
+    }
+    if let Some(first) = leaves.first() {
+        first.nanos.fetch_add(nanos, Relaxed);
+    }
+    out.finish()
 }
 
 /// The seed per-triple kernel — `BinaryHeap` over source heads with an
@@ -1161,20 +1275,18 @@ mod tests {
         }
     }
 
-    /// A round over leaf sources folds exactly what the same round folds
-    /// over the leaves' partials as the kernel builds them
-    /// (`gustavson_scratch_on_rows`), bit for bit: at every band count,
-    /// so bands are cut inside leaves; mixed with a resident and a spilled
-    /// partial; over short and wide rows, `-0.0` products, a leaf that
-    /// alone owns a run of rows, a leaf spanning many chunks, a leaf whose
-    /// rows all multiply empty `B` rows and a leaf with no live row. Each
-    /// leaf's tallies then match its partial.
-    #[test]
-    fn leaf_sources_fold_like_their_materialized_partials() {
-        let dir = TempDir::new("merge_leaves");
+    /// A round's operands with every row shape a leaf can give: `A`
+    /// (70 × 15) and `B` (15 × 96), cut into the five panels `PANELS`.
+    /// `B`'s inner rows 0..3 are wide (40 columns each), 3..6 short with
+    /// signed zeros, 6..9 mixed, 9..12 empty, 12..15 never reached; rows
+    /// of panels 0, 1 and 2 all hold column 14, so a row's three leaves
+    /// add into one slot, in an order the bits show. `A`'s
+    /// rows 0..6 touch only panel 0 (one leaf alone owns them), rows 6..60
+    /// every panel, rows 60..70 panels 1 and 2 with -1.0 (so
+    /// -1 · 0.0 = -0.0). Leaf 3's rows multiply only empty `B` rows and
+    /// leaf 4 has no live row.
+    fn leaf_operands() -> (Csr, Csr) {
         let (rows, inner, cols) = (70, 15, 96);
-        // B: inner rows 0..3 wide (40 columns each), 3..6 short with
-        // signed zeros, 6..9 mixed, 9..12 empty, 12..15 never reached.
         let mut b = Vec::new();
         for k in 0..3u32 {
             b.extend((0..40).map(|c| (k, 2 * c + k, value(c as usize + 3 * k as usize))));
@@ -1183,6 +1295,7 @@ mod tests {
             b.extend([
                 (k, k, 0.0),
                 (k, k + 1, -0.0),
+                (k, 14, value(k as usize + 1)),
                 (k, 50 + k, value(k as usize)),
             ]);
         }
@@ -1190,9 +1303,6 @@ mod tests {
             b.extend((0..(5 + 9 * (k - 6))).map(|c| (k, 7 * c % 96, value(c as usize))));
         }
         let b = partial(inner, cols, b);
-        // A: rows 0..6 touch only panel 0 (one leaf alone owns them), rows
-        // 6..60 every panel, rows 60..70 panels 1 and 2 with -1.0 (so
-        // -1 · 0.0 = -0.0).
         let mut a = Vec::new();
         for r in 0..rows as u32 {
             let cols: Vec<u32> = match r {
@@ -1209,49 +1319,91 @@ mod tests {
             };
             a.extend(cols.into_iter().map(|k| (r, k, v(k))));
         }
-        let a = partial(rows, inner, a);
-        let panels = [0..3, 3..6, 6..9, 9..12, 12..15];
+        (partial(rows, inner, a), b)
+    }
+
+    const PANELS: [Range<usize>; 5] = [0..3, 3..6, 6..9, 9..12, 12..15];
+
+    /// The leaf of panel `p` of [`leaf_operands`].
+    fn leaf(a: &Csr, b: &Csr, p: usize) -> Arc<Leaf> {
+        let r = PANELS[p].clone();
+        let (a_p, live) = a.col_panel_condensed(r.clone());
+        Arc::new(Leaf::new(a_p, b.row_panel(r), live))
+    }
+
+    /// Each panel's partial as the kernel builds it.
+    fn leaf_partials(a: &Csr, b: &Csr) -> Vec<Csr> {
         let mut scratch = algo::MultiplyScratch::new();
-        let parts: Vec<Csr> = panels
-            .iter()
-            .map(|r| {
-                let (a_p, live) = a.col_panel_condensed(r.clone());
-                algo::gustavson_scratch_on_rows(&a_p, &b.row_panel(r.clone()), &live, &mut scratch)
-            })
-            .collect();
+        let partial = |r: &Range<usize>| {
+            let (a_p, live) = a.col_panel_condensed(r.clone());
+            algo::gustavson_scratch_on_rows(&a_p, &b.row_panel(r.clone()), &live, &mut scratch)
+        };
+        PANELS.iter().map(partial).collect()
+    }
+
+    fn bits(m: &Csr) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A round over leaf sources folds exactly what the same round folds
+    /// over the leaves' partials as the kernel builds them
+    /// (`gustavson_scratch_on_rows`), bit for bit: at every band count,
+    /// so bands are cut inside leaves; over leaves alone — summed in one
+    /// accumulator, in ascending panel order and in others, all five or a
+    /// few — and mixed with a resident and a spilled partial; over short
+    /// and wide rows, leaves with one and with several `A` entries in a
+    /// row, `-0.0` products, a leaf that alone owns a run of rows, a leaf
+    /// spanning many chunks, a leaf whose rows all multiply empty `B` rows
+    /// and a leaf with no live row. Each leaf's tallies then match its
+    /// partial.
+    #[test]
+    fn leaf_sources_fold_like_their_materialized_partials() {
+        let dir = TempDir::new("merge_leaves");
+        let (a, b) = leaf_operands();
+        let (rows, cols) = (a.rows(), b.cols());
+        let parts = leaf_partials(&a, &b);
         assert!(parts[0].nnz() > 2 * CHUNK_ENTRIES, "leaf 0 spans chunks");
         assert!(parts[1]
             .values()
             .iter()
             .any(|v| v.to_bits() == (-0.0f64).to_bits()));
         assert_eq!((parts[3].nnz(), parts[4].nnz()), (0, 0));
-        let leaf = |p: usize| {
-            let (a_p, live) = a.col_panel_condensed(panels[p].clone());
-            Arc::new(Leaf::new(a_p, b.row_panel(panels[p].clone()), live))
-        };
-        let want = merge_sources_reference(rows, cols, parts.iter().cloned().map(mem).collect());
-        let want = want.unwrap();
-        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            a.col_panel(PANELS[4].clone()).nnz(),
+            0,
+            "leaf 4 has no live row"
+        );
+        let leaf = |p: usize| leaf(&a, &b, p);
         let spilled = write_partial(&dir.file("p2.bin"), &parts[2], SpillCodec::Varint).unwrap();
         let mut merge_scratch = MergeScratch::new();
+        let all = vec![0, 1, 2, 3, 4];
+        let rounds = [
+            ("leaves", all.clone()),
+            ("leaves", vec![3, 0, 4, 2, 1]),
+            ("leaves", vec![2, 0]),
+            ("leaves", vec![1]),
+            ("mixed", all),
+        ];
         for bands in 1..=5 {
-            for mix in ["leaves", "mixed"] {
-                let leaves: Vec<Arc<Leaf>> = (0..5).map(leaf).collect();
-                let sources = (0..5)
-                    .map(|p| match (mix, p) {
+            for (mix, order) in &rounds {
+                let partials = order.iter().map(|&p| mem(parts[p].clone())).collect();
+                let want = merge_sources_reference(rows, cols, partials).unwrap();
+                let leaves: Vec<Arc<Leaf>> = order.iter().map(|&p| leaf(p)).collect();
+                let sources = (leaves.iter().zip(order))
+                    .map(|(leaf, &p)| match (*mix, p) {
                         ("mixed", 1) => mem(parts[1].clone()),
                         ("mixed", 2) => PartialSource::from_spill(spilled.clone()).unwrap(),
-                        _ => PartialSource::from_leaf(Arc::clone(&leaves[p])),
+                        _ => PartialSource::from_leaf(Arc::clone(leaf)),
                     })
                     .collect();
                 let (got, ran) =
                     merge_bands(rows, cols, sources, &mut merge_scratch, bands).unwrap();
-                let what = format!("{mix}, {bands} bands asked, {ran} ran");
+                let what = format!("{mix} {order:?}, {bands} bands asked, {ran} ran");
                 assert_eq!(ran, bands, "{what}");
                 assert_eq!(got, want, "{what}");
                 assert_eq!(bits(&got), bits(&want), "{what}");
-                for (p, leaf) in leaves.iter().enumerate() {
-                    if mix == "mixed" && (p == 1 || p == 2) {
+                for (leaf, &p) in leaves.iter().zip(order) {
+                    if *mix == "mixed" && (p == 1 || p == 2) {
                         assert_eq!(leaf.tally().0, 0, "{what}: leaf {p} was not read");
                         continue;
                     }
@@ -1261,9 +1413,10 @@ mod tests {
             }
         }
         // The per-triple reference multiplies leaves whole first.
+        let want = merge_sources_reference(rows, cols, parts.iter().cloned().map(mem).collect());
         let sources = (0..5).map(|p| PartialSource::from_leaf(leaf(p))).collect();
         let reference = merge_sources_reference(rows, cols, sources).unwrap();
-        assert_eq!(bits(&reference), bits(&want));
+        assert_eq!(bits(&reference), bits(&want.unwrap()));
         assert!(
             merge_scratch.multiply_reuses() > 0,
             "leaf chunks never ran warm"

@@ -25,7 +25,10 @@
 //! it to the orchestrator. A pair is not multiplied on its own: the
 //! orchestrator parks it until the merge round that consumes it can run,
 //! and that round computes the leaf's rows inside its fold, as it reads
-//! them ([`PartialSource::from_leaf`]). No leaf partial is ever built,
+//! them ([`PartialSource::from_leaf`]) — or, in a round of leaves alone,
+//! sums every output row of its leaves in one accumulator, with no fold
+//! at all. A one-leaf subtree runs its leaf as a one-source round of its
+//! own. No leaf partial is ever built,
 //! stored or spilled; only round outputs enter the budgeted
 //! [`PartialStore`], so the budget and every spill cover round outputs
 //! alone. Pairs arrive in production order
@@ -98,12 +101,15 @@ pub struct StageReport {
     /// Time merge rounds spent multiplying their leaves' rows, summed
     /// over rounds: each leaf's row time, summed over the band threads
     /// that computed it, is divided by the round's band count, as the
-    /// round's wall time is counted once. A plan of one leaf multiplies
-    /// it when the run ends, outside every stage figure.
+    /// round's wall time is counted once. In a round of leaves alone every
+    /// row is multiply time: the leaves' products are summed in one
+    /// accumulator, with no fold of their own. Built from
+    /// `multiply_kernel_seconds`, so the two are one measure.
     pub multiply_busy_seconds: f64,
-    /// The same time as `multiply_busy_seconds`: with the multiply inside
-    /// the rounds there is no multiply-side wait left to tell them apart
-    /// (the multiply twin of `merge_kernel_seconds`).
+    /// The same measure as `multiply_busy_seconds` — with the multiply
+    /// inside the rounds there is no multiply-side wait left to tell them
+    /// apart (the multiply twin of `merge_kernel_seconds`). Both fields are
+    /// kept because the benchmark harness reads both.
     pub multiply_kernel_seconds: f64,
     /// Leaf-row chunks multiplied on already-warm merge-worker scratch
     /// (no accumulator growth). Each band scratch warms on its first leaf
@@ -164,7 +170,9 @@ pub(crate) struct PipelineOutcome {
 /// (budget-pinned or spill-streaming) stored children — and the row bands
 /// to fold them in (see [`MergeStage::bands_for`]).
 struct RoundJob {
-    round: usize,
+    /// The plan round, or `None` for the one-source round that multiplies
+    /// the leaf of a one-leaf subtree.
+    round: Option<usize>,
     sources: Vec<PartialSource>,
     /// The round's leaves, whose tallies the worker reads once it is done.
     leaves: Vec<Arc<Leaf>>,
@@ -182,9 +190,10 @@ enum Event {
     /// The reader read leaf `leaf`'s panel pair (named by its position
     /// in production order).
     Pair { leaf: usize, product: Leaf },
-    /// A merge worker finished plan round `round`.
+    /// A merge worker finished plan round `round` (`None`: the lone
+    /// leaf's round).
     RoundDone {
-        round: usize,
+        round: Option<usize>,
         outcome: Result<Csr, StreamError>,
         /// The round's wall time less its multiply share.
         merge_seconds: f64,
@@ -257,7 +266,8 @@ struct OrchestratorLinks<'a> {
 /// busy-seconds in [`StageReport`] are read off the very spans an enabled
 /// recorder exports, so the report is a view of the trace (span taxonomy:
 /// `read-panel` on the reader lane; `merge-round` on merge lanes, whose
-/// `multiply_ns` argument is the round's multiply share; `spill-write` on
+/// `multiply_ns` argument is the round's multiply share and whose `round`
+/// is `u64::MAX` on a lone leaf's round; `spill-write` on
 /// the writer lane; `orchestrate` on the orchestrator lane; `claim-wait`
 /// measures channel and window waits outside every busy figure). With a
 /// disabled recorder the lanes allocate nothing.
@@ -363,7 +373,6 @@ where
             arrived: 0,
             plan,
             scope: subtree,
-            rounds_done: 0,
             rounds_inflight: 0,
             reader_closed: false,
             merge_closed: false,
@@ -517,7 +526,7 @@ fn merge_worker(
         let entries: u64 = leaves.iter().map(|l| l.tally().0 as u64).sum();
         let triples = job.stored_triples + entries;
         let args = [
-            ("round", job.round as u64),
+            ("round", job.round.map_or(u64::MAX, |r| r as u64)),
             ("triples", triples),
             ("bands", bands),
             ("leaves", leaves.len() as u64),
@@ -617,7 +626,6 @@ struct MergeStage {
     parked: Vec<Option<Leaf>>,
     /// Pairs arrived so far.
     arrived: usize,
-    rounds_done: usize,
     rounds_inflight: usize,
     reader_closed: bool,
     merge_closed: bool,
@@ -686,7 +694,6 @@ impl MergeStage {
             } => {
                 self.rounds_inflight -= 1;
                 links.inflight.fetch_sub(1, Ordering::Relaxed);
-                self.rounds_done += 1;
                 let stages = &mut self.stages;
                 stages.merge_kernel_seconds += merge_seconds;
                 stages.multiply_kernel_seconds += multiply_seconds;
@@ -697,10 +704,15 @@ impl MergeStage {
                 match outcome {
                     Ok(merged) if self.failure.is_none() => {
                         let span = self.lane.begin("stream", "orchestrate");
-                        let output = self.plan.round_output(round);
-                        for id in self.plan.round_children(round) {
-                            self.store.release(id);
-                        }
+                        let output = match round {
+                            Some(round) => {
+                                for id in self.plan.round_children(round) {
+                                    self.store.release(id);
+                                }
+                                self.plan.round_output(round)
+                            }
+                            None => self.scope.root.expect("a lone leaf's round"),
+                        };
                         self.produced[output] = true;
                         if self.scope.root == Some(output) {
                             self.result = Some(merged);
@@ -764,7 +776,7 @@ impl MergeStage {
 
     /// The run is complete when no more events can change the outcome:
     /// the reader has closed, nothing is in flight, and (absent a
-    /// failure) the plan has fully executed.
+    /// failure) the subtree's root is in.
     fn finished(&self) -> bool {
         if !self.reader_closed || self.store.spills_in_flight() > 0 {
             return false;
@@ -772,7 +784,7 @@ impl MergeStage {
         if self.failure.is_some() {
             return self.rounds_inflight == 0 || self.merge_closed;
         }
-        self.rounds_done == self.scope.rounds.len() && self.rounds_inflight == 0
+        (self.scope.root.is_none() || self.result.is_some()) && self.rounds_inflight == 0
     }
 
     /// Dispatches every pending round in scope whose inputs are all
@@ -780,18 +792,23 @@ impl MergeStage {
     /// reached, and returns the window permits of the pairs it hands
     /// over. Round children always reference earlier rounds, so one
     /// ascending scan per call suffices; later events re-scan as inputs
-    /// land.
+    /// land. A one-leaf subtree has no plan round: its leaf runs as a
+    /// one-source round of its own, banded like any round that runs
+    /// alone.
     fn dispatch_rounds(&mut self, links: &OrchestratorLinks<'_>) {
-        let (plan, scope) = (&self.plan, &self.scope);
-        for &r in &scope.rounds {
+        let lone = self.scope.root.filter(|_| self.scope.rounds.is_empty());
+        for step in 0..self.scope.rounds.len().max(usize::from(lone.is_some())) {
             if self.failure.is_some() || self.rounds_inflight >= self.max_rounds_inflight {
                 return;
             }
-            if !self.dispatchable(r) {
-                continue;
-            }
+            let round = self.scope.rounds.get(step).copied();
+            let children: Vec<usize> = match (round, lone) {
+                (Some(r), _) if self.dispatchable(r) => self.plan.round_children(r).collect(),
+                (None, Some(leaf)) if self.parked[leaf].is_some() => vec![leaf],
+                _ => continue,
+            };
             let (mut sources, mut leaves, mut stored_triples) = (Vec::new(), Vec::new(), 0);
-            for id in plan.round_children(r) {
+            for id in children {
                 if let Some(leaf) = self.parked.get_mut(id).and_then(Option::take) {
                     let leaf = Arc::new(leaf);
                     sources.push(PartialSource::from_leaf(Arc::clone(&leaf)));
@@ -810,9 +827,9 @@ impl MergeStage {
                 }
             }
             leaves.iter().for_each(|_| links.window.release());
-            let bands = self.bands_for(r, &sources);
+            let bands = self.bands_for(round, &sources);
             let job = RoundJob {
-                round: r,
+                round,
                 sources,
                 leaves,
                 stored_triples,
@@ -822,11 +839,13 @@ impl MergeStage {
                 self.failure = Some(StreamError::Io("merge worker stage is gone".into()));
                 return;
             }
-            let ingesting = self.arrived < scope.leaves.len();
+            let ingesting = self.arrived < self.scope.leaves.len();
             self.stages.rounds_overlapping_multiply += u64::from(ingesting);
             let concurrent = ingesting || self.rounds_inflight > 0;
             self.stages.rounds_merged_concurrently += u64::from(concurrent);
-            self.dispatched[r] = true;
+            if let Some(r) = round {
+                self.dispatched[r] = true;
+            }
             self.rounds_inflight += 1;
             links.inflight.fetch_add(1, Ordering::Relaxed);
         }
@@ -843,21 +862,21 @@ impl MergeStage {
         !self.dispatched[r] && self.plan.round_ready(r, present)
     }
 
-    /// The row bands to ask for round `r` over `sources`: one per merge
+    /// The row bands to ask for `round` over `sources`: one per merge
     /// worker, as far as the round fills them ([`lone_round_bands`]),
     /// when the round would otherwise run alone — every pair has
     /// arrived, and no other round is in flight or dispatchable; one
     /// otherwise. [`merge_bands`] decides what it can cut (a round with a
     /// spilled source only at its files' row marks). Bands never change
     /// the bits, only how many cores fold the rows.
-    fn bands_for(&self, r: usize, sources: &[PartialSource]) -> usize {
+    fn bands_for(&self, round: Option<usize>, sources: &[PartialSource]) -> usize {
         let alone = self.rounds_inflight == 0
             && self.arrived == self.scope.leaves.len()
             && !self
                 .scope
                 .rounds
                 .iter()
-                .any(|&o| o != r && self.dispatchable(o));
+                .any(|&o| Some(o) != round && self.dispatchable(o));
         if !alone {
             return 1;
         }
@@ -866,24 +885,18 @@ impl MergeStage {
     }
 
     /// Resolves the run: reader errors win (they are the root cause),
-    /// then orchestrator failures, then the degenerate zero- and
-    /// one-leaf results.
+    /// then orchestrator failures, then the result — the zero matrix when
+    /// every panel was pruned — at its own size: a round's output is
+    /// pre-sized to its inputs' bound, so its arrays are shrunk to the
+    /// entries it holds before it is handed back.
     fn finish(mut self, reader: ReaderOutcome) -> Result<PipelineOutcome, StreamError> {
         if let Some(e) = reader.error.or(self.failure.take()) {
             self.store.cleanup();
             return Err(e);
         }
-        let result = match (self.scope.root, self.result.take()) {
-            (None, _) => Csr::zero(self.a_rows, self.b_cols),
-            (Some(_), Some(merged)) => merged,
-            // No round ran: the root is the lone leaf, multiplied whole.
-            (Some(leaf), None) => {
-                let leaf = self.parked[leaf].take().expect("the lone leaf arrived");
-                let csr = PartialSource::from_leaf(Arc::new(leaf)).into_csr()?;
-                self.leaf_bytes = (csr.estimated_bytes(), csr.estimated_bytes());
-                csr
-            }
-        };
+        let zero = || Csr::zero(self.a_rows, self.b_cols);
+        let mut result = self.result.take().unwrap_or_else(zero);
+        result.shrink_to_fit();
         let store_stats = self.store.stats().clone();
         self.store.cleanup();
         let s = self.stages;

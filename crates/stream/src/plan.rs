@@ -215,6 +215,13 @@ impl ExecPlan {
         self.num_nodes().checked_sub(1)
     }
 
+    /// Whether round `round` folds leaves alone — the pipeline then sums
+    /// each output row of its leaves in one accumulator
+    /// (`RowProduct::sum_rows_into`) instead of folding their rows.
+    pub fn leaf_only(&self, round: usize) -> bool {
+        self.round_children(round).all(|c| c < self.num_leaves())
+    }
+
     /// Whether round `round` can run: every child satisfies `available`.
     pub fn round_ready(&self, round: usize, available: impl Fn(usize) -> bool) -> bool {
         self.round_children(round).all(available)
@@ -309,17 +316,25 @@ impl ExecPlan {
 
     /// Cuts the plan into about `target` subtree jobs: start from the
     /// root alone and keep replacing the heaviest round node on the cut
-    /// by its children until there are `target` nodes or only leaves
-    /// remain (a split adds up to `ways - 1` nodes, so the count can
-    /// overshoot by that much). The cut is a pure function of the plan.
+    /// by its children until there are `target` nodes or only leaves and
+    /// [`leaf_only`](Self::leaf_only) rounds remain (a split adds up to
+    /// `ways - 1` nodes, so the count can overshoot by that much). A
+    /// leaf-only round is never split: it always runs whole, in one
+    /// accumulator per row, so a cut run and a whole-plan run compute it
+    /// with the same code — down to which NaN payload a sum of two NaNs
+    /// keeps. The cut is a pure function of the plan.
     pub fn frontier(&self, target: usize) -> Frontier {
         let mut jobs: Vec<usize> = self.root().into_iter().collect();
         let mut top_rounds = Vec::new();
+        let splittable = |node: usize| {
+            let round = node.checked_sub(self.num_leaves());
+            round.is_some_and(|round| !self.leaf_only(round))
+        };
         while jobs.len() < target {
             let heaviest = jobs
                 .iter()
                 .enumerate()
-                .filter(|&(_, &node)| node >= self.num_leaves())
+                .filter(|&(_, &node)| splittable(node))
                 .max_by_key(|&(_, &node)| (self.weight(node), node));
             let Some((at, &node)) = heaviest else { break };
             let round = node - self.num_leaves();
@@ -466,10 +481,16 @@ mod tests {
             for target in 0..=2 * plan.num_leaves() + 2 {
                 let cut = plan.frontier(target);
                 let what = format!("ways {ways} target {target} cut {cut:?}");
-                // Splitting stops at the target, or when only leaves are
-                // left; one split adds at most `ways - 1` nodes.
-                let all_leaves = cut.jobs.iter().all(|&n| n < plan.num_leaves());
-                assert!(all_leaves || cut.jobs.len() >= target, "{what}");
+                // Splitting stops at the target, or when every job is a
+                // leaf or a leaf-only round, which is never split; one
+                // split adds at most `ways - 1` nodes.
+                let whole =
+                    |n: usize| n < plan.num_leaves() || plan.leaf_only(n - plan.num_leaves());
+                let stuck = cut.jobs.iter().all(|&n| whole(n));
+                assert!(stuck || cut.jobs.len() >= target, "{what}");
+                for &r in &cut.top_rounds {
+                    assert!(!plan.leaf_only(r), "leaf-only round {r} split: {what}");
+                }
                 assert!(cut.jobs.len() < target.max(1) + ways, "{what}");
                 assert!(
                     cut.jobs

@@ -23,7 +23,10 @@
 //!    materialized `A` or `B` whole on top of an otherwise saturated
 //!    run — this is what makes the bound evidence of streaming, and
 //! 4. the budgeted run's peak heap growth is well below the unbounded
-//!    in-memory run's — the budget is real, not bookkeeping.
+//!    in-memory run's — the budget is real, not bookkeeping, and
+//! 5. the result comes back at its own size: the heap the call still
+//!    holds once it returns is the result's arrays within a small fixed
+//!    slack, not the root round's output pre-sized to its inputs.
 //!
 //! This file holds exactly one test so no neighbouring test's
 //! allocations can race the counters (same discipline as
@@ -174,6 +177,7 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
         .max()
         .unwrap();
     let order = plan.panel_order();
+    let before = LIVE.load(Ordering::Relaxed);
     let ((c, report), streamed_peak) = audited(|| {
         let a_stream = mm::read_panels(&a_path, PANELS)
             .expect("open A")
@@ -188,6 +192,7 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
         exec.multiply_streams(n, n, plan, a_stream, b_stream)
             .expect("pipelined multiply failed")
     });
+    let held = LIVE.load(Ordering::Relaxed).saturating_sub(before);
 
     // (1) The store's accounting honours the budget, really spilled, and
     // the answer is exactly right.
@@ -244,6 +249,15 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
     assert!(
         streamed_peak < unbounded_peak,
         "budgeted peak {streamed_peak} not below unbounded peak {unbounded_peak}"
+    );
+
+    // (5) What the call leaves on the heap, over everything held before
+    // it (the operands among it), is the result at its own size.
+    let held_slack = 64 << 10;
+    assert!(
+        held.abs_diff(c.estimated_bytes()) <= held_slack,
+        "the call holds {held} bytes once it returns, the result's arrays are {}",
+        c.estimated_bytes()
     );
 
     let _ = std::fs::remove_file(&a_path);

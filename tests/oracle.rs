@@ -414,7 +414,9 @@ fn same_bits(x: &Csr, y: &Csr, what: &str) -> Run<()> {
 /// The invariants every streaming report keeps. Only round outputs enter
 /// the store — the rounds multiply their leaves as they fold them — so at
 /// budget 0 exactly the round outputs but the root's are spilled, and a
-/// spill, on the writer thread or not, is timed.
+/// spill, on the writer thread or not, is timed. The multiply busy time is
+/// built from the kernel time, so the two agree by construction; a run
+/// whose leaves produced any entry spent multiply time on it.
 fn report_invariants(r: &StreamReport, budget: u64) -> Run<()> {
     let stored = r.merge_rounds.saturating_sub(1) as u64;
     let (s, spilled) = (&r.stages, r.spill_writes == stored);
@@ -428,6 +430,7 @@ fn report_invariants(r: &StreamReport, budget: u64) -> Run<()> {
         s.rounds_merged_concurrently <= r.merge_rounds as u64,
         s.merge_kernel_seconds <= s.merge_busy_seconds,
         s.multiply_kernel_seconds <= s.multiply_busy_seconds,
+        r.output_nnz == 0 || s.multiply_kernel_seconds > 0.0,
         r.merge_rounds == 0 || s.merge_triples >= r.output_nnz as u64,
     );
     Ok(())
@@ -468,12 +471,18 @@ fn via_backends(case: &Case) -> Run<()> {
 }
 
 /// `StreamingExecutor::multiply` at the drawn knobs, bit-identical to the
-/// serial in-core run of the same plan.
+/// serial in-core run of the same plan — and, when the plan has one leaf,
+/// to `gustavson` on every value class: the lone leaf runs as a round of
+/// its own, each row the kernel's. (A plan of several leaves adds their
+/// partials, which regroups a float sum.)
 fn via_streaming(case: &Case) -> Run<()> {
     let (k, a, b) = (&case.knobs, &case.a, &case.b);
     let (c, report) = stream(k.stream(), a, b)?;
     against_anchor(&c, case)?;
     report_invariants(&report, k.budget)?;
+    if k.plan(a).num_leaves() == 1 {
+        same_bits(&c, &algo::gustavson(a, b), "gustavson, at one leaf")?;
+    }
     let serial = StreamConfig {
         budget: MemoryBudget::unbounded(),
         spill_codec: SpillCodec::Raw,
