@@ -14,14 +14,12 @@
 //!   rows found by one sweep) and [`gustavson_scratch_on_rows`] (live
 //!   rows supplied — the condensed-matrix idea of the paper's §II-B
 //!   applied to narrow column panels where most rows are empty).
-//! * [`RowProduct`] — the same product a few rows at a time, on demand:
-//!   the streaming pipeline's merge rounds read their leaf panel pairs
-//!   through it, so a leaf's partial is folded as it is produced and never
-//!   built whole (the paper's §II-A pipelining of multiply and merge).
-//!   [`RowProduct::sum_rows_into`] sums several of them row by row — a
-//!   round of leaf panel pairs alone — each row through one accumulator
-//!   (`fold_parts`), so their rows are never buffered or merged, yet each
-//!   output is the fold of their rows, bit for bit.
+//! * [`RowProduct`] — the same product one row at a time, on demand
+//!   ([`RowProduct::feed_row`]): the streaming pipeline's merge rounds
+//!   read their leaf panel pairs through it as sources of
+//!   [`super::fold_rows`], so a leaf's partial is folded as it is produced
+//!   and never built whole (the paper's §II-A pipelining of multiply and
+//!   merge).
 //! * [`gustavson_reference`] — the seed kernel, kept verbatim as the
 //!   differential oracle and bench baseline.
 //!
@@ -48,14 +46,10 @@
 //!   receives its products in `k` order, starting from `-0.0`, the
 //!   additive identity, so rounding is unchanged.
 //!
-//! A row summed from several products keeps each product's own row sum
-//! intact: a product with one `A` entry in the row contributes its `B`
-//! row's products as they are, one per column, so they go straight into
-//! the row's accumulator; any other product's row is folded in a second
-//! accumulator first and its entries added. Every slot therefore adds the
-//! products' row sums in product order — the fold of their rows — and
-//! each product's entries are known without counting: a `B` row's
-//! length, or the entries the second accumulator drained.
+//! A row with one `A` entry needs no accumulator at all: it is that entry
+//! times one `B` row, whose columns ascend and never repeat, and
+//! `-0.0 + x` has the bits of `x`, so [`RowProduct::feed_row`] emits its
+//! products as they are.
 
 use super::spa::{word_masks, Spa, WideRow, SHORT_ROW};
 use crate::{Csr, CsrBuilder, Index};
@@ -357,67 +351,8 @@ fn fold_row(part: Part<'_>, spa: &mut Spa, emit: impl FnMut(Index, f64)) {
     }
 }
 
-/// [`fold_row`], returning the entries emitted.
-#[inline(always)]
-fn fold_row_counted(part: Part<'_>, spa: &mut Spa, mut emit: impl FnMut(Index, f64)) -> usize {
-    let mut n = 0;
-    fold_row(part, spa, |j, v| {
-        emit(j, v);
-        n += 1;
-    });
-    n
-}
-
-/// One output row as the sum of several products' rows — `(p, part)`, in
-/// the order given — through one accumulator `spa`, short or wide by the
-/// parts' summed flops, and emitted once in ascending column order.
-/// Every slot adds the parts' own sums in part order from `-0.0`, which
-/// is the fold of their rows as [`fold_row`] builds them, bit for bit:
-/// the row of a part with one `k` holds its products as they are, so they
-/// go into `spa` directly; any other part's row is folded in `sub` first
-/// and its entries added. Adds to `counts[p]` the entries of part `p`'s
-/// own row.
-#[inline(always)]
-fn fold_parts<'a>(
-    parts: impl Iterator<Item = (usize, Part<'a>)> + Clone,
-    spa: &mut Spa,
-    sub: &mut Spa,
-    counts: &mut [usize],
-    emit: impl FnMut(Index, f64),
-) {
-    let flops: usize = parts.clone().map(|(_, part)| part.flops()).sum();
-    if flops <= SHORT_ROW {
-        let mut row = spa.short_row();
-        for (p, part) in parts {
-            counts[p] += match *part.ka {
-                [k] => {
-                    let (jb, vb) = part.b.row(k as usize);
-                    for (&j, &bv) in jb.iter().zip(vb) {
-                        row.add(j, part.va[0] * bv);
-                    }
-                    jb.len()
-                }
-                _ => fold_row_counted(part, sub, |j, v| row.add(j, v)),
-            };
-        }
-        row.drain(emit);
-    } else {
-        let mut row = spa.wide_row();
-        for (p, part) in parts {
-            counts[p] += match *part.ka {
-                [k] => {
-                    part.add_wide(&mut row);
-                    part.b.row_nnz(k as usize)
-                }
-                _ => fold_row_counted(part, sub, |j, v| row.add(j, v)),
-            };
-        }
-        row.drain(emit);
-    }
-}
-
 /// Reusable working state for [`gustavson_scratch`] and
-/// [`RowProduct::rows_into`].
+/// [`RowProduct::feed_row`].
 ///
 /// A caller constructs one scratch and feeds every job through it. The
 /// accumulator grows monotonically to the widest `b.cols()` seen and is
@@ -429,14 +364,6 @@ fn fold_parts<'a>(
 pub struct MultiplyScratch {
     /// The sparse accumulator every row folds through.
     spa: Spa,
-    /// [`RowProduct::sum_rows_into`]'s accumulator for the rows of parts
-    /// that are summed before they are added.
-    sub: Spa,
-    /// [`RowProduct::sum_rows_into`]'s position in each product's live
-    /// rows, the row there, and the products holding the row in flight.
-    cursors: Vec<usize>,
-    heads: Vec<Index>,
-    holders: Vec<usize>,
     /// Occupied-row index computed by [`gustavson_scratch`] when the
     /// caller does not supply one.
     live_rows: Vec<Index>,
@@ -452,11 +379,21 @@ impl MultiplyScratch {
         MultiplyScratch::default()
     }
 
-    /// Number of kernel calls that completed without growing any scratch
-    /// buffer — the warm-path counter surfaced by the streaming
-    /// pipeline's `StageReport::multiply_scratch_reuses`.
+    /// Number of kernel calls and [`grow`](Self::grow) calls that
+    /// completed without growing any scratch buffer — the warm-path
+    /// counter surfaced by the streaming pipeline's
+    /// `StageReport::multiply_scratch_reuses`.
     pub fn reuses(&self) -> u64 {
         self.reuses
+    }
+
+    /// Makes room in the accumulator for rows over columns `0..cols`, as
+    /// [`RowProduct::feed_row`] needs; a call that grows nothing counts as
+    /// one of the scratch's reuses.
+    pub fn grow(&mut self, cols: usize) {
+        if !self.spa.grow(cols) {
+            self.reuses += 1;
+        }
     }
 }
 
@@ -543,7 +480,7 @@ fn multiply_on_rows(
     out
 }
 
-/// One product `A · B` that is computed a few live rows at a time, on
+/// One product `A · B` that is computed one live row at a time, on
 /// demand — how a streaming merge round reads a leaf panel pair without
 /// the leaf's partial ever existing as a whole matrix. Its `B` table and
 /// its per-row output bounds are built once, at construction; every row
@@ -598,115 +535,34 @@ impl RowProduct {
         self.bounds[span.end] - self.bounds[span.start]
     }
 
-    /// Multiplies the live rows at positions `span.start..` into `emit` as
-    /// `(row, col, value)` in row-major order, and stops after the row
-    /// that brings the entries emitted to `max` or at `span.end`. Returns
-    /// the position after the last row computed. A call that does not
-    /// grow `scratch` counts as one of its reuses.
-    pub fn rows_into(
+    /// Emits the live row at position `at` of [`live`](Self::live) into
+    /// `emit` as `(col, value)` in ascending column order and returns the
+    /// entries emitted: that row of the product's partial, bit for bit. A
+    /// row with one `A` entry is that entry times its `B` row, emitted as
+    /// it is (see the module docs); any other row is folded through
+    /// `scratch`'s accumulator first, which must have room for the
+    /// product's columns ([`MultiplyScratch::grow`]).
+    #[inline]
+    pub fn feed_row(
         &self,
-        span: Range<usize>,
-        max: usize,
+        at: usize,
         scratch: &mut MultiplyScratch,
-        mut emit: impl FnMut(Index, Index, f64),
+        mut emit: impl FnMut(Index, f64),
     ) -> usize {
-        if !scratch.spa.grow(self.b.cols()) {
-            scratch.reuses += 1;
-        }
-        let (mut at, mut n) = (span.start, 0);
-        while at < span.end && n < max {
-            let i = self.live[at];
-            let part = Part::of(&self.a, i as usize, &self.b, &self.table);
-            n += fold_row_counted(part, &mut scratch.spa, |j, v| emit(i, j, v));
-            at += 1;
-        }
-        at
-    }
-
-    /// Rows `rows` of the sum of `products`, which must share one shape,
-    /// each row through one accumulator: every product whose live rows
-    /// hold the row adds its row into `scratch`'s accumulator, in the
-    /// order of `products`, and the row is drained once into `emit` as
-    /// `(row, col, value)`, rows ascending. Each output is the fold of the
-    /// products' own rows in that order — what a merge of their partials,
-    /// tie-broken by position, folds — bit for bit, but no product's row
-    /// is ever buffered: a row with one `A` entry in a product holds that
-    /// product's products as they are and adds them straight in. Adds to
-    /// `counts[p]` the entries of `products[p]`'s own rows — what
-    /// [`rows_into`](Self::rows_into) would emit for them. A call that
-    /// does not grow `scratch` counts as one of its reuses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the products differ in shape or `counts` is shorter than
-    /// `products`.
-    pub fn sum_rows_into(
-        products: &[&RowProduct],
-        rows: Range<usize>,
-        scratch: &mut MultiplyScratch,
-        counts: &mut [usize],
-        mut emit: impl FnMut(Index, Index, f64),
-    ) {
-        let Some(first) = products.first() else {
-            return;
+        let part = Part::of(&self.a, self.live[at] as usize, &self.b, &self.table);
+        let [k] = *part.ka else {
+            let mut n = 0;
+            fold_row(part, &mut scratch.spa, |j, v| {
+                emit(j, v);
+                n += 1;
+            });
+            return n;
         };
-        let shape = first.shape();
-        assert!(
-            products.iter().all(|p| p.shape() == shape),
-            "summed products must share one shape"
-        );
-        assert!(counts.len() >= products.len(), "a count per product");
-        if !(scratch.spa.grow(shape.1) | scratch.sub.grow(shape.1)) {
-            scratch.reuses += 1;
+        let (jb, vb) = self.b.row(k as usize);
+        for (&j, &bv) in jb.iter().zip(vb) {
+            emit(j, part.va[0] * bv);
         }
-        let MultiplyScratch {
-            spa,
-            sub,
-            cursors,
-            heads,
-            holders,
-            ..
-        } = scratch;
-        // Product `p`'s next live row at or past the one in flight is
-        // `heads[p]`, at position `cursors[p]` of its live rows
-        // (`Index::MAX` once it has none left).
-        let head = |p: &RowProduct, at: usize| p.live.get(at).copied().unwrap_or(Index::MAX);
-        cursors.clear();
-        cursors.extend(
-            products
-                .iter()
-                .map(|p| p.live.partition_point(|&i| (i as usize) < rows.start)),
-        );
-        heads.clear();
-        heads.extend(
-            products
-                .iter()
-                .zip(cursors.iter())
-                .map(|(p, &at)| head(p, at)),
-        );
-        loop {
-            let i = heads.iter().copied().min().unwrap_or(Index::MAX);
-            if i as usize >= rows.end {
-                break;
-            }
-            let row = i as usize;
-            holders.clear();
-            holders.extend((0..products.len()).filter(|&p| heads[p] == i));
-            let part = |p: usize| {
-                let product = products[p];
-                (p, Part::of(&product.a, row, &product.b, &product.table))
-            };
-            if let [only] = holders[..] {
-                counts[only] += fold_row_counted(part(only).1, spa, |j, v| emit(i, j, v));
-            } else {
-                let parts = holders.iter().map(|&p| part(p));
-                fold_parts(parts, spa, sub, counts, |j, v| emit(i, j, v));
-            }
-            for &p in holders.iter() {
-                cursors[p] += 1;
-                heads[p] = head(products[p], cursors[p]);
-            }
-        }
+        jb.len()
     }
 
     /// The whole product as one matrix.
@@ -720,6 +576,7 @@ impl RowProduct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::{fold_rows, FoldScratch, RowSources};
     use crate::{gen, linalg, Dense};
 
     /// Structure equal and every value bit equal — stricter than
@@ -753,26 +610,20 @@ mod tests {
             what,
         );
         clean(scratch);
-        // Row by row, in chunks of every size, through the same scratch.
+        // Row by row through the same scratch, each row within its bound.
         let product = RowProduct::new(a.clone(), b.clone(), live.clone());
         assert_bit_identical(&product.multiply(scratch), &want, what);
         assert!(product.bound(0..live.len()) >= want.nnz(), "{what}: bound");
-        for max in [1, 7, usize::MAX] {
-            let mut out = CsrBuilder::new(a.rows(), b.cols());
-            let mut at = 0;
-            while at < live.len() {
-                let before = out.nnz();
-                let next =
-                    product.rows_into(at..live.len(), max, scratch, |i, j, v| out.push(i, j, v));
-                assert!(next > at, "{what}: no progress");
-                let taken = out.nnz() - before;
-                let last = product.bound(next - 1..next);
-                assert!(taken < max.saturating_add(last), "{what}: chunk overran");
-                at = next;
-            }
-            assert_bit_identical(&out.finish(), &want, &format!("{what}, chunks of {max}"));
-            clean(scratch);
+        scratch.grow(b.cols());
+        let mut out = CsrBuilder::new(a.rows(), b.cols());
+        for (at, &i) in live.iter().enumerate() {
+            let before = out.nnz();
+            let n = product.feed_row(at, scratch, |j, v| out.push(i, j, v));
+            assert_eq!(n, out.nnz() - before, "{what}: row {i}'s count");
+            assert!(n <= product.bound(at..at + 1), "{what}: row {i} overran");
         }
+        assert_bit_identical(&out.finish(), &want, &format!("{what}, row by row"));
+        clean(scratch);
     }
 
     /// A matrix from per-row column lists, with values that are not
@@ -1178,16 +1029,58 @@ mod tests {
         out.finish()
     }
 
-    /// Summing panel products row by row through one accumulator folds
-    /// their rows in the order given, bit for bit, with the rows cut
-    /// anywhere: over one panel that is the kernel; over several, in any
-    /// order, the fold of the panels' partials. Each product's count is
-    /// its own product's entries, and both accumulators are left clean.
+    /// Panel products as the sources of [`fold_rows`]: product `p` feeds
+    /// its live rows at positions `at[p]..end[p]`, each through
+    /// [`RowProduct::feed_row`], and counts the entries it fed in
+    /// `counts[p]`.
+    struct Products<'a> {
+        products: &'a [RowProduct],
+        at: Vec<usize>,
+        end: Vec<usize>,
+        counts: &'a mut [usize],
+        scratch: &'a mut MultiplyScratch,
+    }
+
+    impl RowSources for Products<'_> {
+        type Error = std::convert::Infallible;
+
+        fn count(&self) -> usize {
+            self.products.len()
+        }
+
+        fn buffered(&self, p: usize) -> (usize, bool) {
+            (self.products[p].bound(self.at[p]..self.at[p] + 1), true)
+        }
+
+        fn feed(
+            &mut self,
+            p: usize,
+            limit: u64,
+            mut f: impl FnMut(u64, f64),
+        ) -> Result<Option<u64>, Self::Error> {
+            let (product, at) = (&self.products[p], &mut self.at[p]);
+            let live = &product.live()[..self.end[p]];
+            while live.get(*at).is_some_and(|&i| u64::from(i) < limit) {
+                let row = u64::from(live[*at]) << 32;
+                let fed = product.feed_row(*at, self.scratch, |j, v| f(row | u64::from(j), v));
+                self.counts[p] += fed;
+                *at += 1;
+            }
+            Ok(live.get(*at).map(|&i| u64::from(i)))
+        }
+    }
+
+    /// Folding panel products fed row by row folds their rows in the order
+    /// given, bit for bit, with the rows cut anywhere: over one panel that
+    /// is the kernel; over several, in any order, the fold of the panels'
+    /// partials. Each product's count is its own product's entries, and
+    /// the multiply accumulator is left clean.
     fn assert_panel_sums_fold_their_rows(a: &Csr, b: &Csr, scratch: &mut MultiplyScratch) {
         let five = crate::panel_ranges(a.cols(), 5);
         let reversed: Vec<_> = five.iter().rev().cloned().collect();
         let every_other: Vec<_> = five.iter().step_by(2).cloned().collect();
         let one = crate::panel_ranges(a.cols(), 1);
+        let mut fold = FoldScratch::default();
         for (what, ranges) in [
             ("one panel", &one),
             ("five panels", &five),
@@ -1200,16 +1093,25 @@ mod tests {
             if ranges.len() == 1 {
                 assert_bit_identical(&want, &gustavson_reference(a, b), what);
             }
-            let refs: Vec<&RowProduct> = products.iter().collect();
+            scratch.grow(b.cols());
             for cut in [0, a.rows() / 3, a.rows()] {
                 let mut out = CsrBuilder::new(a.rows(), b.cols());
-                let mut counts = vec![0; refs.len()];
+                let mut counts = vec![0; products.len()];
                 for rows in [0..cut, cut..a.rows()] {
-                    RowProduct::sum_rows_into(&refs, rows, scratch, &mut counts, |i, j, v| {
-                        out.push(i, j, v)
-                    });
-                    let clean = scratch.spa.is_clean() && scratch.sub.is_clean();
-                    assert!(clean, "{what}: accumulator left dirty");
+                    let position = |row: usize| {
+                        let at = |p: &RowProduct| p.live().partition_point(|&i| (i as usize) < row);
+                        products.iter().map(at).collect()
+                    };
+                    let mut sources = Products {
+                        products: &products,
+                        at: position(rows.start),
+                        end: position(rows.end),
+                        counts: &mut counts,
+                        scratch,
+                    };
+                    let push = |i, j, v| out.push(i, j, v);
+                    let Ok(()) = fold_rows(&mut sources, b.cols(), &mut fold, push);
+                    assert!(scratch.spa.is_clean(), "{what}: accumulator left dirty");
                 }
                 let how = format!("{what}, rows cut at {cut}");
                 assert_bit_identical(&out.finish(), &want, &how);
@@ -1249,8 +1151,8 @@ mod tests {
             assert_panel_sums_fold_their_rows(a, b, &mut scratch);
         }
         // The grid reaches rows of several panels, one of which has more
-        // than one `A` entry (its row is summed before it is added), in
-        // both row classes.
+        // than one `A` entry (its row is folded before it is fed), in both
+        // row classes.
         let (mut short_row, mut wide_row) = (false, false);
         for (a, b) in [(&rmat, &wide), (&sparse, &sparse), (&band, &band)] {
             let ranges = crate::panel_ranges(a.cols(), 5);

@@ -21,32 +21,27 @@
 //! * **Leaves multiplied in the fold.** A [`Leaf`] source is a panel pair
 //!   `A[:, p]`, `B[p, :]`, not a partial, so a round folds a leaf's rows
 //!   as they are produced — SpArch's pipelined multiply and merge
-//!   (§II-A). The leaf's partial is never built, stored or spilled, and
-//!   its row bounds let a round cut it into bands at any row. A round of
-//!   fresh leaves alone has no lanes and no fold: each of its output rows
-//!   is one Gustavson pass over its leaves in round order
-//!   ([`RowProduct::sum_rows_into`]). A leaf with one `A` entry in the row
-//!   adds its `B` row's products straight into the band's one
-//!   accumulator; any other leaf's row is summed in a second accumulator
-//!   first and its entries added; the row is drained once. Each output is
-//!   then what folding the leaves' rows gives, bit for bit, and the
-//!   leaves' own entries are counted on the way for their footprints. In
-//!   a round that mixes leaves with stored partials, each refill of a
-//!   leaf's lane multiplies its next live rows straight into the lane
-//!   ([`RowProduct::rows_into`], the kernel's own per-row body, through
-//!   the band's [`MultiplyScratch`]), and the lanes are folded.
-//! * **One row-wise fold.** The decode lanes are the sources of
-//!   [`sparch_sparse::algo::fold_rows`], the fold the simulator's merge
-//!   rounds run too. It visits output rows in ascending order, picking
-//!   them with a winner tree over the lanes' head rows. When one source
-//!   alone holds every row below the next source's head row, that run is
-//!   copied straight through, across refills — a one-source round is a
-//!   single such run. A row two or more sources share gathers its
-//!   segments in source order into the shared accumulator, folded from
-//!   the lanes in place: a short row (at most `SHORT_ROW` items, all
-//!   inside the current chunks) is sorted by `(col, arrival)`, any other
-//!   row goes through the dense value array and its occupancy bitmap.
-//!   The choice is made by the row's own shape, never by the fan-in.
+//!   (§II-A), as the simulator's leaves feed its fold. The leaf's partial
+//!   is never built, stored or spilled, and its row bounds let a round cut
+//!   it into bands at any row. A leaf has no decode lane: the fold asks it
+//!   for its head row, which [`RowProduct::feed_row`] computes on the
+//!   spot — a row with one `A` entry as its products, any other folded
+//!   first through the band's [`MultiplyScratch`] — and the leaf counts
+//!   the entries it fed, for its footprint.
+//! * **One row-wise fold.** The leaves and the decode lanes are the
+//!   sources of [`sparch_sparse::algo::fold_rows`], the fold the
+//!   simulator's merge rounds run too, in every round: leaves alone,
+//!   stored partials alone or a mix. It visits output rows in ascending
+//!   order, picking them with a winner tree over the sources' head rows.
+//!   When one source alone holds every row below the next source's head
+//!   row, that run is copied straight through, across refills — a
+//!   one-source round is a single such run. A row two or more sources
+//!   share gathers its segments in source order into the shared
+//!   accumulator, folded from the lanes in place: a short row (at most
+//!   `SHORT_ROW` items, all inside the current chunks, a leaf's counted
+//!   at its row's bound) is sorted by `(col, arrival)`, any other row
+//!   goes through the dense value array and its occupancy bitmap. The
+//!   choice is made by the row's own shape, never by the fan-in.
 //! * **Pre-sized output.** A round pre-sizes its two output arrays from
 //!   the summed source nnz — a leaf's counted at its rows'
 //!   `min(flops, span)` bounds — an upper bound, so the output never
@@ -74,10 +69,10 @@
 //! merged values are bit-identical regardless of which sources happened
 //! to spill, how many threads produced them and how many bands folded
 //! them (a band folds whole rows, each exactly as one band would), and
-//! whether a round of leaves alone sums its rows in one accumulator or
-//! its leaves' partials were built and folded. The seed heap kernel is
-//! kept as [`merge_sources_reference`] and a differential suite pins the
-//! two to byte-equal outputs.
+//! whether a leaf's rows were fed as they were computed or its partial
+//! was built and folded: a leaf's row is its partial's row, bit for bit.
+//! The seed heap kernel is kept as [`merge_sources_reference`] and a
+//! differential suite pins the two to byte-equal outputs.
 
 use crate::spill::{mark_stride, SpillFile, SpillReader};
 use crate::StreamError;
@@ -86,9 +81,8 @@ use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Entries decoded per [`PartialSource::next_chunk`] call: 16 KiB of
 /// scratch per lane (8 B key + 8 B value), small enough that a full
@@ -115,12 +109,11 @@ pub fn lone_round_bands(triples: usize, threads: usize) -> usize {
 /// A leaf of the plan: the panel pair `A[:, p]`, `B[p, :]` whose product
 /// the round that folds it computes row by row ([`PartialSource::from_leaf`]).
 /// The bands of a round share it, each computing its own rows, and it
-/// tallies the entries and the multiply time they took.
+/// counts the entries they produced.
 #[derive(Debug)]
 pub struct Leaf {
     product: RowProduct,
     entries: AtomicUsize,
-    nanos: AtomicU64,
 }
 
 impl Leaf {
@@ -134,21 +127,19 @@ impl Leaf {
         Leaf {
             product: RowProduct::new(a, b, live),
             entries: AtomicUsize::new(0),
-            nanos: AtomicU64::new(0),
         }
     }
 
-    /// The entries its rows have produced so far, and the nanoseconds
-    /// they took, summed over the threads that computed them (a round of
-    /// leaves alone tallies each band's row time on its first leaf).
-    pub fn tally(&self) -> (usize, u64) {
-        (self.entries.load(Relaxed), self.nanos.load(Relaxed))
+    /// The entries its rows have produced so far, summed over the bands
+    /// that computed them.
+    pub fn entries(&self) -> usize {
+        self.entries.load(Relaxed)
     }
 
     /// [`Csr::estimated_bytes`] of the leaf's partial, had it been built
     /// from the entries produced so far.
     pub fn estimated_bytes(&self) -> u64 {
-        Csr::estimated_bytes_of(self.product.shape().0, self.tally().0)
+        Csr::estimated_bytes_of(self.product.shape().0, self.entries())
     }
 
     /// The position in the live rows of the first one at or past `row`.
@@ -180,11 +171,13 @@ enum Inner {
         file: Option<Box<SpillFile>>,
     },
     /// A leaf multiplied as it is read: its live rows at positions
-    /// `at..end` are still to come.
+    /// `at..end` are still to come, and those before `at` fed `fed`
+    /// entries.
     Leaf {
         leaf: Arc<Leaf>,
         at: usize,
         end: usize,
+        fed: usize,
     },
 }
 
@@ -213,7 +206,12 @@ impl PartialSource {
     /// A source multiplying `leaf`'s rows as the fold reads them.
     pub fn from_leaf(leaf: Arc<Leaf>) -> Self {
         let end = leaf.position(usize::MAX);
-        PartialSource(Inner::Leaf { leaf, at: 0, end })
+        PartialSource(Inner::Leaf {
+            leaf,
+            at: 0,
+            end,
+            fed: 0,
+        })
     }
 
     /// Drains a fresh source into a CSR: a resident one as it is, a
@@ -239,7 +237,7 @@ impl PartialSource {
             Inner::Disk { reader, file } => file
                 .as_ref()
                 .is_some_and(|f| reader.remaining() == f.index.entries() as u64),
-            Inner::Leaf { leaf, at, end } => *at == 0 && *end == leaf.position(usize::MAX),
+            Inner::Leaf { leaf, at, end, .. } => *at == 0 && *end == leaf.position(usize::MAX),
         }
     }
 
@@ -271,6 +269,7 @@ impl PartialSource {
                 leaf: Arc::clone(leaf),
                 at: leaf.position(rows.start),
                 end: leaf.position(rows.end),
+                fed: 0,
             },
         }))
     }
@@ -298,7 +297,7 @@ impl PartialSource {
         match &self.0 {
             Inner::Mem { pos, end, .. } => end - pos,
             Inner::Disk { reader, .. } => reader.remaining() as usize,
-            Inner::Leaf { leaf, at, end } => leaf.product.bound(*at..*end),
+            Inner::Leaf { leaf, at, end, .. } => leaf.product.bound(*at..*end),
         }
     }
 
@@ -329,14 +328,8 @@ impl PartialSource {
     /// — packed `(row << 32) | col` keys plus values — and returns
     /// whether any came (`false` only when the source is exhausted).
     /// Resident CSRs amortize the row scan across the chunk; spilled
-    /// partials batch-decode through [`SpillReader::next_chunk`]; a leaf
-    /// multiplies whole rows through `product` until the chunk is full, so
-    /// a row wider than a chunk comes whole.
-    fn refill(
-        &mut self,
-        lane: &mut Lane,
-        product: &mut MultiplyScratch,
-    ) -> Result<bool, StreamError> {
+    /// partials batch-decode through [`SpillReader::next_chunk`].
+    fn refill(&mut self, lane: &mut Lane) -> Result<bool, StreamError> {
         let (keys, vals, max) = (&mut lane.keys, &mut lane.vals, CHUNK_ENTRIES);
         lane.pos = 0;
         keys.clear();
@@ -367,17 +360,7 @@ impl PartialSource {
                 Ok(n > 0)
             }
             Inner::Disk { reader, .. } => Ok(reader.next_chunk(max, keys, vals)? > 0),
-            Inner::Leaf { leaf, at, end } => {
-                let start = Instant::now();
-                *at = leaf.product.rows_into(*at..*end, max, product, |i, j, v| {
-                    keys.push(u64::from(i) << 32 | u64::from(j));
-                    vals.push(v);
-                });
-                let nanos = start.elapsed().as_nanos() as u64;
-                leaf.entries.fetch_add(keys.len(), Relaxed);
-                leaf.nanos.fetch_add(nanos, Relaxed);
-                Ok(!keys.is_empty())
-            }
+            Inner::Leaf { .. } => unreachable!("a leaf feeds the fold without a decode lane"),
         }
     }
 }
@@ -394,38 +377,37 @@ struct Lane {
 
 /// What one band's fold runs on: a decode lane per merge way, the
 /// shared fold's scratch and the accumulator its leaves' rows are
-/// multiplied through, and — in a round of leaves alone — each leaf's
-/// entry count.
+/// multiplied through.
 #[derive(Debug, Default)]
 struct BandScratch {
     lanes: Vec<Lane>,
     fold: FoldScratch,
     product: MultiplyScratch,
-    counts: Vec<usize>,
 }
 
 impl BandScratch {
-    /// Grows every buffer a fold of `ways` sources over `cols` columns
-    /// can reach, so a band thread folds without allocating — its
-    /// allocations would otherwise open a fresh allocator arena.
-    fn grow(&mut self, ways: usize, cols: usize) {
+    /// Empties the lanes and grows every buffer a fold of `sources` over
+    /// `cols` columns can reach, so a band thread folds without
+    /// allocating — its allocations would otherwise open a fresh allocator
+    /// arena. Each band fold with a leaf whose accumulator was already
+    /// grown counts as one of its reuses.
+    fn grow(&mut self, sources: &[PartialSource], cols: usize) {
+        let ways = sources.len();
         if self.lanes.len() < ways {
             self.lanes.resize_with(ways, Lane::default);
         }
         for lane in &mut self.lanes {
+            lane.keys.clear();
+            lane.vals.clear();
+            lane.pos = 0;
             lane.keys.reserve(CHUNK_ENTRIES);
             lane.vals.reserve(CHUNK_ENTRIES);
         }
         self.fold.grow(ways, cols);
+        if sources.iter().any(|s| matches!(s.0, Inner::Leaf { .. })) {
+            self.product.grow(cols);
+        }
     }
-}
-
-/// What one band folds: its views of the round's sources, each read
-/// through a decode lane, or — in a round of fresh leaves alone — its
-/// rows of the leaves' summed products.
-enum BandInput {
-    Lanes(Vec<PartialSource>),
-    LeafRows,
 }
 
 /// One band's slices of the output, filled in row-major order: entries
@@ -477,8 +459,8 @@ impl MergeScratch {
         MergeScratch::default()
     }
 
-    /// Leaf-row chunks multiplied on already-warm scratch, over every
-    /// band ([`MultiplyScratch::reuses`]).
+    /// Band folds with a leaf whose multiply accumulator was already
+    /// warm, over every band ([`MultiplyScratch::reuses`]).
     pub fn multiply_reuses(&self) -> u64 {
         self.bands.iter().map(|band| band.product.reuses()).sum()
     }
@@ -492,8 +474,9 @@ impl MergeScratch {
     }
 }
 
-/// A band's sources, each read through its decode lane, as the shared
-/// fold's sources.
+/// A band's sources as the shared fold's sources: a leaf row by row
+/// through the band's multiply accumulator, any other source through its
+/// decode lane.
 struct Lanes<'a> {
     sources: &'a mut [PartialSource],
     lanes: &'a mut [Lane],
@@ -507,8 +490,13 @@ impl RowSources for Lanes<'_> {
         self.sources.len()
     }
 
-    /// A segment that reaches the end of the chunk may go on past it.
+    /// A leaf's head row is computed whole when it is fed, within its
+    /// bound; a lane's segment that reaches the end of the chunk may go on
+    /// past it.
     fn buffered(&self, k: usize) -> (usize, bool) {
+        if let Inner::Leaf { leaf, at, .. } = &self.sources[k].0 {
+            return (leaf.product.bound(*at..*at + 1), true);
+        }
         let lane = &self.lanes[k];
         let row = lane.keys[lane.pos] >> 32;
         let segment = lane.keys[lane.pos..].iter();
@@ -516,6 +504,12 @@ impl RowSources for Lanes<'_> {
         (n, lane.pos + n < lane.keys.len())
     }
 
+    /// Inlined into the fold, so that the accumulator a shared row is fed
+    /// into stays a local of [`fold_rows`]: called through, with a leaf's
+    /// row emitted into it entry by entry, it made a one-thread 16-panel
+    /// 4-way Uniform(60 000, 8)² multiply 1.04–1.10× slower on a 2-core
+    /// host.
+    #[inline(always)]
     fn feed(
         &mut self,
         k: usize,
@@ -523,6 +517,16 @@ impl RowSources for Lanes<'_> {
         mut f: impl FnMut(u64, f64),
     ) -> Result<Option<u64>, StreamError> {
         let (src, lane) = (&mut self.sources[k], &mut self.lanes[k]);
+        if let Inner::Leaf { leaf, at, end, fed } = &mut src.0 {
+            let product = &leaf.product;
+            let live = &product.live()[..*end];
+            while live.get(*at).is_some_and(|&i| u64::from(i) < limit) {
+                let row = u64::from(live[*at]) << 32;
+                *fed += product.feed_row(*at, self.product, |j, v| f(row | u64::from(j), v));
+                *at += 1;
+            }
+            return Ok(live.get(*at).map(|&i| u64::from(i)));
+        }
         loop {
             let keys = &lane.keys[lane.pos..];
             let vals = &lane.vals[lane.pos..];
@@ -535,7 +539,7 @@ impl RowSources for Lanes<'_> {
                 n += 1;
             }
             lane.pos += n;
-            if lane.pos < lane.keys.len() || !src.refill(lane, self.product)? {
+            if lane.pos < lane.keys.len() || !src.refill(lane)? {
                 return Ok(lane.keys.get(lane.pos).map(|&key| key >> 32));
             }
         }
@@ -569,12 +573,6 @@ pub fn merge_sources(
 /// already produced entries folds as one band, and a round never gets
 /// more bands than it has cut points or input entries.
 ///
-/// When every source is a fresh leaf, each band sums its rows of the
-/// leaves' products in one accumulator, in source order, instead of
-/// folding them ([`RowProduct::sum_rows_into`]) — the same bits; each
-/// leaf's tally then counts the entries its own partial would hold, and
-/// the band's row time is tallied as multiply time.
-///
 /// Every source must declare the merge's own shape
 /// ([`PartialSource::expect_shape`]): entries are checked against their
 /// source's shape as they are decoded, and the output trusts them to fit.
@@ -595,28 +593,11 @@ pub fn merge_bands(
     let grain = if spilled { mark_stride(rows) } else { 1 };
     let points = rows.div_ceil(grain);
     let bands = bands.min(points).min(total);
-    let fresh = sources.iter().all(PartialSource::fresh);
-    // A round of fresh leaves alone sums each output row of its leaves in
-    // one accumulator instead of folding their rows.
-    let mut leaves: Vec<Arc<Leaf>> = (sources.iter())
-        .map_while(|src| match &src.0 {
-            Inner::Leaf { leaf, .. } if fresh => Some(Arc::clone(leaf)),
-            _ => None,
-        })
-        .collect();
-    if leaves.len() < sources.len() {
-        leaves.clear();
-    }
     // Band `b` folds rows `cuts[b]..cuts[b + 1]` into the output from
     // `offsets[b]`: the input entries below its first row bound the
     // output entries before it.
-    let (cuts, offsets, inputs) = if bands < 2 || !fresh {
-        let input = if leaves.is_empty() {
-            BandInput::Lanes(sources)
-        } else {
-            BandInput::LeafRows
-        };
-        (vec![0, rows], vec![0, total], vec![input])
+    let (cuts, offsets, inputs) = if bands < 2 || !sources.iter().all(PartialSource::fresh) {
+        (vec![0, rows], vec![0, total], vec![sources])
     } else {
         let row = |k: usize| (k * grain).min(rows);
         // Input entries before cut point `k`, over all sources.
@@ -639,13 +620,9 @@ pub fn merge_bands(
         }
         at.push(points);
         let band = |span: &[usize]| {
-            if !leaves.is_empty() {
-                return Ok(BandInput::LeafRows);
-            }
             let rows = row(span[0])..row(span[1]);
             let view = |s: &PartialSource| s.band(rows.clone(), span[0]..span[1]);
-            let views = sources.iter().map(view).collect::<Result<_, _>>()?;
-            Ok::<_, StreamError>(BandInput::Lanes(views))
+            sources.iter().map(view).collect::<Result<Vec<_>, _>>()
         };
         let inputs = at.windows(2).map(band).collect::<Result<_, _>>()?;
         let offsets = at.iter().map(|&k| below(k)).collect();
@@ -660,14 +637,12 @@ pub fn merge_bands(
     let mut row_ptr = vec![0; rows + 1];
     let mut col_idx: Vec<Index> = vec![0; total];
     let mut values = vec![0.0; total];
-    let products: Vec<&RowProduct> = leaves.iter().map(|leaf| &leaf.product).collect();
-    let (leaves, products) = (&leaves[..], &products[..]);
     let filled: Vec<Result<usize, StreamError>> = std::thread::scope(|scope| {
         let mut row_ends = &mut row_ptr[1..];
         let (mut col_rest, mut val_rest) = (&mut col_idx[..], &mut values[..]);
         let mut jobs = Vec::with_capacity(bands);
         let folds = scratch.bands(bands).iter_mut().zip(inputs);
-        for (b, (fold, input)) in folds.enumerate() {
+        for (b, (fold, sources)) in folds.enumerate() {
             let band = cuts[b]..cuts[b + 1];
             let len = offsets[b + 1] - offsets[b];
             let ends;
@@ -684,15 +659,8 @@ pub fn merge_bands(
                 col_idx: out,
                 values: vals,
             };
-            if let BandInput::Lanes(sources) = &input {
-                fold.grow(sources.len(), cols);
-            } else {
-                fold.counts.resize(leaves.len(), 0);
-            }
-            jobs.push(move || match input {
-                BandInput::Lanes(sources) => fold_band(sources, fold, cols, out),
-                BandInput::LeafRows => Ok(sum_band(leaves, products, fold, out)),
-            });
+            fold.grow(&sources, cols);
+            jobs.push(move || fold_band(sources, fold, cols, out));
         }
         let mut jobs = jobs.into_iter();
         let first = jobs.next().expect("at least one band");
@@ -722,9 +690,10 @@ pub fn merge_bands(
     Ok((merged, bands))
 }
 
-/// Folds one band of `sources` into its slices of the output `out`, each
-/// source read through a decode lane, and returns the entries written.
-/// `scratch` must have grown to the sources ([`BandScratch::grow`]).
+/// Folds one band of `sources` into its slices of the output `out` and
+/// returns the entries written; each leaf among them counts the entries
+/// it fed. `scratch` must have grown to the sources
+/// ([`BandScratch::grow`]).
 fn fold_band(
     mut sources: Vec<PartialSource>,
     scratch: &mut BandScratch,
@@ -735,57 +704,29 @@ fn fold_band(
         lanes,
         fold,
         product,
-        ..
     } = scratch;
     let lanes = &mut lanes[..sources.len()];
-    for (src, lane) in sources.iter_mut().zip(lanes.iter_mut()) {
-        src.refill(lane, product)?;
-    }
     // Every source yields strictly increasing in-shape keys — resident
     // CSRs by invariant, spilled ones because `SpillReader` checks each
-    // entry it decodes — and rows leave in ascending order, so entries
-    // go straight into the output.
-    let sources = &mut sources[..];
-    fold_rows(
+    // entry it decodes, leaves by the kernel — and rows leave in
+    // ascending order, so entries go straight into the output.
+    let folded = fold_rows(
         &mut Lanes {
-            sources,
+            sources: &mut sources,
             lanes,
             product,
         },
         cols,
         fold,
         |r, c, v| out.push(r, c, v),
-    )?;
+    );
+    for src in &sources {
+        if let Inner::Leaf { leaf, fed, .. } = &src.0 {
+            leaf.entries.fetch_add(*fed, Relaxed);
+        }
+    }
+    folded?;
     Ok(out.finish())
-}
-
-/// Sums one band of a round of leaves alone — `products`, the leaves'
-/// products in source order — each row through the band's one
-/// accumulator ([`RowProduct::sum_rows_into`]), into its slices of the
-/// output `out`, and returns the entries written. Each leaf's tally gains
-/// the entries of its own rows; the band's row time, all of it multiply
-/// time, is tallied on the first leaf. `scratch.counts` must hold a slot
-/// per leaf.
-fn sum_band(
-    leaves: &[Arc<Leaf>],
-    products: &[&RowProduct],
-    scratch: &mut BandScratch,
-    mut out: BandOut<'_>,
-) -> usize {
-    let counts = &mut scratch.counts[..leaves.len()];
-    counts.fill(0);
-    let start = Instant::now();
-    let rows = out.band.clone();
-    let push = |r, c, v| out.push(r, c, v);
-    RowProduct::sum_rows_into(products, rows, &mut scratch.product, counts, push);
-    let nanos = start.elapsed().as_nanos() as u64;
-    for (leaf, &count) in leaves.iter().zip(counts.iter()) {
-        leaf.entries.fetch_add(count, Relaxed);
-    }
-    if let Some(first) = leaves.first() {
-        first.nanos.fetch_add(nanos, Relaxed);
-    }
-    out.finish()
 }
 
 /// The seed per-triple kernel — `BinaryHeap` over source heads with an
@@ -904,10 +845,12 @@ mod tests {
 
     /// A spill file damaged on disk must stop a merge of each fan-in in
     /// `fan_ins` with an error naming it — wherever it sits among spilled
-    /// and resident neighbours, whether the damage is in its first chunk or
-    /// strikes mid-merge — instead of feeding `push_trusted` rows past the
-    /// shape. The scratch that saw the failure then merges clean sources
-    /// exactly.
+    /// and resident neighbours, with or without a leaf ahead of them,
+    /// whether the damage is in its first chunk or strikes mid-merge, at
+    /// one to four bands — instead of feeding `push_trusted` rows past the
+    /// shape. With the leaf, the error lands while its row sits in the
+    /// shared accumulator. The scratch that saw the failure then merges
+    /// clean sources exactly.
     fn assert_damaged_spill_stops_the_merge(tag: &str, fan_ins: &[usize]) {
         let dir = TempDir::new(tag);
         // All-ones values and < 64 columns: every varint entry is exactly
@@ -915,6 +858,11 @@ mod tests {
         let ones = |seed| linalg::map_values(&gen::uniform_random(64, 64, 2000, seed), |_| 1.0);
         let clean = write_partial(&dir.file("clean.bin"), &ones(2), SpillCodec::Varint).unwrap();
         let spilled = |file: &SpillFile| PartialSource::from_spill(file.clone()).unwrap();
+        let leaf = || {
+            let a = ones(7);
+            let live = a.occupied_rows();
+            PartialSource::from_leaf(Arc::new(Leaf::new(a, ones(8), live)))
+        };
         for entry in [120, CHUNK_ENTRIES + 76] {
             let damaged = dir.file("damaged.bin");
             let file = write_partial(&damaged, &ones(1), SpillCodec::Varint).unwrap();
@@ -923,18 +871,24 @@ mod tests {
             let mut bytes = std::fs::read(&damaged).unwrap();
             bytes[28 + 5 * entry] = 0x7f;
             std::fs::write(&damaged, bytes).unwrap();
-            for &ways in fan_ins {
+            for (&ways, with_leaf, bands) in fan_ins
+                .iter()
+                .flat_map(|w| [(w, false), (w, true)])
+                .flat_map(|(w, l)| (1..=4).map(move |bands| (w, l, bands)))
+            {
                 let mut scratch = MergeScratch::new();
                 for at in 0..ways {
-                    let sources = (0..ways)
-                        .map(|s| match s {
+                    let sources = (with_leaf.then(leaf).into_iter())
+                        .chain((0..ways).map(|s| match s {
                             _ if s == at => spilled(&file),
                             _ if s % 2 == 0 => spilled(&clean),
                             _ => mem(ones(2 + s as u64)),
-                        })
+                        }))
                         .collect();
-                    let what = format!("{ways}-way, entry {entry} damaged at {at}");
-                    match merge_sources(64, 64, sources, &mut scratch) {
+                    let what = format!(
+                        "{ways}-way, leaf {with_leaf}, {bands} bands, entry {entry} damaged at {at}"
+                    );
+                    match merge_bands(64, 64, sources, &mut scratch, bands) {
                         Err(StreamError::Io(msg)) => assert!(
                             msg.contains("damaged.bin") && msg.contains("outside declared shape"),
                             "{what}: {msg}"
@@ -942,14 +896,15 @@ mod tests {
                         other => panic!("{what}: got {other:?}"),
                     }
                     let parts: Vec<Csr> = (0..ways).map(|s| ones(2 + s as u64)).collect();
-                    let merged = merge_sources(
+                    let merged = merge_bands(
                         64,
                         64,
                         parts.iter().cloned().map(mem).collect(),
                         &mut scratch,
+                        bands,
                     );
                     assert_eq!(
-                        merged.unwrap(),
+                        merged.unwrap().0,
                         sum_oracle(&parts),
                         "{what}: scratch after the error"
                     );
@@ -966,6 +921,64 @@ mod tests {
     #[test]
     fn a_damaged_spill_file_stops_the_k_way_merge_and_the_single_source_copy() {
         assert_damaged_spill_stops_the_merge("merge_damaged_k", &[1, 3, 4]);
+    }
+
+    /// A spill file removed or truncated after its source was opened, in
+    /// a round beside a leaf and a resident partial. At one band the
+    /// reader opened with the source reads on, so a removed file still
+    /// merges exactly; at more bands each band opens the file again
+    /// ([`SpillReader::open_band`]), so a removed file is an error naming
+    /// it. A truncated file, longer than the reader's 64 KiB buffer, fails
+    /// at every band count. The scratch then merges clean sources exactly.
+    #[test]
+    fn a_spill_file_gone_or_short_under_a_banded_round_fails_or_merges_exactly() {
+        let dir = TempDir::new("merge_spill_gone");
+        let n = 600;
+        let a = gen::uniform_random(n, 40, 3000, 11);
+        let b = gen::uniform_random(40, n, 3000, 12);
+        let stored = gen::uniform_random(n, n, 25_000, 13);
+        let resident = gen::uniform_random(n, n, 2000, 14);
+        let leaf = || {
+            let live = a.occupied_rows();
+            PartialSource::from_leaf(Arc::new(Leaf::new(a.clone(), b.clone(), live)))
+        };
+        let round = |spilled| vec![leaf(), spilled, mem(resident.clone())];
+        let want = merge_sources_reference(n, n, round(mem(stored.clone()))).unwrap();
+        let path = dir.file("gone.bin");
+        let mut scratch = MergeScratch::new();
+        for bands in 1..=4 {
+            for damage in ["removed", "truncated"] {
+                let file = write_partial(&path, &stored, SpillCodec::Raw).unwrap();
+                assert!(
+                    file.bytes > 4 * 64 * 1024,
+                    "the file outgrows the read buffer"
+                );
+                let spilled = PartialSource::from_spill(file.clone()).unwrap();
+                if damage == "removed" {
+                    std::fs::remove_file(&path).unwrap();
+                } else {
+                    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                    f.set_len(file.bytes / 2).unwrap();
+                }
+                let what = format!("{damage}, {bands} bands asked");
+                match merge_bands(n, n, round(spilled), &mut scratch, bands) {
+                    Ok((got, ran)) if damage == "removed" && bands == 1 => {
+                        assert_eq!(ran, 1, "{what}");
+                        assert_eq!(got, want, "{what}");
+                        assert_eq!(bits(&got), bits(&want), "{what}");
+                    }
+                    Err(StreamError::Io(msg)) if damage == "truncated" || bands > 1 => {
+                        assert!(msg.contains("gone.bin"), "{what}: {msg}");
+                    }
+                    other => panic!("{what}: got {other:?}"),
+                }
+                let (got, ran) =
+                    merge_bands(n, n, round(mem(stored.clone())), &mut scratch, bands).unwrap();
+                assert_eq!(ran, bands, "{what}: clean merge after");
+                assert_eq!(bits(&got), bits(&want), "{what}: clean merge after");
+                let _ = std::fs::remove_file(&path);
+            }
+        }
     }
 
     /// A source that declares a shape other than the merge's is refused
@@ -1348,14 +1361,14 @@ mod tests {
     /// A round over leaf sources folds exactly what the same round folds
     /// over the leaves' partials as the kernel builds them
     /// (`gustavson_scratch_on_rows`), bit for bit: at every band count,
-    /// so bands are cut inside leaves; over leaves alone — summed in one
-    /// accumulator, in ascending panel order and in others, all five or a
-    /// few — and mixed with a resident and a spilled partial; over short
+    /// so bands are cut inside leaves; over leaves alone — in ascending
+    /// panel order and in others, all five or a few — and mixed with a
+    /// resident and a spilled partial; over short
     /// and wide rows, leaves with one and with several `A` entries in a
     /// row, `-0.0` products, a leaf that alone owns a run of rows, a leaf
     /// spanning many chunks, a leaf whose rows all multiply empty `B` rows
-    /// and a leaf with no live row. Each leaf's tallies then match its
-    /// partial.
+    /// and a leaf with no live row. Each leaf's entry count then matches
+    /// its partial.
     #[test]
     fn leaf_sources_fold_like_their_materialized_partials() {
         let dir = TempDir::new("merge_leaves");
@@ -1404,10 +1417,10 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "{what}");
                 for (leaf, &p) in leaves.iter().zip(order) {
                     if *mix == "mixed" && (p == 1 || p == 2) {
-                        assert_eq!(leaf.tally().0, 0, "{what}: leaf {p} was not read");
+                        assert_eq!(leaf.entries(), 0, "{what}: leaf {p} was not read");
                         continue;
                     }
-                    assert_eq!(leaf.tally().0, parts[p].nnz(), "{what}: leaf {p}");
+                    assert_eq!(leaf.entries(), parts[p].nnz(), "{what}: leaf {p}");
                     assert_eq!(leaf.estimated_bytes(), parts[p].estimated_bytes(), "{what}");
                 }
             }

@@ -25,10 +25,9 @@
 //! it to the orchestrator. A pair is not multiplied on its own: the
 //! orchestrator parks it until the merge round that consumes it can run,
 //! and that round computes the leaf's rows inside its fold, as it reads
-//! them ([`PartialSource::from_leaf`]) — or, in a round of leaves alone,
-//! sums every output row of its leaves in one accumulator, with no fold
-//! at all. A one-leaf subtree runs its leaf as a one-source round of its
-//! own. No leaf partial is ever built,
+//! them ([`PartialSource::from_leaf`]), whatever else the round folds. A
+//! one-leaf subtree runs its leaf as a one-source round of its own. No
+//! leaf partial is ever built,
 //! stored or spilled; only round outputs enter the budgeted
 //! [`PartialStore`], so the budget and every spill cover round outputs
 //! alone. Pairs arrive in production order
@@ -84,37 +83,39 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Per-stage busy time and overlap evidence for one pipelined multiply.
 ///
 /// Busy seconds are summed per stage (merge across all of its workers),
 /// so they can exceed the wall clock — that excess *is* the overlap. A
-/// round's wall time is split between the multiply figures (the time its
-/// leaves' rows took) and the merge figures (the rest of the round). The
-/// counters are direct evidence of pipelining: they count events that
-/// are impossible in a phase-alternating executor.
+/// round multiplies its leaves' rows inside its fold, so its wall time is
+/// split between the multiply figures and the merge figures by input
+/// entries: the leaves' share of the round's input entries is its
+/// multiply share. The counters are direct evidence of pipelining: they
+/// count events that are impossible in a phase-alternating executor.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct StageReport {
     /// Time the reader stage spent pulling + validating panel pairs and
     /// building each leaf's product tables.
     pub reader_busy_seconds: f64,
-    /// Time merge rounds spent multiplying their leaves' rows, summed
-    /// over rounds: each leaf's row time, summed over the band threads
-    /// that computed it, is divided by the round's band count, as the
-    /// round's wall time is counted once. In a round of leaves alone every
-    /// row is multiply time: the leaves' products are summed in one
-    /// accumulator, with no fold of their own. Built from
-    /// `multiply_kernel_seconds`, so the two are one measure.
+    /// The multiply share of the merge rounds' wall time, summed over
+    /// rounds: each round's wall time (counted once, however many bands
+    /// folded it) times the entries its leaves fed over its input entries
+    /// (those entries plus its stored inputs' non-zeros). A round of
+    /// leaves alone is all multiply time, one of stored partials alone
+    /// none. Built from `multiply_kernel_seconds`, so the two are one
+    /// measure.
     pub multiply_busy_seconds: f64,
     /// The same measure as `multiply_busy_seconds` — with the multiply
     /// inside the rounds there is no multiply-side wait left to tell them
     /// apart (the multiply twin of `merge_kernel_seconds`). Both fields are
     /// kept because the benchmark harness reads both.
     pub multiply_kernel_seconds: f64,
-    /// Leaf-row chunks multiplied on already-warm merge-worker scratch
-    /// (no accumulator growth). Each band scratch warms on its first leaf
-    /// chunk and keeps its accumulator across rounds, so at most one
-    /// chunk per merge worker and band is cold.
+    /// Band folds with a leaf whose multiply accumulator was already warm
+    /// (no accumulator growth). Each band scratch warms on its first band
+    /// fold with a leaf and keeps its accumulator across rounds, so at
+    /// most one such fold per merge worker and band is cold.
     pub multiply_scratch_reuses: u64,
     /// Time the merge stage spent on partials end to end: orchestrator
     /// bookkeeping (store inserts, round dispatch) plus
@@ -122,9 +123,9 @@ pub struct StageReport {
     /// — it runs on the writer thread (`spill_write_seconds`).
     pub merge_busy_seconds: f64,
     /// Time inside the k-way merge kernel itself, summed over merge
-    /// workers — each round's wall time less its multiply share, the
-    /// portion that scales with `merge_triples`. A round folded in row
-    /// bands counts its wall time once, not once per band thread.
+    /// workers — each round's wall time less its multiply share (see
+    /// `multiply_busy_seconds`). A round folded in row bands counts its
+    /// wall time once, not once per band thread.
     pub merge_kernel_seconds: f64,
     /// Wall time spent encoding + writing spill files (on the writer
     /// thread once the pipeline is running, so it overlaps every other
@@ -202,8 +203,8 @@ enum Event {
         /// Summed and largest [`Leaf::estimated_bytes`] of its leaves.
         leaf_bytes: u64,
         largest_leaf_bytes: u64,
-        /// Leaf-row chunks multiplied on warm scratch.
-        warm_chunks: u64,
+        /// Band folds with a leaf on warm multiply scratch.
+        warm_folds: u64,
     },
     /// The writer thread finished (or failed) the spill of node `id`;
     /// on success carries the spill file, its raw-equivalent bytes and
@@ -500,7 +501,9 @@ pub(crate) fn validate_shapes(
 /// as it folds them — reusing its scratch across rounds, in the job's row
 /// bands, and reports the result. A banded round's `merge-round` span
 /// covers its wall time once, however many threads its bands ran on, and
-/// carries the round's multiply share as `multiply_ns`.
+/// carries the round's multiply share as `multiply_ns`: the wall time
+/// times the leaves' share of the round's input entries, rounded up, so
+/// a round whose leaves fed anything has a multiply share.
 fn merge_worker(
     round_rx: &SharedQueue<RoundJob>,
     evt_tx: &Sender<Event>,
@@ -516,15 +519,19 @@ fn merge_worker(
         let Some(job) = job else { break };
         let warm = scratch.multiply_reuses();
         let span = lane.begin("stream", "merge-round");
+        let start = Instant::now();
         let outcome = merge_bands(a_rows, b_cols, job.sources, &mut scratch, job.bands);
+        let wall_ns = start.elapsed().as_nanos();
         // The span records the bands the kernel ran with (a failed round
-        // counts as one); the leaves' row time, summed over those bands'
-        // threads, counts once per band, as the wall time does.
+        // counts as one).
         let bands = outcome.as_ref().map_or(1, |&(_, bands)| bands) as u64;
         let leaves = &job.leaves;
-        let multiply_ns = leaves.iter().map(|l| l.tally().1).sum::<u64>() / bands;
-        let entries: u64 = leaves.iter().map(|l| l.tally().0 as u64).sum();
+        let entries: u64 = leaves.iter().map(|l| l.entries() as u64).sum();
         let triples = job.stored_triples + entries;
+        let multiply_ns = match triples {
+            0 => 0,
+            _ => (wall_ns * u128::from(entries)).div_ceil(u128::from(triples)) as u64,
+        };
         let args = [
             ("round", job.round.map_or(u64::MAX, |r| r as u64)),
             ("triples", triples),
@@ -544,7 +551,7 @@ fn merge_worker(
                 triples,
                 leaf_bytes: bytes.clone().sum(),
                 largest_leaf_bytes: bytes.max().unwrap_or(0),
-                warm_chunks: scratch.multiply_reuses() - warm,
+                warm_folds: scratch.multiply_reuses() - warm,
             })
             .is_err()
         {
@@ -690,7 +697,7 @@ impl MergeStage {
                 triples,
                 leaf_bytes,
                 largest_leaf_bytes,
-                warm_chunks,
+                warm_folds,
             } => {
                 self.rounds_inflight -= 1;
                 links.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -698,7 +705,7 @@ impl MergeStage {
                 stages.merge_kernel_seconds += merge_seconds;
                 stages.multiply_kernel_seconds += multiply_seconds;
                 stages.merge_triples += triples;
-                stages.multiply_scratch_reuses += warm_chunks;
+                stages.multiply_scratch_reuses += warm_folds;
                 let (total, largest) = self.leaf_bytes;
                 self.leaf_bytes = (total + leaf_bytes, largest.max(largest_leaf_bytes));
                 match outcome {

@@ -215,9 +215,8 @@ impl ExecPlan {
         self.num_nodes().checked_sub(1)
     }
 
-    /// Whether round `round` folds leaves alone — the pipeline then sums
-    /// each output row of its leaves in one accumulator
-    /// (`RowProduct::sum_rows_into`) instead of folding their rows.
+    /// Whether round `round` folds leaves alone — such a round is never
+    /// split by [`frontier`](Self::frontier).
     pub fn leaf_only(&self, round: usize) -> bool {
         self.round_children(round).all(|c| c < self.num_leaves())
     }
@@ -319,10 +318,13 @@ impl ExecPlan {
     /// by its children until there are `target` nodes or only leaves and
     /// [`leaf_only`](Self::leaf_only) rounds remain (a split adds up to
     /// `ways - 1` nodes, so the count can overshoot by that much). A
-    /// leaf-only round is never split: it always runs whole, in one
-    /// accumulator per row, so a cut run and a whole-plan run compute it
-    /// with the same code — down to which NaN payload a sum of two NaNs
-    /// keeps. The cut is a pure function of the plan.
+    /// leaf-only round is never split: whole, it adds its leaves' rows as
+    /// they are fed to its fold; split, the coordinator would add the
+    /// leaves' materialized partials instead. Those are two compiled adds,
+    /// which need not keep the same NaN payload when two NaNs meet (they
+    /// did not at oracle seed 651), so a cut run and a whole-plan run must
+    /// compute the round with the same one. The cut is a pure function of
+    /// the plan.
     pub fn frontier(&self, target: usize) -> Frontier {
         let mut jobs: Vec<usize> = self.root().into_iter().collect();
         let mut top_rounds = Vec::new();
