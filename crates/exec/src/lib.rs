@@ -7,17 +7,14 @@
 //! results** — the reproduction sweep (`sparch-bench`) produces
 //! bit-identical numbers at `--threads 1` and `--threads 8`.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`ShardPool`] — a std-only scoped worker pool (the build environment
 //!   is offline, so no rayon): dynamic work claiming over an atomic
 //!   cursor, results returned by submission index
 //!   ([`ShardPool::scoped_map`]),
-//! * [`SharedQueue`] — the worker-side job-claiming protocol for pools
-//!   fed by a channel (the streaming pipeline's stages and the
-//!   distributed shard worker both speak it),
-//! * [`Permits`] — a counting semaphore bounding how far a producer runs
-//!   ahead of its consumers (the streaming pipeline's read-ahead window).
+//! * [`SharedQueue`] — the worker-side job-claiming protocol for workers
+//!   fed by a channel (the streaming pipeline's merge workers speak it).
 //!
 //! Worker counts come from (in priority order) an explicit override such
 //! as a `--threads N` flag, the `SPARCH_THREADS` environment variable,
@@ -36,5 +33,5 @@
 pub mod pool;
 pub mod queue;
 
-pub use pool::{env_threads, Permits, ShardPool, THREADS_ENV};
+pub use pool::{env_threads, ShardPool, THREADS_ENV};
 pub use queue::SharedQueue;

@@ -6,7 +6,7 @@
 //! us submission-ordered output no matter which worker finishes first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "SPARCH_THREADS";
@@ -58,34 +58,6 @@ impl ShardPool {
     /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Runs exactly `threads` scoped workers, each executing
-    /// `f(worker_index)` to completion, and blocks until all of them
-    /// return. Unlike [`ShardPool::scoped_map`], the work arrives however
-    /// `f` wants it to — the streaming pipeline's multiply stage drives
-    /// this with workers that pull panel pairs from a bounded channel
-    /// until the producing stage closes it.
-    ///
-    /// With one thread, `f(0)` runs on the calling thread (no spawn).
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic raised inside any worker.
-    pub fn scoped_workers<F>(&self, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.threads == 1 {
-            f(0);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for w in 0..self.threads {
-                let f = &f;
-                scope.spawn(move || f(w));
-            }
-        });
     }
 
     /// Applies `f` to every item (receiving `(index, &item)`), sharding
@@ -154,45 +126,6 @@ impl ShardPool {
 impl Default for ShardPool {
     fn default() -> Self {
         ShardPool::from_env()
-    }
-}
-
-/// A counting permit gate — the std-only stand-in for a semaphore.
-///
-/// Producer stages acquire a permit before publishing a result into an
-/// unbounded queue and the consumer releases it when the result is
-/// consumed, which restores the backpressure a bounded channel would
-/// have provided while leaving the queue itself select-free: the
-/// streaming pipeline funnels several producer kinds into one event
-/// channel and bounds each producer with its own `Permits`.
-#[derive(Debug)]
-pub struct Permits {
-    state: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Permits {
-    /// A gate holding `n` permits.
-    pub fn new(n: usize) -> Self {
-        Permits {
-            state: Mutex::new(n),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a permit is free, then takes it.
-    pub fn acquire(&self) {
-        let mut available = self.state.lock().expect("permit gate poisoned");
-        while *available == 0 {
-            available = self.cv.wait(available).expect("permit gate poisoned");
-        }
-        *available -= 1;
-    }
-
-    /// Returns a permit, waking one waiting producer.
-    pub fn release(&self) {
-        *self.state.lock().expect("permit gate poisoned") += 1;
-        self.cv.notify_one();
     }
 }
 
@@ -271,37 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_workers_run_once_each_and_share_a_queue() {
-        use std::sync::atomic::AtomicUsize;
-        for threads in [1, 2, 5] {
-            let pool = ShardPool::new(threads);
-            let started = AtomicUsize::new(0);
-            let cursor = AtomicUsize::new(0);
-            let done = AtomicUsize::new(0);
-            pool.scoped_workers(|w| {
-                assert!(w < threads);
-                started.fetch_add(1, Ordering::Relaxed);
-                // Channel-style consumption: claim items until exhausted.
-                while cursor.fetch_add(1, Ordering::Relaxed) < 40 {
-                    done.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert_eq!(started.load(Ordering::Relaxed), threads);
-            assert_eq!(done.load(Ordering::Relaxed), 40, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn scoped_workers_borrow_caller_state() {
-        let data = [1u64, 2, 3];
-        let sum = std::sync::Mutex::new(0u64);
-        ShardPool::new(3).scoped_workers(|w| {
-            *sum.lock().unwrap() += data[w];
-        });
-        assert_eq!(*sum.lock().unwrap(), 6);
-    }
-
-    #[test]
     fn empty_input_returns_empty() {
         let out: Vec<u32> = ShardPool::new(4).scoped_map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
@@ -311,42 +213,6 @@ mod tests {
     fn explicit_override_beats_environment() {
         assert_eq!(ShardPool::with_override(Some(3)).threads(), 3);
         assert!(ShardPool::with_override(None).threads() >= 1);
-    }
-
-    #[test]
-    fn permits_bound_outstanding_work() {
-        // With 2 permits and 4 producers, at most 2 unconsumed items can
-        // exist at any instant; every item still flows through.
-        let gate = Permits::new(2);
-        let outstanding = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let consumed = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..10 {
-                        gate.acquire();
-                        let now = outstanding.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                    }
-                });
-            }
-            scope.spawn(|| {
-                while consumed.load(Ordering::SeqCst) < 40 {
-                    if outstanding
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                        .is_ok()
-                    {
-                        consumed.fetch_add(1, Ordering::SeqCst);
-                        gate.release();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        });
-        assert_eq!(consumed.load(Ordering::SeqCst), 40);
-        assert!(peak.load(Ordering::SeqCst) <= 2, "gate over-admitted");
     }
 
     #[test]

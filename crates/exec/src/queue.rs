@@ -1,14 +1,12 @@
-//! The worker-side job-claiming protocol shared by pool stages.
+//! The worker-side job-claiming protocol for workers fed by a channel.
 //!
-//! Every place [`ShardPool::scoped_workers`](crate::ShardPool) workers
-//! pull jobs from a channel follows the same discipline: the receiver
-//! lives behind a mutex so any worker can claim the next job, the lock is
-//! held only for the claim (claiming serializes, compute parallelizes),
-//! and the owner can *close* the queue — dropping the receiver so a
-//! blocked producer unblocks — even while workers still hold claims.
-//! The streaming pipeline's multiply and merge stages and the
-//! distributed shard worker all speak this protocol; this type is the
-//! one implementation of it.
+//! Workers that pull jobs from one channel follow the same discipline:
+//! the receiver lives behind a mutex so any worker can claim the next
+//! job, the lock is held only for the claim (claiming serializes, compute
+//! parallelizes), and the owner can *close* the queue — dropping the
+//! receiver so a blocked producer unblocks — even while workers still
+//! hold claims. The streaming pipeline's merge workers speak this
+//! protocol; this type is the one implementation of it.
 
 use std::sync::mpsc::Receiver;
 use std::sync::Mutex;
@@ -45,9 +43,8 @@ impl<T> SharedQueue<T> {
 
     /// Drops the receiver, unblocking any producer mid-send and making
     /// every subsequent [`claim`](SharedQueue::claim) return `None`.
-    /// Idempotent. Call it once the stage's claimants have exited (the
-    /// pipeline pattern: close after the worker scope joins) — a
-    /// claimant parked inside [`claim`](SharedQueue::claim) holds the
+    /// Idempotent. Call it once the claimants have exited — a claimant
+    /// parked inside [`claim`](SharedQueue::claim) holds the
     /// claim lock, so closing under it would wait for that claim to
     /// resolve first.
     pub fn close(&self) {
@@ -58,7 +55,6 @@ impl<T> SharedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardPool;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc::channel;
 
@@ -72,10 +68,14 @@ mod tests {
         let queue = SharedQueue::new(rx);
         let sum = AtomicU64::new(0);
         let claims = AtomicU64::new(0);
-        ShardPool::new(4).scoped_workers(|_| {
-            while let Some(n) = queue.claim() {
-                sum.fetch_add(n, Ordering::Relaxed);
-                claims.fetch_add(1, Ordering::Relaxed);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    while let Some(n) = queue.claim() {
+                        sum.fetch_add(n, Ordering::Relaxed);
+                        claims.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
             }
         });
         assert_eq!(claims.load(Ordering::Relaxed), 100);

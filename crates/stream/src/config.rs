@@ -167,11 +167,12 @@ pub struct StreamConfig {
     /// On-disk format for spilled partials; see [`SpillCodec`].
     pub spill_codec: SpillCodec,
     /// Worker threads: `Some(n)` pins `n`, `None` falls back to
-    /// `SPARCH_THREADS`, then all cores. It sizes the one worker pool —
-    /// the merge workers, whose rounds multiply their leaves as they fold
-    /// them. Independent rounds of the Huffman plan dispatch onto these
-    /// workers concurrently, and a round that would run alone is cut
-    /// into row bands across them; the plan's fold order keeps results
+    /// `SPARCH_THREADS`, then all cores. It sizes the merge workers a
+    /// run spawns once a round reaches `merge::BAND_MIN_ENTRIES` input
+    /// entries (smaller rounds fold on the calling thread). Independent
+    /// rounds of the Huffman plan dispatch onto these workers
+    /// concurrently, and a round that would run alone is cut into row
+    /// bands across them; the plan's fold order keeps results
     /// bit-identical at any worker count.
     pub threads: Option<usize>,
     /// Where spilled partials go. `None` uses the system temp directory.

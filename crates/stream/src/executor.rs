@@ -32,7 +32,7 @@ pub struct StreamReport {
     pub inner_dim: usize,
     /// Columns of `B` (= columns of the output).
     pub b_cols: usize,
-    /// Panel pairs the reader stage streamed (after clamping to the
+    /// Panel pairs the pipeline streamed (after clamping to the
     /// inner dimension).
     pub panels: usize,
     /// Merge-plan leaves: panels whose `A` panel held any non-zeros
@@ -69,8 +69,10 @@ pub struct StreamReport {
     pub spill_bytes_raw_equivalent: u64,
     /// Stored entries of the result.
     pub output_nnz: usize,
-    /// The thread count `threads` resolved to: the merge worker pool's
-    /// size.
+    /// The thread count `threads` resolved to: the merge workers a run
+    /// spawns once a round reaches `merge::BAND_MIN_ENTRIES` input
+    /// entries. Smaller rounds fold on the calling thread, so a run whose
+    /// rounds are all small starts no merge worker.
     pub threads: usize,
     /// Per-stage busy time and overlap counters.
     pub stages: StageReport,
@@ -210,7 +212,6 @@ impl StreamingExecutor {
     ) -> Result<(Csr, StreamReport), StreamError>
     where
         I: IntoIterator<Item = (Csr, Csr)>,
-        I::IntoIter: Send,
     {
         if root >= plan.num_nodes() {
             return Err(StreamError::Shape(format!(
@@ -220,7 +221,7 @@ impl StreamingExecutor {
         }
         // The plan names the range and `A` non-zeros the i-th pair must
         // have. A pair past the last leaf is checked against itself alone:
-        // the reader rejects it by its position.
+        // the pipeline rejects it by its position.
         let scope = plan.subtree(root);
         let mut leaves = scope
             .leaves
@@ -259,7 +260,7 @@ impl StreamingExecutor {
     /// ranges, both in [`ExecPlan::panel_order`]: the leaves in
     /// production order, then the pruned panels (the `mm` readers yield
     /// it through `in_order`). Each round's pairs then arrive together,
-    /// so a round runs the moment its last pair lands and the reader
+    /// so a round runs the moment its last pair lands and the pipeline
     /// holds at most one round's pairs ahead of the rounds. A pruned
     /// panel's `A` side must be empty; the pair is dropped unmultiplied.
     /// A leaf panel's `A` non-zeros only weight the merge order, so a
@@ -287,8 +288,6 @@ impl StreamingExecutor {
     where
         IA: IntoIterator<Item = Result<(Range<usize>, Csr), StreamError>>,
         IB: IntoIterator<Item = Result<(Range<usize>, Csr), StreamError>>,
-        IA::IntoIter: Send,
-        IB::IntoIter: Send,
     {
         // The plan's panel ranges in panel order: the first `leaves` are
         // the leaves in production order, the rest the pruned panels.
@@ -304,8 +303,8 @@ impl StreamingExecutor {
         // Hand-rolled lockstep pairing instead of `zip`: once every panel
         // has arrived both streams are polled once more, so a surplus
         // panel — or a trailing error the docs promise to surface — is
-        // reported instead of silently dropped. The reader stops at the
-        // first error or `None`.
+        // reported instead of silently dropped. The pipeline stops pulling
+        // at the first error or `None`.
         let pairs = std::iter::from_fn(move || loop {
             let shape = |msg: String| Some(Err(StreamError::Shape(msg)));
             let (range, a, b) = match (a_panels.next(), b_panels.next()) {
@@ -379,7 +378,7 @@ impl StreamingExecutor {
         pairs: I,
     ) -> Result<(Csr, StreamReport), StreamError>
     where
-        I: Iterator<Item = Result<Leaf, StreamError>> + Send,
+        I: Iterator<Item = Result<Leaf, StreamError>>,
     {
         let inner_dim = plan.inner_dim();
         let outcome = pipeline::run(

@@ -9,13 +9,14 @@
 //! matrices larger than memory are simply out of scope.
 //!
 //! This crate brings the paper's partial-matrix discipline to the
-//! software layer as a **staged dataflow pipeline** — concurrent stages
-//! connected by bounded channels, so disk ingest, the multiply-merge
+//! software layer as a **staged dataflow pipeline** run by the calling
+//! thread, which starts merge workers for large rounds and a spill
+//! writer for a bounded budget, so disk ingest, the multiply-merge
 //! rounds and spill write-back overlap instead of alternating (see the
 //! [`pipeline`-module](crate) docs for the stage diagram). A
 //! [`StreamingExecutor`]:
 //!
-//! 1. **reader stage** — streams *both* operands panel pair by panel
+//! 1. **reads** — streams *both* operands panel pair by panel
 //!    pair: `A`'s column panels and `B`'s matching row panels
 //!    (`A · B = Σ_p A[:, p] · B[p, :]`), from memory, or from disk via
 //!    `sparch_sparse::mm::{PanelReader, RowPanelReader}` — one text
@@ -25,14 +26,14 @@
 //!    histogram (uniform or nnz-balanced, [`PanelBalance`]) before the
 //!    first one is read, and they must arrive in its production order
 //!    ([`ExecPlan::production_order`]: each round's leaf pairs together,
-//!    rounds in order); the reader checks each pair against it,
+//!    rounds in order); each pair is checked against it,
 //! 2. **fused multiply-merge rounds** — folds the partials through a
 //!    multi-round k-way merge whose round order is the [`ExecPlan`]'s:
 //!    the **same** k-ary Huffman scheduler the cycle-level simulator
 //!    uses (`sparch_core::sched::huffman_plan`, smallest first, weighted
-//!    by per-panel `A` non-zeros). A round runs on a
-//!    `sparch_exec::ShardPool` merge worker the moment its pairs and
-//!    children are present — while the reader keeps reading — and
+//!    by per-panel `A` non-zeros). A round runs the moment its pairs
+//!    and children are present — in place when it is small, otherwise on
+//!    a merge worker while the calling thread keeps reading — and
 //!    multiplies its leaf pairs row by row *inside* its fold, so a leaf's
 //!    partial is merged as it is produced (SpArch §II-A) and never
 //!    built, stored or spilled, and

@@ -106,18 +106,12 @@ impl PartialStore {
     }
 
     /// Routes spill writes through the dedicated writer thread from now
-    /// on — the only way the store spills. The caller must feed every
+    /// on — the only way the store spills; dropping the store disconnects
+    /// the writer once its queue drains. The caller must feed every
     /// resulting [`SpillJob`] outcome back via
     /// [`PartialStore::complete_spill`].
     pub fn set_spill_sink(&mut self, sink: SyncSender<SpillJob>) {
         self.sink = Some(sink);
-    }
-
-    /// Drops the writer-thread sink (disconnecting the writer once the
-    /// last in-flight job drains), after the last insert: a later spill
-    /// would be an error.
-    pub fn remove_spill_sink(&mut self) {
-        self.sink = None;
     }
 
     /// Whether node `id` can be taken right now: resident, or spilled
@@ -441,12 +435,18 @@ mod tests {
         spilly.cleanup();
     }
 
-    /// Once the pipeline removes the sink, a spill has nowhere to go: a
-    /// typed error, not a write on the orchestrator's thread.
+    /// A store without a sink — the pipeline installs one only under a
+    /// bounded budget — has nowhere to spill: a typed error, not a write
+    /// on the orchestrator's thread.
     #[test]
     fn a_spill_without_a_sink_is_an_io_error() {
-        let (mut store, _jobs) = store(MemoryBudget::from_bytes(0), dir("no_sink"));
-        store.remove_spill_sink();
+        let consumers = (0..8).collect();
+        let mut store = PartialStore::new(
+            MemoryBudget::from_bytes(0),
+            dir("no_sink"),
+            SpillCodec::Raw,
+            consumers,
+        );
         match store.insert(0, partial(1)) {
             Err(StreamError::Io(msg)) => assert!(msg.contains("no spill writer"), "{msg}"),
             other => panic!("expected an Io error, got {other:?}"),

@@ -3,8 +3,8 @@
 //!
 //! A byte-tracking global allocator (current live bytes + high-water
 //! mark) wraps the system allocator. The test builds a task whose full
-//! set of partials is several times larger than the budget, probes it
-//! unbounded in memory, then runs it through the *pipelined* path with
+//! set of partials is several times larger than the budget and runs it
+//! twice through the *pipelined* path, unbounded and then budgeted, with
 //! `A` streamed panel-by-panel from a `.mtx` file and `B` sliced into
 //! row panels from a matrix that lives in the allocator baseline — so
 //! any whole-operand copy made by the pipeline would appear as heap
@@ -15,15 +15,17 @@
 //!    bit-identical to `gustavson`,
 //! 2. the *allocator-observed* peak heap growth of the budgeted
 //!    pipelined run is bounded by the budget plus the pipeline's
-//!    documented transients — a handful of panel pairs in the bounded
-//!    channels, one un-inserted partial per worker, the merge output
-//!    under construction, and I/O buffers under a fixed slack,
+//!    documented transients — the panel pairs of the read window and of
+//!    the round folding them, the partials on their way to the spill
+//!    writer, the merge output under construction, and I/O buffers under
+//!    a fixed slack,
 //! 3. that transient allowance is itself **smaller than either whole
 //!    operand**, so the bound could not hold if the pipeline ever
 //!    materialized `A` or `B` whole on top of an otherwise saturated
 //!    run — this is what makes the bound evidence of streaming, and
-//! 4. the budgeted run's peak heap growth is well below the unbounded
-//!    in-memory run's — the budget is real, not bookkeeping, and
+//! 4. the budgeted run's peak heap growth is below the unbounded run's
+//!    over the same streamed path — the budget is real, not
+//!    bookkeeping, and
 //! 5. the result comes back at its own size: the heap the call still
 //!    holds once it returns is the result's arrays within a small fixed
 //!    slack, not the root round's output pre-sized to its inputs.
@@ -124,7 +126,7 @@ fn config(budget: MemoryBudget) -> StreamConfig {
         budget,
         panels: PANELS,
         merge_ways: WAYS,
-        threads: Some(1), // one un-inserted partial, the documented transient
+        threads: Some(1), // one merge worker: one round in flight at most
         ..StreamConfig::default()
     }
 }
@@ -150,35 +152,14 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
     let a_path = std::env::temp_dir().join(format!("sparch_alloc_a_{}.mtx", std::process::id()));
     mm::write_file(&a_path, &a.to_coo()).unwrap();
 
-    // Unbounded probe, fully in memory: learn the partial footprint and
-    // the allocator peak the budget is supposed to beat.
-    let exec = StreamingExecutor::new(config(MemoryBudget::unbounded()));
-    let (probe, unbounded_peak) = audited(|| exec.multiply(&a, &b).expect("probe failed").1);
-    assert_eq!(probe.spill_writes, 0);
-    assert!(
-        probe.partial_bytes_total > 0 && probe.partials >= PANELS / 2,
-        "workload too small to be meaningful: {probe:?}"
-    );
-
-    // Budget: a quarter of the footprint — impossible without spilling.
-    let budget = probe.partial_bytes_total / 4;
-    let exec = StreamingExecutor::new(config(MemoryBudget::from_bytes(budget)));
-
-    // The pipelined run: A panels stream from disk, B row panels are
-    // sliced per panel from the baseline-resident operand. The plan's
-    // uniform split mirrors what `mm::read_panels(path, PANELS)` uses.
+    // Both runs take the same pipelined path: A panels stream from disk,
+    // B row panels are sliced per panel from the baseline-resident
+    // operand. The plan's uniform split mirrors what
+    // `mm::read_panels(path, PANELS)` uses.
     let ranges = panel_ranges(inner, PANELS);
-    let plan = ExecPlan::for_operand(&a.col_nnz(), PANELS, PanelBalance::Uniform, WAYS);
-    let pair_max: u64 = ranges
-        .iter()
-        .map(|r| {
-            a.col_panel(r.clone()).estimated_bytes() + b.row_panel(r.clone()).estimated_bytes()
-        })
-        .max()
-        .unwrap();
-    let order = plan.panel_order();
-    let before = LIVE.load(Ordering::Relaxed);
-    let ((c, report), streamed_peak) = audited(|| {
+    let streamed = |budget: MemoryBudget| {
+        let plan = ExecPlan::for_operand(&a.col_nnz(), PANELS, PanelBalance::Uniform, WAYS);
+        let order = plan.panel_order();
         let a_stream = mm::read_panels(&a_path, PANELS)
             .expect("open A")
             .in_order(order.clone())
@@ -189,9 +170,31 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
         let b_stream = order
             .into_iter()
             .map(|p| Ok((ranges[p].clone(), b.row_panel(ranges[p].clone()))));
-        exec.multiply_streams(n, n, plan, a_stream, b_stream)
+        StreamingExecutor::new(config(budget))
+            .multiply_streams(n, n, plan, a_stream, b_stream)
             .expect("pipelined multiply failed")
-    });
+    };
+
+    // Unbounded probe: learn the partial footprint and the allocator
+    // peak the budget is supposed to beat.
+    let ((_, probe), unbounded_peak) = audited(|| streamed(MemoryBudget::unbounded()));
+    assert_eq!(probe.spill_writes, 0);
+    assert!(
+        probe.partial_bytes_total > 0 && probe.partials >= PANELS / 2,
+        "workload too small to be meaningful: {probe:?}"
+    );
+
+    // Budget: a quarter of the footprint — impossible without spilling.
+    let budget = probe.partial_bytes_total / 4;
+    let pair_max: u64 = ranges
+        .iter()
+        .map(|r| {
+            a.col_panel(r.clone()).estimated_bytes() + b.row_panel(r.clone()).estimated_bytes()
+        })
+        .max()
+        .unwrap();
+    let before = LIVE.load(Ordering::Relaxed);
+    let ((c, report), streamed_peak) = audited(|| streamed(MemoryBudget::from_bytes(budget)));
     let held = LIVE.load(Ordering::Relaxed).saturating_sub(before);
 
     // (1) The store's accounting honours the budget, really spilled, and
@@ -206,22 +209,20 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
     assert_eq!(c, expected);
 
     // (2) Allocator-observed growth ≤ budget + documented transients:
-    // up to 4 panel pairs alive in the pipeline (bounded job channel of
-    // threads + 1, one in the worker's hands, one being read), plus one
-    // pair's worth of COO-to-CSR conversion headroom in the mm reader;
-    // up to 8 partial-sized buffers outside the store's accounting — on
-    // the multiply side one under construction in the worker (2× at the
-    // instant of a Vec-doubling realloc), one published into the event
-    // queue awaiting consumption (the `Permits` gate caps these at
-    // `threads`), one just consumed mid-insert; on the spill-writer side
-    // one queued in the hand-off channel, one being encoded, plus the
-    // writer's encode buffer at raw-equivalent size (≤ 2× a partial's
-    // in-memory footprint); and the merge output under construction —
-    // its coordinate set is a subset of the final result's and the
-    // builder is pre-sized to the round's summed input non-zeros, at
-    // most `merge_ways` (3 here) times the result's footprint; spill
-    // I/O buffers, merge scratch lanes, the plan and heap bookkeeping
-    // under the fixed slack.
+    // up to 8 panel pairs alive — `ways` (3 here) parked in the read
+    // window, up to 3 more held by the round that folds them, one being
+    // read, plus one pair's worth of COO-to-CSR conversion headroom in the
+    // mm reader; up to 8 partial-sized buffers outside the store's
+    // accounting — a round output just folded and on its way into the
+    // store (2× at the instant of a Vec-doubling realloc), on the
+    // spill-writer side one queued in the hand-off channel, one being
+    // encoded, plus the writer's encode buffer at raw-equivalent size
+    // (≤ 2× a partial's in-memory footprint); and the merge output under
+    // construction — its coordinate set is a subset of the final
+    // result's and the builder is pre-sized to the round's summed input
+    // non-zeros, at most `merge_ways` (3 here) times the result's
+    // footprint; spill I/O buffers, merge scratch lanes, the plan and
+    // heap bookkeeping under the fixed slack.
     let result_bytes = expected.estimated_bytes();
     let slack = 512 << 10;
     let transients = 8 * pair_max + slack;
@@ -245,7 +246,8 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
          workload too small for the streaming claim"
     );
 
-    // (4) The budget visibly shrinks real heap usage versus unbounded.
+    // (4) The budget visibly shrinks real heap usage versus the same
+    // streamed run unbounded.
     assert!(
         streamed_peak < unbounded_peak,
         "budgeted peak {streamed_peak} not below unbounded peak {unbounded_peak}"

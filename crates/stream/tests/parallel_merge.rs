@@ -113,15 +113,18 @@ fn merge_worker_grid_sweep() {
     }
 }
 
-/// On a workload with several independent rounds and long multiplies,
-/// the scheduler overlaps rounds with other in-flight work, and the
-/// reader keeps ingesting while multiplies are outstanding. Scheduling
-/// noise on a loaded machine can serialize one run, so this asserts each
-/// counter over a handful of attempts — any single success proves the
-/// concurrent path is wired.
+/// On a workload whose rounds reach the merge workers — every two-way
+/// round of this Uniform(1024, 32 per row)² at 8 panels folds about
+/// 2.6 × 10⁵ input entries, above `BAND_MIN_ENTRIES` — the scheduler
+/// overlaps rounds with other in-flight work, and the orchestrator keeps
+/// reading while worker rounds are outstanding (rounds below that size
+/// fold on the reading thread and overlap nothing). Scheduling noise on a
+/// loaded machine can serialize one run, so this asserts each counter
+/// over a handful of attempts — any single success proves the concurrent
+/// path is wired.
 #[test]
 fn parallel_rounds_actually_overlap() {
-    let a = linalg::map_values(&gen::uniform_random(160, 160, 3200, 5), |v| {
+    let a = linalg::map_values(&gen::uniform_random(1024, 1024, 1024 * 32, 5), |v| {
         (v * 4.0).round()
     });
     let expected = algo::gustavson(&a, &a);

@@ -4,7 +4,10 @@
 //! Chrome trace that (a) parses as strict JSON, (b) contains at least
 //! one complete event for every pipeline stage — `read-panel`,
 //! `merge-round` (which multiplies its leaves as it folds them),
-//! `spill-write`, `orchestrate` — on correctly labelled thread lanes,
+//! `spill-write`, `orchestrate` — on correctly labelled thread lanes:
+//! every round of this small run folds on the calling thread, so its
+//! `orchestrator` lane carries the reads, the bookkeeping and the rounds,
+//! a `spill-writer` lane the spills, and no merge worker lane exists,
 //! (c) attributes per-stage span time to within 1 ns of the
 //! `StageReport` busy figures the same run publishes — each busy figure
 //! is a sum of the very span durations, and of the `multiply_ns` share
@@ -136,7 +139,8 @@ fn budgeted_two_thread_run_exports_full_stage_coverage() {
             .count();
         assert!(count > 0, "no complete {stage} event in the export");
     }
-    // Every pipeline lane announces itself by name.
+    // Every lane that ran announces itself by name: the orchestrator and
+    // the spill writer, and no merge worker or reader thread.
     let lane_names: Vec<String> = events
         .iter()
         .filter(|e| str_field(e, "ph") == "M" && str_field(e, "name") == "thread_name")
@@ -148,10 +152,25 @@ fn budgeted_two_thread_run_exports_full_stage_coverage() {
                 .to_string()
         })
         .collect();
-    for lane in ["reader", "merge", "spill-writer", "orchestrator"] {
+    for lane in ["spill-writer", "orchestrator"] {
         assert!(
             lane_names.iter().any(|n| n.starts_with(lane)),
             "no {lane} lane declared; lanes: {lane_names:?}"
+        );
+    }
+    assert_eq!(lane_names.len(), 2, "lanes: {lane_names:?}");
+    // Reads, bookkeeping and every round sit on the orchestrator lane.
+    let orchestrator = trace
+        .threads
+        .iter()
+        .find(|t| t.label.starts_with("orchestrator"))
+        .expect("orchestrator lane")
+        .tid;
+    for stage in ["read-panel", "orchestrate", "merge-round"] {
+        let spans = trace.spans.iter().filter(|x| x.name == stage);
+        assert!(
+            spans.clone().all(|x| x.tid == orchestrator),
+            "a {stage} span off the orchestrator lane"
         );
     }
 }

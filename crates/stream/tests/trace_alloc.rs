@@ -11,14 +11,15 @@
 //!
 //! Only the thread that calls `multiply` is audited: a thread-local tag
 //! is set around the call and the allocator hooks count tagged threads
-//! only. That thread runs the orchestrator — its span lane, the reader's
-//! and the spill writer's lanes, the spill counters, the plan and every
-//! merge decision are made on it — and its allocation count is a pure
-//! function of the run. The stage threads the call spawns are left out
-//! on purpose: whether one of them blocks on a channel (and so
-//! allocates a wait context) depends on how the host schedules them,
-//! which made a process-wide count differ between identical runs on a
-//! busy machine, and libtest's own threads allocate when they please.
+//! only. That thread runs the pipeline — it reads the pairs, and its span
+//! lane, the spill counters, the plan, every merge decision and every
+//! round small enough to fold in place are made on it — and its
+//! allocation count is a pure function of the run. Helper threads a call
+//! spawns are left out on purpose: whether one of them blocks on a
+//! channel (and so allocates a wait context) depends on how the host
+//! schedules them, which made a process-wide count differ between
+//! identical runs on a busy machine, and libtest's own threads allocate
+//! when they please.
 //!
 //! This file holds exactly one test (same discipline as
 //! `crates/core/tests/zero_alloc.rs`).
@@ -89,7 +90,7 @@ fn disabled_tracing_adds_zero_allocations_to_warm_runs() {
         budget: MemoryBudget::unbounded(), // in-memory: no spill I/O jitter
         panels: 6,
         merge_ways: 3,
-        threads: Some(1), // a single multiply worker keeps the schedule fixed
+        threads: Some(1), // at most one merge worker keeps the schedule fixed
         ..StreamConfig::default()
     };
     let executor = StreamingExecutor::new(config.clone());
