@@ -5,9 +5,10 @@
 //! and it has two users: the simulator's merge rounds
 //! (`sparch_core::pipeline`), whose sources are fresh left-matrix columns
 //! multiplied on the fly and earlier rounds' outputs, and the product's
-//! merge rounds (`sparch_stream::merge`), whose sources are resident or
-//! spilled partials decoded in chunks. Both see their sources through
-//! [`RowSources`] and run [`fold_rows`].
+//! merge rounds (`sparch_stream::merge`), whose sources are leaf panel
+//! pairs multiplied row by row, resident partials read in place and
+//! spilled partials decoded a row group at a time. Both see their sources
+//! through [`RowSources`] and run [`fold_rows`].
 //!
 //! The fold visits output rows in ascending order. A run of rows that
 //! one source alone holds is copied straight through. A row that two or
@@ -238,8 +239,8 @@ mod tests {
     use std::collections::BinaryHeap;
 
     /// Sources over fixed entry lists, each buffered `chunk` entries at a
-    /// time like a decoder's lane, and each failing when it reaches the
-    /// entry at its `fail` position, if any.
+    /// time like a spilled partial's row groups, and each failing when it
+    /// reaches the entry at its `fail` position, if any.
     struct Chunked {
         entries: Vec<Vec<(u64, f64)>>,
         chunk: usize,

@@ -12,36 +12,38 @@
 //! The kernel is built for throughput, mirroring how the paper's merger
 //! is a wide comparator array rather than a one-comparator heap:
 //!
-//! * **Chunked sources.** Every source refills its decode lane in batches
-//!   of reused scratch columns — packed `(row << 32) | col` keys plus
-//!   values — so the inner merge loop compares single `u64`s and never
-//!   touches the decoder. Spilled partials batch-decode whole buffered
-//!   spans (branch-free LEB128 in `spill.rs`); resident CSRs are walked
-//!   with the row scan amortized per chunk instead of per triple.
+//! * **Row-wise sources.** Every source hands the fold its rows in
+//!   order, each from its own storage. A resident partial is read in
+//!   place, row by row, from its CSR arrays, stepping over its empty
+//!   rows. A spilled partial decodes up to [`GROUP_ENTRIES`] entries at a
+//!   time into a row group it owns — `(col, value)` per entry plus row
+//!   starts — through the branch-free LEB128 reader in `spill.rs`; a row
+//!   longer than a group is handed over in parts.
 //! * **Leaves multiplied in the fold.** A [`Leaf`] source is a panel pair
 //!   `A[:, p]`, `B[p, :]`, not a partial, so a round folds a leaf's rows
 //!   as they are produced — SpArch's pipelined multiply and merge
 //!   (§II-A), as the simulator's leaves feed its fold. The leaf's partial
 //!   is never built, stored or spilled, and its row bounds let a round cut
-//!   it into bands at any row. A leaf has no decode lane: the fold asks it
-//!   for its head row, which [`RowProduct::feed_row`] computes on the
-//!   spot — a row with one `A` entry as its products, any other folded
-//!   first through the band's [`MultiplyScratch`] — and the leaf counts
-//!   the entries it fed, for its footprint.
-//! * **One row-wise fold.** The leaves and the decode lanes are the
-//!   sources of [`sparch_sparse::algo::fold_rows`], the fold the
-//!   simulator's merge rounds run too, in every round: leaves alone,
-//!   stored partials alone or a mix. It visits output rows in ascending
-//!   order, picking them with a winner tree over the sources' head rows.
-//!   When one source alone holds every row below the next source's head
-//!   row, that run is copied straight through, across refills — a
-//!   one-source round is a single such run. A row two or more sources
-//!   share gathers its segments in source order into the shared
-//!   accumulator, folded from the lanes in place: a short row (at most
-//!   `SHORT_ROW` items, all inside the current chunks, a leaf's counted
-//!   at its row's bound) is sorted by `(col, arrival)`, any other row
-//!   goes through the dense value array and its occupancy bitmap. The
-//!   choice is made by the row's own shape, never by the fan-in.
+//!   it into bands at any row. The fold asks a leaf for its head row,
+//!   which [`RowProduct::feed_row`] computes on the spot — a row with one
+//!   `A` entry as its products, any other folded first through the
+//!   band's [`MultiplyScratch`] — and the leaf counts the entries it fed,
+//!   for its footprint.
+//! * **One row-wise fold.** The sources are the sources of
+//!   [`sparch_sparse::algo::fold_rows`], the fold the simulator's merge
+//!   rounds run too, in every round: leaves alone, stored partials alone
+//!   or a mix. It visits output rows in ascending order, picking them
+//!   with a winner tree over the sources' head rows. When one source
+//!   alone holds every row below the next source's head row, that run is
+//!   copied straight through, across row groups — a one-source round is
+//!   a single such run. A row two or more sources share gathers its
+//!   segments in source order into the shared accumulator, each fed from
+//!   its source's storage: a short row (at most `SHORT_ROW` items, each
+//!   segment whole — a resident row always, a spilled one unless it may
+//!   go on in the next group, a leaf's counted at its row's bound) is
+//!   sorted by `(col, arrival)`, any other row goes through the dense
+//!   value array and its occupancy bitmap. The choice is made by the
+//!   row's own shape, never by the fan-in.
 //! * **Pre-sized output.** A round pre-sizes its two output arrays from
 //!   the summed source nnz — a leaf's counted at its rows'
 //!   `min(flops, span)` bounds — an upper bound, so the output never
@@ -50,13 +52,13 @@
 //! * **Row bands.** Because every output row folds on its own,
 //!   [`merge_bands`] can cut a round into row bands at the quantiles of
 //!   the input weight and fold each band on its own scoped thread, with
-//!   its own lanes and accumulator from the [`MergeScratch`]. The weight
+//!   its own accumulator from the [`MergeScratch`]. The weight
 //!   is read off resident sources' row pointers, leaves' row bounds and
 //!   spilled sources' row indexes ([`SpillFile`]'s marks, every
 //!   `⌈rows / 1024⌉` rows), so a round without a spilled source can be
 //!   cut at any row and a round with one at the marks; each band opens
 //!   its own reader on every spilled source, which costs a 64 KiB read
-//!   buffer per band and way.
+//!   buffer and a row group per band and way.
 //!   Each band writes into a disjoint slice of the one output, pre-sized
 //!   at the summed source nnz; once the bands join, the later bands
 //!   shift down and their row pointers are rebased.
@@ -71,10 +73,11 @@
 //! them (a band folds whole rows, each exactly as one band would), and
 //! whether a leaf's rows were fed as they were computed or its partial
 //! was built and folded: a leaf's row is its partial's row, bit for bit.
-//! The seed heap kernel is kept as [`merge_sources_reference`] and a
-//! differential suite pins the two to byte-equal outputs.
+//! The seed heap kernel is kept, over the sources drained to CSRs, as
+//! [`merge_sources_reference`], and a differential suite pins the two to
+//! byte-equal outputs.
 
-use crate::spill::{mark_stride, SpillFile, SpillReader};
+use crate::spill::{mark_stride, RowGroup, SpillFile, SpillReader, GROUP_ENTRIES};
 use crate::StreamError;
 use sparch_sparse::algo::{fold_rows, FoldScratch, MultiplyScratch, RowProduct, RowSources};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
@@ -83,12 +86,6 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// Entries decoded per [`PartialSource::next_chunk`] call: 16 KiB of
-/// scratch per lane (8 B key + 8 B value), small enough that a full
-/// merge fan-in stays well under the allocator-audited slack, large
-/// enough to amortize decode and refill overhead.
-const CHUNK_ENTRIES: usize = 1024;
 
 /// Input entries per band below which a round is not cut. On a 2-core
 /// host, two bands fold four R-MAT panel partials in 0.95–1.04× one
@@ -154,20 +151,21 @@ pub struct PartialSource(Inner);
 
 #[derive(Debug)]
 enum Inner {
-    /// A resident partial, iterated in place over entries `pos..end`;
-    /// `row` is at or below the row holding `pos`. Bands share one
-    /// partial and view disjoint row ranges of it.
+    /// A resident partial, read in place over rows `row..end`; once the
+    /// fold has asked for its head, `row` is that head, a non-empty row.
+    /// Bands share one partial and view disjoint row ranges of it.
     Mem {
         csr: Arc<Csr>,
         row: usize,
-        pos: usize,
         end: usize,
     },
-    /// A spilled partial, streamed through a bounded buffer, with the
-    /// writer's record of the whole file — whose row index lets a band
-    /// open a reader at its own rows — or `None` for a band's reader.
+    /// A spilled partial, decoded through a bounded buffer into its row
+    /// group, with the writer's record of the whole file — whose row
+    /// index lets a band open a reader at its own rows — or `None` for a
+    /// band's reader.
     Disk {
         reader: SpillReader,
+        group: Box<RowGroup>,
         file: Option<Box<SpillFile>>,
     },
     /// A leaf multiplied as it is read: its live rows at positions
@@ -184,11 +182,10 @@ enum Inner {
 impl PartialSource {
     /// A source over a resident CSR.
     pub fn from_csr(csr: Csr) -> Self {
-        let end = csr.nnz();
+        let end = csr.rows();
         PartialSource(Inner::Mem {
             csr: Arc::new(csr),
             row: 0,
-            pos: 0,
             end,
         })
     }
@@ -199,8 +196,20 @@ impl PartialSource {
     pub fn from_spill(file: SpillFile) -> Result<Self, StreamError> {
         let reader = SpillReader::open(&file.path)?;
         reader.expect_shape(file.shape.0, file.shape.1)?;
-        let file = Some(Box::new(file));
-        Ok(PartialSource(Inner::Disk { reader, file }))
+        Ok(PartialSource::from_reader(reader, Some(Box::new(file))))
+    }
+
+    /// A source over `reader`, its row group sized to what one decode can
+    /// fill — [`GROUP_ENTRIES`], or fewer when the reader holds fewer — so
+    /// that a band thread's fold never grows it.
+    fn from_reader(reader: SpillReader, file: Option<Box<SpillFile>>) -> Self {
+        let entries = usize::try_from(reader.remaining()).unwrap_or(usize::MAX);
+        let group = Box::new(RowGroup::with_capacity(entries.min(GROUP_ENTRIES)));
+        PartialSource(Inner::Disk {
+            reader,
+            group,
+            file,
+        })
     }
 
     /// A source multiplying `leaf`'s rows as the fold reads them.
@@ -219,8 +228,8 @@ impl PartialSource {
     /// whole.
     pub(crate) fn into_csr(self) -> Result<Csr, StreamError> {
         match self.0 {
-            Inner::Mem { csr, pos, end, .. } => {
-                debug_assert!(pos == 0 && end == csr.nnz(), "not a fresh source");
+            Inner::Mem { csr, row, end } => {
+                debug_assert!(row == 0 && end == csr.rows(), "not a fresh source");
                 Ok(Arc::unwrap_or_clone(csr))
             }
             Inner::Disk { reader, .. } => reader.read_all(),
@@ -233,8 +242,8 @@ impl PartialSource {
     /// of a spilled partial cannot be cut again).
     fn fresh(&self) -> bool {
         match &self.0 {
-            Inner::Mem { csr, pos, end, .. } => *pos == 0 && *end == csr.nnz(),
-            Inner::Disk { reader, file } => file
+            Inner::Mem { csr, row, end } => csr.row_ptr()[*row] == 0 && *end == csr.rows(),
+            Inner::Disk { reader, file, .. } => file
                 .as_ref()
                 .is_some_and(|f| reader.remaining() == f.index.entries() as u64),
             Inner::Leaf { leaf, at, end, .. } => *at == 0 && *end == leaf.position(usize::MAX),
@@ -253,25 +262,23 @@ impl PartialSource {
 
     /// A source over rows `rows` — cut points `points` — of a fresh one.
     fn band(&self, rows: Range<usize>, points: Range<usize>) -> Result<Self, StreamError> {
-        Ok(PartialSource(match &self.0 {
-            Inner::Mem { csr, .. } => Inner::Mem {
+        Ok(match &self.0 {
+            Inner::Mem { csr, .. } => PartialSource(Inner::Mem {
                 csr: Arc::clone(csr),
                 row: rows.start,
-                pos: csr.row_ptr()[rows.start],
-                end: csr.row_ptr()[rows.end],
-            },
+                end: rows.end,
+            }),
             Inner::Disk { file, .. } => {
                 let file = file.as_deref().expect("a fresh spilled source");
-                let reader = SpillReader::open_band(file, points)?;
-                Inner::Disk { reader, file: None }
+                PartialSource::from_reader(SpillReader::open_band(file, points)?, None)
             }
-            Inner::Leaf { leaf, .. } => Inner::Leaf {
+            Inner::Leaf { leaf, .. } => PartialSource(Inner::Leaf {
                 leaf: Arc::clone(leaf),
                 at: leaf.position(rows.start),
                 end: leaf.position(rows.end),
                 fed: 0,
-            },
-        }))
+            }),
+        })
     }
 
     /// Errors unless the source declares the shape `rows × cols`: a
@@ -290,120 +297,92 @@ impl PartialSource {
         Err(StreamError::Shape(msg))
     }
 
-    /// Entries this source has not yet produced — the exact residual
-    /// nnz of a partial, an upper bound for a leaf (its rows'
-    /// `min(flops, span)`) — used to pre-size merge outputs.
+    /// Entries a fresh source will produce — the exact nnz of a partial,
+    /// an upper bound for a leaf (its rows' `min(flops, span)`) — used to
+    /// pre-size merge outputs.
     pub fn remaining_nnz(&self) -> usize {
         match &self.0 {
-            Inner::Mem { pos, end, .. } => end - pos,
+            Inner::Mem { csr, row, end } => csr.row_ptr()[*end] - csr.row_ptr()[*row],
             Inner::Disk { reader, .. } => reader.remaining() as usize,
             Inner::Leaf { leaf, at, end, .. } => leaf.product.bound(*at..*end),
         }
     }
 
-    /// The next `(row, col, value)` in row-major order, or `None` — the
-    /// per-triple path of a partial, used by [`merge_sources_reference`]
-    /// (which multiplies leaves whole first).
-    fn next_triple(&mut self) -> Result<Option<Triple>, StreamError> {
+    /// The entries of the head row at hand, and whether they are the
+    /// whole row: a resident row always is, and a leaf's row is computed
+    /// whole when it is fed, within its bound; a spilled row at the end
+    /// of its row group may go on in the next.
+    fn buffered(&self) -> (usize, bool) {
+        match &self.0 {
+            Inner::Mem { csr, row, .. } => (csr.row_ptr()[*row + 1] - csr.row_ptr()[*row], true),
+            Inner::Disk { group, .. } => group.buffered(),
+            Inner::Leaf { leaf, at, .. } => (leaf.product.bound(*at..*at + 1), true),
+        }
+    }
+
+    /// Feeds every entry in rows below `limit` to `f` as `(row << 32) |
+    /// col` keys and values — a leaf's rows multiplied through `scratch`,
+    /// a spilled partial's decoded a row group at a time — and returns
+    /// the row of the new head, or `None` once the source is exhausted.
+    #[inline(always)]
+    fn feed(
+        &mut self,
+        limit: u64,
+        scratch: &mut MultiplyScratch,
+        mut f: impl FnMut(u64, f64),
+    ) -> Result<Option<u64>, StreamError> {
         match &mut self.0 {
-            Inner::Mem { csr, row, pos, end } => {
-                if *pos >= *end {
-                    return Ok(None);
-                }
-                while csr.row_ptr()[*row + 1] <= *pos {
+            Inner::Mem { csr, row, end } => {
+                let (rp, ci, vs) = (csr.row_ptr(), csr.col_indices(), csr.values());
+                let stop = limit.min(*end as u64) as usize;
+                while *row < stop {
+                    let (span, hi) = (rp[*row]..rp[*row + 1], (*row as u64) << 32);
+                    for (&c, &v) in ci[span.clone()].iter().zip(&vs[span]) {
+                        f(hi | u64::from(c), v);
+                    }
                     *row += 1;
                 }
-                let t = (*row as u32, csr.col_indices()[*pos], csr.values()[*pos]);
-                *pos += 1;
-                Ok(Some(t))
-            }
-            Inner::Disk { reader, .. } => reader.next_triple(),
-            Inner::Leaf { .. } => {
-                unreachable!("leaves are multiplied whole before a per-triple merge")
-            }
-        }
-    }
-
-    /// Refills `lane` from its start with up to [`CHUNK_ENTRIES`] entries
-    /// — packed `(row << 32) | col` keys plus values — and returns
-    /// whether any came (`false` only when the source is exhausted).
-    /// Resident CSRs amortize the row scan across the chunk; spilled
-    /// partials batch-decode through [`SpillReader::next_chunk`].
-    fn refill(&mut self, lane: &mut Lane) -> Result<bool, StreamError> {
-        let (keys, vals, max) = (&mut lane.keys, &mut lane.vals, CHUNK_ENTRIES);
-        lane.pos = 0;
-        keys.clear();
-        vals.clear();
-        match &mut self.0 {
-            Inner::Mem { csr, row, pos, end } => {
-                let stop = pos.saturating_add(max).min(*end);
-                let rp = csr.row_ptr();
-                let ci = csr.col_indices();
-                let vs = csr.values();
-                let mut p = *pos;
-                let mut r = *row;
-                while p < stop {
-                    while rp[r + 1] <= p {
-                        r += 1;
-                    }
-                    let row_stop = rp[r + 1].min(stop);
-                    let hi = (r as u64) << 32;
-                    for j in p..row_stop {
-                        keys.push(hi | ci[j] as u64);
-                        vals.push(vs[j]);
-                    }
-                    p = row_stop;
+                while *row < *end && rp[*row] == rp[*row + 1] {
+                    *row += 1;
                 }
-                let n = p - *pos;
-                *pos = p;
-                *row = r;
-                Ok(n > 0)
+                Ok((*row < *end).then_some(*row as u64))
             }
-            Inner::Disk { reader, .. } => Ok(reader.next_chunk(max, keys, vals)? > 0),
-            Inner::Leaf { .. } => unreachable!("a leaf feeds the fold without a decode lane"),
+            Inner::Disk { reader, group, .. } => loop {
+                group.feed(limit, &mut f);
+                if group.head().is_some() || reader.next_rows(GROUP_ENTRIES, group)? == 0 {
+                    return Ok(group.head().map(u64::from));
+                }
+            },
+            Inner::Leaf { leaf, at, end, fed } => {
+                let product = &leaf.product;
+                let live = &product.live()[..*end];
+                while live.get(*at).is_some_and(|&i| u64::from(i) < limit) {
+                    let row = u64::from(live[*at]) << 32;
+                    *fed += product.feed_row(*at, scratch, |j, v| f(row | u64::from(j), v));
+                    *at += 1;
+                }
+                Ok(live.get(*at).map(|&i| u64::from(i)))
+            }
         }
     }
 }
 
-/// One source's decode lane: reused key/value columns plus a cursor.
-/// The lane is live while `pos < keys.len()`; an exhausted source
-/// leaves it empty.
-#[derive(Debug, Default)]
-struct Lane {
-    keys: Vec<u64>,
-    vals: Vec<f64>,
-    pos: usize,
-}
-
-/// What one band's fold runs on: a decode lane per merge way, the
-/// shared fold's scratch and the accumulator its leaves' rows are
-/// multiplied through.
+/// What one band's fold runs on: the shared fold's scratch and the
+/// accumulator its leaves' rows are multiplied through.
 #[derive(Debug, Default)]
 struct BandScratch {
-    lanes: Vec<Lane>,
     fold: FoldScratch,
     product: MultiplyScratch,
 }
 
 impl BandScratch {
-    /// Empties the lanes and grows every buffer a fold of `sources` over
-    /// `cols` columns can reach, so a band thread folds without
-    /// allocating — its allocations would otherwise open a fresh allocator
-    /// arena. Each band fold with a leaf whose accumulator was already
-    /// grown counts as one of its reuses.
+    /// Grows every buffer a fold of `sources` over `cols` columns can
+    /// reach, so a band thread folds without allocating — its allocations
+    /// would otherwise open a fresh allocator arena. Each band fold with a
+    /// leaf whose accumulator was already grown counts as one of its
+    /// reuses.
     fn grow(&mut self, sources: &[PartialSource], cols: usize) {
-        let ways = sources.len();
-        if self.lanes.len() < ways {
-            self.lanes.resize_with(ways, Lane::default);
-        }
-        for lane in &mut self.lanes {
-            lane.keys.clear();
-            lane.vals.clear();
-            lane.pos = 0;
-            lane.keys.reserve(CHUNK_ENTRIES);
-            lane.vals.reserve(CHUNK_ENTRIES);
-        }
-        self.fold.grow(ways, cols);
+        self.fold.grow(sources.len(), cols);
         if sources.iter().any(|s| matches!(s.0, Inner::Leaf { .. })) {
             self.product.grow(cols);
         }
@@ -453,8 +432,8 @@ pub struct MergeScratch {
 }
 
 impl MergeScratch {
-    /// An empty scratch; lanes and accumulators grow on first use and
-    /// are then reused.
+    /// An empty scratch; its accumulators grow on first use and are then
+    /// reused.
     pub fn new() -> Self {
         MergeScratch::default()
     }
@@ -474,34 +453,22 @@ impl MergeScratch {
     }
 }
 
-/// A band's sources as the shared fold's sources: a leaf row by row
-/// through the band's multiply accumulator, any other source through its
-/// decode lane.
-struct Lanes<'a> {
+/// A band's sources as the shared fold's sources, each fed from its own
+/// storage.
+struct BandSources<'a> {
     sources: &'a mut [PartialSource],
-    lanes: &'a mut [Lane],
     product: &'a mut MultiplyScratch,
 }
 
-impl RowSources for Lanes<'_> {
+impl RowSources for BandSources<'_> {
     type Error = StreamError;
 
     fn count(&self) -> usize {
         self.sources.len()
     }
 
-    /// A leaf's head row is computed whole when it is fed, within its
-    /// bound; a lane's segment that reaches the end of the chunk may go on
-    /// past it.
     fn buffered(&self, k: usize) -> (usize, bool) {
-        if let Inner::Leaf { leaf, at, .. } = &self.sources[k].0 {
-            return (leaf.product.bound(*at..*at + 1), true);
-        }
-        let lane = &self.lanes[k];
-        let row = lane.keys[lane.pos] >> 32;
-        let segment = lane.keys[lane.pos..].iter();
-        let n = segment.take_while(|&&key| key >> 32 == row).count();
-        (n, lane.pos + n < lane.keys.len())
+        self.sources[k].buffered()
     }
 
     /// Inlined into the fold, so that the accumulator a shared row is fed
@@ -514,35 +481,9 @@ impl RowSources for Lanes<'_> {
         &mut self,
         k: usize,
         limit: u64,
-        mut f: impl FnMut(u64, f64),
+        f: impl FnMut(u64, f64),
     ) -> Result<Option<u64>, StreamError> {
-        let (src, lane) = (&mut self.sources[k], &mut self.lanes[k]);
-        if let Inner::Leaf { leaf, at, end, fed } = &mut src.0 {
-            let product = &leaf.product;
-            let live = &product.live()[..*end];
-            while live.get(*at).is_some_and(|&i| u64::from(i) < limit) {
-                let row = u64::from(live[*at]) << 32;
-                *fed += product.feed_row(*at, self.product, |j, v| f(row | u64::from(j), v));
-                *at += 1;
-            }
-            return Ok(live.get(*at).map(|&i| u64::from(i)));
-        }
-        loop {
-            let keys = &lane.keys[lane.pos..];
-            let vals = &lane.vals[lane.pos..];
-            let mut n = 0;
-            for (&key, &v) in keys.iter().zip(vals) {
-                if key >> 32 >= limit {
-                    break;
-                }
-                f(key, v);
-                n += 1;
-            }
-            lane.pos += n;
-            if lane.pos < lane.keys.len() || !src.refill(lane)? {
-                return Ok(lane.keys.get(lane.pos).map(|&key| key >> 32));
-            }
-        }
+        self.sources[k].feed(limit, self.product, f)
     }
 }
 
@@ -700,20 +641,14 @@ fn fold_band(
     cols: usize,
     mut out: BandOut<'_>,
 ) -> Result<usize, StreamError> {
-    let BandScratch {
-        lanes,
-        fold,
-        product,
-    } = scratch;
-    let lanes = &mut lanes[..sources.len()];
+    let BandScratch { fold, product } = scratch;
     // Every source yields strictly increasing in-shape keys — resident
     // CSRs by invariant, spilled ones because `SpillReader` checks each
     // entry it decodes, leaves by the kernel — and rows leave in
     // ascending order, so entries go straight into the output.
     let folded = fold_rows(
-        &mut Lanes {
+        &mut BandSources {
             sources: &mut sources,
-            lanes,
             product,
         },
         cols,
@@ -729,10 +664,12 @@ fn fold_band(
     Ok(out.finish())
 }
 
-/// The seed per-triple kernel — `BinaryHeap` over source heads with an
-/// `Option` accumulator — kept verbatim as the differential oracle and
-/// the micro-bench baseline; fresh leaf sources are multiplied whole
-/// first. Output is byte-identical to [`merge_sources`] on every input.
+/// The seed kernel — `BinaryHeap` over source heads with an `Option`
+/// accumulator — kept verbatim as the differential oracle, over the
+/// sources drained to CSRs first ([`PartialSource::into_csr`]: a leaf
+/// multiplied whole, a spilled partial read back whole). Output is
+/// byte-identical to [`merge_sources`] on every input. Only tests call it.
+#[doc(hidden)]
 pub fn merge_sources_reference(
     rows: usize,
     cols: usize,
@@ -741,14 +678,11 @@ pub fn merge_sources_reference(
     for src in &sources {
         src.expect_shape(rows, cols)?;
     }
-    let partial = |src: PartialSource| match src.0 {
-        Inner::Leaf { .. } => src.into_csr().map(PartialSource::from_csr),
-        _ => Ok(src),
-    };
-    let mut sources = sources
+    let parts = sources
         .into_iter()
-        .map(partial)
+        .map(PartialSource::into_csr)
         .collect::<Result<Vec<_>, _>>()?;
+    let mut sources: Vec<_> = parts.iter().map(Csr::iter).collect();
     let mut out = CsrBuilder::new(rows, cols);
     // Heap keys are (row, col, source-index): coordinate order first, and
     // within one coordinate the plan's child order — a fixed, documented
@@ -756,7 +690,7 @@ pub fn merge_sources_reference(
     let mut heap: BinaryHeap<Reverse<(u32, u32, usize)>> = BinaryHeap::with_capacity(sources.len());
     let mut heads: Vec<Option<Triple>> = Vec::with_capacity(sources.len());
     for (s, src) in sources.iter_mut().enumerate() {
-        let head = src.next_triple()?;
+        let head = src.next();
         if let Some((r, c, _)) = head {
             heap.push(Reverse((r, c, s)));
         }
@@ -774,7 +708,7 @@ pub fn merge_sources_reference(
             }
             None => Some((r, c, v)),
         };
-        let next = sources[s].next_triple()?;
+        let next = sources[s].next();
         if let Some((nr, nc, _)) = next {
             heap.push(Reverse((nr, nc, s)));
         }
@@ -846,7 +780,7 @@ mod tests {
     /// A spill file damaged on disk must stop a merge of each fan-in in
     /// `fan_ins` with an error naming it — wherever it sits among spilled
     /// and resident neighbours, with or without a leaf ahead of them,
-    /// whether the damage is in its first chunk or strikes mid-merge, at
+    /// whether the damage is in its first row group or strikes mid-merge, at
     /// one to four bands — instead of feeding `push_trusted` rows past the
     /// shape. With the leaf, the error lands while its row sits in the
     /// shared accumulator. The scratch that saw the failure then merges
@@ -863,7 +797,7 @@ mod tests {
             let live = a.occupied_rows();
             PartialSource::from_leaf(Arc::new(Leaf::new(a, ones(8), live)))
         };
-        for entry in [120, CHUNK_ENTRIES + 76] {
+        for entry in [120, GROUP_ENTRIES + 76] {
             let damaged = dir.file("damaged.bin");
             let file = write_partial(&damaged, &ones(1), SpillCodec::Varint).unwrap();
             assert!(ones(1).nnz() > entry);
@@ -1162,7 +1096,8 @@ mod tests {
 
     /// Degenerate fan-ins agree with the reference too: empty sources,
     /// singletons, full cancellation, every source identical, all the
-    /// weight in one row, and a one-row matrix. So do
+    /// weight in one row, a one-row matrix, and a partial whose rows lie
+    /// far apart, alone and beside a denser one. So do
     /// the row shapes the fold tells apart, at every fan-in: rows of
     /// exactly `SHORT_ROW` and `SHORT_ROW + 1` items, and `+0.0` / `-0.0`
     /// collisions in short and wide rows (a column of `-0.0`s sums to
@@ -1196,6 +1131,25 @@ mod tests {
                 .collect();
             let what = format!("one heavy row of {rows}");
             assert_matches_reference_bits(&dir, &parts, (rows, 48), &what);
+        }
+        // A resident partial whose occupied rows lie far apart — rows 0,
+        // 500 and 999 of 1000 — alone and beside a denser one: its head
+        // steps over hundreds of empty rows at a time.
+        let far = partial(
+            1000,
+            64,
+            [0u32, 500, 999].into_iter().flat_map(|r| {
+                (0..6).map(move |k| (r, 5 * k + r % 7, value(r as usize + k as usize)))
+            }),
+        );
+        let dense = gen::uniform_random(1000, 64, 3000, 78);
+        assert!([0, 500, 999].iter().all(|&r| !dense.row(r).0.is_empty()));
+        for parts in [
+            vec![far.clone()],
+            vec![far.clone(), dense.clone()],
+            vec![dense, far],
+        ] {
+            assert_matches_reference_bits(&dir, &parts, (1000, 64), "far-apart rows");
         }
 
         for ways in 1..=9 {
@@ -1232,29 +1186,41 @@ mod tests {
         }
     }
 
-    /// Chunk boundaries are invisible: a merge whose sources span many
-    /// refills (nnz ≫ CHUNK_ENTRIES) still matches the oracle. So, at
-    /// every fan-in, does a row longer than a chunk in every source, a
-    /// source whose lone run, and then whose last shared row, ends
-    /// exactly at a chunk end, and a shared row with few items before a
-    /// chunk end and many after it.
+    /// Row-group boundaries are invisible: a merge whose sources span
+    /// many row groups (nnz ≫ GROUP_ENTRIES), resident or spilled, still
+    /// matches the oracle. So, at every fan-in and with the sources
+    /// spilled as [`assert_matches_reference_bits`] spills them, does a
+    /// row longer than a group in every source, a source whose lone run,
+    /// and then whose last shared row, ends exactly at a group end, and a
+    /// shared row with few items before a group end and many after it.
     #[test]
     fn multi_chunk_sources_merge_correctly() {
-        let parts: Vec<Csr> = (0..3)
-            .map(|s| gen::uniform_random(120, 110, 4 * CHUNK_ENTRIES, 900 + s as u64))
-            .collect();
-        let merged = merge(120, 110, parts.iter().cloned().map(mem).collect());
-        assert_eq!(merged, sum_oracle(&parts));
-        let two = merge(120, 110, parts[..2].iter().cloned().map(mem).collect());
-        assert_eq!(two, sum_oracle(&parts[..2]));
-
         let dir = TempDir::new("merge_chunk_edges");
-        let long = CHUNK_ENTRIES + CHUNK_ENTRIES / 2;
+        let parts: Vec<Csr> = (0..3)
+            .map(|s| gen::uniform_random(120, 110, 4 * GROUP_ENTRIES, 900 + s as u64))
+            .collect();
+        let spilled = |(s, p): (usize, &Csr)| {
+            let file = write_partial(&dir.file(&format!("many{s}.bin")), p, SpillCodec::Varint);
+            PartialSource::from_spill(file.unwrap()).unwrap()
+        };
+        for n in [3, 2] {
+            let want = sum_oracle(&parts[..n]);
+            let merged = merge(120, 110, parts[..n].iter().cloned().map(mem).collect());
+            assert_eq!(merged, want, "{n} resident");
+            let merged = merge(
+                120,
+                110,
+                parts[..n].iter().enumerate().map(spilled).collect(),
+            );
+            assert_eq!(merged, want, "{n} spilled");
+        }
+
+        let long = GROUP_ENTRIES + GROUP_ENTRIES / 2;
         // Source 0 fills rows 0..25 with 128 entries each (125 in row
         // 23), so rows 0..8 (its lone run) and 8..16 (shared) are exactly
-        // one chunk each, and its third chunk ends 3 entries into shared
+        // one group each, and its third group ends 3 entries into shared
         // row 24. The others hold 10 entries in each of rows 8..26, so
-        // row 24's first chunk holds few enough items for a short row.
+        // row 24's first group holds few enough items for a short row.
         let aligned = |s: usize| {
             let rows = if s == 0 { 0..25 } else { 8..26 };
             let entries = rows.flat_map(move |r| {
@@ -1281,9 +1247,9 @@ mod tests {
             assert_matches_reference_bits(&dir, &parts, shape, &format!("long row, {ways}-way"));
             let parts: Vec<Csr> = (0..ways).map(aligned).collect();
             let starts = [8, 16, 24].map(|r| parts[0].row_ptr()[r]);
-            let chunk = CHUNK_ENTRIES;
-            assert_eq!(starts, [chunk, 2 * chunk, 3 * chunk - 3]);
-            let what = format!("chunk-aligned runs, {ways}-way");
+            let group = GROUP_ENTRIES;
+            assert_eq!(starts, [group, 2 * group, 3 * group - 3]);
+            let what = format!("group-aligned runs, {ways}-way");
             assert_matches_reference_bits(&dir, &parts, (26, 128), &what);
         }
     }
@@ -1366,16 +1332,16 @@ mod tests {
     /// resident and a spilled partial; over short
     /// and wide rows, leaves with one and with several `A` entries in a
     /// row, `-0.0` products, a leaf that alone owns a run of rows, a leaf
-    /// spanning many chunks, a leaf whose rows all multiply empty `B` rows
-    /// and a leaf with no live row. Each leaf's entry count then matches
-    /// its partial.
+    /// larger than two row groups, a leaf whose rows all multiply empty
+    /// `B` rows and a leaf with no live row. Each leaf's entry count then
+    /// matches its partial.
     #[test]
     fn leaf_sources_fold_like_their_materialized_partials() {
         let dir = TempDir::new("merge_leaves");
         let (a, b) = leaf_operands();
         let (rows, cols) = (a.rows(), b.cols());
         let parts = leaf_partials(&a, &b);
-        assert!(parts[0].nnz() > 2 * CHUNK_ENTRIES, "leaf 0 spans chunks");
+        assert!(parts[0].nnz() > 2 * GROUP_ENTRIES, "leaf 0 spans groups");
         assert!(parts[1]
             .values()
             .iter()
@@ -1425,14 +1391,14 @@ mod tests {
                 }
             }
         }
-        // The per-triple reference multiplies leaves whole first.
+        // The reference multiplies leaves whole first.
         let want = merge_sources_reference(rows, cols, parts.iter().cloned().map(mem).collect());
         let sources = (0..5).map(|p| PartialSource::from_leaf(leaf(p))).collect();
         let reference = merge_sources_reference(rows, cols, sources).unwrap();
         assert_eq!(bits(&reference), bits(&want.unwrap()));
         assert!(
             merge_scratch.multiply_reuses() > 0,
-            "leaf chunks never ran warm"
+            "leaf folds never ran warm"
         );
     }
 }

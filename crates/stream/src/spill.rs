@@ -75,9 +75,9 @@
 //! * a **spill file** is read by [`SpillReader`] through a bounded 64 KiB
 //!   buffer; the decoder runs over each buffered window, taking an entry
 //!   only while a worst-case one fits or the window holds the file's
-//!   tail. `next_chunk`, `next_triple` and `read_all` are thin loops
-//!   over that one path. A band reader holds its entries to its rows
-//!   as well;
+//!   tail. [`SpillReader::next_rows`], which fills a merge source's
+//!   [`RowGroup`], and [`SpillReader::read_all`] are thin loops over
+//!   that one path. A band reader holds its entries to its rows as well;
 //! * a **wire frame** is decoded whole by [`decode_partial`].
 //!
 //! Both hold the header's entry count against the body bytes present
@@ -580,7 +580,7 @@ impl EntryCheck {
         {
             return Err(self.stray(row, col));
         }
-        let key = pack_key(row, col);
+        let key = u64::from(row) << 32 | u64::from(col);
         if self.prev.is_some_and(|p| p >= key) {
             return Err(StreamError::Io(format!(
                 "partial entries not in strictly increasing (row, col) order at ({row}, {col})"
@@ -914,29 +914,23 @@ impl<R: Read> SpillReader<R> {
         self.remaining
     }
 
-    /// The next triple in `(row, col)` order, or `None` at the end.
-    pub fn next_triple(&mut self) -> Result<Option<Triple>, StreamError> {
-        let mut next = None;
-        self.read_entries(1, |t| next = Some(t))?;
-        Ok(next)
-    }
-
-    /// Decodes up to `max` entries in one batch into the caller's scratch
-    /// columns — packed `(row << 32) | col` keys plus values — returning
-    /// how many were produced (0 only at the end of the file). This is
-    /// the merge kernel's fast path: the inner merge loop then compares
-    /// single `u64`s and never touches the decoder.
-    pub fn next_chunk(
+    /// Decodes up to `max` entries into `group`, replacing what it held,
+    /// and returns how many came (0 only at the end of the file). The
+    /// group's last row may go on in the next one.
+    pub(crate) fn next_rows(
         &mut self,
         max: usize,
-        keys: &mut Vec<u64>,
-        vals: &mut Vec<f64>,
+        group: &mut RowGroup,
     ) -> Result<usize, StreamError> {
-        keys.clear();
-        vals.clear();
+        let RowGroup { rows, entries, at } = group;
+        rows.clear();
+        entries.clear();
+        *at = 0;
         self.read_entries(max, |(r, c, v)| {
-            keys.push(pack_key(r, c));
-            vals.push(v);
+            if rows.last().is_none_or(|last| last.0 != r) {
+                rows.push((r, entries.len()));
+            }
+            entries.push((c, v));
         })
     }
 
@@ -985,11 +979,62 @@ impl<R: Read> SpillReader<R> {
     }
 }
 
-/// Packs `(row, col)` into the single `u64` sort key the chunked merge
-/// kernel compares: row in the high 32 bits, column in the low 32, so
-/// key order is exactly `(row, col)` lexicographic order.
-pub(crate) fn pack_key(r: Index, c: Index) -> u64 {
-    ((r as u64) << 32) | c as u64
+/// Entries a merge source decodes from a spilled partial at a time
+/// ([`SpillReader::next_rows`]): at most 32 KiB of row group per spilled
+/// source, enough to amortize the decoder's setup per call.
+pub(crate) const GROUP_ENTRIES: usize = 1024;
+
+/// Entries of a spilled partial decoded in order and grouped by row:
+/// group row `g` is `(row, start)` = `rows[g]`, its `(col, value)`
+/// entries run from `start` to the next row's start (or the end) of
+/// `entries`, and the last row may go on in the next group. Rows before
+/// `at` have been consumed.
+#[derive(Debug, Default)]
+pub(crate) struct RowGroup {
+    rows: Vec<(Index, usize)>,
+    entries: Vec<(Index, f64)>,
+    at: usize,
+}
+
+impl RowGroup {
+    /// An empty group with room for `entries` entries.
+    pub(crate) fn with_capacity(entries: usize) -> Self {
+        RowGroup {
+            rows: Vec::with_capacity(entries),
+            entries: Vec::with_capacity(entries),
+            at: 0,
+        }
+    }
+
+    /// The entries of group row `g`.
+    fn row(&self, g: usize) -> &[(Index, f64)] {
+        let end = self.rows.get(g + 1).map_or(self.entries.len(), |r| r.1);
+        &self.entries[self.rows[g].1..end]
+    }
+
+    /// The first row not consumed, if any.
+    pub(crate) fn head(&self) -> Option<Index> {
+        self.rows.get(self.at).map(|r| r.0)
+    }
+
+    /// The head row's entries, and whether they are the whole row: the
+    /// group's last row may go on in the next group.
+    pub(crate) fn buffered(&self) -> (usize, bool) {
+        (self.row(self.at).len(), self.at + 1 < self.rows.len())
+    }
+
+    /// Consumes every row below `limit`, handing its entries to `f` as
+    /// `(row << 32) | col` keys and values.
+    #[inline(always)]
+    pub(crate) fn feed(&mut self, limit: u64, mut f: impl FnMut(u64, f64)) {
+        while let Some(row) = self.head().filter(|&r| u64::from(r) < limit) {
+            let hi = u64::from(row) << 32;
+            for &(c, v) in self.row(self.at) {
+                f(hi | u64::from(c), v);
+            }
+            self.at += 1;
+        }
+    }
 }
 
 /// Decodes one LEB128 value from `buf` at `*i`, advancing `i` — the one
@@ -1126,12 +1171,10 @@ mod tests {
         for codec in [SpillCodec::Raw, SpillCodec::Varint] {
             let path = dir.file(&format!("sorted_{codec}.bin"));
             write_partial(&path, &m, codec).unwrap();
-            let mut reader = SpillReader::open(&path).unwrap();
-            let mut triples = Vec::new();
-            while let Some(t) = reader.next_triple().unwrap() {
-                triples.push(t);
-            }
-            assert_eq!(triples, m.iter().collect::<Vec<_>>(), "{codec}");
+            let reader = SpillReader::open(&path).unwrap();
+            let triples = drain_rows(reader, GROUP_ENTRIES).unwrap();
+            let want: Vec<_> = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+            assert_eq!(triples, want, "{codec}");
             assert!(triples
                 .windows(2)
                 .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
@@ -1173,11 +1216,11 @@ mod tests {
     }
 
     /// Every entry point decodes the same stream, bit for bit: `read_all`,
-    /// `next_chunk` at chunk sizes below and above the file's entry count
+    /// `next_rows` at group sizes below and above the file's entry count
     /// (size 1 decodes the whole file through the tail-of-window logic
-    /// one entry at a time), `next_triple` and the wire's `decode_partial`.
+    /// one entry at a time) and the wire's `decode_partial`.
     #[test]
-    fn chunked_decode_matches_per_triple_decode() {
+    fn row_group_decode_matches_whole_file_and_wire_decode() {
         let dir = TempDir::new("spill_chunks");
         let int = sparch_sparse::linalg::map_values(&gen::uniform_random(40, 50, 600, 11), |v| {
             (v * 8.0).round()
@@ -1189,16 +1232,10 @@ mod tests {
                 write_partial(&path, m, codec).unwrap();
                 let bits = |t: Triple| (t.0, t.1, t.2.to_bits());
                 let expected: Vec<_> = m.iter().map(bits).collect();
-                for chunk in [1usize, 7, 1024] {
-                    let got = drain_chunks(SpillReader::open(&path).unwrap(), chunk).unwrap();
-                    assert_eq!(got, expected, "{tag} {codec} next_chunk {chunk}");
+                for cap in [1usize, 7, GROUP_ENTRIES] {
+                    let got = drain_rows(SpillReader::open(&path).unwrap(), cap).unwrap();
+                    assert_eq!(got, expected, "{tag} {codec} next_rows {cap}");
                 }
-                let mut reader = SpillReader::open(&path).unwrap();
-                let mut got = Vec::new();
-                while let Some(t) = reader.next_triple().unwrap() {
-                    got.push(bits(t));
-                }
-                assert_eq!(got, expected, "{tag} {codec} next_triple");
                 let all = SpillReader::open(&path).unwrap().read_all().unwrap();
                 assert_eq!(all.iter().map(bits).collect::<Vec<_>>(), expected);
                 let wire = decode_partial(&std::fs::read(&path).unwrap()).unwrap();
@@ -1489,27 +1526,36 @@ mod tests {
         e
     }
 
-    /// Drains `reader` through `next_chunk(chunk)`, each key unpacked and
-    /// each value as its bits.
-    fn drain_chunks<R: Read>(
+    /// Drains `reader` through `next_rows(cap)` as `(row, col, value
+    /// bits)`, after checking that each group holds the entries it
+    /// reports, at most `cap`, in distinct non-empty rows.
+    fn drain_rows<R: Read>(
         mut reader: SpillReader<R>,
-        chunk: usize,
+        cap: usize,
     ) -> Result<Vec<(Index, Index, u64)>, StreamError> {
-        let (mut keys, mut vals, mut got) = (Vec::new(), Vec::new(), Vec::new());
-        while reader.next_chunk(chunk, &mut keys, &mut vals)? > 0 {
-            assert_eq!(keys.len(), vals.len());
-            let unpack = |(&k, &v): (&u64, &f64)| ((k >> 32) as Index, k as Index, v.to_bits());
-            got.extend(keys.iter().zip(&vals).map(unpack));
+        let (mut group, mut got) = (RowGroup::default(), Vec::new());
+        loop {
+            let n = reader.next_rows(cap, &mut group)?;
+            if n == 0 {
+                break;
+            }
+            assert!(n <= cap && n == group.entries.len());
+            assert!(group.rows.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(group.rows[0].1, 0);
+            for (g, &(row, _)) in group.rows.iter().enumerate() {
+                assert!(!group.row(g).is_empty(), "group row {g} is empty");
+                got.extend(group.row(g).iter().map(|&(c, v)| (row, c, v.to_bits())));
+            }
         }
         assert_eq!(reader.remaining(), 0);
         Ok(got)
     }
 
     /// Writes `bytes` as a spill file and drives every read path over it
-    /// — batch decode at several chunk sizes, per-triple, `read_all` —
-    /// and hands the same bytes to the wire's `decode_partial`: each must
-    /// fail with an `Io` error naming `needle` (and, from a file, the
-    /// file), never finish, panic or hang.
+    /// — row-group decode at several group sizes, `read_all` — and hands
+    /// the same bytes to the wire's `decode_partial`: each must fail with
+    /// an `Io` error naming `needle` (and, from a file, the file), never
+    /// finish, panic or hang.
     fn assert_every_read_path_fails(dir: &TempDir, name: &str, bytes: &[u8], needle: &str) {
         let path = dir.file(name);
         std::fs::write(&path, bytes).unwrap();
@@ -1521,19 +1567,10 @@ mod tests {
             other => panic!("{name} {what}: expected an Io error, got {other:?}"),
         };
         check("decode_partial", decode_partial(bytes).map(|_| ()));
-        for chunk in [1usize, 7, usize::MAX] {
+        for cap in [1usize, 7, GROUP_ENTRIES, usize::MAX] {
             let reader = SpillReader::open(&path).unwrap();
-            check("next_chunk", drain_chunks(reader, chunk).map(|_| ()));
+            check("next_rows", drain_rows(reader, cap).map(|_| ()));
         }
-        let mut reader = SpillReader::open(&path).unwrap();
-        let result = loop {
-            match reader.next_triple() {
-                Ok(None) => break Ok(()),
-                Ok(Some(_)) => {}
-                Err(e) => break Err(e),
-            }
-        };
-        check("next_triple", result);
         check(
             "read_all",
             SpillReader::open(&path).unwrap().read_all().map(|_| ()),
@@ -1659,33 +1696,25 @@ mod tests {
         write_partial(&path, &m, SpillCodec::Raw).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let mut reader = SpillReader::open(&path).unwrap();
-        let err = loop {
-            match reader.next_triple() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("truncated file read to completion"),
-                Err(e) => break e,
-            }
-        };
-        match err {
-            StreamError::Io(msg) => assert!(
-                msg.contains("truncated.bin"),
-                "read error must name the path: {msg}"
-            ),
-            other => panic!("expected Io error, got {other:?}"),
+        for cap in [1usize, 7, GROUP_ENTRIES, usize::MAX] {
+            let mut reader = SpillReader::open(&path).unwrap();
+            let mut group = RowGroup::default();
+            let err = loop {
+                match reader.next_rows(cap, &mut group) {
+                    Ok(0) => panic!("truncated file read to completion at cap {cap}"),
+                    Ok(_) => continue,
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(&err, StreamError::Io(msg) if msg.contains("truncated.bin")),
+                "read error at cap {cap} must name the path: {err:?}"
+            );
         }
-        let mut reader = SpillReader::open(&path).unwrap();
-        let (mut keys, mut vals) = (Vec::new(), Vec::new());
-        let err = loop {
-            match reader.next_chunk(usize::MAX, &mut keys, &mut vals) {
-                Ok(0) => panic!("truncated file chunked to completion"),
-                Ok(_) => continue,
-                Err(e) => break e,
-            }
-        };
+        let err = SpillReader::open(&path).unwrap().read_all().unwrap_err();
         assert!(
             matches!(&err, StreamError::Io(msg) if msg.contains("truncated.bin")),
-            "chunk error must name the path: {err:?}"
+            "read_all error must name the path: {err:?}"
         );
         // Opening a missing file names it too.
         let missing = dir.file("missing.bin");
@@ -1761,7 +1790,7 @@ mod tests {
 
     /// Reads that return 1–3 bytes, and a read interrupted at the header
     /// or mid-body, decode to exactly the encoded matrix — value bits
-    /// included — through `read_all` and `next_chunk`.
+    /// included — through `read_all` and `next_rows`.
     #[test]
     fn short_and_interrupted_reads_decode_bit_identically() {
         for (tag, m, bytes) in large_encodings() {
@@ -1781,7 +1810,7 @@ mod tests {
                 let all = src().reader().read_all().unwrap();
                 let all: Vec<_> = all.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
                 assert_eq!(all, expected, "{case} read_all");
-                assert_eq!(drain_chunks(src().reader(), 7).unwrap(), expected, "{case}");
+                assert_eq!(drain_rows(src().reader(), 7).unwrap(), expected, "{case}");
             }
         }
     }
@@ -1798,7 +1827,7 @@ mod tests {
             };
             let results = [
                 ("read_all", faulty().reader().read_all().map(|_| ())),
-                ("next_chunk", drain_chunks(faulty().reader(), 7).map(|_| ())),
+                ("next_rows", drain_rows(faulty().reader(), 7).map(|_| ())),
             ];
             for (what, result) in results {
                 match result {
@@ -2101,7 +2130,7 @@ mod tests {
         let index = &file.index;
         let entries = index.entries_before(hi) - index.entries_before(lo);
         assert_eq!(reader.remaining(), entries as u64);
-        drain_chunks(reader, 7)
+        drain_rows(reader, 7)
     }
 
     /// For both codecs and the raw fallback, a band reader between any

@@ -221,8 +221,8 @@ fn peak_live_bytes_respect_the_budget_with_both_operands_streamed() {
     // construction — its coordinate set is a subset of the final
     // result's and the builder is pre-sized to the round's summed input
     // non-zeros, at most `merge_ways` (3 here) times the result's
-    // footprint; spill I/O buffers, merge scratch lanes, the plan and
-    // heap bookkeeping under the fixed slack.
+    // footprint; spill I/O buffers and row groups, merge scratch, the
+    // plan and heap bookkeeping under the fixed slack.
     let result_bytes = expected.estimated_bytes();
     let slack = 512 << 10;
     let transients = 8 * pair_max + slack;

@@ -27,8 +27,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations at or above this size count as "large" — chosen well
-/// above every fixed-size scratch buffer in the merge path (decode lanes
-/// are 8 KiB, `row_ptr` for 400 rows is ~3 KiB) and well below the
+/// above every fixed-size scratch buffer in the merge path (a spilled
+/// source's row group is at most 16 KiB per array, `row_ptr` for 400
+/// rows is ~3 KiB) and well below the
 /// workload's index/value reserves (~470 KiB and ~940 KiB).
 const BIG: usize = 64 << 10;
 
@@ -112,8 +113,8 @@ fn presized_merge_allocates_once_per_output_array() {
     let (reference, reference_bigs, _) = audited(move || merge_sources_reference(400, 400, srcs));
     let reference = reference.expect("reference merge failed");
 
-    // The pre-sized kernel, with the scratch lanes pre-warmed the way a
-    // merge worker reuses them across rounds: exactly one reserve per
+    // The pre-sized kernel, with the scratch pre-warmed the way a
+    // merge worker reuses it across rounds: exactly one reserve per
     // output array, nothing else at large size.
     let mut scratch = MergeScratch::new();
     let warm = merge_sources(400, 400, sources(), &mut scratch).expect("warm-up merge failed");
@@ -136,7 +137,7 @@ fn presized_merge_allocates_once_per_output_array() {
     );
 
     // Peak growth: the two reserves (12 B per input entry) plus row_ptr,
-    // decode lanes and the accumulator under a fixed slack.
+    // the winner tree and the accumulator under a fixed slack.
     let slack = 256 << 10;
     let bound = 12 * total as u64 + slack;
     assert!(
@@ -144,7 +145,7 @@ fn presized_merge_allocates_once_per_output_array() {
         "pre-sized merge peak growth {peak_growth} exceeds bound {bound} ({total} nnz)"
     );
 
-    // Row bands, with each band's lanes and accumulator warmed first:
+    // Row bands, with each band's accumulator warmed first:
     // still exactly the two output arrays, and the same bits.
     let bits = |m: &sparch_sparse::Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for bands in [2, 4] {
