@@ -1,10 +1,10 @@
 //! Round execution: the multiply → merge-tree → adder/zero-eliminator →
 //! writer pipeline (paper §II-E, Figure 10), and its per-round cost model.
 //!
-//! The functional half ([`RowFold`], behind [`kway_merge_fold`]) produces
-//! the round's merged stream bit for bit; the engine crate's `MergeTree`
-//! is the cycle-level model of the same computation and the two are
-//! cross-validated in `tests/merge_contract.rs`. The timing half
+//! The functional half (the row-wise fold, behind [`kway_merge_fold`])
+//! produces the round's merged stream bit for bit; the engine crate's
+//! `MergeTree` is the cycle-level model of the same computation and the
+//! two are cross-validated in `tests/merge_contract.rs`. The timing half
 //! ([`RoundCost`]) reproduces the simulator's per-round cycle estimate: a
 //! round is bound either by DRAM bandwidth or by the merge tree's root
 //! throughput, plus startup latencies (DRAM access, tree pipeline fill,
@@ -13,8 +13,9 @@
 //! # The functional model is a row-wise fold
 //!
 //! The hardware merges its inputs by comparing packed `(row, col)`
-//! coordinates. The model computes the same stream through the one
-//! row-wise fold the product's merge rounds run too,
+//! coordinates. The model needs only rows in ascending order: it
+//! computes the same stream through the one row-wise fold the product's
+//! merge rounds run too,
 //! [`sparch_sparse::algo::fold_rows`]: it visits output rows in ascending
 //! order, copies a run of rows one input alone holds straight through,
 //! and adds every input's segment of a shared row into the sparse
@@ -25,68 +26,45 @@
 //! item is either a coordinate's first or one addition, so the adds are
 //! inputs − outputs, as in the merge.
 //!
-//! A round's inputs are [`FoldInput`]s: earlier rounds' output streams,
-//! and fresh left-matrix columns whose products are made as the fold
-//! consumes them, as the multiplier array feeds the tree.
+//! A round's inputs are earlier rounds' outputs, stored as [`RowGroup`]s
+//! (occupied rows, plus a column and a value array: 12 bytes per entry,
+//! where the hardware's partial element is 16), and fresh left-matrix
+//! columns whose products are made as the fold consumes them, as the
+//! multiplier array feeds the tree. Either hands the fold a row at a
+//! time, as `(col, value)` entries; each input's cursor is its next group
+//! row or column element. [`kway_merge_fold`] turns its `MergeItem`
+//! streams into such partials first.
 
 use crate::condense::CondensedElement;
 use serde::{Deserialize, Serialize};
 use sparch_engine::MergeItem;
-use sparch_sparse::algo::{fold_rows, FoldScratch, RowSources};
-use sparch_sparse::Csr;
+use sparch_sparse::algo::{fold_rows, FoldScratch, RowGroup, RowSources};
+use sparch_sparse::{Csr, Index};
 use std::convert::Infallible;
 
 /// One input of a round's fold.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FoldInput<'s> {
-    /// A coordinate-sorted stream: a partial result read back from DRAM.
-    Stream(&'s [MergeItem]),
+    /// A partial result read back from DRAM.
+    Partial(&'s RowGroup),
     /// A left-matrix column (one element per row, in ascending row order)
-    /// whose stream is each element times the `B` row it selects —
+    /// whose rows are each element times the `B` row it selects —
     /// produced on the fly, as the multiplier array feeds the tree.
     Leaf(&'s [CondensedElement], &'s Csr),
 }
 
 impl FoldInput<'_> {
-    /// Row of unit `pos` — an item or an element — if there is one.
-    fn row(self, pos: usize) -> Option<u64> {
+    /// The row at cursor `pos`, if there is one.
+    fn head(self, pos: usize) -> Option<Index> {
         match self {
-            FoldInput::Stream(s) => s.get(pos).map(|item| item.coord >> 32),
-            FoldInput::Leaf(elements, _) => elements.get(pos).map(|e| u64::from(e.row)),
+            FoldInput::Partial(p) => p.head(pos),
+            FoldInput::Leaf(elements, _) => elements.get(pos).map(|e| e.row),
         }
-    }
-
-    /// Feeds every entry of the units from `pos` in rows below `limit` to
-    /// `f` (a leaf's products are made here) and returns how many units
-    /// that was.
-    fn feed(self, pos: usize, limit: u64, mut f: impl FnMut(u64, f64)) -> usize {
-        let mut n = 0;
-        match self {
-            FoldInput::Stream(s) => {
-                for item in s[pos..].iter().take_while(|x| x.coord >> 32 < limit) {
-                    f(item.coord, item.value);
-                    n += 1;
-                }
-            }
-            FoldInput::Leaf(elements, b) => {
-                for e in elements[pos..]
-                    .iter()
-                    .take_while(|e| u64::from(e.row) < limit)
-                {
-                    let (cols, vals) = b.row(e.orig_col as usize);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        f(u64::from(e.row) << 32 | u64::from(c), e.value * v);
-                    }
-                    n += 1;
-                }
-            }
-        }
-        n
     }
 }
 
-/// A round's inputs as the fold's sources: input `k` is `input(k)`,
-/// consumed up to unit `cursors[k]`.
+/// A round's inputs as the fold's sources: input `k` is `input(k)`, read
+/// from cursor `cursors[k]`.
 struct Inputs<'c, I> {
     input: I,
     cursors: &'c mut [usize],
@@ -99,13 +77,14 @@ impl<'s, I: Fn(usize) -> FoldInput<'s>> RowSources for Inputs<'_, I> {
         self.cursors.len()
     }
 
+    fn head(&mut self, k: usize) -> Result<Option<Index>, Infallible> {
+        Ok((self.input)(k).head(self.cursors[k]))
+    }
+
     fn buffered(&self, k: usize) -> (usize, bool) {
         let pos = self.cursors[k];
         let n = match (self.input)(k) {
-            FoldInput::Stream(s) => {
-                let row = s[pos].coord >> 32;
-                s[pos..].iter().take_while(|x| x.coord >> 32 == row).count()
-            }
+            FoldInput::Partial(p) => p.row_len(pos),
             FoldInput::Leaf(elements, b) => b.row_nnz(elements[pos].orig_col as usize),
         };
         (n, true)
@@ -114,40 +93,26 @@ impl<'s, I: Fn(usize) -> FoldInput<'s>> RowSources for Inputs<'_, I> {
     fn feed(
         &mut self,
         k: usize,
-        limit: u64,
-        f: impl FnMut(u64, f64),
-    ) -> Result<Option<u64>, Infallible> {
-        let input = (self.input)(k);
-        self.cursors[k] += input.feed(self.cursors[k], limit, f);
-        Ok(input.row(self.cursors[k]))
-    }
-
-    /// A stream may repeat a coordinate: its values are added from the
-    /// first, as a shared row's accumulator would add them.
-    fn copy(
-        &mut self,
-        k: usize,
-        limit: u64,
-        mut f: impl FnMut(u64, f64),
-    ) -> Result<Option<u64>, Infallible> {
-        let FoldInput::Stream(s) = (self.input)(k) else {
-            return self.feed(k, limit, f);
-        };
-        let run = &s[self.cursors[k]..];
-        let run = &run[..run.iter().take_while(|x| x.coord >> 32 < limit).count()];
-        for same in run.chunk_by(|x, y| x.coord == y.coord) {
-            f(
-                same[0].coord,
-                same[1..].iter().fold(same[0].value, |sum, x| sum + x.value),
-            );
+        mut f: impl FnMut(Index, f64),
+    ) -> Result<Option<Index>, Infallible> {
+        let (input, pos) = ((self.input)(k), &mut self.cursors[k]);
+        match input {
+            FoldInput::Partial(p) => p.feed(pos, f),
+            FoldInput::Leaf(elements, b) => {
+                let e = &elements[*pos];
+                let (cols, vals) = b.row(e.orig_col as usize);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    f(c, e.value * v);
+                }
+                *pos += 1;
+            }
         }
-        self.cursors[k] += run.len();
-        Ok(s.get(self.cursors[k]).map(|x| x.coord >> 32))
+        Ok(input.head(*pos))
     }
 }
 
-/// Folds inputs `0..num_inputs` (looked up through `input`) into `out`,
-/// which is cleared first, through `fold` with `cursors` as the inputs'
+/// Folds inputs `0..num_inputs` (looked up through `input`) into `emit`
+/// as `(row, col, value)`, through `fold` with `cursors` as the inputs'
 /// positions. Every output column must be below `width`.
 pub(crate) fn fold_round<'s>(
     num_inputs: usize,
@@ -155,20 +120,18 @@ pub(crate) fn fold_round<'s>(
     width: usize,
     fold: &mut FoldScratch,
     cursors: &mut Vec<usize>,
-    out: &mut Vec<MergeItem>,
+    emit: impl FnMut(Index, Index, f64),
 ) {
-    out.clear();
     cursors.clear();
     cursors.resize(num_inputs, 0);
     debug_assert!(
         (0..num_inputs).all(|k| match input(k) {
-            FoldInput::Stream(s) => sparch_engine::item::is_sorted(s),
+            FoldInput::Partial(_) => true,
             FoldInput::Leaf(elements, _) => elements.windows(2).all(|w| w[0].row < w[1].row),
         }),
-        "an input is not sorted by coordinate, or a leaf holds a row twice"
+        "a leaf holds a row twice"
     );
     let mut inputs = Inputs { input, cursors };
-    let emit = |r, c, v| out.push(MergeItem::new(r, c, v));
     let Ok(()) = fold_rows(&mut inputs, width, fold, emit);
 }
 
@@ -177,15 +140,16 @@ pub(crate) fn fold_round<'s>(
 /// number of additions performed.
 ///
 /// This is the functional model of one merge-tree round — the simulator's
-/// own row-wise fold (see the module docs), sized to the largest column
-/// present. The engine crate's `MergeTree` is the cycle-level model of
-/// the same computation, and both enforce the same input contract —
+/// own row-wise fold (see the module docs) over the streams turned into
+/// row-grouped partials, sized to the largest column present. The engine
+/// crate's `MergeTree` is the cycle-level model of the same computation,
+/// and both enforce the same input contract —
 /// streams sorted by packed coordinate (`sparch_engine::item::is_sorted`)
 /// — so they are interchangeable and cross-validated (see
 /// `tests/merge_contract.rs`).
 ///
-/// The accumulator holds one slot per column up to the largest column
-/// present, so memory is proportional to that column, not to the inputs.
+/// Besides that copy of the inputs (12 bytes per entry), the accumulator
+/// holds one slot per column up to the largest column present.
 ///
 /// # Panics
 ///
@@ -197,8 +161,8 @@ pub fn kway_merge_fold(streams: &[&[MergeItem]]) -> (Vec<MergeItem>, u64) {
 }
 
 /// Like [`kway_merge_fold`], but appends into a caller-provided buffer
-/// (cleared first), so repeated merges can reuse one allocation. Returns
-/// the number of additions performed.
+/// (cleared first), so repeated merges can reuse the output's
+/// allocation. Returns the number of additions performed.
 ///
 /// The simulator's round hot path runs the same fold over state kept in
 /// [`crate::SimScratch`]; after a warm-up run it performs no heap
@@ -215,15 +179,25 @@ pub fn kway_merge_fold_into(streams: &[&[MergeItem]], out: &mut Vec<MergeItem>) 
         .map(|item| item.col() as usize + 1)
         .max()
         .unwrap_or(0);
+    // A stream may repeat a coordinate; a partial holds it once, its
+    // values added from the first — the bits the fold's accumulator gives
+    // them, since its slots start at `-0.0`.
+    let partials: Vec<RowGroup> = streams
+        .iter()
+        .map(|s| {
+            let mut partial = RowGroup::with_capacity(s.len());
+            for same in s.chunk_by(|x, y| x.coord == y.coord) {
+                let sum = same[1..].iter().fold(same[0].value, |sum, x| sum + x.value);
+                partial.push(same[0].row(), same[0].col(), sum);
+            }
+            partial
+        })
+        .collect();
     let (fold, cursors) = (&mut FoldScratch::default(), &mut Vec::new());
-    fold_round(
-        streams.len(),
-        |k| FoldInput::Stream(streams[k]),
-        width,
-        fold,
-        cursors,
-        out,
-    );
+    out.clear();
+    let input = |k| FoldInput::Partial(&partials[k]);
+    let emit = |r, c, v| out.push(MergeItem::new(r, c, v));
+    fold_round(partials.len(), input, width, fold, cursors, emit);
     (items - out.len()) as u64
 }
 
@@ -535,7 +509,8 @@ mod tests {
             let mut out = Vec::new();
             let (fold, cursors) = (&mut FoldScratch::default(), &mut Vec::new());
             let input = |k: usize| FoldInput::Leaf(leaves[k].as_slice(), &b);
-            fold_round(leaves.len(), input, b.cols(), fold, cursors, &mut out);
+            let emit = |r, c, v| out.push(MergeItem::new(r, c, v));
+            fold_round(leaves.len(), input, b.cols(), fold, cursors, emit);
             assert_eq!(bits(&out), bits(&want));
             let items: usize = streams.iter().map(Vec::len).sum();
             assert_eq!((items - out.len()) as u64, want_adds);

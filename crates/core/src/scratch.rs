@@ -1,6 +1,6 @@
 //! Reusable simulation buffers: the zero-allocation round hot path.
 //!
-//! [`SpArchSim::run`](crate::SpArchSim::run) allocates fresh stream
+//! [`SpArchSim::run`](crate::SpArchSim::run) allocates fresh partial
 //! buffers for every round of every task. That is fine for a single run,
 //! but the paper's evaluation sweeps hundreds of independent simulations
 //! (20 suite matrices × ablations × design-space points), and a sharded
@@ -8,13 +8,15 @@
 //!
 //! [`SimScratch`] owns every buffer the round-execute stage touches:
 //!
-//! * the per-round merged outputs (partial results),
+//! * the per-round merged outputs (partial results, each a
+//!   [`RowGroup`]: occupied rows plus a column and a value array, 12 bytes
+//!   per entry),
 //! * the row-wise fold's accumulator (a `-0.0`-filled value array, one
 //!   slot per output column, a two-level occupancy bitmap and a short-row
 //!   sort buffer), its winner tree and the per-input cursors,
 //! * the prefetch stage's access lists and per-round MatB accounting.
 //!
-//! Leaf streams are never materialised: the fold multiplies each leaf's
+//! Leaf products are never materialised: the fold multiplies each leaf's
 //! elements by their `B` rows as it consumes them.
 //!
 //! Round outputs are indexed by round id, so re-running the **same** task
@@ -24,8 +26,7 @@
 //! buffers simply grow to the high-water mark and stay there.
 
 use crate::condense::CondensedElement;
-use sparch_engine::MergeItem;
-use sparch_sparse::algo::FoldScratch;
+use sparch_sparse::algo::{FoldScratch, RowGroup};
 
 /// Per-round MatB accounting produced by the prefetch stage and consumed
 /// by the execute stage.
@@ -59,8 +60,8 @@ pub(crate) struct RoundMatB {
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// Merged output of round `r` (index = round id; the last round's
-    /// entry is the final result stream consumed by the writeback stage).
-    pub(crate) round_outputs: Vec<Vec<MergeItem>>,
+    /// entry is the final result, whose rows the writeback stage reads).
+    pub(crate) round_outputs: Vec<RowGroup>,
     /// The row-wise fold every round runs through.
     pub(crate) fold: FoldScratch,
     /// The fold's per-input positions.
@@ -84,17 +85,6 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Clears `pool` down to `n` empty inner buffers, keeping every
-    /// allocation (inner vectors beyond `n` survive for later tasks).
-    fn clear_pool<T>(pool: &mut Vec<Vec<T>>, n: usize) {
-        for v in pool.iter_mut() {
-            v.clear();
-        }
-        if pool.len() < n {
-            pool.resize_with(n, Vec::new);
-        }
-    }
-
     /// Prepares the prefetch-stage buffers for a task with `num_rounds`
     /// rounds.
     pub(crate) fn prepare_prefetch(&mut self, num_rounds: usize) {
@@ -107,17 +97,16 @@ impl SimScratch {
     }
 
     /// Prepares the execute-stage buffers for a task with `num_rounds`
-    /// rounds.
+    /// rounds: every round output is emptied and kept, those beyond
+    /// `num_rounds` too, for later tasks.
     pub(crate) fn prepare_execute(&mut self, num_rounds: usize) {
-        Self::clear_pool(&mut self.round_outputs, num_rounds);
+        self.round_outputs.iter_mut().for_each(RowGroup::clear);
+        if self.round_outputs.len() < num_rounds {
+            self.round_outputs
+                .resize_with(num_rounds, RowGroup::default);
+        }
         self.round_consumed.clear();
         self.round_consumed.resize(num_rounds, false);
-    }
-
-    /// The final result stream of the last executed task (round
-    /// `num_rounds - 1`'s output).
-    pub(crate) fn final_stream(&self, num_rounds: usize) -> &[MergeItem] {
-        &self.round_outputs[num_rounds - 1]
     }
 }
 
@@ -129,12 +118,12 @@ mod tests {
     fn pools_keep_allocations_across_tasks() {
         let mut s = SimScratch::new();
         s.prepare_execute(3);
-        s.round_outputs[2].reserve(100);
+        s.round_outputs[2] = RowGroup::with_capacity(100);
         let cap = s.round_outputs[2].capacity();
         // A smaller follow-up task must not shrink or drop the buffers.
         s.prepare_execute(1);
         assert_eq!(s.round_outputs.len(), 3);
         assert!(s.round_outputs[2].capacity() >= cap);
-        assert!(s.round_outputs.iter().all(|v| v.is_empty()));
+        assert!(s.round_outputs.iter().all(RowGroup::is_empty));
     }
 }

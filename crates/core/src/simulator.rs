@@ -20,8 +20,8 @@
 //!    merge's *values* come from a row-wise accumulation that yields the
 //!    merge tree's stream bit for bit (see [`crate::pipeline`]); its
 //!    *costs* are the tree's,
-//! 4. **writeback** ([`SpArchSim::writeback_stage`]) — the final stream
-//!    becomes the result matrix and the cost models produce the report.
+//! 4. **writeback** ([`SpArchSim::writeback_stage`]) — the final round's
+//!    rows become the result matrix and the cost models produce the report.
 //!
 //! All buffers the execute stage touches live in a reusable
 //! [`SimScratch`], so repeated runs ([`SpArchSim::run_with_scratch`])
@@ -270,10 +270,14 @@ impl SpArchSim {
     /// **Stage 3 — round-execute.** Runs every merge round: multiplies
     /// the round's fresh columns, merges them with re-fetched partial
     /// results, folds duplicates, and accounts traffic, cycles and
-    /// activity. The final round's stream is left in `scratch` for the
-    /// writeback stage. A leaf's products are made as the round's
-    /// row-wise fold consumes them and never stored; its product count is
-    /// its [`SimPlan::leaf_weights`] entry.
+    /// activity. Each round's output is stored in `scratch` as a
+    /// row-grouped partial, `sparch_sparse::algo::RowGroup`, which later
+    /// rounds read back row by row; the final round's is left there for
+    /// the writeback stage. DRAM traffic is charged at the hardware's
+    /// 16-byte partial element, whatever the model stores. A leaf's
+    /// products are made as the round's row-wise fold consumes them and
+    /// never stored; its product count is its [`SimPlan::leaf_weights`]
+    /// entry.
     ///
     /// This is the hot path: with a warmed-up `scratch` (same task run
     /// once before) it performs no heap allocation (pinned by
@@ -372,9 +376,10 @@ impl SpArchSim {
             let out = &mut rest[0];
             let input = |c| match children[c] {
                 PlanNode::Leaf(i) => FoldInput::Leaf(&plan.leaves[i], b),
-                PlanNode::Round(r) => FoldInput::Stream(&earlier[r]),
+                PlanNode::Round(r) => FoldInput::Partial(&earlier[r]),
             };
-            fold_round(children.len(), input, b.cols(), fold, cursors, out);
+            let emit = |r, c, v| out.push(r, c, v);
+            fold_round(children.len(), input, b.cols(), fold, cursors, emit);
             // Every input element is a coordinate's first or one addition.
             let adds = input_elements - out.len() as u64;
 
@@ -414,7 +419,7 @@ impl SpArchSim {
     }
 
     /// **Stage 4 — writeback.** Assembles the result matrix from the
-    /// final round's stream and closes the books: prefetcher activity,
+    /// final round's rows and closes the books: prefetcher activity,
     /// timing summary, energy and area.
     pub fn writeback_stage(
         &self,
@@ -426,11 +431,12 @@ impl SpArchSim {
         scratch: &SimScratch,
     ) -> SimReport {
         let cfg = &self.config;
-        let final_stream = scratch.final_stream(plan.rounds.len());
+        let root = &scratch.round_outputs[plan.rounds.len() - 1];
 
-        let mut builder = CsrBuilder::with_capacity(a.rows(), b.cols(), final_stream.len());
-        for item in final_stream {
-            builder.push(item.row(), item.col(), item.value);
+        let mut builder = CsrBuilder::with_capacity(a.rows(), b.cols(), root.len());
+        let mut at = 0;
+        while let Some(row) = root.head(at) {
+            root.feed(&mut at, |c, v| builder.push(row, c, v));
         }
         let result = builder.finish();
 

@@ -97,7 +97,7 @@ struct Node {
 /// [`MergeTreeSim::push_leaf`] (streaming, with backpressure), and sealed
 /// with [`MergeTreeSim::finish_leaf`]. The tree advances one cycle per
 /// [`Clocked`] update/apply pair — typically driven by a
-/// [`Clock`](crate::clocked::Clock).
+/// [`crate::clocked::Clock`].
 ///
 /// # Example
 ///

@@ -51,7 +51,7 @@ impl ActivityCounts {
 /// Per-event energy constants in picojoules.
 ///
 /// Defaults are calibrated for TSMC 40 nm as in the paper: floating-point
-/// constants follow Galal & Horowitz [30]; SRAM/FIFO constants are
+/// constants follow Galal & Horowitz \[30\]; SRAM/FIFO constants are
 /// CACTI-class numbers for the small (KB-range) buffers in Table I; DRAM
 /// uses the paper's 42.6 GB/s/W (≈ 23.5 pJ/B).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -81,9 +81,9 @@ impl Backend {
     /// (`StreamConfig::pinned`) so results are reproducible and request
     /// fan-out stays the serving layer's only parallelism axis; the
     /// service's step executor substitutes its configured memory budget
-    /// via [`run_streaming_with`]. Spill I/O failure degrades to an
+    /// via `run_streaming_with`. Spill I/O failure degrades to an
     /// unbounded in-core retry instead of panicking (see
-    /// [`run_streaming_with`]).
+    /// `run_streaming_with`).
     ///
     /// # Panics
     ///

@@ -8,12 +8,15 @@
 //! merge rounds (`sparch_stream::merge`), whose sources are leaf panel
 //! pairs multiplied row by row, resident partials read in place and
 //! spilled partials decoded a row group at a time. Both see their sources
-//! through [`RowSources`] and run [`fold_rows`].
+//! through [`RowSources`] and run [`fold_rows`]. A source hands its
+//! entries over a row at a time, as `(col, value)`: the fold names the
+//! row, so no entry carries it, and the only packed key left is the
+//! winner tree's `(head row << 32) | source`.
 //!
 //! The fold visits output rows in ascending order. A run of rows that
 //! one source alone holds is copied straight through. A row that two or
 //! more sources share folds their segments, in source order and each in
-//! stream order, through the shared accumulator [`Spa`]: as a short row
+//! stream order, through the shared accumulator `Spa`: as a short row
 //! when every segment is buffered whole and they hold at most
 //! [`SHORT_ROW`] entries together, as a wide row otherwise. Either way a
 //! coordinate's values are added in `(source, position)` order from the
@@ -28,8 +31,9 @@ use crate::Index;
 const EXHAUSTED: u64 = u64::MAX;
 
 /// The sources of one fold, addressed by position `0..count()`. Each is a
-/// stream of `(key, value)` entries in ascending key order, keyed
-/// `(row << 32) | col`, with rows below `Index::MAX`.
+/// stream of rows in ascending order, below `Index::MAX`, each row's
+/// entries `(col, value)` in ascending column order. The head of a source
+/// is the first row it has not fed.
 pub trait RowSources {
     /// What feeding a source can fail with.
     type Error;
@@ -37,32 +41,20 @@ pub trait RowSources {
     /// The number of sources.
     fn count(&self) -> usize;
 
+    /// The row of source `k`'s head, or `None` once it is exhausted; asked
+    /// once per source before it is fed.
+    fn head(&mut self, k: usize) -> Result<Option<Index>, Self::Error>;
+
     /// The entries of source `k`'s head row it holds buffered now, and
     /// whether they are the whole row.
     fn buffered(&self, k: usize) -> (usize, bool);
 
-    /// Feeds every entry of source `k` in rows below `limit` to `f`, in
-    /// stream order, refilling its buffer as needed, and returns the row
-    /// of its new head entry, or `None` once it is exhausted. A limit of
-    /// 0 feeds nothing and only reports the head.
-    fn feed(
-        &mut self,
-        k: usize,
-        limit: u64,
-        f: impl FnMut(u64, f64),
-    ) -> Result<Option<u64>, Self::Error>;
-
-    /// Like [`RowSources::feed`], for a run of rows no other source holds,
-    /// so the entries go straight to the output: a source that may repeat
-    /// a coordinate must add its values from the first and feed it once.
-    fn copy(
-        &mut self,
-        k: usize,
-        limit: u64,
-        f: impl FnMut(u64, f64),
-    ) -> Result<Option<u64>, Self::Error> {
-        self.feed(k, limit, f)
-    }
+    /// Feeds every entry of source `k`'s head row to `f`, in column order,
+    /// refilling its buffer as needed, and returns the row of its new head,
+    /// or `None` once it is exhausted. The fold names the row itself: to
+    /// the output for a run of rows no other source holds, copied through
+    /// row by row, and to the accumulator for a shared row.
+    fn feed(&mut self, k: usize, f: impl FnMut(Index, f64)) -> Result<Option<Index>, Self::Error>;
 }
 
 /// Reusable state of [`fold_rows`]: the accumulator, a winner tree over
@@ -90,9 +82,9 @@ impl FoldScratch {
 
 /// Sets leaf `k` of the winner tree with `cap` leaves to the key of head
 /// row `head` and replays its path to the root.
-fn set(tree: &mut [u64], cap: usize, k: usize, head: Option<u64>) {
+fn set(tree: &mut [u64], cap: usize, k: usize, head: Option<Index>) {
     let mut i = cap + k;
-    tree[i] = head.map_or(EXHAUSTED, |row| (row << 32) | k as u64);
+    tree[i] = head.map_or(EXHAUSTED, |row| (u64::from(row) << 32) | k as u64);
     while i > 1 {
         i /= 2;
         tree[i] = tree[2 * i].min(tree[2 * i + 1]);
@@ -139,11 +131,11 @@ fn feed_row<S: RowSources>(
     sources: &mut S,
     (tree, cap): (&mut [u64], usize),
     shared: &[usize],
-    row: u64,
+    row: Index,
     acc: &mut impl Accumulate,
 ) -> Result<(), S::Error> {
     for &k in shared {
-        let head = sources.feed(k, row + 1, |key, v| acc.add(key as Index, v))?;
+        let head = sources.feed(k, |c, v| acc.add(c, v))?;
         if head != Some(row + 1) {
             set(tree, cap, k, head);
         }
@@ -187,17 +179,25 @@ pub fn fold_rows<S: RowSources>(
     let FoldScratch { spa, tree, shared } = scratch;
     let cap = n.next_power_of_two();
     tree.resize(2 * cap, EXHAUSTED);
+    // The row of a winner-tree key; an exhausted source's reads as
+    // `Index::MAX`, past every row.
+    let row_of = |key: u64| (key >> 32) as Index;
     for k in 0..n {
-        let head = sources.feed(k, 0, |_, _| {})?;
+        let head = sources.head(k)?;
         set(tree, cap, k, head);
     }
     while tree[1] != EXHAUSTED {
-        let (first, k) = (tree[1] >> 32, tree[1] as u32 as usize);
-        let next = runner_up(tree, cap, k) >> 32;
+        let (first, k) = (row_of(tree[1]), tree[1] as u32 as usize);
+        let next = row_of(runner_up(tree, cap, k));
         if next > first {
             // Source `k` alone holds rows `first..next`: copy them.
-            let copy = |key, v| emit((key >> 32) as Index, key as Index, v);
-            let head = sources.copy(k, next, copy)?;
+            let mut row = first;
+            let head = loop {
+                match sources.feed(k, |c, v| emit(row, c, v))? {
+                    Some(r) if r < next => row = r,
+                    head => break head,
+                }
+            };
             set(tree, cap, k, head);
             continue;
         }
@@ -205,7 +205,7 @@ pub fn fold_rows<S: RowSources>(
         // put back at row `first + 1`, where most go next, so the root
         // shows the one after it.
         shared.clear();
-        while tree[1] >> 32 == first {
+        while row_of(tree[1]) == first {
             let k = tree[1] as u32 as usize;
             shared.push(k);
             set(tree, cap, k, Some(first + 1));
@@ -215,7 +215,7 @@ pub fn fold_rows<S: RowSources>(
         // source's head is at hand before any is fed.
         let rows = shared.iter().map(|&k| sources.buffered(k));
         let (items, whole) = rows.fold((0, true), |(n, all), (m, w)| (n + m, all && w));
-        let mut out = |c, v| emit(first as Index, c, v);
+        let mut out = |c, v| emit(first, c, v);
         let fed = if whole && items <= SHORT_ROW {
             let mut acc = spa.short_row();
             let fed = feed_row(sources, (tree, cap), shared, first, &mut acc);
@@ -238,11 +238,14 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    /// Entries of one source: `(row, col, value)` in `(row, col)` order.
+    type Entries = Vec<(Index, Index, f64)>;
+
     /// Sources over fixed entry lists, each buffered `chunk` entries at a
     /// time like a spilled partial's row groups, and each failing when it
     /// reaches the entry at its `fail` position, if any.
     struct Chunked {
-        entries: Vec<Vec<(u64, f64)>>,
+        entries: Vec<Entries>,
         chunk: usize,
         /// Per source: next entry and end of the buffered window.
         pos: Vec<usize>,
@@ -251,15 +254,24 @@ mod tests {
     }
 
     impl Chunked {
-        fn new(entries: &[Vec<(u64, f64)>], chunk: usize) -> Self {
-            let end = entries.iter().map(|e| e.len().min(chunk)).collect();
+        fn new(entries: &[Entries], chunk: usize) -> Self {
             Chunked {
                 entries: entries.to_vec(),
                 chunk,
                 pos: vec![0; entries.len()],
-                end,
+                end: vec![0; entries.len()],
                 fail: vec![None; entries.len()],
             }
+        }
+
+        /// Source `k`'s head row, its window refilled once consumed.
+        fn refill(&mut self, k: usize) -> Option<Index> {
+            if self.pos[k] == self.end[k] {
+                self.end[k] = (self.end[k] + self.chunk).min(self.entries[k].len());
+            }
+            self.entries[k][self.pos[k]..self.end[k]]
+                .first()
+                .map(|e| e.0)
         }
     }
 
@@ -270,58 +282,60 @@ mod tests {
             self.entries.len()
         }
 
+        fn head(&mut self, k: usize) -> Result<Option<Index>, (usize, usize)> {
+            Ok(self.refill(k))
+        }
+
         fn buffered(&self, k: usize) -> (usize, bool) {
             let window = &self.entries[k][self.pos[k]..self.end[k]];
-            let row = window[0].0 >> 32;
-            let n = window.iter().take_while(|e| e.0 >> 32 == row).count();
+            let n = window.iter().take_while(|e| e.0 == window[0].0).count();
             (n, n < window.len())
         }
 
         fn feed(
             &mut self,
             k: usize,
-            limit: u64,
-            mut f: impl FnMut(u64, f64),
-        ) -> Result<Option<u64>, (usize, usize)> {
-            loop {
-                while self.pos[k] < self.end[k] && self.entries[k][self.pos[k]].0 >> 32 < limit {
-                    if self.fail[k] == Some(self.pos[k]) {
-                        return Err((k, self.pos[k]));
-                    }
-                    let (key, v) = self.entries[k][self.pos[k]];
-                    f(key, v);
-                    self.pos[k] += 1;
+            mut f: impl FnMut(Index, f64),
+        ) -> Result<Option<Index>, (usize, usize)> {
+            let row = self.refill(k);
+            while self.refill(k) == row {
+                if self.fail[k] == Some(self.pos[k]) {
+                    return Err((k, self.pos[k]));
                 }
-                if self.pos[k] < self.end[k] || self.end[k] == self.entries[k].len() {
-                    let head = self.entries[k][self.pos[k]..self.end[k]].first();
-                    return Ok(head.map(|&(key, _)| key >> 32));
-                }
-                self.end[k] = (self.end[k] + self.chunk).min(self.entries[k].len());
+                let (_, c, v) = self.entries[k][self.pos[k]];
+                f(c, v);
+                self.pos[k] += 1;
             }
+            Ok(self.refill(k))
         }
     }
 
     /// A fold's output as `(row, col, value bits)`.
     type Bits = Vec<(Index, Index, u64)>;
 
-    /// Per-triple heap oracle: entries keyed `(key, source, position)`,
-    /// each coordinate folded from its first value.
-    fn heap_fold(entries: &[Vec<(u64, f64)>]) -> Bits {
+    /// Per-triple heap oracle: entries keyed `(row, col, source,
+    /// position)`, each coordinate folded from its first value.
+    fn heap_fold(entries: &[Entries]) -> Bits {
         let mut heap: BinaryHeap<_> = entries
             .iter()
             .enumerate()
-            .flat_map(|(k, s)| s.iter().enumerate().map(move |(p, e)| Reverse((e.0, k, p))))
+            .flat_map(|(k, s)| {
+                s.iter()
+                    .enumerate()
+                    .map(move |(p, e)| Reverse((e.0, e.1, k, p)))
+            })
             .collect();
-        let mut out: Vec<(u64, f64)> = Vec::new();
-        while let Some(Reverse((key, k, p))) = heap.pop() {
-            let v = entries[k][p].1;
+        let mut out: Entries = Vec::new();
+        while let Some(Reverse((r, c, k, p))) = heap.pop() {
+            let v = entries[k][p].2;
             match out.last_mut() {
-                Some(last) if last.0 == key => last.1 += v,
-                _ => out.push((key, v)),
+                Some(last) if (last.0, last.1) == (r, c) => last.2 += v,
+                _ => out.push((r, c, v)),
             }
         }
-        let split = |(key, v): (u64, f64)| ((key >> 32) as Index, key as Index, v.to_bits());
-        out.into_iter().map(split).collect()
+        out.into_iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect()
     }
 
     fn fold(
@@ -338,7 +352,7 @@ mod tests {
     /// Folds `entries` at every chunk size in `chunks` through one scratch
     /// and checks each against the heap bit for bit and the accumulator
     /// clean after it.
-    fn check(entries: &[Vec<(u64, f64)>], chunks: &[usize], what: &str) {
+    fn check(entries: &[Entries], chunks: &[usize], what: &str) {
         let want = heap_fold(entries);
         let mut scratch = FoldScratch::default();
         for &chunk in chunks {
@@ -367,15 +381,15 @@ mod tests {
     /// A source holding `cols` columns, strided by `step` from `start`, in
     /// every row of `rows`.
     fn source(
-        rows: std::ops::Range<u64>,
-        cols: u64,
-        start: u64,
-        step: u64,
+        rows: std::ops::Range<Index>,
+        cols: Index,
+        start: Index,
+        step: Index,
         seed: usize,
-    ) -> Vec<(u64, f64)> {
+    ) -> Entries {
         rows.flat_map(|r| (0..cols).map(move |i| (r, start + i * step)))
             .enumerate()
-            .map(|(n, (r, c))| ((r << 32) | c, value(seed + n)))
+            .map(|(n, (r, c))| (r, c, value(seed + n)))
             .collect()
     }
 
@@ -445,17 +459,18 @@ mod tests {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            state % bound
+            (state % bound) as Index
         };
         for round in 0..300 {
-            let entries: Vec<Vec<(u64, f64)>> = (0..1 + next(9))
+            let entries: Vec<Entries> = (0..1 + next(9))
                 .map(|_| {
-                    let mut keys: Vec<u64> =
-                        (0..next(80)).map(|_| (next(12) << 32) | next(64)).collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    keys.into_iter()
-                        .map(|key| (key, value(round + key as usize)))
+                    let mut coords: Vec<(Index, Index)> =
+                        (0..next(80)).map(|_| (next(12), next(64))).collect();
+                    coords.sort_unstable();
+                    coords.dedup();
+                    coords
+                        .into_iter()
+                        .map(|(r, c)| (r, c, value(round + 64 * r as usize + c as usize)))
                         .collect()
                 })
                 .collect();
@@ -463,6 +478,23 @@ mod tests {
                 &entries,
                 &[1 + next(5) as usize, 1024],
                 &format!("round {round}"),
+            );
+        }
+        // Rows up to `Index::MAX - 1`, the last a source may hold, whose
+        // next row's winner-tree key is an exhausted source's row: source
+        // 1's rows from `MAX - 4` are a lone run to the end when source 2
+        // is empty, and end on a shared row `MAX - 1` when it is not.
+        const MAX: Index = Index::MAX;
+        for from in [MAX - 1, MAX] {
+            let entries = vec![
+                source(MAX - 8..MAX - 4, 3, 0, 5, 0),
+                source(MAX - 6..MAX, 4, 1, 3, 7),
+                source(from..MAX, 2, 2, 7, 19),
+            ];
+            check(
+                &entries,
+                &[1, 3, 1024],
+                &format!("rows to MAX - 1, from {from}"),
             );
         }
     }

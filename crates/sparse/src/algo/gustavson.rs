@@ -1048,6 +1048,12 @@ mod tests {
             self.products.len()
         }
 
+        fn head(&mut self, p: usize) -> Result<Option<Index>, Self::Error> {
+            Ok(self.products[p].live()[..self.end[p]]
+                .get(self.at[p])
+                .copied())
+        }
+
         fn buffered(&self, p: usize) -> (usize, bool) {
             (self.products[p].bound(self.at[p]..self.at[p] + 1), true)
         }
@@ -1055,18 +1061,11 @@ mod tests {
         fn feed(
             &mut self,
             p: usize,
-            limit: u64,
-            mut f: impl FnMut(u64, f64),
-        ) -> Result<Option<u64>, Self::Error> {
-            let (product, at) = (&self.products[p], &mut self.at[p]);
-            let live = &product.live()[..self.end[p]];
-            while live.get(*at).is_some_and(|&i| u64::from(i) < limit) {
-                let row = u64::from(live[*at]) << 32;
-                let fed = product.feed_row(*at, self.scratch, |j, v| f(row | u64::from(j), v));
-                self.counts[p] += fed;
-                *at += 1;
-            }
-            Ok(live.get(*at).map(|&i| u64::from(i)))
+            f: impl FnMut(Index, f64),
+        ) -> Result<Option<Index>, Self::Error> {
+            self.counts[p] += self.products[p].feed_row(self.at[p], self.scratch, f);
+            self.at[p] += 1;
+            self.head(p)
         }
     }
 

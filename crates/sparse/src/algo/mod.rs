@@ -27,6 +27,7 @@ mod hash;
 mod heap;
 mod inner;
 mod outer;
+mod row_group;
 mod sort_merge;
 mod spa;
 
@@ -39,6 +40,7 @@ pub use hash::hash_spgemm;
 pub use heap::heap_spgemm;
 pub use inner::{inner_product, inner_product_stats, InnerStats};
 pub use outer::{outer_product, outer_product_partials};
+pub use row_group::RowGroup;
 pub use sort_merge::{expansion_size, sort_merge};
 pub use spa::SHORT_ROW;
 

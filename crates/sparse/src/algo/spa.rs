@@ -45,8 +45,8 @@
 
 use crate::Index;
 
-/// Rows with at most this many products fold through [`ShortRow`]; longer
-/// rows go through the bitmap of [`WideRow`].
+/// Rows with at most this many products fold through a short row, sorted
+/// by column; longer rows go through the dense value array's bitmap.
 pub const SHORT_ROW: usize = 32;
 
 /// Bits in one bitmap word.

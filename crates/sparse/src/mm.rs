@@ -967,6 +967,16 @@ mod tests {
             path
         }
 
+        /// Removes its file when dropped, so a test that panics on
+        /// purpose still leaves nothing behind.
+        struct Removed(std::path::PathBuf);
+
+        impl Drop for Removed {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_file(&self.0);
+            }
+        }
+
         /// Re-assembles row panels into one full-shape COO.
         fn reassemble(reader: RowPanelReader) -> Coo {
             let (rows, cols) = (reader.rows(), reader.cols());
@@ -1150,20 +1160,16 @@ mod tests {
         #[should_panic(expected = "does not tile")]
         fn gapped_explicit_ranges_panic() {
             let m = gen::uniform_random(8, 8, 20, 1).to_coo();
-            let path = temp_mtx("gapped", &write_string(&m));
-            let result = RowPanelReader::open_with_ranges(&path, vec![0..3, 5..8]);
-            let _ = std::fs::remove_file(&path);
-            let _ = result;
+            let file = Removed(temp_mtx("gapped", &write_string(&m)));
+            let _ = RowPanelReader::open_with_ranges(&file.0, vec![0..3, 5..8]);
         }
 
         #[test]
         #[should_panic(expected = "cover only")]
         fn short_explicit_ranges_panic() {
             let m = gen::uniform_random(8, 8, 20, 2).to_coo();
-            let path = temp_mtx("short", &write_string(&m));
-            let result = PanelReader::open_with_ranges(&path, std::iter::once(0..5).collect());
-            let _ = std::fs::remove_file(&path);
-            let _ = result;
+            let file = Removed(temp_mtx("short", &write_string(&m)));
+            let _ = PanelReader::open_with_ranges(&file.0, std::iter::once(0..5).collect());
         }
 
         #[test]

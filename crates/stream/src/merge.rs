@@ -13,12 +13,14 @@
 //! is a wide comparator array rather than a one-comparator heap:
 //!
 //! * **Row-wise sources.** Every source hands the fold its rows in
-//!   order, each from its own storage. A resident partial is read in
-//!   place, row by row, from its CSR arrays, stepping over its empty
-//!   rows. A spilled partial decodes up to [`GROUP_ENTRIES`] entries at a
-//!   time into a row group it owns — `(col, value)` per entry plus row
-//!   starts — through the branch-free LEB128 reader in `spill.rs`; a row
-//!   longer than a group is handed over in parts.
+//!   order, each from its own storage, and each row's entries as
+//!   `(col, value)`: no source packs a `(row, col)` key. A resident
+//!   partial is read in place, row by row, from its CSR arrays, stepping
+//!   over its empty rows. A spilled partial decodes up to
+//!   `GROUP_ENTRIES` (1024) entries at a time into a [`RowGroup`] it
+//!   owns — the row-grouped partial the simulator's rounds store too —
+//!   through the branch-free LEB128 reader in `spill.rs`; a row longer
+//!   than a group is handed over in parts.
 //! * **Leaves multiplied in the fold.** A [`Leaf`] source is a panel pair
 //!   `A[:, p]`, `B[p, :]`, not a partial, so a round folds a leaf's rows
 //!   as they are produced — SpArch's pipelined multiply and merge
@@ -77,9 +79,11 @@
 //! [`merge_sources_reference`], and a differential suite pins the two to
 //! byte-equal outputs.
 
-use crate::spill::{mark_stride, RowGroup, SpillFile, SpillReader, GROUP_ENTRIES};
+use crate::spill::{mark_stride, SpillFile, SpillReader, GROUP_ENTRIES};
 use crate::StreamError;
-use sparch_sparse::algo::{fold_rows, FoldScratch, MultiplyScratch, RowProduct, RowSources};
+use sparch_sparse::algo::{
+    fold_rows, FoldScratch, MultiplyScratch, RowGroup, RowProduct, RowSources,
+};
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -160,12 +164,13 @@ enum Inner {
         end: usize,
     },
     /// A spilled partial, decoded through a bounded buffer into its row
-    /// group, with the writer's record of the whole file — whose row
-    /// index lets a band open a reader at its own rows — or `None` for a
-    /// band's reader.
+    /// group, read from group row `at`, with the writer's record of the
+    /// whole file — whose row index lets a band open a reader at its own
+    /// rows — or `None` for a band's reader.
     Disk {
         reader: SpillReader,
         group: Box<RowGroup>,
+        at: usize,
         file: Option<Box<SpillFile>>,
     },
     /// A leaf multiplied as it is read: its live rows at positions
@@ -208,6 +213,7 @@ impl PartialSource {
         PartialSource(Inner::Disk {
             reader,
             group,
+            at: 0,
             file,
         })
     }
@@ -315,55 +321,74 @@ impl PartialSource {
     fn buffered(&self) -> (usize, bool) {
         match &self.0 {
             Inner::Mem { csr, row, .. } => (csr.row_ptr()[*row + 1] - csr.row_ptr()[*row], true),
-            Inner::Disk { group, .. } => group.buffered(),
+            Inner::Disk { group, at, .. } => (group.row_len(*at), *at + 1 < group.row_count()),
             Inner::Leaf { leaf, at, .. } => (leaf.product.bound(*at..*at + 1), true),
         }
     }
 
-    /// Feeds every entry in rows below `limit` to `f` as `(row << 32) |
-    /// col` keys and values — a leaf's rows multiplied through `scratch`,
-    /// a spilled partial's decoded a row group at a time — and returns
-    /// the row of the new head, or `None` once the source is exhausted.
-    #[inline(always)]
-    fn feed(
-        &mut self,
-        limit: u64,
-        scratch: &mut MultiplyScratch,
-        mut f: impl FnMut(u64, f64),
-    ) -> Result<Option<u64>, StreamError> {
-        match &mut self.0 {
+    /// The row of the head, or `None` once the source is exhausted: a
+    /// resident partial steps over its empty rows, a spilled one decodes
+    /// its next row group once it has read the last.
+    fn head(&mut self) -> Result<Option<Index>, StreamError> {
+        Ok(match &mut self.0 {
             Inner::Mem { csr, row, end } => {
-                let (rp, ci, vs) = (csr.row_ptr(), csr.col_indices(), csr.values());
-                let stop = limit.min(*end as u64) as usize;
-                while *row < stop {
-                    let (span, hi) = (rp[*row]..rp[*row + 1], (*row as u64) << 32);
-                    for (&c, &v) in ci[span.clone()].iter().zip(&vs[span]) {
-                        f(hi | u64::from(c), v);
-                    }
-                    *row += 1;
-                }
+                let rp = csr.row_ptr();
                 while *row < *end && rp[*row] == rp[*row + 1] {
                     *row += 1;
                 }
-                Ok((*row < *end).then_some(*row as u64))
+                (*row < *end).then_some(*row as Index)
             }
-            Inner::Disk { reader, group, .. } => loop {
-                group.feed(limit, &mut f);
-                if group.head().is_some() || reader.next_rows(GROUP_ENTRIES, group)? == 0 {
-                    return Ok(group.head().map(u64::from));
+            Inner::Disk {
+                reader, group, at, ..
+            } => {
+                if *at == group.row_count() {
+                    reader.next_rows(GROUP_ENTRIES, group)?;
+                    *at = 0;
                 }
-            },
-            Inner::Leaf { leaf, at, end, fed } => {
-                let product = &leaf.product;
-                let live = &product.live()[..*end];
-                while live.get(*at).is_some_and(|&i| u64::from(i) < limit) {
-                    let row = u64::from(live[*at]) << 32;
-                    *fed += product.feed_row(*at, scratch, |j, v| f(row | u64::from(j), v));
-                    *at += 1;
+                group.head(*at)
+            }
+            Inner::Leaf { leaf, at, end, .. } => leaf.product.live()[..*end].get(*at).copied(),
+        })
+    }
+
+    /// Feeds every entry of the head row to `f` as `(col, value)` — a
+    /// leaf's row multiplied through `scratch`, a spilled partial's read
+    /// on into its next row group if it goes on there — and returns the
+    /// row of the new head.
+    #[inline(always)]
+    fn feed(
+        &mut self,
+        scratch: &mut MultiplyScratch,
+        mut f: impl FnMut(Index, f64),
+    ) -> Result<Option<Index>, StreamError> {
+        match &mut self.0 {
+            Inner::Mem { csr, row, .. } => {
+                let (cols, vals) = csr.row(*row);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    f(c, v);
                 }
-                Ok(live.get(*at).map(|&i| u64::from(i)))
+                *row += 1;
+            }
+            Inner::Disk {
+                reader, group, at, ..
+            } => {
+                let row = group.head(*at);
+                group.feed(at, &mut f);
+                while *at == group.row_count() {
+                    reader.next_rows(GROUP_ENTRIES, group)?;
+                    *at = 0;
+                    if group.head(0) != row {
+                        break;
+                    }
+                    group.feed(at, &mut f);
+                }
+            }
+            Inner::Leaf { leaf, at, fed, .. } => {
+                *fed += leaf.product.feed_row(*at, scratch, f);
+                *at += 1;
             }
         }
+        self.head()
     }
 }
 
@@ -467,6 +492,10 @@ impl RowSources for BandSources<'_> {
         self.sources.len()
     }
 
+    fn head(&mut self, k: usize) -> Result<Option<Index>, StreamError> {
+        self.sources[k].head()
+    }
+
     fn buffered(&self, k: usize) -> (usize, bool) {
         self.sources[k].buffered()
     }
@@ -477,13 +506,8 @@ impl RowSources for BandSources<'_> {
     /// 4-way Uniform(60 000, 8)² multiply 1.04–1.10× slower on a 2-core
     /// host.
     #[inline(always)]
-    fn feed(
-        &mut self,
-        k: usize,
-        limit: u64,
-        f: impl FnMut(u64, f64),
-    ) -> Result<Option<u64>, StreamError> {
-        self.sources[k].feed(limit, self.product, f)
+    fn feed(&mut self, k: usize, f: impl FnMut(Index, f64)) -> Result<Option<Index>, StreamError> {
+        self.sources[k].feed(self.product, f)
     }
 }
 

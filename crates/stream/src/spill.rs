@@ -50,12 +50,12 @@
 //! it reaches the raw size (an empty partial is the common case) and the
 //! partial is encoded again, raw.
 //!
-//! **Row index.** The same pass records a [`RowIndex`] in the returned
+//! **Row index.** The same pass records a row index in the returned
 //! [`SpillFile`]: a mark every `⌈rows / 1024⌉` rows holding the byte
 //! offset, the entries before it and the row of the entry before it —
 //! the decoder's whole state at a row boundary. The stride depends on
 //! the shape alone, so every partial of a merge round has its marks at
-//! the same rows, and [`SpillReader::open_band`] can start a reader at
+//! the same rows, and a band reader (`SpillReader::open_band`) can start at
 //! any mark. The index lives in memory only: the formats below do not
 //! change, because a spill file only ever comes back to the process
 //! that wrote it.
@@ -75,9 +75,10 @@
 //! * a **spill file** is read by [`SpillReader`] through a bounded 64 KiB
 //!   buffer; the decoder runs over each buffered window, taking an entry
 //!   only while a worst-case one fits or the window holds the file's
-//!   tail. [`SpillReader::next_rows`], which fills a merge source's
-//!   [`RowGroup`], and [`SpillReader::read_all`] are thin loops over
-//!   that one path. A band reader holds its entries to its rows as well;
+//!   tail. `SpillReader::next_rows`, which fills a merge source's
+//!   [`RowGroup`] — the row-grouped partial the simulator's rounds store
+//!   too — and [`SpillReader::read_all`] are thin loops over that one
+//!   path. A band reader holds its entries to its rows as well;
 //! * a **wire frame** is decoded whole by [`decode_partial`].
 //!
 //! Both hold the header's entry count against the body bytes present
@@ -89,6 +90,7 @@
 //! [`StreamError::Io`] — never a panic — and a file's carries its path.
 
 use crate::{SpillCodec, StreamError};
+use sparch_sparse::algo::RowGroup;
 use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -487,7 +489,7 @@ pub fn encode_partial_into(buf: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) -> u
 /// [`encode_partial`] for frames that crossed a process boundary.
 ///
 /// The header is validated before it is believed — the magic, a shape
-/// within [`MAX_WIRE_DIM`], an entry count the payload can hold — and
+/// within `MAX_WIRE_DIM` (2²⁴), an entry count the payload can hold — and
 /// the body goes through the same entry decoder as [`SpillReader`]
 /// (shape, order and overflow checks included), followed by an
 /// exact-length check: trailing garbage is an error. Corruption
@@ -922,16 +924,8 @@ impl<R: Read> SpillReader<R> {
         max: usize,
         group: &mut RowGroup,
     ) -> Result<usize, StreamError> {
-        let RowGroup { rows, entries, at } = group;
-        rows.clear();
-        entries.clear();
-        *at = 0;
-        self.read_entries(max, |(r, c, v)| {
-            if rows.last().is_none_or(|last| last.0 != r) {
-                rows.push((r, entries.len()));
-            }
-            entries.push((c, v));
-        })
+        group.clear();
+        self.read_entries(max, |(r, c, v)| group.push(r, c, v))
     }
 
     /// Drains the whole file into a CSR — the non-streaming fallback used
@@ -980,62 +974,9 @@ impl<R: Read> SpillReader<R> {
 }
 
 /// Entries a merge source decodes from a spilled partial at a time
-/// ([`SpillReader::next_rows`]): at most 32 KiB of row group per spilled
+/// ([`SpillReader::next_rows`]): at most 28 KiB of row group per spilled
 /// source, enough to amortize the decoder's setup per call.
 pub(crate) const GROUP_ENTRIES: usize = 1024;
-
-/// Entries of a spilled partial decoded in order and grouped by row:
-/// group row `g` is `(row, start)` = `rows[g]`, its `(col, value)`
-/// entries run from `start` to the next row's start (or the end) of
-/// `entries`, and the last row may go on in the next group. Rows before
-/// `at` have been consumed.
-#[derive(Debug, Default)]
-pub(crate) struct RowGroup {
-    rows: Vec<(Index, usize)>,
-    entries: Vec<(Index, f64)>,
-    at: usize,
-}
-
-impl RowGroup {
-    /// An empty group with room for `entries` entries.
-    pub(crate) fn with_capacity(entries: usize) -> Self {
-        RowGroup {
-            rows: Vec::with_capacity(entries),
-            entries: Vec::with_capacity(entries),
-            at: 0,
-        }
-    }
-
-    /// The entries of group row `g`.
-    fn row(&self, g: usize) -> &[(Index, f64)] {
-        let end = self.rows.get(g + 1).map_or(self.entries.len(), |r| r.1);
-        &self.entries[self.rows[g].1..end]
-    }
-
-    /// The first row not consumed, if any.
-    pub(crate) fn head(&self) -> Option<Index> {
-        self.rows.get(self.at).map(|r| r.0)
-    }
-
-    /// The head row's entries, and whether they are the whole row: the
-    /// group's last row may go on in the next group.
-    pub(crate) fn buffered(&self) -> (usize, bool) {
-        (self.row(self.at).len(), self.at + 1 < self.rows.len())
-    }
-
-    /// Consumes every row below `limit`, handing its entries to `f` as
-    /// `(row << 32) | col` keys and values.
-    #[inline(always)]
-    pub(crate) fn feed(&mut self, limit: u64, mut f: impl FnMut(u64, f64)) {
-        while let Some(row) = self.head().filter(|&r| u64::from(r) < limit) {
-            let hi = u64::from(row) << 32;
-            for &(c, v) in self.row(self.at) {
-                f(hi | u64::from(c), v);
-            }
-            self.at += 1;
-        }
-    }
-}
 
 /// Decodes one LEB128 value from `buf` at `*i`, advancing `i` — the one
 /// varint decoder. With at least 8 bytes ahead, every 1–8-byte encoding
@@ -1539,12 +1480,13 @@ mod tests {
             if n == 0 {
                 break;
             }
-            assert!(n <= cap && n == group.entries.len());
-            assert!(group.rows.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(group.rows[0].1, 0);
-            for (g, &(row, _)) in group.rows.iter().enumerate() {
-                assert!(!group.row(g).is_empty(), "group row {g} is empty");
-                got.extend(group.row(g).iter().map(|&(c, v)| (row, c, v.to_bits())));
+            assert!(n <= cap && n == group.len());
+            let (mut at, mut prev) = (0, None);
+            while let Some(row) = group.head(at) {
+                assert!(prev < Some(row), "group row {at} repeats a row");
+                assert!(group.row_len(at) > 0, "group row {at} is empty");
+                group.feed(&mut at, |c, v| got.push((row, c, v.to_bits())));
+                prev = Some(row);
             }
         }
         assert_eq!(reader.remaining(), 0);
