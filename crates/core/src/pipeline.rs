@@ -148,8 +148,9 @@ pub(crate) fn fold_round<'s>(
 /// — so they are interchangeable and cross-validated (see
 /// `tests/merge_contract.rs`).
 ///
-/// Besides that copy of the inputs (12 bytes per entry), the accumulator
-/// holds one slot per column up to the largest column present.
+/// Besides that copy of the inputs (12 bytes per entry and 16 per
+/// occupied row of each partial), the accumulator holds one slot per
+/// column up to the largest column present.
 ///
 /// # Panics
 ///
@@ -179,20 +180,22 @@ pub fn kway_merge_fold_into(streams: &[&[MergeItem]], out: &mut Vec<MergeItem>) 
         .map(|item| item.col() as usize + 1)
         .max()
         .unwrap_or(0);
-    // A stream may repeat a coordinate; a partial holds it once, its
-    // values added from the first — the bits the fold's accumulator gives
-    // them, since its slots start at `-0.0`.
-    let partials: Vec<RowGroup> = streams
-        .iter()
-        .map(|s| {
-            let mut partial = RowGroup::with_capacity(s.len());
-            for same in s.chunk_by(|x, y| x.coord == y.coord) {
-                let sum = same[1..].iter().fold(same[0].value, |sum, x| sum + x.value);
-                partial.push(same[0].row(), same[0].col(), sum);
+    // A stream may repeat a coordinate: its `j`-th occurrence goes to the
+    // stream's `j`-th partial, placed after its earlier ones, so a repeat
+    // is a row shared by several partials, folded in `(stream, position)`
+    // order like any other.
+    let mut partials: Vec<RowGroup> = Vec::new();
+    for s in streams {
+        let first = partials.len();
+        for same in s.chunk_by(|x, y| x.coord == y.coord) {
+            for (j, x) in same.iter().enumerate() {
+                if first + j == partials.len() {
+                    partials.push(RowGroup::default());
+                }
+                partials[first + j].push(x.row(), x.col(), x.value);
             }
-            partial
-        })
-        .collect();
+        }
+    }
     let (fold, cursors) = (&mut FoldScratch::default(), &mut Vec::new());
     out.clear();
     let input = |k| FoldInput::Partial(&partials[k]);
@@ -385,7 +388,7 @@ mod tests {
                 let mut s = Vec::new();
                 for r in 0..24u32 {
                     let mut cols: Vec<u32> =
-                        (0..(r * 3 + k) % 40).map(|i| (i * 7 + r) % 50).collect();
+                        (0..(r * 3 + k) % 40).map(|i| (i * 7 + r) % 30).collect();
                     cols.sort_unstable();
                     for (i, c) in cols.into_iter().enumerate() {
                         let v = match (i + k as usize) % 5 {
@@ -412,9 +415,10 @@ mod tests {
         assert_eq!(adds, want_adds);
     }
 
-    /// Rows 0 and 2 belong to the first stream alone, so they are copied
-    /// through, and it repeats coordinates there: each must still be
-    /// folded from its first item, in stream order.
+    /// Rows 0 and 2 belong to the first stream alone, and it repeats
+    /// coordinates there: each must still be folded from its first item,
+    /// in stream order. Then a second stream holds row 0 before the
+    /// repeats, whose values must be added after its own, one at a time.
     #[test]
     fn a_lone_stream_folds_its_repeated_coordinates() {
         let s1 = stream_of(&[
@@ -432,6 +436,13 @@ mod tests {
         let (got, adds) = kway_merge_fold(&refs);
         assert_eq!(bits(&got), bits(&want));
         assert_eq!((got.len(), adds), (4, want_adds));
+        let s0 = stream_of(&[(0, 0, 1e16)]);
+        let s1 = stream_of(&[(0, 0, 1.0), (0, 0, 1.0)]);
+        let refs: [&[MergeItem]; 2] = [&s0, &s1];
+        let (want, want_adds) = sorted_oracle(&refs);
+        let (got, adds) = kway_merge_fold(&refs);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!((got[0].value, adds), (1e16, want_adds));
     }
 
     #[test]
