@@ -53,7 +53,7 @@
 //! in this process, on results it already holds.
 //!
 //! **Wire format.** Frames are length-prefixed ([`wire`]) and matrices
-//! travel as SPM2 spill-codec blocks ([`sparch_stream::spill`]), encoded
+//! travel as SPM3 spill-codec blocks ([`sparch_stream::spill`]), encoded
 //! straight into the frame from borrowed matrices and decoded by an
 //! untrusting validator — corruption surfaces as a typed [`DistError`],
 //! never a panic or a hang.

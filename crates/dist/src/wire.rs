@@ -11,12 +11,12 @@
 //!
 //! Matrices inside a payload travel as **SPM blocks** — a `u64` length
 //! followed by exactly the bytes [`spill::encode_partial`] produces, so
-//! the wire format *is* the spill codec: the same delta+varint encoding
-//! (with its per-file raw fallback), decoded by [`spill::decode_partial`]
-//! through the same entry decoder that reads spill files back —
-//! bounds, order and overflow checked per entry — plus the two checks
-//! only a block from another process needs: a cap on the declared shape
-//! and an exact length. A truncated, corrupted or oversized frame
+//! the wire format *is* the spill codec: the same row-grouped block
+//! encoding (with its per-file raw fallback), decoded by
+//! [`spill::decode_partial`] through the same block decoder that reads
+//! spill files back — bounds, order and overflow checked per row — plus
+//! the two checks only a block from another process needs: a cap on the
+//! declared shape and an exact length. A truncated, corrupted or oversized frame
 //! therefore surfaces as a typed [`DistError`] — never a panic, a hang,
 //! or an unbounded allocation.
 //!

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 fn frames_round_trip_through_a_worker_process_over_the_arb_grid() {
     // Every panel pair crosses the socket to a worker and every partial
     // crosses back, so a 1-shard distributed run over the shared `arb`
-    // strategies is an end-to-end SPM2 round-trip at process scope:
+    // strategies is an end-to-end SPM3 round-trip at process scope:
     // any wire corruption or codec asymmetry would break bit-equality
     // with the in-process pipeline.
     let strategy = gen::arb::spgemm_pair(24, 220, gen::arb::ValueClass::Float);

@@ -79,6 +79,22 @@ impl RowGroup {
         self.values.push(value);
     }
 
+    /// Appends `n` entries to row `row` — a row after every row held, or
+    /// the last row held going on — and returns their column and value
+    /// slots, zeroed, for the caller to fill in ascending column order
+    /// after the row's earlier entries.
+    #[inline]
+    pub fn extend_row(&mut self, row: Index, n: usize) -> (&mut [Index], &mut [f64]) {
+        let (start, last) = (self.cols.len(), self.rows.last().map(|r| r.0));
+        debug_assert!(last <= Some(row), "row out of order");
+        if last != Some(row) {
+            self.rows.push((row, start));
+        }
+        self.cols.resize(start + n, 0);
+        self.values.resize(start + n, 0.0);
+        (&mut self.cols[start..], &mut self.values[start..])
+    }
+
     /// The entries of group row `g`.
     fn span(&self, g: usize) -> std::ops::Range<usize> {
         let end = self.rows.get(g + 1).map_or(self.cols.len(), |r| r.1);

@@ -99,25 +99,36 @@ impl FromStr for PanelBalance {
 ///
 /// See the [`spill`](crate::spill) module docs for the exact layouts.
 /// The codec never affects results — only spill bytes and encode/decode
-/// CPU. Neither codec wins everywhere: Varint writes fewer bytes, Raw
-/// takes less wall time on a fast local disk. Twelve alternating
-/// budgeted `StreamingExecutor::multiply` calls per codec (16 nnz-balanced
-/// panels, 4 ways, 2 threads, budget a quarter of an unbounded run's
-/// `partial_bytes_total`, operands built with seed 1, 2-core VM), median
-/// seconds per call and spill bytes per call, Raw against Varint:
+/// CPU. Eleven alternating rounds of `StreamingExecutor::multiply` per
+/// operand (16 nnz-balanced panels, 4 ways, 2 threads, operands built
+/// with seed 1 and squared, 2-core VM): an unbounded call, then a call
+/// budgeted at a quarter of the unbounded `partial_bytes_total` under
+/// each codec. Medians of seconds per call, of `spill_write_seconds` and
+/// of spill bytes per call; the last column splits the `SPM3` bytes of
+/// the operand's 16 leaf partials (equal-width inner panels) into
+/// coordinate bytes (block and row headers, control bits, column codes)
+/// and value bytes, per entry:
 ///
-/// | operand          | Raw              | Varint           |
-/// |------------------|------------------|------------------|
-/// | R-MAT(8192, 8)²  | 0.261 s, 59.0 MB | 0.327 s, 16.5 MB |
-/// | Uniform(60 000)² | 0.363 s, 46.2 MB | 0.388 s, 31.9 MB |
-/// | Band(8000, 64)²  | 0.163 s, 30.5 MB | 0.188 s, 19.1 MB |
+/// | operand          | unbounded | `SPM3`  | Raw     | write s, `SPM3` / Raw | MB, `SPM3` / Raw | coords / values |
+/// |------------------|-----------|---------|---------|-----------------------|------------------|-----------------|
+/// | R-MAT(8192, 8)²  | 0.088 s   | 0.113 s | 0.126 s | 0.037 / 0.032 s       | 8.9 / 59.0       | 1.30 / 1.12 B   |
+/// | Uniform(60 000)² | 0.126 s   | 0.146 s | 0.149 s | 0.032 / 0.026 s       | 29.7 / 46.2      | 2.47 / 8.00 B   |
+/// | Band(8000, 64)²  | 0.060 s   | 0.070 s | 0.075 s | 0.020 / 0.017 s       | 17.7 / 30.5      | 1.30 / 8.00 B   |
+///
+/// `SPM2`, the delta and LEB128 format `SPM3` replaced, measured in the
+/// same rounds at 0.139 / 0.184 / 0.091 s budgeted, 0.066 / 0.066 /
+/// 0.039 s of spill writes and 16.5 / 31.9 / 19.1 MB. R-MAT's values
+/// are integers and take a byte each; Uniform's and Band's are full
+/// floats and stay raw, so their savings are all in the coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SpillCodec {
     /// Sorted COO at 16 bytes per entry — no encode/decode cost.
     Raw,
-    /// Delta-encoded coordinates + LEB128 varints (byte-swapped value
-    /// bits): 2-4× smaller on integer-valued partials, never larger than
-    /// raw (the writer falls back per file).
+    /// Row-grouped blocks (`SPM3`): per-row headers, 1–4-byte column
+    /// deltas with their lengths in a separate control stream, and
+    /// integer-width values where a block's values are all integers. The
+    /// name predates the format. 2–6× smaller on integer-valued partials,
+    /// never larger than raw (the writer falls back per file).
     Varint,
 }
 

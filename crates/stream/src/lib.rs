@@ -39,8 +39,8 @@
 //!    built, stored or spilled, and
 //! 3. keeps the resident set of round outputs under an explicit
 //!    [`MemoryBudget`]: outputs that do not fit spill to a temp
-//!    directory in a compact binary format — raw sorted COO or the
-//!    delta+varint codec ([`SpillCodec`], [`spill`]-module docs) — and
+//!    directory in a compact binary format — raw sorted COO or
+//!    row-grouped blocks ([`SpillCodec`], [`spill`]-module docs) — and
 //!    *stream* back in for their merge round — a spilled partial is
 //!    consumed through a small read buffer, never re-materialized.
 //!

@@ -19,8 +19,8 @@
 //!   over its empty rows. A spilled partial decodes up to
 //!   `GROUP_ENTRIES` (1024) entries at a time into a [`RowGroup`] it
 //!   owns — the row-grouped partial the simulator's rounds store too —
-//!   through the branch-free LEB128 reader in `spill.rs`; a row longer
-//!   than a group is handed over in parts.
+//!   a row slice at a time from the block format in `spill.rs`; a row
+//!   longer than a group is handed over in parts.
 //! * **Leaves multiplied in the fold.** A [`Leaf`] source is a panel pair
 //!   `A[:, p]`, `B[p, :]`, not a partial, so a round folds a leaf's rows
 //!   as they are produced — SpArch's pipelined multiply and merge
@@ -168,7 +168,7 @@ enum Inner {
     /// whole file — whose row index lets a band open a reader at its own
     /// rows — or `None` for a band's reader.
     Disk {
-        reader: SpillReader,
+        reader: Box<SpillReader>,
         group: Box<RowGroup>,
         at: usize,
         file: Option<Box<SpillFile>>,
@@ -211,7 +211,7 @@ impl PartialSource {
         let entries = usize::try_from(reader.remaining()).unwrap_or(usize::MAX);
         let group = Box::new(RowGroup::with_capacity(entries.min(GROUP_ENTRIES)));
         PartialSource(Inner::Disk {
-            reader,
+            reader: Box::new(reader),
             group,
             at: 0,
             file,
@@ -238,7 +238,7 @@ impl PartialSource {
                 debug_assert!(row == 0 && end == csr.rows(), "not a fresh source");
                 Ok(Arc::unwrap_or_clone(csr))
             }
-            Inner::Disk { reader, .. } => reader.read_all(),
+            Inner::Disk { reader, .. } => (*reader).read_all(),
             Inner::Leaf { leaf, .. } => Ok(leaf.product.multiply(&mut MultiplyScratch::new())),
         }
     }
@@ -811,8 +811,6 @@ mod tests {
     /// clean sources exactly.
     fn assert_damaged_spill_stops_the_merge(tag: &str, fan_ins: &[usize]) {
         let dir = TempDir::new(tag);
-        // All-ones values and < 64 columns: every varint entry is exactly
-        // 5 bytes, so body byte `5 * e` is the row delta of entry `e`.
         let ones = |seed| linalg::map_values(&gen::uniform_random(64, 64, 2000, seed), |_| 1.0);
         let clean = write_partial(&dir.file("clean.bin"), &ones(2), SpillCodec::Varint).unwrap();
         let spilled = |file: &SpillFile| PartialSource::from_spill(file.clone()).unwrap();
@@ -825,9 +823,8 @@ mod tests {
             let damaged = dir.file("damaged.bin");
             let file = write_partial(&damaged, &ones(1), SpillCodec::Varint).unwrap();
             assert!(ones(1).nnz() > entry);
-            assert_eq!(file.bytes, 28 + 5 * ones(1).nnz() as u64);
-            let mut bytes = std::fs::read(&damaged).unwrap();
-            bytes[28 + 5 * entry] = 0x7f;
+            let bytes = crate::spill::tests::with_row_shifted_at(&ones(1), entry);
+            assert_eq!(file.bytes, bytes.len() as u64);
             std::fs::write(&damaged, bytes).unwrap();
             for (&ways, with_leaf, bands) in fan_ins
                 .iter()

@@ -1,15 +1,15 @@
 //! The compact binary spill formats for partial matrices.
 //!
 //! A spilled partial is the paper's "partially merged result written back
-//! to DRAM", transplanted to disk: sorted COO triples, the same
-//! row-major `(row, col)` order the merge hardware consumes ("sorted by
-//! row index then column index", §II-A), so a reader can stream straight
-//! into a k-way merge without ever materializing the matrix.
+//! to DRAM", transplanted to disk: the entries in the row-major
+//! `(row, col)` order the merge hardware consumes ("sorted by row index
+//! then column index", §II-A), so a reader can stream straight into a
+//! k-way merge without ever materializing the matrix.
 //!
 //! Two on-disk formats share a 28-byte header (little-endian):
 //!
 //! ```text
-//! magic  u32   0x5350_4d31 ("SPM1", raw) | 0x5350_4d32 ("SPM2", varint)
+//! magic  u32   0x5350_4d31 ("SPM1", raw) | 0x5350_4d33 ("SPM3", blocks)
 //! rows   u64
 //! cols   u64
 //! nnz    u64
@@ -18,67 +18,77 @@
 //! **Raw** (`SPM1`) stores each entry as `(row u32, col u32, value f64)`
 //! — 16 bytes per element, streamable in both directions.
 //!
-//! **Delta+varint** (`SPM2`) exploits the sort order: rows are
-//! non-decreasing and columns strictly increase within a row, so
-//! coordinates delta-encode into single-byte varints almost always.
-//! Per entry:
+//! **Row-grouped blocks** (`SPM3`, written for [`SpillCodec::Varint`])
+//! exploit the sort order the way the fold reads it: a row at a time. The
+//! body is a run of blocks of at most [`GROUP_ENTRIES`] entries; a block
+//! never spans a mark of the row index (below), and a row longer than
+//! the room left in a block goes on in the next one. Each block is
 //!
 //! ```text
-//! drow   varint  row - previous row (0 for same-row runs)
-//! token  varint  (cval << 1) | value_mode
-//!                cval = col            if first entry or drow > 0
-//!                     = col - prev_col otherwise (≥ 1: strictly increasing)
-//! value  value_mode 0: varint of value.to_bits().swap_bytes()
-//!        value_mode 1: raw 8-byte little-endian bit pattern
+//! rows     u16  occupied rows it holds (1..=entries)
+//! entries  u16  entries it holds (1..=GROUP_ENTRIES)
+//! width    u8   bytes per value: 1, 2 or 4 (integer lanes), or 8 (raw f64 bits)
+//! control  ⌈codes / 4⌉ bytes: 2 bits per code, its length in bytes − 1,
+//!          low bits first; bits past the last code are zero
+//! codes    per row: its row delta, its entry count, then one column
+//!          code per entry — each 1–4 bytes, little-endian
+//! values   entries × width bytes
 //! ```
 //!
-//! The byte swap moves the mantissa's trailing zero bytes — which small
-//! integers, halves and other short-mantissa values have in abundance —
-//! to the top of the word where LEB128 drops them: `3.0` encodes in 2
-//! bytes instead of 8. Values whose swapped varint would not beat the
-//! raw 8 bytes use mode 1, so an entry never pays more than
-//! `drow + token + 8`. As a final guarantee a varint encoding that is
-//! not strictly smaller than raw is thrown away and the partial is
-//! written raw instead — a *requested* varint spill is never larger
-//! than raw, on any input.
+//! with `codes = 2 · rows + entries`. This is the Stream VByte layout
+//! (Lemire, Kurz & Rupp, 2018): the lengths sit in their own stream, so
+//! neither encoder nor decoder branches per entry. A row delta is the
+//! row minus the previous row (the row itself for the first row of the
+//! partial); a zero delta on a block's first row marks the previous
+//! block's last row going on, and is an error anywhere else. A row's
+//! first column code is its column, the rest — and the first of a row
+//! going on — are deltas from the column before, at least 1 since
+//! columns strictly increase. A block stores its values as
+//! sign-magnitude integer lanes, `|v| << 1 | sign`, of the narrowest
+//! width that holds them when every value is an integer below 2³¹ in
+//! magnitude — signed zeros included, so `-0.0` costs one byte like
+//! `0.0`; NaN, the infinities and fractions do not qualify — and as raw
+//! 8-byte words otherwise. An encoding that is not
+//! strictly smaller than raw is thrown away and the partial is written
+//! raw instead — a *requested* block spill is never larger than raw, on
+//! any input.
 //!
 //! **One pass.** The writer walks `row_ptr`, `col_idx` and `values`
-//! once. Every LEB128 field it emits fits in 7 bytes, so each is built
-//! as one little-endian word plus a length and stored whole into a
+//! once, a block at a time (each block's values are scanned once more
+//! for their width). Codes are stored as whole 4-byte words into a
 //! fixed-size chunk buffer, which goes out with one `write_all` when the
-//! next entry might not fit. A varint encoding is abandoned the moment
-//! it reaches the raw size (an empty partial is the common case) and the
+//! next block might not fit. A block encoding is abandoned the moment it
+//! reaches the raw size (an empty partial is the common case) and the
 //! partial is encoded again, raw.
 //!
 //! **Row index.** The same pass records a row index in the returned
 //! [`SpillFile`]: a mark every `⌈rows / 1024⌉` rows holding the byte
 //! offset, the entries before it and the row of the entry before it —
-//! the decoder's whole state at a row boundary. The stride depends on
-//! the shape alone, so every partial of a merge round has its marks at
-//! the same rows, and a band reader (`SpillReader::open_band`) can start at
-//! any mark. The index lives in memory only: the formats below do not
-//! change, because a spill file only ever comes back to the process
-//! that wrote it.
+//! the decoder's whole state at a row boundary, where a block starts.
+//! The stride depends on the shape alone, so every partial of a merge
+//! round has its marks at the same rows, and a band reader
+//! (`SpillReader::open_band`) can start at any mark. The index lives in
+//! memory only: the formats above do not change, because a spill file
+//! only ever comes back to the process that wrote it.
 //!
 //! The same encoding doubles as the **wire format** of the distributed
 //! layer: [`encode_partial`] produces the header + body as bytes for a
 //! socket frame, byte for byte what [`write_partial`] puts on disk.
 //!
 //! **One decoder, two framings.** Whatever the bytes came from, one
-//! function turns them into entries: it parses an entry of either
-//! format from a byte slice and a cursor, taking a single-load LEB128
-//! path while eight bytes are ahead and bounds-checked reads near the
-//! end of the input, and holds every entry to the header's shape and to
-//! strictly increasing `(row, col)` order. The two framings only decide
-//! what slice it sees:
+//! decoder turns them into rows of a [`RowGroup`] — the row-grouped
+//! partial a merge source reads and the simulator's rounds store — a row
+//! slice at a time. It opens a block only once the whole block is in the
+//! bytes it is given, and holds each row, not each entry, to the
+//! header's shape: the row inside the shape (or a band reader's rows)
+//! and after the previous row, its column deltas all at least 1 and its
+//! last column below `cols`. The two framings only decide what slice it
+//! sees:
 //!
 //! * a **spill file** is read by [`SpillReader`] through a bounded 64 KiB
-//!   buffer; the decoder runs over each buffered window, taking an entry
-//!   only while a worst-case one fits or the window holds the file's
-//!   tail. `SpillReader::next_rows`, which fills a merge source's
-//!   [`RowGroup`] — the row-grouped partial the simulator's rounds store
-//!   too — and [`SpillReader::read_all`] are thin loops over that one
-//!   path. A band reader holds its entries to its rows as well;
+//!   buffer, which always holds a worst-case block or the file's tail.
+//!   `SpillReader::next_rows`, which fills a merge source's row group,
+//!   and [`SpillReader::read_all`] are thin loops over that one path;
 //! * a **wire frame** is decoded whole by [`decode_partial`].
 //!
 //! Both hold the header's entry count against the body bytes present
@@ -91,37 +101,57 @@
 
 use crate::{SpillCodec, StreamError};
 use sparch_sparse::algo::RowGroup;
-use sparch_sparse::{Csr, CsrBuilder, Index, Triple};
+use sparch_sparse::{Csr, CsrBuilder, Index};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 const MAGIC_RAW: u32 = 0x5350_4d31;
-const MAGIC_VARINT: u32 = 0x5350_4d32;
+const MAGIC_BLOCKS: u32 = 0x5350_4d33;
 const HEADER_BYTES: u64 = 28;
 const RAW_ENTRY_BYTES: u64 = 16;
+
+/// Bytes of a block's header: rows, entries, value width.
+const BLOCK_HEADER_BYTES: usize = 5;
 
 /// Read-buffer capacity for streaming a spilled partial back in. Small
 /// by design: this bounds the resident bytes a spilled merge child costs.
 const READ_BUF_BYTES: usize = 64 * 1024;
 
-/// Worst-case encoded size of one entry in either format — three 10-byte
-/// LEB128 fields (drow, token, value), above raw's 16 — so a buffered
-/// window with this many bytes ahead holds the next entry whole.
-const MAX_VARINT_ENTRY_BYTES: usize = 30;
+/// Entries a merge source decodes from a spilled partial at a time
+/// ([`SpillReader::next_rows`]), and the most a block holds: at most
+/// 28 KiB of row group per spilled source, enough to amortize the
+/// decoder's setup per call.
+pub(crate) const GROUP_ENTRIES: usize = 1024;
+
+/// The most bytes a block of `entries` entries can take: its header, and
+/// per entry three 4-byte codes with their control bits (a row of its
+/// own at most) and an 8-byte value. The writer keeps this much chunk
+/// room free before it encodes a block.
+const fn block_room(entries: usize) -> usize {
+    BLOCK_HEADER_BYTES + (3 * entries).div_ceil(4) + 3 * 4 * entries + 8 * entries
+}
+
+/// The largest block, which a read buffer holds whole.
+const MAX_BLOCK_BYTES: usize = block_room(GROUP_ENTRIES);
+const _: () = assert!(MAX_BLOCK_BYTES <= READ_BUF_BYTES);
+
+/// An upper bound on [`block_room`] per entry, for blocks of any size:
+/// what [`chunk_len`] sizes a small partial's chunk buffer by.
+const MAX_ENTRY_BYTES: usize = 26;
+const _: () = assert!(block_room(1) <= MAX_ENTRY_BYTES);
+
+/// The fewest bytes an entry can take, in quarter bytes: a 1-byte column
+/// code and its 2 control bits, and a 1-byte value (raw: 16 bytes).
+/// Every header's entry count is held against the body bytes at this
+/// rate before anything is sized by it.
+const MIN_ENTRY_QUARTERS: u64 = 9;
 
 /// Chunk-buffer capacity of the writer: encoded bytes collected per
 /// `write_all`. The same as a reader's buffer, and below the allocator's
 /// default mmap threshold, so a fresh one stays cheap.
 const CHUNK_BYTES: usize = 64 * 1024;
-
-/// Chunk room the writer keeps free before it encodes an entry. A raw
-/// entry is 16 bytes. A varint entry's fields are at most 5 (drow, a
-/// `u32` delta), 5 (token, 33 bits) and 8 (value) bytes, and each field
-/// is stored as a whole 8-byte word, so the last store ends at most 18
-/// bytes past the entry's start.
-const ENTRY_ROOM: usize = 18;
 
 /// Marks per [`RowIndex`], at most (plus the end mark).
 const MARKS: usize = 1024;
@@ -168,13 +198,14 @@ pub(crate) struct RowIndex {
 /// One mark of a [`RowIndex`].
 #[derive(Debug, Clone, Copy)]
 struct Mark {
-    /// Byte offset of the first entry at or after the mark's row.
+    /// Byte offset of the first entry at or after the mark's row: the
+    /// start of a block in the block format.
     offset: u64,
     /// Entries before the mark.
     entries: u64,
     /// Row of the entry before the mark (0 when there is none): the
-    /// delta decoder's state at the mark, since the entry after it
-    /// starts a new row and so carries an absolute column.
+    /// decoder's state at the mark, since the entry after it starts a
+    /// new row.
     prev_row: Index,
 }
 
@@ -205,8 +236,9 @@ pub fn raw_size(csr: &Csr) -> u64 {
     HEADER_BYTES + csr.nnz() as u64 * RAW_ENTRY_BYTES
 }
 
-/// The exact on-disk size `csr` would occupy in the delta+varint format
-/// (before the writer's raw fallback is applied).
+/// The exact on-disk size `csr` would occupy in the block format
+/// [`SpillCodec::Varint`] writes (before the writer's raw fallback is
+/// applied).
 pub fn varint_size(csr: &Csr) -> u64 {
     let mut chunk = vec![0u8; chunk_len(csr)];
     let sized = encode(csr, true, u64::MAX, &mut chunk, |_| Ok(()));
@@ -218,7 +250,7 @@ pub fn varint_size(csr: &Csr) -> u64 {
 
 /// Writes `csr` to `path` under the requested codec.
 ///
-/// [`SpillCodec::Varint`] is a *request*: a varint encoding that is not
+/// [`SpillCodec::Varint`] is a *request*: a block encoding that is not
 /// strictly smaller than raw is thrown away and the file written raw,
 /// so the returned [`SpillFile::bytes`] never exceeds [`raw_size`]. The
 /// magic records the format actually chosen.
@@ -246,7 +278,7 @@ impl SpillWriter {
 
     /// Encodes `csr` into what `create` opens — the file at `path`, or a
     /// faulting writer under test — and reports it as a spill file at
-    /// `path`. A varint encoding that reaches the raw size is abandoned
+    /// `path`. A block encoding that reaches the raw size is abandoned
     /// and `create` is called again for the raw one, so `create` must
     /// start an empty file each time. A failed write names `path` and
     /// leaves no file there.
@@ -261,19 +293,19 @@ impl SpillWriter {
         if self.chunk.len() < want {
             self.chunk.resize(want, 0);
         }
-        let mut write = |varint: bool, limit: u64| {
+        let mut write = |blocks: bool, limit: u64| {
             let mut w = create()?;
-            let done = encode(csr, varint, limit, &mut self.chunk, |b| w.write_all(b))?;
+            let done = encode(csr, blocks, limit, &mut self.chunk, |b| w.write_all(b))?;
             w.flush()?;
             Ok::<_, io::Error>(done)
         };
-        // `None` when there is no varint encoding: not asked for, or
+        // `None` when there is no block encoding: not asked for, or
         // abandoned at the raw size.
-        let varint = match codec {
+        let blocks = match codec {
             SpillCodec::Raw => None,
             SpillCodec::Varint => write(true, raw_size(csr)).transpose(),
         };
-        let written = match varint {
+        let written = match blocks {
             Some(done) => done,
             None => write(false, u64::MAX).map(|done| done.expect("raw is never abandoned")),
         };
@@ -302,7 +334,7 @@ fn spill_io(path: &Path, verb: &str, detail: &dyn std::fmt::Display) -> StreamEr
 /// The chunk buffer [`encode`] needs for `csr`: [`CHUNK_BYTES`], or less
 /// when the partial's worst-case encoding is smaller.
 fn chunk_len(csr: &Csr) -> usize {
-    let worst = HEADER_BYTES as usize + ENTRY_ROOM * (csr.nnz() + 1);
+    let worst = HEADER_BYTES as usize + MAX_ENTRY_BYTES * csr.nnz();
     worst.min(CHUNK_BYTES)
 }
 
@@ -328,13 +360,6 @@ impl Chunk<'_> {
         self.pos += len;
     }
 
-    /// Stores `v` (below 2⁵⁶) as LEB128.
-    #[inline(always)]
-    fn varint(&mut self, v: u64) {
-        let (word, len) = leb128_word(v);
-        self.word(word, len);
-    }
-
     /// Hands the buffered bytes to `sink`.
     fn flush(&mut self, sink: &mut impl FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
         sink(&self.buf[..self.pos])?;
@@ -344,24 +369,8 @@ impl Chunk<'_> {
     }
 }
 
-/// The LEB128 encoding of `v` (below 2⁵⁶) as one little-endian word and
-/// its length in bytes. Branch-free: field lengths vary entry to entry,
-/// and a branch on them mispredicts.
-#[inline(always)]
-fn leb128_word(v: u64) -> (u64, usize) {
-    let len = varint_len(v) as usize;
-    // Byte k takes bits 7k..7k+7 of `v`, spread in three halving steps:
-    // 28-bit groups into 32-bit lanes, 14-bit into 16-bit, 7-bit into
-    // bytes. Every byte but the last carries the continuation bit.
-    let v = (v & 0x0fff_ffff) | (v & 0x00ff_ffff_f000_0000) << 4;
-    let v = (v & 0x0000_3fff_0000_3fff) | (v & 0x0fff_c000_0fff_c000) << 2;
-    let v = (v & 0x007f_007f_007f_007f) | (v & 0x3f80_3f80_3f80_3f80) << 1;
-    let more = 0x8080_8080_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
-    (v | more, len)
-}
-
 /// The one encoder behind [`write_partial`], [`encode_partial`] and
-/// [`varint_size`]: header and body of `csr` in the varint (`varint`) or
+/// [`varint_size`]: header and body of `csr` in the block (`blocks`) or
 /// raw format, built in `buf` (at least [`chunk_len`] bytes) and handed
 /// to `sink` a chunk at a time, with the [`RowIndex`] recorded on the
 /// way. Returns the bytes encoded and the index, or `None` — with the
@@ -369,19 +378,19 @@ fn leb128_word(v: u64) -> (u64, usize) {
 /// `limit` bytes.
 fn encode(
     csr: &Csr,
-    varint: bool,
+    blocks: bool,
     limit: u64,
     buf: &mut [u8],
     mut sink: impl FnMut(&[u8]) -> io::Result<()>,
 ) -> io::Result<Option<(u64, RowIndex)>> {
     debug_assert!(buf.len() >= chunk_len(csr));
-    let (rp, ci, vs) = (csr.row_ptr(), csr.col_indices(), csr.values());
+    let rp = csr.row_ptr();
     let mut out = Chunk {
         buf,
         pos: 0,
         flushed: 0,
     };
-    let magic = if varint { MAGIC_VARINT } else { MAGIC_RAW };
+    let magic = if blocks { MAGIC_BLOCKS } else { MAGIC_RAW };
     out.word(magic.into(), 4);
     for word in [csr.rows(), csr.cols(), csr.nnz()] {
         out.word(word as u64, 8);
@@ -389,46 +398,41 @@ fn encode(
     let rows = csr.rows();
     let stride = mark_stride(rows);
     let mut marks = Vec::with_capacity(rows.div_ceil(stride) + 1);
-    let mut prev_row: Index = 0;
+    // The row holding the next block's first entry, and the row of the
+    // entry before it.
+    let (mut row, mut prev_row): (usize, Index) = (0, 0);
     for start in (0..rows).step_by(stride) {
         marks.push(Mark {
             offset: out.bytes(),
             entries: rp[start] as u64,
             prev_row,
         });
-        for r in start..(start + stride).min(rows) {
-            let (lo, hi) = (rp[r], rp[r + 1]);
-            if lo == hi {
-                continue;
-            }
-            let row = r as Index;
-            // A row's first entry carries the row delta and an absolute
-            // column; the rest carry a zero delta and a column delta.
-            let (mut drow, mut base) = (u64::from(row - prev_row), 0);
-            for j in lo..hi {
-                if out.buf.len() - out.pos < ENTRY_ROOM {
-                    if out.bytes() >= limit {
-                        return Ok(None);
-                    }
-                    out.flush(&mut sink)?;
+        let span = rp[start]..rp[(start + stride).min(rows)];
+        for lo in span.clone().step_by(GROUP_ENTRIES) {
+            let block = lo..span.end.min(lo + GROUP_ENTRIES);
+            let room = if blocks {
+                block_room(block.len())
+            } else {
+                RAW_ENTRY_BYTES as usize * block.len()
+            };
+            if out.buf.len() - out.pos < room {
+                if out.bytes() >= limit {
+                    return Ok(None);
                 }
-                let (col, bits) = (ci[j], vs[j].to_bits());
-                if varint {
-                    // The value as the varint of its swapped bits when
-                    // that is shorter than 8 bytes (mode 0), else raw.
-                    let swapped = bits.swap_bytes();
-                    let raw = varint_len(swapped) >= 8;
-                    let value = if raw { (bits, 8) } else { leb128_word(swapped) };
-                    out.varint(drow);
-                    out.varint(u64::from(col - base) << 1 | u64::from(raw));
-                    out.word(value.0, value.1);
-                    (drow, base) = (0, col);
-                } else {
-                    out.word(u64::from(row) | u64::from(col) << 32, 8);
-                    out.word(bits, 8);
-                }
+                out.flush(&mut sink)?;
             }
-            prev_row = row;
+            while rp[row + 1] <= lo {
+                row += 1;
+            }
+            if blocks {
+                put_block(&mut out, csr, row, block.clone(), prev_row);
+            } else {
+                put_raw(&mut out, csr, row, block.clone());
+            }
+            while rp[row + 1] < block.end {
+                row += 1;
+            }
+            prev_row = row as Index;
         }
     }
     if out.bytes() >= limit {
@@ -448,6 +452,177 @@ fn encode(
     Ok(Some((out.flushed, index)))
 }
 
+/// The occupied rows of `rp` holding entries in `block`, from row
+/// `first` (the row of its first entry) on, each with the part of its
+/// entries inside the block.
+fn block_rows(
+    rp: &[usize],
+    first: usize,
+    block: Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    (first..)
+        .map_while(move |r| {
+            (rp[r] < block.end).then(|| (r, rp[r].max(block.start)..rp[r + 1].min(block.end)))
+        })
+        .filter(|(_, part)| !part.is_empty())
+}
+
+/// Stores the entries `block` of `csr`, the first in row `first`, as raw
+/// 16-byte entries.
+fn put_raw(out: &mut Chunk, csr: &Csr, first: usize, block: Range<usize>) {
+    let (ci, vs) = (csr.col_indices(), csr.values());
+    for (r, part) in block_rows(csr.row_ptr(), first, block) {
+        for j in part {
+            out.word(r as u64 | u64::from(ci[j]) << 32, 8);
+            out.word(vs[j].to_bits(), 8);
+        }
+    }
+}
+
+/// Stores the entries `block` of `csr`, the first in row `first` and
+/// the entry before them in row `prev_row`, as one block. The chunk must
+/// have [`block_room`] bytes free.
+fn put_block(out: &mut Chunk, csr: &Csr, first: usize, block: Range<usize>, mut prev_row: Index) {
+    let (rp, ci, vs) = (csr.row_ptr(), csr.col_indices(), csr.values());
+    let rows = block_rows(rp, first, block.clone()).count();
+    let values = &vs[block.clone()];
+    let width = value_width(values);
+    let at = out.pos;
+    let ctrl = at + BLOCK_HEADER_BYTES;
+    let data = ctrl + (2 * rows + block.len()).div_ceil(4);
+    out.buf[at..at + 2].copy_from_slice(&(rows as u16).to_le_bytes());
+    out.buf[at + 2..at + 4].copy_from_slice(&(block.len() as u16).to_le_bytes());
+    out.buf[at + 4] = width as u8;
+    out.buf[ctrl..data].fill(0);
+    let mut codes = CodeWriter {
+        buf: out.buf,
+        ctrl,
+        code: 0,
+        data,
+    };
+    for (r, part) in block_rows(rp, first, block) {
+        // A row going on from the last block continues its deltas; any
+        // other row starts from its own first column.
+        let (drow, col) = if part.start > rp[r] {
+            (0, ci[part.start] - ci[part.start - 1])
+        } else {
+            (r as Index - prev_row, ci[part.start])
+        };
+        codes.put(drow);
+        codes.put(part.len() as u32);
+        codes.put(col);
+        for pair in ci[part].windows(2) {
+            codes.put(pair[1] - pair[0]);
+        }
+        prev_row = r as Index;
+    }
+    let data = codes.data;
+    let end = data + values.len() * width;
+    put_values(&mut out.buf[data..end], values, width);
+    out.pos = end;
+}
+
+/// The code stream of a block under construction: control bits from
+/// `ctrl` (zeroed), code bytes from `data`.
+struct CodeWriter<'a> {
+    buf: &'a mut [u8],
+    ctrl: usize,
+    code: usize,
+    data: usize,
+}
+
+impl CodeWriter<'_> {
+    /// Appends `x` as a 1–4-byte code. Branch-free: code lengths vary
+    /// entry to entry, and a branch on them mispredicts. The whole word
+    /// is stored, which the block's room allows for.
+    #[inline(always)]
+    fn put(&mut self, x: u32) {
+        let len = (39 - (x | 1).leading_zeros() as usize) / 8;
+        self.buf[self.data..self.data + 4].copy_from_slice(&x.to_le_bytes());
+        self.buf[self.ctrl + self.code / 4] |= ((len - 1) << (2 * (self.code % 4))) as u8;
+        self.code += 1;
+        self.data += len;
+    }
+}
+
+/// The sign-magnitude integer lane of `v` — `|v| << 1 | sign` — and
+/// whether it holds `v` bit for bit: it does when `v` is an integer
+/// below 2³¹ in magnitude, `-0.0` included (NaN and the infinities are
+/// not integers).
+#[inline(always)]
+fn lane(v: f64) -> (u32, bool) {
+    let bits = v.to_bits();
+    let mag = f64::from_bits(bits & !(1 << 63));
+    let m = mag as u32;
+    let exact = f64::from(m).to_bits() == mag.to_bits() && m >> 31 == 0;
+    (m << 1 | (bits >> 63) as u32, exact)
+}
+
+/// The value a [`lane`] holds.
+#[inline(always)]
+fn unlane(lane: u32) -> f64 {
+    f64::from_bits(f64::from(lane >> 1).to_bits() | u64::from(lane & 1) << 63)
+}
+
+/// The bytes per value a block of `values` stores: the narrowest of 1, 2
+/// and 4 that holds every value's [`lane`] when each holds its value,
+/// else 8 (the raw bits).
+fn value_width(values: &[f64]) -> usize {
+    let (mut exact, mut lanes) = (true, 0u32);
+    for &v in values {
+        let (l, e) = lane(v);
+        exact &= e;
+        lanes |= l;
+    }
+    match lanes {
+        _ if !exact => 8,
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        _ => 4,
+    }
+}
+
+/// Stores `values` into `out`, `width` bytes each (see [`value_width`]).
+fn put_values(out: &mut [u8], values: &[f64], width: usize) {
+    fn lanes<const W: usize>(out: &mut [u8], values: &[f64]) {
+        for (bytes, &v) in out.chunks_exact_mut(W).zip(values) {
+            bytes.copy_from_slice(&lane(v).0.to_le_bytes()[..W]);
+        }
+    }
+    match width {
+        1 => lanes::<1>(out, values),
+        2 => lanes::<2>(out, values),
+        4 => lanes::<4>(out, values),
+        _ => {
+            for (bytes, &v) in out.chunks_exact_mut(8).zip(values) {
+                bytes.copy_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+    }
+}
+
+/// Loads `values.len()` values of `width` bytes each from `bytes` — the
+/// inverse of [`put_values`].
+fn get_values(bytes: &[u8], values: &mut [f64], width: usize) {
+    fn lanes<const W: usize>(bytes: &[u8], values: &mut [f64]) {
+        for (v, bytes) in values.iter_mut().zip(bytes.chunks_exact(W)) {
+            let mut word = [0u8; 4];
+            word[..W].copy_from_slice(bytes);
+            *v = unlane(u32::from_le_bytes(word));
+        }
+    }
+    match width {
+        1 => lanes::<1>(bytes, values),
+        2 => lanes::<2>(bytes, values),
+        4 => lanes::<4>(bytes, values),
+        _ => {
+            for (v, bytes) in values.iter_mut().zip(bytes.chunks_exact(8)) {
+                *v = f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
+            }
+        }
+    }
+}
+
 /// Encodes `csr` into the spill format in memory — the payload the
 /// distributed layer ships over a socket. Identical bytes to what
 /// [`write_partial`] puts on disk, including the raw fallback.
@@ -462,16 +637,16 @@ pub fn encode_partial(csr: &Csr, codec: SpillCodec) -> Vec<u8> {
 /// returns the bytes appended.
 pub fn encode_partial_into(buf: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) -> u64 {
     let (start, raw) = (buf.len(), raw_size(csr));
-    // Varint bytes from the raw size on are never appended, so the raw
+    // Block bytes from the raw size on are never appended, so the raw
     // size bounds the frame either way.
     buf.reserve(raw as usize);
     let mut chunk = vec![0u8; chunk_len(csr)];
-    let mut append = |buf: &mut Vec<u8>, varint: bool, limit: u64| {
+    let mut append = |buf: &mut Vec<u8>, blocks: bool, limit: u64| {
         let sink = |b: &[u8]| {
             buf.extend_from_slice(b);
             Ok(())
         };
-        let done = encode(csr, varint, limit, &mut chunk, sink);
+        let done = encode(csr, blocks, limit, &mut chunk, sink);
         done.expect("writing to a Vec cannot fail")
     };
     if codec == SpillCodec::Varint {
@@ -490,25 +665,29 @@ pub fn encode_partial_into(buf: &mut Vec<u8>, csr: &Csr, codec: SpillCodec) -> u
 ///
 /// The header is validated before it is believed — the magic, a shape
 /// within `MAX_WIRE_DIM` (2²⁴), an entry count the payload can hold — and
-/// the body goes through the same entry decoder as [`SpillReader`]
-/// (shape, order and overflow checks included), followed by an
-/// exact-length check: trailing garbage is an error. Corruption
-/// therefore surfaces as [`StreamError::Io`] — never a panic, an
-/// over-allocation, or a silently wrong matrix.
+/// the body goes through the same decoder as [`SpillReader`] (shape,
+/// order and overflow checks included), followed by an exact-length
+/// check: trailing garbage is an error. Corruption therefore surfaces as
+/// [`StreamError::Io`] — never a panic, an over-allocation, or a
+/// silently wrong matrix.
 pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
-    let (mut body, nnz) = decode_header(bytes)?;
-    let (rows, cols) = (body.check.rows, body.check.cols);
+    let mut body = decode_header(bytes)?;
+    let (rows, cols, nnz) = (body.rows, body.cols, body.unopened);
     if rows > MAX_WIRE_DIM || cols > MAX_WIRE_DIM {
         return Err(StreamError::Io(format!(
             "partial payload declares implausible shape {rows}x{cols} (limit {MAX_WIRE_DIM})"
         )));
     }
     let mut i = HEADER_BYTES as usize;
-    body.check_entry_count(nnz, (bytes.len() - i) as u64)?;
+    check_entry_count(body.blocks, nnz, (bytes.len() - i) as u64)?;
     let mut b = CsrBuilder::with_capacity(rows as usize, cols as usize, nnz as usize);
-    for _ in 0..nnz {
-        let (r, c, v) = body.entry(bytes, &mut i)?;
-        b.push_trusted(r, c, v);
+    let mut group = RowGroup::with_capacity(GROUP_ENTRIES.min(nnz as usize));
+    let mut left = nnz as usize;
+    while left > 0 {
+        group.clear();
+        let (got, used) = body.decode(&bytes[i..], true, left.min(GROUP_ENTRIES), &mut group)?;
+        append_rows(&mut b, &group);
+        (i, left) = (i + used, left - got);
     }
     if i != bytes.len() {
         return Err(StreamError::Io(format!(
@@ -519,21 +698,28 @@ pub fn decode_partial(bytes: &[u8]) -> Result<Csr, StreamError> {
     Ok(b.finish())
 }
 
-/// Parses the header at the front of `bytes`: the body decoder its
-/// magic selects, holding its shape, and the declared entry count.
-fn decode_header(bytes: &[u8]) -> Result<(BodyDecoder, u64), StreamError> {
+/// Appends every row of `group` to `b`.
+fn append_rows(b: &mut CsrBuilder, group: &RowGroup) {
+    let mut at = 0;
+    while let Some(row) = group.head(at) {
+        group.feed(&mut at, |c, v| b.push_trusted(row, c, v));
+    }
+}
+
+/// Parses the header at the front of `bytes` into the body decoder its
+/// magic selects, holding its shape and its declared entry count.
+fn decode_header(bytes: &[u8]) -> Result<BodyDecoder, StreamError> {
     let Some(h) = bytes.get(..HEADER_BYTES as usize) else {
         return Err(truncated("header"));
     };
     let word = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 bytes"));
     let magic = u32::from_le_bytes(h[..4].try_into().expect("4 bytes"));
-    let delta = match magic {
-        MAGIC_RAW => None,
-        MAGIC_VARINT => Some(DeltaState::new()),
+    let blocks = match magic {
+        MAGIC_RAW => false,
+        MAGIC_BLOCKS => true,
         _ => return Err(StreamError::Io(format!("bad partial magic {magic:#010x}"))),
     };
-    let check = EntryCheck::new(word(4), word(12));
-    Ok((BodyDecoder { delta, check }, word(20)))
+    Ok(BodyDecoder::new(blocks, word(4), word(12), word(20)))
 }
 
 /// The truncation error every under-long header or body maps to.
@@ -541,207 +727,377 @@ fn truncated(what: &str) -> StreamError {
     StreamError::Io(format!("partial truncated mid-{what}"))
 }
 
-/// The next `N` bytes of `buf` at `*i`, advancing `i`; `None` past the
-/// end. Inlined, like [`EntryCheck::admit`], into the per-entry loop.
-#[inline(always)]
-fn take<const N: usize>(buf: &[u8], i: &mut usize) -> Option<[u8; N]> {
-    let bytes = buf.get(*i..*i + N)?.try_into().ok()?;
-    *i += N;
-    Some(bytes)
+/// Rejects a declared entry count that `body_bytes` cannot possibly hold
+/// (see [`MIN_ENTRY_QUARTERS`]) before any allocation is sized by it.
+fn check_entry_count(blocks: bool, nnz: u64, body_bytes: u64) -> Result<(), StreamError> {
+    let quarters = if blocks {
+        MIN_ENTRY_QUARTERS
+    } else {
+        4 * RAW_ENTRY_BYTES
+    };
+    if nnz.saturating_mul(quarters) > body_bytes.saturating_mul(4) {
+        return Err(StreamError::Io(format!(
+            "header declares {nnz} entries but the partial holds only {body_bytes} body bytes"
+        )));
+    }
+    Ok(())
 }
 
-/// What every decoded entry is held to before it is believed: inside the
-/// header's shape and the reader's rows, and strictly after its
-/// predecessor in `(row, col)` order — what `CsrBuilder::push_trusted`
-/// and the merge kernels assume of the keys they are fed.
+/// The body decoder of one partial, file or frame: the format the
+/// header's magic named, what each decoded row is held to — inside the
+/// header's shape and the reader's rows, after the row before — and
+/// where it stands in the block it is reading.
 #[derive(Debug)]
-struct EntryCheck {
+struct BodyDecoder {
+    /// The block format; raw entries otherwise.
+    blocks: bool,
     rows: u64,
     cols: u64,
     /// The rows admitted: all of them, or a band reader's.
     band: Range<u64>,
-    prev: Option<u64>,
+    /// The last row decoded (or, for a band reader, the row before its
+    /// first mark); `None` before the first.
+    row: Option<Index>,
+    /// The last column decoded in `row`.
+    col: u64,
+    /// Entries in no block opened so far: at first the header's count,
+    /// which a reader's `remaining` starts from.
+    unopened: u64,
+    /// The block being read, at the front of the bytes the decoder is
+    /// given; `entries == 0` when none is.
+    block: Block,
 }
 
-impl EntryCheck {
-    fn new(rows: u64, cols: u64) -> Self {
-        EntryCheck {
+/// Where the decoder stands inside an open block. Offsets count from the
+/// block's first byte.
+#[derive(Debug, Default, Clone, Copy)]
+struct Block {
+    /// The block's bytes.
+    len: usize,
+    /// Bytes per value.
+    width: usize,
+    /// Entries not yet decoded.
+    entries: usize,
+    /// Row headers not yet read.
+    rows: usize,
+    /// Whether no row header has been read yet.
+    first_row: bool,
+    /// Entries of the current row not yet decoded.
+    row_left: usize,
+    /// Whether the current row's next column code is its first column.
+    fresh: bool,
+    /// The next code's index, its bytes' offset and the next value's.
+    code: usize,
+    data: usize,
+    value: usize,
+}
+
+/// The codes of a block being read: control bits from
+/// [`BLOCK_HEADER_BYTES`] on, the next code `code` at byte `data`.
+struct Codes<'a> {
+    block: &'a [u8],
+    code: usize,
+    data: usize,
+}
+
+impl Codes<'_> {
+    /// The next code. Branch-free: one control-bit lookup and one 4-byte
+    /// load, masked to the code's length.
+    #[inline(always)]
+    fn next(&mut self) -> u32 {
+        let ctrl = self.block[BLOCK_HEADER_BYTES + self.code / 4];
+        let len = usize::from(ctrl >> (2 * (self.code % 4)) & 3) + 1;
+        let word = match self.block.get(self.data..self.data + 4) {
+            Some(w) => u32::from_le_bytes(w.try_into().expect("4 bytes")),
+            None => load_tail(self.block, self.data),
+        };
+        self.code += 1;
+        self.data += len;
+        word & (u32::MAX >> (32 - 8 * len))
+    }
+}
+
+/// The up to four bytes of `bytes` from `at` on as a little-endian word,
+/// zero-padded: a code at the very end of the input.
+#[cold]
+fn load_tail(bytes: &[u8], at: usize) -> u32 {
+    let mut word = [0u8; 4];
+    let tail = bytes.get(at..).unwrap_or_default();
+    let n = tail.len().min(4);
+    word[..n].copy_from_slice(&tail[..n]);
+    u32::from_le_bytes(word)
+}
+
+/// The code bytes `ctrl` describes for `codes` codes: each code's 2-bit
+/// length field plus one. Errors if a field past the last code is set.
+fn code_bytes(ctrl: &[u8], codes: usize) -> Result<usize, StreamError> {
+    let fields = |x: u64| {
+        (x & 0x5555_5555_5555_5555).count_ones() + 2 * (x & 0xaaaa_aaaa_aaaa_aaaa).count_ones()
+    };
+    let mut sum = codes;
+    let mut words = ctrl.chunks_exact(8);
+    for w in &mut words {
+        sum += fields(u64::from_le_bytes(w.try_into().expect("8 bytes"))) as usize;
+    }
+    for &b in words.remainder() {
+        sum += fields(u64::from(b)) as usize;
+    }
+    let used = codes % 4;
+    if used > 0 && ctrl.last().is_some_and(|&b| b >> (2 * used) != 0) {
+        return Err(StreamError::Io(format!(
+            "partial block has control bits past its {codes} codes"
+        )));
+    }
+    Ok(sum)
+}
+
+impl BodyDecoder {
+    fn new(blocks: bool, rows: u64, cols: u64, nnz: u64) -> Self {
+        BodyDecoder {
+            blocks,
             rows,
             cols,
             band: 0..rows,
-            prev: None,
+            row: None,
+            col: 0,
+            unopened: nnz,
+            block: Block::default(),
         }
     }
 
-    /// Admits `(row, col)` as the next entry.
-    #[inline(always)]
-    fn admit(&mut self, row: Index, col: Index) -> Result<(), StreamError> {
-        let band = &self.band;
-        if u64::from(row).wrapping_sub(band.start) >= band.end - band.start
-            || u64::from(col) >= self.cols
-        {
-            return Err(self.stray(row, col));
+    /// Decodes up to `want` entries from the front of `bytes` — which
+    /// holds the whole body from the decoder's position on when `tail` —
+    /// into `group`, and returns how many came and how many bytes of
+    /// `bytes` they finished with. A block is decoded only once it is
+    /// in `bytes` whole; bytes of a block that is not yet done are not
+    /// counted, so the next call must hand them in again.
+    fn decode(
+        &mut self,
+        bytes: &[u8],
+        tail: bool,
+        want: usize,
+        group: &mut RowGroup,
+    ) -> Result<(usize, usize), StreamError> {
+        if !self.blocks {
+            return self.decode_raw(bytes, tail, want, group);
         }
-        let key = u64::from(row) << 32 | u64::from(col);
-        if self.prev.is_some_and(|p| p >= key) {
+        let (mut got, mut at) = (0, 0);
+        while got < want {
+            if self.block.entries == 0 {
+                match self.open_block(&bytes[at..], tail)? {
+                    Some(block) => self.block = block,
+                    None => break,
+                }
+            }
+            let len = self.block.len;
+            got += self.decode_block(&bytes[at..at + len], want - got, group)?;
+            if self.block.entries == 0 {
+                at += len;
+            }
+        }
+        Ok((got, at))
+    }
+
+    /// The block at the front of `bytes`, validated, or `None` when
+    /// `bytes` does not hold it whole yet (an error at the tail).
+    fn open_block(&mut self, bytes: &[u8], tail: bool) -> Result<Option<Block>, StreamError> {
+        let short = || {
+            if tail {
+                Err(truncated("block"))
+            } else {
+                Ok(None)
+            }
+        };
+        let Some(h) = bytes.get(..BLOCK_HEADER_BYTES) else {
+            return short();
+        };
+        let rows = usize::from(u16::from_le_bytes([h[0], h[1]]));
+        let entries = usize::from(u16::from_le_bytes([h[2], h[3]]));
+        if !(1..=GROUP_ENTRIES).contains(&entries) || !(1..=entries).contains(&rows) {
             return Err(StreamError::Io(format!(
-                "partial entries not in strictly increasing (row, col) order at ({row}, {col})"
+                "partial block declares {entries} entries in {rows} rows"
             )));
         }
-        self.prev = Some(key);
+        if entries as u64 > self.unopened {
+            let left = self.unopened;
+            return Err(StreamError::Io(format!(
+                "partial block declares {entries} entries where {left} are left"
+            )));
+        }
+        let width = match h[4] {
+            w @ (1 | 2 | 4 | 8) => usize::from(w),
+            w => {
+                return Err(StreamError::Io(format!(
+                    "partial block has value width {w}"
+                )))
+            }
+        };
+        let codes = 2 * rows + entries;
+        let data = BLOCK_HEADER_BYTES + codes.div_ceil(4);
+        let Some(ctrl) = bytes.get(BLOCK_HEADER_BYTES..data) else {
+            return short();
+        };
+        let value = data + code_bytes(ctrl, codes)?;
+        let len = value + entries * width;
+        if bytes.len() < len {
+            return short();
+        }
+        self.unopened -= entries as u64;
+        Ok(Some(Block {
+            len,
+            width,
+            entries,
+            rows,
+            first_row: true,
+            row_left: 0,
+            fresh: false,
+            code: 0,
+            data,
+            value,
+        }))
+    }
+
+    /// Decodes up to `want` entries of the open block, whose bytes
+    /// `block` are, into `group`, a row slice at a time; returns how
+    /// many came.
+    fn decode_block(
+        &mut self,
+        block: &[u8],
+        want: usize,
+        group: &mut RowGroup,
+    ) -> Result<usize, StreamError> {
+        let mut b = self.block;
+        let mut codes = Codes {
+            block,
+            code: b.code,
+            data: b.data,
+        };
+        let mut got = 0;
+        while got < want && b.entries > 0 {
+            if b.row_left == 0 {
+                self.next_row(&mut b, &mut codes)?;
+            }
+            let row = self.row.expect("a row is open");
+            let n = b.row_left.min(want - got);
+            let (cols, values) = group.extend_row(row, n);
+            let (mut col, mut from) = (self.col, 0);
+            if b.fresh {
+                col = u64::from(codes.next());
+                cols[0] = col as Index;
+                (b.fresh, from) = (false, 1);
+            }
+            let mut zero = false;
+            for slot in &mut cols[from..] {
+                let delta = codes.next();
+                zero |= delta == 0;
+                col += u64::from(delta);
+                *slot = col as Index;
+            }
+            if zero {
+                return Err(StreamError::Io(format!(
+                    "partial row {row} has a zero column delta"
+                )));
+            }
+            if col >= self.cols || col > u64::from(Index::MAX) {
+                return Err(self.stray(row.into(), col));
+            }
+            self.col = col;
+            let end = b.value + n * b.width;
+            get_values(&block[b.value..end], values, b.width);
+            b.value = end;
+            b.row_left -= n;
+            b.entries -= n;
+            got += n;
+        }
+        (b.code, b.data) = (codes.code, codes.data);
+        self.block = b;
+        Ok(got)
+    }
+
+    /// Reads the next row header of block `b` and makes its row the
+    /// decoder's: a row after the last, or — on the block's first row,
+    /// with a zero delta — the last row going on.
+    fn next_row(&mut self, b: &mut Block, codes: &mut Codes) -> Result<(), StreamError> {
+        let (drow, n) = (codes.next(), codes.next() as usize);
+        let last = b.rows == 1;
+        if n == 0 || n > b.entries || (last && n != b.entries) {
+            return Err(StreamError::Io(format!(
+                "partial block row declares {n} entries where {} are left in {} rows",
+                b.entries, b.rows
+            )));
+        }
+        let going_on = b.first_row && drow == 0 && self.row.is_some();
+        let row = match self.row {
+            Some(prev) if going_on => u64::from(prev),
+            Some(prev) if drow == 0 => {
+                return Err(StreamError::Io(format!(
+                    "partial block has a zero row delta after row {prev}"
+                )))
+            }
+            Some(prev) => u64::from(prev) + u64::from(drow),
+            None => u64::from(drow),
+        };
+        if row.wrapping_sub(self.band.start) >= self.band.end - self.band.start
+            || row > u64::from(Index::MAX)
+        {
+            return Err(self.stray(row, 0));
+        }
+        b.fresh = !going_on;
+        (b.first_row, b.rows, b.row_left) = (false, b.rows - 1, n);
+        self.row = Some(row as Index);
         Ok(())
     }
 
-    /// The error for an entry outside the shape or the band.
+    /// Decodes up to `want` raw entries from the front of `bytes`, each
+    /// held to the shape, the band and strictly increasing `(row, col)`
+    /// order; returns how many came and the bytes they took.
+    fn decode_raw(
+        &mut self,
+        bytes: &[u8],
+        tail: bool,
+        want: usize,
+        group: &mut RowGroup,
+    ) -> Result<(usize, usize), StreamError> {
+        let n = want.min(bytes.len() / RAW_ENTRY_BYTES as usize);
+        if n < want && tail {
+            return Err(truncated("entry"));
+        }
+        for e in bytes.chunks_exact(RAW_ENTRY_BYTES as usize).take(n) {
+            let half = |at: usize| u32::from_le_bytes(e[at..at + 4].try_into().expect("4 bytes"));
+            let (r, c) = (half(0), u64::from(half(4)));
+            let bits = u64::from_le_bytes(e[8..].try_into().expect("8 bytes"));
+            let same = self.row == Some(r);
+            if (same && c <= self.col) || self.row.is_some_and(|p| r < p) {
+                return Err(StreamError::Io(format!(
+                    "partial entries not in strictly increasing (row, col) order at ({r}, {c})"
+                )));
+            }
+            let row = u64::from(r);
+            if row.wrapping_sub(self.band.start) >= self.band.end - self.band.start
+                || c >= self.cols
+            {
+                return Err(self.stray(row, c));
+            }
+            (self.row, self.col) = (Some(r), c);
+            let (cols, values) = group.extend_row(r, 1);
+            (cols[0], values[0]) = (c as Index, f64::from_bits(bits));
+        }
+        Ok((n, n * RAW_ENTRY_BYTES as usize))
+    }
+
+    /// The error for a coordinate outside the index space, the shape or
+    /// the band.
     #[cold]
-    fn stray(&self, row: Index, col: Index) -> StreamError {
+    fn stray(&self, row: u64, col: u64) -> StreamError {
         let (rows, cols, band) = (self.rows, self.cols, &self.band);
-        StreamError::Io(if u64::from(row) >= rows || u64::from(col) >= cols {
+        let max = u64::from(Index::MAX);
+        StreamError::Io(if row > max || col > max {
+            format!("partial coordinate ({row}, {col}) overflows the u32 index space")
+        } else if row >= rows || col >= cols {
             format!("partial entry ({row}, {col}) outside declared shape {rows}x{cols}")
         } else {
             format!("partial entry ({row}, {col}) outside band rows {band:?}")
         })
-    }
-}
-
-/// The body decoder of one partial, file or frame: the format the
-/// header's magic named and the [`EntryCheck`] every entry must pass.
-#[derive(Debug)]
-struct BodyDecoder {
-    /// Delta state for the varint format; `None` for raw.
-    delta: Option<DeltaState>,
-    check: EntryCheck,
-}
-
-impl BodyDecoder {
-    /// Rejects a declared entry count that `body_bytes` cannot possibly
-    /// hold — a raw entry costs 16 bytes, a varint one at least 3 (drow,
-    /// token, value, one byte each) — before any allocation is sized by it.
-    fn check_entry_count(&self, nnz: u64, body_bytes: u64) -> Result<(), StreamError> {
-        let min_entry = if self.delta.is_some() {
-            3
-        } else {
-            RAW_ENTRY_BYTES
-        };
-        if nnz.saturating_mul(min_entry) > body_bytes {
-            return Err(StreamError::Io(format!(
-                "header declares {nnz} entries but the partial holds only {body_bytes} body bytes"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Decodes the entry at `buf[*i..]`, advancing `i` past it, and
-    /// admits it through the [`EntryCheck`] — the one place entry bytes
-    /// become `(row, col, value)`, for every reader of either format.
-    /// Every read is bounds-checked ([`take_varint`] takes its single
-    /// load only with eight bytes ahead), so input that ends mid-entry is
-    /// a truncation error, never a panic. Forced inline so each reader's
-    /// loop folds the format branch and the varint fast paths into itself.
-    #[inline(always)]
-    fn entry(&mut self, buf: &[u8], i: &mut usize) -> Result<Triple, StreamError> {
-        let (r, c, bits) = match &mut self.delta {
-            None => {
-                let e: [u8; 16] = take(buf, i).ok_or_else(|| truncated("entry"))?;
-                let half =
-                    |at: usize| u32::from_le_bytes(e[at..at + 4].try_into().expect("4 bytes"));
-                (
-                    half(0),
-                    half(4),
-                    u64::from_le_bytes(e[8..].try_into().expect("8 bytes")),
-                )
-            }
-            Some(state) => {
-                let drow = take_varint(buf, i)?;
-                let token = take_varint(buf, i)?;
-                let (r, c) = state.advance(drow, token >> 1)?;
-                let bits = if token & 1 == 0 {
-                    take_varint(buf, i)?.swap_bytes()
-                } else {
-                    u64::from_le_bytes(take(buf, i).ok_or_else(|| truncated("entry"))?)
-                };
-                (r, c, bits)
-            }
-        };
-        self.check.admit(r, c)?;
-        Ok((r, c, f64::from_bits(bits)))
-    }
-}
-
-/// How one value is stored in the varint format.
-#[cfg(test)]
-enum ValueEnc {
-    /// Varint of the byte-swapped bit pattern (shorter than 8 bytes).
-    Varint(u64),
-    /// Raw 8-byte bit pattern (the swap would not have helped).
-    Raw(u64),
-}
-
-/// The delta decoder's state: the previous entry's coordinates. The
-/// per-entry encoder the writer replaced walks the same deltas; it is
-/// kept as the tests' byte-identity reference.
-#[derive(Debug)]
-struct DeltaState {
-    prev_row: Index,
-    prev_col: Index,
-    first: bool,
-}
-
-impl DeltaState {
-    fn new() -> Self {
-        DeltaState {
-            prev_row: 0,
-            prev_col: 0,
-            first: true,
-        }
-    }
-
-    /// Encodes one `(row, col, value)` into its (drow, token, value)
-    /// triplet, advancing the state.
-    #[cfg(test)]
-    fn encode(&mut self, r: Index, c: Index, v: f64) -> (u64, u64, ValueEnc) {
-        let drow = (r - self.prev_row) as u64;
-        let cval = if self.first || drow > 0 {
-            c as u64
-        } else {
-            (c - self.prev_col) as u64
-        };
-        let vbits = v.to_bits().swap_bytes();
-        let value = if varint_len(vbits) < 8 {
-            ValueEnc::Varint(vbits)
-        } else {
-            ValueEnc::Raw(v.to_bits())
-        };
-        let mode = matches!(value, ValueEnc::Raw(_)) as u64;
-        self.prev_row = r;
-        self.prev_col = c;
-        self.first = false;
-        (drow, (cval << 1) | mode, value)
-    }
-
-    /// Applies one entry's coordinate deltas, advancing the state. The
-    /// sums are checked: a corrupt stream whose accumulated row or column
-    /// escapes the `u32` index space errors out instead of wrapping.
-    fn advance(&mut self, drow: u64, cval: u64) -> Result<(Index, Index), StreamError> {
-        let col_base = if self.first || drow > 0 {
-            0
-        } else {
-            self.prev_col
-        };
-        let sum = |base: Index, delta: u64| {
-            u64::from(base)
-                .checked_add(delta)
-                .and_then(|v| Index::try_from(v).ok())
-        };
-        let (Some(r), Some(c)) = (sum(self.prev_row, drow), sum(col_base, cval)) else {
-            return Err(StreamError::Io(
-                "delta-coded coordinate overflows the u32 index space".into(),
-            ));
-        };
-        self.prev_row = r;
-        self.prev_col = c;
-        self.first = false;
-        Ok((r, c))
     }
 }
 
@@ -799,12 +1155,12 @@ impl<R: Read> SpillBuf<R> {
     }
 }
 
-/// Streams a spilled partial back as sorted triples through a bounded
-/// read buffer, whichever format the writer chose.
+/// Streams a spilled partial back a row slice at a time through a
+/// bounded read buffer, whichever format the writer chose.
 #[derive(Debug)]
 pub struct SpillReader<R = File> {
     buf: SpillBuf<R>,
-    /// The header's format and shape and the last entry decoded: a
+    /// The header's format and shape and where decoding stands: a
     /// damaged file must fail here, not merge into a malformed matrix.
     body: BodyDecoder,
     remaining: u64,
@@ -847,18 +1203,15 @@ impl SpillReader {
             let mut src = File::open(path)?;
             let mut header = [0u8; HEADER_BYTES as usize];
             src.read_exact(&mut header)?;
-            let (body, _) = decode_header(&header)?;
+            let body = decode_header(&header)?;
             src.seek(SeekFrom::Start(from.offset))?;
             Ok((src, body))
         };
         let (src, mut body) = open().map_err(|e| with_path(path, e))?;
-        if let Some(delta) = &mut body.delta {
-            // The entry after a mark starts a row, so only the row
-            // carries over — and nothing before the first entry.
-            delta.prev_row = from.prev_row;
-            delta.first = from.entries == 0;
-        }
-        body.check.band = index.row(marks.start) as u64..index.row(marks.end) as u64;
+        // The entry after a mark starts a row after the mark's.
+        body.row = (from.entries > 0).then_some(from.prev_row);
+        body.band = index.row(marks.start) as u64..index.row(marks.end) as u64;
+        body.unopened = to.entries - from.entries;
         let reader = SpillReader {
             buf: SpillBuf::new(src),
             body,
@@ -880,12 +1233,12 @@ impl<R: Read> SpillReader<R> {
         let header = buf
             .window(HEADER_BYTES as usize)
             .and_then(|(bytes, _)| decode_header(bytes));
-        let (body, remaining) = header.map_err(|e| with_path(path, e))?;
+        let body = header.map_err(|e| with_path(path, e))?;
         buf.consume(HEADER_BYTES as usize);
         Ok(SpillReader {
             buf,
+            remaining: body.unopened,
             body,
-            remaining,
             body_bytes: len.saturating_sub(HEADER_BYTES),
             path: path.to_path_buf(),
         })
@@ -893,7 +1246,7 @@ impl<R: Read> SpillReader<R> {
 
     /// Declared shape of the spilled partial.
     pub fn shape(&self) -> (usize, usize) {
-        (self.body.check.rows as usize, self.body.check.cols as usize)
+        (self.body.rows as usize, self.body.cols as usize)
     }
 
     /// Errors, naming the file, unless the header declares `rows × cols`
@@ -918,14 +1271,28 @@ impl<R: Read> SpillReader<R> {
 
     /// Decodes up to `max` entries into `group`, replacing what it held,
     /// and returns how many came (0 only at the end of the file). The
-    /// group's last row may go on in the next one.
-    pub(crate) fn next_rows(
-        &mut self,
-        max: usize,
-        group: &mut RowGroup,
-    ) -> Result<usize, StreamError> {
+    /// group's last row may go on in the next one. Each buffered window
+    /// holds a worst-case block or the file's tail; errors name the file.
+    pub fn next_rows(&mut self, max: usize, group: &mut RowGroup) -> Result<usize, StreamError> {
         group.clear();
-        self.read_entries(max, |(r, c, v)| group.push(r, c, v))
+        let take = max.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+        let SpillReader {
+            buf, body, path, ..
+        } = self;
+        let mut got = 0usize;
+        while got < take {
+            let (window, tail) = buf
+                .window(MAX_BLOCK_BYTES)
+                .map_err(|e| with_path(path, e))?;
+            let (n, used) = body
+                .decode(window, tail, take - got, group)
+                .map_err(|e| with_path(path, e))?;
+            debug_assert!(n > 0, "a window holds a whole block");
+            buf.consume(used);
+            got += n;
+        }
+        self.remaining -= take as u64;
+        Ok(take)
     }
 
     /// Drains the whole file into a CSR — the non-streaming fallback used
@@ -936,143 +1303,23 @@ impl<R: Read> SpillReader<R> {
     /// that lies is an error naming the file, not an allocation.
     pub fn read_all(mut self) -> Result<Csr, StreamError> {
         let (rows, cols) = self.shape();
-        let fits = self.body.check_entry_count(self.remaining, self.body_bytes);
+        let fits = check_entry_count(self.body.blocks, self.remaining, self.body_bytes);
         fits.map_err(|e| with_path(&self.path, e))?;
-        let mut b = CsrBuilder::with_capacity(rows, cols, self.remaining as usize);
-        self.read_entries(usize::MAX, |(r, c, v)| b.push_trusted(r, c, v))?;
+        let nnz = self.remaining as usize;
+        let mut b = CsrBuilder::with_capacity(rows, cols, nnz);
+        let mut group = RowGroup::with_capacity(GROUP_ENTRIES.min(nnz));
+        while self.next_rows(GROUP_ENTRIES, &mut group)? > 0 {
+            append_rows(&mut b, &group);
+        }
         Ok(b.finish())
     }
-
-    /// Hands up to `max` entries to `emit`, returning how many — the loop
-    /// behind every public read. Each buffered window is decoded entry by
-    /// entry while a worst-case entry still fits in it, or to the end
-    /// once it holds the file's tail; errors name the file.
-    fn read_entries(
-        &mut self,
-        max: usize,
-        mut emit: impl FnMut(Triple),
-    ) -> Result<usize, StreamError> {
-        let take = max.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
-        let SpillReader {
-            buf, body, path, ..
-        } = self;
-        let mut got = 0usize;
-        while got < take {
-            let (window, tail) = buf
-                .window(MAX_VARINT_ENTRY_BYTES)
-                .map_err(|e| with_path(path, e))?;
-            let mut i = 0usize;
-            while got < take && (tail || window.len() - i >= MAX_VARINT_ENTRY_BYTES) {
-                emit(body.entry(window, &mut i).map_err(|e| with_path(path, e))?);
-                got += 1;
-            }
-            buf.consume(i);
-        }
-        self.remaining -= take as u64;
-        Ok(take)
-    }
-}
-
-/// Entries a merge source decodes from a spilled partial at a time
-/// ([`SpillReader::next_rows`]): at most 28 KiB of row group per spilled
-/// source, enough to amortize the decoder's setup per call.
-pub(crate) const GROUP_ENTRIES: usize = 1024;
-
-/// Decodes one LEB128 value from `buf` at `*i`, advancing `i` — the one
-/// varint decoder. With at least 8 bytes ahead, every 1–8-byte encoding
-/// — all coordinates and almost all values the writer emits — decodes
-/// from a single `u64` load with a branch-free continuation scan; longer
-/// encodings and the last few bytes of the input take the checked
-/// per-byte [`take_varint_slow`], kept out of line so the fast paths
-/// inline into [`BodyDecoder::entry`].
-#[inline(always)]
-fn take_varint(buf: &[u8], i: &mut usize) -> Result<u64, StreamError> {
-    let Some(word) = buf.get(*i..*i + 8) else {
-        return take_varint_slow(buf, i);
-    };
-    let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
-    // One byte — nearly every row delta and column token — needs no scan.
-    if word & 0x80 == 0 {
-        *i += 1;
-        return Ok(word & 0x7f);
-    }
-    // A clear top bit marks the final byte of the varint; the lowest
-    // clear top bit tells us how many bytes the encoding spans.
-    let stops = !word & 0x8080_8080_8080_8080;
-    if stops != 0 {
-        let n = stops.trailing_zeros() as usize / 8 + 1;
-        let word = if n == 8 {
-            word
-        } else {
-            word & ((1u64 << (n * 8)) - 1)
-        };
-        let mut value = 0u64;
-        for k in 0..n {
-            value |= ((word >> (k * 8)) & 0x7f) << (k * 7);
-        }
-        *i += n;
-        Ok(value)
-    } else {
-        take_varint_slow(buf, i)
-    }
-}
-
-/// The checked per-byte path behind [`take_varint`]: rejects input that
-/// ends mid-varint, encodings past 10 bytes and payload bits that would
-/// overflow a `u64` (a corrupted file must surface as an error, never
-/// decode to a silently truncated value).
-#[cold]
-#[inline(never)]
-fn take_varint_slow(buf: &[u8], i: &mut usize) -> Result<u64, StreamError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = buf.get(*i) else {
-            return Err(truncated("entry"));
-        };
-        *i += 1;
-        let bits = u64::from(byte & 0x7f);
-        let shifted = bits << shift;
-        if shifted >> shift != bits {
-            return Err(StreamError::Io("varint overflows u64".into()));
-        }
-        value |= shifted;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(StreamError::Io("varint longer than 10 bytes".into()));
-        }
-    }
-}
-
-/// LEB128 length of `v` in bytes (1..=10).
-fn varint_len(v: u64) -> u64 {
-    (64 - v.max(1).leading_zeros() as u64).div_ceil(7)
-}
-
-/// Writes `v` as LEB128, returning the bytes written.
-#[cfg(test)]
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<u64> {
-    let mut written = 0u64;
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            w.write_all(&[byte])?;
-            return Ok(written + 1);
-        }
-        w.write_all(&[byte | 0x80])?;
-        written += 1;
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tempdir::TempDir;
-    use sparch_sparse::{gen, linalg};
+    use sparch_sparse::{gen, linalg, Triple};
 
     #[test]
     fn raw_round_trips_through_disk() {
@@ -1139,8 +1386,9 @@ mod tests {
     #[test]
     fn varint_never_exceeds_raw_and_empty_falls_back() {
         let dir = TempDir::new("spill_fallback");
-        // An empty partial is header-only in both formats, so varint is
-        // not strictly smaller and the writer must emit the raw magic.
+        // An empty partial is header-only in both formats, so the block
+        // format is not strictly smaller and the writer must emit the
+        // raw magic.
         let empty = Csr::zero(4, 4);
         let path = dir.file("empty.bin");
         let file = write_partial(&path, &empty, SpillCodec::Varint).unwrap();
@@ -1158,8 +1406,8 @@ mod tests {
 
     /// Every entry point decodes the same stream, bit for bit: `read_all`,
     /// `next_rows` at group sizes below and above the file's entry count
-    /// (size 1 decodes the whole file through the tail-of-window logic
-    /// one entry at a time) and the wire's `decode_partial`.
+    /// (size 1 decodes the whole file one entry at a time, stopping
+    /// inside every block) and the wire's `decode_partial`.
     #[test]
     fn row_group_decode_matches_whole_file_and_wire_decode() {
         let dir = TempDir::new("spill_chunks");
@@ -1171,123 +1419,106 @@ mod tests {
             for codec in [SpillCodec::Raw, SpillCodec::Varint] {
                 let path = dir.file(&format!("chunk_{tag}_{codec}.bin"));
                 write_partial(&path, m, codec).unwrap();
-                let bits = |t: Triple| (t.0, t.1, t.2.to_bits());
-                let expected: Vec<_> = m.iter().map(bits).collect();
+                let expected = bits(m);
                 for cap in [1usize, 7, GROUP_ENTRIES] {
                     let got = drain_rows(SpillReader::open(&path).unwrap(), cap).unwrap();
                     assert_eq!(got, expected, "{tag} {codec} next_rows {cap}");
                 }
                 let all = SpillReader::open(&path).unwrap().read_all().unwrap();
-                assert_eq!(all.iter().map(bits).collect::<Vec<_>>(), expected);
+                assert_eq!(bits(&all), expected);
                 let wire = decode_partial(&std::fs::read(&path).unwrap()).unwrap();
-                assert_eq!(wire.iter().map(bits).collect::<Vec<_>>(), expected);
+                assert_eq!(bits(&wire), expected);
             }
         }
     }
 
-    /// The one varint decoder's single-load path (eight bytes ahead) and
-    /// its checked per-byte path agree on every encoding length from 1
-    /// to 10 bytes, and both reject overflow and over-long chains.
+    /// `m`'s entries as `(row, col, value bits)`.
+    fn bits(m: &Csr) -> Vec<(Index, Index, u64)> {
+        m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+    }
+
+    /// The block format's codes come back at every length boundary, and
+    /// its values at every width: the narrowest width is chosen, signed
+    /// zeros stay integer lanes, and anything else that is not an integer
+    /// below 2³¹ in magnitude — NaN, the infinities, `±2³¹`, fractions,
+    /// subnormals — makes the block raw.
     #[test]
-    fn varint_fast_and_checked_paths_agree() {
-        let samples = [
-            0u64,
+    fn codes_and_values_round_trip_at_every_width() {
+        let codes = [
+            0u32,
             1,
-            127,
-            128,
-            16_383,
-            16_384,
-            1 << 21,
-            u32::MAX as u64,
-            1 << 35,
-            (1 << 49) - 1,
-            (1 << 56) - 1,
-            1 << 56,
-            (1 << 63) - 1,
-            u64::MAX - 1,
-            u64::MAX,
+            0xff,
+            0x100,
+            0xffff,
+            0x1_0000,
+            0xff_ffff,
+            0x100_0000,
+            u32::MAX,
         ];
-        let mut lengths = Vec::new();
-        for v in samples {
-            let mut enc = Vec::new();
-            write_varint(&mut enc, v).unwrap();
-            let len = enc.len();
-            lengths.push(len);
-            // Unpadded, so a short encoding has fewer than eight bytes
-            // ahead; then padded, so up to 8-byte ones take the load.
-            let (mut unpadded, mut slow, mut padded) = (0usize, 0usize, 0usize);
-            assert_eq!(take_varint(&enc, &mut unpadded).unwrap(), v);
-            assert_eq!(take_varint_slow(&enc, &mut slow).unwrap(), v);
-            enc.extend_from_slice(&[0u8; 16]);
-            assert_eq!(take_varint(&enc, &mut padded).unwrap(), v);
-            assert_eq!((unpadded, slow, padded), (len, len, len), "{v}");
-            // Cut short by one byte, both paths report truncation.
-            for decode in [take_varint, take_varint_slow] {
-                assert!(decode(&enc[..len - 1], &mut 0).is_err(), "{v}");
-            }
+        let mut buf = vec![0u8; block_room(codes.len())];
+        let data = BLOCK_HEADER_BYTES + codes.len().div_ceil(4);
+        let mut w = CodeWriter {
+            buf: &mut buf,
+            ctrl: BLOCK_HEADER_BYTES,
+            code: 0,
+            data,
+        };
+        codes.iter().for_each(|&x| w.put(x));
+        let end = w.data;
+        assert_eq!(end - data, 1 + 1 + 1 + 2 + 2 + 3 + 3 + 4 + 4);
+        let ctrl = &buf[BLOCK_HEADER_BYTES..data];
+        assert_eq!(code_bytes(ctrl, codes.len()).unwrap(), end - data);
+        // Read back from a slice that ends with the last code, so the
+        // last loads take the zero-padded tail path.
+        let mut r = Codes {
+            block: &buf[..end],
+            code: 0,
+            data,
+        };
+        for &x in &codes {
+            assert_eq!(r.next(), x);
         }
-        lengths.dedup();
-        assert_eq!(lengths, (1..=10).collect::<Vec<_>>());
-        // A 10-byte encoding whose final byte carries payload bits past
-        // u64's capacity, and an 11-byte continuation chain: rejected by
-        // both paths, padded or not, never wrapped or truncated.
-        let mut overflow = vec![0x80u8; 10];
-        overflow[9] = 0x7e;
-        for bad in [overflow, vec![0xffu8; 11]] {
-            for input in [bad.clone(), [bad, vec![0u8; 16]].concat()] {
-                assert!(take_varint(&input, &mut 0).is_err());
-                assert!(take_varint_slow(&input, &mut 0).is_err());
-            }
-        }
-    }
-
-    #[test]
-    fn varint_helpers_round_trip() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            let written = write_varint(&mut buf, v).unwrap();
-            assert_eq!(written, buf.len() as u64);
-            assert_eq!(written, varint_len(v), "declared length for {v}");
-            assert_eq!(take_varint(&buf, &mut 0).unwrap(), v);
-        }
-        // The writer's one-word encoding agrees with the per-byte one at
-        // every length it is used for (1 to 8 bytes, below 2⁵⁶).
-        for bits in [
-            0, 6, 7, 13, 14, 20, 21, 27, 28, 34, 35, 41, 42, 48, 49, 55, 56,
-        ] {
-            for v in [
-                (1u64 << bits) - 1,
-                1 << bits,
-                0x5555_5555_5555_5555 >> (63 - bits),
-            ] {
-                let v = v & ((1 << 56) - 1);
-                let mut want = Vec::new();
-                write_varint(&mut want, v).unwrap();
-                let (word, len) = leb128_word(v);
-                assert_eq!(word.to_le_bytes()[..len], want[..], "{v:#x}");
-                assert!(
-                    len == 8 || word >> (8 * len) == 0,
-                    "{v:#x}: bytes past the length"
-                );
-            }
+        let cases: [(&[f64], usize); 9] = [
+            (&[0.0, -0.0, 1.0, -1.0, 127.0, -127.0], 1),
+            (&[128.0, -3.0], 2),
+            (&[-32767.0, 32767.0, -0.0], 2),
+            (&[32768.0, 0.0], 4),
+            (&[2147483647.0, -2147483647.0], 4),
+            (&[1.0, -2147483648.0], 8),
+            (&[1.0, 2147483648.0], 8),
+            (&[0.5, -0.0], 8),
+            (&[f64::NAN, f64::INFINITY, f64::MIN_POSITIVE / 4.0], 8),
+        ];
+        for (values, width) in cases {
+            assert_eq!(value_width(values), width, "{values:?}");
+            let mut bytes = vec![0u8; values.len() * width];
+            put_values(&mut bytes, values, width);
+            let mut back = vec![0.0; values.len()];
+            get_values(&bytes, &mut back, width);
+            let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(b(&back), b(values), "{values:?}");
         }
     }
 
+    /// A file that is not a partial, and an `SPM2` file — the delta and
+    /// LEB128 format this one replaced — are both bad magic.
     #[test]
     fn bad_magic_is_an_io_error() {
         let dir = TempDir::new("spill_badmagic");
         let path = dir.file("badmagic.bin");
         std::fs::write(&path, [0u8; 64]).unwrap();
         assert!(matches!(SpillReader::open(&path), Err(StreamError::Io(_))));
+        let mut spm2 = header(0x5350_4d32, 1);
+        spm2.extend_from_slice(&[1, 2, 0x80, 0x3f]);
+        std::fs::write(&path, &spm2).unwrap();
+        match SpillReader::open(&path) {
+            Err(StreamError::Io(msg)) => assert!(msg.contains("bad partial magic"), "{msg}"),
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        match decode_partial(&spm2) {
+            Err(StreamError::Io(msg)) => assert!(msg.contains("bad partial magic"), "{msg}"),
+            other => panic!("expected an Io error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1341,31 +1572,59 @@ mod tests {
         }
     }
 
-    /// A header whose entry count the body cannot hold: `read_all`
-    /// would size its arrays from it, so it must refuse first — with the
-    /// file's name, without the allocation (`u64::MAX / 2` entries would
-    /// abort on capacity overflow, a few billion would take the host's
-    /// memory) — while an honest count still reads back whole.
+    /// A header whose entry count the body cannot hold: `read_all` and
+    /// `decode_partial` would size their arrays from it, so they must
+    /// refuse first — with the file's name, without the allocation
+    /// (`u64::MAX / 2` entries would abort on capacity overflow, a few
+    /// billion would take the host's memory) — while an honest count
+    /// still reads back whole. The floor is the format's true minimum,
+    /// 2¼ bytes per block entry: one entry past it is refused up front,
+    /// one at it gets past the floor and fails on the body instead.
     #[test]
     fn a_lying_entry_count_fails_read_all_before_it_allocates() {
         let dir = TempDir::new("spill_fat_nnz");
         let m = gen::uniform_random(8, 8, 20, 1);
-        for codec in [SpillCodec::Raw, SpillCodec::Varint] {
+        let ints = linalg::map_values(&m, |v| (v * 4.0).round());
+        for (codec, m) in [(SpillCodec::Raw, &m), (SpillCodec::Varint, &ints)] {
             let name = format!("fat_{codec}.bin");
             let path = dir.file(&name);
-            write_partial(&path, &m, codec).unwrap();
-            assert_eq!(SpillReader::open(&path).unwrap().read_all().unwrap(), m);
+            let file = write_partial(&path, m, codec).unwrap();
+            assert_eq!(SpillReader::open(&path).unwrap().read_all().unwrap(), *m);
             let honest = std::fs::read(&path).unwrap();
-            for lie in [u64::MAX / 2, 1 << 33, m.nnz() as u64 * 8] {
+            let quarters = if codec == SpillCodec::Raw {
+                4 * RAW_ENTRY_BYTES
+            } else {
+                assert_eq!(honest[..4], MAGIC_BLOCKS.to_le_bytes());
+                MIN_ENTRY_QUARTERS
+            };
+            let floor = 4 * (file.bytes - HEADER_BYTES) / quarters;
+            let mut lies = vec![(u64::MAX / 2, true), (1 << 33, true), (floor + 1, true)];
+            if codec == SpillCodec::Varint {
+                assert!(
+                    floor > m.nnz() as u64,
+                    "the honest count is below the floor"
+                );
+                lies.push((floor, false));
+            }
+            for (lie, refused) in lies {
                 let mut bytes = honest.clone();
                 bytes[20..28].copy_from_slice(&lie.to_le_bytes());
                 std::fs::write(&path, &bytes).unwrap();
-                match SpillReader::open(&path).unwrap().read_all() {
-                    Err(StreamError::Io(msg)) => assert!(
-                        msg.contains(&name) && msg.contains("declares") && msg.contains("entries"),
-                        "{codec} {lie}: {msg}"
-                    ),
-                    other => panic!("{codec} {lie}: expected an Io error, got {other:?}"),
+                let results = [
+                    ("read_all", SpillReader::open(&path).unwrap().read_all()),
+                    ("decode_partial", decode_partial(&bytes)),
+                ];
+                for (what, result) in results {
+                    match result {
+                        Err(StreamError::Io(msg)) => assert!(
+                            msg.contains("body bytes") == refused
+                                && (what == "decode_partial" || msg.contains(&name)),
+                            "{codec} {what} {lie}: {msg}"
+                        ),
+                        other => {
+                            panic!("{codec} {what} {lie}: expected an Io error, got {other:?}")
+                        }
+                    }
                 }
             }
         }
@@ -1390,9 +1649,7 @@ mod tests {
                 assert_eq!(wire, std::fs::read(&path).unwrap(), "{tag} {codec}");
                 let back = decode_partial(&wire).unwrap();
                 assert_eq!(&back, m, "{tag} {codec}");
-                for ((_, _, a), (_, _, b)) in back.iter().zip(m.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{tag} {codec}");
-                }
+                assert_eq!(bits(&back), bits(m), "{tag} {codec}");
             }
         }
     }
@@ -1458,15 +1715,6 @@ mod tests {
         e
     }
 
-    /// A varint entry from its raw fields, the value stored as `1.0`.
-    fn varint_entry(drow: u64, cval: u64) -> Vec<u8> {
-        let mut e = Vec::new();
-        write_varint(&mut e, drow).unwrap();
-        write_varint(&mut e, cval << 1).unwrap();
-        write_varint(&mut e, 1.0f64.to_bits().swap_bytes()).unwrap();
-        e
-    }
-
     /// Drains `reader` through `next_rows(cap)` as `(row, col, value
     /// bits)`, after checking that each group holds the entries it
     /// reports, at most `cap`, in distinct non-empty rows.
@@ -1493,11 +1741,12 @@ mod tests {
         Ok(got)
     }
 
-    /// Writes `bytes` as a spill file and drives every read path over it
-    /// — row-group decode at several group sizes, `read_all` — and hands
-    /// the same bytes to the wire's `decode_partial`: each must fail with
-    /// an `Io` error naming `needle` (and, from a file, the file), never
-    /// finish, panic or hang.
+    /// Writes `bytes` — a 4×4 partial — as a spill file and drives every
+    /// read path over it: row-group decode at several group sizes,
+    /// `read_all`, a band reader over the whole file, and the wire's
+    /// `decode_partial` on the same bytes. Each must fail with an `Io`
+    /// error naming `needle` (and, from a file, the file), never finish,
+    /// panic or hang.
     fn assert_every_read_path_fails(dir: &TempDir, name: &str, bytes: &[u8], needle: &str) {
         let path = dir.file(name);
         std::fs::write(&path, bytes).unwrap();
@@ -1517,43 +1766,309 @@ mod tests {
             "read_all",
             SpillReader::open(&path).unwrap().read_all().map(|_| ()),
         );
+        let nnz = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
+        let mark = |offset, entries| Mark {
+            offset,
+            entries,
+            prev_row: 0,
+        };
+        let file = SpillFile {
+            path: path.clone(),
+            bytes: bytes.len() as u64,
+            shape: (4, 4),
+            index: RowIndex {
+                rows: 4,
+                stride: 4,
+                marks: vec![mark(HEADER_BYTES, 0), mark(bytes.len() as u64, nnz)],
+            },
+        };
+        let band = SpillReader::open_band(&file, 0..1);
+        check("open_band", band.and_then(|r| drain_rows(r, 7)).map(|_| ()));
     }
 
-    /// A 64×64 varint partial whose every entry is exactly 5 bytes —
-    /// all-ones values (3 bytes) and < 64 columns (1-byte token), one
-    /// drow byte — so entry `k` starts at byte `28 + 5k`. Returns the
-    /// encoded bytes and each entry's row.
-    fn five_byte_entries() -> (Vec<u8>, Vec<Index>) {
-        let m = sparch_sparse::linalg::map_values(&gen::uniform_random(64, 64, 2000, 21), |_| 1.0);
-        let bytes = encode_partial(&m, SpillCodec::Varint);
-        assert_eq!(bytes[..4], MAGIC_VARINT.to_le_bytes());
-        assert_eq!(bytes.len(), 28 + 5 * m.nnz());
-        (bytes, m.iter().map(|(r, _, _)| r).collect())
+    /// One row of a hand-built block: its row delta, the entry count its
+    /// header declares and its column codes.
+    #[derive(Debug, Clone)]
+    pub(crate) struct RefRow {
+        drow: u32,
+        n: u32,
+        cols: Vec<u32>,
     }
 
-    /// One flipped row-delta byte in a varint body: that entry and every
-    /// later one land past the declared shape.
-    #[test]
-    fn a_flipped_row_delta_fails_every_read_path() {
-        let dir = TempDir::new("spill_flipped");
-        let (mut bytes, rows) = five_byte_entries();
-        for entry in [0, 114, rows.len() - 1] {
-            let at = 28 + 5 * entry;
-            let clean = std::mem::replace(&mut bytes[at], 0x7f); // row += 127
-            assert_every_read_path_fails(&dir, "flipped.bin", &bytes, "outside declared shape");
-            bytes[at] = clean;
+    /// A row whose header declares the columns it holds.
+    fn row(drow: u32, cols: &[u32]) -> RefRow {
+        RefRow {
+            drow,
+            n: cols.len() as u32,
+            cols: cols.to_vec(),
         }
     }
 
-    /// A same-row entry whose column delta is zeroed repeats its
-    /// predecessor's coordinate.
+    /// One block of the reference encoding, field by field.
+    #[derive(Debug, Clone)]
+    pub(crate) struct RefBlock {
+        rows: Vec<RefRow>,
+        values: Vec<f64>,
+    }
+
+    impl RefBlock {
+        /// The block's bytes, spelled out code by code: the header, the
+        /// control bits, every code in as many bytes as it needs, and
+        /// the values at the block's width.
+        fn bytes(&self) -> Vec<u8> {
+            let codes: Vec<u32> = (self.rows.iter())
+                .flat_map(|r| [r.drow, r.n].into_iter().chain(r.cols.iter().copied()))
+                .collect();
+            let mut ctrl = vec![0u8; codes.len().div_ceil(4)];
+            let mut data = Vec::new();
+            for (k, &x) in codes.iter().enumerate() {
+                let len = match x {
+                    0..=0xff => 1,
+                    0x100..=0xffff => 2,
+                    0x1_0000..=0xff_ffff => 3,
+                    _ => 4,
+                };
+                ctrl[k / 4] |= ((len - 1) << (2 * (k % 4))) as u8;
+                data.extend_from_slice(&x.to_le_bytes()[..len]);
+            }
+            let width = self.width();
+            let mut out = (self.rows.len() as u16).to_le_bytes().to_vec();
+            out.extend_from_slice(&(self.values.len() as u16).to_le_bytes());
+            out.push(width as u8);
+            out.extend(ctrl);
+            out.extend(data);
+            for &v in &self.values {
+                if width == 8 {
+                    out.extend_from_slice(&v.to_bits().to_le_bytes());
+                } else {
+                    let lane = ref_lane(v).expect("an integer lane");
+                    out.extend_from_slice(&lane.to_le_bytes()[..width]);
+                }
+            }
+            out
+        }
+
+        /// The narrowest width that holds every value as twice its
+        /// magnitude plus its sign bit when each is an integer below 2³¹
+        /// in magnitude, else 8.
+        fn width(&self) -> usize {
+            let lanes: Option<Vec<u64>> = (self.values.iter()).map(|&v| ref_lane(v)).collect();
+            let Some(lanes) = lanes else { return 8 };
+            match lanes.into_iter().max().unwrap_or(0) {
+                0..=0xff => 1,
+                0x100..=0xffff => 2,
+                _ => 4,
+            }
+        }
+    }
+
+    /// `2 |v| + sign` when `v` is an integer of magnitude below 2³¹.
+    fn ref_lane(v: f64) -> Option<u64> {
+        let (mag, sign) = (v.abs(), u64::from(v.is_sign_negative()));
+        let whole = mag.fract() == 0.0 && mag < 2f64.powi(31);
+        whole.then(|| 2 * mag as u64 + sign)
+    }
+
+    /// A block of `rows` holding `values`.
+    fn block(rows: Vec<RefRow>, values: &[f64]) -> RefBlock {
+        RefBlock {
+            rows,
+            values: values.to_vec(),
+        }
+    }
+
+    /// The reference block encoding of `csr`: every mark's span of
+    /// entries cut into runs of at most `GROUP_ENTRIES`, and each run's
+    /// rows coded from the entry before them, triple by triple.
+    pub(crate) fn reference_blocks(csr: &Csr) -> Vec<RefBlock> {
+        let stride = mark_stride(csr.rows());
+        let triples: Vec<Triple> = csr.iter().collect();
+        let (mut blocks, mut prev): (Vec<RefBlock>, Option<(Index, Index)>) = (Vec::new(), None);
+        for span in triples.chunk_by(|a, b| a.0 as usize / stride == b.0 as usize / stride) {
+            for run in span.chunks(GROUP_ENTRIES) {
+                let mut rows = Vec::new();
+                for part in run.chunk_by(|a, b| a.0 == b.0) {
+                    let (r, c) = (part[0].0, part[0].1);
+                    let (drow, first) = match prev {
+                        Some((pr, pc)) if pr == r => (0, c - pc),
+                        Some((pr, _)) => (r - pr, c),
+                        None => (r, c),
+                    };
+                    let deltas = part.windows(2).map(|w| w[1].1 - w[0].1);
+                    let cols: Vec<u32> = std::iter::once(first).chain(deltas).collect();
+                    rows.push(row(drow, &cols));
+                    prev = Some((r, part[part.len() - 1].1));
+                }
+                let values: Vec<f64> = run.iter().map(|t| t.2).collect();
+                blocks.push(block(rows, &values));
+            }
+        }
+        blocks
+    }
+
+    /// A partial's bytes: the header for `rows × cols` and `nnz`
+    /// entries, then `blocks`.
+    fn blocks_partial(rows: usize, cols: usize, nnz: usize, blocks: &[RefBlock]) -> Vec<u8> {
+        let mut out = MAGIC_BLOCKS.to_le_bytes().to_vec();
+        for word in [rows, cols, nnz] {
+            out.extend_from_slice(&(word as u64).to_le_bytes());
+        }
+        blocks.iter().for_each(|b| out.extend(b.bytes()));
+        out
+    }
+
+    /// The block encoding of `m` with the row delta of the row that
+    /// holds entry `entry` raised by 127, so that row and every later
+    /// one land past any shape of fewer than 127 rows. The delta stays a
+    /// 1-byte code, so the bytes are as long as the honest encoding and
+    /// its row index still holds.
+    pub(crate) fn with_row_shifted_at(m: &Csr, entry: usize) -> Vec<u8> {
+        let mut blocks = reference_blocks(m);
+        let mut before = 0;
+        let row = (blocks.iter_mut().flat_map(|b| &mut b.rows))
+            .find(|r| {
+                before += r.cols.len();
+                before > entry
+            })
+            .expect("entry inside the partial");
+        assert!(row.drow < 128, "a 1-byte row delta");
+        row.drow += 127;
+        let bytes = blocks_partial(m.rows(), m.cols(), m.nnz(), &blocks);
+        assert_eq!(bytes.len(), encode_partial(m, SpillCodec::Varint).len());
+        bytes
+    }
+
+    /// The 4×4 partial every hand-built block case damages: rows 0 and
+    /// 2, `[[0, 1, 0, 2], [0; 4], [3, 0, 4, 5], [0; 4]]`, in one block.
+    fn two_rows() -> RefBlock {
+        block(
+            vec![row(0, &[1, 2]), row(2, &[0, 2, 1])],
+            &[1.0, 2.0, 3.0, 4.0, 5.0],
+        )
+    }
+
+    /// Each field of a block damaged on its own fails every read path
+    /// with its own error: a block entry count that lies either way, a
+    /// row count that lies, a row's entry count past the block's, control
+    /// bits past the last code, control lengths past the input, an
+    /// unknown value width, a zero row delta after a block's first row,
+    /// a zero column delta and a column past `cols`.
+    #[test]
+    fn every_block_field_corruption_fails_every_read_path() {
+        let dir = TempDir::new("spill_block_fields");
+        let honest = blocks_partial(4, 4, 5, &[two_rows()]);
+        let want = Csr::try_new(
+            4,
+            4,
+            vec![0, 2, 2, 5, 5],
+            vec![1, 3, 0, 2, 3],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+        );
+        assert_eq!(decode_partial(&honest).unwrap(), want.unwrap());
+        let at = HEADER_BYTES as usize;
+        let patched = |bytes: &[u8], offset: usize, byte: u8| {
+            let mut bytes = bytes.to_vec();
+            bytes[at + offset] = byte;
+            bytes
+        };
+        // 4 entries in 8 codes: a count of 3 keeps the two control bytes,
+        // so the rows' counts, not the layout, give the lie away.
+        let four = block(vec![row(0, &[1, 2]), row(2, &[0, 2])], &[1.0; 4]);
+        let four = blocks_partial(4, 4, 4, &[four]);
+        let mut past_count = two_rows();
+        past_count.rows[1].n = 4;
+        let mut zero_drow = two_rows();
+        zero_drow.rows[1].drow = 0;
+        let mut zero_col = two_rows();
+        zero_col.rows[1].cols[2] = 0;
+        let mut wide_col = two_rows();
+        wide_col.rows[1].cols[2] = 2;
+        // 9 codes: the third control byte holds one field.
+        let ctrl_tail = BLOCK_HEADER_BYTES + 2;
+        let cases: [(&str, Vec<u8>, &str); 10] = [
+            (
+                "entries_more.bin",
+                patched(&honest, 2, 6),
+                "declares 6 entries where 5 are left",
+            ),
+            (
+                "entries_fewer.bin",
+                patched(&four, 2, 3),
+                "row declares 2 entries where 1",
+            ),
+            (
+                "row_count.bin",
+                blocks_partial(4, 4, 5, &[past_count]),
+                "row declares 4 entries",
+            ),
+            (
+                "ctrl_past.bin",
+                patched(&honest, ctrl_tail, 0b0100),
+                "control bits past",
+            ),
+            (
+                "ctrl_long.bin",
+                patched(&honest, BLOCK_HEADER_BYTES, 0xff),
+                "truncated mid-block",
+            ),
+            ("width.bin", patched(&honest, 4, 3), "value width 3"),
+            (
+                "zero_drow.bin",
+                blocks_partial(4, 4, 5, &[zero_drow]),
+                "zero row delta",
+            ),
+            (
+                "zero_col.bin",
+                blocks_partial(4, 4, 5, &[zero_col]),
+                "zero column delta",
+            ),
+            (
+                "wide_col.bin",
+                blocks_partial(4, 4, 5, &[wide_col]),
+                "outside declared shape",
+            ),
+            (
+                "no_rows.bin",
+                patched(&honest, 0, 0),
+                "declares 5 entries in 0 rows",
+            ),
+        ];
+        for (name, bytes, needle) in cases {
+            assert_every_read_path_fails(&dir, name, &bytes, needle);
+        }
+    }
+
+    /// A row delta damaged so that a row lands past the declared shape,
+    /// on the partial's first row, a middle one and its last.
+    #[test]
+    fn a_flipped_row_delta_fails_every_read_path() {
+        let dir = TempDir::new("spill_flipped");
+        for k in 0..3 {
+            let mut rows = vec![row(0, &[1]), row(1, &[2]), row(2, &[3])];
+            rows[k].drow += 4;
+            let bytes = blocks_partial(4, 4, 3, &[block(rows, &[1.0; 3])]);
+            assert_every_read_path_fails(&dir, "flipped.bin", &bytes, "outside declared shape");
+        }
+    }
+
+    /// A column delta zeroed inside a row, and on the first entry of a
+    /// row going on from the block before, repeats its predecessor's
+    /// coordinate.
     #[test]
     fn a_zeroed_column_delta_fails_every_read_path() {
         let dir = TempDir::new("spill_repeat");
-        let (mut bytes, rows) = five_byte_entries();
-        let repeat = (1..rows.len()).find(|&k| rows[k] == rows[k - 1]).unwrap();
-        bytes[28 + 5 * repeat + 1] = 0;
-        assert_every_read_path_fails(&dir, "repeat.bin", &bytes, "strictly increasing");
+        let mut inside = two_rows();
+        inside.rows[0].cols[1] = 0;
+        let going_on = [
+            block(vec![row(1, &[0, 1])], &[1.0, 2.0]),
+            block(vec![row(0, &[0, 1])], &[3.0, 4.0]),
+        ];
+        for bytes in [
+            blocks_partial(4, 4, 5, &[inside]),
+            blocks_partial(4, 4, 4, &going_on),
+        ] {
+            assert_every_read_path_fails(&dir, "repeat.bin", &bytes, "zero column delta");
+        }
     }
 
     /// A hand-built raw 4×4 partial holding `entries`, all valued `1.0`.
@@ -1591,26 +2106,69 @@ mod tests {
         }
     }
 
-    /// Delta sums that leave the `u32` index space are errors on the
-    /// slice decoder (file padded past its look-ahead) and on the
-    /// per-field tail decoder (unpadded) alike — never a wrapped
-    /// coordinate.
+    /// Row and column sums that leave the `u32` index space are errors,
+    /// never wrapped coordinates — on a file that ends with the damaged
+    /// block and on one padded past it.
     #[test]
     fn coordinate_overflow_fails_every_read_path() {
         let dir = TempDir::new("spill_overflow");
-        for (name, drow, cval) in [
-            ("row_sum.bin", u64::from(u32::MAX), 0),
-            ("row_wide.bin", 1 << 32, 0),
-            ("row_u64.bin", u64::MAX, 0),
-            ("col_sum.bin", 0, u64::from(u32::MAX)),
-            ("col_wide.bin", 0, 1 << 40),
+        for (name, rows) in [
+            ("row_sum.bin", vec![row(1, &[2]), row(u32::MAX, &[0])]),
+            ("col_sum.bin", vec![row(1, &[2]), row(1, &[1, u32::MAX])]),
         ] {
-            let mut bytes = header(MAGIC_VARINT, 2);
-            bytes.extend_from_slice(&varint_entry(1, 2));
-            bytes.extend_from_slice(&varint_entry(drow, cval));
+            let nnz = rows.iter().map(|r| r.cols.len()).sum();
+            let values = vec![1.0; nnz];
+            let mut bytes = blocks_partial(4, 4, nnz, &[block(rows, &values)]);
             assert_every_read_path_fails(&dir, name, &bytes, "overflows the u32 index space");
-            bytes.extend_from_slice(&[0u8; 2 * MAX_VARINT_ENTRY_BYTES]);
+            bytes.extend_from_slice(&[0u8; 64]);
             assert_every_read_path_fails(&dir, name, &bytes, "overflows the u32 index space");
+        }
+    }
+
+    /// One row of `3 · GROUP_ENTRIES + 100` entries between occupied
+    /// rows, in a partial with a mark at every row: its blocks go on
+    /// from one another inside the row, and integer and full-mantissa
+    /// blocks alternate. `next_rows` at every cap, and a band reader
+    /// between every pair of marks, read exactly what `read_all` does.
+    #[test]
+    fn a_long_row_across_blocks_and_marks_reads_the_same_every_way() {
+        let dir = TempDir::new("spill_long_row");
+        let long = 3 * GROUP_ENTRIES + 100;
+        let mut entries = Vec::new();
+        for r in 0..8u32 {
+            let n = if r == 3 { long } else { 3 + r as usize };
+            for c in 0..n as u32 {
+                // Full-mantissa values in the long row's second block.
+                let v = if r == 3 && (1024..2048).contains(&c) {
+                    0.1 * f64::from(c)
+                } else {
+                    f64::from(c % 7) - 3.0
+                };
+                entries.push((r, 2 * c + r % 2, v));
+            }
+        }
+        let m = partial(8, 2 * long + 2, entries);
+        let path = dir.file("long.bin");
+        let file = write_partial(&path, &m, SpillCodec::Varint).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[..4], MAGIC_BLOCKS.to_le_bytes());
+        let blocks = reference_blocks(&m);
+        assert_eq!(blocks.len(), 8 + 3, "the long row spans four blocks");
+        assert!(blocks.iter().any(|b| b.width() == 8) && blocks.iter().any(|b| b.width() == 1));
+        let all = bits(&SpillReader::open(&path).unwrap().read_all().unwrap());
+        assert_eq!(all, bits(&m));
+        for cap in [1, 7, GROUP_ENTRIES] {
+            let got = drain_rows(SpillReader::open(&path).unwrap(), cap).unwrap();
+            assert_eq!(got, all, "next_rows {cap}");
+        }
+        assert_eq!(file.index.spans(), 8);
+        for lo in 0..=8 {
+            for hi in lo..=8 {
+                let want: Vec<_> = (all.iter().copied())
+                    .filter(|t| (lo..hi).contains(&(t.0 as usize)))
+                    .collect();
+                assert_eq!(drain_band(&file, lo, hi).unwrap(), want, "marks {lo}..{hi}");
+            }
         }
     }
 
@@ -1715,9 +2273,9 @@ mod tests {
 
     /// Both codecs over small-integer and full-mantissa values, each
     /// encoding larger than the 64 KiB read buffer so windows refill and
-    /// compact mid-entry.
+    /// compact mid-block.
     fn large_encodings() -> Vec<(String, Csr, Vec<u8>)> {
-        let float = gen::uniform_random(400, 400, 20_000, 31);
+        let float = gen::uniform_random(600, 600, 32_000, 31);
         let int = sparch_sparse::linalg::map_values(&float, |v| (v * 4.0).round());
         let mut out = Vec::new();
         for (tag, m) in [("int", int), ("float", float)] {
@@ -1736,7 +2294,7 @@ mod tests {
     #[test]
     fn short_and_interrupted_reads_decode_bit_identically() {
         for (tag, m, bytes) in large_encodings() {
-            let expected: Vec<_> = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+            let expected = bits(&m);
             for (step, interrupt) in [
                 (1, None),
                 (2, None),
@@ -1750,8 +2308,7 @@ mod tests {
                     ..FaultySource::new(&bytes, step)
                 };
                 let all = src().reader().read_all().unwrap();
-                let all: Vec<_> = all.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
-                assert_eq!(all, expected, "{case} read_all");
+                assert_eq!(bits(&all), expected, "{case} read_all");
                 assert_eq!(drain_rows(src().reader(), 7).unwrap(), expected, "{case}");
             }
         }
@@ -1783,44 +2340,27 @@ mod tests {
         }
     }
 
-    /// The per-entry encoder the one-pass writer replaced: the exact
-    /// varint size first, then `DeltaState::encode` and `write_varint`
-    /// field by field, raw when varint is not strictly smaller — the
+    /// The plain reference the one-pass writer must match: the
+    /// [`reference_blocks`] spelled out field by field, raw entry by
+    /// entry when the blocks are not strictly smaller than raw — the
     /// byte-identity oracle for disk and wire.
     fn reference_encoding(csr: &Csr, codec: SpillCodec) -> Vec<u8> {
-        let mut varint = Vec::new();
-        let mut enc = DeltaState::new();
+        let blocks = blocks_partial(csr.rows(), csr.cols(), csr.nnz(), &reference_blocks(csr));
+        if codec == SpillCodec::Varint && (blocks.len() as u64) < raw_size(csr) {
+            return blocks;
+        }
+        let mut out = MAGIC_RAW.to_le_bytes().to_vec();
+        out.extend_from_slice(&blocks[4..HEADER_BYTES as usize]);
         for (r, c, v) in csr.iter() {
-            let (drow, token, value) = enc.encode(r, c, v);
-            write_varint(&mut varint, drow).unwrap();
-            write_varint(&mut varint, token).unwrap();
-            match value {
-                ValueEnc::Varint(bits) => {
-                    write_varint(&mut varint, bits).unwrap();
-                }
-                ValueEnc::Raw(bits) => varint.extend_from_slice(&bits.to_le_bytes()),
-            }
-        }
-        let use_varint =
-            codec == SpillCodec::Varint && HEADER_BYTES + (varint.len() as u64) < raw_size(csr);
-        let magic = if use_varint { MAGIC_VARINT } else { MAGIC_RAW };
-        let mut out = magic.to_le_bytes().to_vec();
-        for word in [csr.rows(), csr.cols(), csr.nnz()] {
-            out.extend_from_slice(&(word as u64).to_le_bytes());
-        }
-        if use_varint {
-            out.extend_from_slice(&varint);
-        } else {
-            for (r, c, v) in csr.iter() {
-                out.extend_from_slice(&raw_entry(r, c, v));
-            }
+            out.extend_from_slice(&raw_entry(r, c, v));
         }
         out
     }
 
-    /// Four full-mantissa entries 2¹⁴ rows apart at columns ≥ 2²⁷: each
-    /// varint entry is 3 (drow) + 5 (token) + 8 (value) bytes, the raw
-    /// size, so a varint request falls back to raw.
+    /// Four full-mantissa entries 2¹⁴ rows apart at columns ≥ 2²⁷, each
+    /// in a block of its own: 5 (header) + 1 (control) + 2 (row delta) +
+    /// 1 (count) + 4 (column) + 8 (value) bytes, above raw's 16, so a
+    /// block request falls back to raw.
     fn fallback_partial() -> Csr {
         let entries = (1..=4).map(|k| (k << 14, (1 << 27) + 3 * k, 0.1 * f64::from(k)));
         let m = partial(5 << 14, 1 << 28, entries);
@@ -1840,24 +2380,21 @@ mod tests {
         coo.to_csr()
     }
 
-    /// A partial of 5-byte varint entries (all-ones values, < 64
-    /// columns) whose encoding runs over several chunks, with entry
-    /// 13 101 — bytes 65 533..65 538 — straddling the first chunk's end.
-    fn straddling_partial() -> Csr {
-        let m = linalg::map_values(&gen::uniform_random(1000, 64, 40_000, 23), |_| 1.0);
+    /// A small-integer partial whose block encoding runs over several
+    /// chunks.
+    fn multi_chunk_partial() -> Csr {
+        let m = linalg::map_values(&gen::uniform_random(4000, 128, 120_000, 23), |_| 1.0);
         let bytes = reference_encoding(&m, SpillCodec::Varint);
-        assert_eq!(bytes.len(), 28 + 5 * m.nnz());
+        assert_eq!(bytes[..4], MAGIC_BLOCKS.to_le_bytes());
         assert!(bytes.len() > 2 * CHUNK_BYTES);
-        let at = 28 + 5 * 13_101;
-        assert!(at < CHUNK_BYTES && at + 5 > CHUNK_BYTES);
         m
     }
 
-    /// The one-pass writer is byte for byte the per-entry encoder it
-    /// replaced — on disk and on the wire, under both codecs — over the
-    /// generators with full-mantissa and small-integer values, an empty
-    /// partial, one that falls back to raw, and one whose encoding runs
-    /// over several chunks with an entry straddling a chunk's end.
+    /// The one-pass writer is byte for byte the plain reference encoder —
+    /// on disk and on the wire, under both codecs — over the generators
+    /// with full-mantissa and small-integer values, an empty partial,
+    /// one that falls back to raw, and one whose encoding runs over
+    /// several chunks.
     #[test]
     fn the_writer_matches_the_per_entry_reference_byte_for_byte() {
         let dir = TempDir::new("spill_identity");
@@ -1870,17 +2407,21 @@ mod tests {
             ("powerlaw", gen::powerlaw_rows(300, 2000, 1.5, 5)),
             ("block", gen::block_sparse(256, 256, 16, 0.1, 6)),
             ("wide", gen::uniform_random(2500, 70_000, 9000, 7)),
+            ("long rows", gen::uniform_random(40, 5000, 100_000, 8)),
         ];
         let mut cases = Vec::new();
         for (tag, m) in grid {
-            let int = linalg::map_values(&m, |v| (v * 4.0).round());
-            cases.push((format!("{tag} int"), int));
+            // Integer values 1, 2 and 4 bytes wide as lanes.
+            for (ints, scale) in [("int", 4.0), ("wide int", 1000.0), ("huge int", 70_000.0)] {
+                let int = linalg::map_values(&m, |v| (v * scale).round());
+                cases.push((format!("{tag} {ints}"), int));
+            }
             cases.push((format!("{tag} float"), m));
         }
         cases.push(("empty".into(), Csr::zero(6, 9)));
         cases.push(("empty, no rows".into(), Csr::zero(0, 0)));
         cases.push(("fallback".into(), fallback_partial()));
-        cases.push(("straddling".into(), straddling_partial()));
+        cases.push(("multi-chunk".into(), multi_chunk_partial()));
         let mut writer = SpillWriter::default();
         for (tag, m) in &cases {
             for codec in [SpillCodec::Raw, SpillCodec::Varint] {
@@ -1905,27 +2446,16 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(varint_size(m), reference_varint_size(m), "{tag}");
+            let blocks = blocks_partial(m.rows(), m.cols(), m.nnz(), &reference_blocks(m));
+            assert_eq!(varint_size(m), blocks.len() as u64, "{tag}");
         }
     }
 
-    /// The varint size the per-entry encoder computed field by field.
-    fn reference_varint_size(csr: &Csr) -> u64 {
-        let mut enc = DeltaState::new();
-        let fields = csr.iter().map(|(r, c, v)| match enc.encode(r, c, v) {
-            (drow, token, ValueEnc::Varint(bits)) => {
-                varint_len(drow) + varint_len(token) + varint_len(bits)
-            }
-            (drow, token, ValueEnc::Raw(_)) => varint_len(drow) + varint_len(token) + 8,
-        });
-        HEADER_BYTES + fields.sum::<u64>()
-    }
-
-    /// A varint encoding that reaches its limit stops there: nothing
+    /// A block encoding that reaches its limit stops there: nothing
     /// from the limit on reaches the sink, and no index is returned.
     #[test]
     fn an_encoding_at_its_limit_is_abandoned_before_the_limit_is_handed_on() {
-        let m = straddling_partial();
+        let m = multi_chunk_partial();
         let mut chunk = vec![0u8; chunk_len(&m)];
         for limit in [28, 1000, CHUNK_BYTES as u64, 3 * CHUNK_BYTES as u64 / 2] {
             let mut handed = 0u64;
@@ -1992,7 +2522,7 @@ mod tests {
 
     /// Writes of 7 bytes at a time, and a write interrupted once at the
     /// header or mid-body, are retried into exactly the reference bytes,
-    /// varint and raw (the fallback rewrite included).
+    /// blocks and raw (the fallback rewrite included).
     #[test]
     fn short_and_interrupted_writes_produce_the_reference_bytes() {
         let dir = TempDir::new("spill_short_writes");
@@ -2117,10 +2647,9 @@ mod tests {
             };
             for (lo, hi) in pairs {
                 let rows = index.row(lo)..index.row(hi);
-                let want: Vec<_> = m
-                    .iter()
+                let want: Vec<_> = bits(&m)
+                    .into_iter()
                     .filter(|(r, _, _)| rows.contains(&(*r as usize)))
-                    .map(|(r, c, v)| (r, c, v.to_bits()))
                     .collect();
                 let got = drain_band(&file, lo, hi).unwrap();
                 assert_eq!(got, want, "{tag}: marks {lo}..{hi}");
@@ -2128,24 +2657,24 @@ mod tests {
         }
     }
 
-    /// A row delta damaged inside a band takes the entry past the band's
+    /// A row delta damaged inside a band takes its row past the band's
     /// rows: the band reader fails with the file's path, while a band
     /// that starts after the damage still reads clean.
     #[test]
     fn a_damaged_row_delta_inside_a_band_fails_with_the_path() {
         let dir = TempDir::new("spill_band_damage");
-        let (mut bytes, rows) = five_byte_entries();
         let path = dir.file("band.bin");
         let m = linalg::map_values(&gen::uniform_random(64, 64, 2000, 21), |_| 1.0);
         let file = write_partial(&path, &m, SpillCodec::Varint).unwrap();
-        assert!(std::fs::read(&path).unwrap() == bytes);
-        // An entry that is not its row's first: its row delta is 0.
-        let k = (rows.len() / 2..rows.len())
-            .find(|&k| rows[k] == rows[k - 1])
-            .unwrap();
-        let row = rows[k] as usize;
-        bytes[28 + 5 * k] = 1;
-        std::fs::write(&path, &bytes).unwrap();
+        // A mark per row, so a block per row: raise the delta of a row
+        // in the middle by one, onto the next band's first row.
+        assert_eq!(file.index.stride, 1);
+        let mut blocks = reference_blocks(&m);
+        let k = blocks.len() / 2;
+        blocks[k].rows[0].drow += 1;
+        let first = m.iter().map(|t| t.0).collect::<Vec<_>>();
+        let row = first[blocks[..k].iter().map(|b| b.values.len()).sum::<usize>()] as usize;
+        std::fs::write(&path, blocks_partial(64, 64, m.nnz(), &blocks)).unwrap();
         match drain_band(&file, row, row + 1) {
             Err(StreamError::Io(msg)) => assert!(
                 msg.contains("band.bin") && msg.contains("outside band rows"),
@@ -2154,10 +2683,9 @@ mod tests {
             other => panic!("expected an Io error, got {other:?}"),
         }
         let after = row + 1..64;
-        let want: Vec<_> = m
-            .iter()
+        let want: Vec<_> = bits(&m)
+            .into_iter()
             .filter(|(r, _, _)| after.contains(&(*r as usize)))
-            .map(|(r, c, v)| (r, c, v.to_bits()))
             .collect();
         assert_eq!(drain_band(&file, row + 1, 64).unwrap(), want);
     }
